@@ -102,8 +102,8 @@ fn bench_scenario_workloads(c: &mut Criterion) {
         b.iter(|| criterion::black_box(forwarding_batch(&community, messages)));
     });
 
-    // 1000 nodes exercises the >64-node enumeration fallback and the
-    // simulator's per-slot structures at beyond-paper scale.
+    // 1000 nodes exercises the simulator's per-slot structures at
+    // beyond-paper scale.
     let scaled = scaled_scenario(1000).generate();
     group.bench_function(format!("scaled_1000_forwarding_{messages}msg"), |b| {
         b.iter(|| criterion::black_box(forwarding_batch(&scaled, messages)));

@@ -9,8 +9,8 @@
 //! traces, extension traffic dwarfs everything else the enumerator does.
 //!
 //! [`PathArena`] shares path prefixes structurally instead (the classic
-//! multipath-routing trick): every in-flight path is a single arena entry
-//! `(parent, node, time, depth, mask)` whose `parent` points at the path it
+//! multipath-routing trick): every in-flight path is a single 20-byte arena
+//! entry `(parent, depth, node, time)` whose `parent` points at the path it
 //! extends. Extension is an O(1) append; nothing is ever copied or freed
 //! mid-message.
 //!
@@ -23,17 +23,19 @@
 //!   the arena between messages, reusing the allocation; handles must not
 //!   outlive the message that produced them (deliveries are materialized to
 //!   owned [`Path`]s before the next message starts);
-//! * **bitmask small-trace fast path** — each entry carries a 64-bit
-//!   occupancy mask over `node_id & 63`. For traces with ≤ 64 nodes the mask
-//!   is *exact*, making loop-avoidance and first-preference checks O(1) bit
-//!   tests; for larger traces it acts as a Bloom-style filter whose misses
-//!   are definitive and whose hits fall back to an O(depth) parent walk.
+//! * **stamp-walk membership** — entries carry no per-path node set. The
+//!   enumerator answers every membership question about a stored path with
+//!   one O(depth) parent walk (`PathArena::stamp`) that writes the path's
+//!   nodes into an epoch-stamped node set (`NodeMarks`); after the walk,
+//!   "is `v` on the path?" is one array probe, exact at any node count, and
+//!   the same walk reports whether the path touches a flagged node set (the
+//!   first-preference check);
 //! * **structure-of-arrays layout** — entry fields live in parallel vectors
-//!   rather than one `Vec<Entry>`. The enumerator's k-selection merge reads
-//!   *only* depths of hundreds of candidates per inbox; with the AoS layout
-//!   every key fetch dragged a whole 32-byte entry through the cache, while
-//!   the dense [`depths`](PathArena::depths) slice packs sixteen keys per
-//!   line and compares as plain integers.
+//!   rather than one `Vec<Entry>`. The enumerator's per-node k-shortest
+//!   merge reads *only* the depths of up to `k` stored paths per node per
+//!   slot, and the stamp walk reads only parents and nodes; dense per-field
+//!   vectors keep both scans from dragging whole entries through the
+//!   cache.
 
 use psn_trace::{NodeId, Seconds};
 
@@ -53,27 +55,18 @@ pub struct PathArena {
     /// Arena index of the path each entry extends; `NO_PARENT` for sources.
     parents: Vec<u32>,
     /// Number of hops on the path ending at each entry (≥ 1). Kept dense so
-    /// the k-selection merge can read keys without touching other fields.
+    /// the k-shortest merge can read keys without touching other fields.
     depths: Vec<u32>,
     /// The node that received the message at each hop.
     nodes: Vec<NodeId>,
-    /// Occupancy mask over `node_id & 63` of every node on each path.
-    masks: Vec<u64>,
     /// The time each hop happened (slot end time; creation time for roots).
     times: Vec<Seconds>,
-    /// True when node ids fit the 64-bit mask exactly (≤ 64 nodes).
-    exact_masks: bool,
-}
-
-#[inline]
-fn bit(node: NodeId) -> u64 {
-    1u64 << (node.0 & 63)
 }
 
 impl PathArena {
-    /// Creates an arena for a trace with `node_count` nodes.
-    pub fn new(node_count: usize) -> Self {
-        Self { exact_masks: node_count <= 64, ..Self::default() }
+    /// Creates an empty arena.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of live entries.
@@ -86,47 +79,37 @@ impl PathArena {
         self.parents.is_empty()
     }
 
-    /// True if the 64-bit masks are exact (trace has ≤ 64 nodes).
-    pub fn exact_masks(&self) -> bool {
-        self.exact_masks
-    }
-
-    /// Drops all paths, keeping the allocations. `node_count` re-arms the
-    /// mask mode for the next message's trace (it never changes within one
-    /// graph, but the scratch that owns this arena can be reused across
-    /// graphs).
-    pub fn clear(&mut self, node_count: usize) {
+    /// Drops all paths, keeping the allocations.
+    pub fn clear(&mut self) {
         self.parents.clear();
         self.depths.clear();
         self.nodes.clear();
-        self.masks.clear();
         self.times.clear();
-        self.exact_masks = node_count <= 64;
     }
 
     /// Starts a new single-hop path at `node`.
     pub fn root(&mut self, node: NodeId, time: Seconds) -> PathRef {
-        self.push(NO_PARENT, 1, node, bit(node), time)
+        self.push(NO_PARENT, 1, node, time)
     }
 
     /// Extends `parent` with one hop — O(1), no copying.
     ///
     /// The caller is responsible for loop avoidance (checking
-    /// [`contains`](Self::contains) first); times must be non-decreasing
-    /// along any chain, which the enumerator guarantees by construction.
+    /// [`contains`](Self::contains) or a stamp walk
+    /// first); times must be non-decreasing along any chain, which the
+    /// enumerator guarantees by construction.
     pub fn extend(&mut self, parent: PathRef, node: NodeId, time: Seconds) -> PathRef {
         let p = parent as usize;
         debug_assert!(time >= self.times[p], "extension must not go back in time");
-        self.push(parent, self.depths[p] + 1, node, self.masks[p] | bit(node), time)
+        self.push(parent, self.depths[p] + 1, node, time)
     }
 
-    fn push(&mut self, parent: u32, depth: u32, node: NodeId, mask: u64, time: Seconds) -> PathRef {
+    fn push(&mut self, parent: u32, depth: u32, node: NodeId, time: Seconds) -> PathRef {
         let idx = self.parents.len();
         assert!(idx < NO_PARENT as usize, "path arena exhausted u32 handles");
         self.parents.push(parent);
         self.depths.push(depth);
         self.nodes.push(node);
-        self.masks.push(mask);
         self.times.push(time);
         idx as PathRef
     }
@@ -135,13 +118,6 @@ impl PathArena {
     #[inline]
     pub fn depth(&self, r: PathRef) -> u32 {
         self.depths[r as usize]
-    }
-
-    /// The dense depth-per-entry slice, indexed by [`PathRef`] — the
-    /// k-selection merge reads its sort keys straight off this slice.
-    #[inline]
-    pub fn depths(&self) -> &[u32] {
-        &self.depths
     }
 
     /// The node holding the message at `r`.
@@ -156,37 +132,42 @@ impl PathArena {
         self.times[r as usize]
     }
 
-    /// True if `node` lies on the path ending at `r`. O(1) for exact masks
-    /// and for filter misses; O(depth) parent walk otherwise.
-    #[inline]
+    /// True if `node` lies on the path ending at `r`. O(depth) parent walk;
+    /// the enumerator's hot loop uses a stamp walk instead, which
+    /// answers any number of such queries from one walk.
     pub fn contains(&self, r: PathRef, node: NodeId) -> bool {
-        if self.masks[r as usize] & bit(node) == 0 {
-            return false;
-        }
-        if self.exact_masks {
-            return true;
-        }
-        self.walk(r, |n| n == node)
+        self.any_node(r, |n| n == node)
     }
 
     /// True if any node of the path ending at `r` is flagged in `set`
-    /// (indexed by node id), where `set_mask` is the OR of [`bit`]s of the
-    /// flagged nodes. This is the first-preference intersection test: O(1)
-    /// whenever the masks prove disjointness.
-    #[inline]
-    pub fn intersects(&self, r: PathRef, set_mask: u64, set: &[bool]) -> bool {
-        if self.masks[r as usize] & set_mask == 0 {
-            return false;
-        }
-        if self.exact_masks {
-            return true;
-        }
-        self.walk(r, |n| set[n.index()])
+    /// (indexed by node id). O(depth) parent walk.
+    pub fn intersects(&self, r: PathRef, set: &[bool]) -> bool {
+        self.any_node(r, |n| set[n.index()])
     }
 
-    /// Walks the chain from `r` back to its source, returning true if
-    /// `pred` matches any node.
-    fn walk(&self, r: PathRef, pred: impl Fn(NodeId) -> bool) -> bool {
+    /// Walks the path ending at `r` once, writing its nodes into `marks` as
+    /// a fresh set (every earlier stamp is forgotten) so that
+    /// [`NodeMarks::contains`] then answers loop-avoidance probes in O(1).
+    ///
+    /// With `near` given, the walk also checks every node against that
+    /// node-indexed flag set and returns true as soon as one is flagged;
+    /// the stamps are then incomplete and must not be probed. Returns false
+    /// (and a complete stamp) otherwise.
+    pub(crate) fn stamp(&self, r: PathRef, marks: &mut NodeMarks, near: Option<&[bool]>) -> bool {
+        let epoch = marks.next_epoch();
+        self.any_node(r, |n| {
+            if near.is_some_and(|near| near[n.index()]) {
+                return true;
+            }
+            marks.marks[n.index()] = epoch;
+            false
+        })
+    }
+
+    /// Walks the chain from `r` back to its source, returning true as soon
+    /// as `pred` matches a node.
+    #[inline]
+    fn any_node(&self, r: PathRef, mut pred: impl FnMut(NodeId) -> bool) -> bool {
         let mut cursor = r as usize;
         loop {
             if pred(self.nodes[cursor]) {
@@ -227,6 +208,59 @@ impl PathArena {
     }
 }
 
+/// An epoch-stamped node set: the target of a [`PathArena::stamp`] walk.
+///
+/// Node `v` is in the set iff `marks[v] == epoch`. Starting a new set is
+/// one increment of `epoch` instead of a clear of `marks`; only when the
+/// epoch counter wraps around are the marks zeroed, so a stamp left by a
+/// set four billion walks ago can never be mistaken for a current one.
+/// No walk is ever given epoch 0, which keeps freshly grown (zeroed) marks
+/// out of every stamped set.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeMarks {
+    marks: Vec<u32>,
+    epoch: u32,
+}
+
+impl NodeMarks {
+    /// Makes room for node ids below `n`.
+    pub(crate) fn ensure_nodes(&mut self, n: usize) {
+        if self.marks.len() < n {
+            self.marks.resize(n, 0);
+        }
+    }
+
+    /// True if `node` belongs to the current set.
+    #[inline]
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
+        self.marks[node.index()] == self.epoch
+    }
+
+    /// Starts a new, empty set and returns its epoch.
+    #[inline]
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.marks.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// The current epoch.
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Moves the epoch counter, so tests can start a run just below the
+    /// wraparound.
+    #[cfg(test)]
+    pub(crate) fn set_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,9 +269,18 @@ mod tests {
         NodeId(v)
     }
 
+    /// A chain through `ids`, one hop per id, returned with its tip.
+    fn chain(arena: &mut PathArena, ids: &[u32]) -> PathRef {
+        let mut r = arena.root(nid(ids[0]), 0.0);
+        for (i, &v) in ids.iter().enumerate().skip(1) {
+            r = arena.extend(r, nid(v), 10.0 * i as f64);
+        }
+        r
+    }
+
     #[test]
     fn roots_and_extensions_share_prefixes() {
-        let mut arena = PathArena::new(8);
+        let mut arena = PathArena::new();
         let root = arena.root(nid(0), 0.0);
         let a = arena.extend(root, nid(1), 10.0);
         let b = arena.extend(root, nid(2), 10.0);
@@ -252,8 +295,7 @@ mod tests {
 
     #[test]
     fn contains_is_exact_for_small_traces() {
-        let mut arena = PathArena::new(8);
-        assert!(arena.exact_masks());
+        let mut arena = PathArena::new();
         let root = arena.root(nid(0), 0.0);
         let p = arena.extend(root, nid(5), 10.0);
         assert!(arena.contains(p, nid(0)));
@@ -262,46 +304,115 @@ mod tests {
     }
 
     #[test]
-    fn contains_falls_back_to_walks_for_large_traces() {
-        // Nodes 2 and 66 collide in the 64-bit mask (66 & 63 == 2); the
-        // filter hit must be confirmed by a walk.
-        let mut arena = PathArena::new(100);
-        assert!(!arena.exact_masks());
-        let root = arena.root(nid(0), 0.0);
-        let p = arena.extend(root, nid(66), 10.0);
-        assert!(arena.contains(p, nid(66)));
-        assert!(!arena.contains(p, nid(2)), "mask collision must not report a false positive");
-        assert!(!arena.contains(p, nid(40)));
-    }
-
-    #[test]
     fn intersects_matches_membership() {
-        let mut arena = PathArena::new(10);
+        let mut arena = PathArena::new();
         let root = arena.root(nid(1), 0.0);
         let p = arena.extend(root, nid(4), 10.0);
         let mut set = vec![false; 10];
         set[4] = true;
-        let set_mask = bit(nid(4));
-        assert!(arena.intersects(p, set_mask, &set));
+        assert!(arena.intersects(p, &set));
         let mut other = vec![false; 10];
         other[7] = true;
-        assert!(!arena.intersects(p, bit(nid(7)), &other));
+        assert!(!arena.intersects(p, &other));
+    }
+
+    /// Node ids that alias one another under a 64- or 128-bit
+    /// `id mod width` mask: 2, 66 and 130 share a 64-bit lane, 2 and 130 a
+    /// 128-bit one.
+    const ALIASED: [u32; 3] = [2, 66, 130];
+    const NODES: usize = 200;
+
+    #[test]
+    fn stamp_walk_answers_loop_checks_exactly_across_mask_widths() {
+        let mut arena = PathArena::new();
+        let mut marks = NodeMarks::default();
+        marks.ensure_nodes(NODES);
+        let paths = [
+            chain(&mut arena, &[0, 66]),
+            chain(&mut arena, &[130, 7, 63, 64]),
+            chain(&mut arena, &[2, 65, 127, 128, 199]),
+            chain(&mut arena, &[66]),
+        ];
+        for &r in &paths {
+            assert!(!arena.stamp(r, &mut marks, None));
+            let on_path: Vec<NodeId> = arena.materialize(r).nodes().collect();
+            for v in (0..NODES as u32).map(nid) {
+                let expected = on_path.contains(&v);
+                assert_eq!(marks.contains(v), expected, "node {v:?} on path {on_path:?}");
+                assert_eq!(arena.contains(r, v), expected, "node {v:?} on path {on_path:?}");
+            }
+            for &alias in &ALIASED {
+                assert_eq!(marks.contains(nid(alias)), on_path.contains(&nid(alias)));
+            }
+        }
     }
 
     #[test]
-    fn intersects_confirms_collisions_on_large_traces() {
-        let mut arena = PathArena::new(100);
-        let root = arena.root(nid(66), 0.0);
-        let mut set = vec![false; 100];
-        set[2] = true; // collides with 66 in the mask
-        assert!(!arena.intersects(root, bit(nid(2)), &set));
-        set[66] = true;
-        assert!(arena.intersects(root, bit(nid(2)) | bit(nid(66)), &set));
+    fn stamp_walk_reports_near_hits_exactly_across_mask_widths() {
+        let mut arena = PathArena::new();
+        let mut marks = NodeMarks::default();
+        marks.ensure_nodes(NODES);
+        let paths = [
+            chain(&mut arena, &[0, 66]),
+            chain(&mut arena, &[130, 1]),
+            chain(&mut arena, &[2, 5, 9]),
+            chain(&mut arena, &[3, 67, 131]),
+        ];
+        // Flag one aliased id at a time: a mask would report every other
+        // member of the alias class as a (false) hit.
+        for &flagged in &ALIASED {
+            let mut near = vec![false; NODES];
+            near[flagged as usize] = true;
+            for &r in &paths {
+                let brute = arena.materialize(r).nodes().any(|n| near[n.index()]);
+                assert_eq!(arena.stamp(r, &mut marks, Some(&near)), brute, "flag {flagged}");
+                assert_eq!(arena.intersects(r, &near), brute, "flag {flagged}");
+                if !brute {
+                    // A miss leaves a complete stamp behind.
+                    assert!(marks.contains(arena.node(r)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stamps_of_earlier_walks_are_forgotten() {
+        let mut arena = PathArena::new();
+        let mut marks = NodeMarks::default();
+        marks.ensure_nodes(NODES);
+        let first = chain(&mut arena, &[2, 66]);
+        let second = chain(&mut arena, &[130]);
+        arena.stamp(first, &mut marks, None);
+        arena.stamp(second, &mut marks, None);
+        assert!(marks.contains(nid(130)));
+        assert!(!marks.contains(nid(2)));
+        assert!(!marks.contains(nid(66)));
+    }
+
+    #[test]
+    fn epoch_wraparound_clears_stale_stamps() {
+        let mut arena = PathArena::new();
+        let mut marks = NodeMarks::default();
+        marks.ensure_nodes(NODES);
+        let stale = chain(&mut arena, &[2, 66]);
+        let fresh = chain(&mut arena, &[130]);
+        // Leave stamps at epochs 1 and 2, then jump to the end of the
+        // epoch range: after the wrap, epochs 1 and 2 are current again.
+        arena.stamp(stale, &mut marks, None);
+        arena.stamp(stale, &mut marks, None);
+        marks.set_epoch(u32::MAX - 1);
+        for _ in 0..4 {
+            arena.stamp(fresh, &mut marks, None);
+            assert!(marks.contains(nid(130)));
+            assert!(!marks.contains(nid(2)), "stale stamp survived epoch {}", marks.epoch());
+            assert!(!marks.contains(nid(66)));
+        }
+        assert_eq!(marks.epoch(), 3, "the epoch must have wrapped past zero");
     }
 
     #[test]
     fn materialize_reconstructs_hop_sequences() {
-        let mut arena = PathArena::new(8);
+        let mut arena = PathArena::new();
         let root = arena.root(nid(0), 5.0);
         let a = arena.extend(root, nid(1), 10.0);
         let b = arena.extend(a, nid(2), 30.0);
@@ -314,7 +425,7 @@ mod tests {
 
     #[test]
     fn materialize_extended_appends_the_delivery_hop() {
-        let mut arena = PathArena::new(8);
+        let mut arena = PathArena::new();
         let root = arena.root(nid(0), 0.0);
         let a = arena.extend(root, nid(1), 10.0);
         let path = arena.materialize_extended(a, nid(7), 20.0);
@@ -324,14 +435,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_retains_capacity_and_rearms_masks() {
-        let mut arena = PathArena::new(8);
+    fn clear_empties_the_arena_for_reuse() {
+        let mut arena = PathArena::new();
         let root = arena.root(nid(0), 0.0);
         arena.extend(root, nid(1), 1.0);
-        arena.clear(100);
+        arena.clear();
         assert!(arena.is_empty());
-        assert!(!arena.exact_masks());
-        arena.clear(8);
-        assert!(arena.exact_masks());
+        let again = arena.root(nid(130), 2.0);
+        assert_eq!(again, 0, "handles restart from zero after a clear");
+        assert_eq!(arena.node(again), nid(130));
     }
 }

@@ -42,23 +42,49 @@
 //! ## Engine
 //!
 //! In-flight paths live in a parent-pointer [`PathArena`]: extending a path
-//! is an O(1) arena push (the prefix is shared, never cloned), and the
-//! loop-avoidance / first-preference membership tests are O(1) bitmask
-//! probes for traces with ≤ 64 nodes (with an O(depth) parent-walk fallback
-//! above that). Full hop sequences are only materialized for the
-//! `stored_path_limit` sampled deliveries. Per-node path budgets are
-//! enforced with `select_nth_unstable_by_key` partial selection instead of
-//! a full sort, and all per-slot buffers live in a reusable
-//! [`EnumerationScratch`]. The pre-arena algorithm — one owned `Vec<Hop>`
-//! per in-flight path — is retained as
-//! [`PathEnumerator::enumerate_reference`] and produces bit-identical
-//! results; the property tests in this module and the `enumeration`
-//! Criterion bench hold the two implementations against each other.
+//! is an O(1) arena push (the prefix is shared, never cloned). Full hop
+//! sequences are only materialized for the `stored_path_limit` sampled
+//! deliveries, and all per-slot buffers live in a reusable
+//! [`EnumerationScratch`].
+//!
+//! Within a slot, every extension is an unmaterialized candidate keyed by
+//! `(depth, seq)`, where `seq` counts candidates in creation order. A node
+//! keeps the `k` smallest keys among its arrivals, merged behind its stored
+//! paths of equal depth. Three exact rules keep that work small:
+//!
+//! * **admission bound** — each node has a depth bound for the slot. Once
+//!   its inbox reaches `2k` candidates it is cut to the `k` best
+//!   (`select_nth_unstable_by_key`) and the bound becomes the depth of the
+//!   worst one kept. A later candidate at least that deep is never pushed:
+//!   `seq` only grows within a slot, so its key is larger than all `k`
+//!   kept keys and it could never be selected. In a slot without the
+//!   first-preference screen no stored list shrinks, so a node already
+//!   storing `k` paths starts the slot with the depth of its `k`-th path as
+//!   its bound (stored paths win ties). Stored paths are extended
+//!   shortest-first and bounds only tighten, so a member closed to one
+//!   path is skipped for the rest of its holder's paths;
+//! * **one walk per path** — membership questions about a stored path are
+//!   answered by one O(depth) parent walk that stamps the path's nodes into
+//!   an epoch-stamped array, exact at any node count. The walk runs at once
+//!   when the first-preference screen applies (is any node on the path in
+//!   the destination's component?), and otherwise only when the first
+//!   member passes the bound; after it, each loop-avoidance check is one
+//!   array probe. The holder and the source lie on every path and are
+//!   never probed;
+//! * **linear merge** — a node's stored list is kept sorted by depth, so
+//!   the `k` best arrivals, sorted by key, merge with it in one pass, and
+//!   only the arrivals that make the cut are materialized.
+//!
+//! The pre-arena algorithm — one owned `Vec<Hop>` per in-flight path — is
+//! retained as [`PathEnumerator::enumerate_reference`] and produces
+//! bit-identical results; the property tests in this module and the
+//! `enumeration` Criterion bench hold the two implementations against each
+//! other.
 
 use psn_trace::{NodeId, Seconds};
 use serde::{Deserialize, Serialize};
 
-use crate::arena::{PathArena, PathRef};
+use crate::arena::{NodeMarks, PathArena, PathRef};
 use crate::graph::Slot;
 use crate::message::Message;
 use crate::path::Path;
@@ -221,8 +247,21 @@ pub struct EnumerationScratch {
     /// Unmaterialized arrival candidates per node within the current slot,
     /// pruned online to the `k` best so arena growth stays bounded.
     arrivals: Vec<Vec<ArrivalCandidate>>,
-    /// Materialized arena refs of the surviving arrivals of one inbox.
-    arrival_refs: Vec<PathRef>,
+    /// Per-node admission bound of the current slot: a candidate whose
+    /// depth is at least `bounds[v]` cannot be selected at `v` and is never
+    /// pushed. `u32::MAX` (admit everything) unless `v` stores `k` paths in
+    /// a slot without the first-preference screen, or `v`'s inbox has been
+    /// pruned; reset for every holder and touched node at the end of each
+    /// slot.
+    bounds: Vec<u32>,
+    /// `(path, member)` candidates rejected by `bounds` over this
+    /// scratch's lifetime.
+    bound_rejections: u64,
+    /// Nodes of the stored path last walked (the loop-avoidance set).
+    marks: NodeMarks,
+    /// The current holder's component members not yet closed by `bounds`,
+    /// in component order.
+    open_members: Vec<NodeId>,
     /// Nodes that can reach the destination via zero-weight edges this slot.
     near_destination: Vec<bool>,
     /// The nodes flagged in `near_destination`, for O(set) clearing.
@@ -235,10 +274,9 @@ pub struct EnumerationScratch {
     holders_snapshot: Vec<u32>,
     /// Double buffer for the per-slot holder-list refresh.
     holders_next: Vec<u32>,
-    /// `(packed depth‖insertion-order key, path)` buffer for the k-shortest
-    /// selection — keys are precomputed so the selection compares plain
-    /// integers instead of chasing arena entries.
-    merge_buf: Vec<(u64, PathRef)>,
+    /// Output buffer of the per-node k-shortest merge, swapped with the
+    /// node's stored list.
+    merged: Vec<PathRef>,
 }
 
 impl EnumerationScratch {
@@ -247,18 +285,28 @@ impl EnumerationScratch {
         Self::default()
     }
 
+    /// Number of arrival candidates — (stored path, component member)
+    /// pairs — the per-node admission bound rejected before they were
+    /// pushed, summed over every run this scratch served. A work counter
+    /// for tests and profiling; it never reaches a result.
+    pub fn bound_rejections(&self) -> u64 {
+        self.bound_rejections
+    }
+
     /// Resets for a new message over a graph with `n` nodes.
     ///
-    /// The previous run leaves `arrivals` and `near_destination` clean (they
-    /// are drained every slot via `touched` / `near_list`); only `stored`
-    /// can carry paths across runs, and `holders` indexes exactly the nodes
-    /// that might.
+    /// The previous run leaves `arrivals`, `bounds` and `near_destination`
+    /// clean (they are drained every slot via `touched` / `near_list`);
+    /// only `stored` can carry paths across runs, and `holders` indexes
+    /// exactly the nodes that might.
     fn reset(&mut self, n: usize) {
-        self.arena.clear(n);
+        self.arena.clear();
         if self.stored.len() < n {
             self.stored.resize_with(n, Vec::new);
             self.arrivals.resize_with(n, Vec::new);
+            self.bounds.resize(n, u32::MAX);
         }
+        self.marks.ensure_nodes(n);
         if self.near_destination.len() < n {
             self.near_destination.resize(n, false);
         }
@@ -458,19 +506,33 @@ impl<'a> PathEnumerator<'a> {
         // the first-preference rule: that earlier holder keeps a copy
         // forever and would have delivered it now, so any later delivery
         // of this path is dominated.
-        let mut near_mask = 0u64;
         if destination_active {
             for &m in slot.component_slice(destination) {
                 scratch.near_destination[m.index()] = true;
                 scratch.near_list.push(m.0);
-                near_mask |= 1u64 << (m.0 & 63);
+            }
+        }
+        // Stored paths that do not deliver are screened against that set
+        // (first preference) unless the ablation disables the rule.
+        let screen_near = destination_active && self.config.enforce_first_preference;
+
+        scratch.holders_snapshot.clear();
+        scratch.holders_snapshot.extend_from_slice(&scratch.holders);
+        if !screen_near {
+            // Without the screen no stored list shrinks this slot, so a
+            // node already storing `k` paths closes its inbox to every
+            // candidate at least as deep as its `k`-th path: the merge
+            // ranks stored paths first among equal depths.
+            for &h in &scratch.holders_snapshot {
+                let paths = &scratch.stored[h as usize];
+                if paths.len() >= k {
+                    scratch.bounds[h as usize] = scratch.arena.depth(paths[k - 1]);
+                }
             }
         }
 
         let mut delivered_this_slot: usize = 0;
 
-        scratch.holders_snapshot.clear();
-        scratch.holders_snapshot.extend_from_slice(&scratch.holders);
         for &holder_u32 in &scratch.holders_snapshot {
             let holder_idx = holder_u32 as usize;
             if scratch.stored[holder_idx].is_empty() {
@@ -508,31 +570,76 @@ impl<'a> PathEnumerator<'a> {
                     scratch.stored[holder_idx].clear();
                 }
             } else {
-                // Drop paths that carry a node which meets the
-                // destination this slot (first preference: that node
-                // still holds a copy and delivers it now, so this longer
-                // continuation can never be a first-preference path).
-                if destination_active && self.config.enforce_first_preference {
-                    let arena = &scratch.arena;
-                    let near = &scratch.near_destination;
-                    scratch.stored[holder_idx].retain(|&r| !arena.intersects(r, near_mask, near));
-                }
-                if scratch.stored[holder_idx].is_empty() || !slot.has_contacts(holder) {
-                    // Nothing to extend; surviving paths simply wait.
+                // One pass over the holder's paths, in stored order. A path
+                // that carries a node meeting the destination this slot is
+                // dropped (first preference: that node still holds a copy
+                // and delivers it now, so this longer continuation can
+                // never be a first-preference path). Every other path waits
+                // in place and is extended to each member of its holder's
+                // contact component that is not already on it. The
+                // destination is never an extension target: it is either
+                // inactive or in another component (its own component
+                // delivers above).
+                let members: &[NodeId] =
+                    if slot.has_contacts(holder) { slot.component_slice(holder) } else { &[] };
+                if members.is_empty() && !screen_near {
+                    // Nothing to drop or extend; the paths simply wait.
                     continue;
                 }
-                // Extend to every component member not already on the
-                // path. The holder itself and the destination are never
-                // extension targets: the holder is on its own path (so
-                // the contains check skips it), and the destination is
-                // either inactive or in another component (its own
-                // component delivers above).
-                let members = slot.component_slice(holder);
-                for i in 0..scratch.stored[holder_idx].len() {
-                    let r = scratch.stored[holder_idx][i];
+                // The members whose inbox may still admit this holder's
+                // paths: all but the holder and the source, which lie on
+                // every one of them. Stored paths are sorted shortest-first
+                // and bounds only tighten within a slot, so a member the
+                // bound closes to one path is closed to every later path
+                // too; dropping it keeps the inner loop (and the lazy walk)
+                // to the inboxes still open.
+                scratch.open_members.clear();
+                scratch
+                    .open_members
+                    .extend(members.iter().filter(|&&v| v != holder && v != message.source));
+                let targets = scratch.open_members.len();
+                let near = screen_near.then_some(&scratch.near_destination[..]);
+                let paths = &mut scratch.stored[holder_idx];
+                let arena = &scratch.arena;
+                debug_assert!(paths.windows(2).all(|w| arena.depth(w[0]) <= arena.depth(w[1])));
+                let mut kept = 0;
+                for i in 0..paths.len() {
+                    if scratch.open_members.is_empty() && near.is_none() {
+                        // Every remaining path just waits.
+                        scratch.bound_rejections += ((paths.len() - i) * targets) as u64;
+                        kept = paths.len();
+                        break;
+                    }
+                    let r = paths[i];
+                    // The screen walks the path at once; without it the
+                    // walk waits for the first member the bound admits.
+                    let mut walked = near.is_some();
+                    if walked && scratch.arena.stamp(r, &mut scratch.marks, near) {
+                        continue;
+                    }
+                    paths[kept] = r;
+                    kept += 1;
+                    let open = &mut scratch.open_members;
+                    scratch.bound_rejections += (targets - open.len()) as u64;
                     let child_depth = scratch.arena.depth(r) + 1;
-                    for &v in members {
-                        if scratch.arena.contains(r, v) {
+                    let mut still_open = 0;
+                    for j in 0..open.len() {
+                        let v = open[j];
+                        // Admission bound: `k` paths at `v` (stored ones,
+                        // or kept candidates with smaller `seq`) already
+                        // rank ahead of any candidate this deep, so this
+                        // one could never be selected there.
+                        if child_depth >= scratch.bounds[v.index()] {
+                            scratch.bound_rejections += 1;
+                            continue;
+                        }
+                        open[still_open] = v;
+                        still_open += 1;
+                        if !walked {
+                            scratch.arena.stamp(r, &mut scratch.marks, None);
+                            walked = true;
+                        }
+                        if scratch.marks.contains(v) {
                             continue;
                         }
                         let inbox = &mut scratch.arrivals[v.index()];
@@ -547,15 +654,18 @@ impl<'a> PathEnumerator<'a> {
                         state.candidate_seq += 1;
                         // Amortized-O(1) online pruning: once the inbox
                         // doubles past k, keep only the k smallest
-                        // (depth, seq) keys — exactly the candidates
-                        // that could still survive this node's final
-                        // selection.
+                        // (depth, seq) keys — exactly the candidates that
+                        // could still survive this node's final selection
+                        // — and tighten the bound to the worst kept depth.
                         if inbox.len() >= 2 * k {
                             inbox.select_nth_unstable_by_key(k - 1, |c| (c.depth, c.seq));
                             inbox.truncate(k);
+                            scratch.bounds[v.index()] = inbox[k - 1].depth;
                         }
                     }
+                    open.truncate(still_open);
                 }
+                paths.truncate(kept);
             }
 
             if state.truncated {
@@ -569,35 +679,24 @@ impl<'a> PathEnumerator<'a> {
         // nodes that actually received arrivals need any work.
         if !state.truncated {
             scratch.touched.sort_unstable();
-            for t in 0..scratch.touched.len() {
-                let idx = scratch.touched[t] as usize;
-                // Final candidate selection for this inbox, then
-                // materialize only the survivors into the arena, in
-                // arrival order (seq), so the merge below sees the same
-                // relative order the unbounded engine produced.
-                let inbox = &mut scratch.arrivals[idx];
+            for &t in &scratch.touched {
+                // Final candidate selection for this inbox, in merge order.
+                let inbox = &mut scratch.arrivals[t as usize];
                 if inbox.len() > k {
                     inbox.select_nth_unstable_by_key(k - 1, |c| (c.depth, c.seq));
                     inbox.truncate(k);
                 }
-                inbox.sort_unstable_by_key(|c| c.seq);
-                scratch.arrival_refs.clear();
-                for i in 0..scratch.arrivals[idx].len() {
-                    let c = scratch.arrivals[idx][i];
-                    scratch.arrival_refs.push(scratch.arena.extend(
-                        c.parent,
-                        NodeId(scratch.touched[t]),
-                        slot_time,
-                    ));
-                }
-                scratch.arrivals[idx].clear();
+                inbox.sort_unstable_by_key(|c| (c.depth, c.seq));
                 Self::keep_k_shortest(
-                    &scratch.arena,
-                    &mut scratch.stored[idx],
-                    &mut scratch.arrival_refs,
-                    &mut scratch.merge_buf,
+                    &mut scratch.arena,
+                    &mut scratch.stored[t as usize],
+                    inbox,
+                    &mut scratch.merged,
+                    NodeId(t),
+                    slot_time,
                     k,
                 );
+                inbox.clear();
             }
             // Refresh the holder list: previous holders that still hold
             // paths plus newly touched nodes, ascending and deduplicated.
@@ -610,6 +709,9 @@ impl<'a> PathEnumerator<'a> {
             for &t in &scratch.touched {
                 scratch.arrivals[t as usize].clear();
             }
+        }
+        for &v in scratch.touched.iter().chain(&scratch.holders_snapshot) {
+            scratch.bounds[v as usize] = u32::MAX;
         }
         scratch.touched.clear();
 
@@ -628,43 +730,37 @@ impl<'a> PathEnumerator<'a> {
         }
     }
 
-    /// Merges `arrivals` into `stored` keeping the `k` shortest paths,
-    /// shortest-first with earlier insertion winning ties — exactly the
-    /// order a stable full sort of `stored ++ arrivals` by depth would
-    /// produce, but using partial selection so the cost is O(m + k log k)
-    /// instead of O(m log m) for m merged candidates.
-    ///
-    /// Each candidate's sort key is packed once up front as
-    /// `depth << 32 | insertion order`, read off the arena's dense
-    /// [`PathArena::depths`] slice: the selection and sort then compare
-    /// plain `u64`s — no arena indirection per comparison, no tuple
-    /// branching — and because the insertion order makes every key unique,
-    /// the packed order is exactly the `(depth, seq)` lexicographic order.
+    /// Merges the arrivals at `node` into its `stored` list, keeping the
+    /// `k` shortest paths: shortest-first, stored paths ahead of arrivals
+    /// of equal depth, arrivals in `seq` order among themselves. That is
+    /// exactly the order a stable sort of `stored ++ arrivals in seq order`
+    /// by depth produces (the reference engine's merge), computed as one
+    /// linear merge because both inputs are already in it: `stored` by
+    /// induction, `arrivals` sorted by `(depth, seq)` by the caller. Only
+    /// the arrivals that make the cut are materialized into the arena.
     fn keep_k_shortest(
-        arena: &PathArena,
+        arena: &mut PathArena,
         stored: &mut Vec<PathRef>,
-        arrivals: &mut Vec<PathRef>,
-        merge_buf: &mut Vec<(u64, PathRef)>,
+        arrivals: &[ArrivalCandidate],
+        merged: &mut Vec<PathRef>,
+        node: NodeId,
+        time: Seconds,
         k: usize,
     ) {
-        debug_assert!(stored.len() + arrivals.len() < u32::MAX as usize);
-        merge_buf.clear();
-        let depths = arena.depths();
-        merge_buf.extend(
-            stored
-                .iter()
-                .chain(arrivals.iter())
-                .enumerate()
-                .map(|(seq, &r)| (((depths[r as usize] as u64) << 32) | seq as u64, r)),
-        );
-        arrivals.clear();
-        if merge_buf.len() > k {
-            merge_buf.select_nth_unstable_by_key(k - 1, |&(key, _)| key);
-            merge_buf.truncate(k);
+        merged.clear();
+        let (mut i, mut j) = (0, 0);
+        while merged.len() < k && (i < stored.len() || j < arrivals.len()) {
+            if j == arrivals.len()
+                || (i < stored.len() && arena.depth(stored[i]) <= arrivals[j].depth)
+            {
+                merged.push(stored[i]);
+                i += 1;
+            } else {
+                merged.push(arena.extend(arrivals[j].parent, node, time));
+                j += 1;
+            }
         }
-        merge_buf.sort_unstable_by_key(|&(key, _)| key);
-        stored.clear();
-        stored.extend(merge_buf.iter().map(|&(_, r)| r));
+        std::mem::swap(stored, merged);
     }
 
     /// The pre-arena reference implementation: every in-flight path is an
@@ -1179,7 +1275,7 @@ mod tests {
 
     #[test]
     fn arena_matches_reference_on_random_small_traces() {
-        // Small node counts exercise the exact-bitmask fast path.
+        // Small node counts: sparse components, few bound rejections.
         let mut scratch = EnumerationScratch::new();
         for seed in 0..12u64 {
             let nodes = 4 + (seed as usize % 9);
@@ -1197,15 +1293,15 @@ mod tests {
 
     #[test]
     fn arena_matches_reference_beyond_64_nodes() {
-        // More than 64 nodes: the bitmask degrades to a filter and the
-        // membership checks take the parent-walk fallback.
+        // More than 64 nodes: node ids past the width of any fixed-size
+        // membership mask, checked by the stamp walk.
         let mut scratch = EnumerationScratch::new();
         for seed in 100..106u64 {
             let nodes = 66 + (seed as usize % 7);
             let trace = random_trace(seed, nodes, 160, 500.0);
             let graph = SpaceTimeGraph::build_default(&trace);
             let enumerator = PathEnumerator::new(&graph, EnumerationConfig::quick(12));
-            // Endpoints chosen to straddle the 64-bit boundary.
+            // Endpoints on both sides of node id 64.
             for (src, dst) in [(0u32, 65u32), (65, 1), (10, 64)] {
                 let message = Message::new(nid(src), nid(dst), 0.0);
                 assert_equivalent(&enumerator, &graph, &message, &mut scratch);
@@ -1276,6 +1372,169 @@ mod tests {
         assert_eq!(result.first_delivery_time(), Some(1030.0));
     }
 
+    /// A dense trace over `nodes` nodes whose last node is a hard-to-reach
+    /// destination. Nodes `0..nodes - 1` form large contact components in
+    /// most slots, so inboxes fill past `2k` and re-prune many times per
+    /// slot for small `k`; the last node meets one random node three times,
+    /// so runs toward it cross many slots before delivering, and the
+    /// first-preference screen runs in the slots it is active.
+    fn dense_trace(seed: u64, nodes: usize, window: f64) -> ContactTrace {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let core = nodes as u32 - 1;
+        let mut contacts = Vec::new();
+        for _ in 0..nodes * 6 {
+            let a = rng.gen_range(0..core);
+            let mut b = rng.gen_range(0..core);
+            while b == a {
+                b = rng.gen_range(0..core);
+            }
+            let start = rng.gen_range(0.0..window * 0.9);
+            let duration: f64 = rng.gen_range(5.0..30.0);
+            contacts.push((a, b, start, (start + duration).min(window)));
+        }
+        for share in [0.3, 0.6, 0.9] {
+            let start = window * share;
+            contacts.push((core, rng.gen_range(0..core), start, start + 4.0));
+        }
+        trace_from(contacts, nodes, window)
+    }
+
+    /// Configurations for the dense differential tests: plain small `k`,
+    /// a delivery cap, and the first-preference ablation.
+    fn dense_configs() -> Vec<EnumerationConfig> {
+        let mut configs: Vec<EnumerationConfig> =
+            [1usize, 2, 3, 8].into_iter().map(EnumerationConfig::quick).collect();
+        configs.push(EnumerationConfig {
+            k: 3,
+            max_delivered_paths: Some(5),
+            stored_path_limit: 2,
+            enforce_first_preference: true,
+        });
+        configs.push(EnumerationConfig::quick(2).without_first_preference());
+        configs
+    }
+
+    /// Messages toward the hard-to-reach last node and inside the dense
+    /// core, created at staggered times.
+    fn dense_messages(nodes: usize) -> Vec<Message> {
+        let last = nodes as u32 - 1;
+        vec![
+            Message::new(nid(0), nid(last), 0.0),
+            Message::new(nid(last / 2), nid(last), 20.0),
+            Message::new(nid(1), nid(last - 1), 0.0),
+            Message::new(nid(last - 2), nid(3), 40.0),
+        ]
+    }
+
+    const DENSE_NODES: [usize; 4] = [60, 70, 130, 200];
+
+    #[test]
+    fn arena_matches_reference_on_dense_traces() {
+        let mut scratch = EnumerationScratch::new();
+        for (seed, nodes) in DENSE_NODES.into_iter().enumerate() {
+            let trace = dense_trace(500 + seed as u64, nodes, 240.0);
+            let graph = SpaceTimeGraph::build_default(&trace);
+            for config in dense_configs() {
+                let enumerator = PathEnumerator::new(&graph, config);
+                for message in dense_messages(nodes) {
+                    assert_equivalent(&enumerator, &graph, &message, &mut scratch);
+                }
+            }
+        }
+        assert!(scratch.bound_rejections() > 0, "dense traces must exercise the bound");
+    }
+
+    #[test]
+    fn admission_bound_rejects_candidates_on_dense_graphs() {
+        // The bound is an optimization with no visible effect on results,
+        // so its counter is what shows it is on.
+        let trace = dense_trace(600, 70, 240.0);
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let enumerator = PathEnumerator::new(&graph, EnumerationConfig::quick(3));
+        let mut scratch = EnumerationScratch::new();
+        let result =
+            enumerator.enumerate_with_scratch(&Message::new(nid(0), nid(69), 0.0), &mut scratch);
+        assert!(result.slots_processed > 1);
+        assert!(
+            scratch.bound_rejections() > 0,
+            "no candidate was rejected by the admission bound on a dense graph"
+        );
+    }
+
+    #[test]
+    fn stamp_epoch_wraparound_matches_fresh_runs() {
+        let nodes = 70;
+        let trace = dense_trace(700, nodes, 240.0);
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let enumerator = PathEnumerator::new(&graph, EnumerationConfig::quick(8));
+        let mut scratch = EnumerationScratch::new();
+        enumerator.enumerate_with_scratch(&Message::new(nid(0), nid(1), 0.0), &mut scratch);
+        // Leave a stamp at epoch 1 on every node: a walk over a chain
+        // through all of them. The epoch becomes 1 again right after the
+        // wrap, so unless the wrap clears the marks, every node then reads
+        // as already on the path and no extension happens.
+        let mut everyone = scratch.arena.root(nid(0), 0.0);
+        for v in 1..nodes as u32 {
+            everyone = scratch.arena.extend(everyone, nid(v), 0.0);
+        }
+        scratch.marks.set_epoch(0);
+        scratch.arena.stamp(everyone, &mut scratch.marks, None);
+        let start = u32::MAX - 1;
+        scratch.marks.set_epoch(start);
+        for message in dense_messages(nodes) {
+            let reused = enumerator.enumerate_with_scratch(&message, &mut scratch);
+            let fresh = enumerator.enumerate(&message);
+            assert_eq!(reused.deliveries, fresh.deliveries, "message {message}");
+            assert_eq!(reused.sample_paths, fresh.sample_paths, "message {message}");
+            assert_eq!(reused.exploded, fresh.exploded);
+            assert_eq!(reused.truncated, fresh.truncated);
+            assert_eq!(reused.slots_processed, fresh.slots_processed);
+        }
+        assert!(scratch.marks.epoch() < start, "the stamp epoch never wrapped");
+    }
+
+    #[test]
+    fn screened_stored_paths_free_room_for_arrivals() {
+        // k = 2. Node 2 stores two 3-hop paths, [0,1,2] and [0,5,2], when
+        // node 1 meets the destination 4 in slot 3. The first-preference
+        // screen drops [0,1,2] that slot, so the arrival [0,3,2] fills the
+        // freed place even though node 2 entered the slot with a full list.
+        // In slot 4 both of node 2's paths deliver.
+        let trace = trace_from(
+            vec![
+                (0, 1, 1.0, 5.0),
+                (0, 3, 1.0, 5.0),
+                (0, 5, 1.0, 5.0),
+                (1, 2, 11.0, 15.0),
+                (5, 2, 21.0, 25.0),
+                (1, 4, 31.0, 35.0),
+                (3, 2, 32.0, 36.0),
+                (2, 4, 41.0, 45.0),
+            ],
+            6,
+            60.0,
+        );
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let enumerator = PathEnumerator::new(&graph, EnumerationConfig::quick(2));
+        let message = Message::new(nid(0), nid(4), 0.0);
+        let mut scratch = EnumerationScratch::new();
+        assert_equivalent(&enumerator, &graph, &message, &mut scratch);
+        let result = enumerator.enumerate(&message);
+        let delivered: Vec<Vec<NodeId>> =
+            result.sample_paths.iter().map(|p| p.nodes().collect()).collect();
+        assert_eq!(
+            delivered,
+            vec![
+                vec![nid(0), nid(1), nid(4)],
+                vec![nid(0), nid(5), nid(2), nid(4)],
+                vec![nid(0), nid(3), nid(2), nid(4)],
+            ]
+        );
+        assert!(result.exploded);
+    }
+
     // ------------------------------------------------------------------
     // Slot-major batch driver: must be bit-identical to the message-major
     // driver, and must touch each slot of a windowed graph once per batch.
@@ -1313,7 +1572,7 @@ mod tests {
         let mut scratches = Vec::new();
         let mut scratch = EnumerationScratch::new();
         for seed in 200..208u64 {
-            // Node counts straddle the 64-node bitmask boundary.
+            // Node counts on both sides of 64.
             let nodes = 6 + (seed as usize % 4) * 21;
             let trace = random_trace(seed, nodes, 140, 500.0);
             let graph = SpaceTimeGraph::build_default(&trace);
@@ -1376,6 +1635,35 @@ mod tests {
                     &mut scratches,
                     &mut scratch,
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn batch_matches_sequential_on_dense_traces() {
+        let mut scratches = Vec::new();
+        let mut scratch = EnumerationScratch::new();
+        for (seed, nodes) in DENSE_NODES.into_iter().enumerate() {
+            let trace = dense_trace(800 + seed as u64, nodes, 240.0);
+            let graph = SpaceTimeGraph::build_default(&trace);
+            for config in dense_configs() {
+                let enumerator = PathEnumerator::new(&graph, config);
+                let messages = dense_messages(nodes);
+                assert_batch_matches_sequential(
+                    &enumerator,
+                    &messages,
+                    &mut scratches,
+                    &mut scratch,
+                );
+                for message in &messages {
+                    let reference = enumerator.enumerate_reference(message);
+                    let single = enumerator.enumerate_with_scratch(message, &mut scratch);
+                    assert_eq!(single.deliveries, reference.deliveries, "{message}");
+                    assert_eq!(single.sample_paths, reference.sample_paths, "{message}");
+                    assert_eq!(single.exploded, reference.exploded, "{message}");
+                    assert_eq!(single.truncated, reference.truncated, "{message}");
+                    assert_eq!(single.slots_processed, reference.slots_processed, "{message}");
+                }
             }
         }
     }

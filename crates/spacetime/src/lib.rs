@@ -43,10 +43,12 @@
 //!   [`EnumerationScratch`]) is cleared between messages, and delivered
 //!   paths are materialized to owned [`Path`]s (only up to the configured
 //!   `stored_path_limit`) before the next message starts;
-//! * **bitmask small-trace fast path** — every entry carries a 64-bit node
-//!   occupancy mask: exact for traces with ≤ 64 nodes (O(1) loop-avoidance
-//!   and first-preference checks), a Bloom-style filter with an O(depth)
-//!   parent-walk fallback above that.
+//! * **bounded, walk-once extension** — a per-node admission bound stops
+//!   candidates that could never survive the node's k-shortest selection
+//!   before they are pushed, and each stored path's nodes are stamped into
+//!   an epoch-stamped array by one parent walk, so the loop-avoidance and
+//!   first-preference checks are exact at any node count (see
+//!   [`enumerate`]).
 //!
 //! [`SpaceTimeGraph`] precomputes per-slot component member lists and
 //! active-node lists at build time, so the enumerator's hot loop borrows

@@ -1,9 +1,9 @@
 //! Scaled-population contact-trace generator (500–5000 nodes).
 //!
 //! The paper's evaluation stops at 98 devices, but the engines built on top
-//! of this crate (arena path enumeration with its >64-node bitmask
-//! fallback, the sharded parallel forwarding simulator) are designed for
-//! far larger populations. This generator produces traces at that scale
+//! of this crate (arena path enumeration, whose membership checks are exact
+//! at any node count, the sharded parallel forwarding simulator) are
+//! designed for far larger populations. This generator produces traces at that scale
 //! while preserving the paper's key empirical structure — per-node contact
 //! rates approximately uniform on `(min, max)` (Fig. 7) — via *propensity
 //! scaling*: per-node propensities keep the same distribution as the
