@@ -8,8 +8,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use psn::experiments::explosion::run_explosion_study_on;
 use psn::experiments::hop_rates::run_hop_rate_study;
 use psn::prelude::*;
+use psn_trace::ContactSummary;
 
-fn study_inputs() -> (ContactTrace, Vec<Message>) {
+fn study_inputs() -> (ContactSummary, SpaceTimeGraph, Vec<Message>) {
     let mut ds = SyntheticDataset::quick_config(DatasetId::Infocom06Morning);
     ds.config.mobile_nodes = 24;
     ds.config.stationary_nodes = 6;
@@ -22,18 +23,19 @@ fn study_inputs() -> (ContactTrace, Vec<Message>) {
         seed: 9,
     })
     .uniform_messages(10);
-    (trace, msgs)
+    (ContactSummary::from_trace(&trace), SpaceTimeGraph::build_default(&trace), msgs)
 }
 
 fn bench_fig4_to_fig8_explosion_study(c: &mut Criterion) {
-    let (trace, msgs) = study_inputs();
+    let (summary, graph, msgs) = study_inputs();
     let mut group = c.benchmark_group("figures_explosion");
     group.sample_size(10);
     group.bench_function("fig04_05_06_08_explosion_study", |b| {
         b.iter(|| {
             criterion::black_box(run_explosion_study_on(
                 DatasetId::Infocom06Morning,
-                &trace,
+                &summary,
+                &graph,
                 &msgs,
                 EnumerationConfig::quick(60),
                 60,
@@ -45,10 +47,11 @@ fn bench_fig4_to_fig8_explosion_study(c: &mut Criterion) {
 }
 
 fn bench_fig14_fig15_hop_rates(c: &mut Criterion) {
-    let (trace, msgs) = study_inputs();
+    let (summary, graph, msgs) = study_inputs();
     let study = run_explosion_study_on(
         DatasetId::Infocom06Morning,
-        &trace,
+        &summary,
+        &graph,
         &msgs,
         EnumerationConfig::quick(60),
         60,

@@ -6,8 +6,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use psn::experiments::forwarding::run_forwarding_study_on;
 use psn::experiments::paths_taken::run_paths_taken;
+use std::sync::Arc;
+
 use psn::prelude::*;
 use psn_forwarding::algorithms::Epidemic;
+use psn_forwarding::HistoryTimeline;
+use psn_trace::ContactSummary;
 
 fn trace() -> ContactTrace {
     let mut ds = SyntheticDataset::quick_config(DatasetId::Conext06Morning);
@@ -15,6 +19,15 @@ fn trace() -> ContactTrace {
     ds.config.stationary_nodes = 6;
     ds.config.window_seconds = 2400.0;
     ds.generate()
+}
+
+/// The engines' shared inputs: the contact summary, graph and timeline.
+fn study_inputs(
+    trace: &ContactTrace,
+) -> (ContactSummary, Arc<SpaceTimeGraph>, Arc<HistoryTimeline>) {
+    let graph = Arc::new(SpaceTimeGraph::build_default(trace));
+    let timeline = Arc::new(HistoryTimeline::build(&graph));
+    (ContactSummary::from_trace(trace), graph, timeline)
 }
 
 fn bench_fig9_to_13_forwarding_study(c: &mut Criterion) {
@@ -25,13 +38,16 @@ fn bench_fig9_to_13_forwarding_study(c: &mut Criterion) {
         mean_interarrival: 20.0,
         seed: 2,
     };
+    let (summary, graph, timeline) = study_inputs(&trace);
     let mut group = c.benchmark_group("figures_forwarding");
     group.sample_size(10);
     group.bench_function("fig09_10_11_13_forwarding_study", |b| {
         b.iter(|| {
             criterion::black_box(run_forwarding_study_on(
                 DatasetId::Conext06Morning,
-                &trace,
+                &summary,
+                graph.clone(),
+                timeline.clone(),
                 workload.clone(),
                 1,
                 0,
@@ -50,11 +66,18 @@ fn bench_fig12_paths_taken(c: &mut Criterion) {
         seed: 6,
     })
     .uniform_messages(2);
+    let (summary, graph, timeline) = study_inputs(&trace);
     let mut group = c.benchmark_group("figures_paths_taken");
     group.sample_size(10);
     group.bench_function("fig12_paths_taken", |b| {
         b.iter(|| {
-            criterion::black_box(run_paths_taken(&trace, &msgs, EnumerationConfig::quick(40)))
+            criterion::black_box(run_paths_taken(
+                &summary,
+                graph.clone(),
+                timeline.clone(),
+                &msgs,
+                EnumerationConfig::quick(40),
+            ))
         });
     });
     group.finish();

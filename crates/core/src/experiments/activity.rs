@@ -2,8 +2,7 @@
 //! (per-node contact-count CDFs).
 
 use psn_stats::{BinnedSeries, Ecdf};
-use psn_trace::binning::contact_timeseries_per_minute;
-use psn_trace::{ContactRates, ContactTrace, DatasetId};
+use psn_trace::{ContactSummary, DatasetId};
 
 use crate::config::ExperimentProfile;
 use crate::report::{Block, Column, Scalar, Section, Series};
@@ -63,48 +62,23 @@ impl ActivityReport {
     }
 }
 
-/// Computes the Fig. 1 contact time series for one trace.
-pub fn contact_timeseries(trace: &ContactTrace) -> BinnedSeries {
-    contact_timeseries_per_minute(trace)
-}
-
-/// Computes the Fig. 7 per-node contact-count CDF for one trace.
-pub fn contact_rate_cdfs(trace: &ContactTrace) -> Option<Ecdf> {
-    ContactRates::from_trace(trace).count_cdf()
-}
-
 /// Runs the activity analysis for all four datasets at the given profile.
 pub fn run_activity_study(profile: ExperimentProfile) -> Vec<ActivityReport> {
     DatasetId::all()
         .into_iter()
         .map(|id| {
             let trace = profile.dataset(id).generate();
-            activity_report(id, &trace)
+            activity_report(id, &ContactSummary::from_trace(&trace))
         })
         .collect()
 }
 
-/// Builds the activity report for one already-generated trace.
-pub fn activity_report(scenario: impl Into<String>, trace: &ContactTrace) -> ActivityReport {
-    activity_report_from_parts(scenario, contact_timeseries(trace), ContactRates::from_trace(trace))
-}
-
-/// Builds the activity report without a materialized trace — the
-/// stream-native path, where both the per-minute series and the per-node
-/// rates were folded online from the event stream. Bit-identical to
-/// [`activity_report`] when the summary matches the trace.
-pub fn activity_report_streamed(
-    scenario: impl Into<String>,
-    summary: &psn_trace::ContactSummary,
-) -> ActivityReport {
-    activity_report_from_parts(scenario, summary.per_minute().clone(), summary.rates())
-}
-
-fn activity_report_from_parts(
-    scenario: impl Into<String>,
-    per_minute: BinnedSeries,
-    rates: ContactRates,
-) -> ActivityReport {
+/// Builds the activity report from a scenario's [`ContactSummary`]: its
+/// per-minute series and per-node rates, so a rates-only summary
+/// ([`ContactSummary::rates_only`]) suffices.
+pub fn activity_report(scenario: impl Into<String>, summary: &ContactSummary) -> ActivityReport {
+    let per_minute = summary.per_minute().clone();
+    let rates = summary.rates();
     let stationarity = psn_trace::binning::stationarity_from_series(&per_minute)
         .unwrap_or_else(|| unreachable!("generated datasets always contain contacts"));
     ActivityReport {
@@ -156,8 +130,9 @@ mod tests {
     #[test]
     fn single_trace_helpers() {
         let trace = ExperimentProfile::Quick.dataset(DatasetId::Conext06Morning).generate();
-        let series = contact_timeseries(&trace);
-        assert_eq!(series.bin_width(), 60.0);
-        assert!(contact_rate_cdfs(&trace).is_some());
+        let report =
+            activity_report(DatasetId::Conext06Morning, &ContactSummary::from_trace(&trace));
+        assert_eq!(report.per_minute.bin_width(), 60.0);
+        assert!(!report.contact_count_cdf.is_empty());
     }
 }

@@ -21,7 +21,7 @@ use psn_spacetime::{
     Path, PathEnumerator, SpaceTimeGraph,
 };
 use psn_stats::{correlation, Histogram};
-use psn_trace::{ContactRates, ContactTrace, DatasetId, Seconds};
+use psn_trace::{ContactRates, ContactSummary, DatasetId, Seconds};
 
 use crate::config::ExperimentProfile;
 use crate::report::{Block, Column, Scalar, Section, Series};
@@ -206,7 +206,8 @@ pub fn run_explosion_study(
     let messages = generator.uniform_messages(profile.enumeration_messages());
     run_explosion_study_on(
         dataset,
-        &trace,
+        &ContactSummary::from_trace(&trace),
+        &SpaceTimeGraph::build_default(&trace),
         &messages,
         profile.enumeration_config(),
         profile.explosion_threshold(),
@@ -214,46 +215,21 @@ pub fn run_explosion_study(
     )
 }
 
-/// Runs the explosion study on an explicit trace and message set — the entry
-/// point used by tests and by ablation benchmarks that vary Δ, k or the
-/// trace generator. Builds a private default-Δ space-time graph; callers
-/// that already hold a (possibly cached) graph for this trace should use
-/// [`run_explosion_study_on_graph`].
-pub fn run_explosion_study_on(
-    scenario: impl Into<String>,
-    trace: &ContactTrace,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-    explosion_threshold: usize,
-    threads: usize,
-) -> ExplosionStudy {
-    let graph = SpaceTimeGraph::build_default(trace);
-    run_explosion_study_on_graph(
-        scenario,
-        trace,
-        &graph,
-        messages,
-        enumeration,
-        explosion_threshold,
-        threads,
-    )
-}
-
-/// Runs the explosion study against an already-built space-time graph —
-/// the artifact-store path, where one graph is memoized per trace and
-/// shared across views, seeds and sweep cells — or a bounded-window
-/// streaming graph ([`GraphRef`] accepts either representation). The graph
-/// must belong to `trace`; results are identical to
-/// [`run_explosion_study_on`] when it was built with the default Δ.
+/// Runs the explosion study over a scenario's [`ContactSummary`] (its
+/// per-node contact rates are the only trace statistic this study reads)
+/// and its space-time graph — materialized or bounded-window, as
+/// [`GraphRef`] accepts either. A rates-only summary
+/// ([`ContactSummary::rates_only`]) suffices.
 ///
 /// # Panics
 ///
-/// Panics if the graph was built from a different trace, or when a
-/// worker panicked mid-enumeration (e.g. a chaos-armed failpoint) — the
-/// first worker panic is re-raised once on the calling thread.
-pub fn run_explosion_study_on_graph<'a>(
+/// Panics if the graph covers a different node population than the
+/// summary, or when a worker panicked mid-enumeration (e.g. a chaos-armed
+/// failpoint) — the first worker panic is re-raised once on the calling
+/// thread.
+pub fn run_explosion_study_on<'a>(
     scenario: impl Into<String>,
-    trace: &ContactTrace,
+    summary: &ContactSummary,
     graph: impl Into<GraphRef<'a>>,
     messages: &[Message],
     enumeration: EnumerationConfig,
@@ -261,39 +237,8 @@ pub fn run_explosion_study_on_graph<'a>(
     threads: usize,
 ) -> ExplosionStudy {
     let graph = graph.into();
-    assert_eq!(graph.node_count(), trace.node_count(), "graph belongs to a different trace");
-    run_explosion_study_streamed(
-        scenario,
-        ContactRates::from_trace(trace),
-        graph,
-        messages,
-        enumeration,
-        explosion_threshold,
-        threads,
-    )
-}
-
-/// Runs the explosion study without a materialized trace — the stream-native
-/// path, where the per-node contact rates (the only trace statistic this
-/// study reads) are folded online from the event stream
-/// ([`psn_trace::ContactSummary::rates`]). Bit-identical to
-/// [`run_explosion_study_on_graph`] when the rates match the trace.
-///
-/// # Panics
-///
-/// As [`run_explosion_study_on_graph`]; the graph must cover the same node
-/// population the rates were folded over.
-pub fn run_explosion_study_streamed<'a>(
-    scenario: impl Into<String>,
-    rates: ContactRates,
-    graph: impl Into<GraphRef<'a>>,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-    explosion_threshold: usize,
-    threads: usize,
-) -> ExplosionStudy {
-    let graph = graph.into();
-    assert_eq!(graph.node_count(), rates.node_count(), "graph belongs to a different population");
+    assert_eq!(graph.node_count(), summary.node_count(), "graph belongs to a different population");
+    let rates = summary.rates();
     let threads = threads.max(1);
 
     // Enumerate messages in parallel; each worker claims a *chunk* of
@@ -474,7 +419,8 @@ mod tests {
         let messages = generator.uniform_messages(12);
         run_explosion_study_on(
             DatasetId::Infocom06Morning,
-            &trace,
+            &ContactSummary::from_trace(&trace),
+            &SpaceTimeGraph::build_default(&trace),
             &messages,
             EnumerationConfig::quick(40),
             40,

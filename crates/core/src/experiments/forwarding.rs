@@ -11,14 +11,17 @@
 //! * success rate and delay broken down by source/destination pair type
 //!   (Fig. 13).
 
+use std::sync::Arc;
+
 use psn_forwarding::{
-    standard_algorithms, AlgorithmKind, AlgorithmMetrics, ForwardingAlgorithm, MessageOutcome,
-    PairType, PairTypeMetrics, Simulator, SimulatorConfig,
+    standard_algorithms, AlgorithmKind, AlgorithmMetrics, ForwardingAlgorithm, HistoryTimeline,
+    MessageOutcome, PairType, PairTypeMetrics, Simulator, SimulatorConfig, TraceOracle,
 };
-use psn_spacetime::Message;
-use psn_spacetime::{MessageGenerator, MessageWorkloadConfig};
+use psn_spacetime::{
+    Message, MessageGenerator, MessageWorkloadConfig, SharedGraph, SpaceTimeGraph,
+};
 use psn_stats::BinnedSeries;
-use psn_trace::{ContactRates, ContactTrace, DatasetId};
+use psn_trace::{ContactRates, ContactSummary, DatasetId};
 
 use crate::config::ExperimentProfile;
 use crate::report::{Block, CellValue, Column, Scalar, Section, Series, Table};
@@ -210,38 +213,33 @@ pub fn run_forwarding_study(
     threads: usize,
 ) -> ForwardingStudy {
     let trace = profile.dataset(dataset).generate();
+    let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
+    let timeline = Arc::new(HistoryTimeline::build(&graph));
     let workload = profile.workload(trace.node_count());
-    run_forwarding_study_on(dataset, &trace, workload, profile.simulation_runs(), threads)
+    run_forwarding_study_on(
+        dataset,
+        &ContactSummary::from_trace(&trace),
+        graph,
+        timeline,
+        workload,
+        profile.simulation_runs(),
+        threads,
+    )
 }
 
-/// Runs the forwarding study on an explicit trace and workload — the entry
-/// point used by tests and ablation benches. `threads` is the simulator
-/// worker count (`0` = one per available core); it never affects results.
-/// Builds private graph/timeline structures; callers that already hold
-/// cached ones should use [`run_forwarding_study_shared`].
+/// Runs the forwarding study over a scenario's [`ContactSummary`] — the
+/// per-node rates, the observation window and the future-knowledge oracle
+/// ([`TraceOracle::from_summary`], so the summary must carry its pair-count
+/// matrix) — around its space-time graph and history timeline. The graph
+/// may be materialized or bounded-window ([`SharedGraph`] accepts either);
+/// the artifact store memoizes both per scenario and shares them across
+/// views, seeds and sweep cells. `threads` is the simulator worker count
+/// (`0` = one per available core); it never affects results.
 pub fn run_forwarding_study_on(
     scenario: impl Into<String>,
-    trace: &ContactTrace,
-    workload: MessageWorkloadConfig,
-    runs: usize,
-    threads: usize,
-) -> ForwardingStudy {
-    let simulator = Simulator::new(trace, SimulatorConfig { threads, ..Default::default() });
-    let rates = ContactRates::from_trace(trace);
-    run_forwarding_study_with(scenario, rates, trace.window(), simulator, workload, runs)
-}
-
-/// Runs the forwarding study around an already-built space-time graph and
-/// history timeline — the artifact-store path, where both are memoized per
-/// trace and shared across views, seeds and sweep cells — or a
-/// bounded-window streaming graph ([`psn_spacetime::SharedGraph`] accepts
-/// either representation). Results are bit-identical to
-/// [`run_forwarding_study_on`] for parts built at the default Δ.
-pub fn run_forwarding_study_shared(
-    scenario: impl Into<String>,
-    trace: &ContactTrace,
-    graph: impl Into<psn_spacetime::SharedGraph>,
-    timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
+    summary: &ContactSummary,
+    graph: impl Into<SharedGraph>,
+    timeline: Arc<HistoryTimeline>,
     workload: MessageWorkloadConfig,
     runs: usize,
     threads: usize,
@@ -250,59 +248,15 @@ pub fn run_forwarding_study_shared(
     // The simulator's Δ must match however the graph was discretized — a
     // `params.delta` sweep axis reaches here with non-default slotting.
     let delta = graph.as_graph_ref().delta();
-    let simulator = Simulator::from_parts(
-        trace,
-        graph,
-        timeline,
-        SimulatorConfig { delta, threads, ..SimulatorConfig::default() },
-    );
-    let rates = ContactRates::from_trace(trace);
-    run_forwarding_study_with(scenario, rates, trace.window(), simulator, workload, runs)
-}
-
-/// Runs the forwarding study without a materialized trace — the
-/// stream-native path. Everything the study reads off the trace is folded
-/// online from the event stream: per-node rates and the observation window
-/// from the [`psn_trace::ContactSummary`], and the future-knowledge oracle
-/// from the summary's pair counts
-/// ([`psn_forwarding::TraceOracle::from_summary`]). Bit-identical to
-/// [`run_forwarding_study_shared`] when the summary matches the trace.
-pub fn run_forwarding_study_streamed(
-    scenario: impl Into<String>,
-    summary: &psn_trace::ContactSummary,
-    graph: impl Into<psn_spacetime::SharedGraph>,
-    timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
-    workload: MessageWorkloadConfig,
-    runs: usize,
-    threads: usize,
-) -> ForwardingStudy {
-    let graph = graph.into();
-    let delta = graph.as_graph_ref().delta();
     let simulator = Simulator::from_streamed_parts(
         summary.node_count(),
-        psn_forwarding::TraceOracle::from_summary(summary),
+        TraceOracle::from_summary(summary),
         graph,
         timeline,
         SimulatorConfig { delta, threads, ..SimulatorConfig::default() },
     );
-    run_forwarding_study_with(
-        scenario,
-        summary.rates(),
-        summary.window(),
-        simulator,
-        workload,
-        runs,
-    )
-}
-
-fn run_forwarding_study_with(
-    scenario: impl Into<String>,
-    rates: ContactRates,
-    window: psn_trace::TimeWindow,
-    simulator: Simulator,
-    workload: MessageWorkloadConfig,
-    runs: usize,
-) -> ForwardingStudy {
+    let rates = summary.rates();
+    let window = summary.window();
     assert!(runs >= 1, "need at least one simulation run");
     let generator = MessageGenerator::new(workload);
 
@@ -372,7 +326,26 @@ fn run_forwarding_study_with(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use psn_trace::SyntheticDataset;
+    use psn_trace::{ContactTrace, SyntheticDataset};
+
+    fn study_on(
+        trace: &ContactTrace,
+        workload: MessageWorkloadConfig,
+        runs: usize,
+    ) -> ForwardingStudy {
+        let graph = Arc::new(SpaceTimeGraph::build_default(trace));
+        let timeline = Arc::new(HistoryTimeline::build(&graph));
+        let summary = ContactSummary::from_trace(trace);
+        run_forwarding_study_on(
+            DatasetId::Infocom06Morning,
+            &summary,
+            graph,
+            timeline,
+            workload,
+            runs,
+            0,
+        )
+    }
 
     fn small_study() -> ForwardingStudy {
         let mut ds = SyntheticDataset::quick_config(DatasetId::Infocom06Morning);
@@ -386,7 +359,7 @@ mod tests {
             mean_interarrival: 20.0,
             seed: 3,
         };
-        run_forwarding_study_on(DatasetId::Infocom06Morning, &trace, workload, 2, 0)
+        study_on(&trace, workload, 2)
     }
 
     #[test]
@@ -467,7 +440,7 @@ mod tests {
         // every delivery before the `t - window.start` fix.
         use psn_trace::contact::Contact;
         use psn_trace::node::{NodeClass, NodeId, NodeRegistry};
-        use psn_trace::trace::{ContactTrace, TimeWindow};
+        use psn_trace::trace::TimeWindow;
 
         let start = 36000.0;
         let mut reg = NodeRegistry::new();
@@ -493,7 +466,7 @@ mod tests {
             mean_interarrival: 30.0,
             seed: 11,
         };
-        let study = run_forwarding_study_on(DatasetId::Infocom06Morning, &trace, workload, 1, 0);
+        let study = study_on(&trace, workload, 1);
         let epidemic = study.get(AlgorithmKind::Epidemic);
         let delivered = epidemic.outcomes.iter().filter(|o| o.delivered()).count();
         assert!(delivered > 0, "epidemic should deliver something on this trace");

@@ -11,9 +11,11 @@
 //!
 //! Every driver takes an [`crate::ExperimentProfile`] so the same code path
 //! serves the integration tests (quick) and the paper-scale figure presets.
-//! The drivers are scenario-agnostic: each `run_*_on` entry point takes an
-//! explicit trace plus a section label, and the [`crate::study`] pipeline
-//! feeds any [`psn_trace::ScenarioConfig`] through them.
+//! The drivers are scenario-agnostic: each study has one engine entry point
+//! that reads a [`psn_trace::ContactSummary`] (folded from a trace or a
+//! contact stream) plus the shared space-time graph and history timeline,
+//! and the [`crate::study`] pipeline feeds any [`psn_trace::ScenarioConfig`]
+//! through them.
 
 pub mod activity;
 pub mod explosion;
@@ -22,7 +24,7 @@ pub mod hop_rates;
 pub mod model;
 pub mod paths_taken;
 
-pub use activity::{contact_rate_cdfs, contact_timeseries, ActivityReport};
+pub use activity::ActivityReport;
 pub use explosion::{run_explosion_study, ExplosionStudy, PairTypeScatter};
 pub use forwarding::{run_forwarding_study, ForwardingStudy};
 pub use hop_rates::{run_hop_rate_study, HopRateStudy};

@@ -6,9 +6,13 @@
 //! chose. The point of the figure is that every algorithm's chosen path
 //! lands early in the explosion process even when it is not optimal.
 
-use psn_forwarding::{standard_algorithms, AlgorithmKind, Simulator, SimulatorConfig};
-use psn_spacetime::{EnumerationConfig, Message, PathEnumerator, SpaceTimeGraph};
-use psn_trace::{ContactTrace, Seconds};
+use std::sync::Arc;
+
+use psn_forwarding::{
+    standard_algorithms, AlgorithmKind, HistoryTimeline, Simulator, SimulatorConfig, TraceOracle,
+};
+use psn_spacetime::{EnumerationConfig, Message, PathEnumerator, SharedGraph};
+use psn_trace::{ContactSummary, Seconds};
 
 use crate::report::{Block, CellValue, Column, Section, Table};
 
@@ -69,29 +73,16 @@ impl PathsTakenCase {
     }
 }
 
-/// Runs the Fig. 12 analysis for a set of messages over one trace.
-/// Builds private graph/timeline structures; callers that already hold
-/// cached ones should use [`run_paths_taken_shared`].
+/// Runs the Fig. 12 analysis for a set of messages over a scenario's
+/// [`ContactSummary`] (the simulator's oracle input, so the summary must
+/// carry its pair-count matrix), space-time graph and history timeline.
+/// The graph may be materialized or bounded-window ([`SharedGraph`]
+/// accepts either); the enumerator and the simulator share it, so the
+/// analysis builds nothing per call.
 pub fn run_paths_taken(
-    trace: &ContactTrace,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-) -> Vec<PathsTakenCase> {
-    let graph = std::sync::Arc::new(SpaceTimeGraph::build_default(trace));
-    let timeline = std::sync::Arc::new(psn_forwarding::HistoryTimeline::build(&graph));
-    run_paths_taken_shared(trace, graph, timeline, messages, enumeration)
-}
-
-/// Runs the Fig. 12 analysis around an already-built default-Δ space-time
-/// graph and history timeline — the artifact-store path — or a
-/// bounded-window streaming graph ([`psn_spacetime::SharedGraph`] accepts
-/// either representation). The enumerator and the simulator share the one
-/// graph, so the analysis builds nothing per call; results are
-/// bit-identical to [`run_paths_taken`].
-pub fn run_paths_taken_shared(
-    trace: &ContactTrace,
-    graph: impl Into<psn_spacetime::SharedGraph>,
-    timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
+    summary: &ContactSummary,
+    graph: impl Into<SharedGraph>,
+    timeline: Arc<HistoryTimeline>,
     messages: &[Message],
     enumeration: EnumerationConfig,
 ) -> Vec<PathsTakenCase> {
@@ -99,40 +90,13 @@ pub fn run_paths_taken_shared(
     // The simulator's Δ must match however the graph was discretized.
     let config =
         SimulatorConfig { delta: graph.as_graph_ref().delta(), ..SimulatorConfig::default() };
-    let simulator = Simulator::from_parts(trace, graph.clone(), timeline, config);
-    run_paths_taken_with(graph, simulator, messages, enumeration)
-}
-
-/// Runs the Fig. 12 analysis without a materialized trace — the
-/// stream-native path, where the simulator's oracle is folded from the
-/// event stream ([`psn_trace::ContactSummary`]). Bit-identical to
-/// [`run_paths_taken_shared`] when the summary matches the trace.
-pub fn run_paths_taken_streamed(
-    summary: &psn_trace::ContactSummary,
-    graph: impl Into<psn_spacetime::SharedGraph>,
-    timeline: std::sync::Arc<psn_forwarding::HistoryTimeline>,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-) -> Vec<PathsTakenCase> {
-    let graph = graph.into();
-    let config =
-        SimulatorConfig { delta: graph.as_graph_ref().delta(), ..SimulatorConfig::default() };
     let simulator = Simulator::from_streamed_parts(
         summary.node_count(),
-        psn_forwarding::TraceOracle::from_summary(summary),
+        TraceOracle::from_summary(summary),
         graph.clone(),
         timeline,
         config,
     );
-    run_paths_taken_with(graph, simulator, messages, enumeration)
-}
-
-fn run_paths_taken_with(
-    graph: psn_spacetime::SharedGraph,
-    simulator: Simulator,
-    messages: &[Message],
-    enumeration: EnumerationConfig,
-) -> Vec<PathsTakenCase> {
     let enumerator = PathEnumerator::new(&graph, enumeration);
     let algorithms = standard_algorithms();
 
@@ -201,7 +165,7 @@ fn run_paths_taken_with(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use psn_spacetime::MessageGenerator;
+    use psn_spacetime::{MessageGenerator, SpaceTimeGraph};
     use psn_trace::{DatasetId, SyntheticDataset};
 
     #[test]
@@ -218,7 +182,11 @@ mod tests {
             seed: 5,
         });
         let messages = generator.uniform_messages(3);
-        let cases = run_paths_taken(&trace, &messages, EnumerationConfig::quick(30));
+        let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
+        let timeline = Arc::new(HistoryTimeline::build(&graph));
+        let summary = ContactSummary::from_trace(&trace);
+        let cases =
+            run_paths_taken(&summary, graph, timeline, &messages, EnumerationConfig::quick(30));
         assert_eq!(cases.len(), 3);
         for case in &cases {
             assert_eq!(case.algorithm_arrivals.len(), 6);

@@ -122,7 +122,7 @@ mod tests {
     use super::*;
     use crate::config::ExperimentProfile;
     use crate::experiments::activity::{activity_report, run_activity_study};
-    use psn_trace::DatasetId;
+    use psn_trace::{ContactSummary, DatasetId};
 
     #[test]
     fn cdf_rendering_is_csv_like() {
@@ -149,7 +149,8 @@ mod tests {
     #[test]
     fn activity_report_for_custom_trace() {
         let trace = ExperimentProfile::Quick.dataset(DatasetId::Conext06Morning).generate();
-        let report = activity_report(DatasetId::Conext06Morning, &trace);
+        let report =
+            activity_report(DatasetId::Conext06Morning, &ContactSummary::from_trace(&trace));
         let text = render_activity(&report);
         assert!(text.contains("Conext06 9-12"));
     }

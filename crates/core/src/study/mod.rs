@@ -47,21 +47,17 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use psn_artifact::{ArtifactKey, ArtifactKind, BuiltArtifact};
 use psn_spacetime::{EnumerationConfig, MessageGenerator, MessageWorkloadConfig};
-use psn_trace::{ContactStream, FingerprintHasher, ScenarioConfig, Seconds};
+use psn_trace::{ContactStream, ContactSummary, FingerprintHasher, ScenarioConfig, Seconds};
 
 use crate::config::ExperimentProfile;
-use crate::experiments::activity::{activity_report, activity_report_streamed, ActivityReport};
-use crate::experiments::explosion::{
-    run_explosion_study_on_graph, run_explosion_study_streamed, ExplosionStudy,
-};
-use crate::experiments::forwarding::{
-    run_forwarding_study_shared, run_forwarding_study_streamed, ForwardingStudy,
-};
+use crate::experiments::activity::{activity_report, ActivityReport};
+use crate::experiments::explosion::{run_explosion_study_on, ExplosionStudy};
+use crate::experiments::forwarding::{run_forwarding_study_on, ForwardingStudy};
 use crate::experiments::hop_rates::{
     run_hop_rate_study, run_hop_rate_study_on_outcomes, HopRateStudy,
 };
 use crate::experiments::model::run_model_validation;
-use crate::experiments::paths_taken::{run_paths_taken_shared, run_paths_taken_streamed};
+use crate::experiments::paths_taken::run_paths_taken;
 use crate::report::{
     Artifact, Block, CellValue, Column, JsonRenderer, Renderer, ReportDoc, RunMeta, Scalar,
     Section, Table, TextRenderer,
@@ -1032,75 +1028,53 @@ fn run_one_inner(
     Ok((source, (*sections).clone()))
 }
 
-/// Computes one run's typed sections with `threads` engine workers,
-/// resolving the trace, space-time graph and history timeline through the
-/// artifact store so every run over the same scenario shares them.
-/// What one run's engines read their trace-level statistics from: the
-/// memoized materialized trace, or the summary folded online from the
-/// contact-event stream (stream-native mode, which never materializes).
-enum RunSource {
-    Materialized(std::sync::Arc<psn_trace::ContactTrace>),
-    Streamed(psn_trace::ContactSummary),
-}
+/// One run's engine inputs: the contact summary every engine reads, and
+/// the space-time graph and history timeline when a view needs them.
+type RunInputs = (
+    ContactSummary,
+    Option<psn_spacetime::SharedGraph>,
+    Option<std::sync::Arc<psn_forwarding::HistoryTimeline>>,
+);
 
-impl RunSource {
-    fn node_count(&self) -> usize {
-        match self {
-            RunSource::Materialized(trace) => trace.node_count(),
-            RunSource::Streamed(summary) => summary.node_count(),
-        }
-    }
-
-    fn window_duration(&self) -> Seconds {
-        match self {
-            RunSource::Materialized(trace) => trace.window().duration(),
-            RunSource::Streamed(summary) => summary.window().duration(),
-        }
-    }
-}
-
-fn compute_run_sections(
+/// Resolves one run's [`RunInputs`]: through the artifact store in
+/// materialized mode, or from one pass over the scenario's contact stream
+/// in streaming mode.
+fn run_inputs(
     plan: &StudyPlan,
     run: &PlannedRun,
     p: &StudyParams,
-    threads: usize,
     store: &ArtifactStore,
-) -> Result<Vec<Section>, ArtifactError> {
+) -> Result<RunInputs, ArtifactError> {
     let needs_explosion = plan.views.iter().any(StudyView::needs_explosion);
     let needs_forwarding = plan.views.iter().any(StudyView::needs_forwarding);
-    let needs_activity = plan
-        .views
-        .iter()
-        .any(|v| matches!(v, StudyView::ActivityTimeseries | StudyView::ContactCountCdf));
-    let needs_hop_rates = plan
-        .views
-        .iter()
-        .any(|v| matches!(v, StudyView::HopRateProgression | StudyView::RateRatios));
-
     let has_paths_taken = plan.views.contains(&StudyView::PathsTaken);
-    // The graph and timeline are resolved up front (not per engine):
-    // enumeration, the simulator and the paths-taken analysis all share the
-    // one Δ-slotted graph of this scenario. Materialized mode memoizes both
-    // through the artifact store, shared across every run, seed and sweep
-    // cell with the same fingerprint. Streaming mode never touches the
-    // trace artifact at all: the scenario's O(1)-state stream source feeds
-    // one pass that folds the bounded-window graph, the timeline and every
-    // trace aggregate the engines need (rates, pair counts, activity bins)
-    // together, with outputs pinned bit-identical to the materialized
-    // engines by differential tests — which is why `streaming_window`
-    // stays out of cache keys.
+    // The graph, timeline and contact summary are resolved up front (not
+    // per engine): enumeration, the simulator and the paths-taken analysis
+    // all share the one Δ-slotted graph of this scenario, and every engine
+    // reads its trace aggregates (rates, pair counts, activity bins) from
+    // the one summary. Materialized mode memoizes the trace, graph and
+    // timeline through the artifact store, shared across every run, seed
+    // and sweep cell with the same fingerprint, and folds the summary from
+    // the cached trace. Streaming mode never touches the trace artifact at
+    // all: the scenario's O(1)-state stream source feeds one pass that
+    // folds the bounded-window graph, the timeline and the summary
+    // together, with outputs pinned bit-identical to materialized mode by
+    // differential tests — which is why `streaming_window` stays out of
+    // cache keys.
     let needs_graph = needs_explosion || needs_forwarding || has_paths_taken;
     let needs_timeline = needs_forwarding || has_paths_taken;
     // The forwarding oracle is the only consumer of the O(nodes²) pair
     // matrix; enumeration/activity-only studies fold per-node state only.
     let needs_pair_counts = needs_timeline;
-    let (source, graph, timeline): (
-        RunSource,
-        Option<psn_spacetime::SharedGraph>,
-        Option<std::sync::Arc<psn_forwarding::HistoryTimeline>>,
-    ) = match p.streaming_window {
+    Ok(match p.streaming_window {
         None => {
             let (trace, _) = store.scenario_trace(&run.config)?;
+            let mut summary = if needs_pair_counts {
+                ContactSummary::new(trace.node_count(), trace.window())
+            } else {
+                ContactSummary::rates_only(trace.node_count(), trace.window())
+            };
+            summary.observe_trace(&trace);
             let (graph, timeline) = if needs_graph {
                 let graph = store.spacetime_graph(&run.config, &trace, p.delta)?.0;
                 let timeline = if needs_timeline {
@@ -1112,7 +1086,7 @@ fn compute_run_sections(
             } else {
                 (None, None)
             };
-            (RunSource::Materialized(trace), graph, timeline)
+            (summary, graph, timeline)
         }
         Some(window) => {
             let mut stream = if needs_pair_counts {
@@ -1137,73 +1111,73 @@ fn compute_run_sections(
                 {}
                 (None, None)
             };
-            (RunSource::Streamed(stream.into_summary()), graph, timeline)
+            (stream.into_summary(), graph, timeline)
         }
-    };
+    })
+}
+
+/// Computes one run's typed sections with `threads` engine workers from
+/// the run's [`RunInputs`], which every run over the same scenario shares
+/// through the artifact store.
+fn compute_run_sections(
+    plan: &StudyPlan,
+    run: &PlannedRun,
+    p: &StudyParams,
+    threads: usize,
+    store: &ArtifactStore,
+) -> Result<Vec<Section>, ArtifactError> {
+    let needs_explosion = plan.views.iter().any(StudyView::needs_explosion);
+    let needs_forwarding = plan.views.iter().any(StudyView::needs_forwarding);
+    let needs_activity = plan
+        .views
+        .iter()
+        .any(|v| matches!(v, StudyView::ActivityTimeseries | StudyView::ContactCountCdf));
+    let needs_hop_rates = plan
+        .views
+        .iter()
+        .any(|v| matches!(v, StudyView::HopRateProgression | StudyView::RateRatios));
+
+    let (summary, graph, timeline) = run_inputs(plan, run, p, store)?;
 
     let mut outputs =
         RunOutputs { explosion: None, forwarding: None, activity: None, hop_rates: None };
+    let (node_count, duration) = (summary.node_count(), summary.window().duration());
     if needs_explosion {
         let generator = MessageGenerator::new(MessageWorkloadConfig {
-            nodes: source.node_count(),
-            generation_horizon: (source.window_duration() * 2.0 / 3.0).max(1.0),
+            nodes: node_count,
+            generation_horizon: (duration * 2.0 / 3.0).max(1.0),
             mean_interarrival: 4.0,
             seed: p.enumeration_message_seed,
         });
         let messages = generator.uniform_messages(p.enumeration_messages);
         let graph = graph.as_ref().unwrap_or_else(|| unreachable!("explosion implies a graph"));
-        outputs.explosion = Some(match &source {
-            RunSource::Materialized(trace) => run_explosion_study_on_graph(
-                run.label.clone(),
-                trace,
-                graph,
-                &messages,
-                p.enumeration.clone(),
-                p.explosion_threshold,
-                threads,
-            ),
-            RunSource::Streamed(summary) => run_explosion_study_streamed(
-                run.label.clone(),
-                summary.rates(),
-                graph,
-                &messages,
-                p.enumeration.clone(),
-                p.explosion_threshold,
-                threads,
-            ),
-        });
+        outputs.explosion = Some(run_explosion_study_on(
+            run.label.clone(),
+            &summary,
+            graph,
+            &messages,
+            p.enumeration.clone(),
+            p.explosion_threshold,
+            threads,
+        ));
     }
     if needs_forwarding {
-        let workload = p.forwarding_workload(source.node_count(), source.window_duration());
+        let workload = p.forwarding_workload(node_count, duration);
         let graph = graph.clone().unwrap_or_else(|| unreachable!("forwarding implies a graph"));
         let timeline =
             timeline.clone().unwrap_or_else(|| unreachable!("forwarding implies a timeline"));
-        outputs.forwarding = Some(match &source {
-            RunSource::Materialized(trace) => run_forwarding_study_shared(
-                run.label.clone(),
-                trace,
-                graph,
-                timeline,
-                workload,
-                p.simulation_runs,
-                threads,
-            ),
-            RunSource::Streamed(summary) => run_forwarding_study_streamed(
-                run.label.clone(),
-                summary,
-                graph,
-                timeline,
-                workload,
-                p.simulation_runs,
-                threads,
-            ),
-        });
+        outputs.forwarding = Some(run_forwarding_study_on(
+            run.label.clone(),
+            &summary,
+            graph,
+            timeline,
+            workload,
+            p.simulation_runs,
+            threads,
+        ));
     }
     if needs_activity {
-        outputs.activity = Some(match &source {
-            RunSource::Materialized(trace) => activity_report(run.label.clone(), trace),
-            RunSource::Streamed(summary) => activity_report_streamed(run.label.clone(), summary),
-        });
+        outputs.activity = Some(activity_report(run.label.clone(), &summary));
     }
     if needs_hop_rates {
         let study = outputs
@@ -1280,8 +1254,8 @@ fn compute_run_sections(
                 .pair_type_section()],
             StudyView::PathsTaken => {
                 let generator = MessageGenerator::new(MessageWorkloadConfig {
-                    nodes: source.node_count(),
-                    generation_horizon: source.window_duration() * 2.0 / 3.0,
+                    nodes: node_count,
+                    generation_horizon: duration * 2.0 / 3.0,
                     mean_interarrival: 4.0,
                     seed: p.paths_taken_seed,
                 });
@@ -1291,22 +1265,8 @@ fn compute_run_sections(
                 let timeline = timeline
                     .clone()
                     .unwrap_or_else(|| unreachable!("paths-taken implies a timeline"));
-                let cases = match &source {
-                    RunSource::Materialized(trace) => run_paths_taken_shared(
-                        trace,
-                        graph,
-                        timeline,
-                        &messages,
-                        p.enumeration.clone(),
-                    ),
-                    RunSource::Streamed(summary) => run_paths_taken_streamed(
-                        summary,
-                        graph,
-                        timeline,
-                        &messages,
-                        p.enumeration.clone(),
-                    ),
-                };
+                let cases =
+                    run_paths_taken(&summary, graph, timeline, &messages, p.enumeration.clone());
                 cases.iter().map(|case| case.section()).collect()
             }
             StudyView::HopRateProgression => {
@@ -1586,7 +1546,6 @@ pub fn run_study_with_policy(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::experiments::explosion::run_explosion_study_on;
     use crate::report::JsonRenderer;
     use psn_trace::generator::{CommunityConfig, ScaledConfig};
     use psn_trace::{DatasetId, ScenarioConfig};
@@ -1799,7 +1758,8 @@ mod tests {
         let messages = generator.uniform_messages(10);
         let direct = run_explosion_study_on(
             DatasetId::Conext06Morning,
-            &trace,
+            &ContactSummary::from_trace(&trace),
+            &psn_spacetime::SpaceTimeGraph::build_default(&trace),
             &messages,
             params.enumeration.clone(),
             40,
@@ -1959,6 +1919,30 @@ mod tests {
             // bounded-window representation is not cacheable), never stored.
             assert_eq!(stats.builds_of(ArtifactKind::Graph), 0, "{study}: {stats:?}");
             assert_eq!(stats.builds_of(ArtifactKind::Timeline), 0, "{study}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn materialized_runs_fold_the_pair_matrix_only_for_forwarding() {
+        // Materialized mode folds the summary from the cached trace starting
+        // from the empty summary streaming mode would use: the O(n²) pair
+        // matrix only when a forwarding oracle reads it.
+        let store = ArtifactStore::in_memory();
+        for study in [StudyId::Explosion, StudyId::Activity, StudyId::Forwarding] {
+            let plan =
+                StudySpec::new(study, vec![dense_scenario(5)], quick_params()).plan().unwrap();
+            let run = &plan.runs[0];
+            let (summary, _, _) = run_inputs(&plan, run, &plan.params, &store).unwrap();
+            let expected =
+                ContactSummary::from_trace(&store.scenario_trace(&run.config).unwrap().0);
+            assert_eq!(summary.per_node_counts(), expected.per_node_counts(), "{study}");
+            assert_eq!(summary.per_minute().series(), expected.per_minute().series(), "{study}");
+            if study == StudyId::Forwarding {
+                assert_eq!(summary.pair_counts().len(), 16 * 16);
+                assert_eq!(summary.pair_counts(), expected.pair_counts());
+            } else {
+                assert!(summary.pair_counts().is_empty(), "{study}");
+            }
         }
     }
 

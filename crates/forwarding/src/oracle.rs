@@ -31,25 +31,11 @@ impl TraceOracle {
     /// until the next contact when contacts are spread over the window.
     /// Pairs that never meet get infinite delay.
     pub fn from_trace(trace: &ContactTrace) -> Self {
-        let n = trace.node_count();
-
-        let mut total_contacts = vec![0u64; n];
-        let mut pair_counts = vec![0u64; n * n];
-        for c in trace.contacts() {
-            total_contacts[c.a.index()] += 1;
-            total_contacts[c.b.index()] += 1;
-            pair_counts[c.a.index() * n + c.b.index()] += 1;
-            pair_counts[c.b.index() * n + c.a.index()] += 1;
-        }
-
-        Self::from_counts(trace.window().duration(), total_contacts, &pair_counts)
+        Self::from_summary(&ContactSummary::from_trace(trace))
     }
 
-    /// Builds the oracle from already-folded contact counts — the streaming
-    /// path's entry point, fed by a [`ContactSummary`] instead of a
-    /// materialized trace. `pair_counts` is the symmetric `n * n` row-major
-    /// per-pair count matrix. Bit-identical to [`TraceOracle::from_trace`]
-    /// when the counts match.
+    /// Builds the oracle from already-folded contact counts. `pair_counts`
+    /// is the symmetric `n * n` row-major per-pair count matrix.
     ///
     /// # Panics
     ///
@@ -94,8 +80,13 @@ impl TraceOracle {
         Self { node_count: n, total_contacts, expected_delay, shortest_delay: shortest }
     }
 
-    /// Builds the oracle from a stream-folded [`ContactSummary`] —
-    /// bit-identical to [`TraceOracle::from_trace`] on the matching trace.
+    /// Builds the oracle from a [`ContactSummary`], folded from a trace or a
+    /// contact stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the summary skipped its pair-count matrix
+    /// ([`ContactSummary::rates_only`]).
     pub fn from_summary(summary: &ContactSummary) -> Self {
         Self::from_counts(
             summary.window().duration(),

@@ -6,11 +6,13 @@
 //! contact time series (Fig. 1 / stationarity) — is a fold over the
 //! contacts. [`ContactSummary`] performs that fold **once, online**, from
 //! the `Up` events of a [`ContactStream`], so the streaming study path can
-//! run every figure without ever materializing the trace. The fold is
-//! order-insensitive (integer counts plus `+1.0` bin increments), so the
-//! result is bit-identical to the trace-side computation — pinned by the
-//! differential tests below and by the study layer's streamed-vs-
-//! materialized suites.
+//! run every figure without ever materializing the trace; the materialized
+//! path folds the same summary from its cached trace
+//! ([`ContactSummary::observe_trace`]), so the summary is every study
+//! engine's one trace-level input. The fold is order-insensitive (integer
+//! counts plus `+1.0` bin increments), so the stream fold is bit-identical
+//! to the trace fold — pinned by the differential tests below and by the
+//! study layer's streamed-vs-materialized suites.
 //!
 //! State is `O(nodes²)` for the pair-count matrix plus `O(window/60 s)`
 //! bins — independent of trace length, which is the point: a million-contact
@@ -19,6 +21,7 @@
 use psn_stats::BinnedSeries;
 
 use crate::binning::PAPER_BIN_SECONDS;
+use crate::node::NodeId;
 use crate::rates::ContactRates;
 use crate::stream::{ContactEvent, ContactStream, StreamError};
 use crate::trace::{ContactTrace, TimeWindow};
@@ -28,7 +31,7 @@ use crate::Seconds;
 ///
 /// Equivalent to (and differentially pinned against) the trace-side
 /// computations: [`ContactRates::from_trace`] for counts and rates,
-/// `TraceOracle::from_trace`'s pair-count pass, and
+/// the forwarding oracle's per-pair counts, and
 /// [`crate::binning::contact_timeseries_per_minute`] for the Fig. 1 series.
 #[derive(Debug, Clone)]
 pub struct ContactSummary {
@@ -36,8 +39,8 @@ pub struct ContactSummary {
     window: TimeWindow,
     contacts: u64,
     per_node: Vec<u64>,
-    /// Symmetric per-ordered-pair contact counts, `n * n` row-major —
-    /// exactly the matrix `TraceOracle::from_trace` folds from the trace.
+    /// Symmetric per-ordered-pair contact counts, `n * n` row-major — the
+    /// forwarding oracle's input.
     pair_counts: Vec<u64>,
     /// Contact start times in the paper's 1-minute bins.
     per_minute: BinnedSeries,
@@ -85,30 +88,36 @@ impl ContactSummary {
     /// and are ignored; every `Up` is one contact.
     pub fn observe(&mut self, event: &ContactEvent) {
         if let ContactEvent::Up { a, b, start, .. } = event {
-            self.contacts += 1;
-            self.per_node[a.index()] += 1;
-            self.per_node[b.index()] += 1;
-            if !self.pair_counts.is_empty() {
-                self.pair_counts[a.index() * self.node_count + b.index()] += 1;
-                self.pair_counts[b.index() * self.node_count + a.index()] += 1;
-            }
-            self.per_minute.record(*start);
+            self.record(*a, *b, *start);
         }
     }
 
-    /// The reference fold over a materialized trace — the differential twin
-    /// of streaming [`ContactSummary::observe`] over the trace's events.
+    /// Folds every contact of a materialized trace — the trace-side twin of
+    /// [`ContactSummary::observe`] over the trace's `Up` events. The summary
+    /// must have been created over the trace's node count and window, with
+    /// [`ContactSummary::new`] or [`ContactSummary::rates_only`].
+    pub fn observe_trace(&mut self, trace: &ContactTrace) {
+        for c in trace.contacts() {
+            self.record(c.a, c.b, c.start);
+        }
+    }
+
+    /// The full fold, pair-count matrix included, over a materialized trace.
     pub fn from_trace(trace: &ContactTrace) -> Self {
         let mut summary = Self::new(trace.node_count(), trace.window());
-        for c in trace.contacts() {
-            summary.contacts += 1;
-            summary.per_node[c.a.index()] += 1;
-            summary.per_node[c.b.index()] += 1;
-            summary.pair_counts[c.a.index() * summary.node_count + c.b.index()] += 1;
-            summary.pair_counts[c.b.index() * summary.node_count + c.a.index()] += 1;
-            summary.per_minute.record(c.start);
-        }
+        summary.observe_trace(trace);
         summary
+    }
+
+    fn record(&mut self, a: NodeId, b: NodeId, start: Seconds) {
+        self.contacts += 1;
+        self.per_node[a.index()] += 1;
+        self.per_node[b.index()] += 1;
+        if !self.pair_counts.is_empty() {
+            self.pair_counts[a.index() * self.node_count + b.index()] += 1;
+            self.pair_counts[b.index() * self.node_count + a.index()] += 1;
+        }
+        self.per_minute.record(start);
     }
 
     /// Number of nodes covered.
@@ -345,12 +354,16 @@ mod tests {
         let trace = config.generate();
         let mut stream = SummarizingStream::rates_only(config.stream(10.0));
         drain_summarized(&mut stream);
-        let folded = stream.into_summary();
+        let mut trace_fold = ContactSummary::rates_only(trace.node_count(), trace.window());
+        trace_fold.observe_trace(&trace);
         let expected = ContactSummary::from_trace(&trace);
-        assert!(folded.pair_counts().is_empty());
-        assert_eq!(folded.per_node_counts(), expected.per_node_counts());
-        assert_eq!(folded.per_minute().series(), expected.per_minute().series());
-        assert!(folded.state_bytes() < expected.state_bytes());
+        for folded in [stream.into_summary(), trace_fold] {
+            assert!(folded.pair_counts().is_empty());
+            assert_eq!(folded.contacts(), expected.contacts());
+            assert_eq!(folded.per_node_counts(), expected.per_node_counts());
+            assert_eq!(folded.per_minute().series(), expected.per_minute().series());
+            assert!(folded.state_bytes() < expected.state_bytes());
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@ use psn::experiments::hop_rates::run_hop_rate_study;
 use psn::experiments::paths_taken::run_paths_taken;
 use psn::prelude::*;
 use psn::report;
+use psn_forwarding::HistoryTimeline;
+use psn_trace::ContactSummary;
+use std::sync::Arc;
 
 fn small_trace() -> ContactTrace {
     let mut ds = SyntheticDataset::quick_config(DatasetId::Infocom06Morning);
@@ -48,7 +51,8 @@ fn figures_4_5_6_8_explosion_study_renders() {
     let messages = uniform_messages(&trace, 14);
     let study = run_explosion_study_on(
         DatasetId::Infocom06Morning,
-        &trace,
+        &ContactSummary::from_trace(&trace),
+        &SpaceTimeGraph::build_default(&trace),
         &messages,
         EnumerationConfig::quick(40),
         40,
@@ -79,7 +83,18 @@ fn figures_9_10_11_13_forwarding_study_renders() {
         mean_interarrival: 20.0,
         seed: 11,
     };
-    let study = run_forwarding_study_on(DatasetId::Infocom06Morning, &trace, workload, 1, 0);
+    let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
+    let timeline = Arc::new(HistoryTimeline::build(&graph));
+    let summary = ContactSummary::from_trace(&trace);
+    let study = run_forwarding_study_on(
+        DatasetId::Infocom06Morning,
+        &summary,
+        graph,
+        timeline,
+        workload,
+        1,
+        0,
+    );
 
     let fig9 = report::render_delay_vs_success(&study);
     assert!(fig9.contains("Figure 9"));
@@ -100,7 +115,10 @@ fn figures_9_10_11_13_forwarding_study_renders() {
 fn figure_12_paths_taken_renders() {
     let trace = small_trace();
     let messages = uniform_messages(&trace, 2);
-    let cases = run_paths_taken(&trace, &messages, EnumerationConfig::quick(30));
+    let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
+    let timeline = Arc::new(HistoryTimeline::build(&graph));
+    let summary = ContactSummary::from_trace(&trace);
+    let cases = run_paths_taken(&summary, graph, timeline, &messages, EnumerationConfig::quick(30));
     assert_eq!(cases.len(), 2);
     for case in &cases {
         let fig12 = report::render_paths_taken(case);
@@ -116,7 +134,8 @@ fn figures_14_15_hop_rates_render() {
     let messages = uniform_messages(&trace, 10);
     let study = run_explosion_study_on(
         DatasetId::Infocom06Morning,
-        &trace,
+        &ContactSummary::from_trace(&trace),
+        &SpaceTimeGraph::build_default(&trace),
         &messages,
         EnumerationConfig::quick(30),
         30,
@@ -135,7 +154,8 @@ fn figures_14_15_hop_rates_render() {
 #[test]
 fn activity_report_reflects_trace_identity() {
     let trace = small_trace();
-    let report_struct = activity_report(DatasetId::Infocom06Morning, &trace);
+    let report_struct =
+        activity_report(DatasetId::Infocom06Morning, &ContactSummary::from_trace(&trace));
     assert_eq!(report_struct.scenario, DatasetId::Infocom06Morning.label());
     assert!(report_struct.per_minute.total() > 0.0);
 }
