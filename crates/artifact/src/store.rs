@@ -141,6 +141,9 @@ pub struct StoreStats {
     /// graph hot set + incremental timeline builder), maximum across every
     /// run resolved through this store; `0` when nothing ran streaming.
     pub peak_stream_bytes: usize,
+    /// Cold-slot reloads from the spill sink, summed over every
+    /// streaming-mode run resolved through this store.
+    pub spill_loads: u64,
 }
 
 impl StoreStats {
@@ -185,6 +188,7 @@ impl StoreStats {
                     self.peak_stream_bytes as f64 / 1024.0
                 ));
             }
+            line.push_str(&format!(", {} spill loads", self.spill_loads));
         }
         line
     }
@@ -228,6 +232,7 @@ struct Inner {
     disk_writes: u64,
     evictions: u64,
     peak_stream_bytes: usize,
+    spill_loads: u64,
 }
 
 /// The two-tier, collision-checked artifact store.
@@ -325,6 +330,7 @@ impl ArtifactStore {
             entries: inner.map.values().filter(|s| matches!(s, SlotState::Ready(_))).count(),
             bytes_in_memory: inner.bytes,
             peak_stream_bytes: inner.peak_stream_bytes,
+            spill_loads: inner.spill_loads,
         }
     }
 
@@ -335,6 +341,14 @@ impl ArtifactStore {
     pub fn record_stream_peak(&self, bytes: usize) {
         let mut inner = self.lock();
         inner.peak_stream_bytes = inner.peak_stream_bytes.max(bytes);
+    }
+
+    /// Records the cold-slot reloads one streaming-mode run's engines made
+    /// (the windowed graph's `spill_loads` once they finish); the stats
+    /// snapshot reports the sum across every run resolved through this
+    /// store.
+    pub fn record_spill_loads(&self, loads: u64) {
+        self.lock().spill_loads += loads;
     }
 
     /// Resolves an artifact: serves the memory tier on a hit (identity
@@ -644,6 +658,24 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.bytes_in_memory, 8);
         assert!(stats.summary().contains("1 result"), "{}", stats.summary());
+        assert!(!stats.summary().contains("spill loads"), "{}", stats.summary());
+    }
+
+    #[test]
+    fn streaming_counters_reach_the_summary() {
+        let store = ArtifactStore::in_memory();
+        store.record_stream_peak(3 * 1024 * 1024);
+        store.record_spill_loads(40);
+        store.record_stream_peak(1024);
+        store.record_spill_loads(2);
+        let stats = store.stats();
+        assert_eq!(stats.peak_stream_bytes, 3 * 1024 * 1024);
+        assert_eq!(stats.spill_loads, 42);
+        assert!(
+            stats.summary().ends_with("3.0 MiB streaming peak, 42 spill loads"),
+            "{}",
+            stats.summary()
+        );
     }
 
     #[test]

@@ -1176,6 +1176,11 @@ fn compute_run_sections(
             threads,
         ));
     }
+    // The engines are done with the graph: a streaming run's cold-slot
+    // reloads go to the store's `--cache` summary, never into the report.
+    if let Some(psn_spacetime::SharedGraph::Windowed(graph)) = &graph {
+        store.record_spill_loads(graph.spill_loads());
+    }
     if needs_activity {
         outputs.activity = Some(activity_report(run.label.clone(), &summary));
     }
@@ -1919,6 +1924,25 @@ mod tests {
             // bounded-window representation is not cacheable), never stored.
             assert_eq!(stats.builds_of(ArtifactKind::Graph), 0, "{study}: {stats:?}");
             assert_eq!(stats.builds_of(ArtifactKind::Timeline), 0, "{study}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn streaming_runs_record_their_spill_loads_on_the_store() {
+        // A one-slot window makes the simulator reload cold slots; the
+        // count reaches the store's stats (and `--cache` summary), while a
+        // materialized run records none.
+        for (window, reloads) in [(None, false), (Some(1), true)] {
+            let store = ArtifactStore::in_memory();
+            let spec = StudySpec::new(
+                StudyId::Forwarding,
+                vec![dense_scenario(11)],
+                quick_params().with_streaming_window(window),
+            );
+            run_study_with(&spec.plan().unwrap(), &store).unwrap();
+            let stats = store.stats();
+            assert_eq!(stats.spill_loads > 0, reloads, "window {window:?}: {stats:?}");
+            assert_eq!(stats.summary().contains("spill loads"), reloads, "{}", stats.summary());
         }
     }
 

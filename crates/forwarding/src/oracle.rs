@@ -39,10 +39,16 @@ impl TraceOracle {
     ///
     /// # Panics
     ///
-    /// Panics if `pair_counts` is not `n * n` for `n = total_contacts.len()`.
+    /// Panics if `pair_counts` is not `n * n` for `n = total_contacts.len()`,
+    /// or is not symmetric (the shortest-delay pass relaxes one triangle
+    /// and mirrors it).
     pub fn from_counts(window: Seconds, total_contacts: Vec<u64>, pair_counts: &[u64]) -> Self {
         let n = total_contacts.len();
         assert_eq!(pair_counts.len(), n * n, "pair-count matrix must be node_count^2");
+        assert!(
+            (0..n).all(|i| (0..i).all(|j| pair_counts[i * n + j] == pair_counts[j * n + i])),
+            "pair-count matrix must be symmetric"
+        );
 
         let mut expected_delay = vec![f64::INFINITY; n * n];
         for i in 0..n {
@@ -58,25 +64,7 @@ impl TraceOracle {
             }
         }
 
-        // Floyd–Warshall on expected delays: the minimum expected delay of a
-        // relay path is approximated by the sum of per-hop expected delays
-        // (the MEED-style objective).
-        let mut shortest = expected_delay.clone();
-        for k in 0..n {
-            for i in 0..n {
-                let ik = shortest[i * n + k];
-                if ik.is_infinite() {
-                    continue;
-                }
-                for j in 0..n {
-                    let candidate = ik + shortest[k * n + j];
-                    if candidate < shortest[i * n + j] {
-                        shortest[i * n + j] = candidate;
-                    }
-                }
-            }
-        }
-
+        let shortest = shortest_delays(&expected_delay, n);
         Self { node_count: n, total_contacts, expected_delay, shortest_delay: shortest }
     }
 
@@ -117,6 +105,54 @@ impl TraceOracle {
     pub fn shortest_expected_delay(&self, a: NodeId, b: NodeId) -> Seconds {
         self.shortest_delay[a.index() * self.node_count + b.index()]
     }
+}
+
+/// Floyd–Warshall over the symmetric `n * n` direct-delay matrix: the
+/// minimum expected delay of a relay path is approximated by the sum of
+/// per-hop expected delays (the MEED-style objective).
+///
+/// Only the upper triangle (`j ≥ i`) is relaxed, then mirrored, and the
+/// result is bit-identical to the full in-place triple loop:
+///
+/// * The matrix stays exactly symmetric through every phase. Phase `k`
+///   sets `d[i][j] = min(d[i][j], d[i][k] + d[k][j])` and
+///   `d[j][i] = min(d[j][i], d[j][k] + d[k][i])`; with a symmetric input
+///   both candidates are the same two operands, and IEEE addition
+///   commutes, so both cells get the same bits.
+/// * `d[k][k] = 0` leaves row and column `k` fixed during phase `k`
+///   (`0 + x = x`, and delays are non-negative, so the diagonal stays
+///   zero). One copy of row `k`, gathered before the phase from column
+///   `k` above the diagonal and row `k` from it on, therefore feeds
+///   every relaxation of the phase exactly as the in-place loop reads
+///   it.
+/// * `if c < x { c } else { x }` keeps the incumbent on ties, like the
+///   in-place strict `<` update, and compiles to a branch-free minimum
+///   over contiguous slices. Skipping rows with an infinite `d[i][k]` is
+///   exact: every candidate of such a row is infinite and never wins.
+fn shortest_delays(direct: &[f64], n: usize) -> Vec<f64> {
+    let mut d = direct.to_vec();
+    let mut row_k = vec![0.0; n];
+    for k in 0..n {
+        for (j, slot) in row_k.iter_mut().enumerate() {
+            *slot = if j < k { d[j * n + k] } else { d[k * n + j] };
+        }
+        for i in 0..n {
+            let ik = row_k[i];
+            if ik.is_infinite() {
+                continue;
+            }
+            for (x, &kj) in d[i * n + i..(i + 1) * n].iter_mut().zip(&row_k[i..]) {
+                let c = ik + kj;
+                *x = if c < *x { c } else { *x };
+            }
+        }
+    }
+    for i in 0..n {
+        for j in 0..i {
+            d[i * n + j] = d[j * n + i];
+        }
+    }
+    d
 }
 
 #[cfg(test)]
@@ -177,6 +213,91 @@ mod tests {
         assert!((oracle.shortest_expected_delay(nid(0), nid(1)) - 250.0).abs() < 1e-9);
         // Unreachable nodes stay unreachable.
         assert_eq!(oracle.shortest_expected_delay(nid(0), nid(3)), f64::INFINITY);
+    }
+
+    /// The full in-place triple loop the half-matrix pass replaced, kept as
+    /// the bit-level reference.
+    fn shortest_delays_reference(direct: &[f64], n: usize) -> Vec<f64> {
+        let mut shortest = direct.to_vec();
+        for k in 0..n {
+            for i in 0..n {
+                let ik = shortest[i * n + k];
+                if ik.is_infinite() {
+                    continue;
+                }
+                for j in 0..n {
+                    let candidate = ik + shortest[k * n + j];
+                    if candidate < shortest[i * n + j] {
+                        shortest[i * n + j] = candidate;
+                    }
+                }
+            }
+        }
+        shortest
+    }
+
+    /// A seeded random symmetric count matrix over `n` nodes: nodes fall
+    /// into three components that never meet each other, about one in ten
+    /// is isolated, and pair counts are log-uniform over 1..10⁴ so relay
+    /// sums mix magnitudes and round differently.
+    fn random_counts(seed: u64, n: usize) -> Vec<u64> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let component: Vec<Option<u32>> =
+            (0..n).map(|_| (!rng.gen_bool(0.1)).then(|| rng.gen_range(0..3u32))).collect();
+        let mut counts = vec![0u64; n * n];
+        for i in 0..n {
+            for j in 0..i {
+                if component[i].is_some() && component[i] == component[j] && rng.gen_bool(0.3) {
+                    let k = 10f64.powf(rng.gen_range(0.0..4.0)) as u64;
+                    counts[i * n + j] = k.max(1);
+                    counts[j * n + i] = k.max(1);
+                }
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn half_matrix_pass_is_bit_identical_to_the_full_triple_loop() {
+        let mut relayed = 0usize;
+        for n in [0usize, 1, 2, 63, 64, 65, 130] {
+            for seed in 0..3u64 {
+                let counts = random_counts(seed * 1000 + n as u64, n);
+                let totals: Vec<u64> =
+                    (0..n).map(|i| counts[i * n..(i + 1) * n].iter().sum()).collect();
+                let oracle = TraceOracle::from_counts(10_799.7, totals, &counts);
+                let ids = || (0..n as u32).map(NodeId);
+                let direct: Vec<f64> = ids()
+                    .flat_map(|a| ids().map(move |b| (a, b)))
+                    .map(|(a, b)| oracle.expected_delay(a, b))
+                    .collect();
+                let reference = shortest_delays_reference(&direct, n);
+                for a in ids() {
+                    for b in ids() {
+                        let cell = a.index() * n + b.index();
+                        let got = oracle.shortest_expected_delay(a, b);
+                        assert_eq!(
+                            got.to_bits(),
+                            reference[cell].to_bits(),
+                            "n={n} seed={seed} ({a:?}, {b:?}): {got} vs {}",
+                            reference[cell]
+                        );
+                        relayed += usize::from(got < direct[cell]);
+                    }
+                }
+            }
+        }
+        // The matrices exercise relay paths, not just direct delays.
+        assert!(relayed > 1000, "only {relayed} relayed cells");
+    }
+
+    #[test]
+    #[should_panic(expected = "pair-count matrix must be symmetric")]
+    fn asymmetric_pair_counts_are_rejected() {
+        let counts = [0, 2, 0, 1, 0, 0, 0, 0, 0];
+        TraceOracle::from_counts(100.0, vec![2, 1, 0], &counts);
     }
 
     #[test]

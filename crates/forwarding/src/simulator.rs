@@ -358,23 +358,23 @@ fn any_actionable(
 /// utilities get read at all. Contiguous word loads replace the per-slot
 /// adjacency-vector chasing of the scan below, which stays as the
 /// pre-consolidation path (whole-holder-list neighbor scan, exactly like
-/// the engine always did). Both are exact: a sweep acts iff a holder sits
+/// the engine always did), taken when that path hands in the slot it
+/// `pinned` up front. Both are exact: a sweep acts iff a holder sits
 /// next to the destination or to a strictly-higher-utility non-holder.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn utility_actionable(
-    skip_index: bool,
+    pinned: Option<&Slot>,
     timeline: &HistoryTimeline,
     slot: usize,
     holder_mask: &[u64],
     active: &[u64],
     holder_list: &[NodeId],
-    slot_data: &Slot,
     holders: &[bool],
     destination: NodeId,
     mut value: impl FnMut(NodeId) -> f64,
 ) -> bool {
-    if !skip_index {
+    if let Some(slot_data) = pinned {
         return any_actionable(holder_list, slot_data, holders, destination, value);
     }
     // Delivery: some holder shares an edge with the destination. (Slot
@@ -1091,7 +1091,7 @@ impl Simulator {
         // destination on a slot edge, and a forward target must strictly
         // beat its holder, which such algorithms reserve for nodes that
         // have met the destination. One extra word intersection rejects
-        // every other slot before any slot data is pinned.
+        // every other slot off the timeline's masks alone.
         let dest_gate: Option<&[u64]> = (lazy && algorithm.utility_requires_destination_contact())
             .then(|| self.timeline.ever_met_mask(destination));
         let mut utilities_ready = false;
@@ -1130,14 +1130,18 @@ impl Simulator {
                 }
             }
             let slot_time = graph.slot_end_time(slot);
-            // Pin the slot once: a no-op borrow on the materialized graph, a
-            // hot-set lookup or spill reload on the windowed one. Every
-            // per-node query below reads off this pinned slot.
-            let slot_data = graph.slot(slot);
+            // Pinning a slot is a no-op borrow on the materialized graph but
+            // a hot-set lookup or spill reload on the windowed one, so the
+            // skip-index path pins only when it needs the slot's edges: to
+            // sweep it (below, once the precheck says a copy can move) or
+            // to build a shared table's precheck structures. Its prechecks
+            // read the timeline's masks and never the slot. The
+            // pre-consolidation path pins up front, as it always did.
+            let early = (!skip_index).then(|| graph.slot(slot));
             let view = self.timeline.at_slot(slot);
             let ctx = ForwardingContext { history: &view, oracle: &self.oracle, now: slot_time };
 
-            if !skip_index {
+            if let Some(slot_data) = early.as_deref() {
                 // Pre-consolidation per-slot path: refresh the incremental
                 // table off the pinned slot (a no-op unless the destination
                 // met someone) — this must run for *every* visited busy slot
@@ -1156,8 +1160,6 @@ impl Simulator {
                     continue;
                 }
             }
-
-            let edges = slot_data.edges();
 
             // Exact full table at this slot's context — what both the
             // cross-worker store and the per-worker caches publish.
@@ -1201,10 +1203,11 @@ impl Simulator {
                     if skip_index && shared_slots[slot].is_none() {
                         let slot32 = slot as u32;
                         let build = || {
+                            let pinned = graph.slot(slot);
                             std::sync::Arc::new(UtilityTable {
                                 utilities: Box::default(),
-                                promising: build_promising(edges, &table.utilities, words),
-                                reach: build_reach(edges, &table.utilities, n, words),
+                                promising: build_promising(pinned.edges(), &table.utilities, words),
+                                reach: build_reach(pinned.edges(), &table.utilities, n, words),
                             })
                         };
                         shared_slots[slot] = Some(match tables {
@@ -1228,9 +1231,10 @@ impl Simulator {
                         let build = || {
                             let utilities = fill_utilities();
                             let (promising, reach) = if skip_index {
+                                let pinned = graph.slot(slot);
                                 (
-                                    build_promising(edges, &utilities, words),
-                                    build_reach(edges, &utilities, n, words),
+                                    build_promising(pinned.edges(), &utilities, words),
+                                    build_reach(pinned.edges(), &utilities, n, words),
                                 )
                             } else {
                                 (Box::default(), Box::default())
@@ -1346,32 +1350,32 @@ impl Simulator {
                         }
                         // Pre-consolidation path: the whole-holder-list
                         // neighbor scan the engine always did.
-                        None => {
-                            any_actionable(holder_list, &slot_data, holders, destination, |v| {
-                                utils[v.index()]
-                            })
-                        }
+                        None => any_actionable(
+                            holder_list,
+                            early.as_deref().expect("the pre-consolidation path pins up front"),
+                            holders,
+                            destination,
+                            |v| utils[v.index()],
+                        ),
                     },
                     SlotUtility::PerMessage => utility_actionable(
-                        skip_index,
+                        early.as_deref(),
                         &self.timeline,
                         slot,
                         holder_mask,
                         active,
                         holder_list,
-                        &slot_data,
                         holders,
                         destination,
                         |v| utilities[v.index()],
                     ),
                     SlotUtility::Lazy => utility_actionable(
-                        skip_index,
+                        early.as_deref(),
                         &self.timeline,
                         slot,
                         holder_mask,
                         active,
                         holder_list,
-                        &slot_data,
                         holders,
                         destination,
                         |v| {
@@ -1394,6 +1398,8 @@ impl Simulator {
                 }
             }
 
+            let slot_data = early.unwrap_or_else(|| graph.slot(slot));
+            let edges = slot_data.edges();
             if skip_index {
                 // Sweep the slot's edges (in the same normalized order the
                 // reference engine scans them) until no copy moves, with
@@ -1666,7 +1672,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{Epidemic, Fresh, GreedyTotal};
+    use crate::algorithms::{DynamicProgramming, Epidemic, Fresh, Greedy, GreedyTotal};
     use crate::standard_algorithms;
     use psn_spacetime::epidemic_delivery_time;
     use psn_trace::contact::Contact;
@@ -2117,6 +2123,106 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A window-`window_slots` `MemorySpill`-backed graph over `trace`,
+    /// with the timeline and oracle the simulator needs; the handle keeps
+    /// the graph's spill counters readable.
+    fn windowed_simulator(
+        trace: &ContactTrace,
+        window_slots: usize,
+        tuning: EngineTuning,
+    ) -> (Simulator, std::sync::Arc<psn_spacetime::WindowedSpaceTimeGraph>) {
+        let graph = std::sync::Arc::new(
+            psn_spacetime::WindowedSpaceTimeGraph::stream_with(
+                &mut psn_trace::TraceEventStream::new(trace, 10.0),
+                window_slots,
+                Box::new(psn_spacetime::MemorySpill::new()),
+                |_, _| {},
+            )
+            .unwrap(),
+        );
+        let timeline =
+            std::sync::Arc::new(HistoryTimeline::build(&SpaceTimeGraph::build(trace, 10.0)));
+        let sim = Simulator::from_streamed_parts(
+            trace.node_count(),
+            TraceOracle::from_trace(trace),
+            std::sync::Arc::clone(&graph),
+            timeline,
+            SimulatorConfig { delta: 10.0, threads: 1, tuning },
+        );
+        (sim, graph)
+    }
+
+    #[test]
+    fn slots_that_no_precheck_acts_on_are_never_reloaded() {
+        // The source meets the destination once, before the message
+        // exists, then meets a relay that never meets the destination in
+        // twelve later slots. The source holds the copy and is active in
+        // every one of those slots, and it has met the destination, so the
+        // skip index and the ever-met gate both let each slot through; but
+        // the relay's utility is worse under every algorithm below, so no
+        // precheck is actionable and no slot has to be swept.
+        let mut contacts = vec![(0, 1, 5.0, 8.0)];
+        contacts.extend((0..12).map(|i| (0, 2, 101.0 + 20.0 * i as f64, 105.0 + 20.0 * i as f64)));
+        let trace = trace_from(contacts, 3, 400.0);
+        let message = [Message::new(nid(0), nid(1), 50.0)];
+        let reference_sim = Simulator::with_default_config(&trace);
+        let visited = reference_sim.graph().busy_slots().iter().filter(|&&s| s >= 5).count();
+        assert!(visited >= 10, "only {visited} busy slots after creation");
+        let algorithms: [Box<dyn ForwardingAlgorithm>; 3] =
+            [Box::new(DynamicProgramming), Box::new(Fresh), Box::new(Greedy)];
+        for algorithm in &algorithms {
+            let (sim, graph) = windowed_simulator(&trace, 1, EngineTuning::default());
+            let result = sim.run(algorithm.as_ref(), &message);
+            assert_eq!(result.outcomes[0].delivered_at, None, "{}", algorithm.name());
+            assert_eq!(
+                result.outcomes,
+                reference_sim.run_reference(algorithm.as_ref(), &message).outcomes,
+                "{}",
+                algorithm.name()
+            );
+            assert_eq!(
+                graph.spill_loads(),
+                0,
+                "{} reloaded slots it never swept",
+                algorithm.name()
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_outcomes_match_materialized_on_a_scaled_scenario() {
+        // A 200-node scaled population at window 2 of 120 slots: nearly
+        // every slot a message visits is cold, and the shared tables,
+        // prechecks and sweeps pin them on demand. Every algorithm must
+        // reproduce the materialized graph's outcomes under both tunings.
+        let scenario = psn_trace::ScenarioConfig::from_toml_str(
+            "kind = \"scaled\"\nname = \"scaled-200\"\nnodes = 200\nwindow_seconds = 1200.0\n\
+             max_node_rate = 0.045\nmin_node_rate = 0.0006\nmean_contact_duration = 120.0\n\
+             seed = 1001\n",
+        )
+        .unwrap();
+        let trace = scenario.generate();
+        assert_eq!(trace.node_count(), 200);
+        let messages = random_messages(5, 200, 24, trace.window());
+        for tuning in [EngineTuning::default(), EngineTuning::all_off()] {
+            let materialized =
+                Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1, tuning });
+            let (windowed, graph) = windowed_simulator(&trace, 2, tuning);
+            let mut delivered = 0;
+            for (kind, algorithm) in &standard_algorithms() {
+                let expected = materialized.run(algorithm.as_ref(), &messages).outcomes;
+                delivered += expected.iter().filter(|o| o.delivered_at.is_some()).count();
+                assert_eq!(
+                    expected,
+                    windowed.run(algorithm.as_ref(), &messages).outcomes,
+                    "{kind} with {tuning:?}"
+                );
+            }
+            assert!(delivered > 0, "no message delivered under {tuning:?}");
+            assert!(graph.spill_loads() > 0, "window 2 must reload cold slots");
         }
     }
 
