@@ -1,12 +1,10 @@
-//! Thread-scaling benchmark for the batched forwarding engine
+//! Thread-scaling benchmark for the slot-major forwarding engine
 //! (`BENCH_scaling.json`).
 //!
 //! Runs the paper-scale six-algorithm forwarding study (algorithm × run
 //! jobs through one `Simulator::run_many` batch, exactly like the study
 //! driver) and records wall-clock curves over a list of worker-thread
-//! counts, plus the single-worker engine headline: the consolidated engine
-//! (skip index + cross-worker shared utility tables) against the
-//! pre-consolidation engine (`EngineTuning::all_off`) on one thread.
+//! (lane) counts, plus an optional per-algorithm single-thread breakdown.
 //!
 //! ```text
 //! psn-scaling-bench --threads-list 1,2,4,8 --reps 3
@@ -16,14 +14,14 @@
 //! The host's `available_parallelism` is printed so curves recorded on an
 //! oversubscribed host (thread counts above the core count) are honest
 //! about it. Every configuration's outcomes are checked bit-identical to
-//! the single-thread legacy-engine baseline before any number is reported;
-//! a mismatch exits nonzero.
+//! `Simulator::run_reference`, the serial engine that shares no fast-path
+//! code, before any number is reported; a mismatch exits nonzero.
 
 use std::time::Instant;
 
 use psn_forwarding::{
-    standard_algorithms, EngineTuning, ForwardingAlgorithm, HistoryTimeline, SimulationResult,
-    Simulator, SimulatorConfig,
+    standard_algorithms, ForwardingAlgorithm, HistoryTimeline, SimulationResult, Simulator,
+    SimulatorConfig,
 };
 use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig, SpaceTimeGraph};
 use psn_trace::{ContactTrace, DatasetId, SyntheticDataset};
@@ -39,7 +37,7 @@ struct Args {
     reps: usize,
     /// Reduced scale for CI smoke.
     quick: bool,
-    /// Additionally print a per-algorithm legacy-vs-consolidated breakdown.
+    /// Additionally print a per-algorithm single-thread breakdown.
     per_algorithm: bool,
     seed: u64,
 }
@@ -147,10 +145,9 @@ fn time_config(
     timeline: &std::sync::Arc<HistoryTimeline>,
     message_sets: &[Vec<Message>],
     threads: usize,
-    tuning: EngineTuning,
     reps: usize,
 ) -> (f64, Vec<SimulationResult>) {
-    let config = SimulatorConfig { delta: 10.0, threads, tuning };
+    let config = SimulatorConfig { delta: 10.0, threads };
     let simulator =
         Simulator::from_parts(trace, std::sync::Arc::clone(graph), timeline.clone(), config);
     let algorithms = standard_algorithms();
@@ -175,7 +172,7 @@ fn assert_identical(label: &str, baseline: &[SimulationResult], candidate: &[Sim
     assert_eq!(baseline.len(), candidate.len(), "{label}: job counts differ");
     for (b, c) in baseline.iter().zip(candidate) {
         if b.algorithm != c.algorithm || b.outcomes != c.outcomes {
-            eprintln!("FAIL: {label}: outcomes diverge from baseline for {}", b.algorithm);
+            eprintln!("FAIL: {label}: outcomes diverge from the reference for {}", b.algorithm);
             std::process::exit(1);
         }
     }
@@ -204,81 +201,49 @@ fn main() {
         args.reps
     );
 
-    // Single-worker engine headline: consolidated vs pre-consolidation.
-    let (legacy_wall, legacy_results) = time_config(
+    // The reference: every job through the serial engine, once.
+    let simulator = Simulator::from_parts(
         &trace,
-        &graph,
-        &timeline,
-        &message_sets,
-        1,
-        EngineTuning::all_off(),
-        args.reps,
+        std::sync::Arc::clone(&graph),
+        timeline.clone(),
+        SimulatorConfig { delta: 10.0, threads: 1 },
     );
-    let (new_wall, new_results) = time_config(
-        &trace,
-        &graph,
-        &timeline,
-        &message_sets,
-        1,
-        EngineTuning::default(),
-        args.reps,
-    );
-    assert_identical("engine consolidation @ 1 thread", &legacy_results, &new_results);
-    println!(
-        "\nsingle-worker headline: legacy {legacy_wall:.3} s -> consolidated {new_wall:.3} s ({:.2}x)",
-        legacy_wall / new_wall
-    );
+    let algorithms = standard_algorithms();
+    let start = Instant::now();
+    let reference: Vec<SimulationResult> = algorithms
+        .iter()
+        .flat_map(|(_, a)| message_sets.iter().map(|m| simulator.run_reference(a.as_ref(), m)))
+        .collect();
+    println!("\nreference engine (serial, once): {:.3} s", start.elapsed().as_secs_f64());
 
     if args.per_algorithm {
-        println!("\nper-algorithm breakdown @ 1 thread (legacy vs consolidated):");
-        for (kind, algorithm) in &standard_algorithms() {
+        println!("\nper-algorithm breakdown @ 1 thread:");
+        for (kind, algorithm) in &algorithms {
             let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
                 message_sets.iter().map(|m| (algorithm.as_ref() as _, m.as_slice())).collect();
-            let wall_for = |tuning: EngineTuning| {
-                let config = SimulatorConfig { delta: 10.0, threads: 1, tuning };
-                let simulator = Simulator::from_parts(
-                    &trace,
-                    std::sync::Arc::clone(&graph),
-                    timeline.clone(),
-                    config,
-                );
-                let mut walls = Vec::with_capacity(args.reps);
-                for _ in 0..args.reps {
-                    let start = Instant::now();
-                    let out = simulator.run_many(&jobs);
-                    walls.push(start.elapsed().as_secs_f64());
-                    std::hint::black_box(out);
-                }
-                median(&mut walls)
-            };
-            let legacy = wall_for(EngineTuning::all_off());
-            let both = wall_for(EngineTuning::default());
-            let skip_only = wall_for(EngineTuning { skip_index: true, shared_tables: false });
-            let tables_only = wall_for(EngineTuning { skip_index: false, shared_tables: true });
-            println!(
-                "  {kind:<22} legacy {legacy:.3} s | skip {skip_only:.3} s | tables {tables_only:.3} s | both {both:.3} s ({:.2}x)",
-                legacy / both
-            );
+            let mut walls = Vec::with_capacity(args.reps);
+            for _ in 0..args.reps {
+                let start = Instant::now();
+                let out = simulator.run_many(&jobs);
+                walls.push(start.elapsed().as_secs_f64());
+                std::hint::black_box(out);
+            }
+            println!("  {:<22} {:.3} s", kind.label(), median(&mut walls));
         }
     }
 
-    println!("\nthread-scaling curve (consolidated engine):");
+    println!("\nthread-scaling curve (slot-major engine):");
+    let mut single = None;
     for &threads in &threads_list {
-        let (wall, results) = time_config(
-            &trace,
-            &graph,
-            &timeline,
-            &message_sets,
-            threads,
-            EngineTuning::default(),
-            args.reps,
-        );
-        assert_identical(&format!("{threads} threads"), &legacy_results, &results);
+        let (wall, results) =
+            time_config(&trace, &graph, &timeline, &message_sets, threads, args.reps);
+        assert_identical(&format!("{threads} threads"), &reference, &results);
+        let base = *single.get_or_insert(wall);
         println!(
-            "  threads={threads:<2} wall {wall:.3} s | {:.2}x vs consolidated@1 | {:.2}x vs legacy@1 | outcomes identical",
-            new_wall / wall,
-            legacy_wall / wall,
+            "  threads={threads:<2} wall {wall:.3} s | {:.2}x vs threads={} | outcomes identical",
+            base / wall,
+            threads_list[0],
         );
     }
-    println!("\nall configurations byte-identical to the single-thread legacy engine");
+    println!("\nall configurations byte-identical to the reference engine");
 }

@@ -253,7 +253,7 @@ pub fn run_forwarding_study_on(
         TraceOracle::from_summary(summary),
         graph,
         timeline,
-        SimulatorConfig { delta, threads, ..SimulatorConfig::default() },
+        SimulatorConfig { delta, threads },
     );
     let rates = summary.rates();
     let window = summary.window();

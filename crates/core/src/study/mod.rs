@@ -32,11 +32,11 @@
 //! Execution is parallel at every level: the per-run loop shards
 //! (scenario × seed) cells over an `AtomicUsize` work queue, and inside a
 //! run path enumeration fans message enumeration out over its worker pool
-//! while the forwarding simulator shards (algorithm × run × message-chunk)
-//! jobs. Worker counts never change results (pinned by differential
-//! property tests in `psn-spacetime` / `psn-forwarding`). The trace for
-//! each planned run is generated **once** and shared by every view that
-//! needs it.
+//! while the forwarding simulator deals the (algorithm × run) jobs'
+//! messages into slot-major lanes. Worker counts never change results
+//! (pinned by differential property tests in `psn-spacetime` /
+//! `psn-forwarding`). The trace for each planned run is generated
+//! **once** and shared by every view that needs it.
 
 pub mod preset;
 pub mod sweep;

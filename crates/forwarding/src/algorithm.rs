@@ -16,7 +16,7 @@ use crate::oracle::TraceOracle;
 /// `history` is a trait object so the same algorithm code runs against
 /// either the mutable [`crate::history::ContactHistory`] replay (reference
 /// engine) or a read-only [`crate::timeline::HistoryView`] into the shared
-/// precomputed timeline (parallel engine).
+/// precomputed timeline (slot-major engine).
 #[derive(Debug)]
 pub struct ForwardingContext<'a> {
     /// Contact history observed so far (recent/complete past knowledge).
@@ -56,7 +56,7 @@ pub trait ForwardingAlgorithm: Send + Sync {
     /// Five of the paper's six algorithms are *utility comparisons*: they
     /// forward from `holder` to `peer` iff `utility(peer) >
     /// utility(holder)` (strictly — ties keep the message). Exposing the
-    /// per-node utility lets the parallel engine compute it once per node
+    /// per-node utility lets the slot-major engine compute it once per node
     /// instead of calling [`should_forward`](Self::should_forward) per
     /// (edge, direction, sweep pass), and cache it across messages; the
     /// resulting decisions are bit-identical, which the engine's
@@ -73,7 +73,8 @@ pub trait ForwardingAlgorithm: Send + Sync {
     ///   [`contacts_with`](crate::history::ContactKnowledge::contacts_with))
     ///   plus immutable oracle data — so it can only change in slots where
     ///   `node` and `destination` are in contact, which is what lets the
-    ///   engine maintain it incrementally per message;
+    ///   engine keep one row per destination and refresh it only at the
+    ///   destination's neighbors;
     /// * if `destination_aware` is `false`, the value must ignore
     ///   `destination` entirely, but may then use any per-node history
     ///   statistic (the engine recomputes it per slot and shares it across
@@ -96,9 +97,9 @@ pub trait ForwardingAlgorithm: Send + Sync {
     /// True if [`copy_utility`](Self::copy_utility) never depends on the
     /// mutable contact history — only on oracle/trace data — so its value
     /// for a `(node, destination)` pair is constant over the whole
-    /// simulation. The engine then fills each utility table once (per job
-    /// or per message) instead of refreshing it per slot. Only meaningful
-    /// when `copy_utility` returns `Some`.
+    /// simulation. The engine then fills each utility table once (per walk
+    /// or per destination) instead of refreshing it per slot. Only
+    /// meaningful when `copy_utility` returns `Some`.
     fn utility_is_static(&self) -> bool {
         false
     }

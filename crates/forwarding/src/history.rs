@@ -34,7 +34,7 @@ use psn_trace::{NodeId, Seconds};
 ///
 /// Implemented by [`ContactHistory`] (mutable slot-by-slot replay, the
 /// reference engine) and by [`crate::timeline::HistoryView`] (a zero-copy
-/// slice of the precomputed shared timeline, the parallel engine). Both
+/// slice of the precomputed shared timeline, the slot-major engine). Both
 /// views answer the same queries with identical results for the same slot.
 pub trait ContactKnowledge: std::fmt::Debug {
     /// The most recent time `node` was in contact with `peer`, if ever.

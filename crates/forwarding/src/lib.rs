@@ -28,14 +28,15 @@
 //! by the contact-rate class of their endpoints.
 //!
 //! The simulator has two engines producing bit-identical outcomes: the
-//! batched parallel engine ([`simulator::Simulator::run`] /
-//! [`simulator::Simulator::run_many`]), which shares one precomputed
-//! read-only [`timeline::HistoryTimeline`] across all algorithm × run ×
-//! message-batch workers and evaluates utility-representable algorithms via
+//! slot-major engine ([`simulator::Simulator::run`] /
+//! [`simulator::Simulator::run_many`]), in which each worker lane walks the
+//! busy slots once against one precomputed read-only
+//! [`timeline::HistoryTimeline`], serving every message of every algorithm ×
+//! run job at each slot and evaluating utility-representable algorithms via
 //! [`algorithm::ForwardingAlgorithm::copy_utility`] tables, and the retained
 //! serial sweep ([`simulator::Simulator::run_reference`]) that replays a
 //! mutable [`history::ContactHistory`] — the behavioural baseline the
-//! differential tests pin the parallel engine to. See the [`simulator`]
+//! differential tests pin the slot-major engine to. See the [`simulator`]
 //! module docs for the design.
 
 #![forbid(unsafe_code)]
@@ -56,5 +57,5 @@ pub use history::{ContactHistory, ContactKnowledge};
 pub use metrics::{AlgorithmMetrics, MessageOutcome, PairTypeMetrics};
 pub use oracle::TraceOracle;
 pub use pairtype::{classify_message, PairType};
-pub use simulator::{EngineTuning, SimulationResult, Simulator, SimulatorConfig};
+pub use simulator::{SimulationResult, Simulator, SimulatorConfig};
 pub use timeline::{HistoryTimeline, HistoryView, TimelineBuilder};

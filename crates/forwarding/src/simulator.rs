@@ -25,34 +25,48 @@
 //! Two engines produce bit-identical [`MessageOutcome`]s (pinned by
 //! differential tests):
 //!
-//! * [`Simulator::run`] / [`Simulator::run_many`] — the **batched parallel
-//!   engine**. The key observation is that contact history depends only on
-//!   the trace, so it is precomputed once as a shared read-only
-//!   [`HistoryTimeline`]; message copy-state is per message, so every
-//!   message simulates independently against the timeline, the
-//!   [`TraceOracle`] and the precomputed per-slot edge lists
-//!   ([`SpaceTimeGraph::edges`]). Work is sharded across
-//!   `std::thread::scope` workers via an `AtomicUsize` work queue over
-//!   (job × message-chunk) items; each worker walks only
-//!   [`SpaceTimeGraph::busy_slots`] from the message's creation slot and
-//!   stops at delivery, so delivered and not-yet-created messages cost
-//!   nothing.
+//! * [`Simulator::run`] / [`Simulator::run_many`] — the **slot-major
+//!   engine**. Contact history depends only on the trace, so it is
+//!   precomputed once as a shared read-only [`HistoryTimeline`]. The
+//!   batch's messages are dealt round-robin (job-major) into one *lane* per
+//!   worker thread, and each lane walks [`SpaceTimeGraph::busy_slots`]
+//!   once, in ascending order, serving every message of every job at each
+//!   slot:
+//!   - a message sleeps in a per-slot wake list until one of its holders
+//!     has a contact ([`HistoryTimeline::next_active_slot`]), so idle,
+//!     delivered and not-yet-created messages cost nothing;
+//!   - its state is a holder bitmask plus one provenance entry per node
+//!     that received a copy;
+//!   - exact actionability prechecks on the timeline's bitmasks decide
+//!     whether a slot is swept at all;
+//!   - everything shared is built at most once per (lane, algorithm, slot)
+//!     on first need and dropped after the slot: the destination-unaware
+//!     utility table with its promising mask and reachability closure, and
+//!     the node → incident-edge bitmask the sweep runs on. A slot is pinned
+//!     (a spill reload on the windowed graph) only to sweep it or to build
+//!     its table, and at most once per lane;
+//!   - destination-aware utilities are one row per destination, filled on
+//!     first need and refreshed each slot only at the destination's
+//!     neighbours, which the `copy_utility` contract makes exact;
+//!   - the sweep visits only holder-incident edges, in (pass, edge index,
+//!     direction) order — the decision sequence of a full-pass rescan.
 //! * [`Simulator::run_reference`] — the original serial sweep retained as
 //!   the behavioural baseline: one mutable [`ContactHistory`] advanced slot
 //!   by slot, an `O(n)` adjacency rescan per slot and a global
-//!   `O(messages × edges)` fixpoint sweep. Kept for differential testing
-//!   and as the benchmark baseline, mirroring
-//!   `PathEnumerator::enumerate_reference` from the enumeration engine.
+//!   `O(messages × edges)` fixpoint sweep. Kept for differential testing,
+//!   mirroring `PathEnumerator::enumerate_reference` from the enumeration
+//!   engine.
 //!
 //! The engines agree because a message's copy-state evolves under a
 //! deterministic function of (its own state, the slot's edge list in
-//! normalized order, the read-only context): sweeping one message to its own
-//! fixpoint visits exactly the same (edge, direction) decision sequence as
-//! sweeping all messages to the global fixpoint.
+//! normalized order, the read-only context), and messages never interact:
+//! sweeping one message to its own fixpoint makes exactly the same
+//! forwarding decisions as sweeping all messages to the global fixpoint,
+//! in whatever order, on whichever lane.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use psn_spacetime::{GraphRef, Message, Path, SharedGraph, Slot, SpaceTimeGraph};
+use psn_spacetime::{GraphRef, Hop, Message, Path, SharedGraph, SlotGuard, SpaceTimeGraph};
 use psn_trace::{ContactTrace, NodeId, Seconds};
 
 use crate::algorithm::{ForwardingAlgorithm, ForwardingContext};
@@ -66,49 +80,15 @@ use crate::timeline::HistoryTimeline;
 pub struct SimulatorConfig {
     /// Slot length in seconds (the paper's Δ = 10 s).
     pub delta: Seconds,
-    /// Worker threads for the parallel engine; `0` (the default) uses one
-    /// thread per available core. The thread count never affects results —
-    /// only wall-clock time.
+    /// Worker threads (lanes) for the slot-major engine; `0` (the default)
+    /// uses one per available core. The thread count never affects
+    /// results — only wall-clock time.
     pub threads: usize,
-    /// Engine speed toggles. All on by default; results never depend on
-    /// them (pinned by differential tests over every combination).
-    pub tuning: EngineTuning,
 }
 
 impl Default for SimulatorConfig {
     fn default() -> Self {
-        Self { delta: 10.0, threads: 0, tuning: EngineTuning::default() }
-    }
-}
-
-/// Independent on/off switches for the parallel engine's speed paths.
-///
-/// Every combination produces bit-identical [`MessageOutcome`]s — the
-/// switches exist so differential suites can force each path against the
-/// reference engine and so benchmarks can measure each win in isolation
-/// (`all_off` is the pre-consolidation engine, the scaling bench's
-/// baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineTuning {
-    /// Jump idle messages via [`HistoryTimeline::next_active_slot`] instead
-    /// of scanning every busy slot for an active holder.
-    pub skip_index: bool,
-    /// Build utility tables exactly once per (job, slot[, destination]) in
-    /// a latched cross-worker store instead of once per worker (and, for
-    /// destination-aware algorithms, once per message).
-    pub shared_tables: bool,
-}
-
-impl Default for EngineTuning {
-    fn default() -> Self {
-        Self { skip_index: true, shared_tables: true }
-    }
-}
-
-impl EngineTuning {
-    /// The pre-consolidation engine: per-worker tables, full busy-slot scan.
-    pub fn all_off() -> Self {
-        Self { skip_index: false, shared_tables: false }
+        Self { delta: 10.0, threads: 0 }
     }
 }
 
@@ -128,7 +108,7 @@ impl SimulationResult {
     }
 }
 
-/// Internal per-message, per-node copy state.
+/// Per-message, per-node copy state of the reference engine.
 struct MessageState {
     /// Which nodes currently hold a copy.
     holders: Vec<bool>,
@@ -154,49 +134,42 @@ impl MessageState {
             active: false,
         }
     }
-
-    /// Clears the state for reuse by the next message in a worker's batch.
-    fn reset(&mut self) {
-        self.holders.fill(false);
-        self.received_from.fill(None);
-        self.delivered_at = None;
-        self.delivered_by = None;
-        self.active = false;
-    }
 }
 
-/// How the parallel engine evaluates forwarding decisions for one job,
-/// derived once per job from [`ForwardingAlgorithm::copy_utility`].
+/// How the slot-major engine evaluates one algorithm's forwarding
+/// decisions, derived once per batch from
+/// [`ForwardingAlgorithm::copy_utility`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DecisionMode {
     /// No utility decomposition: call `should_forward` per decision.
     Direct,
-    /// Destination-unaware utilities: computed per slot on first visit and
-    /// shared across every message of the job a worker processes. With
-    /// `is_static` (utilities never consult the history) one table serves
-    /// every slot of the job.
-    SharedUtility {
+    /// Destination-unaware utilities: one table per slot, shared by every
+    /// message of the algorithm. With `is_static` (utilities never consult
+    /// the history) one table serves the whole walk.
+    Shared {
         /// See [`ForwardingAlgorithm::utility_is_static`].
         is_static: bool,
     },
-    /// Destination-aware utilities: initialized per message at its first
-    /// busy slot, then refreshed only for nodes that contact the
+    /// Destination-aware utilities: one row per destination, filled on
+    /// first need and then refreshed only for nodes that contact the
     /// destination (the `copy_utility` contract guarantees nothing else can
-    /// change them). With `is_static` the per-slot refresh is skipped
-    /// entirely.
-    PerMessageUtility {
+    /// change them). With `is_static` the per-slot refresh is skipped.
+    PerDestination {
         /// See [`ForwardingAlgorithm::utility_is_static`].
         is_static: bool,
     },
 }
-
-/// Sentinel for "this table key dimension does not apply".
-const NO_KEY: u32 = u32::MAX;
 
 /// Sets `node`'s bit in a node bitmask.
 #[inline]
 fn set_bit(mask: &mut [u64], node: NodeId) {
     mask[node.index() / 64] |= 1u64 << (node.index() % 64);
+}
+
+/// True iff `node`'s bit is set in a node bitmask.
+#[inline]
+fn has_bit(mask: &[u64], node: NodeId) -> bool {
+    mask[node.index() / 64] >> (node.index() % 64) & 1 != 0
 }
 
 /// True iff two node bitmasks share a set bit; length mismatches treat the
@@ -206,50 +179,52 @@ fn masks_intersect(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(x, y)| x & y != 0)
 }
 
-/// One read of the lazy utility memo ([`SlotUtility::Lazy`]): returns the
-/// memoized value while `slot` is inside `v`'s validity interval, otherwise
-/// re-evaluates against this slot's context and stores the value under the
-/// *maximal* interval over which the (node, destination) pair statistics
-/// are constant ([`HistoryTimeline::pair_constancy_interval`]) — so the
-/// memo, which outlives a single message (it is keyed per destination and
-/// shared by every message of the job with that destination), serves reads
-/// both before and after the evaluation point. Exact because the
-/// `copy_utility` contract pins
-/// a destination-aware utility to the (node, destination) pair stats, which
-/// change only in slots where the pair is in contact.
-#[allow(clippy::too_many_arguments)]
+/// The nodes whose bits are set in a bitmask given word by word, ascending.
 #[inline]
-fn lazy_eval(
-    algorithm: &dyn ForwardingAlgorithm,
-    ctx: &ForwardingContext<'_>,
-    timeline: &HistoryTimeline,
-    destination: NodeId,
-    slot: usize,
-    utilities: &mut [f64],
-    valid_from: &mut [u32],
-    valid_until: &mut [u32],
-    v: NodeId,
-) -> f64 {
-    let s = slot as u32;
-    if valid_from[v.index()] <= s && s < valid_until[v.index()] {
-        return utilities[v.index()];
+fn nodes_of(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = NodeId> {
+    words.into_iter().enumerate().flat_map(|(word, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let node = NodeId((word * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                node
+            })
+        })
+    })
+}
+
+/// One busy slot's activity and neighbor bitmasks, sliced out of the
+/// timeline once per slot.
+#[derive(Clone, Copy)]
+struct SlotMasks<'t> {
+    words: usize,
+    /// [`HistoryTimeline::active_mask`].
+    active: &'t [u64],
+    /// [`HistoryTimeline::neighbor_masks`].
+    neighbors: &'t [u64],
+}
+
+impl<'t> SlotMasks<'t> {
+    fn of(timeline: &'t HistoryTimeline, slot: usize) -> Self {
+        Self {
+            words: timeline.node_count().div_ceil(64),
+            active: timeline.active_mask(slot),
+            neighbors: timeline.neighbor_masks(slot),
+        }
     }
-    let value =
-        algorithm.copy_utility(ctx, v, destination).expect("copy_utility is uniformly Some");
-    let (from, until) = timeline.pair_constancy_interval(v, destination, slot);
-    utilities[v.index()] = value;
-    valid_from[v.index()] = from;
-    valid_until[v.index()] = until;
-    value
+
+    /// `node`'s neighbors in the slot.
+    #[inline]
+    fn of_node(&self, node: NodeId) -> &'t [u64] {
+        &self.neighbors[node.index() * self.words..][..self.words]
+    }
 }
 
 /// The slot's per-node *promising* bitmask: bit `v` is set iff some
-/// neighbor of `v` this slot has strictly higher utility. One pass over
-/// the slot's edges, shared across every message of the job through the
-/// table it is published with. A superset of the exact actionability
-/// condition (it ignores holder status), so a precheck against it can
-/// only produce false positives — and a false positive just runs a sweep
-/// that moves nothing.
+/// neighbor of `v` this slot has strictly higher utility — the nodes whose
+/// within-slot closure ([`build_reach`]) holds anyone but themselves. One
+/// pass over the slot's edges, shared across every message of the
+/// algorithm.
 fn build_promising(edges: &[(NodeId, NodeId)], utilities: &[f64], words: usize) -> Box<[u64]> {
     let mut promising = vec![0u64; words].into_boxed_slice();
     for &(a, b) in edges {
@@ -266,8 +241,8 @@ fn build_promising(edges: &[(NodeId, NodeId)], utilities: &[f64], words: usize) 
 /// node-major bitmask rows (stride `words`) where row `v` holds `v` plus
 /// every node a copy at `v` could reach through the slot's edges along
 /// strictly-increasing utilities (the fixpoint sweep forwards multi-hop
-/// within a slot). One `O(E log E + E·words)` pass per (job, slot), shared
-/// across every message of the job.
+/// within a slot). One `O(E log E + E·words)` pass per (lane, algorithm,
+/// slot), shared across every message of the algorithm.
 ///
 /// Built by processing the directed utility-increasing edges in descending
 /// order of the *receiving* (lower-utility) endpoint's utility: when
@@ -302,21 +277,21 @@ fn build_reach(
     reach
 }
 
-/// True iff some active holder's within-slot reachability closure (a row
-/// of [`build_reach`]) contains a node outside the current holder set —
-/// i.e. the fixpoint sweep would forward at least one copy. Together with
-/// a destination-adjacency scan this is an **exact** actionability test
-/// (see the precheck in `simulate_message`), at two word-ops per active
-/// holder and no neighbor scans.
-fn closure_escapes(reach: &[u64], active: &[u64], holder_mask: &[u64]) -> bool {
-    let words = holder_mask.len();
-    for (word, (&act, &held)) in active.iter().zip(holder_mask).enumerate() {
-        let mut bits = act & held;
+/// True iff some holder's within-slot reachability closure (a row of
+/// [`build_reach`]) contains a node outside the current holder set — i.e.
+/// the fixpoint sweep would forward at least one copy. Only holders in the
+/// slot's `promising` mask ([`build_promising`]) can reach anyone but
+/// themselves, so only their rows are read. Together with a
+/// destination-adjacency test this is an **exact** actionability test, at
+/// two word-ops per promising holder and no neighbor scans.
+fn closure_escapes(reach: &[u64], promising: &[u64], held: &[u64]) -> bool {
+    let words = held.len();
+    for (word, (&p, &h)) in promising.iter().zip(held).enumerate() {
+        let mut bits = p & h;
         while bits != 0 {
             let v = word * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let row = &reach[v * words..][..words];
-            if row.iter().zip(holder_mask).any(|(r, h)| r & !h != 0) {
+            if reach[v * words..][..words].iter().zip(held).any(|(r, h)| r & !h != 0) {
                 return true;
             }
         }
@@ -324,83 +299,35 @@ fn closure_escapes(reach: &[u64], active: &[u64], holder_mask: &[u64]) -> bool {
     false
 }
 
-/// The sweep-actionability precheck under one utility order: true iff some
-/// candidate holder has a neighbor that is the destination or a
-/// strictly-higher-utility non-holder. Generic over the utility reader so
-/// each mode compiles to a direct slice load (or an inlined lazy-memo
-/// read) instead of a dynamic call per neighbor; the candidate's own
-/// utility is evaluated at most once however many neighbors it has.
-#[inline]
-fn any_actionable(
-    candidates: &[NodeId],
-    slot_data: &Slot,
-    holders: &[bool],
-    destination: NodeId,
-    mut value: impl FnMut(NodeId) -> f64,
-) -> bool {
-    candidates.iter().any(|&h| {
-        let mut own = None;
-        slot_data.neighbors(h).iter().any(|&nb| {
-            nb == destination
-                || (!holders[nb.index()] && {
-                    let own = *own.get_or_insert_with(|| value(h));
-                    value(nb) > own
-                })
-        })
-    })
-}
-
-/// Dispatches the utility-mode actionability precheck: under the skip
-/// index, runs entirely on the timeline's per-slot neighbor bitmasks — a
-/// two-word destination-adjacency test for delivery, then per active
-/// holder a `neighbors ∧ ¬holders` word combination whose surviving bits
-/// (the holder's non-holder slot neighbors) are the only nodes whose
-/// utilities get read at all. Contiguous word loads replace the per-slot
-/// adjacency-vector chasing of the scan below, which stays as the
-/// pre-consolidation path (whole-holder-list neighbor scan, exactly like
-/// the engine always did), taken when that path hands in the slot it
-/// `pinned` up front. Both are exact: a sweep acts iff a holder sits
-/// next to the destination or to a strictly-higher-utility non-holder.
-#[allow(clippy::too_many_arguments)]
-#[inline]
+/// The exact sweep-actionability precheck under a destination-aware
+/// utility row, run entirely on the timeline's per-slot neighbor bitmasks:
+/// true iff some holder sits next to the destination (delivery) or some
+/// active holder has a strictly-higher-utility non-holder neighbor (a
+/// forward). Only the holder's non-holder neighbors have their utilities
+/// read at all.
 fn utility_actionable(
-    pinned: Option<&Slot>,
-    timeline: &HistoryTimeline,
-    slot: usize,
-    holder_mask: &[u64],
-    active: &[u64],
-    holder_list: &[NodeId],
-    holders: &[bool],
+    masks: &SlotMasks<'_>,
+    held: &[u64],
     destination: NodeId,
-    mut value: impl FnMut(NodeId) -> f64,
+    utilities: &[f64],
 ) -> bool {
-    if let Some(slot_data) = pinned {
-        return any_actionable(holder_list, slot_data, holders, destination, value);
-    }
-    // Delivery: some holder shares an edge with the destination. (Slot
-    // neighbors are mutual, so this is the destination's row against the
-    // holder mask.)
-    if masks_intersect(timeline.neighbor_mask(slot, destination), holder_mask) {
+    // Slot neighbors are mutual, so delivery is the destination's row
+    // against the holder mask.
+    if masks_intersect(masks.of_node(destination), held) {
         return true;
     }
-    // Forwarding: some active holder has a strictly-higher-utility
-    // non-holder neighbor. Only holders active this slot have neighbors,
-    // so the bit walk starts from `active ∧ held`.
-    for (word_idx, (&act, &held)) in active.iter().zip(holder_mask).enumerate() {
-        let mut bits = act & held;
+    for (word, (&act, &h)) in masks.active.iter().zip(held).enumerate() {
+        let mut bits = act & h;
         while bits != 0 {
-            let h = NodeId((word_idx * 64 + bits.trailing_zeros() as usize) as u32);
+            let holder = NodeId((word * 64) as u32 + bits.trailing_zeros());
             bits &= bits - 1;
-            let mut own = None;
-            for (peer_word, (&nb, &nb_held)) in
-                timeline.neighbor_mask(slot, h).iter().zip(holder_mask).enumerate()
-            {
-                let mut cand = nb & !nb_held;
-                while cand != 0 {
-                    let v = NodeId((peer_word * 64 + cand.trailing_zeros() as usize) as u32);
-                    cand &= cand - 1;
-                    let own = *own.get_or_insert_with(|| value(h));
-                    if value(v) > own {
+            let own = utilities[holder.index()];
+            for (peer_word, (&nb, &nb_held)) in masks.of_node(holder).iter().zip(held).enumerate() {
+                let mut peers = nb & !nb_held;
+                while peers != 0 {
+                    let peer = peer_word * 64 + peers.trailing_zeros() as usize;
+                    peers &= peers - 1;
+                    if utilities[peer] > own {
                         return true;
                     }
                 }
@@ -410,284 +337,565 @@ fn utility_actionable(
     false
 }
 
-/// One slot's fixpoint sweep: scans `edges` in normalized order (the same
-/// order the reference engine uses) until no copy moves, forwarding where
-/// `forward` says so; returns true on delivery. Edges where neither
-/// endpoint holds a copy are skipped without entering the per-direction
-/// loop — the common case even in actionable slots. Generic over the
-/// forward predicate so each utility mode's comparison inlines into the
-/// edge scan.
+/// Indexes a slot's edges by endpoint: node-major rows of
+/// `edges.len().div_ceil(64)` words in which bit `i` of row `v` is set iff
+/// edge `i` touches `v`.
+fn build_incidence(edges: &[(NodeId, NodeId)], n: usize, incidence: &mut Vec<u64>) {
+    let edge_words = edges.len().div_ceil(64);
+    incidence.clear();
+    incidence.resize(n * edge_words, 0);
+    for (i, &(a, b)) in edges.iter().enumerate() {
+        let bit = 1u64 << (i % 64);
+        incidence[a.index() * edge_words + i / 64] |= bit;
+        incidence[b.index() * edge_words + i / 64] |= bit;
+    }
+}
+
+/// One copy transfer: `to` received its copy from `from` during `slot`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Move {
+    to: NodeId,
+    from: NodeId,
+    slot: u32,
+}
+
+/// One slot's fixpoint sweep for one message; returns the node that handed
+/// the copy to the destination, on delivery.
+///
+/// Event-driven, yet the same decision sequence as rescanning the slot's
+/// normalized edge list until a pass moves no copy. That rescan decides
+/// an (edge, direction) only where the sending endpoint holds a copy, and
+/// a decision it already made with the sender holding cannot change in a
+/// later pass (holders only grow, and `forward` is fixed within a slot).
+/// So pass 0 visits every edge incident to a holder at the start of the
+/// slot, and a node that receives a copy at edge `i` schedules its edges
+/// after `i` into the current pass and those before `i` into the next;
+/// each pass visits its edges in ascending index, both directions in
+/// normalized order. `incidence` comes from [`build_incidence`];
+/// `frontier` and `next` are scratch.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn sweep_slot(
+fn sweep(
     edges: &[(NodeId, NodeId)],
-    state: &mut MessageState,
-    holder_list: &mut Vec<NodeId>,
-    holder_mask: &mut [u64],
+    incidence: &[u64],
+    held: &mut [u64],
+    active: &[u64],
     destination: NodeId,
-    slot_time: Seconds,
+    slot: u32,
+    moves: &mut Vec<Move>,
+    frontier: &mut Vec<u64>,
+    next: &mut Vec<u64>,
     mut forward: impl FnMut(NodeId, NodeId) -> bool,
-) -> bool {
+) -> Option<NodeId> {
+    let edge_words = edges.len().div_ceil(64);
+    frontier.clear();
+    frontier.resize(edge_words, 0);
+    next.clear();
+    next.resize(edge_words, 0);
+    // Seed with the edges between a holder and a non-holder: only holders
+    // active this slot have edges, and an edge with both ends holding
+    // decides nothing unless the destination itself holds (a message to
+    // its own source). `next` counts a second holder end meanwhile.
+    for (word, (&act, &h)) in active.iter().zip(&*held).enumerate() {
+        let mut bits = act & h;
+        while bits != 0 {
+            let v = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let row = &incidence[v * edge_words..][..edge_words];
+            for ((once, twice), &r) in frontier.iter_mut().zip(next.iter_mut()).zip(row) {
+                *twice |= *once & r;
+                *once |= r;
+            }
+        }
+    }
+    if !has_bit(held, destination) {
+        for (once, twice) in frontier.iter_mut().zip(next.iter()) {
+            *once &= !twice;
+        }
+    }
+    next.fill(0);
     loop {
-        let mut changed = false;
-        for &(a, b) in edges {
-            if !state.holders[a.index()] && !state.holders[b.index()] {
-                continue;
-            }
-            for (from, to) in [(a, b), (b, a)] {
-                if !state.holders[from.index()] {
-                    continue;
-                }
-                if to == destination {
-                    state.delivered_at = Some(slot_time);
-                    state.delivered_by = Some(from);
-                    return true;
-                }
-                if state.holders[to.index()] {
-                    continue;
-                }
-                if forward(from, to) {
-                    state.holders[to.index()] = true;
-                    state.received_from[to.index()] = Some((from, slot_time));
-                    holder_list.push(to);
-                    set_bit(holder_mask, to);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return false;
-        }
-    }
-}
-
-/// How forwarding decisions read utilities during one slot of one message.
-#[derive(Clone, Copy)]
-enum SlotUtility<'a> {
-    /// No utility decomposition: per-decision `should_forward` calls.
-    Direct,
-    /// A job- or slot-wide table (destination-unaware modes), plus — under
-    /// the skip-index tuning — the slot's shared precheck structures
-    /// (promising mask and reachability closure), which make the
-    /// actionability precheck exact in a handful of word intersections.
-    Shared {
-        /// Per-node utilities.
-        utils: &'a [f64],
-        /// The shared per-slot table carrying the promising mask and the
-        /// reachability closure, when the skip-index tuning built them.
-        precheck: Option<&'a UtilityTable>,
-    },
-    /// The per-message table in `WorkerScratch::utilities`, kept exact by
-    /// fill + incremental refresh.
-    PerMessage,
-    /// The lazy memo: `WorkerScratch::utilities[v]` is evaluated on first
-    /// comparison and stays exact while `slot < valid_until[v]` (the
-    /// node's next contact with the destination). Nodes never compared are
-    /// never evaluated — the win over the eager full fill.
-    Lazy,
-}
-
-/// Build latch for one in-flight utility table — the exactly-once pattern
-/// from `psn_artifact::store`: the first worker to want a table inserts a
-/// `Building` entry and computes it outside the lock; later workers wait on
-/// the latch instead of duplicating the work.
-struct TableLatch {
-    done: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
-}
-
-impl TableLatch {
-    fn new() -> Self {
-        Self { done: std::sync::Mutex::new(false), cv: std::sync::Condvar::new() }
-    }
-
-    /// Marks the build finished (successfully or not) and wakes all waiters.
-    /// Poison-safe: a panicking builder must still release its waiters.
-    fn release(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|poison| poison.into_inner());
-        *done = true;
-        self.cv.notify_all();
-    }
-
-    /// Blocks until [`TableLatch::release`].
-    fn wait(&self) {
-        let done = self.done.lock().unwrap_or_else(|poison| poison.into_inner());
-        let _done =
-            self.cv.wait_while(done, |done| !*done).unwrap_or_else(|poison| poison.into_inner());
-    }
-}
-
-/// One published shared utility table: the per-node utilities plus, when
-/// the skip-index tuning is on and the table is bound to a slot, the
-/// slot's per-node *promising* bitmask (see [`build_promising`]) and
-/// within-slot reachability closure (see [`build_reach`]). Static job-wide
-/// tables carry empty masks; the per-slot precheck entries a static job
-/// publishes carry empty utilities.
-struct UtilityTable {
-    utilities: Box<[f64]>,
-    promising: Box<[u64]>,
-    reach: Box<[u64]>,
-}
-
-/// One utility-table slot of a [`JobTables`] store.
-enum TableState {
-    /// A worker is computing the table; wait on the latch, then re-inspect.
-    Building(std::sync::Arc<TableLatch>),
-    /// The published, immutable table.
-    Ready(std::sync::Arc<UtilityTable>),
-}
-
-/// Cross-worker utility-table store for **one job** of a `run_many` batch.
-///
-/// Keyed by `(slot, destination)` with [`NO_KEY`] marking a dimension the
-/// job's [`DecisionMode`] does not depend on: `(NO_KEY, NO_KEY)` for static
-/// destination-unaware utilities (one table per job), `(slot, NO_KEY)` for
-/// dynamic destination-unaware ones, `(NO_KEY, dest)` / `(slot, dest)` for
-/// the destination-aware modes. Every table is built **exactly once per
-/// job** no matter how many workers shard its messages — the per-worker
-/// rebuild (and, for destination-aware algorithms, the per-*message*
-/// rebuild) was the dominant redundant work in the pre-consolidation
-/// engine.
-///
-/// Sharing is exact, not approximate: the `copy_utility` contract pins the
-/// utility of a node at a slot to a pure function of (slot history,
-/// destination), so a table computed by any worker is bit-identical to the
-/// one every other worker would compute.
-struct JobTables {
-    map: std::sync::Mutex<std::collections::BTreeMap<(u32, u32), TableState>>,
-}
-
-/// Removes a still-`Building` entry and releases its latch when the
-/// builder unwinds (fault injection panics mid-build under
-/// `catch_unwind`), so waiting workers wake up and rebuild instead of
-/// hanging. Disarmed on successful publication — the latch is then
-/// released with the `Ready` entry already in place.
-struct ReleaseOnUnwind<'a> {
-    tables: &'a JobTables,
-    key: (u32, u32),
-    latch: &'a std::sync::Arc<TableLatch>,
-    armed: bool,
-}
-
-impl Drop for ReleaseOnUnwind<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut map = self.tables.map.lock().unwrap_or_else(|poison| poison.into_inner());
-            if matches!(map.get(&self.key), Some(TableState::Building(_))) {
-                map.remove(&self.key);
-            }
-        }
-        self.latch.release();
-    }
-}
-
-impl JobTables {
-    fn new() -> Self {
-        Self { map: std::sync::Mutex::new(std::collections::BTreeMap::new()) }
-    }
-
-    /// Returns the table for `key`, computing it via `build` if this caller
-    /// is the first to want it; concurrent callers for the same key block
-    /// until the builder publishes.
-    fn get_or_build(
-        &self,
-        key: (u32, u32),
-        build: impl Fn() -> std::sync::Arc<UtilityTable>,
-    ) -> std::sync::Arc<UtilityTable> {
-        loop {
-            let wait_on = {
-                let mut map = self.map.lock().unwrap_or_else(|poison| poison.into_inner());
-                match map.get(&key) {
-                    Some(TableState::Ready(table)) => return std::sync::Arc::clone(table),
-                    Some(TableState::Building(latch)) => std::sync::Arc::clone(latch),
-                    None => {
-                        let latch = std::sync::Arc::new(TableLatch::new());
-                        map.insert(key, TableState::Building(std::sync::Arc::clone(&latch)));
-                        drop(map);
-                        let mut guard =
-                            ReleaseOnUnwind { tables: self, key, latch: &latch, armed: true };
-                        let table = build();
-                        let mut map = self.map.lock().unwrap_or_else(|poison| poison.into_inner());
-                        map.insert(key, TableState::Ready(std::sync::Arc::clone(&table)));
-                        drop(map);
-                        guard.armed = false;
-                        return table;
+        for word in 0..edge_words {
+            let mut bits = std::mem::take(&mut frontier[word]);
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let (a, b) = edges[word * 64 + bit as usize];
+                for (from, to) in [(a, b), (b, a)] {
+                    if !has_bit(held, from) {
+                        continue;
+                    }
+                    if to == destination {
+                        return Some(from);
+                    }
+                    if has_bit(held, to) || !forward(from, to) {
+                        continue;
+                    }
+                    set_bit(held, to);
+                    moves.push(Move { to, from, slot });
+                    let row = &incidence[to.index() * edge_words..][..edge_words];
+                    let below = (1u64 << bit) - 1;
+                    bits |= row[word] & !below & !(1u64 << bit);
+                    next[word] |= row[word] & below;
+                    for k in 0..word {
+                        next[k] |= row[k];
+                    }
+                    for k in word + 1..edge_words {
+                        frontier[k] |= row[k];
                     }
                 }
-            };
-            wait_on.wait();
-        }
-    }
-}
-
-/// Reusable per-worker buffers: the message copy-state, the holder list,
-/// the per-message utility vector and the per-(job, slot) utility cache —
-/// a lock-free L1 over the cross-worker [`JobTables`] store (or the
-/// per-worker table itself when shared tables are tuned off).
-struct WorkerScratch {
-    state: MessageState,
-    /// Nodes currently holding a copy, in acquisition order — scanned to
-    /// skip slots where no holder has a contact.
-    holder_list: Vec<NodeId>,
-    /// `state.holders` as a bitmask — intersected with the timeline's
-    /// per-slot activity mask so "can anything move this slot?" costs a
-    /// few word operations instead of a holder-list scan.
-    holder_mask: Vec<u64>,
-    utilities: Vec<f64>,
-    /// Lazy-memo validity interval per node: `utilities[v]` is exact for
-    /// every slot in `[valid_from[v], valid_until[v])` — the maximal
-    /// interval over which the (node, destination) pair statistics are
-    /// constant. `(u32::MAX, 0)` = not evaluated.
-    valid_from: Vec<u32>,
-    /// Exclusive upper bound of the lazy-memo validity interval.
-    valid_until: Vec<u32>,
-    /// Which `(job, destination)` the lazy memo describes
-    /// (`(usize::MAX, u32::MAX)` = none). The memo outlives a single
-    /// message: the chunk loop groups a lazy job's messages by
-    /// destination, so consecutive messages share the evaluations.
-    lazy_key: (usize, u32),
-    /// Which job the shared caches below belong to (`usize::MAX` = none).
-    shared_job: usize,
-    shared_slots: Vec<Option<std::sync::Arc<UtilityTable>>>,
-    /// Slot indices with a populated `shared_slots` entry — `bind_job`
-    /// clears exactly these instead of wiping all O(slot_count) entries on
-    /// every job switch.
-    touched_slots: Vec<u32>,
-    /// Single job-wide table for static destination-unaware utilities.
-    static_utils: Option<std::sync::Arc<UtilityTable>>,
-}
-
-impl WorkerScratch {
-    fn new(node_count: usize, slot_count: usize) -> Self {
-        Self {
-            state: MessageState::new(node_count),
-            holder_list: Vec::with_capacity(node_count),
-            holder_mask: vec![0; node_count.div_ceil(64)],
-            utilities: vec![0.0; node_count],
-            valid_from: vec![u32::MAX; node_count],
-            valid_until: vec![0; node_count],
-            lazy_key: (usize::MAX, u32::MAX),
-            shared_job: usize::MAX,
-            shared_slots: vec![None; slot_count],
-            touched_slots: Vec::new(),
-            static_utils: None,
-        }
-    }
-
-    /// Rebinds the shared caches to `job`, clearing them if the worker
-    /// switched jobs (work items are job-major, so this is rare). Only the
-    /// touched slots are cleared — a job that visited a handful of slots
-    /// pays for those, not for the whole trace.
-    fn bind_job(&mut self, job: usize) {
-        if self.shared_job != job {
-            self.shared_job = job;
-            for &slot in &self.touched_slots {
-                self.shared_slots[slot as usize] = None;
             }
-            self.touched_slots.clear();
-            self.static_utils = None;
+        }
+        if next.iter().all(|&w| w == 0) {
+            return None;
+        }
+        // The finished pass left `frontier` empty.
+        std::mem::swap(frontier, next);
+    }
+}
+
+/// One algorithm of a `run_many` batch, with a lane's tables for it. Jobs
+/// that run the same algorithm object share a group: every table is a
+/// function of (algorithm, slot[, destination]) alone.
+struct Group<'a> {
+    algorithm: &'a dyn ForwardingAlgorithm,
+    mode: DecisionMode,
+    /// See [`ForwardingAlgorithm::utility_requires_destination_contact`]:
+    /// a slot in which no node that ever meets the destination is active
+    /// cannot matter to the message.
+    gated: bool,
+    /// Destination-unaware utilities at `table_slot` (for a static
+    /// algorithm, at every slot).
+    utilities: Vec<f64>,
+    /// The slot `promising` and `reach` (and dynamic `utilities`) describe.
+    table_slot: Option<usize>,
+    promising: Box<[u64]>,
+    reach: Box<[u64]>,
+    /// Destination-aware utility rows, indexed by destination; empty until
+    /// a message to that destination first needs it.
+    rows: Vec<Vec<f64>>,
+    /// Bitmask of the destinations with a filled row.
+    filled: Vec<u64>,
+}
+
+impl<'a> Group<'a> {
+    fn new(algorithm: &'a dyn ForwardingAlgorithm, mode: DecisionMode, n: usize) -> Self {
+        Self {
+            algorithm,
+            mode,
+            gated: matches!(mode, DecisionMode::PerDestination { .. })
+                && algorithm.utility_requires_destination_contact(),
+            utilities: Vec::new(),
+            table_slot: None,
+            promising: Box::default(),
+            reach: Box::default(),
+            rows: if matches!(mode, DecisionMode::PerDestination { .. }) {
+                vec![Vec::new(); n]
+            } else {
+                Vec::new()
+            },
+            filled: vec![0; n.div_ceil(64)],
         }
     }
+
+    /// `copy_utility` of every node at `ctx`'s slot.
+    fn fill(&self, ctx: &ForwardingContext<'_>, n: usize, destination: NodeId) -> Vec<f64> {
+        (0..n as u32)
+            .map(|v| {
+                self.algorithm
+                    .copy_utility(ctx, NodeId(v), destination)
+                    .expect("copy_utility is uniformly Some")
+            })
+            .collect()
+    }
+
+    /// Brings every filled destination row up to date at `slot`: a
+    /// destination-aware utility changes only where the node meets the
+    /// destination, so only the destination's neighbors are re-evaluated.
+    fn refresh_rows(&mut self, masks: &SlotMasks<'_>, ctx: &ForwardingContext<'_>) {
+        if self.mode != (DecisionMode::PerDestination { is_static: false }) {
+            return;
+        }
+        for d in nodes_of(masks.active.iter().zip(&self.filled).map(|(act, f)| act & f)) {
+            let row = &mut self.rows[d.index()];
+            for p in nodes_of(masks.of_node(d).iter().copied()) {
+                row[p.index()] =
+                    self.algorithm.copy_utility(ctx, p, d).expect("copy_utility is uniformly Some");
+            }
+        }
+    }
+
+    /// The destination's utility row, exact at the current slot.
+    fn row(&mut self, ctx: &ForwardingContext<'_>, n: usize, destination: NodeId) -> &[f64] {
+        if self.rows[destination.index()].is_empty() {
+            self.rows[destination.index()] = self.fill(ctx, n, destination);
+            set_bit(&mut self.filled, destination);
+        }
+        &self.rows[destination.index()]
+    }
+
+    /// Builds the destination-unaware table of `slot` unless it is built.
+    fn build_table(
+        &mut self,
+        ctx: &ForwardingContext<'_>,
+        slot_edges: &mut SlotEdges<'_>,
+        n: usize,
+        destination: NodeId,
+    ) {
+        if self.table_slot == Some(slot_edges.slot) {
+            return;
+        }
+        if self.mode != (DecisionMode::Shared { is_static: true }) || self.utilities.is_empty() {
+            self.utilities = self.fill(ctx, n, destination);
+        }
+        let edges = slot_edges.edges();
+        let words = n.div_ceil(64);
+        self.promising = build_promising(edges, &self.utilities, words);
+        self.reach = build_reach(edges, &self.utilities, n, words);
+        self.table_slot = Some(slot_edges.slot);
+    }
+}
+
+/// A lane's handle on the slot it is at: pinned on first need (a spill
+/// reload on the windowed graph), indexed by endpoint on the first sweep,
+/// and released when the walk moves on.
+struct SlotEdges<'a> {
+    graph: GraphRef<'a>,
+    slot: usize,
+    pinned: Option<SlotGuard<'a>>,
+    /// [`build_incidence`] of the pinned slot, once `indexed`.
+    incidence: Vec<u64>,
+    indexed: bool,
+}
+
+impl<'a> SlotEdges<'a> {
+    /// Moves to `slot`, releasing the previous slot and its index.
+    fn enter(&mut self, slot: usize) {
+        self.slot = slot;
+        self.pinned = None;
+        self.indexed = false;
+    }
+
+    fn edges(&mut self) -> &[(NodeId, NodeId)] {
+        let (graph, slot) = (self.graph, self.slot);
+        self.pinned.get_or_insert_with(|| graph.slot(slot)).edges()
+    }
+
+    /// The slot's edges with their endpoint index.
+    fn indexed(&mut self, n: usize) -> (&[(NodeId, NodeId)], &[u64]) {
+        let (graph, slot) = (self.graph, self.slot);
+        let edges = self.pinned.get_or_insert_with(|| graph.slot(slot)).edges();
+        if !self.indexed {
+            build_incidence(edges, n, &mut self.incidence);
+            self.indexed = true;
+        }
+        (edges, &self.incidence)
+    }
+}
+
+/// A message dealt to a lane: where its outcome goes.
+struct LaneMessage<'a> {
+    message: &'a Message,
+    job: usize,
+    index: usize,
+}
+
+/// A finished message: `(job, index in job, outcome)`.
+type Finished = (usize, usize, MessageOutcome);
+
+/// One worker's share of a `run_many` batch and its single ascending walk
+/// over the busy slots. Per-message state lives in parallel arrays indexed
+/// by lane message, and each slot serves its due messages in ascending
+/// index, so the walk streams through that state.
+struct Lane<'a> {
+    sim: &'a Simulator,
+    graph: GraphRef<'a>,
+    n: usize,
+    words: usize,
+    groups: Vec<Group<'a>>,
+    messages: Vec<LaneMessage<'a>>,
+    /// What a step reads of every message, in one record of `1 + words`
+    /// words: the destination (low half) and group (high half), then the
+    /// holder bitmask.
+    state: Vec<u64>,
+    /// Provenance of every copy a live message has moved.
+    moves: Vec<Vec<Move>>,
+    /// Bitmask over messages: due at the current slot.
+    due: Vec<u64>,
+    /// Bitmask over messages: due at the next busy slot.
+    due_next: Vec<u64>,
+    /// Per slot: the messages to wake there, beyond the next busy slot.
+    wake: Vec<Vec<u32>>,
+    slot_edges: SlotEdges<'a>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    done: Vec<Finished>,
+}
+
+impl<'a> Lane<'a> {
+    /// Deals lane `lane` of `lanes` its messages — every `lanes`-th of the
+    /// batch in job-major order — and schedules each at the first slot
+    /// from its creation where its source has a contact.
+    fn new(
+        sim: &'a Simulator,
+        jobs: &[(&'a dyn ForwardingAlgorithm, &'a [Message])],
+        groups: &[(&'a dyn ForwardingAlgorithm, DecisionMode)],
+        job_groups: &[usize],
+        lane: usize,
+        lanes: usize,
+    ) -> Self {
+        let graph = sim.graph.as_graph_ref();
+        let n = sim.node_count;
+        let words = n.div_ceil(64);
+        let messages: Vec<LaneMessage<'a>> = jobs
+            .iter()
+            .enumerate()
+            .flat_map(|(job, &(_, messages))| {
+                messages.iter().enumerate().map(move |(index, message)| LaneMessage {
+                    message,
+                    job,
+                    index,
+                })
+            })
+            .skip(lane)
+            .step_by(lanes)
+            .collect();
+        let count = messages.len();
+        let mut state = vec![0; count * (1 + words)];
+        for (record, entry) in state.chunks_exact_mut(1 + words).zip(&messages) {
+            record[0] =
+                u64::from(entry.message.destination.0) | (job_groups[entry.job] as u64) << 32;
+            set_bit(&mut record[1..], entry.message.source);
+        }
+        let mut this = Self {
+            sim,
+            graph,
+            n,
+            words,
+            groups: groups
+                .iter()
+                .map(|&(algorithm, mode)| Group::new(algorithm, mode, n))
+                .collect(),
+            messages,
+            state,
+            moves: vec![Vec::new(); count],
+            due: vec![0; count.div_ceil(64)],
+            due_next: vec![0; count.div_ceil(64)],
+            wake: vec![Vec::new(); graph.slot_count()],
+            slot_edges: SlotEdges {
+                graph,
+                slot: 0,
+                pinned: None,
+                incidence: Vec::new(),
+                indexed: false,
+            },
+            frontier: Vec::new(),
+            next: Vec::new(),
+            done: Vec::with_capacity(count),
+        };
+        for m in 0..count {
+            let message = this.messages[m].message;
+            // A graph without busy slots wakes nobody (and may have no
+            // slots to place the creation time in).
+            let first = (!graph.busy_slots().is_empty())
+                .then(|| graph.slot_of_time(message.created_at))
+                .and_then(|created| sim.timeline.next_active_slot(message.source, created));
+            match first {
+                Some(slot) => this.wake[slot].push(m as u32),
+                None => this.finish(m, None),
+            }
+        }
+        this
+    }
+
+    /// Walks the busy slots once; returns every message's outcome (or what
+    /// finished before `abort` was raised).
+    fn run(mut self, abort: &AtomicBool) -> Vec<Finished> {
+        let timeline = &*self.sim.timeline;
+        let busy = self.graph.busy_slots();
+        for (cursor, &slot) in busy.iter().enumerate() {
+            // relaxed: advisory abort flag; a stale read only costs one more slot.
+            if abort.load(Ordering::Relaxed) {
+                break;
+            }
+            let view = timeline.at_slot(slot);
+            let ctx = ForwardingContext {
+                history: &view,
+                oracle: &self.sim.oracle,
+                now: self.graph.slot_end_time(slot),
+            };
+            let masks = SlotMasks::of(timeline, slot);
+            for group in &mut self.groups {
+                group.refresh_rows(&masks, &ctx);
+            }
+            std::mem::swap(&mut self.due, &mut self.due_next);
+            for m in std::mem::take(&mut self.wake[slot]) {
+                self.due[m as usize / 64] |= 1u64 << (m % 64);
+            }
+            self.slot_edges.enter(slot);
+            let next_active = busy.get(cursor + 1).map_or(&[][..], |&s| timeline.active_mask(s));
+            for word in 0..self.due.len() {
+                let mut bits = std::mem::take(&mut self.due[word]);
+                while bits != 0 {
+                    let m = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.step(m, slot, &masks, next_active, &ctx);
+                }
+            }
+        }
+        self.done
+    }
+
+    /// Serves message `m` at `slot`, where one of its holders has a
+    /// contact: sweeps the slot if the precheck says a copy can move, then
+    /// finishes the message or schedules its next wake.
+    fn step(
+        &mut self,
+        m: usize,
+        slot: usize,
+        masks: &SlotMasks<'_>,
+        next_active: &[u64],
+        ctx: &ForwardingContext<'_>,
+    ) {
+        let Lane { sim, n, words, groups, state, moves, slot_edges, frontier, next, .. } =
+            &mut *self;
+        let (n, words) = (*n, *words);
+        let timeline = &*sim.timeline;
+        let (record, held) = state[m * (1 + words)..][..1 + words].split_at_mut(1);
+        let destination = NodeId(record[0] as u32);
+        let group = &mut groups[(record[0] >> 32) as usize];
+        let (mode, algorithm) = (group.mode, group.algorithm);
+        // The precheck says whether the slot's sweep can act; under a
+        // utility order it is exact, and the sweep compares `utilities`.
+        let (acts, utilities): (bool, &[f64]) = match mode {
+            // Every edge endpoint is active, so unless some active node
+            // lacks a copy nothing can move. (The destination never holds
+            // one, so a deliverable slot always has such a node.)
+            DecisionMode::Direct => {
+                (masks.active.iter().zip(&*held).any(|(act, h)| act & !h != 0), &[])
+            }
+            // A holder sits next to the destination, or some holder's
+            // within-slot closure leaves the holder set.
+            DecisionMode::Shared { .. } => {
+                group.build_table(ctx, slot_edges, n, destination);
+                let acts = masks_intersect(masks.of_node(destination), held)
+                    || closure_escapes(&group.reach, &group.promising, held);
+                (acts, &group.utilities)
+            }
+            DecisionMode::PerDestination { .. } => {
+                if !group.gated
+                    || masks_intersect(timeline.ever_met_mask(destination), masks.active)
+                {
+                    let utilities = group.row(ctx, n, destination);
+                    (utility_actionable(masks, held, destination, utilities), utilities)
+                } else {
+                    (false, &[])
+                }
+            }
+        };
+        let delivered_by = if acts {
+            let (edges, incidence) = slot_edges.indexed(n);
+            let (moves, slot32) = (&mut moves[m], slot as u32);
+            let active = masks.active;
+            if mode == DecisionMode::Direct {
+                sweep(
+                    edges,
+                    incidence,
+                    held,
+                    active,
+                    destination,
+                    slot32,
+                    moves,
+                    frontier,
+                    next,
+                    |from, to| algorithm.should_forward(ctx, from, to, destination),
+                )
+            } else {
+                sweep(
+                    edges,
+                    incidence,
+                    held,
+                    active,
+                    destination,
+                    slot32,
+                    moves,
+                    frontier,
+                    next,
+                    |from, to| utilities[to.index()] > utilities[from.index()],
+                )
+            }
+        } else {
+            None
+        };
+        if let Some(by) = delivered_by {
+            return self.finish(m, Some((slot, by)));
+        }
+        // The next busy slot is the common case for a message whose
+        // holders keep meeting people; otherwise jump via the skip index.
+        let held = &self.state[m * (1 + words) + 1..][..words];
+        if masks_intersect(next_active, held) {
+            self.due_next[m / 64] |= 1u64 << (m % 64);
+            return;
+        }
+        match nodes_of(held.iter().copied())
+            .filter_map(|h| timeline.next_active_slot(h, slot + 1))
+            .min()
+        {
+            Some(s) => self.wake[s].push(m as u32),
+            // No holder is ever active again: undeliverable.
+            None => self.finish(m, None),
+        }
+    }
+
+    /// Records message `m`'s outcome — delivered during `delivery.0` by
+    /// `delivery.1`, or never — and releases its provenance.
+    fn finish(&mut self, m: usize, delivery: Option<(usize, NodeId)>) {
+        let graph = self.graph;
+        let moves = std::mem::take(&mut self.moves[m]);
+        let entry = &self.messages[m];
+        let outcome = outcome_for(
+            entry.message,
+            delivery.map(|(slot, by)| (graph.slot_end_time(slot), by)),
+            |node| {
+                moves
+                    .iter()
+                    .find(|mv| mv.to == node)
+                    .map(|mv| (mv.from, graph.slot_end_time(mv.slot as usize)))
+            },
+        );
+        self.done.push((entry.job, entry.index, outcome));
+    }
+}
+
+/// Wraps up one message's outcome, reconstructing the delivered copy's hop
+/// path backwards from the last relay through `received_from` (`(previous
+/// node, receive time)` per holder, `None` for the source).
+fn outcome_for(
+    message: &Message,
+    delivered: Option<(Seconds, NodeId)>,
+    received_from: impl Fn(NodeId) -> Option<(NodeId, Seconds)>,
+) -> MessageOutcome {
+    let path = delivered.map(|(delivered_at, delivered_by)| {
+        let mut hops = vec![Hop { node: message.destination, time: delivered_at }];
+        let mut node = delivered_by;
+        let mut receive_time = delivered_at;
+        loop {
+            match received_from(node) {
+                Some((previous, t)) => {
+                    hops.push(Hop { node, time: t.min(receive_time) });
+                    receive_time = t;
+                    node = previous;
+                }
+                None => {
+                    hops.push(Hop { node, time: message.created_at.min(receive_time) });
+                    break;
+                }
+            }
+        }
+        hops.reverse();
+        Path::from_hops(hops)
+    });
+    MessageOutcome { message: *message, delivered_at: delivered.map(|(t, _)| t), path }
 }
 
 /// The slot-based trace-driven simulator.
@@ -792,8 +1000,8 @@ impl Simulator {
         &self.oracle
     }
 
-    /// The precomputed, read-only contact-history timeline shared by all
-    /// parallel simulations over this trace.
+    /// The precomputed, read-only contact-history timeline shared by every
+    /// lane of every simulation over this trace.
     pub fn timeline(&self) -> &HistoryTimeline {
         &self.timeline
     }
@@ -803,7 +1011,7 @@ impl Simulator {
         &self.config
     }
 
-    /// The number of worker threads the parallel engine will use.
+    /// The number of worker threads (lanes) the slot-major engine will use.
     pub fn threads(&self) -> usize {
         if self.config.threads > 0 {
             self.config.threads
@@ -812,7 +1020,7 @@ impl Simulator {
         }
     }
 
-    /// Runs `algorithm` over `messages` with the parallel engine and returns
+    /// Runs `algorithm` over `messages` with the slot-major engine and returns
     /// per-message outcomes.
     pub fn run(
         &self,
@@ -823,179 +1031,84 @@ impl Simulator {
     }
 
     /// Runs a batch of independent `(algorithm, message set)` jobs — e.g.
-    /// every algorithm × run combination of a study — sharding (job ×
-    /// message-chunk) work items across the configured worker threads.
+    /// every algorithm × run combination of a study — on the slot-major
+    /// engine: the messages are dealt round-robin, in job-major order, into
+    /// one lane per worker thread, and each lane walks the busy slots once.
     /// Returns one result per job, in input order, bit-identical to running
-    /// [`Simulator::run_reference`] on each job separately.
+    /// [`Simulator::run_reference`] on each job separately and independent
+    /// of the thread count.
+    ///
+    /// # Panics
+    ///
+    /// Every lane runs under `catch_unwind` (with the `queue.forwarding`
+    /// failpoint); a panic in any lane is re-raised here once all lanes
+    /// have stopped, for the study layer to isolate.
     pub fn run_many(
         &self,
         jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
     ) -> Vec<SimulationResult> {
-        let threads = self.threads();
-        let slot_count = self.graph.as_graph_ref().slot_count();
-        let total_messages: usize = jobs.iter().map(|(_, m)| m.len()).sum();
+        let total: usize = jobs.iter().map(|(_, messages)| messages.len()).sum();
+        let lanes = self.threads().clamp(1, total.max(1));
+        // Jobs that run the same algorithm object share a group and with
+        // it every table; equal wide pointers call the same code on the
+        // same data, so sharing is exact.
+        let mut groups: Vec<(&dyn ForwardingAlgorithm, DecisionMode)> = Vec::new();
+        let job_groups: Vec<usize> = jobs
+            .iter()
+            .map(|&(algorithm, _)| {
+                groups.iter().position(|&(known, _)| std::ptr::eq(known, algorithm)).unwrap_or_else(
+                    || {
+                        groups.push((algorithm, self.decision_mode(algorithm)));
+                        groups.len() - 1
+                    },
+                )
+            })
+            .collect();
 
-        // Chunked work items balance wildly varying per-message cost (an
-        // undeliverable out-out message sweeps every slot; an in-in message
-        // delivers almost immediately) without per-message queue traffic.
-        let chunk = total_messages.div_ceil((threads * 8).max(1)).clamp(16, 1024);
-        let mut items: Vec<(usize, usize, usize)> = Vec::new();
-        for (job_idx, (_, messages)) in jobs.iter().enumerate() {
-            let mut start = 0;
-            while start < messages.len() {
-                let end = (start + chunk).min(messages.len());
-                items.push((job_idx, start, end));
-                start = end;
-            }
+        let abort = AtomicBool::new(false);
+        let run_lane = |lane: usize| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                psn_fault::inject_job(psn_fault::sites::QUEUE_FORWARDING);
+                Lane::new(self, jobs, &groups, &job_groups, lane, lanes).run(&abort)
+            }))
+            .map_err(|payload| {
+                // relaxed: advisory abort flag; a stale read only costs one more slot.
+                abort.store(true, Ordering::Relaxed);
+                psn_fault::panic_message(payload.as_ref())
+            })
+        };
+        let per_lane: Vec<Result<Vec<Finished>, String>> = if lanes == 1 {
+            vec![run_lane(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..lanes)
+                    .map(|lane| {
+                        let run_lane = &run_lane;
+                        scope.spawn(move || run_lane(lane))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("simulation lanes catch their own panics"))
+                    .collect()
+            })
+        };
+        if let Some(message) = per_lane.iter().find_map(|lane| lane.as_ref().err()) {
+            panic!("simulation worker panicked: {message}");
         }
-
-        // One decision mode per job, derived from the algorithm's utility
-        // decomposition (see [`ForwardingAlgorithm::copy_utility`]).
-        let modes: Vec<DecisionMode> =
-            jobs.iter().map(|(algorithm, _)| self.decision_mode(*algorithm)).collect();
 
         let mut outcomes: Vec<Vec<Option<MessageOutcome>>> =
-            jobs.iter().map(|(_, m)| vec![None; m.len()]).collect();
-
-        // One cross-worker table store per job (tuning permitting): every
-        // worker sharding a job's messages reads and fills the same
-        // exactly-once-latched tables.
-        let tables: Option<Vec<JobTables>> = self
-            .config
-            .tuning
-            .shared_tables
-            .then(|| jobs.iter().map(|_| JobTables::new()).collect());
-
-        let process_item = |scratch: &mut WorkerScratch,
-                            (job_idx, start, end): (usize, usize, usize)|
-         -> Vec<MessageOutcome> {
-            let (algorithm, messages) = jobs[job_idx];
-            scratch.bind_job(job_idx);
-            let job_tables = tables.as_ref().map(|t| &t[job_idx]);
-            let chunk = &messages[start..end];
-            let lazy_memo = self.config.tuning.skip_index
-                && modes[job_idx] == (DecisionMode::PerMessageUtility { is_static: false });
-            if lazy_memo {
-                // Lazy jobs memoize utility evaluations per destination
-                // (`WorkerScratch::lazy_key`); processing the chunk grouped
-                // by destination lets every message to the same destination
-                // reuse the memo instead of resetting it. The stable sort
-                // keeps same-destination messages in input order; outcomes
-                // are written back by original index, so results are
-                // order-independent anyway (messages never interact).
-                let mut order: Vec<usize> = (0..chunk.len()).collect();
-                order.sort_by_key(|&i| chunk[i].destination.0);
-                let mut out: Vec<Option<MessageOutcome>> = (0..chunk.len()).map(|_| None).collect();
-                for i in order {
-                    out[i] = Some(self.simulate_message(
-                        algorithm,
-                        modes[job_idx],
-                        &chunk[i],
-                        scratch,
-                        job_tables,
-                    ));
-                }
-                out.into_iter().map(|o| o.expect("every chunk index simulated")).collect()
-            } else {
-                chunk
-                    .iter()
-                    .map(|m| {
-                        self.simulate_message(algorithm, modes[job_idx], m, scratch, job_tables)
-                    })
-                    .collect()
-            }
-        };
-
-        if threads <= 1 || items.len() <= 1 {
-            let mut scratch = WorkerScratch::new(self.node_count, slot_count);
-            for &item in &items {
-                let (job_idx, start, _) = item;
-                for (offset, outcome) in process_item(&mut scratch, item).into_iter().enumerate() {
-                    outcomes[job_idx][start + offset] = Some(outcome);
-                }
-            }
-        } else {
-            // The `AtomicUsize` work-queue pattern proven in the explosion
-            // study driver: workers claim items off a fetch-add counter and
-            // accumulate into per-worker vectors, so the hot loop takes no
-            // locks; results are merged after the join.
-            //
-            // Each item runs under `catch_unwind` so one panicking chunk
-            // cannot take sibling threads down mid-job: the first panic is
-            // recorded, the queue is aborted, and the panic re-raised once
-            // on the calling thread for the study layer to isolate.
-            let next = AtomicUsize::new(0);
-            let abort = std::sync::atomic::AtomicBool::new(false);
-            let first_panic: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
-            let per_worker: Vec<Vec<(usize, usize, Vec<MessageOutcome>)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            scope.spawn(|| {
-                                let mut scratch = WorkerScratch::new(self.node_count, slot_count);
-                                let mut local = Vec::new();
-                                loop {
-                                    // relaxed: advisory abort flag; a stale read only costs one extra job.
-                                    if abort.load(Ordering::Relaxed) {
-                                        break;
-                                    }
-                                    // relaxed: work-stealing claim counter; each index is claimed once and results are joined, which orders the data.
-                                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                                    let Some(&item) = items.get(idx) else {
-                                        break;
-                                    };
-                                    let (job_idx, start, _) = item;
-                                    let job = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            psn_fault::inject_job(
-                                                psn_fault::sites::QUEUE_FORWARDING,
-                                            );
-                                            process_item(&mut scratch, item)
-                                        }),
-                                    );
-                                    match job {
-                                        Ok(batch) => local.push((job_idx, start, batch)),
-                                        Err(payload) => {
-                                            // relaxed: advisory abort flag; a stale read only costs one extra job.
-                                            abort.store(true, Ordering::Relaxed);
-                                            let mut slot = first_panic
-                                                .lock()
-                                                .unwrap_or_else(|poison| poison.into_inner());
-                                            slot.get_or_insert_with(|| {
-                                                psn_fault::panic_message(payload.as_ref())
-                                            });
-                                            break;
-                                        }
-                                    }
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("simulation workers catch their own panics"))
-                        .collect()
-                });
-            if let Some(message) =
-                first_panic.into_inner().unwrap_or_else(|poison| poison.into_inner())
-            {
-                panic!("simulation worker panicked: {message}");
-            }
-            for (job_idx, start, batch) in per_worker.into_iter().flatten() {
-                for (offset, outcome) in batch.into_iter().enumerate() {
-                    outcomes[job_idx][start + offset] = Some(outcome);
-                }
-            }
+            jobs.iter().map(|(_, messages)| vec![None; messages.len()]).collect();
+        for (job, index, outcome) in per_lane.into_iter().flatten().flatten() {
+            outcomes[job][index] = Some(outcome);
         }
-
         jobs.iter()
             .zip(outcomes)
             .map(|((algorithm, _), job_outcomes)| SimulationResult {
                 algorithm: algorithm.name().to_string(),
                 outcomes: job_outcomes
                     .into_iter()
-                    .map(|o| o.expect("every message chunk was simulated"))
+                    .map(|o| o.expect("every lane finishes all of its messages"))
                     .collect(),
             })
             .collect()
@@ -1016,521 +1129,16 @@ impl Simulator {
         if algorithm.copy_utility(&ctx, probe, probe).is_none() {
             DecisionMode::Direct
         } else if algorithm.destination_aware() {
-            DecisionMode::PerMessageUtility { is_static: algorithm.utility_is_static() }
+            DecisionMode::PerDestination { is_static: algorithm.utility_is_static() }
         } else {
-            DecisionMode::SharedUtility { is_static: algorithm.utility_is_static() }
+            DecisionMode::Shared { is_static: algorithm.utility_is_static() }
         }
-    }
-
-    /// Simulates one message to its per-slot fixpoint against the shared
-    /// timeline. Visits only busy slots from the creation slot onward and
-    /// stops at delivery; with the skip index tuned on, stretches of busy
-    /// slots where no holder has a contact are jumped over entirely.
-    fn simulate_message(
-        &self,
-        algorithm: &dyn ForwardingAlgorithm,
-        mode: DecisionMode,
-        message: &Message,
-        scratch: &mut WorkerScratch,
-        tables: Option<&JobTables>,
-    ) -> MessageOutcome {
-        let WorkerScratch {
-            state,
-            holder_list,
-            holder_mask,
-            utilities,
-            valid_from,
-            valid_until,
-            lazy_key,
-            shared_job,
-            shared_slots,
-            touched_slots,
-            static_utils,
-        } = scratch;
-        let graph = self.graph.as_graph_ref();
-        let n = self.node_count;
-        state.reset();
-        state.holders[message.source.index()] = true;
-        holder_list.clear();
-        holder_list.push(message.source);
-        holder_mask.fill(0);
-        set_bit(holder_mask, message.source);
-        let creation_slot = graph.slot_of_time(message.created_at);
-        let busy = graph.busy_slots();
-        let first_busy = busy.partition_point(|&s| s < creation_slot);
-        let destination = message.destination;
-        let skip_index = self.config.tuning.skip_index;
-        // Destination-aware dynamic utilities under the skip-index tuning
-        // use the lazy memo (evaluate on comparison, valid until the node's
-        // next destination contact) instead of the eager full fill +
-        // per-slot refresh — the `copy_utility` contract makes both exact,
-        // and the memo touches only nodes that are actually compared.
-        let lazy = skip_index && mode == (DecisionMode::PerMessageUtility { is_static: false });
-        if lazy {
-            // The memo is keyed by (job, destination): its entries are
-            // destination-pair facts with maximal validity intervals,
-            // independent of any particular message, so every message of
-            // the job with this destination (grouped together by the chunk
-            // loop) reads and extends one shared memo. A key switch
-            // invalidates it wholesale.
-            let key = (*shared_job, destination.0);
-            if *lazy_key != key {
-                *lazy_key = key;
-                valid_from.fill(u32::MAX);
-                valid_until.fill(0);
-            }
-        } else {
-            // Non-lazy modes reuse the `utilities` buffer (eager fills,
-            // per-slot refreshes), so any stored memo intervals no longer
-            // describe its contents.
-            *lazy_key = (usize::MAX, u32::MAX);
-        }
-        // For algorithms whose utility requires a past destination contact
-        // (FRESH, Greedy), a slot can only matter if the destination itself
-        // or some node that ever meets it is active: delivery needs the
-        // destination on a slot edge, and a forward target must strictly
-        // beat its holder, which such algorithms reserve for nodes that
-        // have met the destination. One extra word intersection rejects
-        // every other slot off the timeline's masks alone.
-        let dest_gate: Option<&[u64]> = (lazy && algorithm.utility_requires_destination_contact())
-            .then(|| self.timeline.ever_met_mask(destination));
-        let mut utilities_ready = false;
-        let mut cursor = first_busy;
-
-        'slots: while let Some(&slot) = busy.get(cursor) {
-            cursor += 1;
-
-            // Mask fast path (skip-index tuning): answer "can this slot
-            // matter to this message?" from the timeline's per-slot
-            // activity bitmask before pinning any slot data or building a
-            // context. A slot matters only if a holder has a contact —
-            // every edge endpoint is an active node, so otherwise no copy
-            // can move and no delivery can happen.
-            let active = if skip_index { self.timeline.active_mask(slot) } else { &[][..] };
-            if skip_index {
-                if !masks_intersect(holder_mask, active) {
-                    // No holder is active: jump straight to the earliest
-                    // slot where one is again, skipping the intervening
-                    // busy slots entirely.
-                    let target = holder_list
-                        .iter()
-                        .filter_map(|&h| self.timeline.next_active_slot(h, slot + 1))
-                        .min();
-                    let Some(target) = target else {
-                        // No holder is ever active again: undeliverable.
-                        break 'slots;
-                    };
-                    cursor = busy.partition_point(|&s| s < target);
-                    continue;
-                }
-                if let Some(ever) = dest_gate {
-                    if !masks_intersect(ever, active) {
-                        continue;
-                    }
-                }
-            }
-            let slot_time = graph.slot_end_time(slot);
-            // Pinning a slot is a no-op borrow on the materialized graph but
-            // a hot-set lookup or spill reload on the windowed one, so the
-            // skip-index path pins only when it needs the slot's edges: to
-            // sweep it (below, once the precheck says a copy can move) or
-            // to build a shared table's precheck structures. Its prechecks
-            // read the timeline's masks and never the slot. The
-            // pre-consolidation path pins up front, as it always did.
-            let early = (!skip_index).then(|| graph.slot(slot));
-            let view = self.timeline.at_slot(slot);
-            let ctx = ForwardingContext { history: &view, oracle: &self.oracle, now: slot_time };
-
-            if let Some(slot_data) = early.as_deref() {
-                // Pre-consolidation per-slot path: refresh the incremental
-                // table off the pinned slot (a no-op unless the destination
-                // met someone) — this must run for *every* visited busy slot
-                // once the table is initialized, even slots the sweep below
-                // skips, or a destination contact would leave stale
-                // utilities behind — then scan the holder list for activity.
-                if mode == (DecisionMode::PerMessageUtility { is_static: false }) && utilities_ready
-                {
-                    for &peer in slot_data.neighbors(destination) {
-                        utilities[peer.index()] = algorithm
-                            .copy_utility(&ctx, peer, destination)
-                            .expect("copy_utility is uniformly Some");
-                    }
-                }
-                if !holder_list.iter().any(|&h| slot_data.has_contacts(h)) {
-                    continue;
-                }
-            }
-
-            // Exact full table at this slot's context — what both the
-            // cross-worker store and the per-worker caches publish.
-            let fill_utilities = || -> Box<[f64]> {
-                (0..n as u32)
-                    .map(|v| {
-                        algorithm
-                            .copy_utility(&ctx, NodeId(v), destination)
-                            .expect("copy_utility is uniformly Some")
-                    })
-                    .collect()
-            };
-            let words = holder_mask.len();
-
-            // Resolve how this slot's forwarding decisions read utilities.
-            let utility: SlotUtility<'_> = match mode {
-                DecisionMode::Direct => SlotUtility::Direct,
-                DecisionMode::SharedUtility { is_static: true } => {
-                    // Static and destination independent: one table serves
-                    // the whole job. The worker-local slot doubles as the
-                    // lock-free L1 over the cross-worker store.
-                    if static_utils.is_none() {
-                        let build = || {
-                            std::sync::Arc::new(UtilityTable {
-                                utilities: fill_utilities(),
-                                promising: Box::default(),
-                                reach: Box::default(),
-                            })
-                        };
-                        *static_utils = Some(match tables {
-                            Some(tables) => tables.get_or_build((NO_KEY, NO_KEY), build),
-                            None => build(),
-                        });
-                    }
-                    let table = static_utils.as_ref().expect("just filled");
-                    // Under the skip index, publish the precheck structures
-                    // (promising mask + reachability closure) for each
-                    // visited slot of the static table — utilities are
-                    // job-wide, but who can reach whom depends on the
-                    // slot's edges.
-                    if skip_index && shared_slots[slot].is_none() {
-                        let slot32 = slot as u32;
-                        let build = || {
-                            let pinned = graph.slot(slot);
-                            std::sync::Arc::new(UtilityTable {
-                                utilities: Box::default(),
-                                promising: build_promising(pinned.edges(), &table.utilities, words),
-                                reach: build_reach(pinned.edges(), &table.utilities, n, words),
-                            })
-                        };
-                        shared_slots[slot] = Some(match tables {
-                            Some(tables) => tables.get_or_build((slot32, NO_KEY), build),
-                            None => build(),
-                        });
-                        touched_slots.push(slot32);
-                    }
-                    SlotUtility::Shared {
-                        utils: &table.utilities,
-                        precheck: shared_slots[slot].as_deref(),
-                    }
-                }
-                DecisionMode::SharedUtility { is_static: false } => {
-                    // Destination independent: one table per (job, slot),
-                    // built exactly once across all workers (or once per
-                    // worker with shared tables tuned off) and reused for
-                    // every message of the job.
-                    if shared_slots[slot].is_none() {
-                        let slot32 = slot as u32;
-                        let build = || {
-                            let utilities = fill_utilities();
-                            let (promising, reach) = if skip_index {
-                                let pinned = graph.slot(slot);
-                                (
-                                    build_promising(pinned.edges(), &utilities, words),
-                                    build_reach(pinned.edges(), &utilities, n, words),
-                                )
-                            } else {
-                                (Box::default(), Box::default())
-                            };
-                            std::sync::Arc::new(UtilityTable { utilities, promising, reach })
-                        };
-                        shared_slots[slot] = Some(match tables {
-                            Some(tables) => tables.get_or_build((slot32, NO_KEY), build),
-                            None => build(),
-                        });
-                        touched_slots.push(slot32);
-                    }
-                    let table = shared_slots[slot].as_ref().expect("just filled");
-                    SlotUtility::Shared {
-                        utils: &table.utilities,
-                        precheck: skip_index.then_some(&**table),
-                    }
-                }
-                DecisionMode::PerMessageUtility { is_static } => {
-                    if lazy {
-                        SlotUtility::Lazy
-                    } else {
-                        if !utilities_ready {
-                            // Fill the per-message table with the exact full
-                            // table at this slot. With the cross-worker
-                            // store on, the fill goes through it so messages
-                            // to the same destination share one build:
-                            // static tables are keyed per destination — one
-                            // build per (job, destination) no matter how
-                            // many messages — and dynamic ones per (slot,
-                            // destination), shared by messages created in
-                            // the same slot.
-                            match tables {
-                                Some(tables) => {
-                                    let key = if is_static {
-                                        (NO_KEY, destination.0)
-                                    } else {
-                                        (slot as u32, destination.0)
-                                    };
-                                    let build = || {
-                                        std::sync::Arc::new(UtilityTable {
-                                            utilities: fill_utilities(),
-                                            promising: Box::default(),
-                                            reach: Box::default(),
-                                        })
-                                    };
-                                    utilities.copy_from_slice(
-                                        &tables.get_or_build(key, build).utilities,
-                                    );
-                                }
-                                None => {
-                                    for v in 0..n as u32 {
-                                        utilities[v as usize] = algorithm
-                                            .copy_utility(&ctx, NodeId(v), destination)
-                                            .expect("copy_utility is uniformly Some");
-                                    }
-                                }
-                            }
-                            utilities_ready = true;
-                        }
-                        SlotUtility::PerMessage
-                    }
-                }
-            };
-
-            // Utility decompositions make an exact actionability precheck
-            // possible: the sweep can move a copy (or deliver) iff some
-            // holder has a neighbor that is the destination or a
-            // strictly-higher-utility non-holder. If not, the whole
-            // fixpoint sweep is a no-op — the reference engine pays a full
-            // edge scan to find that out, this engine pays O(Σ deg(holder)).
-            {
-                let holders = &state.holders;
-                // With the skip index on, only the holders active this slot
-                // need inspecting (an inactive holder has no neighbors);
-                // the pre-consolidation path scans the whole holder list.
-                // The enumeration is deferred into the arms that scan
-                // candidates — the mask-based rejections never pay for it.
-                let actionable = match utility {
-                    // Every edge endpoint is active, so if every active
-                    // node already holds a copy, no forward or delivery is
-                    // possible — a word-level exact rejection. (The
-                    // destination never becomes a holder, so a deliverable
-                    // slot always has an active non-holder.)
-                    SlotUtility::Direct => {
-                        !skip_index
-                            || active.iter().zip(&*holder_mask).any(|(act, held)| act & !held != 0)
-                    }
-                    SlotUtility::Shared { utils, precheck } => match precheck {
-                        // Exact, scan-free precheck off the shared per-slot
-                        // table. The sweep acts iff a holder sits next to
-                        // the destination (delivery — a holder with a slot
-                        // edge is by definition active) or some active
-                        // holder's within-slot reachability closure leaves
-                        // the current holder set (the first forward of the
-                        // fixpoint must start at an existing holder, and
-                        // every node its closure row adds is reachable
-                        // through strictly-increasing utilities — so "row
-                        // escapes the holder mask" is both necessary and
-                        // sufficient for a copy to move). The promising
-                        // mask stays as a cheaper first gate: no promising
-                        // holder means no holder has any higher-utility
-                        // neighbor at all.
-                        Some(table) => {
-                            masks_intersect(
-                                self.timeline.neighbor_mask(slot, destination),
-                                holder_mask,
-                            ) || (holder_mask
-                                .iter()
-                                .zip(&table.promising[..])
-                                .any(|(held, mask)| held & mask != 0)
-                                && closure_escapes(&table.reach, active, holder_mask))
-                        }
-                        // Pre-consolidation path: the whole-holder-list
-                        // neighbor scan the engine always did.
-                        None => any_actionable(
-                            holder_list,
-                            early.as_deref().expect("the pre-consolidation path pins up front"),
-                            holders,
-                            destination,
-                            |v| utils[v.index()],
-                        ),
-                    },
-                    SlotUtility::PerMessage => utility_actionable(
-                        early.as_deref(),
-                        &self.timeline,
-                        slot,
-                        holder_mask,
-                        active,
-                        holder_list,
-                        holders,
-                        destination,
-                        |v| utilities[v.index()],
-                    ),
-                    SlotUtility::Lazy => utility_actionable(
-                        early.as_deref(),
-                        &self.timeline,
-                        slot,
-                        holder_mask,
-                        active,
-                        holder_list,
-                        holders,
-                        destination,
-                        |v| {
-                            lazy_eval(
-                                algorithm,
-                                &ctx,
-                                &self.timeline,
-                                destination,
-                                slot,
-                                utilities,
-                                valid_from,
-                                valid_until,
-                                v,
-                            )
-                        },
-                    ),
-                };
-                if !actionable {
-                    continue;
-                }
-            }
-
-            let slot_data = early.unwrap_or_else(|| graph.slot(slot));
-            let edges = slot_data.edges();
-            if skip_index {
-                // Sweep the slot's edges (in the same normalized order the
-                // reference engine scans them) until no copy moves, with
-                // the forward predicate monomorphized per utility mode and
-                // a both-endpoints-idle fast path per edge.
-                let delivered = match utility {
-                    SlotUtility::Direct => sweep_slot(
-                        edges,
-                        state,
-                        holder_list,
-                        holder_mask,
-                        destination,
-                        slot_time,
-                        |from, to| algorithm.should_forward(&ctx, from, to, destination),
-                    ),
-                    SlotUtility::Shared { utils, .. } => sweep_slot(
-                        edges,
-                        state,
-                        holder_list,
-                        holder_mask,
-                        destination,
-                        slot_time,
-                        |from, to| utils[to.index()] > utils[from.index()],
-                    ),
-                    SlotUtility::PerMessage => sweep_slot(
-                        edges,
-                        state,
-                        holder_list,
-                        holder_mask,
-                        destination,
-                        slot_time,
-                        |from, to| utilities[to.index()] > utilities[from.index()],
-                    ),
-                    SlotUtility::Lazy => sweep_slot(
-                        edges,
-                        state,
-                        holder_list,
-                        holder_mask,
-                        destination,
-                        slot_time,
-                        |from, to| {
-                            lazy_eval(
-                                algorithm,
-                                &ctx,
-                                &self.timeline,
-                                destination,
-                                slot,
-                                utilities,
-                                valid_from,
-                                valid_until,
-                                to,
-                            ) > lazy_eval(
-                                algorithm,
-                                &ctx,
-                                &self.timeline,
-                                destination,
-                                slot,
-                                utilities,
-                                valid_from,
-                                valid_until,
-                                from,
-                            )
-                        },
-                    ),
-                };
-                if delivered {
-                    break 'slots;
-                }
-            } else {
-                // Pre-consolidation sweep, kept verbatim so
-                // `EngineTuning::all_off` measures (and the differential
-                // suites exercise) the engine exactly as it was before the
-                // skip-index machinery landed.
-                loop {
-                    let mut changed = false;
-                    for &(a, b) in edges {
-                        if state.delivered_at.is_some() {
-                            break;
-                        }
-                        for (from, to) in [(a, b), (b, a)] {
-                            if !state.holders[from.index()] {
-                                continue;
-                            }
-                            if to == destination {
-                                state.delivered_at = Some(slot_time);
-                                state.delivered_by = Some(from);
-                                break;
-                            }
-                            if state.holders[to.index()] {
-                                continue;
-                            }
-                            let forward = match utility {
-                                SlotUtility::Shared { utils, .. } => {
-                                    utils[to.index()] > utils[from.index()]
-                                }
-                                SlotUtility::PerMessage => {
-                                    utilities[to.index()] > utilities[from.index()]
-                                }
-                                SlotUtility::Direct => {
-                                    algorithm.should_forward(&ctx, from, to, destination)
-                                }
-                                SlotUtility::Lazy => {
-                                    unreachable!("lazy memo requires the skip-index tuning")
-                                }
-                            };
-                            if forward {
-                                state.holders[to.index()] = true;
-                                state.received_from[to.index()] = Some((from, slot_time));
-                                holder_list.push(to);
-                                set_bit(holder_mask, to);
-                                changed = true;
-                            }
-                        }
-                    }
-                    if state.delivered_at.is_some() {
-                        break 'slots;
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-            }
-        }
-
-        self.outcome_for(message, state)
     }
 
     /// Runs `algorithm` over `messages` with the retained serial reference
     /// engine: a mutable [`ContactHistory`] replay with a per-slot adjacency
     /// rescan and a global fixpoint sweep over all messages. Slow but
-    /// direct; the parallel engine is pinned to its outcomes by differential
+    /// direct; the slot-major engine is pinned to its outcomes by differential
     /// tests.
     pub fn run_reference(
         &self,
@@ -1630,42 +1238,14 @@ impl Simulator {
         let outcomes = messages
             .iter()
             .zip(&states)
-            .map(|(message, state)| self.outcome_for(message, state))
+            .map(|(message, state)| {
+                outcome_for(message, state.delivered_at.zip(state.delivered_by), |node| {
+                    state.received_from[node.index()]
+                })
+            })
             .collect();
 
         SimulationResult { algorithm: algorithm.name().to_string(), outcomes }
-    }
-
-    /// Reconstructs the delivered path (if any) and wraps up the outcome for
-    /// one message.
-    fn outcome_for(&self, message: &Message, state: &MessageState) -> MessageOutcome {
-        let path = state.delivered_at.map(|delivered_at| {
-            let mut hops_rev: Vec<(NodeId, Seconds)> = Vec::new();
-            hops_rev.push((message.destination, delivered_at));
-            let mut node = state.delivered_by.expect("delivered messages record the last relay");
-            let mut receive_time = delivered_at;
-            loop {
-                match state.received_from[node.index()] {
-                    Some((previous, t)) => {
-                        hops_rev.push((node, t.min(receive_time)));
-                        receive_time = t;
-                        node = previous;
-                    }
-                    None => {
-                        hops_rev.push((node, message.created_at.min(receive_time)));
-                        break;
-                    }
-                }
-            }
-            hops_rev.reverse();
-            let mut path = Path::source(hops_rev[0].0, hops_rev[0].1);
-            for &(n, t) in &hops_rev[1..] {
-                path = path.extended(n, t);
-            }
-            path
-        });
-
-        MessageOutcome { message: *message, delivered_at: state.delivered_at, path }
     }
 }
 
@@ -1842,10 +1422,10 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Differential property tests: the parallel engine must reproduce the
-    // retained serial reference engine bit-for-bit — for every algorithm,
-    // on random traces, including nonzero window starts and forced
-    // multi-thread sharding.
+    // Differential property tests: the slot-major engine must reproduce
+    // the retained serial reference engine bit-for-bit — for every
+    // algorithm, on random traces, including nonzero window starts and
+    // several lanes.
     // ------------------------------------------------------------------
 
     /// Deterministic pseudo-random trace over `[window.start, window.end]`:
@@ -1947,15 +1527,9 @@ mod tests {
         let trace = random_trace(99, 10, 60, window);
         let messages = random_messages(99, 10, 40, window);
         let algorithms = standard_algorithms();
-        let baseline = Simulator::new(
-            &trace,
-            SimulatorConfig { delta: 10.0, threads: 1, ..SimulatorConfig::default() },
-        );
+        let baseline = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1 });
         for threads in [2usize, 3, 7] {
-            let sim = Simulator::new(
-                &trace,
-                SimulatorConfig { delta: 10.0, threads, ..SimulatorConfig::default() },
-            );
+            let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
             assert_eq!(sim.threads(), threads);
             for (kind, algorithm) in &algorithms {
                 let serial = baseline.run(algorithm.as_ref(), &messages);
@@ -1967,21 +1541,10 @@ mod tests {
         }
     }
 
-    /// Every on/off combination of the engine tuning switches.
-    fn all_tunings() -> [EngineTuning; 4] {
-        [
-            EngineTuning::all_off(),
-            EngineTuning { skip_index: true, shared_tables: false },
-            EngineTuning { skip_index: false, shared_tables: true },
-            EngineTuning { skip_index: true, shared_tables: true },
-        ]
-    }
-
     #[test]
-    fn every_tuning_combination_matches_reference_across_threads() {
-        // Forces the new paths (skip-index sweep, cross-worker latched
-        // tables under real multi-thread sharding) against the reference
-        // engine, on a nonzero window start.
+    fn every_lane_count_matches_reference_across_threads() {
+        // Forces the slot-major engine against the reference engine at one
+        // and several lanes, on a nonzero window start.
         let window = TimeWindow::new(3600.0, 4200.0);
         let trace = random_trace(21, 12, 70, window);
         let messages = random_messages(21, 12, 24, window);
@@ -1989,25 +1552,19 @@ mod tests {
         let reference_sim = Simulator::with_default_config(&trace);
         for (kind, algorithm) in &algorithms {
             let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
-            for tuning in all_tunings() {
-                for threads in [1usize, 3] {
-                    let sim =
-                        Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads, tuning });
-                    let result = sim.run(algorithm.as_ref(), &messages);
-                    assert_eq!(
-                        reference.outcomes, result.outcomes,
-                        "{kind} with {tuning:?} on {threads} threads"
-                    );
-                }
+            for threads in [1usize, 2, 3] {
+                let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
+                let result = sim.run(algorithm.as_ref(), &messages);
+                assert_eq!(reference.outcomes, result.outcomes, "{kind} on {threads} lanes");
             }
         }
     }
 
     #[test]
-    fn every_tuning_combination_agrees_on_a_trace_with_more_than_64_nodes() {
+    fn every_lane_count_agrees_on_a_trace_with_more_than_64_nodes() {
         // Node counts beyond one 64-bit mask word stress the wide-trace
-        // paths; the four tunings must stay bit-identical to each other
-        // and to the reference engine.
+        // paths; every lane count must stay bit-identical to the reference
+        // engine.
         let window = TimeWindow::new(0.0, 800.0);
         let trace = random_trace(33, 70, 220, window);
         let messages = random_messages(33, 70, 20, window);
@@ -2015,11 +1572,10 @@ mod tests {
         let reference_sim = Simulator::with_default_config(&trace);
         for (kind, algorithm) in &algorithms {
             let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
-            for tuning in all_tunings() {
-                let sim =
-                    Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 2, tuning });
+            for threads in [1usize, 2, 3] {
+                let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
                 let result = sim.run(algorithm.as_ref(), &messages);
-                assert_eq!(reference.outcomes, result.outcomes, "{kind} with {tuning:?}");
+                assert_eq!(reference.outcomes, result.outcomes, "{kind} on {threads} lanes");
             }
         }
     }
@@ -2077,15 +1633,124 @@ mod tests {
         }
     }
 
+    /// The full-pass fixpoint sweep that [`sweep`] must reproduce: rescan
+    /// every edge in normalized order until a pass moves no copy.
+    fn full_pass_sweep(
+        edges: &[(NodeId, NodeId)],
+        held: &mut [u64],
+        destination: NodeId,
+        slot: u32,
+        moves: &mut Vec<Move>,
+        forward: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Option<NodeId> {
+        loop {
+            let mut changed = false;
+            for &(a, b) in edges {
+                for (from, to) in [(a, b), (b, a)] {
+                    if !has_bit(held, from) {
+                        continue;
+                    }
+                    if to == destination {
+                        return Some(from);
+                    }
+                    if has_bit(held, to) || !forward(from, to) {
+                        continue;
+                    }
+                    set_bit(held, to);
+                    moves.push(Move { to, from, slot });
+                    changed = true;
+                }
+            }
+            if !changed {
+                return None;
+            }
+        }
+    }
+
+    #[test]
+    fn event_driven_sweep_matches_full_pass_fixpoint_on_random_slots() {
+        // Random slots with more than 64 nodes and more than 64 edges (so
+        // both node and edge masks span several words), random holder sets
+        // and random utility orders with ties: the event-driven sweep must
+        // make the full-pass rescan's forwarding decisions in the same
+        // order, and deliver through the same relay.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut delivered, mut multi_pass) = (0, 0);
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EE9);
+            let n = 65 + rng.gen_range(0..80usize);
+            let words = n.div_ceil(64);
+            let edge_count = 65 + rng.gen_range(0..2 * n);
+            let mut edge_set = std::collections::BTreeSet::new();
+            while edge_set.len() < edge_count {
+                let a = rng.gen_range(0..n as u32);
+                let b = rng.gen_range(0..n as u32);
+                if a != b {
+                    edge_set.insert((NodeId(a.min(b)), NodeId(a.max(b))));
+                }
+            }
+            let edges: Vec<(NodeId, NodeId)> = edge_set.into_iter().collect();
+            let utilities: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..6u32))).collect();
+            let destination = NodeId(rng.gen_range(0..n as u32));
+            let mut held = vec![0u64; words];
+            for _ in 0..rng.gen_range(1..8) {
+                let v = NodeId(rng.gen_range(0..n as u32));
+                if v != destination {
+                    set_bit(&mut held, v);
+                }
+            }
+            let mut active = vec![0u64; words];
+            for &(a, b) in &edges {
+                set_bit(&mut active, a);
+                set_bit(&mut active, b);
+            }
+            let mut incidence = Vec::new();
+            build_incidence(&edges, n, &mut incidence);
+            let forward =
+                |from: NodeId, to: NodeId| utilities[to.index()] > utilities[from.index()];
+
+            let (mut fast_held, mut fast_moves) = (held.clone(), Vec::new());
+            let fast = sweep(
+                &edges,
+                &incidence,
+                &mut fast_held,
+                &active,
+                destination,
+                7,
+                &mut fast_moves,
+                &mut Vec::new(),
+                &mut Vec::new(),
+                forward,
+            );
+            let (mut full_held, mut full_moves) = (held.clone(), Vec::new());
+            let full =
+                full_pass_sweep(&edges, &mut full_held, destination, 7, &mut full_moves, forward);
+            assert_eq!(fast, full, "seed {seed}: delivered_by");
+            assert_eq!(fast_moves, full_moves, "seed {seed}: provenance");
+            assert_eq!(fast_held, full_held, "seed {seed}: holders");
+            delivered += usize::from(full.is_some());
+            // A move whose edge precedes the previous move's edge needed a
+            // later pass.
+            let edge_of = |m: &Move| {
+                edges.iter().position(|&(a, b)| (a, b) == (m.to.min(m.from), m.to.max(m.from)))
+            };
+            multi_pass +=
+                usize::from(full_moves.windows(2).any(|w| edge_of(&w[1]) < edge_of(&w[0])));
+        }
+        assert!(delivered > 30 && delivered < 270, "{delivered} of 300 slots delivered");
+        assert!(multi_pass > 30, "only {multi_pass} slots needed a second pass");
+    }
+
     #[test]
     fn engines_agree_on_clustered_trace_with_unreachable_destinations() {
         // Two contact clusters with no bridge: within-cluster messages
         // deliver, cross-cluster destinations are never met by any holder.
         // This drives the ever-met destination gate (FRESH and Greedy skip
         // every slot where no node that ever meets the destination is
-        // active) and the per-destination lazy memo across repeated
+        // active) and the per-destination utility rows across repeated
         // destinations — both must stay bit-identical to the reference
-        // engine under every tuning and real multi-thread sharding.
+        // engine at one and several lanes.
         let window = TimeWindow::new(0.0, 700.0);
         let cluster_a = random_trace(61, 6, 40, window);
         let cluster_b = random_trace(62, 6, 40, window);
@@ -2112,27 +1777,21 @@ mod tests {
         let reference_sim = Simulator::with_default_config(&trace);
         for (kind, algorithm) in &standard_algorithms() {
             let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
-            for tuning in all_tunings() {
-                for threads in [1usize, 3] {
-                    let sim =
-                        Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads, tuning });
-                    let result = sim.run(algorithm.as_ref(), &messages);
-                    assert_eq!(
-                        reference.outcomes, result.outcomes,
-                        "{kind} with {tuning:?} on {threads} threads"
-                    );
-                }
+            for threads in [1usize, 2, 3] {
+                let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
+                let result = sim.run(algorithm.as_ref(), &messages);
+                assert_eq!(reference.outcomes, result.outcomes, "{kind} on {threads} lanes");
             }
         }
     }
 
     /// A window-`window_slots` `MemorySpill`-backed graph over `trace`,
-    /// with the timeline and oracle the simulator needs; the handle keeps
-    /// the graph's spill counters readable.
+    /// with the timeline and oracle the simulator needs, on `threads`
+    /// lanes; the handle keeps the graph's spill counters readable.
     fn windowed_simulator(
         trace: &ContactTrace,
         window_slots: usize,
-        tuning: EngineTuning,
+        threads: usize,
     ) -> (Simulator, std::sync::Arc<psn_spacetime::WindowedSpaceTimeGraph>) {
         let graph = std::sync::Arc::new(
             psn_spacetime::WindowedSpaceTimeGraph::stream_with(
@@ -2150,7 +1809,7 @@ mod tests {
             TraceOracle::from_trace(trace),
             std::sync::Arc::clone(&graph),
             timeline,
-            SimulatorConfig { delta: 10.0, threads: 1, tuning },
+            SimulatorConfig { delta: 10.0, threads },
         );
         (sim, graph)
     }
@@ -2174,7 +1833,7 @@ mod tests {
         let algorithms: [Box<dyn ForwardingAlgorithm>; 3] =
             [Box::new(DynamicProgramming), Box::new(Fresh), Box::new(Greedy)];
         for algorithm in &algorithms {
-            let (sim, graph) = windowed_simulator(&trace, 1, EngineTuning::default());
+            let (sim, graph) = windowed_simulator(&trace, 1, 1);
             let result = sim.run(algorithm.as_ref(), &message);
             assert_eq!(result.outcomes[0].delivered_at, None, "{}", algorithm.name());
             assert_eq!(
@@ -2197,7 +1856,7 @@ mod tests {
         // A 200-node scaled population at window 2 of 120 slots: nearly
         // every slot a message visits is cold, and the shared tables,
         // prechecks and sweeps pin them on demand. Every algorithm must
-        // reproduce the materialized graph's outcomes under both tunings.
+        // reproduce the materialized graph's outcomes at every lane count.
         let scenario = psn_trace::ScenarioConfig::from_toml_str(
             "kind = \"scaled\"\nname = \"scaled-200\"\nnodes = 200\nwindow_seconds = 1200.0\n\
              max_node_rate = 0.045\nmin_node_rate = 0.0006\nmean_contact_duration = 120.0\n\
@@ -2207,10 +1866,9 @@ mod tests {
         let trace = scenario.generate();
         assert_eq!(trace.node_count(), 200);
         let messages = random_messages(5, 200, 24, trace.window());
-        for tuning in [EngineTuning::default(), EngineTuning::all_off()] {
-            let materialized =
-                Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1, tuning });
-            let (windowed, graph) = windowed_simulator(&trace, 2, tuning);
+        for threads in [1usize, 2, 3] {
+            let materialized = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
+            let (windowed, graph) = windowed_simulator(&trace, 2, threads);
             let mut delivered = 0;
             for (kind, algorithm) in &standard_algorithms() {
                 let expected = materialized.run(algorithm.as_ref(), &messages).outcomes;
@@ -2218,11 +1876,118 @@ mod tests {
                 assert_eq!(
                     expected,
                     windowed.run(algorithm.as_ref(), &messages).outcomes,
-                    "{kind} with {tuning:?}"
+                    "{kind} on {threads} lanes"
                 );
             }
-            assert!(delivered > 0, "no message delivered under {tuning:?}");
+            assert!(delivered > 0, "no message delivered on {threads} lanes");
             assert!(graph.spill_loads() > 0, "window 2 must reload cold slots");
+        }
+    }
+
+    #[test]
+    fn one_lane_pins_each_busy_slot_at_most_once_for_a_whole_batch() {
+        // All six algorithms in one batch on one lane over a window-1
+        // graph: every slot the walk pins is cold, and the lane pins it at
+        // most once however many algorithms and messages sweep it or build
+        // a table on it.
+        let window = TimeWindow::new(0.0, 900.0);
+        let trace = random_trace(81, 14, 90, window);
+        let messages = random_messages(81, 14, 30, window);
+        let reference_sim = Simulator::with_default_config(&trace);
+        let (sim, graph) = windowed_simulator(&trace, 1, 1);
+        let algorithms = standard_algorithms();
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
+            algorithms.iter().map(|(_, a)| (a.as_ref(), messages.as_slice())).collect();
+        for (result, (kind, algorithm)) in sim.run_many(&jobs).iter().zip(&algorithms) {
+            let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
+            assert_eq!(reference.outcomes, result.outcomes, "{kind}");
+        }
+        let busy = sim.graph().busy_slots().len() as u64;
+        assert!(graph.spill_loads() > 0, "the walk must reload cold slots");
+        assert!(
+            graph.spill_loads() <= busy,
+            "{} spill loads for {busy} busy slots",
+            graph.spill_loads()
+        );
+    }
+
+    #[test]
+    fn outcomes_are_independent_of_message_and_job_order() {
+        // Shuffling the messages within each job and reversing the job
+        // order permutes the outcomes and changes nothing else.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let window = TimeWindow::new(0.0, 600.0);
+        let trace = random_trace(17, 10, 60, window);
+        let message_sets: Vec<Vec<Message>> =
+            (0..2u64).map(|run| random_messages(40 + run, 10, 16, window)).collect();
+        let algorithms = standard_algorithms();
+        let mut rng = StdRng::seed_from_u64(5);
+        let permutations: Vec<Vec<usize>> = message_sets
+            .iter()
+            .map(|set| {
+                let mut order: Vec<usize> = (0..set.len()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                order
+            })
+            .collect();
+        let shuffled_sets: Vec<Vec<Message>> = message_sets
+            .iter()
+            .zip(&permutations)
+            .map(|(set, order)| order.iter().map(|&i| set[i]).collect())
+            .collect();
+        let jobs_of = |sets: &[Vec<Message>]| -> Vec<(usize, usize)> {
+            (0..algorithms.len()).flat_map(|a| (0..sets.len()).map(move |r| (a, r))).collect()
+        };
+        for threads in [1usize, 2, 3] {
+            let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
+            let keys = jobs_of(&message_sets);
+            let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> = keys
+                .iter()
+                .map(|&(a, r)| (algorithms[a].1.as_ref(), message_sets[r].as_slice()))
+                .collect();
+            let reversed: Vec<(&dyn ForwardingAlgorithm, &[Message])> = keys
+                .iter()
+                .rev()
+                .map(|&(a, r)| (algorithms[a].1.as_ref(), shuffled_sets[r].as_slice()))
+                .collect();
+            let baseline = sim.run_many(&jobs);
+            let shuffled = sim.run_many(&reversed);
+            for (j, &(_, r)) in keys.iter().enumerate() {
+                let moved = &shuffled[keys.len() - 1 - j];
+                assert_eq!(moved.algorithm, baseline[j].algorithm);
+                let unshuffled: Vec<MessageOutcome> = {
+                    let mut out = vec![None; moved.outcomes.len()];
+                    for (k, &i) in permutations[r].iter().enumerate() {
+                        out[i] = Some(moved.outcomes[k].clone());
+                    }
+                    out.into_iter().map(Option::unwrap).collect()
+                };
+                assert_eq!(unshuffled, baseline[j].outcomes, "job {j} on {threads} lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batches_empty_jobs_and_late_messages_return_reference_outcomes() {
+        // The last busy slot is 2; both messages are created after it.
+        let trace = trace_from(vec![(0, 1, 1.0, 5.0), (1, 2, 21.0, 25.0)], 3, 100.0);
+        let late = [Message::new(nid(0), nid(2), 50.0), Message::new(nid(1), nid(2), 95.0)];
+        for threads in [1usize, 2] {
+            let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
+            assert!(sim.run_many(&[]).is_empty());
+            for (kind, algorithm) in &standard_algorithms() {
+                let results =
+                    sim.run_many(&[(algorithm.as_ref(), &[][..]), (algorithm.as_ref(), &late[..])]);
+                assert_eq!(results.len(), 2);
+                assert_eq!(results[0].algorithm, algorithm.name());
+                assert!(results[0].outcomes.is_empty(), "{kind}");
+                let reference = sim.run_reference(algorithm.as_ref(), &late);
+                assert_eq!(results[1].outcomes, reference.outcomes, "{kind}");
+                assert!(results[1].outcomes.iter().all(|o| !o.delivered()), "{kind}");
+            }
         }
     }
 
@@ -2230,10 +1995,7 @@ mod tests {
     fn run_many_shards_algorithm_by_run_jobs() {
         let window = TimeWindow::new(0.0, 600.0);
         let trace = random_trace(7, 9, 45, window);
-        let sim = Simulator::new(
-            &trace,
-            SimulatorConfig { delta: 10.0, threads: 4, ..SimulatorConfig::default() },
-        );
+        let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 4 });
         let algorithms = standard_algorithms();
         let message_sets: Vec<Vec<Message>> =
             (0..3u64).map(|run| random_messages(run, 9, 10, window)).collect();

@@ -346,6 +346,16 @@ impl HistoryTimeline {
         self.slot_neighbor_masks.get(row..end).unwrap_or(&[])
     }
 
+    /// Every node's [`HistoryTimeline::neighbor_mask`] in `slot`, node-major
+    /// with a stride of `⌈node_count / 64⌉` words — one slice per slot for
+    /// callers that read many rows. Empty for slots after the last busy one.
+    pub fn neighbor_masks(&self, slot: usize) -> &[u64] {
+        let stride = self.node_count * self.words_per_slot;
+        slot.checked_mul(stride)
+            .and_then(|start| self.slot_neighbor_masks.get(start..start + stride))
+            .unwrap_or(&[])
+    }
+
     /// True iff `node` has at least one contact edge during `slot` — the
     /// single-bit read of [`HistoryTimeline::active_mask`].
     pub fn node_active_in(&self, node: NodeId, slot: usize) -> bool {
@@ -383,45 +393,6 @@ impl HistoryTimeline {
     /// misses this whole set can be rejected with a word intersection.
     pub fn ever_met_mask(&self, node: NodeId) -> &[u64] {
         &self.ever_met_masks[node.index() * self.words_per_slot..][..self.words_per_slot]
-    }
-
-    /// The first slot ≥ `from_slot` in which `a` and `b` are in contact, or
-    /// `None` if they never are again — the per-pair analogue of
-    /// [`HistoryTimeline::next_active_slot`]. The simulator's lazy utility
-    /// memo uses it as a validity horizon: the `copy_utility` contract pins
-    /// a destination-aware utility to the (node, destination) pair stats,
-    /// so a value evaluated at slot `s` stays exact for every slot before
-    /// the pair's next contact.
-    pub fn next_pair_contact_slot(&self, a: NodeId, b: NodeId, from_slot: usize) -> Option<usize> {
-        let events = self.pair_events_for(a, b)?;
-        let from = u32::try_from(from_slot).ok()?;
-        let idx = events.partition_point(|e| e.slot < from);
-        events.get(idx).map(|e| e.slot as usize)
-    }
-
-    /// The maximal slot interval `[from, until)` containing `slot` over
-    /// which the `(a, b)` pair statistics are constant: `from` is the
-    /// pair's last contact slot ≤ `slot` (`0` if they have not met yet) and
-    /// `until` their next contact slot > `slot` (`u32::MAX` if they never
-    /// meet again). A slot's history view includes the slot's own contacts,
-    /// so a contact at slot `s` changes the pair statistics from `s`
-    /// onwards — which is why `from` is inclusive of a contact at `slot`
-    /// and `until` exclusive of it.
-    ///
-    /// The simulator's lazy utility memo stores one `copy_utility` value
-    /// per node under this interval: the `copy_utility` contract pins a
-    /// destination-aware utility to the pair statistics, so the value is
-    /// exact for *every* slot of the interval — including slots before the
-    /// evaluation point, which is what lets messages to the same
-    /// destination share one memo.
-    pub fn pair_constancy_interval(&self, a: NodeId, b: NodeId, slot: usize) -> (u32, u32) {
-        let (Some(events), Ok(slot32)) = (self.pair_events_for(a, b), u32::try_from(slot)) else {
-            return (0, u32::MAX);
-        };
-        let idx = events.partition_point(|e| e.slot <= slot32);
-        let from = if idx == 0 { 0 } else { events[idx - 1].slot };
-        let until = events.get(idx).map_or(u32::MAX, |e| e.slot);
-        (from, until)
     }
 
     /// A read-only view of the history as of the *end* of `slot` — i.e.
@@ -674,12 +645,12 @@ mod tests {
         assert_skip_index_matches_scan(&graph);
     }
 
-    /// Brute-force pin of the per-slot neighbor bitmasks, the ever-met
-    /// masks, the pair skip index, and the lazy-memo constancy intervals —
-    /// every mask bit and interval bound against a direct scan of the
-    /// graph's slots.
+    /// Brute-force pin of the per-slot neighbor bitmasks (row by row and as
+    /// one slot block) and the ever-met masks — every mask bit against a
+    /// direct scan of the graph's slots.
     fn assert_pair_structures_match_scan(graph: &SpaceTimeGraph) {
         let n = graph.node_count();
+        let words = n.div_ceil(64);
         let timeline = HistoryTimeline::build(graph);
         let met = |a: NodeId, b: NodeId| {
             (0..graph.slot_count()).any(|s| graph.slot(s).neighbors(a).contains(&b))
@@ -688,6 +659,11 @@ mod tests {
             let a = nid(a);
             for slot in 0..graph.slot_count() {
                 let mask = timeline.neighbor_mask(slot, a);
+                let block = timeline.neighbor_masks(slot);
+                assert!(
+                    block.is_empty() || block[a.index() * words..][..words] == *mask,
+                    "neighbor_masks row ({a:?}, slot {slot})"
+                );
                 for b in 0..n as u32 {
                     let b = nid(b);
                     let bit = mask
@@ -706,36 +682,6 @@ mod tests {
                 let bit =
                     ever.get(b.index() / 64).is_some_and(|&w| w & (1u64 << (b.index() % 64)) != 0);
                 assert_eq!(bit, a == b || met(a, b), "ever_met_mask bit ({a:?}, {b:?})");
-            }
-            for b in 0..n as u32 {
-                let b = nid(b);
-                let contact_slots: Vec<usize> = (0..graph.slot_count())
-                    .filter(|&s| graph.slot(s).neighbors(a).contains(&b))
-                    .collect();
-                for from in 0..=graph.slot_count() {
-                    assert_eq!(
-                        timeline.next_pair_contact_slot(a, b, from),
-                        contact_slots.iter().copied().find(|&s| s >= from),
-                        "next_pair_contact_slot({a:?}, {b:?}, {from})"
-                    );
-                }
-                for slot in 0..graph.slot_count() {
-                    let expect_from = contact_slots.iter().copied().rfind(|&s| s <= slot);
-                    let expect_until = contact_slots.iter().copied().find(|&s| s > slot);
-                    let (from, until) = timeline.pair_constancy_interval(a, b, slot);
-                    assert_eq!(
-                        (from, until),
-                        (
-                            expect_from.unwrap_or(0) as u32,
-                            expect_until.map_or(u32::MAX, |s| s as u32)
-                        ),
-                        "pair_constancy_interval({a:?}, {b:?}, {slot})"
-                    );
-                    // The interval must contain the query slot — that is
-                    // what lets the lazy memo serve reads on both sides of
-                    // the evaluation point.
-                    assert!(from <= slot as u32 && (slot as u32) < until);
-                }
             }
         }
     }
