@@ -7,8 +7,8 @@
 //! quantifies that statement: [`convergence_error`] runs the jump process
 //! for a given N and measures the maximum absolute difference between the
 //! empirical density and the truncated ODE density over the first `K`
-//! states. The test-suite and the `model_validation` binary check that the
-//! error shrinks as N grows, which is the reproducible, finite-N version of
+//! states. The test-suite and the `model` preset (`psn-study run --preset
+//! model`) check that the error shrinks as N grows, which is the reproducible, finite-N version of
 //! the paper's limit argument.
 
 use crate::homogeneous::HomogeneousModel;

@@ -249,7 +249,14 @@ fn read() {
     psn_fault::inject_io(psn_fault::sites::DISK_READ, &mut buf)?;
 }
 fn run() {
-    psn_fault::inject_job(psn_fault::sites::QUEUE_RUN);
+    let results = psn_fault::run_jobs(
+        psn_fault::sites::QUEUE_RUN,
+        workers,
+        jobs.len(),
+        |_| (),
+        |_, i, _| work(&jobs[i]),
+        Result::is_err,
+    );
 }
 ";
 
@@ -406,6 +413,16 @@ mod tests {
 fn read() {
     psn_fault::inject_io(\"disk.read\", &mut buf)?;
 }
+fn run() {
+    psn_fault::run_jobs(
+        \"queue.run\",
+        workers,
+        jobs.len(),
+        |_| (),
+        |_, i, _| work(&jobs[i]),
+        Result::is_err,
+    );
+}
 ";
         let ws = Workspace::from_sources(
             [("crates/fault/src/lib.rs", FAULT_OK), ("crates/artifact/src/disk.rs", callers)],
@@ -417,7 +434,11 @@ fn read() {
         let f = ws.check();
         let hits = only(&f, LintId::FailpointRegistry);
         let text: Vec<&str> = hits.iter().map(|h| h.message.as_str()).collect();
-        assert!(text.iter().any(|m| m.contains("orphan failpoint site")), "{text:?}");
+        assert!(text.iter().any(|m| m.contains("orphan failpoint site: inject_io(")), "{text:?}");
+        assert!(
+            text.iter().any(|m| m.contains("orphan failpoint site: run_jobs(")),
+            "a literal site passed to the pool on a wrapped line is an orphan too: {text:?}"
+        );
         assert!(text.iter().any(|m| m.contains("dead registry entry")), "{text:?}");
         assert!(
             text.iter().any(|m| m.contains("`queue.run`") && m.contains("missing")),
@@ -438,7 +459,7 @@ pub mod sites {
         let callers = "
 fn f() {
     psn_fault::inject_io(psn_fault::sites::DISK_READ, &mut b)?;
-    psn_fault::inject_job(psn_fault::sites::FORGOTTEN);
+    psn_fault::run_jobs(psn_fault::sites::FORGOTTEN, 1, 1, |_| (), |_, _, _| (), |_| false);
 }
 ";
         let ws = Workspace::from_sources(

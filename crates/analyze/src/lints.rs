@@ -305,7 +305,7 @@ pub fn failpoint_registry(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 
     // Cross-check call sites.
-    let injectors = ["inject_io(", "inject_io_op(", "inject_decode(", "inject_job("];
+    let injectors = ["inject_io(", "inject_io_op(", "inject_decode(", "run_jobs("];
     let mut used: Vec<&str> = Vec::new();
     let mut any_call_site = false;
     for file in &ws.files {

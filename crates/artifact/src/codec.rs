@@ -19,8 +19,6 @@ pub const MAGIC: &[u8; 6] = b"PSNART";
 pub const FORMAT_VERSION: u8 = 1;
 /// Artifact-kind byte: a contact trace.
 const KIND_TRACE: u8 = 1;
-/// Artifact-kind byte: the normalized edge list of one spilled graph slot.
-const KIND_SLOT_EDGES: u8 = 2;
 
 /// Why a binary artifact failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,67 +206,6 @@ pub fn decode_trace(bytes: &[u8], expect_identity: &str) -> Result<ContactTrace,
         .map_err(|_| CodecError::Corrupt("contact references unknown node"))
 }
 
-/// Encodes the normalized `(low, high)` edge list of one spilled slot.
-///
-/// The payload the streaming graph's spill tier persists per cold slot:
-/// everything else (adjacency, components, member lists) is rebuilt
-/// deterministically by `Slot::seal` on reload, so the file stays tiny —
-/// 8 bytes per edge plus a fixed header carrying the slot index as its
-/// mis-file guard.
-pub fn encode_slot_edges(slot: usize, edges: &[(NodeId, NodeId)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 2 + 16 + edges.len() * 8);
-    out.extend_from_slice(MAGIC);
-    out.push(FORMAT_VERSION);
-    out.push(KIND_SLOT_EDGES);
-    out.extend_from_slice(&(slot as u64).to_le_bytes());
-    out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
-    for &(a, b) in edges {
-        out.extend_from_slice(&a.0.to_le_bytes());
-        out.extend_from_slice(&b.0.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a slot edge list encoded by [`encode_slot_edges`], verifying the
-/// embedded slot index equals `expect_slot`.
-pub fn decode_slot_edges(
-    bytes: &[u8],
-    expect_slot: usize,
-) -> Result<Vec<(NodeId, NodeId)>, CodecError> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(CodecError::Magic);
-    }
-    let version = r.u8()?;
-    if version != FORMAT_VERSION {
-        return Err(CodecError::Version(version));
-    }
-    let kind = r.u8()?;
-    if kind != KIND_SLOT_EDGES {
-        return Err(CodecError::Kind(kind));
-    }
-    let slot = r.u64()?;
-    if slot != expect_slot as u64 {
-        return Err(CodecError::Corrupt("slot index"));
-    }
-    let edge_count = r.u64()?;
-    let edge_count = usize::try_from(edge_count).map_err(|_| CodecError::Corrupt("edge count"))?;
-    // Each edge is exactly 8 bytes; reject counts the buffer cannot hold.
-    if edge_count > bytes.len() / 8 + 1 {
-        return Err(CodecError::Corrupt("edge count"));
-    }
-    let mut edges = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        let a = NodeId(r.u32()?);
-        let b = NodeId(r.u32()?);
-        edges.push((a, b));
-    }
-    if r.pos != bytes.len() {
-        return Err(CodecError::Corrupt("trailing bytes"));
-    }
-    Ok(edges)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -353,29 +290,5 @@ mod tests {
             CodecError::Identity { stored } => assert_eq!(stored, "id"),
             other => panic!("expected identity mismatch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn slot_edges_round_trip_and_fail_closed() {
-        let edges = vec![(NodeId(0), NodeId(3)), (NodeId(1), NodeId(2)), (NodeId(2), NodeId(7))];
-        let encoded = encode_slot_edges(42, &edges);
-        assert_eq!(decode_slot_edges(&encoded, 42).unwrap(), edges);
-
-        // Empty edge lists round-trip (spilled slots are busy by
-        // construction, but the codec must not care).
-        let empty = encode_slot_edges(0, &[]);
-        assert_eq!(decode_slot_edges(&empty, 0).unwrap(), vec![]);
-
-        // Wrong slot index is a mis-filed artifact, not data.
-        assert_eq!(decode_slot_edges(&encoded, 41).unwrap_err(), CodecError::Corrupt("slot index"));
-        // Truncation and trailing garbage fail closed.
-        assert!(decode_slot_edges(&encoded[..encoded.len() - 3], 42).is_err());
-        let mut padded = encoded.clone();
-        padded.push(0);
-        assert!(decode_slot_edges(&padded, 42).is_err());
-        // A trace artifact is the wrong kind.
-        let trace = sample_traces().pop().unwrap();
-        let trace_bytes = encode_trace(&trace, "id");
-        assert!(matches!(decode_slot_edges(&trace_bytes, 0).unwrap_err(), CodecError::Kind(1)));
     }
 }

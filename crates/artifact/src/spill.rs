@@ -1,31 +1,25 @@
-//! Codec-backed slot spills for the streaming space-time graph.
+//! The slab slot spill for the streaming space-time graph.
 //!
 //! The bounded-window [`psn_spacetime::WindowedSpaceTimeGraph`] keeps only a
 //! sliding window of sealed slots hot and pushes cold slots through a
-//! [`psn_spacetime::SlotSpill`]. Two production backends live here:
-//!
-//! * [`CodecSlotSpill`] — one tiny `PSNART` file per busy slot, written in
-//!   the same versioned codec as every other on-disk artifact
-//!   ([`crate::codec::encode_slot_edges`]). Durable and inspectable; one
-//!   filesystem round-trip (create/open/close) per store and load.
-//! * [`SlabSlotSpill`] — the fast path: every slot record is appended to a
-//!   **single slab file** through a reusable encode scratch buffer and read
-//!   back positionally through the same buffer. A record is a raw
-//!   fixed-layout header (`slot u64 | edge count u32`) followed by the edge
-//!   pairs — no per-record file metadata, no allocation on the store path,
-//!   one seek+write per store and one seek+read per load. The header is
-//!   still checked on load, so corruption fails closed.
+//! [`psn_spacetime::SlotSpill`]. [`SlabSlotSpill`] is the production sink:
+//! every slot record is appended to a **single slab file** through a
+//! reusable encode scratch buffer and read back positionally through the
+//! same buffer. A record is a raw fixed-layout header (`slot u64 | edge
+//! count u32`), the edge pairs, and a 128-bit checksum over both — no
+//! per-record file metadata, no allocation on the store path, one
+//! seek+write per store and one seek+read per load.
 //!
 //! Only the normalized edge list is persisted — adjacency, components and
 //! member lists are rebuilt deterministically by `Slot::seal` on reload, so
 //! a reloaded slot is bit-identical to the one that was spilled. A record
-//! that fails to decode is **quarantined** (the per-slot file is moved into
-//! `corrupt/`; a slab record's index entry is dropped) and surfaces as
-//! [`SpillError::Corrupt`]: the caller's retry then sees a clean miss and
-//! can rebuild by re-streaming instead of tripping over the same bad bytes.
-//! Both backends carry the `spill.store-slot` / `spill.load-slot`
-//! failpoints (see `psn_fault::sites`), which the chaos suite uses to pin
-//! exactly that quarantine-and-rebuild path.
+//! whose checksum or header does not match is **quarantined** (its index
+//! entry is dropped) and surfaces as [`SpillError::Corrupt`]: the caller's
+//! retry then sees a clean miss and can rebuild by re-streaming instead of
+//! tripping over the same bad bytes. The sink carries the
+//! `spill.store-slot` / `spill.load-slot` failpoints (see
+//! `psn_fault::sites`), which the chaos suite uses to pin exactly that
+//! quarantine-and-rebuild path.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -35,11 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use psn_spacetime::{SlotSpill, SpillError};
-use psn_trace::NodeId;
+use psn_trace::{FingerprintHasher, NodeId};
 
-use crate::codec::{decode_slot_edges, encode_slot_edges};
-
-/// Distinguishes concurrently created spill directories within one process.
+/// Distinguishes concurrently created slab files within one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn next_spill_seq() -> u64 {
@@ -47,106 +39,16 @@ fn next_spill_seq() -> u64 {
     SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A [`SlotSpill`] persisting each cold slot as a `PSNART` file in a
-/// private directory.
-///
-/// Directories created by [`CodecSlotSpill::in_temp_dir`] are removed when
-/// the spill is dropped; a spill opened over a caller-provided directory
-/// ([`CodecSlotSpill::at`]) leaves it in place.
-#[derive(Debug)]
-pub struct CodecSlotSpill {
-    dir: PathBuf,
-    cleanup: bool,
+/// Byte length of the checksum that closes every slab record, after the
+/// raw header (`slot u64 | edge count u32`) and 8 bytes per edge pair.
+const SLAB_CHECKSUM: usize = 16;
+
+/// The checksum of a record's header and edge pairs.
+fn slab_checksum(record: &[u8]) -> [u8; SLAB_CHECKSUM] {
+    let mut hasher = FingerprintHasher::new("psn-slab/1");
+    hasher.write_bytes(record);
+    hasher.finish().0.to_le_bytes()
 }
-
-impl CodecSlotSpill {
-    /// Opens a spill over `dir`, creating it if needed. The directory is
-    /// left in place on drop.
-    pub fn at(dir: impl Into<PathBuf>) -> Result<Self, SpillError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| SpillError::Io(format!("creating spill dir {}: {e}", dir.display())))?;
-        Ok(Self { dir, cleanup: false })
-    }
-
-    /// Creates a spill in a fresh process-unique directory under the system
-    /// temp dir, removed (with its contents) when the spill is dropped.
-    pub fn in_temp_dir() -> Result<Self, SpillError> {
-        let seq = next_spill_seq();
-        let dir = std::env::temp_dir().join(format!("psn-spill-{}-{seq}", std::process::id()));
-        let mut spill = Self::at(dir)?;
-        spill.cleanup = true;
-        Ok(spill)
-    }
-
-    /// The directory slot files are written into.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-
-    fn slot_path(&self, index: usize) -> PathBuf {
-        self.dir.join(format!("slot-{index}.psnart"))
-    }
-
-    /// Moves a corrupt slot file into `corrupt/` (best effort), so a retry
-    /// that re-streams and re-stores never trips over the stale bad bytes.
-    fn quarantine(&self, path: &std::path::Path) {
-        let corrupt_dir = self.dir.join("corrupt");
-        let dest = corrupt_dir.join(path.file_name().unwrap_or_default());
-        if std::fs::create_dir_all(&corrupt_dir).is_ok() && std::fs::rename(path, &dest).is_ok() {
-            eprintln!(
-                "warning: quarantined corrupt spill record {} -> {}",
-                path.display(),
-                dest.display()
-            );
-        }
-    }
-}
-
-impl SlotSpill for CodecSlotSpill {
-    fn store(&self, index: usize, edges: &[(NodeId, NodeId)]) -> Result<(), SpillError> {
-        let path = self.slot_path(index);
-        let mut bytes = encode_slot_edges(index, edges);
-        if psn_fault::enabled() {
-            psn_fault::inject_io(psn_fault::sites::SPILL_STORE_SLOT, &mut bytes)
-                .map_err(|e| SpillError::Io(format!("writing {}: {e}", path.display())))?;
-        }
-        std::fs::write(&path, bytes)
-            .map_err(|e| SpillError::Io(format!("writing {}: {e}", path.display())))
-    }
-
-    fn load(&self, index: usize) -> Result<Vec<(NodeId, NodeId)>, SpillError> {
-        let path = self.slot_path(index);
-        let mut bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(SpillError::Missing(index));
-            }
-            Err(e) => return Err(SpillError::Io(format!("reading {}: {e}", path.display()))),
-        };
-        if psn_fault::enabled() {
-            psn_fault::inject_io(psn_fault::sites::SPILL_LOAD_SLOT, &mut bytes)
-                .map_err(|e| SpillError::Io(format!("reading {}: {e}", path.display())))?;
-        }
-        decode_slot_edges(&bytes, index).map_err(|e| {
-            self.quarantine(&path);
-            SpillError::Corrupt(format!("{}: {e}", path.display()))
-        })
-    }
-}
-
-impl Drop for CodecSlotSpill {
-    fn drop(&mut self) {
-        if self.cleanup {
-            // Best effort: a leftover temp directory is harmless.
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-}
-
-/// Byte length of a slab record holding `edges` edge pairs: the raw header
-/// (`slot u64 | edge count u32`) plus 8 bytes per pair.
-const SLAB_HEADER: usize = 12;
 
 #[derive(Debug)]
 struct SlabState {
@@ -160,16 +62,16 @@ struct SlabState {
     scratch: Vec<u8>,
 }
 
-/// The fast [`SlotSpill`]: one append-only slab file, raw fixed-layout
+/// The production [`SlotSpill`]: one append-only slab file, raw fixed-layout
 /// records, reusable scratch buffers.
 ///
 /// Stores append the record and remember `(offset, length)` in an in-memory
 /// index; loads seek and read exactly the record back. Re-storing a slot
 /// appends a fresh record and repoints the index (the dead record is
-/// reclaimed when the slab is dropped with the graph). The record header is
-/// verified on load; a mismatch drops the index entry — quarantining the
-/// record as a miss so a rebuild can re-store cleanly — and reports
-/// [`SpillError::Corrupt`].
+/// reclaimed when the slab is dropped with the graph). The record checksum
+/// and header are verified on load; a mismatch drops the index entry —
+/// quarantining the record as a miss so a rebuild can re-store cleanly —
+/// and reports [`SpillError::Corrupt`].
 #[derive(Debug)]
 pub struct SlabSlotSpill {
     state: Mutex<SlabState>,
@@ -222,6 +124,29 @@ impl SlabSlotSpill {
     }
 }
 
+/// Verifies one slab record — checksum, then header — and decodes its
+/// edge pairs; the error names what did not match.
+fn decode_record(index: usize, record: &[u8]) -> Result<Vec<(NodeId, NodeId)>, &'static str> {
+    let (bytes, checksum) = record.split_last_chunk::<SLAB_CHECKSUM>().ok_or("truncated record")?;
+    if slab_checksum(bytes) != *checksum {
+        return Err("checksum mismatch");
+    }
+    let (slot, rest) = bytes.split_first_chunk::<8>().ok_or("truncated header")?;
+    let (count, pairs) = rest.split_first_chunk::<4>().ok_or("truncated header")?;
+    if u64::from_le_bytes(*slot) != index as u64
+        || pairs.len() != u32::from_le_bytes(*count) as usize * 8
+    {
+        return Err("header mismatch");
+    }
+    let node = |b: [u8; 4]| NodeId(u32::from_le_bytes(b));
+    Ok(pairs
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|p| (node([p[0], p[1], p[2], p[3]]), node([p[4], p[5], p[6], p[7]])))
+        .collect())
+}
+
 impl SlotSpill for SlabSlotSpill {
     fn store(&self, index: usize, edges: &[(NodeId, NodeId)]) -> Result<(), SpillError> {
         let mut guard = self.lock();
@@ -233,6 +158,8 @@ impl SlotSpill for SlabSlotSpill {
             st.scratch.extend_from_slice(&a.0.to_le_bytes());
             st.scratch.extend_from_slice(&b.0.to_le_bytes());
         }
+        let checksum = slab_checksum(&st.scratch);
+        st.scratch.extend_from_slice(&checksum);
         if psn_fault::enabled() {
             psn_fault::inject_io(psn_fault::sites::SPILL_STORE_SLOT, &mut st.scratch)
                 .map_err(|e| SpillError::Io(format!("appending slot {index} to slab: {e}")))?;
@@ -260,37 +187,12 @@ impl SlotSpill for SlabSlotSpill {
         if psn_fault::enabled() {
             psn_fault::inject_io(psn_fault::sites::SPILL_LOAD_SLOT, scratch).map_err(io)?;
         }
-        let corrupt = |what: &str| {
+        decode_record(index, &st.scratch).map_err(|what| {
             // Quarantine: drop the index entry so a retry sees a clean miss
             // it can rebuild over, instead of the same bad bytes.
+            st.index.remove(&index);
             SpillError::Corrupt(format!("slab record for slot {index}: {what}"))
-        };
-        let bytes = &st.scratch;
-        if bytes.len() < SLAB_HEADER {
-            st.index.remove(&index);
-            return Err(corrupt("truncated header"));
-        }
-        let stored_slot = u64::from_le_bytes(
-            bytes[0..8].try_into().unwrap_or_else(|_| unreachable!("length checked above")),
-        );
-        let count = u32::from_le_bytes(
-            bytes[8..12].try_into().unwrap_or_else(|_| unreachable!("length checked above")),
-        ) as usize;
-        if stored_slot != index as u64 || bytes.len() != SLAB_HEADER + count * 8 {
-            st.index.remove(&index);
-            return Err(corrupt("header mismatch"));
-        }
-        let mut edges = Vec::with_capacity(count);
-        for pair in bytes[SLAB_HEADER..].chunks_exact(8) {
-            let a = u32::from_le_bytes(
-                pair[0..4].try_into().unwrap_or_else(|_| unreachable!("chunks are 8 bytes")),
-            );
-            let b = u32::from_le_bytes(
-                pair[4..8].try_into().unwrap_or_else(|_| unreachable!("chunks are 8 bytes")),
-            );
-            edges.push((NodeId(a), NodeId(b)));
-        }
-        Ok(edges)
+        })
     }
 
     fn scratch_bytes(&self) -> usize {
@@ -314,50 +216,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stores_and_reloads_slot_edge_lists() {
-        let spill = CodecSlotSpill::in_temp_dir().unwrap();
-        let dir = spill.dir().to_path_buf();
-        let edges = vec![(NodeId(0), NodeId(2)), (NodeId(1), NodeId(4))];
-        spill.store(3, &edges).unwrap();
-        spill.store(7, &[]).unwrap();
-        assert_eq!(spill.load(3).unwrap(), edges);
-        assert_eq!(spill.load(7).unwrap(), vec![]);
-        assert_eq!(spill.load(4).unwrap_err(), SpillError::Missing(4));
-        drop(spill);
-        assert!(!dir.exists(), "temp spill dir is removed on drop");
-    }
-
-    #[test]
-    fn corrupt_slot_files_fail_closed_and_are_quarantined() {
-        let spill = CodecSlotSpill::in_temp_dir().unwrap();
-        spill.store(0, &[(NodeId(0), NodeId(1))]).unwrap();
-        let path = spill.dir().join("slot-0.psnart");
-        std::fs::write(&path, b"garbage").unwrap();
-        assert!(matches!(spill.load(0).unwrap_err(), SpillError::Corrupt(_)));
-        // The bad file was moved aside: a retry sees a clean miss, and a
-        // re-store rebuilds the record in place.
-        assert!(!path.exists(), "corrupt record is quarantined");
-        assert!(spill.dir().join("corrupt").join("slot-0.psnart").exists());
-        assert_eq!(spill.load(0).unwrap_err(), SpillError::Missing(0));
-        spill.store(0, &[(NodeId(0), NodeId(1))]).unwrap();
-        assert_eq!(spill.load(0).unwrap(), vec![(NodeId(0), NodeId(1))]);
-    }
-
-    #[test]
-    fn caller_provided_directories_are_kept() {
-        let dir = std::env::temp_dir().join(format!("psn-spill-keep-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let spill = CodecSlotSpill::at(&dir).unwrap();
-            spill.store(1, &[(NodeId(0), NodeId(1))]).unwrap();
-        }
-        assert!(dir.exists(), "explicit spill dir survives drop");
-        let reopened = CodecSlotSpill::at(&dir).unwrap();
-        assert_eq!(reopened.load(1).unwrap(), vec![(NodeId(0), NodeId(1))]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn slab_round_trips_and_reports_misses() {
         let spill = SlabSlotSpill::in_temp_file().unwrap();
         let path = spill.path().to_path_buf();
@@ -373,6 +231,54 @@ mod tests {
         assert!(spill.scratch_bytes() > 0, "scratch buffer is retained between calls");
         drop(spill);
         assert!(!path.exists(), "temp slab is removed on drop");
+    }
+
+    #[test]
+    fn corrupt_slot_files_fail_closed_and_are_quarantined() {
+        let spill = SlabSlotSpill::in_temp_file().unwrap();
+        spill.store(0, &[(NodeId(0), NodeId(1))]).unwrap();
+        let len = std::fs::metadata(spill.path()).unwrap().len() as usize;
+        std::fs::write(spill.path(), b"garbage".repeat(len).get(..len).unwrap()).unwrap();
+        assert!(matches!(spill.load(0).unwrap_err(), SpillError::Corrupt(_)));
+        // The bad record was dropped from the index: a retry sees a clean
+        // miss, and a re-store rebuilds the record.
+        assert_eq!(spill.load(0).unwrap_err(), SpillError::Missing(0));
+        spill.store(0, &[(NodeId(0), NodeId(1))]).unwrap();
+        assert_eq!(spill.load(0).unwrap(), vec![(NodeId(0), NodeId(1))]);
+    }
+
+    #[test]
+    fn caller_provided_slab_files_are_kept() {
+        let path = std::env::temp_dir().join(format!("psn-slab-keep-test-{}", std::process::id()));
+        {
+            let spill = SlabSlotSpill::create(&path).unwrap();
+            spill.store(1, &[(NodeId(0), NodeId(1))]).unwrap();
+            assert_eq!(spill.load(1).unwrap(), vec![(NodeId(0), NodeId(1))]);
+        }
+        assert!(path.exists(), "an explicit slab path survives drop");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_flipped_payload_bit_on_disk_fails_closed_and_is_quarantined() {
+        let spill = SlabSlotSpill::in_temp_file().unwrap();
+        let marker = 0x00C0_FFEE;
+        let edges = vec![(NodeId(1), NodeId(2)), (NodeId(3), NodeId(marker))];
+        spill.store(0, &[(NodeId(0), NodeId(5))]).unwrap();
+        spill.store(6, &edges).unwrap();
+        // Flip the low bit of the marker node id inside the second record:
+        // its header still reads right, only the payload is wrong.
+        let mut bytes = std::fs::read(spill.path()).unwrap();
+        let at = bytes.windows(4).position(|w| w == marker.to_le_bytes()).unwrap();
+        bytes[at] ^= 1;
+        std::fs::write(spill.path(), &bytes).unwrap();
+
+        let err = spill.load(6).unwrap_err();
+        assert!(matches!(&err, SpillError::Corrupt(what) if what.contains("checksum")), "{err:?}");
+        assert_eq!(spill.load(6).unwrap_err(), SpillError::Missing(6), "record is quarantined");
+        assert_eq!(spill.load(0).unwrap(), vec![(NodeId(0), NodeId(5))], "neighbours stay intact");
+        spill.store(6, &edges).unwrap();
+        assert_eq!(spill.load(6).unwrap(), edges, "rebuild heals the slot");
     }
 
     #[test]
@@ -412,20 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_spill_failpoints_quarantine_and_rebuild() {
-        let spill = CodecSlotSpill::in_temp_dir().unwrap();
-        let edges = vec![(NodeId(0), NodeId(9))];
-        {
-            let _guard = psn_fault::arm_guard("spill.store-slot:corrupt-bytes:1");
-            spill.store(5, &edges).unwrap();
-        }
-        assert!(matches!(spill.load(5).unwrap_err(), SpillError::Corrupt(_)));
-        assert_eq!(spill.load(5).unwrap_err(), SpillError::Missing(5), "file moved to corrupt/");
-        spill.store(5, &edges).unwrap();
-        assert_eq!(spill.load(5).unwrap(), edges, "rebuild heals the slot");
-    }
-
-    #[test]
     fn drives_a_windowed_graph_end_to_end() {
         use psn_spacetime::{SpaceTimeGraph, WindowedSpaceTimeGraph};
         use psn_trace::contact::Contact;
@@ -447,22 +339,17 @@ mod tests {
             ContactTrace::from_contacts("spill-e2e", reg, TimeWindow::new(0.0, 120.0), contacts)
                 .unwrap();
         let reference = SpaceTimeGraph::build_default(&trace);
-        // Both production backends answer every slot query bit-identically
-        // to the materialized reference after spill round-trips.
-        let backends: Vec<Box<dyn SlotSpill>> = vec![
-            Box::new(CodecSlotSpill::in_temp_dir().unwrap()),
-            Box::new(SlabSlotSpill::in_temp_file().unwrap()),
-        ];
-        for spill in backends {
-            let windowed =
-                WindowedSpaceTimeGraph::stream(&mut TraceEventStream::new(&trace, 10.0), 1, spill)
-                    .unwrap();
-            for s in (0..reference.slot_count()).rev() {
-                let slot = windowed.slot(s);
-                assert_eq!(slot.edges(), reference.edges(s), "slot {s}");
-                assert_eq!(slot.active_nodes(), reference.active_nodes(s), "slot {s}");
-            }
-            assert!(windowed.spill_loads() > 0, "window of 1 forces reloads");
+        // The slab answers every slot query bit-identically to the
+        // materialized reference after spill round-trips.
+        let spill = Box::new(SlabSlotSpill::in_temp_file().unwrap());
+        let windowed =
+            WindowedSpaceTimeGraph::stream(&mut TraceEventStream::new(&trace, 10.0), 1, spill)
+                .unwrap();
+        for s in (0..reference.slot_count()).rev() {
+            let slot = windowed.slot(s);
+            assert_eq!(slot.edges(), reference.edges(s), "slot {s}");
+            assert_eq!(slot.active_nodes(), reference.active_nodes(s), "slot {s}");
         }
+        assert!(windowed.spill_loads() > 0, "window of 1 forces reloads");
     }
 }

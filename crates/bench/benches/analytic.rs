@@ -1,6 +1,6 @@
 //! Benchmarks of the analytic-model implementations (§5.1): the truncated
 //! ODE integration, the stochastic jump process and the full validation
-//! harness behind the `model_validation` binary.
+//! harness behind the `model` preset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

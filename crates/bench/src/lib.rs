@@ -1,5 +1,4 @@
-//! Shared plumbing for the `psn-study` CLI, the figure preset shims and the
-//! Criterion benchmarks.
+//! Shared plumbing for the `psn-study` CLI and the Criterion benchmarks.
 //!
 //! The experiment entry point is the **`psn-study` binary** (see DESIGN.md
 //! for the experiment index):
@@ -11,9 +10,9 @@
 //! * `psn-study describe --config <file>` — generate a scenario and print
 //!   its summary statistics.
 //!
-//! The legacy `fig*` binaries still exist as thin shims forwarding to the
-//! matching preset, so archived invocations keep working. Everything
-//! honours two environment variables:
+//! Presets also answer to the names of the former per-figure binaries
+//! (`psn-study run --preset fig09_delay_success`). Everything honours two
+//! environment variables:
 //!
 //! * `PSN_PROFILE` — `paper` (98 nodes, 3-hour traces, k = 2000, one
 //!   message every 4 seconds for two hours, 10 runs; slow, use a release
@@ -29,7 +28,6 @@
 #![warn(missing_docs)]
 
 use psn::prelude::*;
-use psn::study::preset::{render_header, PresetId};
 
 /// Reads the experiment profile from the `PSN_PROFILE` environment variable
 /// (`paper` or `quick`, default `quick`).
@@ -49,24 +47,10 @@ pub fn threads_from_env() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
-/// Prints a standard header identifying the figure, dataset scale and
-/// profile so archived outputs are self-describing.
-pub fn print_header(figure: &str, profile: ExperimentProfile) {
-    print!("{}", render_header(figure, profile));
-}
-
-/// The entry point of the legacy figure shims: renders the named preset at
-/// the environment-selected profile and thread count, byte-identical to the
-/// pre-refactor binary of the same name.
-pub fn run_preset_main(name: &str) {
-    let preset = PresetId::parse(name)
-        .unwrap_or_else(|| panic!("unknown preset {name:?} (see `psn-study list`)"));
-    print!("{}", preset.render(profile_from_env(), threads_from_env()));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psn::study::preset::PresetId;
 
     #[test]
     fn default_profile_is_quick() {

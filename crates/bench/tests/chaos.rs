@@ -171,6 +171,30 @@ fn fail_fast_surfaces_an_injected_panic_as_a_typed_cell_failure() {
 }
 
 #[test]
+fn an_injected_enumeration_panic_fails_its_cell_at_one_and_two_threads() {
+    let scenarios = vec![StudyScenario::from(chaos_config(41))];
+    for threads in [1, 2] {
+        let params = StudyParams::for_profile(ExperimentProfile::Quick)
+            .with_threads(threads)
+            .with_messages(4)
+            .with_runs(1);
+        let plan = StudySpec::new(StudyId::Explosion, scenarios.clone(), params).plan().unwrap();
+        let _guard = psn_fault::arm_guard("queue.explosion:panic:1");
+        match run_study_with(&plan, &ArtifactStore::in_memory()) {
+            Err(StudyError::Cell(failure)) => {
+                assert!(failure.panicked, "{threads} threads: {failure}");
+                assert!(
+                    failure.message.contains("injected fault: panic at queue.explosion"),
+                    "{threads} threads: {failure}"
+                );
+            }
+            Err(other) => panic!("{threads} threads: expected StudyError::Cell, got {other}"),
+            Ok(_) => panic!("{threads} threads: the armed queue.explosion site never fired"),
+        }
+    }
+}
+
+#[test]
 fn keep_going_finishes_the_grid_and_resume_recomputes_only_failed_cells() {
     let dir = temp_dir("keepgoing");
     let plan = quick_spec(&[31, 32]).plan().unwrap();

@@ -14,8 +14,6 @@
 //!   optimal duration over 1000 s, fraction with TE ≤ 150 s, correlation
 //!   between T₁ and TE).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use psn_spacetime::{
     EnumerationConfig, ExplosionProfile, ExplosionSummary, GraphRef, Message, MessageGenerator,
     Path, PathEnumerator, SpaceTimeGraph,
@@ -239,103 +237,48 @@ pub fn run_explosion_study_on<'a>(
     let graph = graph.into();
     assert_eq!(graph.node_count(), summary.node_count(), "graph belongs to a different population");
     let rates = summary.rates();
-    let threads = threads.max(1);
 
-    // Enumerate messages in parallel; each worker claims a *chunk* of
-    // message indices off a lock-free fetch-add counter and runs the chunk
-    // as one slot-major `enumerate_batch` sweep: over a bounded-window
-    // graph every slot the chunk needs is reloaded at most once for the
-    // whole chunk instead of once per message, and results are unchanged
-    // because messages enumerate independently. Chunks keep the work
-    // balanced even though per-message cost varies wildly (out-out
-    // messages cost far more than in-in ones). Results accumulate in
-    // per-worker vectors that are merged after the join, so the hot loop
-    // takes no locks at all.
+    // Enumerate messages in parallel, one pool job per *chunk* of message
+    // indices, each run as one slot-major `enumerate_batch` sweep: over a
+    // bounded-window graph every slot the chunk needs is reloaded at most
+    // once for the whole chunk instead of once per message, and results
+    // are unchanged because messages enumerate independently. Chunks keep
+    // the work balanced even though per-message cost varies wildly
+    // (out-out messages cost far more than in-in ones). The first failed
+    // chunk stops the pool and is re-raised once on the calling thread —
+    // one clean failure the study layer can isolate to its cell.
     //
-    // Each job runs under `catch_unwind`: a panicking chunk cannot take
-    // its sibling threads down mid-job. The first panic is recorded,
-    // remaining workers drain (they stop claiming new work), and the panic
-    // is re-raised once on the calling thread — one clean failure the
-    // study layer can isolate to its cell.
     // Both chunk sweeps and message restarts walk busy slots in ascending
     // order: declare the sequential plan so a windowed graph keeps the
     // sweep prefix hot across chunk boundaries instead of FIFO-thrashing.
     graph.advise_sequential(true);
-    let next = AtomicUsize::new(0);
-    let abort = std::sync::atomic::AtomicBool::new(false);
-    let first_panic: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
-    let mut per_worker: Vec<Vec<(usize, ExplosionProfile, Vec<Path>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let enumerator = PathEnumerator::new(graph, enumeration.clone());
-                        let mut scratches: Vec<psn_spacetime::EnumerationScratch> = Vec::new();
-                        let mut local = Vec::new();
-                        loop {
-                            // relaxed: advisory abort flag; a stale read only costs one extra job.
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // relaxed: work-stealing claim counter; each chunk is claimed once and results are joined, which orders the data.
-                            let start = next.fetch_add(ENUMERATION_CHUNK, Ordering::Relaxed);
-                            if start >= messages.len() {
-                                break;
-                            }
-                            let end = (start + ENUMERATION_CHUNK).min(messages.len());
-                            let chunk = &messages[start..end];
-                            let job =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    psn_fault::inject_job(psn_fault::sites::QUEUE_EXPLOSION);
-                                    let results = enumerator.enumerate_batch(chunk, &mut scratches);
-                                    results
-                                        .into_iter()
-                                        .enumerate()
-                                        .map(|(offset, result)| {
-                                            let profile = ExplosionProfile::with_threshold(
-                                                &result,
-                                                explosion_threshold,
-                                            );
-                                            (start + offset, profile, result.sample_paths)
-                                        })
-                                        .collect::<Vec<_>>()
-                                }));
-                            match job {
-                                Ok(mut items) => local.append(&mut items),
-                                Err(payload) => {
-                                    // relaxed: advisory abort flag; a stale read only costs one extra job.
-                                    abort.store(true, Ordering::Relaxed);
-                                    let mut slot = first_panic
-                                        .lock()
-                                        .unwrap_or_else(|poison| poison.into_inner());
-                                    slot.get_or_insert_with(|| {
-                                        psn_fault::panic_message(payload.as_ref())
-                                    });
-                                    break;
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
+    let chunks = psn_fault::run_jobs(
+        psn_fault::sites::QUEUE_EXPLOSION,
+        threads,
+        messages.len().div_ceil(ENUMERATION_CHUNK),
+        |_| (PathEnumerator::new(graph, enumeration.clone()), Vec::new()),
+        |(enumerator, scratches), chunk, _| {
+            let start = chunk * ENUMERATION_CHUNK;
+            let end = (start + ENUMERATION_CHUNK).min(messages.len());
+            enumerator
+                .enumerate_batch(&messages[start..end], scratches)
                 .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|e| {
-                        unreachable!("enumeration workers catch their own panics: {e:?}")
-                    })
+                .map(|result| {
+                    let profile = ExplosionProfile::with_threshold(&result, explosion_threshold);
+                    (profile, result.sample_paths)
                 })
-                .collect()
-        });
+                .collect::<Vec<_>>()
+        },
+        Result::is_err,
+    );
     graph.advise_sequential(false);
-    if let Some(message) = first_panic.into_inner().unwrap_or_else(|poison| poison.into_inner()) {
-        panic!("enumeration worker panicked: {message}");
+    let mut collected = Vec::with_capacity(messages.len());
+    for chunk in chunks {
+        match chunk {
+            Ok(mut items) => collected.append(&mut items),
+            Err(message) => panic!("enumeration worker panicked: {message}"),
+        }
     }
-
-    let mut collected: Vec<(usize, ExplosionProfile, Vec<Path>)> =
-        per_worker.iter_mut().flat_map(std::mem::take).collect();
-    collected.sort_by_key(|(idx, _, _)| *idx);
 
     let mut summary = ExplosionSummary::new();
     let mut by_type: Vec<PairTypeScatter> = PairType::all()
@@ -346,7 +289,7 @@ pub fn run_explosion_study_on<'a>(
     let mut slow_growth_histogram: Option<Histogram> = None;
     let mut sample_paths = Vec::new();
 
-    for (idx, profile, mut paths) in collected {
+    for (idx, (profile, mut paths)) in collected.into_iter().enumerate() {
         // Pair-type scatter (Fig. 8).
         if let (Some(t1), Some(te)) = (profile.optimal_duration, profile.time_to_explosion) {
             let class = classify_message(&rates, &messages[idx]);

@@ -205,8 +205,8 @@ impl Series {
     }
 
     /// Thins the series to roughly `max_points` points — **the** ECDF
-    /// down-sampling rule all renderers share (formerly private to the text
-    /// `render_cdf`): with `step = max(len / max(max_points, 1), 1)`, a
+    /// down-sampling rule all renderers share: with
+    /// `step = max(len / max(max_points, 1), 1)`, a
     /// point is kept iff its index is a multiple of `step` or it is the
     /// last point. The output can therefore slightly exceed `max_points`,
     /// exactly as the legacy renderer did.

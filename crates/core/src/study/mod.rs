@@ -29,11 +29,12 @@
 //! are first-class specs in [`sweep`], resolving through the same
 //! `StudySpec -> StudyPlan` machinery.
 //!
-//! Execution is parallel at every level: the per-run loop shards
-//! (scenario × seed) cells over an `AtomicUsize` work queue, and inside a
-//! run path enumeration fans message enumeration out over its worker pool
-//! while the forwarding simulator deals the (algorithm × run) jobs'
-//! messages into slot-major lanes. Worker counts never change results
+//! Execution is parallel at every level, always through the one
+//! panic-isolated worker pool, [`psn_fault::run_jobs`]: the per-run loop
+//! shards (scenario × seed) cells over it, and inside a run path
+//! enumeration fans message chunks out over it while the forwarding
+//! simulator deals the (algorithm × run) jobs' messages into slot-major
+//! lanes run on it. Worker counts never change results
 //! (pinned by differential property tests in `psn-spacetime` /
 //! `psn-forwarding`). The trace for each planned run is generated
 //! **once** and shared by every view that needs it.
@@ -42,8 +43,6 @@ pub mod preset;
 pub mod sweep;
 
 pub use psn_artifact::{ArtifactError, ArtifactStore, CacheSource, StoreStats};
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use psn_artifact::{ArtifactKey, ArtifactKind, BuiltArtifact};
 use psn_spacetime::{EnumerationConfig, MessageGenerator, MessageWorkloadConfig};
@@ -949,41 +948,12 @@ fn sections_approx_bytes(sections: &[Section]) -> usize {
     bytes
 }
 
-/// Executes one planned run with full fault isolation: the cell's whole
-/// execution (artifact resolution + engines) runs under `catch_unwind`,
-/// so a panicking worker or a typed artifact error surfaces as one
-/// [`CellFailure`] — never a process abort, never a poisoned store.
-fn run_one(
-    plan: &StudyPlan,
-    run: &PlannedRun,
-    threads: usize,
-    store: &ArtifactStore,
-) -> Result<(CacheSource, Vec<Section>), CellFailure> {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        psn_fault::inject_job(psn_fault::sites::QUEUE_STUDY_RUN);
-        run_one_inner(plan, run, threads, store)
-    }));
-    match outcome {
-        Ok(Ok(done)) => Ok(done),
-        Ok(Err(error)) => Err(CellFailure {
-            label: run.label.clone(),
-            message: error.to_string(),
-            panicked: false,
-        }),
-        Err(payload) => Err(CellFailure {
-            label: run.label.clone(),
-            message: psn_fault::panic_message(payload.as_ref()),
-            panicked: true,
-        }),
-    }
-}
-
 /// Resolves one run's result through the artifact store: a memoized
 /// result (memory or disk tier) is served without touching the engines;
 /// otherwise the sections are computed — via store-shared
 /// trace/graph/timeline artifacts — then cached. Returns the provenance
 /// alongside the sections.
-fn run_one_inner(
+fn run_one(
     plan: &StudyPlan,
     run: &PlannedRun,
     threads: usize,
@@ -1409,11 +1379,6 @@ pub fn run_study(plan: &StudyPlan) -> StudyReport {
         .unwrap_or_else(|e| panic!("study execution failed: {e}"))
 }
 
-/// One run's indexed outcome as collected by the execution loops — the
-/// run's position in plan order plus either its cache provenance and
-/// sections or its typed failure.
-type CellOutcome = (usize, Result<(CacheSource, Vec<Section>), CellFailure>);
-
 /// Executes a plan against an artifact store under the default
 /// [`RunPolicy::FailFast`] — the first failing cell aborts execution with
 /// a typed [`StudyError`]. See [`run_study_with_policy`].
@@ -1422,7 +1387,7 @@ pub fn run_study_with(plan: &StudyPlan, store: &ArtifactStore) -> Result<StudyRe
 }
 
 /// Executes a plan against an artifact store: runs the (scenario × seed)
-/// cells in parallel over an `AtomicUsize` work queue honoring
+/// cells in parallel on the [`psn_fault::run_jobs`] pool honoring
 /// `params.threads`, resolves every run's trace/graph/timeline — and the
 /// run's whole result — through the store, and assembles the typed report.
 /// Runs whose result fingerprint is already cached are served without
@@ -1453,92 +1418,42 @@ pub fn run_study_with_policy(
         return Ok(StudyReport { study: plan.study, doc, cache: Vec::new(), failures: Vec::new() });
     }
 
+    // One pool job per cell (per-run cost varies wildly between scenarios,
+    // so cells are claimed one at a time rather than chunked). The engine
+    // thread budget inside each cell shrinks so the total stays at
+    // `threads`, with the division remainder spread over the first workers
+    // so no requested thread sits idle (engine thread counts never change
+    // results). Workers share the artifact store: cells racing on one
+    // scenario block on its latch instead of building the trace twice.
+    // Under fail-fast a failed cell stops the pool: in-flight cells drain
+    // and no new ones start.
     let total_threads = resolve_threads(plan.params.threads);
     let workers = total_threads.min(plan.runs.len()).max(1);
-    let collected: Vec<CellOutcome> = if workers <= 1 {
-        let mut collected = Vec::with_capacity(plan.runs.len());
-        for (idx, run) in plan.runs.iter().enumerate() {
-            let outcome = run_one(plan, run, plan.params.threads, store);
-            let failed = outcome.is_err();
-            collected.push((idx, outcome));
-            if failed && policy == RunPolicy::FailFast {
-                break;
-            }
-        }
-        collected
-    } else {
-        // Shard the runs over `workers` threads via a lock-free fetch-add
-        // queue (per-run cost varies wildly between scenarios, so static
-        // chunking would imbalance); the engine thread budget inside each
-        // run shrinks so the total stays at `threads`, with the division
-        // remainder spread over the first workers so no requested thread
-        // sits idle (engine thread counts never change results).
-        // Per-worker result vectors are merged in run order after the
-        // join, keeping output identical to the serial loop. Workers share
-        // the artifact store: runs racing on one scenario block on its
-        // latch instead of building the trace twice. Under fail-fast a
-        // cell failure raises `abort`: siblings drain their current cell
-        // and stop claiming new ones.
-        let extra_threads = total_threads % workers;
-        let next = AtomicUsize::new(0);
-        let next = &next;
-        let abort = AtomicBool::new(false);
-        let abort = &abort;
-        let mut per_worker: Vec<Vec<CellOutcome>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let inner_threads =
-                        total_threads / workers + usize::from(worker < extra_threads);
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            // relaxed: advisory abort flag; a stale read only costs one extra job.
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // relaxed: work-stealing claim counter; each index is claimed once and results are joined, which orders the data.
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= plan.runs.len() {
-                                break;
-                            }
-                            let outcome = run_one(plan, &plan.runs[idx], inner_threads, store);
-                            if outcome.is_err() && policy == RunPolicy::FailFast {
-                                // relaxed: advisory abort flag; a stale read only costs one extra job.
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            local.push((idx, outcome));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|e| {
-                        unreachable!("study workers catch their own panics: {e:?}")
-                    })
-                })
-                .collect()
-        });
-        let mut collected: Vec<CellOutcome> =
-            per_worker.iter_mut().flat_map(std::mem::take).collect();
-        collected.sort_by_key(|(idx, _)| *idx);
-        collected
-    };
+    let outcomes = psn_fault::run_jobs(
+        psn_fault::sites::QUEUE_STUDY_RUN,
+        workers,
+        plan.runs.len(),
+        |worker| total_threads / workers + usize::from(worker < total_threads % workers),
+        |&mut threads, idx, _| run_one(plan, &plan.runs[idx], threads, store),
+        |outcome| policy == RunPolicy::FailFast && !matches!(outcome, Ok(Ok(_))),
+    );
 
     let mut cache = Vec::with_capacity(plan.runs.len());
     let mut failures = Vec::new();
-    for (idx, outcome) in collected {
-        match outcome {
-            Ok((source, sections)) => {
-                cache.push(RunCache { label: plan.runs[idx].label.clone(), source });
+    for (run, outcome) in plan.runs.iter().zip(outcomes) {
+        let (message, panicked) = match outcome {
+            Ok(Ok((source, sections))) => {
+                cache.push(RunCache { label: run.label.clone(), source });
                 doc.sections.extend(sections);
+                continue;
             }
-            Err(failure) => match policy {
-                RunPolicy::FailFast => return Err(StudyError::Cell(failure)),
-                RunPolicy::KeepGoing => failures.push(failure),
-            },
+            Ok(Err(error)) => (error.to_string(), false),
+            Err(message) => (message, true),
+        };
+        let failure = CellFailure { label: run.label.clone(), message, panicked };
+        match policy {
+            RunPolicy::FailFast => return Err(StudyError::Cell(failure)),
+            RunPolicy::KeepGoing => failures.push(failure),
         }
     }
     if !failures.is_empty() {
@@ -1770,7 +1685,10 @@ mod tests {
             40,
             2,
         );
-        assert_eq!(report.render(), format!("{}\n", crate::report::render_explosion_cdfs(&direct)));
+        assert_eq!(
+            report.render(),
+            format!("{}\n", TextRenderer.render_section(&direct.cdfs_section()))
+        );
     }
 
     #[test]

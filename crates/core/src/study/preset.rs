@@ -20,7 +20,7 @@ use super::{run_study, StudyId, StudyParams, StudyScenario, StudySpec, StudyView
 use crate::config::ExperimentProfile;
 
 /// Renders the two-line self-describing header every figure output starts
-/// with (formerly `psn_bench::print_header`).
+/// with.
 pub fn render_header(figure: &str, profile: ExperimentProfile) -> String {
     let profile_line = match profile {
         ExperimentProfile::Paper => "paper (98 nodes, 3-hour traces)",
@@ -108,7 +108,7 @@ impl PresetId {
     }
 
     /// The name of the pre-refactor binary this preset replaces (still
-    /// accepted as a CLI alias, and used by the forwarding shims).
+    /// accepted as a CLI alias, and the name of its golden capture).
     pub fn binary_name(&self) -> &'static str {
         match self {
             PresetId::Fig01 => "fig01_contact_timeseries",

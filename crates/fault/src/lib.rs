@@ -5,8 +5,8 @@
 //! command line.
 //!
 //! A failpoint is a *named site* compiled into production code — the
-//! artifact disk tier, the binary codec, the work-queue drivers — that
-//! normally does nothing. Arming a site makes its `nth` execution fail in
+//! artifact disk tier, the binary codec, the slot spill, the worker pool —
+//! that normally does nothing. Arming a site makes its `nth` execution fail in
 //! a chosen way:
 //!
 //! ```text
@@ -37,12 +37,16 @@
 //! Tests arm faults programmatically through [`arm_guard`], which holds a
 //! process-wide lock so concurrent chaos tests cannot observe each other's
 //! plans; the CLI arms them persistently through [`arm`].
+//!
+//! The crate also owns [`run_jobs`], the one panic-isolated worker pool
+//! every parallel driver runs on. A job failpoint site is reachable only
+//! through it.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 
 /// The environment variable the global plan is armed from (first use).
@@ -382,7 +386,7 @@ pub fn inject_io_op(site: &str) -> std::io::Result<()> {
 
 /// Extracts a human-readable message from a `catch_unwind` payload (the
 /// `&str`/`String` panics produce; anything else gets a placeholder).
-/// Shared by every panic-isolated work-queue driver.
+/// Used by [`run_jobs`], and by callers that catch a panic themselves.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -418,17 +422,97 @@ pub fn inject_decode(site: &str, bytes: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Failpoint for a work-queue job site. Only `panic` and `delay` make
-/// sense here; the IO kinds are ignored rather than misreported.
+/// sense here; the IO kinds are ignored rather than misreported. Reached
+/// only through [`run_jobs`], which calls it at the start of every job.
 ///
 /// # Panics
 ///
-/// Panics when the armed kind is `panic` — that is the injected effect.
-pub fn inject_job(site: &str) {
+/// Panics when the armed kind is `panic` — that is the injected effect,
+/// which the pool turns into the job's `Err`.
+fn inject_job(site: &str) {
     match fire(site) {
         Some(FaultKind::Panic) => panic!("injected fault: panic at {site}"),
         Some(FaultKind::Delay) => apply_delay(),
         _ => {}
     }
+}
+
+/// The one panic-isolated worker pool: runs jobs `0..jobs` on up to
+/// `workers` scoped threads and returns each job's result at its index.
+///
+/// * Workers claim job indices off one shared counter, so uneven job costs
+///   balance themselves.
+/// * Every job starts with the `site` failpoint, at every worker count.
+/// * Every job runs under `catch_unwind`: a panic becomes `Err(message)`
+///   at that job's index and never reaches a sibling worker.
+/// * `init(worker)` builds a worker's state inside its first job (a
+///   panicking `init` fails that job); the state is rebuilt after a job
+///   of that worker panics.
+/// * Once a result satisfies `stop`, workers claim no further jobs; a
+///   running job can poll the flag it is handed (`true` = stopping) to
+///   cut its own work short.
+/// * With one worker (or one job) everything runs inline on the calling
+///   thread.
+///
+/// Claims are handed out in index order, so the returned vector is
+/// always a prefix of the jobs in job order: all of them, or — after
+/// `stop` fired — every job that had been claimed by then.
+pub fn run_jobs<S, T: Send>(
+    site: &str,
+    workers: usize,
+    jobs: usize,
+    init: impl Fn(usize) -> S + Sync,
+    job: impl Fn(&mut S, usize, &AtomicBool) -> T + Sync,
+    stop: impl Fn(&Result<T, String>) -> bool + Sync,
+) -> Vec<Result<T, String>> {
+    let next = AtomicUsize::new(0);
+    let stopping = AtomicBool::new(false);
+    let work = |worker: usize| {
+        let mut state: Option<S> = None;
+        let mut done = Vec::new();
+        // relaxed: advisory stop flag; a stale read only costs one extra job.
+        while !stopping.load(Ordering::Relaxed) {
+            // relaxed: claim counter; each index is claimed once and results travel through the join, which orders the data.
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= jobs {
+                break;
+            }
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                inject_job(site);
+                let state = state.get_or_insert_with(|| init(worker));
+                job(state, index, &stopping)
+            }))
+            .map_err(|payload| {
+                state = None;
+                panic_message(payload.as_ref())
+            });
+            if stop(&result) {
+                // relaxed: advisory stop flag; a stale read only costs one extra job.
+                stopping.store(true, Ordering::Relaxed);
+            }
+            done.push((index, result));
+        }
+        done
+    };
+    let workers = workers.clamp(1, jobs.max(1));
+    let mut done = if workers == 1 {
+        work(0)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                (0..workers).map(|worker| scope.spawn(move || work(worker))).collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| {
+                    // Job and `init` panics are caught above; a panic in
+                    // `stop` or in the pool itself propagates unchanged.
+                    handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
@@ -509,6 +593,155 @@ mod tests {
         let payload = *result.expect_err("armed job site must panic").downcast::<String>().unwrap();
         assert!(payload.contains("injected fault: panic at t.job"), "{payload}");
         inject_job("t.job"); // spent — no panic
+    }
+
+    const WORKERS: [usize; 3] = [1, 2, 5];
+    const JOB_COUNTS: [usize; 3] = [0, 3, 17];
+
+    fn never(_: &Result<usize, String>) -> bool {
+        false
+    }
+
+    #[test]
+    fn pool_returns_every_result_at_its_job_index() {
+        for workers in WORKERS {
+            for jobs in JOB_COUNTS {
+                // Every worker claims one job and then waits in `init` until
+                // all have, so the jobs really spread over the workers; job 1
+                // then finishes last, after every other job has reported in.
+                let barrier = std::sync::Barrier::new(workers.min(jobs).max(1));
+                let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+                let done_rx = Mutex::new(done_rx);
+                let hold_job_1 = workers > 1 && jobs > 2;
+                let results = run_jobs(
+                    "t.pool-order",
+                    workers,
+                    jobs,
+                    |_| {
+                        barrier.wait();
+                    },
+                    |_, index, _| {
+                        if hold_job_1 && index == 1 {
+                            let rx = done_rx.lock().unwrap();
+                            for _ in 0..jobs - 1 {
+                                rx.recv().unwrap();
+                            }
+                        } else {
+                            done_tx.send(()).unwrap();
+                        }
+                        index * 7
+                    },
+                    never,
+                );
+                let expected: Vec<Result<usize, String>> = (0..jobs).map(|i| Ok(i * 7)).collect();
+                assert_eq!(results, expected, "{workers} workers, {jobs} jobs");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_isolates_a_panicking_job_to_its_own_index() {
+        for workers in WORKERS {
+            let results = run_jobs(
+                "t.pool-panic",
+                workers,
+                8,
+                |_| (),
+                |_, index, _| {
+                    assert_ne!(index, 3, "job three fails");
+                    index
+                },
+                never,
+            );
+            assert_eq!(results.len(), 8, "{workers} workers");
+            for (index, result) in results.iter().enumerate() {
+                match result {
+                    Err(message) => {
+                        assert_eq!(index, 3, "{workers} workers: {message}");
+                        assert!(message.contains("job three fails"), "{message}");
+                    }
+                    Ok(value) => assert_eq!(*value, index),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pool_injects_the_site_failpoint_into_every_job_at_every_worker_count() {
+        let _guard = arm_guard("t.pool-site:panic:*");
+        for workers in WORKERS {
+            let results = run_jobs("t.pool-site", workers, 6, |_| (), |_, index, _| index, never);
+            assert_eq!(results.len(), 6);
+            for result in results {
+                let message = result.expect_err("every job hits the armed site");
+                assert!(message.contains("injected fault: panic at t.pool-site"), "{message}");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_stops_claiming_once_stop_fires() {
+        for workers in WORKERS {
+            // Jobs past 5 cannot finish before job 5 raised the flag, so
+            // each other worker holds at most one of them when it stops.
+            let results = run_jobs(
+                "t.pool-stop",
+                workers,
+                40,
+                |_| (),
+                |_, index, stopping| {
+                    while workers > 1 && index > 5 && !stopping.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                    index
+                },
+                |result| *result == Ok(5),
+            );
+            assert!(
+                (6..=5 + workers).contains(&results.len()),
+                "{workers} workers ran {} jobs",
+                results.len()
+            );
+            for (index, result) in results.into_iter().enumerate() {
+                assert_eq!(result, Ok(index));
+            }
+        }
+    }
+
+    #[test]
+    fn pool_builds_each_worker_state_once() {
+        for workers in WORKERS {
+            for jobs in JOB_COUNTS {
+                let effective = workers.min(jobs);
+                let inits = AtomicUsize::new(0);
+                let barrier = std::sync::Barrier::new(effective.max(1));
+                let results = run_jobs(
+                    "t.pool-init",
+                    workers,
+                    jobs,
+                    |worker| {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        barrier.wait();
+                        (worker, 0usize)
+                    },
+                    |(worker, runs), _, _| {
+                        *runs += 1;
+                        (*worker, *runs)
+                    },
+                    |_| false,
+                );
+                assert_eq!(inits.load(Ordering::Relaxed), effective, "{workers}w {jobs}j");
+                // Each worker's job counter counts up from 1 without a gap:
+                // its state lived across all of its jobs.
+                let mut runs_of = vec![0usize; effective];
+                for result in results {
+                    let (worker, runs) = result.unwrap();
+                    runs_of[worker] += 1;
+                    assert_eq!(runs, runs_of[worker], "{workers}w {jobs}j");
+                }
+                assert!(runs_of.iter().all(|&runs| runs >= 1), "{runs_of:?}");
+            }
+        }
     }
 
     #[test]

@@ -709,13 +709,13 @@ impl<'a> Lane<'a> {
     }
 
     /// Walks the busy slots once; returns every message's outcome (or what
-    /// finished before `abort` was raised).
-    fn run(mut self, abort: &AtomicBool) -> Vec<Finished> {
+    /// finished before the pool started `stopping`).
+    fn run(mut self, stopping: &AtomicBool) -> Vec<Finished> {
         let timeline = &*self.sim.timeline;
         let busy = self.graph.busy_slots();
         for (cursor, &slot) in busy.iter().enumerate() {
-            // relaxed: advisory abort flag; a stale read only costs one more slot.
-            if abort.load(Ordering::Relaxed) {
+            // relaxed: advisory stop flag; a stale read only costs one more slot.
+            if stopping.load(Ordering::Relaxed) {
                 break;
             }
             let view = timeline.at_slot(slot);
@@ -1040,9 +1040,10 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Every lane runs under `catch_unwind` (with the `queue.forwarding`
-    /// failpoint); a panic in any lane is re-raised here once all lanes
-    /// have stopped, for the study layer to isolate.
+    /// Every lane is a job of the panic-isolated [`psn_fault::run_jobs`]
+    /// pool (with the `queue.forwarding` failpoint); a panic in any lane
+    /// stops the others at their next slot and is re-raised here, for the
+    /// study layer to isolate.
     pub fn run_many(
         &self,
         jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
@@ -1065,34 +1066,16 @@ impl Simulator {
             })
             .collect();
 
-        let abort = AtomicBool::new(false);
-        let run_lane = |lane: usize| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                psn_fault::inject_job(psn_fault::sites::QUEUE_FORWARDING);
-                Lane::new(self, jobs, &groups, &job_groups, lane, lanes).run(&abort)
-            }))
-            .map_err(|payload| {
-                // relaxed: advisory abort flag; a stale read only costs one more slot.
-                abort.store(true, Ordering::Relaxed);
-                psn_fault::panic_message(payload.as_ref())
-            })
-        };
-        let per_lane: Vec<Result<Vec<Finished>, String>> = if lanes == 1 {
-            vec![run_lane(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..lanes)
-                    .map(|lane| {
-                        let run_lane = &run_lane;
-                        scope.spawn(move || run_lane(lane))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("simulation lanes catch their own panics"))
-                    .collect()
-            })
-        };
+        let per_lane = psn_fault::run_jobs(
+            psn_fault::sites::QUEUE_FORWARDING,
+            lanes,
+            lanes,
+            |_| (),
+            |_, lane, stopping| {
+                Lane::new(self, jobs, &groups, &job_groups, lane, lanes).run(stopping)
+            },
+            Result::is_err,
+        );
         if let Some(message) = per_lane.iter().find_map(|lane| lane.as_ref().err()) {
             panic!("simulation worker panicked: {message}");
         }

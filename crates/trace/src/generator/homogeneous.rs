@@ -7,8 +7,8 @@
 //! independent Poisson process of rate `λ / (N − 1)`.
 //!
 //! The homogeneous generator is used to validate the analytic model against
-//! simulation (the `model_validation` binary) and as the "no heterogeneity"
-//! ablation of the trace-driven experiments.
+//! simulation (the `model` preset of `psn-study`) and as the "no
+//! heterogeneity" ablation of the trace-driven experiments.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

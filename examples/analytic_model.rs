@@ -11,7 +11,7 @@
 //! ```
 
 use psn::experiments::model::run_model_validation;
-use psn::report;
+use psn::report::TextRenderer;
 use psn_analytic::{mean_paths, variance_paths};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         "validating the homogeneous path-count model (this runs a stochastic simulation)...\n"
     );
     let validation = run_model_validation(40);
-    println!("{}", report::render_model_validation(&validation));
+    println!("{}", TextRenderer.render_section(&validation.section()));
 
     // The closed forms on their own: how fast does the expected path count
     // grow for conference-like contact rates?

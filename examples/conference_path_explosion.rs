@@ -15,7 +15,7 @@
 
 use psn::experiments::explosion::run_explosion_study;
 use psn::prelude::*;
-use psn::report;
+use psn::report::TextRenderer;
 
 fn main() {
     let profile = ExperimentProfile::Quick;
@@ -71,5 +71,5 @@ fn main() {
         );
     }
 
-    println!("\n{}", report::render_explosion_cdfs(&study));
+    println!("\n{}", TextRenderer.render_section(&study.cdfs_section()));
 }

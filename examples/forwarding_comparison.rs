@@ -14,7 +14,7 @@
 
 use psn::experiments::forwarding::run_forwarding_study;
 use psn::prelude::*;
-use psn::report;
+use psn::report::TextRenderer;
 
 fn main() {
     let profile = ExperimentProfile::Quick;
@@ -41,5 +41,5 @@ fn main() {
         "(the paper's observation: algorithms with very different strategies perform similarly)"
     );
 
-    println!("\n{}", report::render_pairtype_performance(&study));
+    println!("\n{}", TextRenderer.render_section(&study.pair_type_section()));
 }

@@ -8,7 +8,7 @@ use psn::experiments::forwarding::run_forwarding_study_on;
 use psn::experiments::hop_rates::run_hop_rate_study;
 use psn::experiments::paths_taken::run_paths_taken;
 use psn::prelude::*;
-use psn::report;
+use psn::report::TextRenderer;
 use psn_forwarding::HistoryTimeline;
 use psn_trace::ContactSummary;
 use std::sync::Arc;
@@ -36,10 +36,10 @@ fn figure_1_and_7_activity_reports_render() {
     let reports = run_activity_study(ExperimentProfile::Quick);
     assert_eq!(reports.len(), 4);
     for r in &reports {
-        let fig1 = report::render_activity(r);
+        let fig1 = TextRenderer.render_section(&r.timeseries_section());
         assert!(fig1.contains("Figure 1"));
         assert!(fig1.lines().count() > 10);
-        let fig7 = report::render_contact_cdf(r);
+        let fig7 = TextRenderer.render_section(&r.contact_cdf_section());
         assert!(fig7.contains("Figure 7"));
         assert!(fig7.contains("value,probability"));
     }
@@ -60,14 +60,14 @@ fn figures_4_5_6_8_explosion_study_renders() {
     );
     assert_eq!(study.summary.len(), 14);
 
-    let fig4 = report::render_explosion_cdfs(&study);
+    let fig4 = TextRenderer.render_section(&study.cdfs_section());
     assert!(fig4.contains("Figure 4"));
-    let fig5 = report::render_explosion_scatter(&study);
+    let fig5 = TextRenderer.render_section(&study.scatter_section());
     assert!(fig5.contains("Figure 5"));
     assert!(fig5.contains("optimal_duration_s,time_to_explosion_s"));
-    let fig6 = report::render_explosion_growth(&study);
+    let fig6 = TextRenderer.render_section(&study.growth_section());
     assert!(fig6.contains("Figure 6"));
-    let fig8 = report::render_pairtype_scatter(&study);
+    let fig8 = TextRenderer.render_section(&study.pair_type_section());
     assert!(fig8.contains("Figure 8"));
     for pair in ["in-in", "in-out", "out-in", "out-out"] {
         assert!(fig8.contains(pair), "missing panel {pair}");
@@ -96,17 +96,17 @@ fn figures_9_10_11_13_forwarding_study_renders() {
         0,
     );
 
-    let fig9 = report::render_delay_vs_success(&study);
+    let fig9 = TextRenderer.render_section(&study.delay_vs_success_section());
     assert!(fig9.contains("Figure 9"));
     for kind in AlgorithmKind::all() {
         assert!(fig9.contains(kind.label()), "missing algorithm {kind}");
     }
-    let fig10 = report::render_delay_distributions(&study);
+    let fig10 = TextRenderer.render_section(&study.delay_distributions_section());
     assert!(fig10.contains("Figure 10"));
-    let fig11 = report::render_reception_times(&study);
+    let fig11 = TextRenderer.render_section(&study.reception_times_section());
     assert!(fig11.contains("Figure 11"));
     assert!(fig11.contains("cumulative_deliveries"));
-    let fig13 = report::render_pairtype_performance(&study);
+    let fig13 = TextRenderer.render_section(&study.pair_type_section());
     assert!(fig13.contains("Figure 13"));
     assert!(fig13.contains("out-out"));
 }
@@ -121,7 +121,7 @@ fn figure_12_paths_taken_renders() {
     let cases = run_paths_taken(&summary, graph, timeline, &messages, EnumerationConfig::quick(30));
     assert_eq!(cases.len(), 2);
     for case in &cases {
-        let fig12 = report::render_paths_taken(case);
+        let fig12 = TextRenderer.render_section(&case.section());
         assert!(fig12.contains("Figure 12"));
         assert!(fig12.contains("algorithm,arrival_offset_s"));
         assert!(fig12.contains("Epidemic"));
@@ -144,10 +144,10 @@ fn figures_14_15_hop_rates_render() {
     let hop_study = run_hop_rate_study(&study.sample_paths, &study.rates);
     assert!(hop_study.paths > 0, "need sample paths for the hop analysis");
 
-    let fig14 = report::render_hop_rates(&hop_study);
+    let fig14 = TextRenderer.render_section(&hop_study.mean_rate_section());
     assert!(fig14.contains("Figure 14"));
     assert!(fig14.contains("hop,mean_rate"));
-    let fig15 = report::render_rate_ratios(&hop_study);
+    let fig15 = TextRenderer.render_section(&hop_study.rate_ratio_section());
     assert!(fig15.contains("Figure 15"));
 }
 

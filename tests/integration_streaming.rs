@@ -153,7 +153,7 @@ fn assert_windowed_matches(trace: &ContactTrace, delta: Seconds, window: usize) 
     let windowed = WindowedSpaceTimeGraph::stream(
         &mut TraceEventStream::new(trace, delta),
         window,
-        Box::new(psn_artifact::CodecSlotSpill::in_temp_dir().unwrap()),
+        Box::new(psn_artifact::SlabSlotSpill::in_temp_file().unwrap()),
     )
     .unwrap();
     assert_eq!(windowed.slot_count(), reference.slot_count());
@@ -201,7 +201,7 @@ fn empty_window_slots_match_the_materialized_graph() {
     let windowed = WindowedSpaceTimeGraph::stream(
         &mut TraceEventStream::new(&trace, 10.0),
         1,
-        Box::new(psn_artifact::CodecSlotSpill::in_temp_dir().unwrap()),
+        Box::new(psn_artifact::SlabSlotSpill::in_temp_file().unwrap()),
     )
     .unwrap();
     // 100 slots, three busy (the contact [500, 520] covers slots 50..=52):
@@ -262,7 +262,7 @@ fn out_of_order_events_are_rejected_not_misfiled() {
     let result = WindowedSpaceTimeGraph::stream(
         &mut OutOfOrderStream { emitted: 0 },
         4,
-        Box::new(psn_artifact::CodecSlotSpill::in_temp_dir().unwrap()),
+        Box::new(psn_artifact::SlabSlotSpill::in_temp_file().unwrap()),
     );
     assert!(
         matches!(
