@@ -118,6 +118,9 @@ pub struct TimelineBuilder {
     words_per_slot: usize,
     slot_active_masks: Vec<u64>,
     slot_neighbor_masks: Vec<u64>,
+    /// Bytes held by the entries of the per-pair, per-node and active-slot
+    /// lists, kept current by `push_slot` so `approx_bytes` is `O(1)`.
+    list_bytes: usize,
     /// Highest slot folded so far plus one; batches must arrive ascending.
     next_slot: usize,
 }
@@ -134,6 +137,7 @@ impl TimelineBuilder {
             words_per_slot: node_count.div_ceil(64),
             slot_active_masks: Vec::new(),
             slot_neighbor_masks: Vec::new(),
+            list_bytes: 0,
             next_slot: 0,
         }
     }
@@ -164,6 +168,7 @@ impl TimelineBuilder {
                 let active = &mut self.node_active_slots[node.index()];
                 if active.last() != Some(&slot32) {
                     active.push(slot32);
+                    self.list_bytes += std::mem::size_of::<u32>();
                 }
                 self.slot_active_masks[slot * self.words_per_slot + node.index() / 64] |=
                     1u64 << (node.index() % 64);
@@ -193,6 +198,7 @@ impl TimelineBuilder {
                 slot: slot32,
                 encounters: previous_count + u32::from(new_encounter),
             });
+            self.list_bytes += std::mem::size_of::<PairEvent>();
             if new_encounter {
                 for node in [a, b] {
                     let list = &mut self.node_events[node.index()];
@@ -201,6 +207,7 @@ impl TimelineBuilder {
                         _ => {
                             let base = list.last().map_or(0, |e| e.encounters);
                             list.push(NodeEvent { slot: slot32, encounters: base + 1 });
+                            self.list_bytes += std::mem::size_of::<NodeEvent>();
                         }
                     }
                 }
@@ -210,28 +217,15 @@ impl TimelineBuilder {
 
     /// Approximate resident size in bytes of the builder's accumulated
     /// state — the streaming pipeline folds this into its peak working-set
-    /// accounting.
+    /// accounting after every sealed slot. `O(1)`: the list entries are a
+    /// running total.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.pair_index.len() * std::mem::size_of::<u32>()
             + self.pair_events.len() * std::mem::size_of::<Vec<PairEvent>>()
-            + self
-                .pair_events
-                .iter()
-                .map(|e| e.len() * std::mem::size_of::<PairEvent>())
-                .sum::<usize>()
             + self.node_events.len() * std::mem::size_of::<Vec<NodeEvent>>()
-            + self
-                .node_events
-                .iter()
-                .map(|e| e.len() * std::mem::size_of::<NodeEvent>())
-                .sum::<usize>()
             + self.node_active_slots.len() * std::mem::size_of::<Vec<u32>>()
-            + self
-                .node_active_slots
-                .iter()
-                .map(|e| e.len() * std::mem::size_of::<u32>())
-                .sum::<usize>()
+            + self.list_bytes
             + self.slot_active_masks.len() * std::mem::size_of::<u64>()
             + self.slot_neighbor_masks.len() * std::mem::size_of::<u64>()
     }
@@ -568,6 +562,36 @@ mod tests {
         let trace = ds.generate();
         let graph = SpaceTimeGraph::build_default(&trace);
         assert_matches_replay(&graph);
+    }
+
+    #[test]
+    fn builder_byte_total_matches_a_recount_after_a_random_fold() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn list_bytes<T>(lists: &[Vec<T>]) -> usize {
+            lists.iter().map(|l| l.len() * std::mem::size_of::<T>()).sum()
+        }
+        let mut rng = StdRng::seed_from_u64(0x7B);
+        let n = 70;
+        let mut builder = TimelineBuilder::new(n);
+        let mut slot = 0;
+        for _ in 0..200 {
+            slot += rng.gen_range(0..3usize) + 1;
+            let mut edges: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..12))
+                .map(|_| {
+                    let a = rng.gen_range(0..n as u32 - 1);
+                    (nid(a), nid(rng.gen_range(a + 1..n as u32)))
+                })
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            builder.push_slot(slot, &edges);
+            let recount = list_bytes(&builder.pair_events)
+                + list_bytes(&builder.node_events)
+                + list_bytes(&builder.node_active_slots);
+            assert_eq!(builder.list_bytes, recount, "after slot {slot}");
+        }
+        assert!(builder.list_bytes > 0);
     }
 
     /// Brute-force pin of the skip index: `next_active_slot` must agree

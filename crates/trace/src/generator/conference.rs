@@ -44,7 +44,8 @@ impl ConferenceTraceGenerator {
     /// # Panics
     ///
     /// Panics on degenerate configurations (fewer than two nodes,
-    /// non-positive rates or durations, min rate above max rate).
+    /// non-positive rates or durations, min rate above max rate). Scenario
+    /// configs reject these with a typed error before they get here.
     pub fn new(config: ConferenceConfig) -> Self {
         assert!(config.total_nodes() >= 2, "need at least two nodes");
         assert!(config.max_node_rate > 0.0, "max node rate must be positive");

@@ -249,9 +249,20 @@ impl ScenarioConfig {
     /// Returns a copy with one named numeric field replaced — the hook
     /// scenario sweeps use to walk a parameter grid. The assignment goes
     /// through the config document model, so unknown fields, non-numeric
-    /// fields (`kind`, `name`) and fractional values for integer fields
-    /// are all rejected with the same errors a config file would produce.
+    /// fields (`kind`, `name`), fractional values for integer fields and
+    /// values the generator cannot run with are all rejected with the same
+    /// errors a config file would produce.
     pub fn with_field(&self, field: &str, value: f64) -> Result<Self, ScenarioError> {
+        let config = self.assign_field(field, value)?;
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// [`ScenarioConfig::with_field`] without the final
+    /// [`ScenarioConfig::validate`], so a sweep can assign several fields
+    /// (say `min_node_rate`, then `max_node_rate`) and validate only the
+    /// finished cell.
+    pub(crate) fn assign_field(&self, field: &str, value: f64) -> Result<Self, ScenarioError> {
         let mut top = self.to_doc();
         if !value.is_finite() {
             return Err(ScenarioError::new(format!("field {field:?}: sweep value must be finite")));
@@ -269,10 +280,59 @@ impl ScenarioConfig {
         } else {
             top.set_f64(field, value);
         }
-        Self::from_doc(top)
+        Self::parse_doc(top)
     }
 
-    pub(crate) fn from_doc(mut top: doc::Table) -> Result<Self, ScenarioError> {
+    /// Rejects configurations the generator cannot run with, naming the
+    /// offending key. Covers the conference family's preconditions (the
+    /// generator keeps them as `assert!`s); NaN fails every rule.
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
+        let ScenarioConfig::Conference(c) = self else {
+            return Ok(());
+        };
+        let finite_positive = |x: f64| x > 0.0 && x.is_finite();
+        let total = c.total_nodes();
+        let scan = c.inquiry_scan_period.unwrap_or(f64::INFINITY);
+        let checks: [(bool, &str, &str, &dyn std::fmt::Display); 7] = [
+            (total >= 2, "mobile_nodes", "at least 2 in total with \"stationary_nodes\"", &total),
+            (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
+            (
+                (0.0..c.max_node_rate).contains(&c.min_node_rate),
+                "min_node_rate",
+                "in [0, max_node_rate)",
+                &c.min_node_rate,
+            ),
+            (
+                c.mean_contact_duration > 0.0,
+                "mean_contact_duration",
+                "> 0",
+                &c.mean_contact_duration,
+            ),
+            (c.contact_duration_cv >= 0.0, "contact_duration_cv", ">= 0", &c.contact_duration_cv),
+            (
+                finite_positive(c.window_seconds),
+                "window_seconds",
+                "finite and > 0",
+                &c.window_seconds,
+            ),
+            (scan > 0.0, "inquiry_scan_period", "> 0", &scan),
+        ];
+        match checks.iter().find(|check| !check.0) {
+            Some((_, key, rule, got)) => Err(ScenarioError::new(format!(
+                "conference field {key:?} must be {rule} (got {got})"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Parses and validates a scenario document.
+    pub(crate) fn from_doc(top: doc::Table) -> Result<Self, ScenarioError> {
+        let scenario = Self::parse_doc(top)?;
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    fn parse_doc(mut top: doc::Table) -> Result<Self, ScenarioError> {
         let kind = top.take_string("kind")?;
         let scenario = match kind.as_str() {
             "conference" => {
@@ -1149,6 +1209,85 @@ mod tests {
             let from_json = ScenarioConfig::from_json_str(&json).expect("written json reparses");
             assert_eq!(from_json, scenario, "json:\n{json}");
         }
+    }
+
+    /// Asserts that the conference scenario `base` with `key` set to
+    /// `value` is rejected from TOML, from JSON and through `with_field`,
+    /// each time with an error that names `key`.
+    fn assert_conference_rejects_with(base: ConferenceConfig, key: &str, value: f64) {
+        let base = ScenarioConfig::Conference(base);
+        let bad = base.assign_field(key, value).expect("the schema accepts the value");
+        let errors = [
+            ScenarioConfig::from_toml_str(&bad.to_toml_string()).expect_err("toml"),
+            ScenarioConfig::from_json_str(&bad.to_json_string()).expect_err("json"),
+            base.with_field(key, value).expect_err("with_field"),
+        ];
+        for err in errors {
+            assert!(err.to_string().contains(&format!("{key:?}")), "{key} = {value}: {err}");
+        }
+    }
+
+    fn assert_conference_rejects(key: &str, value: f64) {
+        assert_conference_rejects_with(ConferenceConfig::default(), key, value);
+    }
+
+    #[test]
+    fn conference_with_fewer_than_two_nodes_is_rejected() {
+        let no_booths = ConferenceConfig { stationary_nodes: 0, ..Default::default() };
+        assert_conference_rejects_with(no_booths.clone(), "mobile_nodes", 1.0);
+        assert_conference_rejects_with(no_booths, "mobile_nodes", 0.0);
+    }
+
+    #[test]
+    fn conference_with_non_positive_max_node_rate_is_rejected() {
+        assert_conference_rejects("max_node_rate", -1.0);
+        assert_conference_rejects("max_node_rate", 0.0);
+    }
+
+    #[test]
+    fn conference_with_min_node_rate_outside_zero_to_max_is_rejected() {
+        let max = ConferenceConfig::default().max_node_rate;
+        assert_conference_rejects("min_node_rate", -0.001);
+        assert_conference_rejects("min_node_rate", max);
+        assert_conference_rejects("min_node_rate", 2.0 * max);
+    }
+
+    #[test]
+    fn conference_with_non_positive_contact_duration_is_rejected() {
+        assert_conference_rejects("mean_contact_duration", 0.0);
+        assert_conference_rejects("mean_contact_duration", -120.0);
+    }
+
+    #[test]
+    fn conference_with_non_positive_window_is_rejected() {
+        assert_conference_rejects("window_seconds", 0.0);
+        assert_conference_rejects("window_seconds", -10_800.0);
+    }
+
+    /// Values no sweep can assign (`with_field` takes finite values only)
+    /// but a config file can spell, and further generator preconditions.
+    #[test]
+    fn conference_with_nan_infinite_or_negative_values_is_rejected() {
+        let toml = ScenarioConfig::Conference(ConferenceConfig::default()).to_toml_string();
+        for (key, value) in [
+            ("max_node_rate", "nan"),
+            ("max_node_rate", "inf"),
+            ("window_seconds", "inf"),
+            ("mean_contact_duration", "nan"),
+            ("contact_duration_cv", "-1.0"),
+        ] {
+            let prefix = format!("{key} = ");
+            let bad: String = toml
+                .lines()
+                .map(|l| if l.starts_with(&prefix) { format!("{prefix}{value}") } else { l.into() })
+                .collect::<Vec<_>>()
+                .join("\n");
+            assert_ne!(bad, toml, "{key} is in the written config");
+            let err = ScenarioConfig::from_toml_str(&bad).expect_err(key);
+            assert!(err.to_string().contains(&format!("{key:?}")), "{key} = {value}: {err}");
+        }
+        assert_conference_rejects("contact_duration_cv", -0.5);
+        assert_conference_rejects("inquiry_scan_period", 0.0);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! [`ScenarioSweep::expand`] walks the cartesian product and yields one
 //! [`SweepCell`] per grid point: a uniquely labelled, fully resolved
 //! scenario configuration the study pipeline can run like any other
-//! scenario. Field assignment goes through
-//! [`ScenarioConfig::with_field`], so typos and type mismatches fail with
-//! the same errors a config file would produce.
+//! scenario. Field assignment goes through the document model of
+//! [`ScenarioConfig::with_field`] and every finished cell is validated, so
+//! typos, type mismatches and values the generator cannot run with fail
+//! with the same errors a config file would produce.
 //!
 //! Sweeps are config-file loadable in the same TOML subset / JSON formats
 //! as scenarios:
@@ -151,7 +152,8 @@ impl ScenarioSweep {
     /// `0.10` parse to the same number; the error points this out so the
     /// config spelling is fixable), duplicate seed replications, and any
     /// assignment the scenario schema rejects (unknown field, integer
-    /// field given a fractional value, …).
+    /// field given a fractional value, …) or cell the generator cannot
+    /// run with (checked once all of the cell's axes are applied).
     pub fn expand(&self) -> Result<Vec<SweepCell>, ScenarioError> {
         for (i, axis) in self.axes.iter().enumerate() {
             if axis.values.is_empty() {
@@ -201,11 +203,12 @@ impl ScenarioSweep {
                     // Study-parameter axes leave the scenario untouched;
                     // the study layer applies them, and all cells along
                     // the axis share one scenario fingerprint.
-                    config = config.with_field(&axis.field, value)?;
+                    config = config.assign_field(&axis.field, value)?;
                 }
                 assignments.push((axis.field.clone(), value));
                 label.push_str(&format!(" {}={}", axis.field, axis_value_label(value)));
             }
+            config.validate()?;
             if self.seeds.is_empty() {
                 cells.push(SweepCell { label, assignments, seed: None, config });
             } else {
@@ -343,7 +346,7 @@ impl ScenarioSweep {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::generator::config::CommunityConfig;
+    use crate::generator::config::{CommunityConfig, ConferenceConfig};
 
     fn base() -> ScenarioConfig {
         ScenarioConfig::Community(CommunityConfig {
@@ -460,6 +463,27 @@ mod tests {
         // Setting a string field numerically is a type error.
         assert!(base().with_field("kind", 1.0).is_err());
         assert!(base().with_field("name", 1.0).is_err());
+    }
+
+    #[test]
+    fn sweep_cells_are_validated_once_every_axis_is_applied() {
+        let conference = ScenarioConfig::Conference(ConferenceConfig::default());
+        let max = ConferenceConfig::default().max_node_rate;
+        let axis = |field: &str, values: Vec<f64>| SweepAxis { field: field.into(), values };
+
+        // A cell the generator cannot run with fails expansion, naming the key.
+        let mut sweep = ScenarioSweep::new("bad", conference.clone());
+        sweep.axes = vec![axis("max_node_rate", vec![max, -1.0])];
+        let err = sweep.expand().expect_err("negative max_node_rate");
+        assert!(err.to_string().contains("\"max_node_rate\""), "{err}");
+
+        // Raising min_node_rate past the base's max is fine when a later
+        // axis raises max_node_rate above it in every cell.
+        sweep.axes = vec![
+            axis("min_node_rate", vec![2.0 * max]),
+            axis("max_node_rate", vec![3.0 * max, 4.0 * max]),
+        ];
+        assert_eq!(sweep.expand().expect("every finished cell is valid").len(), 2);
     }
 
     #[test]
