@@ -402,10 +402,9 @@ mod tests {
         // delivers it no later (it finds the optimal path).
         let study = small_study();
         let epidemic = study.get(AlgorithmKind::Epidemic);
-        for kind in
-            [AlgorithmKind::Fresh, AlgorithmKind::GreedyTotal, AlgorithmKind::DynamicProgramming]
-        {
+        for kind in AlgorithmKind::all().into_iter().filter(|&k| k != AlgorithmKind::Epidemic) {
             let other = study.get(kind);
+            assert_eq!(other.outcomes.len(), epidemic.outcomes.len(), "{kind}");
             for (e, o) in epidemic.outcomes.iter().zip(&other.outcomes) {
                 if let Some(other_time) = o.delivered_at {
                     let epidemic_time =

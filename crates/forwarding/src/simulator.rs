@@ -39,6 +39,12 @@
 //!     that received a copy;
 //!   - exact actionability prechecks on the timeline's bitmasks decide
 //!     whether a slot is swept at all;
+//!   - after a message's first step, a slot carried over from the previous
+//!     busy slot runs that precheck only if it brings the message something
+//!     new: a holder starting an encounter
+//!     ([`HistoryTimeline::start_mask`]), or a changed dynamic utility at a
+//!     holder or a holder's neighbor. Otherwise the message already sits at
+//!     the slot's fixpoint, and the step is a few word ANDs;
 //!   - everything shared is built at most once per (lane, algorithm, slot)
 //!     on first need and dropped after the slot: the destination-unaware
 //!     utility table with its promising mask and reachability closure, and
@@ -193,13 +199,16 @@ fn nodes_of(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = NodeId
     })
 }
 
-/// One busy slot's activity and neighbor bitmasks, sliced out of the
-/// timeline once per slot.
+/// One busy slot's activity, encounter-start and neighbor bitmasks,
+/// sliced out of the timeline once per slot.
 #[derive(Clone, Copy)]
 struct SlotMasks<'t> {
+    slot: usize,
     words: usize,
     /// [`HistoryTimeline::active_mask`].
     active: &'t [u64],
+    /// [`HistoryTimeline::start_mask`].
+    starts: &'t [u64],
     /// [`HistoryTimeline::neighbor_masks`].
     neighbors: &'t [u64],
 }
@@ -207,8 +216,10 @@ struct SlotMasks<'t> {
 impl<'t> SlotMasks<'t> {
     fn of(timeline: &'t HistoryTimeline, slot: usize) -> Self {
         Self {
+            slot,
             words: timeline.node_count().div_ceil(64),
             active: timeline.active_mask(slot),
+            starts: timeline.start_mask(slot),
             neighbors: timeline.neighbor_masks(slot),
         }
     }
@@ -454,6 +465,14 @@ fn sweep(
     }
 }
 
+/// One group's step counters over a walk: messages served, and how many of
+/// those steps ran the exact precheck rather than the change test alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct StepCounts {
+    visits: u64,
+    prechecks: u64,
+}
+
 /// One algorithm of a `run_many` batch, with a lane's tables for it. Jobs
 /// that run the same algorithm object share a group: every table is a
 /// function of (algorithm, slot[, destination]) alone.
@@ -464,10 +483,12 @@ struct Group<'a> {
     /// a slot in which no node that ever meets the destination is active
     /// cannot matter to the message.
     gated: bool,
-    /// Destination-unaware utilities at `table_slot` (for a static
+    /// Destination-unaware utilities at `utilities_slot` (for a static
     /// algorithm, at every slot).
     utilities: Vec<f64>,
-    /// The slot `promising` and `reach` (and dynamic `utilities`) describe.
+    /// The slot dynamic destination-unaware `utilities` were filled at.
+    utilities_slot: Option<usize>,
+    /// The slot `promising` and `reach` describe.
     table_slot: Option<usize>,
     promising: Box<[u64]>,
     reach: Box<[u64]>,
@@ -476,16 +497,31 @@ struct Group<'a> {
     rows: Vec<Vec<f64>>,
     /// Bitmask of the destinations with a filled row.
     filled: Vec<u64>,
+    /// Dynamic destination-unaware utilities: the nodes a change can matter
+    /// to at `utilities_slot` — those whose utility changed since the
+    /// previous slot, plus their neighbors in this one. See
+    /// [`Group::brings_news`].
+    touched: Vec<u64>,
+    /// Dynamic destination-aware rows: the same bitmask per filled
+    /// destination for the current slot, allocated with the row and
+    /// nonzero only for the destinations in `touched_rows`.
+    row_touched: Vec<Vec<u64>>,
+    /// Bitmask of the destinations whose row changed in the current slot:
+    /// the `row_touched` entries the next refresh clears.
+    touched_rows: Vec<u64>,
+    counts: StepCounts,
 }
 
 impl<'a> Group<'a> {
     fn new(algorithm: &'a dyn ForwardingAlgorithm, mode: DecisionMode, n: usize) -> Self {
+        let words = n.div_ceil(64);
         Self {
             algorithm,
             mode,
             gated: matches!(mode, DecisionMode::PerDestination { .. })
                 && algorithm.utility_requires_destination_contact(),
             utilities: Vec::new(),
+            utilities_slot: None,
             table_slot: None,
             promising: Box::default(),
             reach: Box::default(),
@@ -494,7 +530,19 @@ impl<'a> Group<'a> {
             } else {
                 Vec::new()
             },
-            filled: vec![0; n.div_ceil(64)],
+            filled: vec![0; words],
+            touched: if mode == (DecisionMode::Shared { is_static: false }) {
+                vec![0; words]
+            } else {
+                Vec::new()
+            },
+            row_touched: if mode == (DecisionMode::PerDestination { is_static: false }) {
+                vec![Vec::new(); n]
+            } else {
+                Vec::new()
+            },
+            touched_rows: vec![0; words],
+            counts: StepCounts::default(),
         }
     }
 
@@ -509,20 +557,120 @@ impl<'a> Group<'a> {
             .collect()
     }
 
-    /// Brings every filled destination row up to date at `slot`: a
+    /// Brings every filled destination row up to date at `masks.slot`: a
     /// destination-aware utility changes only where the node meets the
     /// destination, so only the destination's neighbors are re-evaluated.
+    /// Notes in `row_touched` each entry whose value changed, with its
+    /// neighbors.
     fn refresh_rows(&mut self, masks: &SlotMasks<'_>, ctx: &ForwardingContext<'_>) {
         if self.mode != (DecisionMode::PerDestination { is_static: false }) {
             return;
         }
+        for d in nodes_of(self.touched_rows.iter().copied()) {
+            self.row_touched[d.index()].fill(0);
+        }
+        self.touched_rows.fill(0);
         for d in nodes_of(masks.active.iter().zip(&self.filled).map(|(act, f)| act & f)) {
             let row = &mut self.rows[d.index()];
+            let touched = &mut self.row_touched[d.index()];
             for p in nodes_of(masks.of_node(d).iter().copied()) {
-                row[p.index()] =
+                let utility =
                     self.algorithm.copy_utility(ctx, p, d).expect("copy_utility is uniformly Some");
+                if std::mem::replace(&mut row[p.index()], utility) != utility {
+                    touch(touched, masks, p);
+                    set_bit(&mut self.touched_rows, d);
+                }
             }
         }
+    }
+
+    /// Brings the destination-unaware utilities up to `masks.slot`: filled
+    /// once for a static algorithm; for a dynamic one at most once per
+    /// slot, noting in `touched` every node whose utility changed since the
+    /// fill at `slot − 1`, with its neighbors — or every node, when the
+    /// previous fill is older.
+    fn fill_shared(
+        &mut self,
+        ctx: &ForwardingContext<'_>,
+        masks: &SlotMasks<'_>,
+        n: usize,
+        destination: NodeId,
+    ) {
+        match self.mode {
+            DecisionMode::Shared { is_static: true } if self.utilities.is_empty() => {
+                self.utilities = self.fill(ctx, n, destination);
+            }
+            DecisionMode::Shared { is_static: false }
+                if self.utilities_slot != Some(masks.slot) =>
+            {
+                let fresh = self.fill(ctx, n, destination);
+                if self.utilities_slot.is_some_and(|s| s + 1 == masks.slot) {
+                    self.touched.fill(0);
+                    for (v, (old, new)) in self.utilities.iter().zip(&fresh).enumerate() {
+                        if old != new {
+                            touch(&mut self.touched, masks, NodeId(v as u32));
+                        }
+                    }
+                } else {
+                    self.touched.fill(!0);
+                }
+                self.utilities = fresh;
+                self.utilities_slot = Some(masks.slot);
+            }
+            _ => {}
+        }
+    }
+
+    /// The change test that stands in for the exact precheck once a
+    /// message has had its first step: true iff slot `masks.slot` brings a
+    /// message of this group (holder mask `held`) something new — a holder
+    /// starts an encounter, or (dynamic utilities) a utility changed at a
+    /// holder or at a holder's neighbor. Destination-unaware tables must
+    /// have been brought to the slot by [`Group::fill_shared`].
+    ///
+    /// When it is false the exact precheck would reject the slot too:
+    ///
+    /// * **A step leaves a fixpoint.** After a non-delivering step at
+    ///   `s − 1` the message sits at that slot's fixpoint: no edge from a
+    ///   holder reaches the destination or a non-holder of strictly higher
+    ///   utility. An edge that continues into `s` (same pair, consecutive
+    ///   slots) with an unchanged utility at both ends therefore still
+    ///   cannot act, and copies move only along holder-incident edges. So
+    ///   only a new edge (trigger i: its holder end is in the slot's
+    ///   encounter-start mask) or a changed utility at either end of a
+    ///   continuing one (triggers ii and iii: the changed node or its
+    ///   neighbor is a holder) can make the slot actionable; static
+    ///   utilities never change.
+    /// * **A message not served at `s − 1` gets the full precheck.** The
+    ///   lane serves a message at every busy slot where a holder is active,
+    ///   so one woken from a wake list (rather than carried over from the
+    ///   previous busy slot) had no active holder at `s − 1`, and every
+    ///   holder edge at `s` is new; its first step has no previous fixpoint
+    ///   at all. [`Lane::step`] runs the exact precheck for both.
+    /// * **A destination row filled late is covered by the ever-met
+    ///   gate.** Row changes are noted only for rows filled before the
+    ///   slot. A destination-aware utility changes only at the
+    ///   destination's neighbors; a holder there has a new edge to the
+    ///   destination (a continuing one would have delivered at `s − 1`).
+    ///   So take a continuing edge `(h, x)` whose `x` meets the
+    ///   destination at `s`. At the first slot of the edge's run by whose
+    ///   end `h` held the copy, the message took the exact precheck (its
+    ///   first step, a wake, a new edge, or `h` receiving its copy in a
+    ///   sweep) with `x` active. `x` is in the destination's ever-met mask,
+    ///   so even a gated precheck
+    ///   ([`ForwardingAlgorithm::utility_requires_destination_contact`])
+    ///   passed the gate and filled the row then, before `s`.
+    fn brings_news(&self, masks: &SlotMasks<'_>, held: &[u64], destination: NodeId) -> bool {
+        masks_intersect(masks.starts, held)
+            || match self.mode {
+                DecisionMode::Direct => true,
+                DecisionMode::Shared { is_static: true }
+                | DecisionMode::PerDestination { is_static: true } => false,
+                DecisionMode::Shared { is_static: false } => masks_intersect(&self.touched, held),
+                DecisionMode::PerDestination { is_static: false } => {
+                    masks_intersect(&self.row_touched[destination.index()], held)
+                }
+            }
     }
 
     /// The destination's utility row, exact at the current slot.
@@ -530,29 +678,33 @@ impl<'a> Group<'a> {
         if self.rows[destination.index()].is_empty() {
             self.rows[destination.index()] = self.fill(ctx, n, destination);
             set_bit(&mut self.filled, destination);
+            if let Some(touched) = self.row_touched.get_mut(destination.index()) {
+                *touched = vec![0; n.div_ceil(64)];
+            }
         }
         &self.rows[destination.index()]
     }
 
-    /// Builds the destination-unaware table of `slot` unless it is built.
-    fn build_table(
-        &mut self,
-        ctx: &ForwardingContext<'_>,
-        slot_edges: &mut SlotEdges<'_>,
-        n: usize,
-        destination: NodeId,
-    ) {
+    /// Builds the promising mask and reachability closure of the slot
+    /// under `utilities` (see [`Group::fill_shared`]) unless they are built.
+    fn build_table(&mut self, slot_edges: &mut SlotEdges<'_>, n: usize) {
         if self.table_slot == Some(slot_edges.slot) {
             return;
-        }
-        if self.mode != (DecisionMode::Shared { is_static: true }) || self.utilities.is_empty() {
-            self.utilities = self.fill(ctx, n, destination);
         }
         let edges = slot_edges.edges();
         let words = n.div_ceil(64);
         self.promising = build_promising(edges, &self.utilities, words);
         self.reach = build_reach(edges, &self.utilities, n, words);
         self.table_slot = Some(slot_edges.slot);
+    }
+}
+
+/// Marks `node` and its neighbors in the slot in a node bitmask.
+#[inline]
+fn touch(touched: &mut [u64], masks: &SlotMasks<'_>, node: NodeId) {
+    set_bit(touched, node);
+    for (t, &nb) in touched.iter_mut().zip(masks.of_node(node)) {
+        *t |= nb;
     }
 }
 
@@ -624,6 +776,9 @@ struct Lane<'a> {
     due: Vec<u64>,
     /// Bitmask over messages: due at the next busy slot.
     due_next: Vec<u64>,
+    /// Bitmask over messages: due at the current slot through its wake
+    /// list, so the exact precheck runs (see [`Group::brings_news`]).
+    woken: Vec<u64>,
     /// Per slot: the messages to wake there, beyond the next busy slot.
     wake: Vec<Vec<u32>>,
     slot_edges: SlotEdges<'a>,
@@ -681,6 +836,7 @@ impl<'a> Lane<'a> {
             moves: vec![Vec::new(); count],
             due: vec![0; count.div_ceil(64)],
             due_next: vec![0; count.div_ceil(64)],
+            woken: vec![0; count.div_ceil(64)],
             wake: vec![Vec::new(); graph.slot_count()],
             slot_edges: SlotEdges {
                 graph,
@@ -709,8 +865,9 @@ impl<'a> Lane<'a> {
     }
 
     /// Walks the busy slots once; returns every message's outcome (or what
-    /// finished before the pool started `stopping`).
-    fn run(mut self, stopping: &AtomicBool) -> Vec<Finished> {
+    /// finished before the pool started `stopping`) and each group's step
+    /// counters.
+    fn run(mut self, stopping: &AtomicBool) -> (Vec<Finished>, Vec<StepCounts>) {
         let timeline = &*self.sim.timeline;
         let busy = self.graph.busy_slots();
         for (cursor, &slot) in busy.iter().enumerate() {
@@ -731,32 +888,39 @@ impl<'a> Lane<'a> {
             std::mem::swap(&mut self.due, &mut self.due_next);
             for m in std::mem::take(&mut self.wake[slot]) {
                 self.due[m as usize / 64] |= 1u64 << (m % 64);
+                self.woken[m as usize / 64] |= 1u64 << (m % 64);
             }
             self.slot_edges.enter(slot);
             let next_active = busy.get(cursor + 1).map_or(&[][..], |&s| timeline.active_mask(s));
             for word in 0..self.due.len() {
                 let mut bits = std::mem::take(&mut self.due[word]);
+                let woken = std::mem::take(&mut self.woken[word]);
                 while bits != 0 {
-                    let m = word * 64 + bits.trailing_zeros() as usize;
+                    let bit = bits.trailing_zeros();
                     bits &= bits - 1;
-                    self.step(m, slot, &masks, next_active, &ctx);
+                    let m = word * 64 + bit as usize;
+                    self.step(m, woken >> bit & 1 != 0, &masks, next_active, &ctx);
                 }
             }
         }
-        self.done
+        (self.done, self.groups.iter().map(|group| group.counts).collect())
     }
 
-    /// Serves message `m` at `slot`, where one of its holders has a
+    /// Serves message `m` at `masks.slot`, where one of its holders has a
     /// contact: sweeps the slot if the precheck says a copy can move, then
-    /// finishes the message or schedules its next wake.
+    /// finishes the message or schedules its next wake. A message carried
+    /// over from the previous busy slot (not `woken`) gets the exact
+    /// precheck only if [`Group::brings_news`] says the slot can change
+    /// its answer.
     fn step(
         &mut self,
         m: usize,
-        slot: usize,
+        woken: bool,
         masks: &SlotMasks<'_>,
         next_active: &[u64],
         ctx: &ForwardingContext<'_>,
     ) {
+        let slot = masks.slot;
         let Lane { sim, n, words, groups, state, moves, slot_edges, frontier, next, .. } =
             &mut *self;
         let (n, words) = (*n, *words);
@@ -765,9 +929,14 @@ impl<'a> Lane<'a> {
         let destination = NodeId(record[0] as u32);
         let group = &mut groups[(record[0] >> 32) as usize];
         let (mode, algorithm) = (group.mode, group.algorithm);
+        group.fill_shared(ctx, masks, n, destination);
+        let full = woken || group.brings_news(masks, held, destination);
+        group.counts.visits += 1;
+        group.counts.prechecks += u64::from(full);
         // The precheck says whether the slot's sweep can act; under a
         // utility order it is exact, and the sweep compares `utilities`.
         let (acts, utilities): (bool, &[f64]) = match mode {
+            _ if !full => (false, &[]),
             // Every edge endpoint is active, so unless some active node
             // lacks a copy nothing can move. (The destination never holds
             // one, so a deliverable slot always has such a node.)
@@ -777,7 +946,7 @@ impl<'a> Lane<'a> {
             // A holder sits next to the destination, or some holder's
             // within-slot closure leaves the holder set.
             DecisionMode::Shared { .. } => {
-                group.build_table(ctx, slot_edges, n, destination);
+                group.build_table(slot_edges, n);
                 let acts = masks_intersect(masks.of_node(destination), held)
                     || closure_escapes(&group.reach, &group.promising, held);
                 (acts, &group.utilities)
@@ -1048,6 +1217,16 @@ impl Simulator {
         &self,
         jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
     ) -> Vec<SimulationResult> {
+        self.run_counted(jobs).0
+    }
+
+    /// [`Simulator::run_many`], plus the step counters of every group (the
+    /// distinct algorithm objects, in order of first appearance among the
+    /// jobs) summed over the lanes.
+    fn run_counted(
+        &self,
+        jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
+    ) -> (Vec<SimulationResult>, Vec<StepCounts>) {
         let total: usize = jobs.iter().map(|(_, messages)| messages.len()).sum();
         let lanes = self.threads().clamp(1, total.max(1));
         // Jobs that run the same algorithm object share a group and with
@@ -1082,10 +1261,18 @@ impl Simulator {
 
         let mut outcomes: Vec<Vec<Option<MessageOutcome>>> =
             jobs.iter().map(|(_, messages)| vec![None; messages.len()]).collect();
-        for (job, index, outcome) in per_lane.into_iter().flatten().flatten() {
-            outcomes[job][index] = Some(outcome);
+        let mut counts = vec![StepCounts::default(); groups.len()];
+        for (finished, lane_counts) in per_lane.into_iter().flatten() {
+            for (job, index, outcome) in finished {
+                outcomes[job][index] = Some(outcome);
+            }
+            for (total, lane) in counts.iter_mut().zip(lane_counts) {
+                total.visits += lane.visits;
+                total.prechecks += lane.prechecks;
+            }
         }
-        jobs.iter()
+        let results = jobs
+            .iter()
             .zip(outcomes)
             .map(|((algorithm, _), job_outcomes)| SimulationResult {
                 algorithm: algorithm.name().to_string(),
@@ -1094,7 +1281,8 @@ impl Simulator {
                     .map(|o| o.expect("every lane finishes all of its messages"))
                     .collect(),
             })
-            .collect()
+            .collect();
+        (results, counts)
     }
 
     /// Derives how decisions of `algorithm` are evaluated, by probing
@@ -1236,7 +1424,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::algorithms::{DynamicProgramming, Epidemic, Fresh, Greedy, GreedyTotal};
-    use crate::standard_algorithms;
+    use crate::{standard_algorithms, AlgorithmKind};
     use psn_spacetime::epidemic_delivery_time;
     use psn_trace::contact::Contact;
     use psn_trace::node::{NodeClass, NodeRegistry};
@@ -1971,6 +2159,123 @@ mod tests {
                 assert_eq!(results[1].outcomes, reference.outcomes, "{kind}");
                 assert!(results[1].outcomes.iter().all(|o| !o.delivered()), "{kind}");
             }
+        }
+    }
+
+    /// A long-contact conference population of `mobile + stationary` nodes
+    /// over `window_seconds`: 120 s mean contacts (about twelve slots)
+    /// sampled at a 120 s inquiry scan, like the paper-scale presets.
+    fn conference_trace(
+        mobile: usize,
+        stationary: usize,
+        window_seconds: f64,
+        seed: u64,
+    ) -> ContactTrace {
+        psn_trace::ScenarioConfig::from_toml_str(&format!(
+            "kind = \"conference\"\nname = \"conference-test\"\nmobile_nodes = {mobile}\n\
+             stationary_nodes = {stationary}\nwindow_seconds = {window_seconds:.1}\n\
+             max_node_rate = 0.046\nmin_node_rate = 0.0006\nmean_contact_duration = 120.0\n\
+             contact_duration_cv = 1.0\ninquiry_scan_period = 120.0\nseed = {seed}\n"
+        ))
+        .unwrap()
+        .generate()
+    }
+
+    /// All six algorithms in one `run_many` batch at each lane count, every
+    /// outcome against `run_reference`.
+    fn assert_batch_matches_reference(trace: &ContactTrace, messages: &[Message], lanes: &[usize]) {
+        let algorithms = standard_algorithms();
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
+            algorithms.iter().map(|(_, a)| (a.as_ref(), messages)).collect();
+        let reference_sim = Simulator::with_default_config(trace);
+        let references: Vec<SimulationResult> = algorithms
+            .iter()
+            .map(|(_, a)| reference_sim.run_reference(a.as_ref(), messages))
+            .collect();
+        for (kind, reference) in algorithms.iter().map(|(k, _)| k).zip(&references) {
+            let delivered = reference.outcomes.iter().filter(|o| o.delivered()).count();
+            assert!(delivered > messages.len() / 10, "{kind} delivers only {delivered}");
+        }
+        for &threads in lanes {
+            let sim = Simulator::new(trace, SimulatorConfig { delta: 10.0, threads });
+            for ((kind, _), (result, reference)) in
+                algorithms.iter().zip(sim.run_many(&jobs).iter().zip(&references))
+            {
+                for (i, (r, p)) in reference.outcomes.iter().zip(&result.outcomes).enumerate() {
+                    assert_eq!(r, p, "{kind} on {threads} lanes: outcome {i} ({})", r.message);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_matches_reference_on_a_long_contact_conference() {
+        // Contacts last about twelve slots, so most slots a message visits
+        // continue the encounters of the previous one: the change-driven
+        // prechecks skip them, and every encounter start, row change and
+        // online-count change has to wake the right messages.
+        let trace = conference_trace(32, 8, 3600.0, 7);
+        assert_eq!(trace.node_count(), 40);
+        let messages = random_messages(7, 40, 320, trace.window());
+        assert_batch_matches_reference(&trace, &messages, &[1, 2]);
+    }
+
+    #[test]
+    fn batch_matches_reference_on_a_long_contact_conference_beyond_64_nodes() {
+        let trace = conference_trace(60, 10, 1800.0, 8);
+        assert!(trace.node_count() > 64, "needs a multi-word node mask");
+        let messages = random_messages(8, trace.node_count(), 160, trace.window());
+        assert_batch_matches_reference(&trace, &messages, &[1, 2]);
+    }
+
+    #[test]
+    fn epidemic_delivery_equals_spacetime_reachability_on_a_conference() {
+        // An oracle that shares no code with the engine: Epidemic finds the
+        // earliest space-time path, which `epidemic_delivery_time` computes
+        // by reachability over the graph.
+        let trace = conference_trace(32, 8, 3600.0, 11);
+        let messages = random_messages(11, 40, 240, trace.window());
+        for threads in [1usize, 2] {
+            let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
+            let result = sim.run(&Epidemic, &messages);
+            let mut delivered = 0;
+            for (outcome, message) in result.outcomes.iter().zip(&messages) {
+                let optimal = epidemic_delivery_time(sim.graph(), message);
+                assert_eq!(outcome.delivered_at, optimal, "{message} on {threads} lanes");
+                delivered += usize::from(optimal.is_some());
+            }
+            assert!(delivered > messages.len() / 2, "only {delivered} deliverable messages");
+        }
+    }
+
+    #[test]
+    fn change_driven_prechecks_stay_a_small_share_of_visits() {
+        // A guard on the counters, not on time: on long contacts, a message
+        // carried over from the previous busy slot runs the exact precheck
+        // only when the slot brings it a new encounter or a changed
+        // utility. Epidemic keeps the full precheck at every visit.
+        let trace = conference_trace(32, 8, 3600.0, 7);
+        let messages = random_messages(7, 40, 320, trace.window());
+        let algorithms = standard_algorithms();
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
+            algorithms.iter().map(|(_, a)| (a.as_ref(), messages.as_slice())).collect();
+        let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1 });
+        let (_, counts) = sim.run_counted(&jobs);
+        assert_eq!(counts.len(), algorithms.len());
+        for ((kind, _), counts) in algorithms.iter().zip(&counts) {
+            assert!(counts.visits > 2000, "{kind}: only {} visits", counts.visits);
+            if *kind == AlgorithmKind::Epidemic {
+                assert_eq!(counts.prechecks, counts.visits, "{kind}");
+                continue;
+            }
+            // Measured: 10.0–12.1% per group on this scenario.
+            let share = counts.prechecks as f64 / counts.visits as f64;
+            assert!(
+                share <= 0.2,
+                "{kind}: {} exact prechecks in {} visits ({share:.3})",
+                counts.prechecks,
+                counts.visits
+            );
         }
     }
 

@@ -86,6 +86,12 @@ pub struct HistoryTimeline {
     /// active this slot?" with a few word intersections instead of a scan.
     /// Truncated after the last busy slot (missing words read as zero).
     slot_active_masks: Vec<u64>,
+    /// Slot-major encounter-start bitmasks, same layout as
+    /// `slot_active_masks`: bit `v` of slot `s` is set iff node `v` has a
+    /// contact edge in `s` that it did not have in `s − 1` — the slots where
+    /// `node_events` records an encounter start. See
+    /// [`HistoryTimeline::start_mask`].
+    slot_start_masks: Vec<u64>,
     /// Node-major ever-met bitmasks, stride `words_per_slot`: bit `p` of
     /// node `v`'s row is set iff `v` and `p` share at least one contact
     /// slot anywhere in the trace, or `p == v`. Derived from the pair
@@ -117,6 +123,7 @@ pub struct TimelineBuilder {
     node_active_slots: Vec<Vec<u32>>,
     words_per_slot: usize,
     slot_active_masks: Vec<u64>,
+    slot_start_masks: Vec<u64>,
     slot_neighbor_masks: Vec<u64>,
     /// Bytes held by the entries of the per-pair, per-node and active-slot
     /// lists, kept current by `push_slot` so `approx_bytes` is `O(1)`.
@@ -136,6 +143,7 @@ impl TimelineBuilder {
             node_active_slots: vec![Vec::new(); node_count],
             words_per_slot: node_count.div_ceil(64),
             slot_active_masks: Vec::new(),
+            slot_start_masks: Vec::new(),
             slot_neighbor_masks: Vec::new(),
             list_bytes: 0,
             next_slot: 0,
@@ -161,6 +169,7 @@ impl TimelineBuilder {
         let slot32 = u32::try_from(slot).expect("slot index fits in u32");
         if !edges.is_empty() {
             self.slot_active_masks.resize((slot + 1) * self.words_per_slot, 0);
+            self.slot_start_masks.resize((slot + 1) * self.words_per_slot, 0);
             self.slot_neighbor_masks.resize((slot + 1) * n * self.words_per_slot, 0);
         }
         for &(a, b) in edges {
@@ -201,6 +210,8 @@ impl TimelineBuilder {
             self.list_bytes += std::mem::size_of::<PairEvent>();
             if new_encounter {
                 for node in [a, b] {
+                    self.slot_start_masks[slot * self.words_per_slot + node.index() / 64] |=
+                        1u64 << (node.index() % 64);
                     let list = &mut self.node_events[node.index()];
                     match list.last_mut() {
                         Some(last) if last.slot == slot32 => last.encounters += 1,
@@ -227,6 +238,7 @@ impl TimelineBuilder {
             + self.node_active_slots.len() * std::mem::size_of::<Vec<u32>>()
             + self.list_bytes
             + self.slot_active_masks.len() * std::mem::size_of::<u64>()
+            + self.slot_start_masks.len() * std::mem::size_of::<u64>()
             + self.slot_neighbor_masks.len() * std::mem::size_of::<u64>()
     }
 
@@ -259,6 +271,7 @@ impl TimelineBuilder {
             node_active_slots: self.node_active_slots,
             words_per_slot: self.words_per_slot,
             slot_active_masks: self.slot_active_masks,
+            slot_start_masks: self.slot_start_masks,
             ever_met_masks,
             slot_neighbor_masks: self.slot_neighbor_masks,
         }
@@ -306,6 +319,7 @@ impl HistoryTimeline {
                 .map(|e| e.len() * std::mem::size_of::<u32>())
                 .sum::<usize>()
             + self.slot_active_masks.len() * std::mem::size_of::<u64>()
+            + self.slot_start_masks.len() * std::mem::size_of::<u64>()
             + self.ever_met_masks.len() * std::mem::size_of::<u64>()
             + self.slot_neighbor_masks.len() * std::mem::size_of::<u64>()
     }
@@ -321,6 +335,20 @@ impl HistoryTimeline {
         };
         let end = (start + self.words_per_slot).min(self.slot_active_masks.len());
         self.slot_active_masks.get(start..end).unwrap_or(&[])
+    }
+
+    /// The encounter-start bitmask of `slot`: bit `v` is set iff node `v`
+    /// begins an encounter during it — it has a contact edge whose pair was
+    /// not in contact in `slot − 1` (the contiguity rule of the encounter
+    /// counts). Every edge of a slot whose predecessor is contact-free
+    /// starts an encounter. Same layout and truncation as
+    /// [`HistoryTimeline::active_mask`]; a subset of it.
+    pub fn start_mask(&self, slot: usize) -> &[u64] {
+        let Some(start) = slot.checked_mul(self.words_per_slot) else {
+            return &[];
+        };
+        let end = (start + self.words_per_slot).min(self.slot_start_masks.len());
+        self.slot_start_masks.get(start..end).unwrap_or(&[])
     }
 
     /// The neighbor bitmask of `node` in `slot`: bit `p` is set iff `(node,
@@ -590,8 +618,36 @@ mod tests {
                 + list_bytes(&builder.node_events)
                 + list_bytes(&builder.node_active_slots);
             assert_eq!(builder.list_bytes, recount, "after slot {slot}");
+            let masks = builder.slot_active_masks.len()
+                + builder.slot_start_masks.len()
+                + builder.slot_neighbor_masks.len();
+            assert_eq!(
+                builder.approx_bytes(),
+                std::mem::size_of::<TimelineBuilder>()
+                    + builder.pair_index.len() * std::mem::size_of::<u32>()
+                    + builder.pair_events.len() * std::mem::size_of::<Vec<PairEvent>>()
+                    + builder.node_events.len() * std::mem::size_of::<Vec<NodeEvent>>()
+                    + builder.node_active_slots.len() * std::mem::size_of::<Vec<u32>>()
+                    + recount
+                    + masks * std::mem::size_of::<u64>(),
+                "builder bytes after slot {slot}"
+            );
         }
         assert!(builder.list_bytes > 0);
+        let words = n.div_ceil(64);
+        let busy_words = (slot + 1) * words;
+        assert_eq!(builder.slot_start_masks.len(), busy_words, "start masks span every slot");
+        let builder_bytes = builder.approx_bytes();
+        let slots = slot + 5;
+        let timeline = builder.finish(vec![0.0; slots]);
+        assert_eq!(
+            timeline.approx_bytes(),
+            builder_bytes - std::mem::size_of::<TimelineBuilder>()
+                + std::mem::size_of::<HistoryTimeline>()
+                + slots * std::mem::size_of::<Seconds>()
+                + n * words * std::mem::size_of::<u64>(),
+            "the timeline counts every builder table plus slot times and ever-met masks"
+        );
     }
 
     /// Brute-force pin of the skip index: `next_active_slot` must agree
@@ -751,6 +807,121 @@ mod tests {
         assert!(trace.node_count() > 64, "mask test needs a multi-word bitmask");
         let graph = SpaceTimeGraph::build_default(&trace);
         assert_pair_structures_match_scan(&graph);
+    }
+
+    /// Brute-force pin of the encounter-start masks: bit `v` of slot `s` is
+    /// set iff `v` has an edge in `s` that is absent from `s − 1`, or `s − 1`
+    /// is not busy — a direct scan of consecutive slots' edge sets.
+    fn assert_start_masks_match_scan(graph: &SpaceTimeGraph) {
+        let timeline = HistoryTimeline::build(graph);
+        let mut starts = 0;
+        for slot in 0..graph.slot_count() {
+            let previous = slot
+                .checked_sub(1)
+                .filter(|s| graph.busy_slots().contains(s))
+                .map(|s| graph.slot(s));
+            for v in 0..graph.node_count() as u32 {
+                let v = nid(v);
+                let expected =
+                    graph.slot(slot).neighbors(v).iter().any(|p| {
+                        previous.as_ref().is_none_or(|prev| !prev.neighbors(v).contains(p))
+                    });
+                let bit = timeline
+                    .start_mask(slot)
+                    .get(v.index() / 64)
+                    .is_some_and(|&w| w & (1u64 << (v.index() % 64)) != 0);
+                assert_eq!(bit, expected, "start_mask bit ({v:?}, slot {slot})");
+                starts += usize::from(bit);
+            }
+        }
+        assert!(starts > 0, "the trace starts no encounter");
+    }
+
+    /// A trace of `contacts` random contacts among `nodes` nodes over
+    /// `window`, half of them long enough to span several slots.
+    fn random_trace(seed: u64, nodes: u32, contacts: usize, window: TimeWindow) -> ContactTrace {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let span = window.end - window.start;
+        let contacts = (0..contacts)
+            .map(|i| {
+                let a = rng.gen_range(0..nodes - 1);
+                let b = rng.gen_range(a + 1..nodes);
+                let start: f64 = window.start + rng.gen_range(0.0..span * 0.95);
+                let length: f64 =
+                    if i % 2 == 0 { rng.gen_range(1.0..9.0) } else { rng.gen_range(10.0..90.0) };
+                (a, b, start, (start + length).min(window.end))
+            })
+            .collect();
+        trace_from(contacts, nodes as usize, window)
+    }
+
+    #[test]
+    fn start_masks_match_consecutive_slot_scan_on_handcrafted_trace() {
+        let trace = trace_from(
+            vec![
+                (0, 1, 1.0, 35.0),  // starts in slot 0, continues through 3
+                (0, 2, 5.0, 8.0),   // slot 0
+                (0, 2, 21.0, 24.0), // slot 2, after a gap: a new encounter
+                (1, 3, 22.0, 28.0), // slot 2
+                (1, 3, 31.0, 39.0), // slot 3: continues from slot 2
+                (2, 3, 95.0, 99.0), // slot 9, after contact-free slots
+            ],
+            5,
+            TimeWindow::new(0.0, 100.0),
+        );
+        let graph = SpaceTimeGraph::build_default(&trace);
+        assert_start_masks_match_scan(&graph);
+        let timeline = HistoryTimeline::build(&graph);
+        // Slot 3: 0-1 and 1-3 both continue, so nobody starts anything.
+        assert_eq!(timeline.start_mask(3), &[0]);
+        assert_eq!(timeline.start_mask(2), &[0b1111]);
+        assert_eq!(timeline.active_mask(3), &[0b1011]);
+    }
+
+    #[test]
+    fn start_masks_match_consecutive_slot_scan_on_random_traces_with_nonzero_window() {
+        for seed in 0..4 {
+            let trace = random_trace(seed, 12, 80, TimeWindow::new(3600.0, 4400.0));
+            assert_start_masks_match_scan(&SpaceTimeGraph::build_default(&trace));
+        }
+    }
+
+    #[test]
+    fn start_masks_match_consecutive_slot_scan_beyond_64_nodes() {
+        let trace = random_trace(9, 70, 300, TimeWindow::new(500.0, 1100.0));
+        assert_start_masks_match_scan(&SpaceTimeGraph::build_default(&trace));
+    }
+
+    #[test]
+    fn streaming_fold_masks_match_the_materialized_build() {
+        // The streaming pipeline folds the timeline from the windowed
+        // builder's sealed-slot tap; every per-slot mask must equal the
+        // materialized build's, on a trace wider than one mask word.
+        let trace = random_trace(12, 70, 260, TimeWindow::new(1000.0, 1600.0));
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let materialized = HistoryTimeline::build(&graph);
+        let mut builder = TimelineBuilder::new(trace.node_count());
+        let windowed = psn_spacetime::WindowedSpaceTimeGraph::stream_with(
+            &mut psn_trace::TraceEventStream::new(&trace, 10.0),
+            2,
+            Box::new(psn_spacetime::MemorySpill::new()),
+            |slot, sealed| builder.push_slot(slot, sealed.edges()),
+        )
+        .unwrap();
+        let streamed =
+            builder.finish((0..windowed.slot_count()).map(|s| windowed.slot_end_time(s)).collect());
+        assert_eq!(streamed.approx_bytes(), materialized.approx_bytes());
+        for slot in 0..graph.slot_count() + 1 {
+            assert_eq!(streamed.start_mask(slot), materialized.start_mask(slot), "slot {slot}");
+            assert_eq!(streamed.active_mask(slot), materialized.active_mask(slot), "slot {slot}");
+            assert_eq!(
+                streamed.neighbor_masks(slot),
+                materialized.neighbor_masks(slot),
+                "slot {slot}"
+            );
+        }
     }
 
     #[test]

@@ -466,8 +466,26 @@ impl WindowedSpaceTimeGraph {
         self.total_edges
     }
 
+    /// Passes a reloaded edge list through if every endpoint is a node of
+    /// this graph; a record that decodes cleanly can still name a node the
+    /// graph does not have, which [`Slot::seal`] would index out of bounds.
+    fn checked_node_ids(
+        &self,
+        slot: usize,
+        edges: Vec<(NodeId, NodeId)>,
+    ) -> Result<Vec<(NodeId, NodeId)>, SpillError> {
+        match edges.iter().flat_map(|&(a, b)| [a, b]).find(|v| v.index() >= self.node_count) {
+            Some(v) => Err(SpillError::Corrupt(format!(
+                "slot {slot} names node {} but the graph has {} nodes",
+                v.0, self.node_count
+            ))),
+            None => Ok(edges),
+        }
+    }
+
     /// The slot `s`, hot or reloaded from spill. Contact-free slots share
-    /// one empty instance.
+    /// one empty instance. A reloaded edge naming a node id at or beyond
+    /// [`WindowedSpaceTimeGraph::node_count`] is a [`SpillError::Corrupt`].
     ///
     /// # Panics
     ///
@@ -493,7 +511,7 @@ impl WindowedSpaceTimeGraph {
             return Arc::clone(slot);
         }
         let reload = |s: usize| -> Arc<Slot> {
-            let edges = match self.spill.load(s) {
+            let edges = match self.spill.load(s).and_then(|edges| self.checked_node_ids(s, edges)) {
                 Ok(edges) => edges,
                 Err(e) => panic!("reloading spilled slot {s} failed: {e}"),
             };
@@ -1116,6 +1134,55 @@ mod tests {
             slotter.apply(&stale, &mut seal),
             Err(StreamBuildError::Stream(StreamError::SlotRegression { slot: 2, expected_min: 5 }))
         ));
+    }
+
+    /// A spill whose reloads add an edge to a node outside the graph.
+    #[derive(Debug, Default)]
+    struct ForeignNodeSpill {
+        inner: MemorySpill,
+    }
+
+    impl SlotSpill for ForeignNodeSpill {
+        fn store(&self, index: usize, edges: &[(NodeId, NodeId)]) -> Result<(), SpillError> {
+            self.inner.store(index, edges)
+        }
+
+        fn load(&self, index: usize) -> Result<Vec<(NodeId, NodeId)>, SpillError> {
+            let mut edges = self.inner.load(index)?;
+            edges.push((NodeId(1), NodeId(6)));
+            Ok(edges)
+        }
+    }
+
+    #[test]
+    fn reloaded_edge_to_a_foreign_node_is_rejected_as_corrupt() {
+        let trace = sample_trace();
+        let windowed = WindowedSpaceTimeGraph::stream(
+            &mut TraceEventStream::new(&trace, 10.0),
+            1,
+            Box::new(ForeignNodeSpill::default()),
+        )
+        .unwrap();
+        let cold = windowed.busy_slots()[0];
+        assert!(windowed.spill_stores() > 0, "window 1 must spill the first busy slot");
+        assert_eq!(
+            windowed.checked_node_ids(cold, vec![(NodeId(1), NodeId(6))]),
+            Err(SpillError::Corrupt(format!("slot {cold} names node 6 but the graph has 6 nodes")))
+        );
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| windowed.slot(cold)))
+            .expect_err("a foreign node id must not seal");
+        let message = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert_eq!(
+            message,
+            format!(
+                "reloading spilled slot {cold} failed: spilled slot is corrupt: \
+                 slot {cold} names node 6 but the graph has 6 nodes"
+            )
+        );
     }
 
     #[test]
