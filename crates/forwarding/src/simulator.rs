@@ -38,7 +38,10 @@
 //!   - its state is a holder bitmask plus one provenance entry per node
 //!     that received a copy;
 //!   - exact actionability prechecks on the timeline's bitmasks decide
-//!     whether a slot is swept at all;
+//!     whether a slot is swept at all; the per-node neighbor rows they
+//!     read are one block per lane, rewritten at each busy slot from the
+//!     timeline's edge list ([`HistoryTimeline::slot_edges`]), so no
+//!     per-slot `O(n²)` state is kept anywhere;
 //!   - after a message's first step, a slot carried over from the previous
 //!     busy slot runs that precheck only if it brings the message something
 //!     new: a holder starting an encounter
@@ -199,8 +202,9 @@ fn nodes_of(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = NodeId
     })
 }
 
-/// One busy slot's activity, encounter-start and neighbor bitmasks,
-/// sliced out of the timeline once per slot.
+/// One busy slot's activity, encounter-start and neighbor bitmasks: the
+/// first two sliced out of the timeline, the rows expanded by the lane
+/// ([`NeighborRows`]).
 #[derive(Clone, Copy)]
 struct SlotMasks<'t> {
     slot: usize,
@@ -209,18 +213,19 @@ struct SlotMasks<'t> {
     active: &'t [u64],
     /// [`HistoryTimeline::start_mask`].
     starts: &'t [u64],
-    /// [`HistoryTimeline::neighbor_masks`].
+    /// Node-major neighbor rows of the slot, stride `words`: bit `p` of
+    /// row `v` is set iff `(v, p)` share a contact edge in it.
     neighbors: &'t [u64],
 }
 
 impl<'t> SlotMasks<'t> {
-    fn of(timeline: &'t HistoryTimeline, slot: usize) -> Self {
+    fn of(timeline: &'t HistoryTimeline, slot: usize, neighbors: &'t [u64]) -> Self {
         Self {
             slot,
             words: timeline.node_count().div_ceil(64),
             active: timeline.active_mask(slot),
             starts: timeline.start_mask(slot),
-            neighbors: timeline.neighbor_masks(slot),
+            neighbors,
         }
     }
 
@@ -228,6 +233,40 @@ impl<'t> SlotMasks<'t> {
     #[inline]
     fn of_node(&self, node: NodeId) -> &'t [u64] {
         &self.neighbors[node.index() * self.words..][..self.words]
+    }
+}
+
+/// A lane's one `n × ⌈n/64⌉`-word block of per-node neighbor rows,
+/// rewritten at each busy slot from [`HistoryTimeline::slot_edges`]: the
+/// previous slot's bits are cleared edge by edge and the new slot's set, so
+/// entering a slot costs `O(edges)`, not `O(n²)` bits, and the timeline
+/// keeps no per-slot rows of its own.
+struct NeighborRows<'t> {
+    words: usize,
+    rows: Vec<u64>,
+    /// The edges whose bits `rows` holds.
+    edges: &'t [(NodeId, NodeId)],
+}
+
+impl<'t> NeighborRows<'t> {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Self { words, rows: vec![0; n * words], edges: &[] }
+    }
+
+    /// Rewrites the rows to `slot`'s neighborhoods and returns them.
+    fn enter(&mut self, timeline: &'t HistoryTimeline, slot: usize) -> &[u64] {
+        let words = self.words;
+        for &(a, b) in self.edges {
+            self.rows[a.index() * words + b.index() / 64] = 0;
+            self.rows[b.index() * words + a.index() / 64] = 0;
+        }
+        self.edges = timeline.slot_edges(slot);
+        for &(a, b) in self.edges {
+            self.rows[a.index() * words + b.index() / 64] |= 1u64 << (b.index() % 64);
+            self.rows[b.index() * words + a.index() / 64] |= 1u64 << (a.index() % 64);
+        }
+        &self.rows
     }
 }
 
@@ -311,7 +350,7 @@ fn closure_escapes(reach: &[u64], promising: &[u64], held: &[u64]) -> bool {
 }
 
 /// The exact sweep-actionability precheck under a destination-aware
-/// utility row, run entirely on the timeline's per-slot neighbor bitmasks:
+/// utility row, run entirely on the slot's per-node neighbor bitmasks:
 /// true iff some holder sits next to the destination (delivery) or some
 /// active holder has a strictly-higher-utility non-holder neighbor (a
 /// forward). Only the holder's non-holder neighbors have their utilities
@@ -870,6 +909,7 @@ impl<'a> Lane<'a> {
     fn run(mut self, stopping: &AtomicBool) -> (Vec<Finished>, Vec<StepCounts>) {
         let timeline = &*self.sim.timeline;
         let busy = self.graph.busy_slots();
+        let mut neighbors = NeighborRows::new(self.n);
         for (cursor, &slot) in busy.iter().enumerate() {
             // relaxed: advisory stop flag; a stale read only costs one more slot.
             if stopping.load(Ordering::Relaxed) {
@@ -881,7 +921,7 @@ impl<'a> Lane<'a> {
                 oracle: &self.sim.oracle,
                 now: self.graph.slot_end_time(slot),
             };
-            let masks = SlotMasks::of(timeline, slot);
+            let masks = SlotMasks::of(timeline, slot, neighbors.enter(timeline, slot));
             for group in &mut self.groups {
                 group.refresh_rows(&masks, &ctx);
             }
@@ -2245,6 +2285,75 @@ mod tests {
                 delivered += usize::from(optimal.is_some());
             }
             assert!(delivered > messages.len() / 2, "only {delivered} deliverable messages");
+        }
+    }
+
+    /// Bursts of six busy slots every 200 s, separated by idle gaps. Each
+    /// busy slot draws its own one-slot contacts, so consecutive busy slots
+    /// have different neighborhoods; a few contacts span two to four slots,
+    /// so some neighbors carry over while others come and go.
+    fn bursty_trace(seed: u64, nodes: usize, per_slot: usize) -> ContactTrace {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut contacts = Vec::new();
+        for burst in 0..10 {
+            for slot in 0..6 {
+                let start = f64::from(burst * 200 + slot * 10);
+                for i in 0..per_slot {
+                    let a = rng.gen_range(0..nodes as u32 - 1);
+                    let b = rng.gen_range(a + 1..nodes as u32);
+                    let begin = start + rng.gen_range(1.0..4.0);
+                    let end = if i % 8 == 0 {
+                        begin + f64::from(rng.gen_range(1..4u32)) * 10.0
+                    } else {
+                        begin + rng.gen_range(1.0..5.0)
+                    };
+                    contacts.push((a, b, begin, end));
+                }
+            }
+        }
+        trace_from(contacts, nodes, 2000.0)
+    }
+
+    #[test]
+    fn lane_neighbor_rows_match_every_busy_slot_in_walk_order() {
+        // The lane rewrites one block of rows per busy slot, clearing the
+        // previous slot's bits; every row must equal the slot's adjacency,
+        // however the neighborhoods changed since the last busy slot.
+        let trace = bursty_trace(4, 70, 30);
+        let sim = Simulator::with_default_config(&trace);
+        let (graph, timeline) = (sim.graph(), sim.timeline());
+        let n = graph.node_count();
+        let words = n.div_ceil(64);
+        let mut rows = NeighborRows::new(n);
+        let mut gaps = 0;
+        for (i, &slot) in graph.busy_slots().iter().enumerate() {
+            gaps += usize::from(i > 0 && graph.busy_slots()[i - 1] + 1 != slot);
+            let block = rows.enter(timeline, slot).to_vec();
+            let adjacency = graph.slot(slot);
+            for v in 0..n as u32 {
+                let expected: Vec<NodeId> = adjacency.neighbors(nid(v)).to_vec();
+                let row = &block[v as usize * words..][..words];
+                assert_eq!(
+                    nodes_of(row.iter().copied()).collect::<Vec<_>>(),
+                    expected,
+                    "row of node {v} at slot {slot}"
+                );
+            }
+        }
+        assert!(gaps >= 9, "the trace needs idle gaps between bursts, has {gaps}");
+    }
+
+    #[test]
+    fn batch_matches_reference_when_neighborhoods_change_every_busy_slot() {
+        // Neighborhoods change between consecutive busy slots and across
+        // the idle gaps between bursts, on one and several mask words.
+        for (seed, nodes, per_slot) in [(1u64, 24usize, 10usize), (2, 70, 40)] {
+            let trace = bursty_trace(seed, nodes, per_slot);
+            let window = TimeWindow::new(0.0, 1600.0);
+            let messages = random_messages(seed, nodes, 90, window);
+            assert_batch_matches_reference(&trace, &messages, &[1, 2, 3]);
         }
     }
 

@@ -24,6 +24,13 @@
 //! one node), versus `O(1)` for the mutable arrays — in exchange the
 //! structure is immutable, `Sync`, built once, and costs `O(contact-slot
 //! incidences)` memory rather than `O(n²)` per concurrent simulation.
+//!
+//! For the simulator's skip index and prechecks the timeline also keeps,
+//! per busy slot, `⌈n/64⌉`-word activity and encounter-start bitmasks and
+//! the slot's edge list ([`HistoryTimeline::slot_edges`]). Nothing per
+//! slot is `O(n²)`: a simulator lane expands one slot's edge list at a
+//! time into per-node neighbor rows. The only `O(n²)` table is the
+//! `4·n²`-byte pair index.
 
 use psn_spacetime::SpaceTimeGraph;
 use psn_trace::{NodeId, Seconds};
@@ -54,6 +61,8 @@ struct NodeEvent {
 /// Built once per trace from the [`SpaceTimeGraph`] (which already carries
 /// the deduplicated per-slot edge lists) and shared by reference across all
 /// algorithm × run × message-batch workers of the parallel simulator.
+/// Besides the `O(n²)`-word pair index, its size is linear in the contact
+/// edges, slots and nodes of the trace (see [`HistoryTimeline::approx_bytes`]).
 #[derive(Debug, Clone)]
 pub struct HistoryTimeline {
     node_count: usize,
@@ -97,13 +106,15 @@ pub struct HistoryTimeline {
     /// slot anywhere in the trace, or `p == v`. Derived from the pair
     /// index at seal time; see [`HistoryTimeline::ever_met_mask`].
     ever_met_masks: Vec<u64>,
-    /// Per-slot per-node neighbor bitmasks: bit `p` of words
-    /// `[(slot * n + v) * words_per_slot, ...)` is set iff `(v, p)` share a
-    /// contact edge in `slot` — `Slot::neighbors` as a bitmask, laid out
-    /// contiguously so the simulator's actionability precheck runs on word
-    /// operations instead of chasing per-slot adjacency vectors. Truncated
-    /// after the last busy slot (missing rows read as zero).
-    slot_neighbor_masks: Vec<u64>,
+    /// Every busy slot's contact edges, concatenated in slot order, each
+    /// slot's list as folded (the graph's normalized order). `O(edges)`:
+    /// the simulator expands one slot at a time into per-node neighbor
+    /// rows instead of the timeline keeping an `O(n²)`-bit block per slot.
+    /// See [`HistoryTimeline::slot_edges`].
+    slot_edges: Vec<(NodeId, NodeId)>,
+    /// Per slot: the end of its run in `slot_edges` (the start is the
+    /// previous slot's end). Truncated after the last busy slot.
+    slot_edge_ends: Vec<usize>,
 }
 
 /// Incremental [`HistoryTimeline`] construction: a fold over `(slot,
@@ -124,7 +135,8 @@ pub struct TimelineBuilder {
     words_per_slot: usize,
     slot_active_masks: Vec<u64>,
     slot_start_masks: Vec<u64>,
-    slot_neighbor_masks: Vec<u64>,
+    slot_edges: Vec<(NodeId, NodeId)>,
+    slot_edge_ends: Vec<usize>,
     /// Bytes held by the entries of the per-pair, per-node and active-slot
     /// lists, kept current by `push_slot` so `approx_bytes` is `O(1)`.
     list_bytes: usize,
@@ -144,7 +156,8 @@ impl TimelineBuilder {
             words_per_slot: node_count.div_ceil(64),
             slot_active_masks: Vec::new(),
             slot_start_masks: Vec::new(),
-            slot_neighbor_masks: Vec::new(),
+            slot_edges: Vec::new(),
+            slot_edge_ends: Vec::new(),
             list_bytes: 0,
             next_slot: 0,
         }
@@ -170,10 +183,12 @@ impl TimelineBuilder {
         if !edges.is_empty() {
             self.slot_active_masks.resize((slot + 1) * self.words_per_slot, 0);
             self.slot_start_masks.resize((slot + 1) * self.words_per_slot, 0);
-            self.slot_neighbor_masks.resize((slot + 1) * n * self.words_per_slot, 0);
+            self.slot_edge_ends.resize(slot, self.slot_edges.len());
+            self.slot_edges.extend_from_slice(edges);
+            self.slot_edge_ends.push(self.slot_edges.len());
         }
         for &(a, b) in edges {
-            for (node, peer) in [(a, b), (b, a)] {
+            for node in [a, b] {
                 let active = &mut self.node_active_slots[node.index()];
                 if active.last() != Some(&slot32) {
                     active.push(slot32);
@@ -181,9 +196,6 @@ impl TimelineBuilder {
                 }
                 self.slot_active_masks[slot * self.words_per_slot + node.index() / 64] |=
                     1u64 << (node.index() % 64);
-                self.slot_neighbor_masks
-                    [(slot * n + node.index()) * self.words_per_slot + peer.index() / 64] |=
-                    1u64 << (peer.index() % 64);
             }
             let key = a.index() * n + b.index();
             let pair = if self.pair_index[key] == NO_PAIR {
@@ -239,7 +251,8 @@ impl TimelineBuilder {
             + self.list_bytes
             + self.slot_active_masks.len() * std::mem::size_of::<u64>()
             + self.slot_start_masks.len() * std::mem::size_of::<u64>()
-            + self.slot_neighbor_masks.len() * std::mem::size_of::<u64>()
+            + self.slot_edges.len() * std::mem::size_of::<(NodeId, NodeId)>()
+            + self.slot_edge_ends.len() * std::mem::size_of::<usize>()
     }
 
     /// Seals the fold into an immutable [`HistoryTimeline`].
@@ -273,7 +286,8 @@ impl TimelineBuilder {
             slot_active_masks: self.slot_active_masks,
             slot_start_masks: self.slot_start_masks,
             ever_met_masks,
-            slot_neighbor_masks: self.slot_neighbor_masks,
+            slot_edges: self.slot_edges,
+            slot_edge_ends: self.slot_edge_ends,
         }
     }
 }
@@ -295,7 +309,8 @@ impl HistoryTimeline {
 
     /// Approximate resident size in bytes — the weight artifact stores use
     /// for byte-budget accounting. Dominated by the dense `O(n²)`
-    /// pair-index map and the per-pair/per-node event lists.
+    /// pair-index map, the per-pair/per-node event lists and the per-slot
+    /// edge lists.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.slot_end_times.len() * std::mem::size_of::<Seconds>()
@@ -321,7 +336,8 @@ impl HistoryTimeline {
             + self.slot_active_masks.len() * std::mem::size_of::<u64>()
             + self.slot_start_masks.len() * std::mem::size_of::<u64>()
             + self.ever_met_masks.len() * std::mem::size_of::<u64>()
-            + self.slot_neighbor_masks.len() * std::mem::size_of::<u64>()
+            + self.slot_edges.len() * std::mem::size_of::<(NodeId, NodeId)>()
+            + self.slot_edge_ends.len() * std::mem::size_of::<usize>()
     }
 
     /// The activity bitmask of `slot`: bit `v` is set iff node `v` has at
@@ -351,31 +367,16 @@ impl HistoryTimeline {
         self.slot_start_masks.get(start..end).unwrap_or(&[])
     }
 
-    /// The neighbor bitmask of `node` in `slot`: bit `p` is set iff `(node,
-    /// p)` share a contact edge during it — exactly `Slot::neighbors` as a
-    /// bitmask (pinned by a differential test below). May be shorter than
-    /// the full per-slot stride (or empty, for slots after the last busy
-    /// one); missing words read as all-zero.
-    pub fn neighbor_mask(&self, slot: usize, node: NodeId) -> &[u64] {
-        let Some(row) = slot
-            .checked_mul(self.node_count)
-            .and_then(|r| r.checked_add(node.index()))
-            .and_then(|r| r.checked_mul(self.words_per_slot))
-        else {
+    /// The contact edges of `slot`, in the order they were folded (the
+    /// graph's normalized order) — exactly the graph's `edges(slot)`
+    /// (pinned by a differential test below). Empty for contact-free slots
+    /// and for slots after the last busy one.
+    pub fn slot_edges(&self, slot: usize) -> &[(NodeId, NodeId)] {
+        let Some(&end) = self.slot_edge_ends.get(slot) else {
             return &[];
         };
-        let end = (row + self.words_per_slot).min(self.slot_neighbor_masks.len());
-        self.slot_neighbor_masks.get(row..end).unwrap_or(&[])
-    }
-
-    /// Every node's [`HistoryTimeline::neighbor_mask`] in `slot`, node-major
-    /// with a stride of `⌈node_count / 64⌉` words — one slice per slot for
-    /// callers that read many rows. Empty for slots after the last busy one.
-    pub fn neighbor_masks(&self, slot: usize) -> &[u64] {
-        let stride = self.node_count * self.words_per_slot;
-        slot.checked_mul(stride)
-            .and_then(|start| self.slot_neighbor_masks.get(start..start + stride))
-            .unwrap_or(&[])
+        let start = slot.checked_sub(1).map_or(0, |previous| self.slot_edge_ends[previous]);
+        &self.slot_edges[start..end]
     }
 
     /// True iff `node` has at least one contact edge during `slot` — the
@@ -602,7 +603,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x7B);
         let n = 70;
         let mut builder = TimelineBuilder::new(n);
-        let mut slot = 0;
+        let (mut slot, mut last_busy, mut folded) = (0, 0, 0);
         for _ in 0..200 {
             slot += rng.gen_range(0..3usize) + 1;
             let mut edges: Vec<(NodeId, NodeId)> = (0..rng.gen_range(0..12))
@@ -618,9 +619,17 @@ mod tests {
                 + list_bytes(&builder.node_events)
                 + list_bytes(&builder.node_active_slots);
             assert_eq!(builder.list_bytes, recount, "after slot {slot}");
-            let masks = builder.slot_active_masks.len()
-                + builder.slot_start_masks.len()
-                + builder.slot_neighbor_masks.len();
+            folded += edges.len();
+            if !edges.is_empty() {
+                last_busy = slot;
+            }
+            let masks = builder.slot_active_masks.len() + builder.slot_start_masks.len();
+            // Every folded edge once, and one end offset per slot up to the
+            // last busy one.
+            let offsets = if folded > 0 { last_busy + 1 } else { 0 };
+            let edge_lists = folded * std::mem::size_of::<(NodeId, NodeId)>()
+                + offsets * std::mem::size_of::<usize>();
+            assert_eq!(builder.slot_edges.len(), folded, "after slot {slot}");
             assert_eq!(
                 builder.approx_bytes(),
                 std::mem::size_of::<TimelineBuilder>()
@@ -629,25 +638,68 @@ mod tests {
                     + builder.node_events.len() * std::mem::size_of::<Vec<NodeEvent>>()
                     + builder.node_active_slots.len() * std::mem::size_of::<Vec<u32>>()
                     + recount
-                    + masks * std::mem::size_of::<u64>(),
+                    + masks * std::mem::size_of::<u64>()
+                    + edge_lists,
                 "builder bytes after slot {slot}"
             );
         }
         assert!(builder.list_bytes > 0);
         let words = n.div_ceil(64);
-        let busy_words = (slot + 1) * words;
+        let busy_words = (last_busy + 1) * words;
         assert_eq!(builder.slot_start_masks.len(), busy_words, "start masks span every slot");
         let builder_bytes = builder.approx_bytes();
         let slots = slot + 5;
         let timeline = builder.finish(vec![0.0; slots]);
+        let listed: usize = (0..slots).map(|s| timeline.slot_edges(s).len()).sum();
+        assert_eq!(listed, folded, "every folded edge is listed under its slot");
         assert_eq!(
             timeline.approx_bytes(),
             builder_bytes - std::mem::size_of::<TimelineBuilder>()
                 + std::mem::size_of::<HistoryTimeline>()
                 + slots * std::mem::size_of::<Seconds>()
                 + n * words * std::mem::size_of::<u64>(),
-            "the timeline counts every builder table plus slot times and ever-met masks"
+            "the timeline counts every builder table (edge lists included) plus slot times \
+             and ever-met masks"
         );
+    }
+
+    #[test]
+    fn timeline_memory_beyond_the_pair_index_is_linear_in_edges_and_slots() {
+        // A per-slot O(n²) structure on a 1000-node trace costs ~128 KB a
+        // busy slot (one ⌈n/64⌉-word row per node), far above this bound.
+        let trace = psn_trace::ScenarioConfig::from_toml_str(
+            "kind = \"scaled\"\nname = \"timeline-memory\"\nnodes = 1000\n\
+             window_seconds = 600.0\nseed = 5\n",
+        )
+        .unwrap()
+        .generate();
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let n = graph.node_count();
+        assert_eq!(n, 1000);
+        let timeline = HistoryTimeline::build(&graph);
+        let edges: usize = graph.busy_slots().iter().map(|&s| graph.edges(s).len()).sum();
+        assert!(edges > 0, "the trace has no contacts");
+        let slots = graph.slot_count();
+        // At most, per edge incidence (two per edge): half the edge's
+        // slot-list entry and pair event (8 B each), a node event (16 B),
+        // an active-slot entry (4 B) and half a pair's Vec header (24 B).
+        // Per slot: its end time, its end offset and two ⌈n/64⌉-word
+        // masks. Per node: three Vec headers and its ever-met row.
+        let words = n.div_ceil(64);
+        let per_incidence = 4 + 4 + 16 + 4 + 12;
+        let per_slot = 8 + 8 + 2 * words * 8;
+        let per_node = 3 * 24 + words * 8;
+        let bound = 2 * edges * per_incidence + slots * per_slot + n * per_node + 4096;
+        let beyond_pair_index = timeline.approx_bytes() - 4 * n * n;
+        assert!(
+            beyond_pair_index <= bound,
+            "{beyond_pair_index} B beyond the pair index exceeds {bound} B \
+             ({edges} edges, {slots} slots, {n} nodes)"
+        );
+        // The bound has teeth: one n × ⌈n/64⌉-word neighbor block per busy
+        // slot on top of today's tables would break it.
+        let dense = graph.busy_slots().len() * n * words * 8;
+        assert!(beyond_pair_index + dense > bound, "the bound misses a per-slot O(n²) block");
     }
 
     /// Brute-force pin of the skip index: `next_active_slot` must agree
@@ -725,9 +777,22 @@ mod tests {
         assert_skip_index_matches_scan(&graph);
     }
 
-    /// Brute-force pin of the per-slot neighbor bitmasks (row by row and as
-    /// one slot block) and the ever-met masks — every mask bit against a
-    /// direct scan of the graph's slots.
+    /// Neighbor rows expanded from one slot's edge list: node-major, stride
+    /// `⌈n/64⌉` words, bit `p` of row `v` set iff the list holds `(v, p)` or
+    /// `(p, v)`.
+    fn rows_from_edges(edges: &[(NodeId, NodeId)], n: usize) -> Vec<u64> {
+        let words = n.div_ceil(64);
+        let mut rows = vec![0u64; n * words];
+        for &(a, b) in edges {
+            rows[a.index() * words + b.index() / 64] |= 1u64 << (b.index() % 64);
+            rows[b.index() * words + a.index() / 64] |= 1u64 << (a.index() % 64);
+        }
+        rows
+    }
+
+    /// Brute-force pin of the per-slot edge lists (as lists and as the
+    /// neighbor rows they expand to) and the ever-met masks — every bit
+    /// against a direct scan of the graph's slots.
     fn assert_pair_structures_match_scan(graph: &SpaceTimeGraph) {
         let n = graph.node_count();
         let words = n.div_ceil(64);
@@ -735,27 +800,29 @@ mod tests {
         let met = |a: NodeId, b: NodeId| {
             (0..graph.slot_count()).any(|s| graph.slot(s).neighbors(a).contains(&b))
         };
-        for a in 0..n as u32 {
-            let a = nid(a);
-            for slot in 0..graph.slot_count() {
-                let mask = timeline.neighbor_mask(slot, a);
-                let block = timeline.neighbor_masks(slot);
-                assert!(
-                    block.is_empty() || block[a.index() * words..][..words] == *mask,
-                    "neighbor_masks row ({a:?}, slot {slot})"
-                );
+        for slot in 0..graph.slot_count() + 2 {
+            let edges = timeline.slot_edges(slot);
+            let expected = if slot < graph.slot_count() { graph.edges(slot) } else { &[] };
+            assert_eq!(edges, expected, "slot_edges({slot})");
+        }
+        for slot in 0..graph.slot_count() {
+            let rows = rows_from_edges(timeline.slot_edges(slot), n);
+            for a in 0..n as u32 {
+                let a = nid(a);
+                let row = &rows[a.index() * words..][..words];
                 for b in 0..n as u32 {
                     let b = nid(b);
-                    let bit = mask
-                        .get(b.index() / 64)
-                        .is_some_and(|&w| w & (1u64 << (b.index() % 64)) != 0);
+                    let bit = row[b.index() / 64] & (1u64 << (b.index() % 64)) != 0;
                     assert_eq!(
                         bit,
                         graph.slot(slot).neighbors(a).contains(&b),
-                        "neighbor_mask bit ({a:?}, {b:?}, slot {slot})"
+                        "neighbor row bit ({a:?}, {b:?}, slot {slot})"
                     );
                 }
             }
+        }
+        for a in 0..n as u32 {
+            let a = nid(a);
             let ever = timeline.ever_met_mask(a);
             for b in 0..n as u32 {
                 let b = nid(b);
@@ -916,11 +983,7 @@ mod tests {
         for slot in 0..graph.slot_count() + 1 {
             assert_eq!(streamed.start_mask(slot), materialized.start_mask(slot), "slot {slot}");
             assert_eq!(streamed.active_mask(slot), materialized.active_mask(slot), "slot {slot}");
-            assert_eq!(
-                streamed.neighbor_masks(slot),
-                materialized.neighbor_masks(slot),
-                "slot {slot}"
-            );
+            assert_eq!(streamed.slot_edges(slot), materialized.slot_edges(slot), "slot {slot}");
         }
     }
 

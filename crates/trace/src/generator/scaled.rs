@@ -45,7 +45,9 @@ pub(crate) fn sample_node<R: Rng + ?Sized>(rng: &mut R, prefix: &[f64]) -> usize
 /// # Panics
 ///
 /// Panics on degenerate configurations (fewer than two nodes, non-positive
-/// rates, durations or window, min rate not below max rate).
+/// rates, durations or window, min rate not below max rate). Scenario
+/// configs reject these, and non-finite windows and rates, with a typed
+/// error before they get here.
 pub fn generate_scaled(config: &ScaledConfig) -> ContactTrace {
     assert!(config.nodes >= 2, "need at least two nodes to have contacts");
     assert!(config.max_node_rate > 0.0, "max node rate must be positive");

@@ -284,44 +284,14 @@ impl ScenarioConfig {
     }
 
     /// Rejects configurations the generator cannot run with, naming the
-    /// offending key. Covers the conference family's preconditions (the
-    /// generator keeps them as `assert!`s); NaN fails every rule.
+    /// offending key. Covers the conference and scaled families'
+    /// preconditions (their generators keep them as `assert!`s); NaN fails
+    /// every rule.
     pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
-        let ScenarioConfig::Conference(c) = self else {
-            return Ok(());
-        };
-        let finite_positive = |x: f64| x > 0.0 && x.is_finite();
-        let total = c.total_nodes();
-        let scan = c.inquiry_scan_period.unwrap_or(f64::INFINITY);
-        let checks: [(bool, &str, &str, &dyn std::fmt::Display); 7] = [
-            (total >= 2, "mobile_nodes", "at least 2 in total with \"stationary_nodes\"", &total),
-            (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
-            (
-                (0.0..c.max_node_rate).contains(&c.min_node_rate),
-                "min_node_rate",
-                "in [0, max_node_rate)",
-                &c.min_node_rate,
-            ),
-            (
-                c.mean_contact_duration > 0.0,
-                "mean_contact_duration",
-                "> 0",
-                &c.mean_contact_duration,
-            ),
-            (c.contact_duration_cv >= 0.0, "contact_duration_cv", ">= 0", &c.contact_duration_cv),
-            (
-                finite_positive(c.window_seconds),
-                "window_seconds",
-                "finite and > 0",
-                &c.window_seconds,
-            ),
-            (scan > 0.0, "inquiry_scan_period", "> 0", &scan),
-        ];
-        match checks.iter().find(|check| !check.0) {
-            Some((_, key, rule, got)) => Err(ScenarioError::new(format!(
-                "conference field {key:?} must be {rule} (got {got})"
-            ))),
-            None => Ok(()),
+        match self {
+            ScenarioConfig::Conference(c) => validate_conference(c),
+            ScenarioConfig::Scaled(c) => validate_scaled(c),
+            _ => Ok(()),
         }
     }
 
@@ -1139,6 +1109,60 @@ pub(crate) mod doc {
     }
 }
 
+fn finite_positive(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
+}
+
+fn validate_conference(c: &ConferenceConfig) -> Result<(), ScenarioError> {
+    let total = c.total_nodes();
+    let scan = c.inquiry_scan_period.unwrap_or(f64::INFINITY);
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 7] = [
+        (total >= 2, "mobile_nodes", "at least 2 in total with \"stationary_nodes\"", &total),
+        (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
+        (
+            (0.0..c.max_node_rate).contains(&c.min_node_rate),
+            "min_node_rate",
+            "in [0, max_node_rate)",
+            &c.min_node_rate,
+        ),
+        (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
+        (c.contact_duration_cv >= 0.0, "contact_duration_cv", ">= 0", &c.contact_duration_cv),
+        (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+        (scan > 0.0, "inquiry_scan_period", "> 0", &scan),
+    ];
+    first_violation("conference", &checks)
+}
+
+fn validate_scaled(c: &ScaledConfig) -> Result<(), ScenarioError> {
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 5] = [
+        (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
+        (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
+        (
+            (0.0..c.max_node_rate).contains(&c.min_node_rate),
+            "min_node_rate",
+            "in [0, max_node_rate)",
+            &c.min_node_rate,
+        ),
+        (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
+        (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+    ];
+    first_violation("scaled", &checks)
+}
+
+/// The first failed `(holds, key, rule, value)` check of a `family`
+/// scenario, as an error naming the key.
+fn first_violation(
+    family: &str,
+    checks: &[(bool, &str, &str, &dyn std::fmt::Display)],
+) -> Result<(), ScenarioError> {
+    match checks.iter().find(|check| !check.0) {
+        Some((_, key, rule, got)) => {
+            Err(ScenarioError::new(format!("{family} field {key:?} must be {rule} (got {got})")))
+        }
+        None => Ok(()),
+    }
+}
+
 /// A validated collection of scenarios with unique names — what the
 /// `psn-study` CLI builds from its `--config` files before handing the
 /// scenarios to the study pipeline.
@@ -1215,7 +1239,11 @@ mod tests {
     /// `value` is rejected from TOML, from JSON and through `with_field`,
     /// each time with an error that names `key`.
     fn assert_conference_rejects_with(base: ConferenceConfig, key: &str, value: f64) {
-        let base = ScenarioConfig::Conference(base);
+        assert_rejects(ScenarioConfig::Conference(base), key, value);
+    }
+
+    /// [`assert_conference_rejects_with`] for a scenario of any family.
+    fn assert_rejects(base: ScenarioConfig, key: &str, value: f64) {
         let bad = base.assign_field(key, value).expect("the schema accepts the value");
         let errors = [
             ScenarioConfig::from_toml_str(&bad.to_toml_string()).expect_err("toml"),
@@ -1288,6 +1316,59 @@ mod tests {
         }
         assert_conference_rejects("contact_duration_cv", -0.5);
         assert_conference_rejects("inquiry_scan_period", 0.0);
+    }
+
+    /// Writes `base` as TOML with `key`'s line set to `value` (spelled as
+    /// TOML), asserting the key is in the written config.
+    fn toml_with(base: &ScenarioConfig, key: &str, value: &str) -> String {
+        let toml = base.to_toml_string();
+        let prefix = format!("{key} = ");
+        let bad: String = toml
+            .lines()
+            .map(|l| if l.starts_with(&prefix) { format!("{prefix}{value}") } else { l.into() })
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_ne!(bad, toml, "{key} is in the written config");
+        bad
+    }
+
+    #[test]
+    fn scaled_generator_preconditions_are_typed_errors_naming_the_key() {
+        let base = ScenarioConfig::Scaled(ScaledConfig::default());
+        let max = ScaledConfig::default().max_node_rate;
+        for (key, value) in [
+            ("nodes", 1.0),
+            ("nodes", 0.0),
+            ("max_node_rate", -1.0),
+            ("max_node_rate", 0.0),
+            ("min_node_rate", -0.001),
+            ("min_node_rate", max),
+            ("mean_contact_duration", 0.0),
+            ("mean_contact_duration", -120.0),
+            ("window_seconds", 0.0),
+            ("window_seconds", -3600.0),
+        ] {
+            assert_rejects(base.clone(), key, value);
+        }
+        // Values only a config file can spell: an infinite window used to
+        // hang the generator, NaN slipped past its asserts.
+        for (key, value) in [
+            ("window_seconds", "inf"),
+            ("window_seconds", "nan"),
+            ("max_node_rate", "inf"),
+            ("max_node_rate", "nan"),
+            ("min_node_rate", "nan"),
+            ("mean_contact_duration", "nan"),
+        ] {
+            let bad = toml_with(&base, key, value);
+            let err = ScenarioConfig::from_toml_str(&bad).expect_err(key);
+            assert!(err.to_string().contains(&format!("{key:?}")), "{key} = {value}: {err}");
+            assert!(err.to_string().contains("scaled field"), "{err}");
+        }
+        // The shipped scaled scenarios stay valid.
+        for nodes in [2.0, 1000.0] {
+            base.with_field("nodes", nodes).expect("a valid scaled scenario");
+        }
     }
 
     #[test]

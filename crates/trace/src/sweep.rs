@@ -346,7 +346,7 @@ impl ScenarioSweep {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::generator::config::{CommunityConfig, ConferenceConfig};
+    use crate::generator::config::{CommunityConfig, ConferenceConfig, ScaledConfig};
 
     fn base() -> ScenarioConfig {
         ScenarioConfig::Community(CommunityConfig {
@@ -484,6 +484,21 @@ mod tests {
             axis("max_node_rate", vec![3.0 * max, 4.0 * max]),
         ];
         assert_eq!(sweep.expand().expect("every finished cell is valid").len(), 2);
+
+        // The scaled family's generator preconditions are checked per cell
+        // too.
+        let defaults = ScaledConfig::default();
+        let scaled = ScenarioConfig::Scaled(defaults.clone());
+        for (field, good, bad) in [
+            ("nodes", defaults.nodes as f64, 1.0),
+            ("max_node_rate", defaults.max_node_rate, -1.0),
+            ("window_seconds", defaults.window_seconds, 0.0),
+        ] {
+            let mut sweep = ScenarioSweep::new("bad-scaled", scaled.clone());
+            sweep.axes = vec![axis(field, vec![good, bad])];
+            let err = sweep.expand().expect_err(field);
+            assert!(err.to_string().contains(&format!("{field:?}")), "{field}: {err}");
+        }
     }
 
     #[test]
