@@ -573,8 +573,29 @@ impl ArtifactStore {
         })
     }
 
-    /// The history timeline over a scenario's graph — keyed like the graph
-    /// it derives from, built at most once and shared.
+    /// The history timeline of a scenario's trace at discretization
+    /// `delta`, folded straight from the trace
+    /// ([`HistoryTimeline::from_trace`], no space-time graph) — keyed by
+    /// (scenario fingerprint, Δ) like the graph, built at most once and
+    /// shared.
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::IdentityMismatch`] on a memory-tier collision.
+    pub fn trace_timeline(
+        &self,
+        config: &ScenarioConfig,
+        trace: &ContactTrace,
+        delta: Seconds,
+    ) -> Result<(Arc<HistoryTimeline>, CacheSource), ArtifactError> {
+        self.timeline_artifact(config, delta, || HistoryTimeline::from_trace(trace, delta))
+    }
+
+    /// The same artifact as [`ArtifactStore::trace_timeline`] (same key,
+    /// bit-identical value), built from the scenario's graph when the store
+    /// has not built it yet. Kept for the perfbench harness; the ROADMAP
+    /// item 8 `[benchmark]` PR moves perfbench to `trace_timeline` and
+    /// deletes this resolver.
     ///
     /// # Errors
     ///
@@ -585,13 +606,22 @@ impl ArtifactStore {
         graph: &SpaceTimeGraph,
         delta: Seconds,
     ) -> Result<(Arc<HistoryTimeline>, CacheSource), ArtifactError> {
+        self.timeline_artifact(config, delta, || HistoryTimeline::build(graph))
+    }
+
+    fn timeline_artifact(
+        &self,
+        config: &ScenarioConfig,
+        delta: Seconds,
+        build: impl FnOnce() -> HistoryTimeline,
+    ) -> Result<(Arc<HistoryTimeline>, CacheSource), ArtifactError> {
         let mut hasher = FingerprintHasher::new("psn-timeline/1");
         hasher.write_fingerprint(config.fingerprint());
         hasher.write_f64(delta);
         let key = ArtifactKey { kind: ArtifactKind::Timeline, fingerprint: hasher.finish() };
         let identity = format!("timeline delta={delta:?} of {}", config.canonical_identity());
         self.get_or_build(key, &identity, || {
-            let timeline = HistoryTimeline::build(graph);
+            let timeline = build();
             let bytes = timeline.approx_bytes();
             Ok(BuiltArtifact { value: timeline, bytes, source: CacheSource::Built })
         })
@@ -866,10 +896,12 @@ mod tests {
         let (_, g3) = store.spacetime_graph(&config, &trace, 20.0).unwrap();
         assert_eq!(g3, CacheSource::Built);
 
-        let (timeline, t1) = store.history_timeline(&config, &graph, 10.0).unwrap();
-        let (_, t2) = store.history_timeline(&config, &graph, 10.0).unwrap();
+        let (timeline, t1) = store.trace_timeline(&config, &trace, 10.0).unwrap();
+        let (again, t2) = store.history_timeline(&config, &graph, 10.0).unwrap();
         assert_eq!((t1, t2), (CacheSource::Built, CacheSource::Memory));
+        assert!(Arc::ptr_eq(&timeline, &again), "both resolvers share one artifact");
         assert_eq!(timeline.node_count(), trace.node_count());
+        assert_eq!(timeline.approx_bytes(), HistoryTimeline::build(&graph).approx_bytes());
 
         let stats = store.stats();
         assert_eq!(stats.builds_of(ArtifactKind::Trace), 1);

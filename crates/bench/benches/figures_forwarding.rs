@@ -26,7 +26,7 @@ fn study_inputs(
     trace: &ContactTrace,
 ) -> (ContactSummary, Arc<SpaceTimeGraph>, Arc<HistoryTimeline>) {
     let graph = Arc::new(SpaceTimeGraph::build_default(trace));
-    let timeline = Arc::new(HistoryTimeline::build(&graph));
+    let timeline = Arc::new(HistoryTimeline::from_trace(trace, graph.delta()));
     (ContactSummary::from_trace(trace), graph, timeline)
 }
 
@@ -38,7 +38,7 @@ fn bench_fig9_to_13_forwarding_study(c: &mut Criterion) {
         mean_interarrival: 20.0,
         seed: 2,
     };
-    let (summary, graph, timeline) = study_inputs(&trace);
+    let (summary, _, timeline) = study_inputs(&trace);
     let mut group = c.benchmark_group("figures_forwarding");
     group.sample_size(10);
     group.bench_function("fig09_10_11_13_forwarding_study", |b| {
@@ -46,8 +46,8 @@ fn bench_fig9_to_13_forwarding_study(c: &mut Criterion) {
             criterion::black_box(run_forwarding_study_on(
                 DatasetId::Conext06Morning,
                 &summary,
-                graph.clone(),
                 timeline.clone(),
+                10.0,
                 workload.clone(),
                 1,
                 0,

@@ -63,6 +63,7 @@ fn bench_paper_forwarding(c: &mut Criterion) {
     let runs = env_usize("PSN_BENCH_FWD_RUNS", 2);
     let trace = paper_trace();
     let simulator = Simulator::with_default_config(&trace);
+    let graph = psn_spacetime::SpaceTimeGraph::build_default(&trace);
     let sets = message_sets(&trace, runs, per_run);
     let algorithms = standard_algorithms();
     let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> = algorithms
@@ -82,7 +83,7 @@ fn bench_paper_forwarding(c: &mut Criterion) {
     group.bench_function("reference_six_algorithms", |b| {
         b.iter(|| {
             for &(algorithm, messages) in &jobs {
-                criterion::black_box(simulator.run_reference(algorithm, messages));
+                criterion::black_box(simulator.run_reference(&graph, algorithm, messages));
             }
         });
     });
@@ -109,9 +110,11 @@ fn bench_forwarding_components(c: &mut Criterion) {
     });
     group.bench_function("reference_epidemic_single_run", |b| {
         b.iter(|| {
-            criterion::black_box(
-                simulator.run_reference(&psn_forwarding::algorithms::Epidemic, &msgs),
-            )
+            criterion::black_box(simulator.run_reference(
+                &graph,
+                &psn_forwarding::algorithms::Epidemic,
+                &msgs,
+            ))
         });
     });
     group.finish();

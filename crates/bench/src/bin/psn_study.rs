@@ -504,7 +504,17 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
         }
         if args.format == ReportFormat::Text {
             // The golden-pinned path: header + preset body, byte-identical
-            // to the pre-refactor binary — with or without --out.
+            // to the pre-refactor binary — with or without --out. It renders
+            // outside the artifact store, so a cache directory is rejected
+            // rather than silently ignored.
+            if args.cache.is_some() {
+                return Err(Failure::Usage(
+                    "--cache cannot be combined with a text-format --preset (the text \
+                     preset renders outside the artifact store; add --format json or csv \
+                     to cache its study)"
+                        .into(),
+                ));
+            }
             let contents = preset.render(args.profile, args.threads);
             return match &args.out {
                 None => {

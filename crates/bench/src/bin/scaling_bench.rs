@@ -24,7 +24,7 @@ use psn_forwarding::{
     SimulatorConfig,
 };
 use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig, SpaceTimeGraph};
-use psn_trace::{ContactTrace, DatasetId, SyntheticDataset};
+use psn_trace::{ContactSummary, ContactTrace, DatasetId, SyntheticDataset};
 
 /// Benchmark knobs, all overridable from the command line.
 #[derive(Debug, Clone, Copy)]
@@ -140,16 +140,14 @@ fn median(samples: &mut [f64]) -> f64 {
 /// median wall-clock over `reps` repetitions and the (rep-invariant)
 /// results.
 fn time_config(
-    trace: &ContactTrace,
-    graph: &std::sync::Arc<SpaceTimeGraph>,
+    summary: &ContactSummary,
     timeline: &std::sync::Arc<HistoryTimeline>,
     message_sets: &[Vec<Message>],
     threads: usize,
     reps: usize,
 ) -> (f64, Vec<SimulationResult>) {
     let config = SimulatorConfig { delta: 10.0, threads };
-    let simulator =
-        Simulator::from_parts(trace, std::sync::Arc::clone(graph), timeline.clone(), config);
+    let simulator = Simulator::from_summary(summary, timeline.clone(), config);
     let algorithms = standard_algorithms();
     let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> = algorithms
         .iter()
@@ -181,8 +179,9 @@ fn assert_identical(label: &str, baseline: &[SimulationResult], candidate: &[Sim
 fn main() {
     let (args, threads_list) = parse_args();
     let (trace, message_sets) = workload(&args);
-    let graph = std::sync::Arc::new(SpaceTimeGraph::build(&trace, 10.0));
-    let timeline = std::sync::Arc::new(HistoryTimeline::build(&graph));
+    let graph = SpaceTimeGraph::build(&trace, 10.0);
+    let timeline = std::sync::Arc::new(HistoryTimeline::from_trace(&trace, 10.0));
+    let summary = ContactSummary::from_trace(&trace);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let total_messages: usize = message_sets.iter().map(|m| m.len()).sum();
 
@@ -202,9 +201,8 @@ fn main() {
     );
 
     // The reference: every job through the serial engine, once.
-    let simulator = Simulator::from_parts(
-        &trace,
-        std::sync::Arc::clone(&graph),
+    let simulator = Simulator::from_summary(
+        &summary,
         timeline.clone(),
         SimulatorConfig { delta: 10.0, threads: 1 },
     );
@@ -212,7 +210,9 @@ fn main() {
     let start = Instant::now();
     let reference: Vec<SimulationResult> = algorithms
         .iter()
-        .flat_map(|(_, a)| message_sets.iter().map(|m| simulator.run_reference(a.as_ref(), m)))
+        .flat_map(|(_, a)| {
+            message_sets.iter().map(|m| simulator.run_reference(&graph, a.as_ref(), m))
+        })
         .collect();
     println!("\nreference engine (serial, once): {:.3} s", start.elapsed().as_secs_f64());
 
@@ -235,8 +235,7 @@ fn main() {
     println!("\nthread-scaling curve (slot-major engine):");
     let mut single = None;
     for &threads in &threads_list {
-        let (wall, results) =
-            time_config(&trace, &graph, &timeline, &message_sets, threads, args.reps);
+        let (wall, results) = time_config(&summary, &timeline, &message_sets, threads, args.reps);
         assert_identical(&format!("{threads} threads"), &reference, &results);
         let base = *single.get_or_insert(wall);
         println!(

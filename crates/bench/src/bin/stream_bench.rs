@@ -39,7 +39,7 @@ use std::time::Instant;
 use psn_artifact::SlabSlotSpill;
 use psn_forwarding::{
     standard_algorithms, ForwardingAlgorithm, HistoryTimeline, Simulator, SimulatorConfig,
-    TimelineBuilder, TraceOracle,
+    TimelineBuilder,
 };
 use psn_spacetime::{
     stream_graph, EnumerationConfig, Message, MessageGenerator, MessageWorkloadConfig,
@@ -259,10 +259,8 @@ fn run_study(
         }
     };
     let summary = stream.into_summary();
-    let simulator = Simulator::from_streamed_parts(
-        summary.node_count(),
-        TraceOracle::from_summary(&summary),
-        shared.clone(),
+    let simulator = Simulator::from_summary(
+        &summary,
         Arc::new(timeline),
         SimulatorConfig { delta: config.delta, ..SimulatorConfig::default() },
     );

@@ -93,3 +93,31 @@ fn contradictory_and_incomplete_cache_flags_are_rejected() {
     assert!(!resume_without_cache.status.success());
     assert!(String::from_utf8_lossy(&resume_without_cache.stderr).contains("--resume needs"));
 }
+
+#[test]
+fn cache_with_a_text_format_preset_is_a_usage_error() {
+    // The text preset path renders outside the artifact store; it used to
+    // exit 0 and create no cache directory.
+    let dir = std::env::temp_dir().join(format!("psn-cache-text-preset-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = psn_study(&["run", "--preset", "fig02", "--cache", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--cache") && stderr.contains("--preset"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing is rendered");
+    assert!(!dir.exists(), "no cache directory is created");
+
+    // A non-text preset honors the cache.
+    let json = psn_study(&[
+        "run",
+        "--preset",
+        "fig07",
+        "--format",
+        "json",
+        "--cache",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(json.status.success(), "{}", String::from_utf8_lossy(&json.stderr));
+    assert!(dir.exists(), "the json preset run populates the cache");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -15,13 +15,11 @@ use std::sync::Arc;
 
 use psn_forwarding::{
     standard_algorithms, AlgorithmKind, AlgorithmMetrics, ForwardingAlgorithm, HistoryTimeline,
-    MessageOutcome, PairType, PairTypeMetrics, Simulator, SimulatorConfig, TraceOracle,
+    MessageOutcome, PairType, PairTypeMetrics, Simulator, SimulatorConfig,
 };
-use psn_spacetime::{
-    Message, MessageGenerator, MessageWorkloadConfig, SharedGraph, SpaceTimeGraph,
-};
+use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig, DEFAULT_DELTA};
 use psn_stats::BinnedSeries;
-use psn_trace::{ContactRates, ContactSummary, DatasetId};
+use psn_trace::{ContactRates, ContactSummary, DatasetId, Seconds};
 
 use crate::config::ExperimentProfile;
 use crate::report::{Block, CellValue, Column, Scalar, Section, Series, Table};
@@ -213,14 +211,13 @@ pub fn run_forwarding_study(
     threads: usize,
 ) -> ForwardingStudy {
     let trace = profile.dataset(dataset).generate();
-    let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
-    let timeline = Arc::new(HistoryTimeline::build(&graph));
+    let timeline = Arc::new(HistoryTimeline::from_trace(&trace, DEFAULT_DELTA));
     let workload = profile.workload(trace.node_count());
     run_forwarding_study_on(
         dataset,
         &ContactSummary::from_trace(&trace),
-        graph,
         timeline,
+        DEFAULT_DELTA,
         workload,
         profile.simulation_runs(),
         threads,
@@ -229,32 +226,23 @@ pub fn run_forwarding_study(
 
 /// Runs the forwarding study over a scenario's [`ContactSummary`] — the
 /// per-node rates, the observation window and the future-knowledge oracle
-/// ([`TraceOracle::from_summary`], so the summary must carry its pair-count
-/// matrix) — around its space-time graph and history timeline. The graph
-/// may be materialized or bounded-window ([`SharedGraph`] accepts either);
-/// the artifact store memoizes both per scenario and shares them across
+/// ([`psn_forwarding::TraceOracle::from_summary`], so the summary must
+/// carry its pair-count matrix) — and its history timeline slotted at
+/// `delta` (a `params.delta` sweep axis reaches here with non-default
+/// slotting). The simulator reads nothing else: no space-time graph. The
+/// artifact store memoizes the timeline per scenario and shares it across
 /// views, seeds and sweep cells. `threads` is the simulator worker count
 /// (`0` = one per available core); it never affects results.
 pub fn run_forwarding_study_on(
     scenario: impl Into<String>,
     summary: &ContactSummary,
-    graph: impl Into<SharedGraph>,
     timeline: Arc<HistoryTimeline>,
+    delta: Seconds,
     workload: MessageWorkloadConfig,
     runs: usize,
     threads: usize,
 ) -> ForwardingStudy {
-    let graph = graph.into();
-    // The simulator's Δ must match however the graph was discretized — a
-    // `params.delta` sweep axis reaches here with non-default slotting.
-    let delta = graph.as_graph_ref().delta();
-    let simulator = Simulator::from_streamed_parts(
-        summary.node_count(),
-        TraceOracle::from_summary(summary),
-        graph,
-        timeline,
-        SimulatorConfig { delta, threads },
-    );
+    let simulator = Simulator::from_summary(summary, timeline, SimulatorConfig { delta, threads });
     let rates = summary.rates();
     let window = summary.window();
     assert!(runs >= 1, "need at least one simulation run");
@@ -333,14 +321,13 @@ mod tests {
         workload: MessageWorkloadConfig,
         runs: usize,
     ) -> ForwardingStudy {
-        let graph = Arc::new(SpaceTimeGraph::build_default(trace));
-        let timeline = Arc::new(HistoryTimeline::build(&graph));
+        let timeline = Arc::new(HistoryTimeline::from_trace(trace, DEFAULT_DELTA));
         let summary = ContactSummary::from_trace(trace);
         run_forwarding_study_on(
             DatasetId::Infocom06Morning,
             &summary,
-            graph,
             timeline,
+            DEFAULT_DELTA,
             workload,
             runs,
             0,

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use psn_forwarding::{
-    standard_algorithms, AlgorithmKind, HistoryTimeline, Simulator, SimulatorConfig, TraceOracle,
+    standard_algorithms, AlgorithmKind, HistoryTimeline, Simulator, SimulatorConfig,
 };
 use psn_spacetime::{EnumerationConfig, Message, PathEnumerator, SharedGraph};
 use psn_trace::{ContactSummary, Seconds};
@@ -76,8 +76,9 @@ impl PathsTakenCase {
 /// Runs the Fig. 12 analysis for a set of messages over a scenario's
 /// [`ContactSummary`] (the simulator's oracle input, so the summary must
 /// carry its pair-count matrix), space-time graph and history timeline.
-/// The graph may be materialized or bounded-window ([`SharedGraph`]
-/// accepts either); the enumerator and the simulator share it, so the
+/// The enumerator reads the graph, which may be materialized or
+/// bounded-window ([`SharedGraph`] accepts either); the simulator reads
+/// only the summary and the timeline, slotted at the graph's Δ. The
 /// analysis builds nothing per call.
 pub fn run_paths_taken(
     summary: &ContactSummary,
@@ -90,19 +91,13 @@ pub fn run_paths_taken(
     // The simulator's Δ must match however the graph was discretized.
     let config =
         SimulatorConfig { delta: graph.as_graph_ref().delta(), ..SimulatorConfig::default() };
-    let simulator = Simulator::from_streamed_parts(
-        summary.node_count(),
-        TraceOracle::from_summary(summary),
-        graph.clone(),
-        timeline,
-        config,
-    );
+    let simulator = Simulator::from_summary(summary, timeline, config);
     let enumerator = PathEnumerator::new(&graph, enumeration);
     let algorithms = standard_algorithms();
 
-    // Both the simulator and the enumerator sweep busy slots in ascending
-    // order: declare the sequential plan so a windowed graph keeps the
-    // sweep prefix hot across restarts.
+    // The enumerator sweeps busy slots in ascending order: declare the
+    // sequential plan so a windowed graph keeps the sweep prefix hot across
+    // restarts.
     graph.as_graph_ref().advise_sequential(true);
 
     // One slot-major batch over all messages: a bounded-window graph
@@ -183,7 +178,7 @@ mod tests {
         });
         let messages = generator.uniform_messages(3);
         let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
-        let timeline = Arc::new(HistoryTimeline::build(&graph));
+        let timeline = Arc::new(HistoryTimeline::from_trace(&trace, graph.delta()));
         let summary = ContactSummary::from_trace(&trace);
         let cases =
             run_paths_taken(&summary, graph, timeline, &messages, EnumerationConfig::quick(30));

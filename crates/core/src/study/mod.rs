@@ -1018,20 +1018,18 @@ fn run_inputs(
     let needs_explosion = plan.views.iter().any(StudyView::needs_explosion);
     let needs_forwarding = plan.views.iter().any(StudyView::needs_forwarding);
     let has_paths_taken = plan.views.contains(&StudyView::PathsTaken);
-    // The graph, timeline and contact summary are resolved up front (not
-    // per engine): enumeration, the simulator and the paths-taken analysis
-    // all share the one Δ-slotted graph of this scenario, and every engine
-    // reads its trace aggregates (rates, pair counts, activity bins) from
-    // the one summary. Materialized mode memoizes the trace, graph and
-    // timeline through the artifact store, shared across every run, seed
-    // and sweep cell with the same fingerprint, and folds the summary from
-    // the cached trace. Streaming mode never touches the trace artifact at
-    // all: the scenario's O(1)-state stream source feeds one pass that
-    // folds the bounded-window graph, the timeline and the summary
-    // together, with outputs pinned bit-identical to materialized mode by
+    // The inputs are resolved up front (not per engine): enumeration reads
+    // the Δ-slotted graph, the simulator only the timeline (a
+    // forwarding-only plan builds no graph), and every engine its trace
+    // aggregates from the one summary. Materialized mode memoizes the
+    // trace, graph and timeline through the artifact store, shared across
+    // runs, seeds and sweep cells, and folds the summary and timeline from
+    // the cached trace. Streaming mode never touches the trace artifact:
+    // one pass over the scenario's O(1)-state stream folds the summary and
+    // whatever the plan needs, pinned bit-identical to materialized mode by
     // differential tests — which is why `streaming_window` stays out of
     // cache keys.
-    let needs_graph = needs_explosion || needs_forwarding || has_paths_taken;
+    let needs_graph = needs_explosion || has_paths_taken;
     let needs_timeline = needs_forwarding || has_paths_taken;
     // The forwarding oracle is the only consumer of the O(nodes²) pair
     // matrix; enumeration/activity-only studies fold per-node state only.
@@ -1045,16 +1043,15 @@ fn run_inputs(
                 ContactSummary::rates_only(trace.node_count(), trace.window())
             };
             summary.observe_trace(&trace);
-            let (graph, timeline) = if needs_graph {
-                let graph = store.spacetime_graph(&run.config, &trace, p.delta)?.0;
-                let timeline = if needs_timeline {
-                    Some(store.history_timeline(&run.config, &graph, p.delta)?.0)
-                } else {
-                    None
-                };
-                (Some(graph.into()), timeline)
+            let graph = if needs_graph {
+                Some(store.spacetime_graph(&run.config, &trace, p.delta)?.0.into())
             } else {
-                (None, None)
+                None
+            };
+            let timeline = if needs_timeline {
+                Some(store.trace_timeline(&run.config, &trace, p.delta)?.0)
+            } else {
+                None
             };
             (summary, graph, timeline)
         }
@@ -1068,15 +1065,19 @@ fn run_inputs(
                 let (graph, timeline) =
                     stream_graph_and_timeline(&mut stream, window, needs_timeline, store)?;
                 (Some(graph), timeline)
+            } else if needs_timeline {
+                // Forwarding alone reads no graph: the stream's slotter
+                // feeds the timeline fold directly, with no spill slab.
+                let timeline = psn_forwarding::HistoryTimeline::from_stream(&mut stream)
+                    .map_err(|e| stream_error("folding history timeline", e))?;
+                store.record_stream_peak(timeline.approx_bytes());
+                (None, Some(std::sync::Arc::new(timeline)))
             } else {
                 // Activity-only studies have no graph to fold, but the
                 // summary still wants every event.
                 while stream
                     .next_event()
-                    .map_err(|e| ArtifactError::Io {
-                        context: "draining scenario contact stream".to_string(),
-                        source: std::io::Error::other(e.to_string()),
-                    })?
+                    .map_err(|e| stream_error("draining scenario contact stream", e))?
                     .is_some()
                 {}
                 (None, None)
@@ -1133,23 +1134,17 @@ fn compute_run_sections(
     }
     if needs_forwarding {
         let workload = p.forwarding_workload(node_count, duration);
-        let graph = graph.clone().unwrap_or_else(|| unreachable!("forwarding implies a graph"));
         let timeline =
             timeline.clone().unwrap_or_else(|| unreachable!("forwarding implies a timeline"));
         outputs.forwarding = Some(run_forwarding_study_on(
             run.label.clone(),
             &summary,
-            graph,
             timeline,
+            p.delta,
             workload,
             p.simulation_runs,
             threads,
         ));
-    }
-    // The engines are done with the graph: a streaming run's cold-slot
-    // reloads go to the store's `--cache` summary, never into the report.
-    if let Some(psn_spacetime::SharedGraph::Windowed(graph)) = &graph {
-        store.record_spill_loads(graph.spill_loads());
     }
     if needs_activity {
         outputs.activity = Some(activity_report(run.label.clone(), &summary));
@@ -1278,21 +1273,26 @@ fn compute_run_sections(
         };
         sections.extend(built.into_iter().map(|s| tag(s, run, view)));
     }
+    // The engines, paths-taken's enumeration included, are done with the
+    // graph: a streaming run's cold-slot reloads go to the store's
+    // `--cache` summary, never into the report.
+    if let Some(psn_spacetime::SharedGraph::Windowed(graph)) = &graph {
+        store.record_spill_loads(graph.spill_loads());
+    }
     Ok(sections)
 }
 
-/// Builds the bounded-window space-time graph and (when needed) the
-/// history timeline in **one pass** over a contact-event stream — the
-/// streaming execution mode. The source is any [`psn_trace::ContactStream`]:
-/// a trace adapter, or (stream-native mode) a scenario's O(1)-state
-/// generator-backed stream, typically wrapped in a
-/// [`psn_trace::SummarizingStream`] so the same pass also folds the trace
-/// aggregates. Cold slots spill raw slot records into a private slab temp
-/// file (the fast spill path; removed when the graph is dropped), and the
-/// timeline builder folds each sealed busy slot as the window advances, so
-/// neither structure ever holds more than O(window) slots in memory. The
-/// peak working set (hot slots + spill scratch + timeline builder) is
-/// recorded on the store for the `--cache` summary.
+/// A streaming-pass failure as the artifact-layer I/O error it surfaces as.
+fn stream_error(context: &str, e: impl std::fmt::Display) -> ArtifactError {
+    ArtifactError::Io { context: context.to_string(), source: std::io::Error::other(e.to_string()) }
+}
+
+/// Builds the bounded-window space-time graph of an enumerating plan and,
+/// when it also forwards, the history timeline (from the graph's
+/// sealed-slot tap) in **one pass** over a contact-event stream. Cold slots
+/// spill raw slot records into a private slab temp file, removed when the
+/// graph is dropped. The peak working set (hot slots + spill scratch +
+/// timeline builder) is recorded on the store for the `--cache` summary.
 fn stream_graph_and_timeline(
     stream: &mut impl psn_trace::ContactStream,
     window: usize,
@@ -1302,11 +1302,8 @@ fn stream_graph_and_timeline(
     (psn_spacetime::SharedGraph, Option<std::sync::Arc<psn_forwarding::HistoryTimeline>>),
     ArtifactError,
 > {
-    fn stream_error(context: &str, message: String) -> ArtifactError {
-        ArtifactError::Io { context: context.to_string(), source: std::io::Error::other(message) }
-    }
     let spill = psn_artifact::SlabSlotSpill::in_temp_file()
-        .map_err(|e| stream_error("creating streaming spill slab", e.to_string()))?;
+        .map_err(|e| stream_error("creating streaming spill slab", e))?;
     let mut builder =
         needs_timeline.then(|| psn_forwarding::TimelineBuilder::new(stream.node_count()));
     let mut builder_peak = 0usize;
@@ -1321,7 +1318,7 @@ fn stream_graph_and_timeline(
             }
         },
     )
-    .map_err(|e| stream_error("building windowed space-time graph", e.to_string()))?;
+    .map_err(|e| stream_error("building windowed space-time graph", e))?;
     store.record_stream_peak(graph.peak_bytes() + builder_peak);
     let timeline = builder.map(|b| {
         std::sync::Arc::new(
@@ -1847,20 +1844,35 @@ mod tests {
 
     #[test]
     fn streaming_runs_record_their_spill_loads_on_the_store() {
-        // A one-slot window makes the simulator reload cold slots; the
-        // count reaches the store's stats (and `--cache` summary), while a
-        // materialized run records none.
-        for (window, reloads) in [(None, false), (Some(1), true)] {
+        // A one-slot window makes paths-taken's enumeration reload cold
+        // slots; the count reaches the store's stats (and `--cache`
+        // summary), while a materialized run records none. The forwarding
+        // study reads only the history timeline: it builds no graph in
+        // either mode, and its streaming run reports exactly zero loads.
+        use psn_artifact::ArtifactKind;
+        for (study, window, reloads) in [
+            (StudyId::PathsTaken, None, false),
+            (StudyId::PathsTaken, Some(1), true),
+            (StudyId::Forwarding, None, false),
+            (StudyId::Forwarding, Some(1), false),
+        ] {
             let store = ArtifactStore::in_memory();
             let spec = StudySpec::new(
-                StudyId::Forwarding,
+                study,
                 vec![dense_scenario(11)],
                 quick_params().with_streaming_window(window),
             );
             run_study_with(&spec.plan().unwrap(), &store).unwrap();
             let stats = store.stats();
-            assert_eq!(stats.spill_loads > 0, reloads, "window {window:?}: {stats:?}");
-            assert_eq!(stats.summary().contains("spill loads"), reloads, "{}", stats.summary());
+            let summary = stats.summary();
+            assert_eq!(stats.spill_loads > 0, reloads, "{study}, window {window:?}: {stats:?}");
+            assert_eq!(summary.contains("spill loads"), window.is_some(), "{summary}");
+            if study == StudyId::Forwarding {
+                assert_eq!(stats.builds_of(ArtifactKind::Graph), 0, "{study}: {stats:?}");
+                let timelines = u64::from(window.is_none());
+                assert_eq!(stats.builds_of(ArtifactKind::Timeline), timelines, "{stats:?}");
+                assert_eq!(summary.ends_with(", 0 spill loads"), window.is_some(), "{summary}");
+            }
         }
     }
 

@@ -461,9 +461,10 @@ mod tests {
 
     #[test]
     fn cells_sharing_a_scenario_build_each_artifact_exactly_once() {
-        // Four cells varying only params.runs over one scenario: the trace,
-        // graph and timeline must each be built once for the whole sweep —
-        // including under the parallel per-run work queue.
+        // Four cells varying only params.runs over one scenario: the trace
+        // and timeline must each be built once for the whole sweep —
+        // including under the parallel per-run work queue — and the
+        // forwarding-only cells build no space-time graph at all.
         let mut spec = grid_spec(StudyId::Forwarding, vec![StudyView::DelayVsSuccess]);
         spec.sweep.axes =
             vec![SweepAxis { field: "params.runs".into(), values: vec![1.0, 2.0, 3.0, 4.0] }];
@@ -477,7 +478,7 @@ mod tests {
         let stats = store.stats();
         use psn_artifact::ArtifactKind;
         assert_eq!(stats.builds_of(ArtifactKind::Trace), 1, "{stats:?}");
-        assert_eq!(stats.builds_of(ArtifactKind::Graph), 1, "{stats:?}");
+        assert_eq!(stats.builds_of(ArtifactKind::Graph), 0, "{stats:?}");
         assert_eq!(stats.builds_of(ArtifactKind::Timeline), 1, "{stats:?}");
         assert_eq!(stats.builds_of(ArtifactKind::Result), 4, "{stats:?}");
 

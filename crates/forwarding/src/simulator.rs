@@ -29,9 +29,11 @@
 //!   engine**. Contact history depends only on the trace, so it is
 //!   precomputed once as a shared read-only [`HistoryTimeline`]. The
 //!   batch's messages are dealt round-robin (job-major) into one *lane* per
-//!   worker thread, and each lane walks [`SpaceTimeGraph::busy_slots`]
+//!   worker thread, and each lane walks [`HistoryTimeline::busy_slots`]
 //!   once, in ascending order, serving every message of every job at each
-//!   slot:
+//!   slot. The timeline is the engine's only slot input: busy slots, slot
+//!   end times and each slot's edge list all come from it, so the engine
+//!   holds no space-time graph:
 //!   - a message sleeps in a per-slot wake list until one of its holders
 //!     has a contact ([`HistoryTimeline::next_active_slot`]), so idle,
 //!     delivered and not-yet-created messages cost nothing;
@@ -49,11 +51,10 @@
 //!     holder or a holder's neighbor. Otherwise the message already sits at
 //!     the slot's fixpoint, and the step is a few word ANDs;
 //!   - everything shared is built at most once per (lane, algorithm, slot)
-//!     on first need and dropped after the slot: the destination-unaware
-//!     utility table with its promising mask and reachability closure, and
-//!     the node → incident-edge bitmask the sweep runs on. A slot is pinned
-//!     (a spill reload on the windowed graph) only to sweep it or to build
-//!     its table, and at most once per lane;
+//!     on first need, from the slot's edge list, and dropped after the
+//!     slot: the destination-unaware utility table with its promising mask
+//!     and reachability closure, and the node → incident-edge bitmask the
+//!     sweep runs on;
 //!   - destination-aware utilities are one row per destination, filled on
 //!     first need and refreshed each slot only at the destination's
 //!     neighbours, which the `copy_utility` contract makes exact;
@@ -61,10 +62,11 @@
 //!     direction) order — the decision sequence of a full-pass rescan.
 //! * [`Simulator::run_reference`] — the original serial sweep retained as
 //!   the behavioural baseline: one mutable [`ContactHistory`] advanced slot
-//!   by slot, an `O(n)` adjacency rescan per slot and a global
-//!   `O(messages × edges)` fixpoint sweep. Kept for differential testing,
-//!   mirroring `PathEnumerator::enumerate_reference` from the enumeration
-//!   engine.
+//!   by slot, an `O(n)` adjacency rescan per slot of a space-time graph the
+//!   caller passes in, and a global `O(messages × edges)` fixpoint sweep.
+//!   Kept for differential testing, mirroring
+//!   `PathEnumerator::enumerate_reference` from the enumeration engine; it
+//!   reads neither the timeline nor its edge lists.
 //!
 //! The engines agree because a message's copy-state evolves under a
 //! deterministic function of (its own state, the slot's edge list in
@@ -75,8 +77,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use psn_spacetime::{GraphRef, Hop, Message, Path, SharedGraph, SlotGuard, SpaceTimeGraph};
-use psn_trace::{ContactTrace, NodeId, Seconds};
+use psn_spacetime::{GraphRef, Hop, Message, Path, SharedGraph};
+use psn_trace::stream::{slot_count, slot_end_time, slot_of_time};
+use psn_trace::{ContactSummary, ContactTrace, NodeId, Seconds, TimeWindow};
 
 use crate::algorithm::{ForwardingAlgorithm, ForwardingContext};
 use crate::history::ContactHistory;
@@ -202,13 +205,15 @@ fn nodes_of(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = NodeId
     })
 }
 
-/// One busy slot's activity, encounter-start and neighbor bitmasks: the
-/// first two sliced out of the timeline, the rows expanded by the lane
-/// ([`NeighborRows`]).
+/// One busy slot's edge list and activity, encounter-start and neighbor
+/// bitmasks: all but the rows sliced out of the timeline, the rows
+/// expanded by the lane ([`NeighborRows`]).
 #[derive(Clone, Copy)]
 struct SlotMasks<'t> {
     slot: usize,
     words: usize,
+    /// [`HistoryTimeline::slot_edges`].
+    edges: &'t [(NodeId, NodeId)],
     /// [`HistoryTimeline::active_mask`].
     active: &'t [u64],
     /// [`HistoryTimeline::start_mask`].
@@ -223,6 +228,7 @@ impl<'t> SlotMasks<'t> {
         Self {
             slot,
             words: timeline.node_count().div_ceil(64),
+            edges: timeline.slot_edges(slot),
             active: timeline.active_mask(slot),
             starts: timeline.start_mask(slot),
             neighbors,
@@ -724,17 +730,17 @@ impl<'a> Group<'a> {
         &self.rows[destination.index()]
     }
 
-    /// Builds the promising mask and reachability closure of the slot
-    /// under `utilities` (see [`Group::fill_shared`]) unless they are built.
-    fn build_table(&mut self, slot_edges: &mut SlotEdges<'_>, n: usize) {
-        if self.table_slot == Some(slot_edges.slot) {
+    /// Builds the promising mask and reachability closure of `slot`, whose
+    /// edge list is `edges`, under `utilities` (see [`Group::fill_shared`])
+    /// unless they are built.
+    fn build_table(&mut self, slot: usize, edges: &[(NodeId, NodeId)], n: usize) {
+        if self.table_slot == Some(slot) {
             return;
         }
-        let edges = slot_edges.edges();
         let words = n.div_ceil(64);
         self.promising = build_promising(edges, &self.utilities, words);
         self.reach = build_reach(edges, &self.utilities, n, words);
-        self.table_slot = Some(slot_edges.slot);
+        self.table_slot = Some(slot);
     }
 }
 
@@ -744,43 +750,6 @@ fn touch(touched: &mut [u64], masks: &SlotMasks<'_>, node: NodeId) {
     set_bit(touched, node);
     for (t, &nb) in touched.iter_mut().zip(masks.of_node(node)) {
         *t |= nb;
-    }
-}
-
-/// A lane's handle on the slot it is at: pinned on first need (a spill
-/// reload on the windowed graph), indexed by endpoint on the first sweep,
-/// and released when the walk moves on.
-struct SlotEdges<'a> {
-    graph: GraphRef<'a>,
-    slot: usize,
-    pinned: Option<SlotGuard<'a>>,
-    /// [`build_incidence`] of the pinned slot, once `indexed`.
-    incidence: Vec<u64>,
-    indexed: bool,
-}
-
-impl<'a> SlotEdges<'a> {
-    /// Moves to `slot`, releasing the previous slot and its index.
-    fn enter(&mut self, slot: usize) {
-        self.slot = slot;
-        self.pinned = None;
-        self.indexed = false;
-    }
-
-    fn edges(&mut self) -> &[(NodeId, NodeId)] {
-        let (graph, slot) = (self.graph, self.slot);
-        self.pinned.get_or_insert_with(|| graph.slot(slot)).edges()
-    }
-
-    /// The slot's edges with their endpoint index.
-    fn indexed(&mut self, n: usize) -> (&[(NodeId, NodeId)], &[u64]) {
-        let (graph, slot) = (self.graph, self.slot);
-        let edges = self.pinned.get_or_insert_with(|| graph.slot(slot)).edges();
-        if !self.indexed {
-            build_incidence(edges, n, &mut self.incidence);
-            self.indexed = true;
-        }
-        (edges, &self.incidence)
     }
 }
 
@@ -800,7 +769,6 @@ type Finished = (usize, usize, MessageOutcome);
 /// index, so the walk streams through that state.
 struct Lane<'a> {
     sim: &'a Simulator,
-    graph: GraphRef<'a>,
     n: usize,
     words: usize,
     groups: Vec<Group<'a>>,
@@ -820,7 +788,10 @@ struct Lane<'a> {
     woken: Vec<u64>,
     /// Per slot: the messages to wake there, beyond the next busy slot.
     wake: Vec<Vec<u32>>,
-    slot_edges: SlotEdges<'a>,
+    /// [`build_incidence`] of slot `indexed`, built on the slot's first
+    /// sweep.
+    incidence: Vec<u64>,
+    indexed: Option<usize>,
     frontier: Vec<u64>,
     next: Vec<u64>,
     done: Vec<Finished>,
@@ -838,7 +809,7 @@ impl<'a> Lane<'a> {
         lane: usize,
         lanes: usize,
     ) -> Self {
-        let graph = sim.graph.as_graph_ref();
+        let timeline = &*sim.timeline;
         let n = sim.node_count;
         let words = n.div_ceil(64);
         let messages: Vec<LaneMessage<'a>> = jobs
@@ -863,7 +834,6 @@ impl<'a> Lane<'a> {
         }
         let mut this = Self {
             sim,
-            graph,
             n,
             words,
             groups: groups
@@ -876,25 +846,17 @@ impl<'a> Lane<'a> {
             due: vec![0; count.div_ceil(64)],
             due_next: vec![0; count.div_ceil(64)],
             woken: vec![0; count.div_ceil(64)],
-            wake: vec![Vec::new(); graph.slot_count()],
-            slot_edges: SlotEdges {
-                graph,
-                slot: 0,
-                pinned: None,
-                incidence: Vec::new(),
-                indexed: false,
-            },
+            wake: vec![Vec::new(); timeline.slot_count()],
+            incidence: Vec::new(),
+            indexed: None,
             frontier: Vec::new(),
             next: Vec::new(),
             done: Vec::with_capacity(count),
         };
         for m in 0..count {
             let message = this.messages[m].message;
-            // A graph without busy slots wakes nobody (and may have no
-            // slots to place the creation time in).
-            let first = (!graph.busy_slots().is_empty())
-                .then(|| graph.slot_of_time(message.created_at))
-                .and_then(|created| sim.timeline.next_active_slot(message.source, created));
+            let created = slot_of_time(sim.window, sim.config.delta, message.created_at);
+            let first = timeline.next_active_slot(message.source, created);
             match first {
                 Some(slot) => this.wake[slot].push(m as u32),
                 None => this.finish(m, None),
@@ -906,9 +868,8 @@ impl<'a> Lane<'a> {
     /// Walks the busy slots once; returns every message's outcome (or what
     /// finished before the pool started `stopping`) and each group's step
     /// counters.
-    fn run(mut self, stopping: &AtomicBool) -> (Vec<Finished>, Vec<StepCounts>) {
+    fn run(mut self, busy: &[usize], stopping: &AtomicBool) -> (Vec<Finished>, Vec<StepCounts>) {
         let timeline = &*self.sim.timeline;
-        let busy = self.graph.busy_slots();
         let mut neighbors = NeighborRows::new(self.n);
         for (cursor, &slot) in busy.iter().enumerate() {
             // relaxed: advisory stop flag; a stale read only costs one more slot.
@@ -919,7 +880,7 @@ impl<'a> Lane<'a> {
             let ctx = ForwardingContext {
                 history: &view,
                 oracle: &self.sim.oracle,
-                now: self.graph.slot_end_time(slot),
+                now: timeline.slot_end_time(slot),
             };
             let masks = SlotMasks::of(timeline, slot, neighbors.enter(timeline, slot));
             for group in &mut self.groups {
@@ -930,7 +891,6 @@ impl<'a> Lane<'a> {
                 self.due[m as usize / 64] |= 1u64 << (m % 64);
                 self.woken[m as usize / 64] |= 1u64 << (m % 64);
             }
-            self.slot_edges.enter(slot);
             let next_active = busy.get(cursor + 1).map_or(&[][..], |&s| timeline.active_mask(s));
             for word in 0..self.due.len() {
                 let mut bits = std::mem::take(&mut self.due[word]);
@@ -961,10 +921,12 @@ impl<'a> Lane<'a> {
         ctx: &ForwardingContext<'_>,
     ) {
         let slot = masks.slot;
-        let Lane { sim, n, words, groups, state, moves, slot_edges, frontier, next, .. } =
-            &mut *self;
+        let Lane {
+            sim, n, words, groups, state, moves, incidence, indexed, frontier, next, ..
+        } = &mut *self;
         let (n, words) = (*n, *words);
         let timeline = &*sim.timeline;
+        let edges = masks.edges;
         let (record, held) = state[m * (1 + words)..][..1 + words].split_at_mut(1);
         let destination = NodeId(record[0] as u32);
         let group = &mut groups[(record[0] >> 32) as usize];
@@ -986,7 +948,7 @@ impl<'a> Lane<'a> {
             // A holder sits next to the destination, or some holder's
             // within-slot closure leaves the holder set.
             DecisionMode::Shared { .. } => {
-                group.build_table(slot_edges, n);
+                group.build_table(slot, edges, n);
                 let acts = masks_intersect(masks.of_node(destination), held)
                     || closure_escapes(&group.reach, &group.promising, held);
                 (acts, &group.utilities)
@@ -1003,7 +965,10 @@ impl<'a> Lane<'a> {
             }
         };
         let delivered_by = if acts {
-            let (edges, incidence) = slot_edges.indexed(n);
+            if *indexed != Some(slot) {
+                build_incidence(edges, n, incidence);
+                *indexed = Some(slot);
+            }
             let (moves, slot32) = (&mut moves[m], slot as u32);
             let active = masks.active;
             if mode == DecisionMode::Direct {
@@ -1059,17 +1024,17 @@ impl<'a> Lane<'a> {
     /// Records message `m`'s outcome — delivered during `delivery.0` by
     /// `delivery.1`, or never — and releases its provenance.
     fn finish(&mut self, m: usize, delivery: Option<(usize, NodeId)>) {
-        let graph = self.graph;
+        let timeline = &*self.sim.timeline;
         let moves = std::mem::take(&mut self.moves[m]);
         let entry = &self.messages[m];
         let outcome = outcome_for(
             entry.message,
-            delivery.map(|(slot, by)| (graph.slot_end_time(slot), by)),
+            delivery.map(|(slot, by)| (timeline.slot_end_time(slot), by)),
             |node| {
                 moves
                     .iter()
                     .find(|mv| mv.to == node)
-                    .map(|mv| (mv.from, graph.slot_end_time(mv.slot as usize)))
+                    .map(|mv| (mv.from, timeline.slot_end_time(mv.slot as usize)))
             },
         );
         self.done.push((entry.job, entry.index, outcome));
@@ -1109,44 +1074,58 @@ fn outcome_for(
 
 /// The slot-based trace-driven simulator.
 ///
-/// The graph and history timeline are held behind [`std::sync::Arc`] so a
-/// caching layer (the artifact store) can build them once per trace and
-/// share them across every simulator — and every study run — over that
-/// trace; [`Simulator::new`] builds private copies when nothing is shared.
-/// The graph is a [`SharedGraph`], so the simulator runs unchanged over
-/// either the fully materialized graph or the bounded-window streaming one.
+/// Its one slot input is the history timeline (no space-time graph is
+/// held), behind [`std::sync::Arc`] so the artifact store can build it once
+/// per trace and share it across every simulator and study run over that
+/// trace; [`Simulator::new`] folds a private copy.
 #[derive(Debug)]
 pub struct Simulator {
     node_count: usize,
-    graph: SharedGraph,
+    /// The trace's observation window, which message creation times are
+    /// slotted against ([`psn_trace::stream::slot_of_time`]).
+    window: TimeWindow,
     oracle: TraceOracle,
     timeline: std::sync::Arc<HistoryTimeline>,
     config: SimulatorConfig,
 }
 
 impl Simulator {
-    /// Builds a simulator for a trace, precomputing the space-time graph,
-    /// the whole-trace oracle and the shared history timeline.
+    /// Builds a simulator for a trace, folding its summary and timeline
+    /// ([`HistoryTimeline::from_trace`]).
     pub fn new(trace: &ContactTrace, config: SimulatorConfig) -> Self {
-        assert!(config.delta > 0.0, "slot length must be positive");
-        let graph = std::sync::Arc::new(SpaceTimeGraph::build(trace, config.delta));
-        let timeline = std::sync::Arc::new(HistoryTimeline::build(&graph));
-        Self::from_parts(trace, graph, timeline, config)
+        let timeline = std::sync::Arc::new(HistoryTimeline::from_trace(trace, config.delta));
+        Self::from_summary(&ContactSummary::from_trace(trace), timeline, config)
     }
 
-    /// Builds a simulator around an already-built graph and timeline —
-    /// the artifact-store path, where both are memoized per trace and
-    /// shared across studies, seeds and sweep cells. The parts must belong
-    /// to `trace` (same node count) and to each other, and the graph's
-    /// discretization must match `config.delta`; results are then
-    /// bit-identical to [`Simulator::new`]. The trace is only read during
-    /// construction (node count + oracle fold); the simulator does not
-    /// borrow it afterwards.
+    /// Builds a simulator from a run's [`ContactSummary`] — its node count,
+    /// observation window and oracle ([`TraceOracle::from_summary`], so it
+    /// must carry its pair-count matrix) — and a timeline the artifact store
+    /// memoizes or the study folds from the scenario's event stream.
     ///
     /// # Panics
     ///
-    /// Panics when the parts are inconsistent with the trace or the
-    /// config — a mismatched cache key, never a data-dependent condition.
+    /// Panics when the timeline belongs to a different trace or was slotted
+    /// at another Δ — a mismatched cache key, never a data-dependent
+    /// condition.
+    pub fn from_summary(
+        summary: &ContactSummary,
+        timeline: std::sync::Arc<HistoryTimeline>,
+        config: SimulatorConfig,
+    ) -> Self {
+        Self::assemble(
+            summary.node_count(),
+            summary.window(),
+            TraceOracle::from_summary(summary),
+            timeline,
+            config,
+        )
+    }
+
+    /// [`Simulator::from_streamed_parts`] with the trace's node count and
+    /// oracle: the graph is checked against the timeline and dropped. Kept
+    /// for the perfbench harness; the ROADMAP item 8
+    /// `[benchmark]` PR moves perfbench to [`Simulator::from_summary`] and
+    /// deletes this constructor.
     pub fn from_parts(
         trace: &ContactTrace,
         graph: impl Into<SharedGraph>,
@@ -1157,12 +1136,12 @@ impl Simulator {
         Self::from_streamed_parts(trace.node_count(), oracle, graph, timeline, config)
     }
 
-    /// Builds a simulator without a materialized trace — the stream-native
-    /// study path, where the oracle is folded from a
-    /// [`psn_trace::ContactSummary`] during the one streaming pass
-    /// ([`TraceOracle::from_summary`]) and the graph is the bounded-window
-    /// streaming representation. Bit-identical to [`Simulator::from_parts`]
-    /// when the oracle's counts match the trace.
+    /// Builds a simulator from a node count, an oracle, a graph and a
+    /// timeline, taking the observation window from the graph. The graph is
+    /// checked against the timeline (node count, Δ, slot count) and then
+    /// dropped: the engine reads only the timeline. Kept for the perfbench
+    /// harness; the ROADMAP item 8 `[benchmark]` PR moves perfbench to
+    /// [`Simulator::from_summary`] and deletes this constructor.
     ///
     /// # Panics
     ///
@@ -1176,48 +1155,37 @@ impl Simulator {
         config: SimulatorConfig,
     ) -> Self {
         let graph = graph.into();
+        let graph = graph.as_graph_ref();
+        assert!(graph.delta() == config.delta, "graph was slotted at another Δ");
+        assert_eq!(graph.node_count(), timeline.node_count(), "graph belongs to another trace");
+        assert_eq!(graph.slot_count(), timeline.slot_count(), "graph belongs to another trace");
+        Self::assemble(node_count, graph.window(), oracle, timeline, config)
+    }
+
+    fn assemble(
+        node_count: usize,
+        window: TimeWindow,
+        oracle: TraceOracle,
+        timeline: std::sync::Arc<HistoryTimeline>,
+        config: SimulatorConfig,
+    ) -> Self {
         assert!(config.delta > 0.0, "slot length must be positive");
-        {
-            let graph = graph.as_graph_ref();
-            assert!(
-                graph.delta() == config.delta,
-                "shared graph was discretized at Δ = {} but the simulator wants Δ = {}",
-                graph.delta(),
-                config.delta
-            );
-            assert_eq!(graph.node_count(), node_count, "graph belongs to a different trace");
-        }
         assert_eq!(timeline.node_count(), node_count, "timeline belongs to a different trace");
         assert_eq!(oracle.node_count(), node_count, "oracle belongs to a different trace");
-        Self { node_count, graph, oracle, timeline, config }
+        let slots = slot_count(window, config.delta);
+        assert!(
+            timeline.slot_count() == slots
+                && (0..slots)
+                    .all(|s| timeline.slot_end_time(s) == slot_end_time(window, config.delta, s)),
+            "timeline was slotted over another window or at another Δ than {}",
+            config.delta
+        );
+        Self { node_count, window, oracle, timeline, config }
     }
 
     /// Builds a simulator with the default Δ = 10 s.
     pub fn with_default_config(trace: &ContactTrace) -> Self {
         Self::new(trace, SimulatorConfig::default())
-    }
-
-    /// The underlying space-time graph (shared with path-enumeration
-    /// experiments so both views use identical discretization), as a
-    /// representation-agnostic [`GraphRef`].
-    pub fn graph(&self) -> GraphRef<'_> {
-        self.graph.as_graph_ref()
-    }
-
-    /// The whole-trace oracle.
-    pub fn oracle(&self) -> &TraceOracle {
-        &self.oracle
-    }
-
-    /// The precomputed, read-only contact-history timeline shared by every
-    /// lane of every simulation over this trace.
-    pub fn timeline(&self) -> &HistoryTimeline {
-        &self.timeline
-    }
-
-    /// The simulator configuration.
-    pub fn config(&self) -> &SimulatorConfig {
-        &self.config
     }
 
     /// The number of worker threads (lanes) the slot-major engine will use.
@@ -1285,13 +1253,14 @@ impl Simulator {
             })
             .collect();
 
+        let busy: Vec<usize> = self.timeline.busy_slots().collect();
         let per_lane = psn_fault::run_jobs(
             psn_fault::sites::QUEUE_FORWARDING,
             lanes,
             lanes,
             |_| (),
             |_, lane, stopping| {
-                Lane::new(self, jobs, &groups, &job_groups, lane, lanes).run(stopping)
+                Lane::new(self, jobs, &groups, &job_groups, lane, lanes).run(&busy, stopping)
             },
             Result::is_err,
         );
@@ -1329,13 +1298,15 @@ impl Simulator {
     /// [`ForwardingAlgorithm::copy_utility`] (whose contract requires a
     /// uniform `Some`/`None` answer).
     fn decision_mode(&self, algorithm: &dyn ForwardingAlgorithm) -> DecisionMode {
-        let graph = self.graph.as_graph_ref();
-        if self.node_count == 0 || graph.slot_count() == 0 {
+        if self.node_count == 0 {
             return DecisionMode::Direct;
         }
         let view = self.timeline.at_slot(0);
-        let ctx =
-            ForwardingContext { history: &view, oracle: &self.oracle, now: graph.slot_end_time(0) };
+        let ctx = ForwardingContext {
+            history: &view,
+            oracle: &self.oracle,
+            now: self.timeline.slot_end_time(0),
+        };
         let probe = NodeId(0);
         if algorithm.copy_utility(&ctx, probe, probe).is_none() {
             DecisionMode::Direct
@@ -1348,16 +1319,25 @@ impl Simulator {
 
     /// Runs `algorithm` over `messages` with the retained serial reference
     /// engine: a mutable [`ContactHistory`] replay with a per-slot adjacency
-    /// rescan and a global fixpoint sweep over all messages. Slow but
-    /// direct; the slot-major engine is pinned to its outcomes by differential
-    /// tests.
-    pub fn run_reference(
+    /// rescan of `graph` — the trace's space-time graph at the simulator's
+    /// Δ, which the caller builds — and a global fixpoint sweep over all
+    /// messages. Slow but direct, and independent of the timeline the
+    /// slot-major engine reads; that engine is pinned to its outcomes by
+    /// differential tests. Only the oracle is shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `graph` has another node count or Δ than the simulator.
+    pub fn run_reference<'g>(
         &self,
+        graph: impl Into<GraphRef<'g>>,
         algorithm: &dyn ForwardingAlgorithm,
         messages: &[Message],
     ) -> SimulationResult {
-        let graph = self.graph.as_graph_ref();
+        let graph = graph.into();
         let n = self.node_count;
+        assert_eq!(graph.node_count(), n, "graph belongs to a different trace");
+        assert!(graph.delta() == self.config.delta, "graph was slotted at another Δ");
         let mut history = ContactHistory::new(n);
         let mut states: Vec<MessageState> = messages.iter().map(|_| MessageState::new(n)).collect();
 
@@ -1465,13 +1445,19 @@ mod tests {
     use super::*;
     use crate::algorithms::{DynamicProgramming, Epidemic, Fresh, Greedy, GreedyTotal};
     use crate::{standard_algorithms, AlgorithmKind};
-    use psn_spacetime::epidemic_delivery_time;
+    use psn_spacetime::{epidemic_delivery_time, SpaceTimeGraph};
     use psn_trace::contact::Contact;
     use psn_trace::node::{NodeClass, NodeRegistry};
     use psn_trace::trace::TimeWindow;
 
     fn nid(v: u32) -> NodeId {
         NodeId(v)
+    }
+
+    /// A default simulator over `trace`, with the trace's space-time graph
+    /// for `run_reference` and the graph-based oracles.
+    fn with_graph(trace: &ContactTrace) -> (Simulator, SpaceTimeGraph) {
+        (Simulator::with_default_config(trace), SpaceTimeGraph::build_default(trace))
     }
 
     fn trace_from(contacts: Vec<(u32, u32, f64, f64)>, nodes: usize, end: f64) -> ContactTrace {
@@ -1508,7 +1494,7 @@ mod tests {
             5,
             200.0,
         );
-        let sim = Simulator::with_default_config(&trace);
+        let (sim, graph) = with_graph(&trace);
         let messages = vec![
             Message::new(nid(0), nid(4), 0.0),
             Message::new(nid(1), nid(4), 10.0),
@@ -1517,7 +1503,7 @@ mod tests {
         ];
         let result = sim.run(&Epidemic, &messages);
         for (outcome, message) in result.outcomes.iter().zip(&messages) {
-            let optimal = epidemic_delivery_time(sim.graph(), message);
+            let optimal = epidemic_delivery_time(&graph, message);
             assert_eq!(outcome.delivered_at, optimal, "message {message}");
         }
         assert_eq!(result.algorithm, "Epidemic");
@@ -1686,13 +1672,14 @@ mod tests {
             .collect()
     }
 
-    fn assert_engines_agree(sim: &Simulator, messages: &[Message]) {
+    fn assert_engines_agree(trace: &ContactTrace, messages: &[Message]) {
+        let (sim, graph) = with_graph(trace);
         let algorithms = standard_algorithms();
         let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
             algorithms.iter().map(|(_, a)| (a.as_ref(), messages)).collect();
         let parallel = sim.run_many(&jobs);
         for ((kind, algorithm), parallel_result) in algorithms.iter().zip(&parallel) {
-            let reference = sim.run_reference(algorithm.as_ref(), messages);
+            let reference = sim.run_reference(&graph, algorithm.as_ref(), messages);
             assert_eq!(reference.algorithm, parallel_result.algorithm);
             assert_eq!(
                 reference.outcomes.len(),
@@ -1712,9 +1699,8 @@ mod tests {
             let nodes = 5 + (seed as usize % 8);
             let window = TimeWindow::new(0.0, 500.0);
             let trace = random_trace(seed, nodes, 30 + 5 * seed as usize, window);
-            let sim = Simulator::with_default_config(&trace);
             let messages = random_messages(seed, nodes, 14, window);
-            assert_engines_agree(&sim, &messages);
+            assert_engines_agree(&trace, &messages);
         }
     }
 
@@ -1726,9 +1712,8 @@ mod tests {
             let nodes = 6 + (seed as usize % 5);
             let window = TimeWindow::new(7200.0, 7800.0);
             let trace = random_trace(seed, nodes, 40, window);
-            let sim = Simulator::with_default_config(&trace);
             let messages = random_messages(seed, nodes, 12, window);
-            assert_engines_agree(&sim, &messages);
+            assert_engines_agree(&trace, &messages);
         }
     }
 
@@ -1760,9 +1745,9 @@ mod tests {
         let trace = random_trace(21, 12, 70, window);
         let messages = random_messages(21, 12, 24, window);
         let algorithms = standard_algorithms();
-        let reference_sim = Simulator::with_default_config(&trace);
+        let (reference_sim, graph) = with_graph(&trace);
         for (kind, algorithm) in &algorithms {
-            let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
+            let reference = reference_sim.run_reference(&graph, algorithm.as_ref(), &messages);
             for threads in [1usize, 2, 3] {
                 let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
                 let result = sim.run(algorithm.as_ref(), &messages);
@@ -1780,9 +1765,9 @@ mod tests {
         let trace = random_trace(33, 70, 220, window);
         let messages = random_messages(33, 70, 20, window);
         let algorithms = standard_algorithms();
-        let reference_sim = Simulator::with_default_config(&trace);
+        let (reference_sim, graph) = with_graph(&trace);
         for (kind, algorithm) in &algorithms {
-            let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
+            let reference = reference_sim.run_reference(&graph, algorithm.as_ref(), &messages);
             for threads in [1usize, 2, 3] {
                 let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
                 let result = sim.run(algorithm.as_ref(), &messages);
@@ -1985,9 +1970,9 @@ mod tests {
             messages.push(Message::new(m.source, nid(m.destination.0 + 6), m.created_at));
             messages.push(Message::new(nid(6 + i as u32 % 6), m.destination, m.created_at));
         }
-        let reference_sim = Simulator::with_default_config(&trace);
+        let (reference_sim, graph) = with_graph(&trace);
         for (kind, algorithm) in &standard_algorithms() {
-            let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
+            let reference = reference_sim.run_reference(&graph, algorithm.as_ref(), &messages);
             for threads in [1usize, 2, 3] {
                 let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
                 let result = sim.run(algorithm.as_ref(), &messages);
@@ -1996,9 +1981,10 @@ mod tests {
         }
     }
 
-    /// A window-`window_slots` `MemorySpill`-backed graph over `trace`,
-    /// with the timeline and oracle the simulator needs, on `threads`
-    /// lanes; the handle keeps the graph's spill counters readable.
+    /// A simulator built through the perfbench-kept
+    /// [`Simulator::from_streamed_parts`] around a window-`window_slots`
+    /// `MemorySpill`-backed graph over `trace`, on `threads` lanes; the
+    /// returned handle keeps the graph's spill counters readable.
     fn windowed_simulator(
         trace: &ContactTrace,
         window_slots: usize,
@@ -2013,8 +1999,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let timeline =
-            std::sync::Arc::new(HistoryTimeline::build(&SpaceTimeGraph::build(trace, 10.0)));
+        let timeline = std::sync::Arc::new(HistoryTimeline::from_trace(trace, 10.0));
         let sim = Simulator::from_streamed_parts(
             trace.node_count(),
             TraceOracle::from_trace(trace),
@@ -2025,6 +2010,13 @@ mod tests {
         (sim, graph)
     }
 
+    /// The simulator kept no handle on `graph`, so nothing it runs can
+    /// reload a slot; and nothing did.
+    fn assert_graph_dropped(graph: &std::sync::Arc<psn_spacetime::WindowedSpaceTimeGraph>) {
+        assert_eq!(std::sync::Arc::strong_count(graph), 1, "the simulator holds the graph");
+        assert_eq!(graph.spill_loads(), 0, "the simulator reloaded graph slots");
+    }
+
     #[test]
     fn slots_that_no_precheck_acts_on_are_never_reloaded() {
         // The source meets the destination once, before the message
@@ -2033,41 +2025,38 @@ mod tests {
         // every one of those slots, and it has met the destination, so the
         // skip index and the ever-met gate both let each slot through; but
         // the relay's utility is worse under every algorithm below, so no
-        // precheck is actionable and no slot has to be swept.
+        // precheck is actionable. The engine reads only the timeline, so
+        // no slot of the window-1 graph is reloaded at all.
         let mut contacts = vec![(0, 1, 5.0, 8.0)];
         contacts.extend((0..12).map(|i| (0, 2, 101.0 + 20.0 * i as f64, 105.0 + 20.0 * i as f64)));
         let trace = trace_from(contacts, 3, 400.0);
         let message = [Message::new(nid(0), nid(1), 50.0)];
-        let reference_sim = Simulator::with_default_config(&trace);
-        let visited = reference_sim.graph().busy_slots().iter().filter(|&&s| s >= 5).count();
+        let (reference_sim, full) = with_graph(&trace);
+        let visited = full.busy_slots().iter().filter(|&&s| s >= 5).count();
         assert!(visited >= 10, "only {visited} busy slots after creation");
         let algorithms: [Box<dyn ForwardingAlgorithm>; 3] =
             [Box::new(DynamicProgramming), Box::new(Fresh), Box::new(Greedy)];
         for algorithm in &algorithms {
             let (sim, graph) = windowed_simulator(&trace, 1, 1);
+            assert!(graph.spill_stores() > 0, "the window-1 graph spilled nothing");
             let result = sim.run(algorithm.as_ref(), &message);
             assert_eq!(result.outcomes[0].delivered_at, None, "{}", algorithm.name());
             assert_eq!(
                 result.outcomes,
-                reference_sim.run_reference(algorithm.as_ref(), &message).outcomes,
+                reference_sim.run_reference(&full, algorithm.as_ref(), &message).outcomes,
                 "{}",
                 algorithm.name()
             );
-            assert_eq!(
-                graph.spill_loads(),
-                0,
-                "{} reloaded slots it never swept",
-                algorithm.name()
-            );
+            assert_graph_dropped(&graph);
         }
     }
 
     #[test]
     fn windowed_outcomes_match_materialized_on_a_scaled_scenario() {
         // A 200-node scaled population at window 2 of 120 slots: nearly
-        // every slot a message visits is cold, and the shared tables,
-        // prechecks and sweeps pin them on demand. Every algorithm must
-        // reproduce the materialized graph's outcomes at every lane count.
+        // every slot is cold in the graph handed to the perfbench-kept
+        // constructor. Every algorithm must reproduce the materialized
+        // outcomes at every lane count, and the graph is never read.
         let scenario = psn_trace::ScenarioConfig::from_toml_str(
             "kind = \"scaled\"\nname = \"scaled-200\"\nnodes = 200\nwindow_seconds = 1200.0\n\
              max_node_rate = 0.045\nmin_node_rate = 0.0006\nmean_contact_duration = 120.0\n\
@@ -2091,35 +2080,31 @@ mod tests {
                 );
             }
             assert!(delivered > 0, "no message delivered on {threads} lanes");
-            assert!(graph.spill_loads() > 0, "window 2 must reload cold slots");
+            assert!(graph.spill_stores() > 0, "window 2 spilled nothing");
+            assert_graph_dropped(&graph);
         }
     }
 
     #[test]
-    fn one_lane_pins_each_busy_slot_at_most_once_for_a_whole_batch() {
-        // All six algorithms in one batch on one lane over a window-1
-        // graph: every slot the walk pins is cold, and the lane pins it at
-        // most once however many algorithms and messages sweep it or build
-        // a table on it.
+    fn a_whole_batch_over_a_windowed_graph_never_reloads_a_slot() {
+        // All six algorithms in one batch on one lane, built around a
+        // window-1 graph whose every busy slot but the last is cold: the
+        // outcomes match the reference engine, and the walk, its sweeps
+        // and its shared tables reload no slot at all.
         let window = TimeWindow::new(0.0, 900.0);
         let trace = random_trace(81, 14, 90, window);
         let messages = random_messages(81, 14, 30, window);
-        let reference_sim = Simulator::with_default_config(&trace);
+        let (reference_sim, full) = with_graph(&trace);
         let (sim, graph) = windowed_simulator(&trace, 1, 1);
         let algorithms = standard_algorithms();
         let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
             algorithms.iter().map(|(_, a)| (a.as_ref(), messages.as_slice())).collect();
         for (result, (kind, algorithm)) in sim.run_many(&jobs).iter().zip(&algorithms) {
-            let reference = reference_sim.run_reference(algorithm.as_ref(), &messages);
+            let reference = reference_sim.run_reference(&full, algorithm.as_ref(), &messages);
             assert_eq!(reference.outcomes, result.outcomes, "{kind}");
         }
-        let busy = sim.graph().busy_slots().len() as u64;
-        assert!(graph.spill_loads() > 0, "the walk must reload cold slots");
-        assert!(
-            graph.spill_loads() <= busy,
-            "{} spill loads for {busy} busy slots",
-            graph.spill_loads()
-        );
+        assert_eq!(graph.spill_stores() + 1, full.busy_slots().len() as u64);
+        assert_graph_dropped(&graph);
     }
 
     #[test]
@@ -2189,13 +2174,14 @@ mod tests {
         for threads in [1usize, 2] {
             let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
             assert!(sim.run_many(&[]).is_empty());
+            let graph = SpaceTimeGraph::build_default(&trace);
             for (kind, algorithm) in &standard_algorithms() {
                 let results =
                     sim.run_many(&[(algorithm.as_ref(), &[][..]), (algorithm.as_ref(), &late[..])]);
                 assert_eq!(results.len(), 2);
                 assert_eq!(results[0].algorithm, algorithm.name());
                 assert!(results[0].outcomes.is_empty(), "{kind}");
-                let reference = sim.run_reference(algorithm.as_ref(), &late);
+                let reference = sim.run_reference(&graph, algorithm.as_ref(), &late);
                 assert_eq!(results[1].outcomes, reference.outcomes, "{kind}");
                 assert!(results[1].outcomes.iter().all(|o| !o.delivered()), "{kind}");
             }
@@ -2227,10 +2213,10 @@ mod tests {
         let algorithms = standard_algorithms();
         let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
             algorithms.iter().map(|(_, a)| (a.as_ref(), messages)).collect();
-        let reference_sim = Simulator::with_default_config(trace);
+        let (reference_sim, graph) = with_graph(trace);
         let references: Vec<SimulationResult> = algorithms
             .iter()
-            .map(|(_, a)| reference_sim.run_reference(a.as_ref(), messages))
+            .map(|(_, a)| reference_sim.run_reference(&graph, a.as_ref(), messages))
             .collect();
         for (kind, reference) in algorithms.iter().map(|(k, _)| k).zip(&references) {
             let delivered = reference.outcomes.iter().filter(|o| o.delivered()).count();
@@ -2275,12 +2261,13 @@ mod tests {
         // by reachability over the graph.
         let trace = conference_trace(32, 8, 3600.0, 11);
         let messages = random_messages(11, 40, 240, trace.window());
+        let graph = SpaceTimeGraph::build_default(&trace);
         for threads in [1usize, 2] {
             let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
             let result = sim.run(&Epidemic, &messages);
             let mut delivered = 0;
             for (outcome, message) in result.outcomes.iter().zip(&messages) {
-                let optimal = epidemic_delivery_time(sim.graph(), message);
+                let optimal = epidemic_delivery_time(&graph, message);
                 assert_eq!(outcome.delivered_at, optimal, "{message} on {threads} lanes");
                 delivered += usize::from(optimal.is_some());
             }
@@ -2322,8 +2309,9 @@ mod tests {
         // previous slot's bits; every row must equal the slot's adjacency,
         // however the neighborhoods changed since the last busy slot.
         let trace = bursty_trace(4, 70, 30);
-        let sim = Simulator::with_default_config(&trace);
-        let (graph, timeline) = (sim.graph(), sim.timeline());
+        let (sim, graph) = with_graph(&trace);
+        let timeline = &*sim.timeline;
+        assert_eq!(timeline.busy_slots().collect::<Vec<_>>(), graph.busy_slots());
         let n = graph.node_count();
         let words = n.div_ceil(64);
         let mut rows = NeighborRows::new(n);
@@ -2388,11 +2376,91 @@ mod tests {
         }
     }
 
+    /// A random trace and message set with integer-valued times, every
+    /// one shifted by `shift` seconds: contacts and creation times land on
+    /// slot boundaries often, and a whole-slot shift stays exact.
+    fn integer_workload(
+        seed: u64,
+        start: f64,
+        shift: f64,
+    ) -> (ContactTrace, Vec<Message>, TimeWindow) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.gen_range(3..12u32);
+        let span = 600.0;
+        let window = TimeWindow::new(start + shift, start + shift + span);
+        let contacts = (0..rng.gen_range(5..50))
+            .map(|_| {
+                let a = rng.gen_range(0..nodes);
+                let b = (a + rng.gen_range(1..nodes)) % nodes;
+                let begin = f64::from(rng.gen_range(0..590u32));
+                let length = f64::from(rng.gen_range(0..60u32));
+                (a, b, window.start + begin, window.start + (begin + length).min(span))
+            })
+            .collect();
+        let messages = (0..rng.gen_range(1..16))
+            .map(|_| {
+                let source = rng.gen_range(0..nodes);
+                let destination = (source + rng.gen_range(1..nodes)) % nodes;
+                let created = window.start + f64::from(rng.gen_range(0..600u32));
+                Message::new(nid(source), nid(destination), created)
+            })
+            .collect();
+        (trace_in_window(contacts, nodes as usize, window), messages, window)
+    }
+
+    /// What a whole-slot time shift must leave unchanged in an outcome:
+    /// delivery, the hop nodes, the delay and each hop's offset from the
+    /// creation time.
+    fn shift_free(outcome: &MessageOutcome) -> (Option<Seconds>, Vec<(NodeId, Seconds)>) {
+        let created = outcome.message.created_at;
+        let hops = outcome.path.as_ref().map_or_else(Vec::new, |path| {
+            path.hops().iter().map(|hop| (hop.node, hop.time - created)).collect()
+        });
+        (outcome.delivered_at.map(|t| t - created), hops)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_whole_slot_time_shift_changes_no_delivery_path_or_delay(
+            seed in 0u64..1_000_000,
+            start in 0u32..40,
+            slots in 1u32..100_000,
+        ) {
+            // Shifting every contact, the window and every creation time by
+            // k·Δ moves every slot boundary with them, so both engines must
+            // make the same decisions: same delivered flags, hop nodes and
+            // delays. Integer-valued times keep the shift exact.
+            let start = f64::from(start) * 7.0;
+            let shift = f64::from(slots) * 10.0;
+            let (trace, messages, _) = integer_workload(seed, start, 0.0);
+            let (shifted, shifted_messages, window) = integer_workload(seed, start, shift);
+            assert_eq!(shifted.window(), window);
+            let (sim, graph) = with_graph(&trace);
+            let (shifted_sim, shifted_graph) = with_graph(&shifted);
+            for (kind, algorithm) in &standard_algorithms() {
+                let runs = [
+                    sim.run(algorithm.as_ref(), &messages),
+                    sim.run_reference(&graph, algorithm.as_ref(), &messages),
+                    shifted_sim.run(algorithm.as_ref(), &shifted_messages),
+                    shifted_sim.run_reference(&shifted_graph, algorithm.as_ref(), &shifted_messages),
+                ];
+                let base: Vec<_> = runs[0].outcomes.iter().map(shift_free).collect();
+                for (run, name) in runs.iter().zip(["engine", "reference", "shifted engine", "shifted reference"]) {
+                    let got: Vec<_> = run.outcomes.iter().map(shift_free).collect();
+                    proptest::prop_assert_eq!(&got, &base, "{} {}, shift {}", kind, name, shift);
+                }
+            }
+        }
+    }
+
     #[test]
     fn run_many_shards_algorithm_by_run_jobs() {
         let window = TimeWindow::new(0.0, 600.0);
         let trace = random_trace(7, 9, 45, window);
         let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 4 });
+        let graph = SpaceTimeGraph::build_default(&trace);
         let algorithms = standard_algorithms();
         let message_sets: Vec<Vec<Message>> =
             (0..3u64).map(|run| random_messages(run, 9, 10, window)).collect();
@@ -2405,7 +2473,7 @@ mod tests {
         assert_eq!(results.len(), algorithms.len() * message_sets.len());
         for ((algorithm, messages), result) in jobs.iter().zip(&results) {
             assert_eq!(result.algorithm, algorithm.name());
-            let reference = sim.run_reference(*algorithm, messages);
+            let reference = sim.run_reference(&graph, *algorithm, messages);
             assert_eq!(reference.outcomes, result.outcomes);
         }
     }

@@ -32,8 +32,9 @@
 //! time into per-node neighbor rows. The only `O(n²)` table is the
 //! `4·n²`-byte pair index.
 
-use psn_spacetime::SpaceTimeGraph;
-use psn_trace::{NodeId, Seconds};
+use psn_spacetime::{IncrementalSlotter, SpaceTimeGraph};
+use psn_trace::stream::slot_end_time;
+use psn_trace::{ContactStream, ContactTrace, NodeId, Seconds, StreamError, TraceEventStream};
 
 use crate::history::ContactKnowledge;
 
@@ -58,18 +59,18 @@ struct NodeEvent {
 
 /// The full, read-only evolution of contact history over a trace.
 ///
-/// Built once per trace from the [`SpaceTimeGraph`] (which already carries
-/// the deduplicated per-slot edge lists) and shared by reference across all
-/// algorithm × run × message-batch workers of the parallel simulator.
+/// Built once per trace — from a contact stream or trace, or from a
+/// [`SpaceTimeGraph`]'s deduplicated per-slot edge lists, bit-identically —
+/// and shared by reference across all algorithm × run × message-batch
+/// workers of the parallel simulator, whose only slot input it is.
 /// Besides the `O(n²)`-word pair index, its size is linear in the contact
 /// edges, slots and nodes of the trace (see [`HistoryTimeline::approx_bytes`]).
 #[derive(Debug, Clone)]
 pub struct HistoryTimeline {
     node_count: usize,
-    /// [`SpaceTimeGraph::slot_end_time`] per slot, captured at build time so
-    /// recency timestamps come from the one authoritative slot-time
-    /// convention (the PR 1 nonzero-window-start fix lives there) instead of
-    /// a re-derived formula that could drift.
+    /// [`psn_trace::stream::slot_end_time`] per slot, captured at build
+    /// time so recency timestamps come from the one slot-time convention
+    /// instead of a re-derived formula that could drift.
     slot_end_times: Vec<Seconds>,
     /// Dense symmetric pair → event-list index map (`NO_PAIR` = never meet).
     /// `O(n²)` words; for the paper's sub-thousand-node traces this is the
@@ -120,11 +121,12 @@ pub struct HistoryTimeline {
 /// Incremental [`HistoryTimeline`] construction: a fold over `(slot,
 /// edges)` batches in ascending slot order.
 ///
-/// [`HistoryTimeline::build`] delegates to this builder, so the materialized
-/// and streaming paths share one fold and produce bit-identical timelines.
-/// The streaming pipeline feeds it from the windowed graph builder's
-/// sealed-slot tap, so the timeline accretes in the same single pass that
-/// constructs the graph — no second sweep over the contact data.
+/// Every route to a timeline runs this one fold, so they produce
+/// bit-identical timelines: [`HistoryTimeline::build`] feeds it a graph's
+/// busy slots, [`HistoryTimeline::from_stream`] the slots an
+/// [`IncrementalSlotter`] seals from a contact stream (no graph at all), and
+/// a streaming study that also needs a graph feeds it from the windowed
+/// graph builder's sealed-slot tap, in the same single pass.
 #[derive(Debug, Clone)]
 pub struct TimelineBuilder {
     node_count: usize,
@@ -258,10 +260,9 @@ impl TimelineBuilder {
     /// Seals the fold into an immutable [`HistoryTimeline`].
     ///
     /// `slot_end_times` must hold the absolute end time of every slot of the
-    /// trace (index = slot), under the graph layer's one authoritative
-    /// slot-time convention — the materialized path captures them from
-    /// [`SpaceTimeGraph::slot_end_time`], the streaming path from the
-    /// windowed builder's identical arithmetic.
+    /// trace (index = slot), under the one slot-time convention
+    /// ([`psn_trace::stream::slot_end_time`], which both graph
+    /// representations answer with).
     pub fn finish(self, slot_end_times: Vec<Seconds>) -> HistoryTimeline {
         let n = self.node_count;
         let words = self.words_per_slot;
@@ -302,9 +303,69 @@ impl HistoryTimeline {
         builder.finish((0..graph.slot_count()).map(|s| graph.slot_end_time(s)).collect())
     }
 
+    /// Folds the history evolution straight from a contact-event stream,
+    /// building no space-time graph: an [`IncrementalSlotter`] seals each
+    /// slot's edge list — already in [`psn_spacetime::Slot::seal`]'s
+    /// normalized order — into the [`TimelineBuilder`] fold.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the stream reports: a failing source or a broken ordering
+    /// contract.
+    pub fn from_stream(stream: &mut impl ContactStream) -> Result<Self, StreamError> {
+        let (window, delta, slots) = (stream.window(), stream.delta(), stream.slot_count());
+        let mut slotter = IncrementalSlotter::new(slots);
+        let mut builder = TimelineBuilder::new(stream.node_count());
+        let mut seal = |slot: usize, edges: Vec<(NodeId, NodeId)>| -> Result<(), StreamError> {
+            builder.push_slot(slot, &edges);
+            Ok(())
+        };
+        while let Some(event) = stream.next_event()? {
+            slotter.apply(&event, &mut seal)?;
+        }
+        slotter.finish(&mut seal)?;
+        Ok(builder.finish((0..slots).map(|s| slot_end_time(window, delta, s)).collect()))
+    }
+
+    /// Folds the history evolution of a trace at slot length `delta`
+    /// through [`HistoryTimeline::from_stream`] — bit-identical to
+    /// [`HistoryTimeline::build`] over the trace's graph, without building
+    /// one. A trace whose contacts are out of start-time order (the only
+    /// error a trace stream reports) is folded from a sorted copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta` is not strictly positive and finite.
+    pub fn from_trace(trace: &ContactTrace, delta: Seconds) -> Self {
+        let fold =
+            |trace: &ContactTrace| Self::from_stream(&mut TraceEventStream::new(trace, delta));
+        fold(trace)
+            .or_else(|_| {
+                let mut sorted = trace.clone();
+                sorted.sort();
+                fold(&sorted)
+            })
+            .expect("a start-sorted trace streams in order")
+    }
+
     /// Number of nodes tracked.
     pub fn node_count(&self) -> usize {
         self.node_count
+    }
+
+    /// Number of slots of the trace, busy or not.
+    pub fn slot_count(&self) -> usize {
+        self.slot_end_times.len()
+    }
+
+    /// The slots with at least one contact edge, ascending.
+    pub fn busy_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut start = 0;
+        self.slot_edge_ends.iter().enumerate().filter_map(move |(slot, &end)| {
+            let busy = end > start;
+            start = end;
+            busy.then_some(slot)
+        })
     }
 
     /// Approximate resident size in bytes — the weight artifact stores use
@@ -379,14 +440,6 @@ impl HistoryTimeline {
         &self.slot_edges[start..end]
     }
 
-    /// True iff `node` has at least one contact edge during `slot` — the
-    /// single-bit read of [`HistoryTimeline::active_mask`].
-    pub fn node_active_in(&self, node: NodeId, slot: usize) -> bool {
-        self.active_mask(slot)
-            .get(node.index() / 64)
-            .is_some_and(|&word| word & (1u64 << (node.index() % 64)) != 0)
-    }
-
     /// The first slot ≥ `from_slot` in which `node` has at least one
     /// contact edge, or `None` if the node never appears again — the
     /// per-node **skip index**. The simulator uses it to jump a message
@@ -427,10 +480,10 @@ impl HistoryTimeline {
     }
 
     /// The absolute end time of `slot` — the timestamp the replay assigns
-    /// to contacts observed during it ([`SpaceTimeGraph::slot_end_time`],
+    /// to contacts observed during it ([`psn_trace::stream::slot_end_time`],
     /// captured at build time).
-    fn slot_end_time(&self, slot: u32) -> Seconds {
-        self.slot_end_times[slot as usize]
+    pub fn slot_end_time(&self, slot: usize) -> Seconds {
+        self.slot_end_times[slot]
     }
 
     fn pair_events_for(&self, a: NodeId, b: NodeId) -> Option<&[PairEvent]> {
@@ -460,7 +513,8 @@ fn latest_at<T>(events: &[T], slot_of: impl Fn(&T) -> u32, limit: u32) -> Option
 impl ContactKnowledge for HistoryView<'_> {
     fn last_contact_with(&self, node: NodeId, peer: NodeId) -> Option<Seconds> {
         let events = self.timeline.pair_events_for(node, peer)?;
-        latest_at(events, |e| e.slot, self.slot).map(|e| self.timeline.slot_end_time(e.slot))
+        latest_at(events, |e| e.slot, self.slot)
+            .map(|e| self.timeline.slot_end_time(e.slot as usize))
     }
 
     fn contacts_with(&self, node: NodeId, peer: NodeId) -> u64 {
@@ -721,11 +775,6 @@ mod tests {
             }
             for slot in 0..graph.slot_count() {
                 let expected = graph.slot(slot).has_contacts(node);
-                assert_eq!(
-                    timeline.node_active_in(node, slot),
-                    expected,
-                    "node_active_in({node:?}, {slot})"
-                );
                 let mask = timeline.active_mask(slot);
                 let bit = mask
                     .get(node.index() / 64)
@@ -984,6 +1033,54 @@ mod tests {
             assert_eq!(streamed.start_mask(slot), materialized.start_mask(slot), "slot {slot}");
             assert_eq!(streamed.active_mask(slot), materialized.active_mask(slot), "slot {slot}");
             assert_eq!(streamed.slot_edges(slot), materialized.slot_edges(slot), "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn graph_free_folds_match_the_graph_build() {
+        // `from_trace` (the store's timeline artifact, `Simulator::new`)
+        // and `from_stream` (the streaming forwarding study) fold the
+        // slotter's edge lists and never build a graph; every table, slot
+        // time and view must equal the build over the graph, on a trace
+        // wider than one mask word with a nonzero window start.
+        let trace = random_trace(12, 70, 260, TimeWindow::new(1000.0, 1600.0));
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let expected = HistoryTimeline::build(&graph);
+        let streamed =
+            HistoryTimeline::from_stream(&mut TraceEventStream::new(&trace, 10.0)).unwrap();
+        // Pushed out of start order: folded from a sorted copy.
+        let mut unsorted = ContactTrace::new("unsorted", trace.nodes().clone(), trace.window());
+        for c in trace.contacts().iter().rev() {
+            unsorted.push(*c).unwrap();
+        }
+        for timeline in [
+            HistoryTimeline::from_trace(&trace, 10.0),
+            streamed,
+            HistoryTimeline::from_trace(&unsorted, 10.0),
+        ] {
+            assert_eq!(timeline.approx_bytes(), expected.approx_bytes());
+            assert_eq!(timeline.slot_count(), graph.slot_count());
+            assert_eq!(timeline.busy_slots().collect::<Vec<_>>(), graph.busy_slots());
+            for slot in 0..graph.slot_count() + 1 {
+                assert_eq!(timeline.slot_edges(slot), expected.slot_edges(slot), "slot {slot}");
+                assert_eq!(timeline.active_mask(slot), expected.active_mask(slot), "slot {slot}");
+                assert_eq!(timeline.start_mask(slot), expected.start_mask(slot), "slot {slot}");
+            }
+            for slot in 0..graph.slot_count() {
+                assert_eq!(timeline.slot_end_time(slot), graph.slot_end_time(slot));
+                let (view, want) = (timeline.at_slot(slot), expected.at_slot(slot));
+                for a in 0..trace.node_count() as u32 {
+                    assert_eq!(view.total_contacts(nid(a)), want.total_contacts(nid(a)));
+                    for b in 0..trace.node_count() as u32 {
+                        let (a, b) = (nid(a), nid(b));
+                        assert_eq!(view.contacts_with(a, b), want.contacts_with(a, b));
+                        assert_eq!(view.last_contact_with(a, b), want.last_contact_with(a, b));
+                    }
+                }
+            }
+            for v in 0..trace.node_count() as u32 {
+                assert_eq!(timeline.ever_met_mask(nid(v)), expected.ever_met_mask(nid(v)));
+            }
         }
     }
 

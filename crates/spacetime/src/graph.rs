@@ -16,7 +16,8 @@
 //! the memory footprint proportional to the number of (contact × slot)
 //! incidences.
 
-use psn_trace::{ContactTrace, NodeId, Seconds};
+use psn_trace::stream::{self, slot_count};
+use psn_trace::{ContactTrace, NodeId, Seconds, TimeWindow};
 
 /// The paper's default discretization step (10 seconds).
 pub const DEFAULT_DELTA: Seconds = 10.0;
@@ -212,8 +213,7 @@ pub struct SpaceTimeGraph {
     slots: Vec<Slot>,
     /// Indices of slots with at least one contact edge, ascending.
     busy_slots: Vec<usize>,
-    window_start: Seconds,
-    window_end: Seconds,
+    window: TimeWindow,
 }
 
 impl SpaceTimeGraph {
@@ -224,11 +224,9 @@ impl SpaceTimeGraph {
     ///
     /// Panics if `delta` is not strictly positive.
     pub fn build(trace: &ContactTrace, delta: Seconds) -> Self {
-        assert!(delta > 0.0 && delta.is_finite(), "delta must be positive and finite");
         let node_count = trace.node_count();
         let window = trace.window();
-        let num_slots = ((window.end - window.start) / delta).ceil() as usize;
-        let num_slots = num_slots.max(1);
+        let num_slots = slot_count(window, delta);
 
         // Collect per-slot edge lists first, then dedupe and build adjacency.
         let mut slot_edges: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); num_slots];
@@ -248,14 +246,7 @@ impl SpaceTimeGraph {
         let busy_slots =
             slots.iter().enumerate().filter(|(_, s)| !s.edges.is_empty()).map(|(i, _)| i).collect();
 
-        Self {
-            delta,
-            node_count,
-            slots,
-            busy_slots,
-            window_start: window.start,
-            window_end: window.end,
-        }
+        Self { delta, node_count, slots, busy_slots, window }
     }
 
     /// Builds the graph with the paper's Δ = 10 s.
@@ -270,12 +261,11 @@ impl SpaceTimeGraph {
         delta: Seconds,
         node_count: usize,
         slots: Vec<Slot>,
-        window_start: Seconds,
-        window_end: Seconds,
+        window: TimeWindow,
     ) -> Self {
         let busy_slots =
             slots.iter().enumerate().filter(|(_, s)| !s.is_empty()).map(|(i, _)| i).collect();
-        Self { delta, node_count, slots, busy_slots, window_start, window_end }
+        Self { delta, node_count, slots, busy_slots, window }
     }
 
     /// Borrows slot `s` directly — the slot-local view engines hoist out of
@@ -299,33 +289,21 @@ impl SpaceTimeGraph {
         self.slots.len()
     }
 
-    /// Start of the observation window in seconds.
-    pub fn window_start(&self) -> Seconds {
-        self.window_start
-    }
-
-    /// End of the observation window in seconds.
-    pub fn window_end(&self) -> Seconds {
-        self.window_end
+    /// The observation window.
+    pub fn window(&self) -> TimeWindow {
+        self.window
     }
 
     /// The slot index containing absolute time `t`, clamped to the valid
-    /// range. Slot `s` covers `[start + s·Δ, start + (s+1)·Δ)` where `start`
-    /// is the trace window start — the same convention `build` slots
-    /// contacts with.
+    /// range ([`psn_trace::stream::slot_of_time`]).
     pub fn slot_of_time(&self, t: Seconds) -> usize {
-        let rel = t - self.window_start;
-        if rel <= 0.0 {
-            return 0;
-        }
-        ((rel / self.delta).floor() as usize).min(self.slots.len() - 1)
+        stream::slot_of_time(self.window, self.delta, t)
     }
 
     /// The absolute time at which slot `s` *ends* — the timestamp assigned
-    /// to hops taken during that slot (the paper's `T = c·Δ`, offset by the
-    /// window start for traces that do not begin at zero).
+    /// to hops taken during that slot ([`psn_trace::stream::slot_end_time`]).
     pub fn slot_end_time(&self, s: usize) -> Seconds {
-        self.window_start + (s as f64 + 1.0) * self.delta
+        stream::slot_end_time(self.window, self.delta, s)
     }
 
     /// Neighbors of `node` during slot `s` (nodes in contact with it at any
@@ -505,7 +483,7 @@ mod tests {
         assert_eq!(g.slot_of_time(1e9), 1); // clamped
         assert_eq!(g.slot_end_time(0), 10.0);
         assert_eq!(g.slot_end_time(1), 20.0);
-        assert_eq!(g.window_end(), 20.0);
+        assert_eq!(g.window().end, 20.0);
     }
 
     #[test]
@@ -608,7 +586,7 @@ mod tests {
         .unwrap();
         let g = SpaceTimeGraph::build_default(&trace);
         assert_eq!(g.slot_count(), 5);
-        assert_eq!(g.window_start(), 1000.0);
+        assert_eq!(g.window().start, 1000.0);
         // The contact lands in slot 1 ([1010, 1020)), matching `build`.
         assert!(g.has_contacts(1, NodeId(0)));
         assert!(!g.has_contacts(0, NodeId(0)));
@@ -619,7 +597,7 @@ mod tests {
         assert_eq!(g.slot_end_time(0), 1010.0);
         assert_eq!(g.slot_end_time(1), 1020.0);
         // End-time of the contact's slot stays inside the window.
-        assert!(g.slot_end_time(1) <= g.window_end());
+        assert!(g.slot_end_time(1) <= g.window().end);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use psn_trace::stream::slot_count;
+use psn_trace::stream::{self, slot_count};
 use psn_trace::{ContactEvent, ContactStream, NodeId, Seconds, StreamError, TimeWindow};
 
 use crate::graph::{Slot, SpaceTimeGraph};
@@ -139,8 +139,10 @@ impl From<SpillError> for StreamBuildError {
 /// (refcounted, since overlapping contacts of one pair are distinct), so
 /// memory is O(active contacts) regardless of trace length. Slots are sealed
 /// strictly in ascending order through the `seal` callback; the callback
-/// receives the slot index and the slot's raw edge list (one entry per
-/// active pair — [`Slot::seal`] normalizes it).
+/// receives the slot index and the slot's edge list, one entry per active
+/// pair, smaller endpoint first, ascending — already the normalized list
+/// [`Slot::seal`] would keep, which is why the history timeline can fold
+/// it without sealing a slot.
 #[derive(Debug)]
 pub struct IncrementalSlotter {
     num_slots: usize,
@@ -239,7 +241,7 @@ pub fn stream_graph<S: ContactStream>(stream: &mut S) -> Result<SpaceTimeGraph, 
         slotter.apply(&event, &mut seal)?;
     }
     slotter.finish(&mut seal)?;
-    Ok(SpaceTimeGraph::from_sealed_slots(delta, node_count, slots, window.start, window.end))
+    Ok(SpaceTimeGraph::from_sealed_slots(delta, node_count, slots, window))
 }
 
 /// Hot-slot cache of a windowed graph: FIFO insertion order, bounded count.
@@ -292,8 +294,7 @@ pub struct WindowedSpaceTimeGraph {
     delta: Seconds,
     node_count: usize,
     num_slots: usize,
-    window_start: Seconds,
-    window_end: Seconds,
+    window: TimeWindow,
     busy_slots: Vec<usize>,
     total_edges: usize,
     window_slots: usize,
@@ -389,8 +390,7 @@ impl WindowedSpaceTimeGraph {
             delta,
             node_count,
             num_slots,
-            window_start: window.start,
-            window_end: window.end,
+            window,
             busy_slots,
             total_edges,
             window_slots,
@@ -420,40 +420,21 @@ impl WindowedSpaceTimeGraph {
         self.num_slots
     }
 
-    /// Start of the observation window in seconds.
-    pub fn window_start(&self) -> Seconds {
-        self.window_start
-    }
-
-    /// End of the observation window in seconds.
-    pub fn window_end(&self) -> Seconds {
-        self.window_end
-    }
-
     /// The observation window.
     pub fn window(&self) -> TimeWindow {
-        TimeWindow::new(self.window_start, self.window_end)
+        self.window
     }
 
-    /// The hot-window capacity in busy slots.
-    pub fn window_slots(&self) -> usize {
-        self.window_slots
-    }
-
-    /// The slot index containing absolute time `t`, clamped — same
-    /// convention as [`SpaceTimeGraph::slot_of_time`].
+    /// The slot index containing absolute time `t`, clamped
+    /// ([`psn_trace::stream::slot_of_time`]).
     pub fn slot_of_time(&self, t: Seconds) -> usize {
-        let rel = t - self.window_start;
-        if rel <= 0.0 {
-            return 0;
-        }
-        ((rel / self.delta).floor() as usize).min(self.num_slots - 1)
+        stream::slot_of_time(self.window, self.delta, t)
     }
 
-    /// The absolute time at which slot `s` ends — same convention as
-    /// [`SpaceTimeGraph::slot_end_time`].
+    /// The absolute time at which slot `s` ends
+    /// ([`psn_trace::stream::slot_end_time`]).
     pub fn slot_end_time(&self, s: usize) -> Seconds {
-        self.window_start + (s as f64 + 1.0) * self.delta
+        stream::slot_end_time(self.window, self.delta, s)
     }
 
     /// Indices of slots with at least one contact edge, ascending.
@@ -700,19 +681,11 @@ impl<'a> GraphRef<'a> {
         }
     }
 
-    /// Start of the observation window in seconds.
-    pub fn window_start(&self) -> Seconds {
+    /// The observation window.
+    pub fn window(&self) -> TimeWindow {
         match self {
-            GraphRef::Full(g) => g.window_start(),
-            GraphRef::Windowed(g) => g.window_start(),
-        }
-    }
-
-    /// End of the observation window in seconds.
-    pub fn window_end(&self) -> Seconds {
-        match self {
-            GraphRef::Full(g) => g.window_end(),
-            GraphRef::Windowed(g) => g.window_end(),
+            GraphRef::Full(g) => g.window(),
+            GraphRef::Windowed(g) => g.window(),
         }
     }
 
@@ -737,14 +710,6 @@ impl<'a> GraphRef<'a> {
         match self {
             GraphRef::Full(g) => g.busy_slots(),
             GraphRef::Windowed(g) => g.busy_slots(),
-        }
-    }
-
-    /// Total number of (contact, slot) incidences.
-    pub fn total_edges(&self) -> usize {
-        match self {
-            GraphRef::Full(g) => g.total_edges(),
-            GraphRef::Windowed(g) => g.total_edges(),
         }
     }
 
@@ -848,6 +813,66 @@ mod tests {
             return false;
         }
         (0..a.slot_count()).all(|s| a.slot(s) == b.slot(s))
+    }
+
+    #[test]
+    fn slotter_edges_are_the_sealed_slot_edges() {
+        // The history timeline folds the slotter's edge lists without
+        // sealing a `Slot`, so each list must already be `Slot::seal`'s
+        // normalized one — smaller endpoint first, ascending, deduplicated —
+        // however the contacts name their endpoints and overlap.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5107);
+            let (n, slots) = (3 + rng.gen_range(0..70u32), 30usize);
+            // (a, b, first slot, last slot), endpoints in either order and
+            // the same pair often overlapping itself.
+            let contacts: Vec<(u32, u32, usize, usize)> = (0..rng.gen_range(1..120))
+                .map(|_| {
+                    let a = rng.gen_range(0..n);
+                    let b = (a + rng.gen_range(1..n)) % n;
+                    let first = rng.gen_range(0..slots);
+                    (a, b, first, (first + rng.gen_range(0..6usize)).min(slots - 1))
+                })
+                .collect();
+            let mut events: Vec<ContactEvent> = contacts
+                .iter()
+                .flat_map(|&(a, b, first, last)| {
+                    let (a, b) = (NodeId(a), NodeId(b));
+                    let up = ContactEvent::Up {
+                        slot: first,
+                        last_slot: last,
+                        a,
+                        b,
+                        start: 0.0,
+                        end: 0.0,
+                    };
+                    let down = ContactEvent::Down { slot: last + 1, a, b };
+                    std::iter::once(up).chain((last + 1 < slots).then_some(down))
+                })
+                .collect();
+            events.sort_by_key(|e| (e.slot(), !e.is_down()));
+            let mut sealed = Vec::new();
+            let mut seal = |slot: usize, edges: Vec<(NodeId, NodeId)>| -> Result<(), StreamError> {
+                sealed.push((slot, edges));
+                Ok(())
+            };
+            let mut slotter = IncrementalSlotter::new(slots);
+            for event in &events {
+                slotter.apply(event, &mut seal).unwrap();
+            }
+            slotter.finish(&mut seal).unwrap();
+            assert_eq!(sealed.len(), slots, "seed {seed}: one list per slot");
+            for (slot, edges) in sealed {
+                let raw: Vec<(NodeId, NodeId)> = contacts
+                    .iter()
+                    .filter(|&&(_, _, first, last)| (first..=last).contains(&slot))
+                    .map(|&(a, b, _, _)| (NodeId(a), NodeId(b)))
+                    .collect();
+                assert_eq!(edges, Slot::seal(n as usize, raw).edges(), "seed {seed}, slot {slot}");
+            }
+        }
     }
 
     #[test]
@@ -1105,7 +1130,7 @@ mod tests {
         let shared: SharedGraph = Arc::new(full.clone()).into();
         assert_eq!(shared.as_graph_ref().slot_count(), full.slot_count());
         let shared_windowed: SharedGraph = Arc::new(windowed).into();
-        assert_eq!(shared_windowed.as_graph_ref().total_edges(), full.total_edges());
+        assert_eq!(shared_windowed.as_graph_ref().window(), full.window());
     }
 
     #[test]

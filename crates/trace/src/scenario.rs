@@ -284,13 +284,14 @@ impl ScenarioConfig {
     }
 
     /// Rejects configurations the generator cannot run with, naming the
-    /// offending key. Covers the conference and scaled families'
-    /// preconditions (their generators keep them as `assert!`s); NaN fails
-    /// every rule.
+    /// offending key. Covers the conference, scaled and homogeneous
+    /// families' preconditions (their generators keep them as `assert!`s);
+    /// NaN fails every rule.
     pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         match self {
             ScenarioConfig::Conference(c) => validate_conference(c),
             ScenarioConfig::Scaled(c) => validate_scaled(c),
+            ScenarioConfig::Homogeneous(c) => validate_homogeneous(c),
             _ => Ok(()),
         }
     }
@@ -1149,6 +1150,21 @@ fn validate_scaled(c: &ScaledConfig) -> Result<(), ScenarioError> {
     first_violation("scaled", &checks)
 }
 
+fn validate_homogeneous(c: &HomogeneousConfig) -> Result<(), ScenarioError> {
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 4] = [
+        (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
+        (
+            finite_positive(c.node_contact_rate),
+            "node_contact_rate",
+            "finite and > 0",
+            &c.node_contact_rate,
+        ),
+        (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
+        (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+    ];
+    first_violation("homogeneous", &checks)
+}
+
 /// The first failed `(holds, key, rule, value)` check of a `family`
 /// scenario, as an error naming the key.
 fn first_violation(
@@ -1369,6 +1385,43 @@ mod tests {
         for nodes in [2.0, 1000.0] {
             base.with_field("nodes", nodes).expect("a valid scaled scenario");
         }
+    }
+
+    /// `key = value` makes a homogeneous scenario fail from TOML, JSON and
+    /// `with_field`, and `key = spelled` (a value only a config file can
+    /// spell) from TOML, each error naming the family and the key.
+    fn assert_homogeneous_rejects(key: &str, values: &[f64], spelled: &[&str]) {
+        let base = ScenarioConfig::Homogeneous(HomogeneousConfig::default());
+        for &value in values {
+            assert_rejects(base.clone(), key, value);
+        }
+        for value in spelled {
+            let err = ScenarioConfig::from_toml_str(&toml_with(&base, key, value)).expect_err(key);
+            assert!(err.to_string().contains(&format!("{key:?}")), "{key} = {value}: {err}");
+            assert!(err.to_string().contains("homogeneous field"), "{err}");
+        }
+    }
+
+    #[test]
+    fn homogeneous_with_fewer_than_two_nodes_is_rejected() {
+        assert_homogeneous_rejects("nodes", &[1.0, 0.0], &[]);
+        let base = ScenarioConfig::Homogeneous(HomogeneousConfig::default());
+        base.with_field("nodes", 2.0).expect("two nodes can meet");
+    }
+
+    #[test]
+    fn homogeneous_with_a_non_positive_or_non_finite_contact_rate_is_rejected() {
+        assert_homogeneous_rejects("node_contact_rate", &[0.0, -0.01], &["inf", "nan"]);
+    }
+
+    #[test]
+    fn homogeneous_with_a_non_positive_contact_duration_is_rejected() {
+        assert_homogeneous_rejects("mean_contact_duration", &[0.0, -120.0], &["nan"]);
+    }
+
+    #[test]
+    fn homogeneous_with_a_non_positive_or_infinite_window_is_rejected() {
+        assert_homogeneous_rejects("window_seconds", &[0.0, -3600.0], &["inf", "nan"]);
     }
 
     #[test]

@@ -46,6 +46,31 @@ pub fn slot_count(window: TimeWindow, delta: Seconds) -> usize {
     slots.max(1)
 }
 
+/// The slot containing absolute time `t`, clamped to the window's
+/// `slot_count(window, delta)` slots: slot `s` covers
+/// `[start + s·Δ, start + (s+1)·Δ)` — the convention contacts are slotted
+/// with. The one definition every graph representation and the forwarding
+/// simulator place message creation times with.
+///
+/// # Panics
+///
+/// Panics if `delta` is not strictly positive and finite.
+pub fn slot_of_time(window: TimeWindow, delta: Seconds, t: Seconds) -> usize {
+    let slots = slot_count(window, delta);
+    let rel = t - window.start;
+    if rel <= 0.0 {
+        return 0;
+    }
+    ((rel / delta).floor() as usize).min(slots - 1)
+}
+
+/// The absolute time at which slot `s` *ends* — the timestamp assigned to
+/// hops and contacts observed during it (the paper's `T = c·Δ`, offset by
+/// the window start for traces that do not begin at zero).
+pub fn slot_end_time(window: TimeWindow, delta: Seconds, s: usize) -> Seconds {
+    window.start + (s as f64 + 1.0) * delta
+}
+
 /// One slot-granular contact event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ContactEvent {
@@ -454,6 +479,19 @@ mod tests {
         assert_eq!(slot_count(TimeWindow::new(0.0, 95.0), 10.0), 10);
         assert_eq!(slot_count(TimeWindow::new(0.0, 5.0), 10.0), 1);
         assert_eq!(slot_count(TimeWindow::new(1000.0, 1050.0), 10.0), 5);
+    }
+
+    #[test]
+    fn slot_of_time_clamps_and_slot_end_time_offsets_by_the_window_start() {
+        let window = TimeWindow::new(1000.0, 1050.0);
+        assert_eq!(slot_of_time(window, 10.0, 999.0), 0);
+        assert_eq!(slot_of_time(window, 10.0, 1000.0), 0);
+        assert_eq!(slot_of_time(window, 10.0, 1009.99), 0);
+        // A slot boundary belongs to the slot it opens.
+        assert_eq!(slot_of_time(window, 10.0, 1010.0), 1);
+        assert_eq!(slot_of_time(window, 10.0, 1e9), 4);
+        assert_eq!(slot_end_time(window, 10.0, 0), 1010.0);
+        assert_eq!(slot_end_time(window, 10.0, 4), 1050.0);
     }
 
     #[test]

@@ -83,14 +83,13 @@ fn figures_9_10_11_13_forwarding_study_renders() {
         mean_interarrival: 20.0,
         seed: 11,
     };
-    let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
-    let timeline = Arc::new(HistoryTimeline::build(&graph));
+    let timeline = Arc::new(HistoryTimeline::from_trace(&trace, 10.0));
     let summary = ContactSummary::from_trace(&trace);
     let study = run_forwarding_study_on(
         DatasetId::Infocom06Morning,
         &summary,
-        graph,
         timeline,
+        10.0,
         workload,
         1,
         0,
