@@ -24,18 +24,17 @@
 //!   outlive the message that produced them (deliveries are materialized to
 //!   owned [`Path`]s before the next message starts);
 //! * **stamp-walk membership** — entries carry no per-path node set. The
-//!   enumerator answers every membership question about a stored path with
-//!   one O(depth) parent walk (`PathArena::stamp`) that writes the path's
-//!   nodes into an epoch-stamped node set (`NodeMarks`); after the walk,
-//!   "is `v` on the path?" is one array probe, exact at any node count, and
-//!   the same walk reports whether the path touches a flagged node set (the
-//!   first-preference check);
+//!   enumerator answers the loop-avoidance questions about a stored path
+//!   with one O(depth) parent walk (`PathArena::stamp`) that writes the
+//!   path's nodes into an epoch-stamped node set (`NodeMarks`); after the
+//!   walk, "is `v` on the path?" is one array probe, exact at any node
+//!   count. The first-preference check is one more walk,
+//!   [`PathArena::intersects`];
 //! * **structure-of-arrays layout** — entry fields live in parallel vectors
-//!   rather than one `Vec<Entry>`. The enumerator's per-node k-shortest
-//!   merge reads *only* the depths of up to `k` stored paths per node per
-//!   slot, and the stamp walk reads only parents and nodes; dense per-field
-//!   vectors keep both scans from dragging whole entries through the
-//!   cache.
+//!   rather than one `Vec<Entry>`. The enumerator's admission and splice
+//!   read *only* the depths of stored paths, and the walks read only
+//!   parents and nodes; dense per-field vectors keep those scans from
+//!   dragging whole entries through the cache.
 
 use psn_trace::{NodeId, Seconds};
 
@@ -55,7 +54,7 @@ pub struct PathArena {
     /// Arena index of the path each entry extends; `NO_PARENT` for sources.
     parents: Vec<u32>,
     /// Number of hops on the path ending at each entry (≥ 1). Kept dense so
-    /// the k-shortest merge can read keys without touching other fields.
+    /// the enumerator's depth searches touch no other field.
     depths: Vec<u32>,
     /// The node that received the message at each hop.
     nodes: Vec<NodeId>,
@@ -148,20 +147,12 @@ impl PathArena {
     /// Walks the path ending at `r` once, writing its nodes into `marks` as
     /// a fresh set (every earlier stamp is forgotten) so that
     /// [`NodeMarks::contains`] then answers loop-avoidance probes in O(1).
-    ///
-    /// With `near` given, the walk also checks every node against that
-    /// node-indexed flag set and returns true as soon as one is flagged;
-    /// the stamps are then incomplete and must not be probed. Returns false
-    /// (and a complete stamp) otherwise.
-    pub(crate) fn stamp(&self, r: PathRef, marks: &mut NodeMarks, near: Option<&[bool]>) -> bool {
+    pub(crate) fn stamp(&self, r: PathRef, marks: &mut NodeMarks) {
         let epoch = marks.next_epoch();
         self.any_node(r, |n| {
-            if near.is_some_and(|near| near[n.index()]) {
-                return true;
-            }
             marks.marks[n.index()] = epoch;
             false
-        })
+        });
     }
 
     /// Walks the chain from `r` back to its source, returning true as soon
@@ -334,7 +325,7 @@ mod tests {
             chain(&mut arena, &[66]),
         ];
         for &r in &paths {
-            assert!(!arena.stamp(r, &mut marks, None));
+            arena.stamp(r, &mut marks);
             let on_path: Vec<NodeId> = arena.materialize(r).nodes().collect();
             for v in (0..NODES as u32).map(nid) {
                 let expected = on_path.contains(&v);
@@ -348,10 +339,8 @@ mod tests {
     }
 
     #[test]
-    fn stamp_walk_reports_near_hits_exactly_across_mask_widths() {
+    fn intersects_reports_near_hits_exactly_across_mask_widths() {
         let mut arena = PathArena::new();
-        let mut marks = NodeMarks::default();
-        marks.ensure_nodes(NODES);
         let paths = [
             chain(&mut arena, &[0, 66]),
             chain(&mut arena, &[130, 1]),
@@ -365,12 +354,7 @@ mod tests {
             near[flagged as usize] = true;
             for &r in &paths {
                 let brute = arena.materialize(r).nodes().any(|n| near[n.index()]);
-                assert_eq!(arena.stamp(r, &mut marks, Some(&near)), brute, "flag {flagged}");
                 assert_eq!(arena.intersects(r, &near), brute, "flag {flagged}");
-                if !brute {
-                    // A miss leaves a complete stamp behind.
-                    assert!(marks.contains(arena.node(r)));
-                }
             }
         }
     }
@@ -382,8 +366,8 @@ mod tests {
         marks.ensure_nodes(NODES);
         let first = chain(&mut arena, &[2, 66]);
         let second = chain(&mut arena, &[130]);
-        arena.stamp(first, &mut marks, None);
-        arena.stamp(second, &mut marks, None);
+        arena.stamp(first, &mut marks);
+        arena.stamp(second, &mut marks);
         assert!(marks.contains(nid(130)));
         assert!(!marks.contains(nid(2)));
         assert!(!marks.contains(nid(66)));
@@ -398,11 +382,11 @@ mod tests {
         let fresh = chain(&mut arena, &[130]);
         // Leave stamps at epochs 1 and 2, then jump to the end of the
         // epoch range: after the wrap, epochs 1 and 2 are current again.
-        arena.stamp(stale, &mut marks, None);
-        arena.stamp(stale, &mut marks, None);
+        arena.stamp(stale, &mut marks);
+        arena.stamp(stale, &mut marks);
         marks.set_epoch(u32::MAX - 1);
         for _ in 0..4 {
-            arena.stamp(fresh, &mut marks, None);
+            arena.stamp(fresh, &mut marks);
             assert!(marks.contains(nid(130)));
             assert!(!marks.contains(nid(2)), "stale stamp survived epoch {}", marks.epoch());
             assert!(!marks.contains(nid(66)));

@@ -47,39 +47,43 @@
 //! deliveries, and all per-slot buffers live in a reusable
 //! [`EnumerationScratch`].
 //!
-//! Within a slot, every extension is an unmaterialized candidate keyed by
-//! `(depth, seq)`, where `seq` counts candidates in creation order. A node
-//! keeps the `k` smallest keys among its arrivals, merged behind its stored
-//! paths of equal depth. Three exact rules keep that work small:
+//! The per-node selection ranks a node's paths shortest-first, stored paths
+//! ahead of arrivals of equal depth, and arrivals among themselves in the
+//! order the paper's algorithm creates them: holders ascending, each
+//! holder's paths in stored order, members in component order. A slot runs
+//! three passes, arranged so that every candidate the engine materializes
+//! is one the selection keeps:
 //!
-//! * **admission bound** — each node has a depth bound for the slot. Once
-//!   its inbox reaches `2k` candidates it is cut to the `k` best
-//!   (`select_nth_unstable_by_key`) and the bound becomes the depth of the
-//!   worst one kept. A later candidate at least that deep is never pushed:
-//!   `seq` only grows within a slot, so its key is larger than all `k`
-//!   kept keys and it could never be selected. In a slot without the
-//!   first-preference screen no stored list shrinks, so a node already
-//!   storing `k` paths starts the slot with the depth of its `k`-th path as
-//!   its bound (stored paths win ties). Stored paths are extended
-//!   shortest-first and bounds only tighten, so a member closed to one
-//!   path is skipped for the rest of its holder's paths;
-//! * **one walk per path** — membership questions about a stored path are
-//!   answered by one O(depth) parent walk that stamps the path's nodes into
-//!   an epoch-stamped array, exact at any node count. The walk runs at once
-//!   when the first-preference screen applies (is any node on the path in
-//!   the destination's component?), and otherwise only when the first
-//!   member passes the bound; after it, each loop-avoidance check is one
-//!   array probe. The holder and the source lie on every path and are
-//!   never probed;
-//! * **linear merge** — a node's stored list is kept sorted by depth, so
-//!   the `k` best arrivals, sorted by key, merge with it in one pass, and
-//!   only the arrivals that make the cut are materialized.
+//! * **deliveries** — every holder in the destination's component delivers
+//!   its stored paths (holders ascending; the delivery cap may stop the
+//!   run here);
+//! * **first-preference screen** — every other holder drops the stored
+//!   paths that carry a node of the destination's component. It is a pass
+//!   of its own because admission (below) needs each node's post-screen
+//!   stored list before the first extension is made;
+//! * **depth-major extension** — paths are extended in order of depth, then
+//!   holder, then stored order, then member. Among arrivals that is exactly
+//!   the selection's order, so node `v` can decide each depth-`D` candidate
+//!   on arrival: it is kept iff `k − |stored(v) of depth ≤ D| −
+//!   |arrivals(v)| > 0`. That room never grows with `D`, so a member closed
+//!   to one path stays closed for every later path of the slot. An admitted
+//!   candidate is extended into the arena at once; a rejected one is never
+//!   materialized. Membership questions about a path are answered by one
+//!   O(depth) parent walk that stamps its nodes into an epoch-stamped
+//!   array, so each loop-avoidance check is one array probe, exact at any
+//!   node count. The holder and the source lie on every path and are never
+//!   probed.
 //!
-//! The pre-arena algorithm — one owned `Vec<Hop>` per in-flight path — is
-//! retained as [`PathEnumerator::enumerate_reference`] and produces
-//! bit-identical results; the property tests in this module and the
-//! `enumeration` Criterion bench hold the two implementations against each
-//! other.
+//! Because every admitted arrival is selected, the per-node merge is a
+//! splice: each depth group of arrivals goes in behind the stored paths of
+//! depth at most its own (one `partition_point` per group), and the stored
+//! paths pushed past `k` fall off the end.
+//!
+//! The pre-arena algorithm — one owned `Vec<Hop>` per in-flight path,
+//! every candidate built, then a stable sort per node — is retained as
+//! [`PathEnumerator::enumerate_reference`] and produces bit-identical
+//! results; the property tests in this module and the `enumeration`
+//! Criterion bench hold the two implementations against each other.
 
 use psn_trace::{NodeId, Seconds};
 use serde::{Deserialize, Serialize};
@@ -168,7 +172,9 @@ pub struct EnumerationResult {
     /// True if enumeration stopped because `k` or more paths arrived in one
     /// slot (the paper's explosion-detection stopping rule).
     pub exploded: bool,
-    /// True if the total-delivery cap was hit before the per-slot rule.
+    /// True if enumeration stopped because the total-delivery cap was hit.
+    /// Both flags are set when the slot that hits the cap had already
+    /// delivered `k` or more paths.
     pub truncated: bool,
     /// Number of slots processed.
     pub slots_processed: usize,
@@ -206,30 +212,6 @@ impl EnumerationResult {
     }
 }
 
-/// An unmaterialized arrival: a stored path that would extend to the inbox
-/// node this slot, plus the keys deciding whether it can survive the
-/// per-node k-selection.
-///
-/// Arrivals used to be materialized into the arena immediately, which made
-/// arena growth proportional to the *candidate* count — at 1000 nodes with
-/// near-complete contact components that is `holders × k × component` new
-/// entries per slot (tens of gigabytes per message). Keeping candidates as
-/// `(parent, depth, seq)` triples and pruning each inbox online to the `k`
-/// smallest `(depth, seq)` keys bounds arena growth to at most `k`
-/// materialized survivors per touched node per slot, and the final
-/// selection outcome is unchanged: the key order is exactly the order
-/// [`PathEnumerator`] selection uses for the arrival portion of the merge,
-/// so a pruned candidate could never have been selected.
-#[derive(Debug, Clone, Copy)]
-struct ArrivalCandidate {
-    /// The stored path being extended.
-    parent: PathRef,
-    /// Hop depth of the would-be child (`depth(parent) + 1`).
-    depth: u32,
-    /// Per-slot arrival sequence number (the tie-break: earlier wins).
-    seq: u64,
-}
-
 /// Reusable per-message working memory of the arena engine.
 ///
 /// All allocations the enumerator needs — the path arena, the per-node
@@ -244,24 +226,29 @@ pub struct EnumerationScratch {
     arena: PathArena,
     /// Arena refs of in-flight paths per node, sorted shortest-first.
     stored: Vec<Vec<PathRef>>,
-    /// Unmaterialized arrival candidates per node within the current slot,
-    /// pruned online to the `k` best so arena growth stays bounded.
-    arrivals: Vec<Vec<ArrivalCandidate>>,
-    /// Per-node admission bound of the current slot: a candidate whose
-    /// depth is at least `bounds[v]` cannot be selected at `v` and is never
-    /// pushed. `u32::MAX` (admit everything) unless `v` stores `k` paths in
-    /// a slot without the first-preference screen, or `v`'s inbox has been
-    /// pruned; reset for every holder and touched node at the end of each
-    /// slot.
-    bounds: Vec<u32>,
-    /// `(path, member)` candidates rejected by `bounds` over this
-    /// scratch's lifetime.
+    /// Admitted arrivals per node within the current slot, already in the
+    /// arena, in selection order (depth, then creation order).
+    arrivals: Vec<Vec<PathRef>>,
+    /// Per-node admission room of the current extension pass: how many more
+    /// arrivals of the pass's depth `v` can still keep. Valid only where
+    /// `room_pass[v] == pass`; recomputed on first use in each pass.
+    room: Vec<usize>,
+    /// The pass `room[v]` was computed for.
+    room_pass: Vec<u64>,
+    /// Extension-pass counter; never reset, so a stale `room_pass` entry
+    /// from an earlier slot or run can never match.
+    pass: u64,
+    /// `(path, member)` pairs the admission rule closed over this scratch's
+    /// lifetime.
     bound_rejections: u64,
     /// Nodes of the stored path last walked (the loop-avoidance set).
     marks: NodeMarks,
-    /// The current holder's component members not yet closed by `bounds`,
-    /// in component order.
+    /// The current holder's component members still open to its paths, in
+    /// component order.
     open_members: Vec<NodeId>,
+    /// Holders extending this slot, with a cursor to the first stored path
+    /// not yet extended.
+    extenders: Vec<(u32, usize)>,
     /// Nodes that can reach the destination via zero-weight edges this slot.
     near_destination: Vec<bool>,
     /// The nodes flagged in `near_destination`, for O(set) clearing.
@@ -270,12 +257,10 @@ pub struct EnumerationScratch {
     touched: Vec<u32>,
     /// Nodes with at least one stored path, ascending.
     holders: Vec<u32>,
-    /// Holder list snapshot iterated while `stored` is mutated.
-    holders_snapshot: Vec<u32>,
     /// Double buffer for the per-slot holder-list refresh.
     holders_next: Vec<u32>,
-    /// Output buffer of the per-node k-shortest merge, swapped with the
-    /// node's stored list.
+    /// Output buffer of the per-node splice, swapped with the node's
+    /// stored list.
     merged: Vec<PathRef>,
 }
 
@@ -285,26 +270,27 @@ impl EnumerationScratch {
         Self::default()
     }
 
-    /// Number of arrival candidates — (stored path, component member)
-    /// pairs — the per-node admission bound rejected before they were
-    /// pushed, summed over every run this scratch served. A work counter
-    /// for tests and profiling; it never reaches a result.
+    /// Number of (stored path, component member) pairs the admission rule
+    /// closed — the member had no room left for a path that deep — summed
+    /// over every run this scratch served. A work counter for tests and
+    /// profiling; it never reaches a result.
     pub fn bound_rejections(&self) -> u64 {
         self.bound_rejections
     }
 
     /// Resets for a new message over a graph with `n` nodes.
     ///
-    /// The previous run leaves `arrivals`, `bounds` and `near_destination`
-    /// clean (they are drained every slot via `touched` / `near_list`);
-    /// only `stored` can carry paths across runs, and `holders` indexes
-    /// exactly the nodes that might.
+    /// The previous run leaves `arrivals` and `near_destination` clean
+    /// (they are drained every slot via `touched` / `near_list`); only
+    /// `stored` can carry paths across runs, and `holders` indexes exactly
+    /// the nodes that might.
     fn reset(&mut self, n: usize) {
         self.arena.clear();
         if self.stored.len() < n {
             self.stored.resize_with(n, Vec::new);
             self.arrivals.resize_with(n, Vec::new);
-            self.bounds.resize(n, u32::MAX);
+            self.room.resize(n, 0);
+            self.room_pass.resize(n, 0);
         }
         self.marks.ensure_nodes(n);
         if self.near_destination.len() < n {
@@ -331,9 +317,6 @@ struct RunState {
     /// run may observe.
     start_slot: usize,
     slots_processed: usize,
-    /// Arrival tie-break counter: earlier candidates win equal-depth
-    /// selections, reproducing the materialize-everything order exactly.
-    candidate_seq: u64,
     /// Set when the run stopped early (truncation or explosion); the driver
     /// must not step it again.
     done: bool,
@@ -481,7 +464,7 @@ impl<'a> PathEnumerator<'a> {
         }
     }
 
-    /// Advances one run through one slot: deliver, prune, extend, select.
+    /// Advances one run through one slot: deliver, screen, extend, splice.
     /// `slot` must be the pinned slot `s` of this enumerator's graph and
     /// `slot_time` its end time; the caller guarantees
     /// `state.start_slot <= s` and `!state.done`, and slots are presented
@@ -496,6 +479,24 @@ impl<'a> PathEnumerator<'a> {
     ) {
         let k = self.config.k;
         let destination = message.destination;
+        let EnumerationScratch {
+            arena,
+            stored,
+            arrivals,
+            room,
+            room_pass,
+            pass,
+            bound_rejections,
+            marks,
+            open_members,
+            extenders,
+            near_destination,
+            near_list,
+            touched,
+            holders,
+            holders_next,
+            merged,
+        } = scratch;
         state.slots_processed += 1;
         let destination_active = slot.has_contacts(destination);
 
@@ -508,259 +509,182 @@ impl<'a> PathEnumerator<'a> {
         // of this path is dominated.
         if destination_active {
             for &m in slot.component_slice(destination) {
-                scratch.near_destination[m.index()] = true;
-                scratch.near_list.push(m.0);
+                near_destination[m.index()] = true;
+                near_list.push(m.0);
             }
         }
-        // Stored paths that do not deliver are screened against that set
-        // (first preference) unless the ablation disables the rule.
-        let screen_near = destination_active && self.config.enforce_first_preference;
+        let delivers = |h: u32| near_destination[h as usize] && h != destination.0;
 
-        scratch.holders_snapshot.clear();
-        scratch.holders_snapshot.extend_from_slice(&scratch.holders);
-        if !screen_near {
-            // Without the screen no stored list shrinks this slot, so a
-            // node already storing `k` paths closes its inbox to every
-            // candidate at least as deep as its `k`-th path: the merge
-            // ranks stored paths first among equal depths.
-            for &h in &scratch.holders_snapshot {
-                let paths = &scratch.stored[h as usize];
-                if paths.len() >= k {
-                    scratch.bounds[h as usize] = scratch.arena.depth(paths[k - 1]);
-                }
-            }
-        }
-
+        // Pass 1: every stored path at a holder in the destination's
+        // component is delivered now. Under the first-preference rule the
+        // stored copies are also removed: continuing them would be
+        // dominated by the delivery that just happened.
         let mut delivered_this_slot: usize = 0;
-
-        for &holder_u32 in &scratch.holders_snapshot {
-            let holder_idx = holder_u32 as usize;
-            if scratch.stored[holder_idx].is_empty() {
-                continue;
+        'deliver: for &h in holders.iter().filter(|&&h| delivers(h)) {
+            for &r in &stored[h as usize] {
+                delivered_this_slot += 1;
+                let hops = arena.depth(r) as usize + 1;
+                state.deliveries.push(Delivery { time: slot_time, hops });
+                if state.sample_paths.len() < self.config.stored_path_limit {
+                    state.sample_paths.push(arena.materialize_extended(r, destination, slot_time));
+                }
+                if self.config.max_delivered_paths.is_some_and(|cap| state.deliveries.len() >= cap)
+                {
+                    state.truncated = true;
+                    break 'deliver;
+                }
             }
-            let holder = NodeId(holder_u32);
-            let delivers =
-                destination_active && holder != destination && scratch.near_destination[holder_idx];
+            if self.config.enforce_first_preference {
+                stored[h as usize].clear();
+            }
+        }
 
-            if delivers {
-                // Every stored path at this holder is delivered now.
-                // Under the first-preference rule the stored copies are
-                // also removed afterwards: continuing them would be
-                // dominated by the delivery that just happened.
-                for i in 0..scratch.stored[holder_idx].len() {
-                    let r = scratch.stored[holder_idx][i];
-                    delivered_this_slot += 1;
-                    let hops = scratch.arena.depth(r) as usize + 1;
-                    state.deliveries.push(Delivery { time: slot_time, hops });
-                    if state.sample_paths.len() < self.config.stored_path_limit {
-                        state.sample_paths.push(scratch.arena.materialize_extended(
-                            r,
-                            destination,
-                            slot_time,
-                        ));
-                    }
-                    if let Some(cap) = self.config.max_delivered_paths {
-                        if state.deliveries.len() >= cap {
-                            state.truncated = true;
-                            break;
-                        }
-                    }
+        if !state.truncated {
+            // Pass 2: every other holder drops the paths that carry a node
+            // meeting the destination this slot (first preference: that
+            // node still holds a copy and delivers it now). Holders left
+            // with paths and a component member to extend to (not the
+            // holder or the source, which lie on every path) extend in
+            // pass 3. The destination is never an extension target: it is
+            // either inactive or in the delivering component.
+            let screen = destination_active && self.config.enforce_first_preference;
+            extenders.clear();
+            for &h in holders.iter().filter(|&&h| !delivers(h)) {
+                let holder = NodeId(h);
+                let paths = &mut stored[h as usize];
+                if screen {
+                    paths.retain(|&r| !arena.intersects(r, near_destination));
                 }
-                if self.config.enforce_first_preference {
-                    scratch.stored[holder_idx].clear();
+                if !paths.is_empty()
+                    && slot
+                        .component_slice(holder)
+                        .iter()
+                        .any(|&v| v != holder && v != message.source)
+                {
+                    extenders.push((h, 0));
                 }
-            } else {
-                // One pass over the holder's paths, in stored order. A path
-                // that carries a node meeting the destination this slot is
-                // dropped (first preference: that node still holds a copy
-                // and delivers it now, so this longer continuation can
-                // never be a first-preference path). Every other path waits
-                // in place and is extended to each member of its holder's
-                // contact component that is not already on it. The
-                // destination is never an extension target: it is either
-                // inactive or in another component (its own component
-                // delivers above).
-                let members: &[NodeId] =
-                    if slot.has_contacts(holder) { slot.component_slice(holder) } else { &[] };
-                if members.is_empty() && !screen_near {
-                    // Nothing to drop or extend; the paths simply wait.
-                    continue;
-                }
-                // The members whose inbox may still admit this holder's
-                // paths: all but the holder and the source, which lie on
-                // every one of them. Stored paths are sorted shortest-first
-                // and bounds only tighten within a slot, so a member the
-                // bound closes to one path is closed to every later path
-                // too; dropping it keeps the inner loop (and the lazy walk)
-                // to the inboxes still open.
-                scratch.open_members.clear();
-                scratch
-                    .open_members
-                    .extend(members.iter().filter(|&&v| v != holder && v != message.source));
-                let targets = scratch.open_members.len();
-                let near = screen_near.then_some(&scratch.near_destination[..]);
-                let paths = &mut scratch.stored[holder_idx];
-                let arena = &scratch.arena;
-                debug_assert!(paths.windows(2).all(|w| arena.depth(w[0]) <= arena.depth(w[1])));
-                let mut kept = 0;
-                for i in 0..paths.len() {
-                    if scratch.open_members.is_empty() && near.is_none() {
-                        // Every remaining path just waits.
-                        scratch.bound_rejections += ((paths.len() - i) * targets) as u64;
-                        kept = paths.len();
-                        break;
-                    }
-                    let r = paths[i];
-                    // The screen walks the path at once; without it the
-                    // walk waits for the first member the bound admits.
-                    let mut walked = near.is_some();
-                    if walked && scratch.arena.stamp(r, &mut scratch.marks, near) {
+            }
+
+            // Pass 3: extension in depth-major order — parent depth
+            // ascending, then holders ascending, then stored order, then
+            // component order — which is the selection order of arrivals.
+            // Each member admits a candidate iff it still has room at the
+            // pass's depth, so every candidate extended here is kept.
+            while let Some(parent_depth) =
+                extenders.iter().map(|&(h, c)| arena.depth(stored[h as usize][c])).min()
+            {
+                *pass += 1;
+                let child_depth = parent_depth + 1;
+                for (h, cursor) in extenders.iter_mut() {
+                    let holder = NodeId(*h);
+                    let paths = &stored[*h as usize];
+                    let start = *cursor;
+                    if arena.depth(paths[start]) != parent_depth {
                         continue;
                     }
-                    paths[kept] = r;
-                    kept += 1;
-                    let open = &mut scratch.open_members;
-                    scratch.bound_rejections += (targets - open.len()) as u64;
-                    let child_depth = scratch.arena.depth(r) + 1;
-                    let mut still_open = 0;
-                    for j in 0..open.len() {
-                        let v = open[j];
-                        // Admission bound: `k` paths at `v` (stored ones,
-                        // or kept candidates with smaller `seq`) already
-                        // rank ahead of any candidate this deep, so this
-                        // one could never be selected there.
-                        if child_depth >= scratch.bounds[v.index()] {
-                            scratch.bound_rejections += 1;
+                    let end =
+                        start + paths[start..].partition_point(|&r| arena.depth(r) == parent_depth);
+                    *cursor = end;
+                    open_members.clear();
+                    let mut targets = 0;
+                    for &v in slot.component_slice(holder) {
+                        if v == holder || v == message.source {
                             continue;
                         }
-                        open[still_open] = v;
-                        still_open += 1;
-                        if !walked {
-                            scratch.arena.stamp(r, &mut scratch.marks, None);
-                            walked = true;
+                        targets += 1;
+                        let vi = v.index();
+                        if room_pass[vi] != *pass {
+                            // The room at `v` for a path `child_depth` deep:
+                            // its stored paths at most that deep, and every
+                            // arrival so far, rank ahead of it.
+                            let ahead = stored[vi]
+                                .partition_point(|&r| arena.depth(r) <= child_depth)
+                                + arrivals[vi].len();
+                            room[vi] = k.saturating_sub(ahead);
+                            room_pass[vi] = *pass;
                         }
-                        if scratch.marks.contains(v) {
-                            continue;
-                        }
-                        let inbox = &mut scratch.arrivals[v.index()];
-                        if inbox.is_empty() {
-                            scratch.touched.push(v.0);
-                        }
-                        inbox.push(ArrivalCandidate {
-                            parent: r,
-                            depth: child_depth,
-                            seq: state.candidate_seq,
-                        });
-                        state.candidate_seq += 1;
-                        // Amortized-O(1) online pruning: once the inbox
-                        // doubles past k, keep only the k smallest
-                        // (depth, seq) keys — exactly the candidates that
-                        // could still survive this node's final selection
-                        // — and tighten the bound to the worst kept depth.
-                        if inbox.len() >= 2 * k {
-                            inbox.select_nth_unstable_by_key(k - 1, |c| (c.depth, c.seq));
-                            inbox.truncate(k);
-                            scratch.bounds[v.index()] = inbox[k - 1].depth;
+                        if room[vi] > 0 {
+                            open_members.push(v);
                         }
                     }
-                    open.truncate(still_open);
+                    for i in start..end {
+                        if open_members.is_empty() {
+                            // Room never grows within a slot, so this
+                            // path and every later one of the holder just
+                            // wait.
+                            *bound_rejections += ((paths.len() - i) * targets) as u64;
+                            *cursor = paths.len();
+                            break;
+                        }
+                        *bound_rejections += (targets - open_members.len()) as u64;
+                        let r = paths[i];
+                        arena.stamp(r, marks);
+                        let mut still_open = 0;
+                        for j in 0..open_members.len() {
+                            let v = open_members[j];
+                            let vi = v.index();
+                            if !marks.contains(v) {
+                                if arrivals[vi].is_empty() {
+                                    touched.push(v.0);
+                                }
+                                arrivals[vi].push(arena.extend(r, v, slot_time));
+                                room[vi] -= 1;
+                                if room[vi] == 0 {
+                                    continue;
+                                }
+                            }
+                            open_members[still_open] = v;
+                            still_open += 1;
+                        }
+                        open_members.truncate(still_open);
+                    }
                 }
-                paths.truncate(kept);
+                extenders.retain(|&(h, c)| c < stored[h as usize].len());
             }
 
-            if state.truncated {
-                break;
-            }
-        }
-
-        // Merge arrivals with retained paths and keep the k shortest per
-        // node (fewest hops first; earlier arrival wins ties because
-        // retained paths sort before arrivals of equal length). Only
-        // nodes that actually received arrivals need any work.
-        if !state.truncated {
-            scratch.touched.sort_unstable();
-            for &t in &scratch.touched {
-                // Final candidate selection for this inbox, in merge order.
-                let inbox = &mut scratch.arrivals[t as usize];
-                if inbox.len() > k {
-                    inbox.select_nth_unstable_by_key(k - 1, |c| (c.depth, c.seq));
-                    inbox.truncate(k);
+            // Splice each touched node's arrivals into its stored list:
+            // shortest-first, stored paths ahead of arrivals of equal
+            // depth, arrivals in selection order — exactly the stable
+            // depth sort of `stored ++ arrivals` the reference engine
+            // truncates to `k`. Admission guarantees every arrival lands
+            // among the first `k`; only stored paths fall off the end.
+            touched.sort_unstable();
+            for &t in touched.iter() {
+                let (kept, inbox) = (&mut stored[t as usize], &mut arrivals[t as usize]);
+                merged.clear();
+                let (mut s, mut a) = (0, 0);
+                while a < inbox.len() {
+                    let depth = arena.depth(inbox[a]);
+                    let group = a + inbox[a..].partition_point(|&r| arena.depth(r) == depth);
+                    let before = s + kept[s..].partition_point(|&r| arena.depth(r) <= depth);
+                    merged.extend_from_slice(&kept[s..before]);
+                    merged.extend_from_slice(&inbox[a..group]);
+                    (s, a) = (before, group);
                 }
-                inbox.sort_unstable_by_key(|c| (c.depth, c.seq));
-                Self::keep_k_shortest(
-                    &mut scratch.arena,
-                    &mut scratch.stored[t as usize],
-                    inbox,
-                    &mut scratch.merged,
-                    NodeId(t),
-                    slot_time,
-                    k,
-                );
+                debug_assert!(merged.len() <= k, "node {t} admitted an arrival it cannot keep");
+                let tail = k.saturating_sub(merged.len()).min(kept.len() - s);
+                merged.extend_from_slice(&kept[s..s + tail]);
+                std::mem::swap(kept, merged);
                 inbox.clear();
             }
             // Refresh the holder list: previous holders that still hold
             // paths plus newly touched nodes, ascending and deduplicated.
-            scratch.holders_next.clear();
-            merge_sorted_into(&scratch.holders, &scratch.touched, &mut scratch.holders_next);
-            std::mem::swap(&mut scratch.holders, &mut scratch.holders_next);
-            let stored = &scratch.stored;
-            scratch.holders.retain(|&h| !stored[h as usize].is_empty());
-        } else {
-            for &t in &scratch.touched {
-                scratch.arrivals[t as usize].clear();
-            }
+            holders_next.clear();
+            merge_sorted_into(holders, touched, holders_next);
+            std::mem::swap(holders, holders_next);
+            holders.retain(|&h| !stored[h as usize].is_empty());
+            touched.clear();
         }
-        for &v in scratch.touched.iter().chain(&scratch.holders_snapshot) {
-            scratch.bounds[v as usize] = u32::MAX;
-        }
-        scratch.touched.clear();
 
-        for &m in &scratch.near_list {
-            scratch.near_destination[m as usize] = false;
+        for &m in near_list.iter() {
+            near_destination[m as usize] = false;
         }
-        scratch.near_list.clear();
+        near_list.clear();
 
-        if state.truncated {
-            state.done = true;
-            return;
-        }
-        if delivered_this_slot >= k {
-            state.exploded = true;
-            state.done = true;
-        }
-    }
-
-    /// Merges the arrivals at `node` into its `stored` list, keeping the
-    /// `k` shortest paths: shortest-first, stored paths ahead of arrivals
-    /// of equal depth, arrivals in `seq` order among themselves. That is
-    /// exactly the order a stable sort of `stored ++ arrivals in seq order`
-    /// by depth produces (the reference engine's merge), computed as one
-    /// linear merge because both inputs are already in it: `stored` by
-    /// induction, `arrivals` sorted by `(depth, seq)` by the caller. Only
-    /// the arrivals that make the cut are materialized into the arena.
-    fn keep_k_shortest(
-        arena: &mut PathArena,
-        stored: &mut Vec<PathRef>,
-        arrivals: &[ArrivalCandidate],
-        merged: &mut Vec<PathRef>,
-        node: NodeId,
-        time: Seconds,
-        k: usize,
-    ) {
-        merged.clear();
-        let (mut i, mut j) = (0, 0);
-        while merged.len() < k && (i < stored.len() || j < arrivals.len()) {
-            if j == arrivals.len()
-                || (i < stored.len() && arena.depth(stored[i]) <= arrivals[j].depth)
-            {
-                merged.push(stored[i]);
-                i += 1;
-            } else {
-                merged.push(arena.extend(arrivals[j].parent, node, time));
-                j += 1;
-            }
-        }
-        std::mem::swap(stored, merged);
+        // Both flags can be set: a slot that hits the delivery cap after
+        // `k` or more deliveries exploded too.
+        state.exploded = delivered_this_slot >= k;
+        state.done = state.truncated || state.exploded;
     }
 
     /// The pre-arena reference implementation: every in-flight path is an
@@ -869,11 +793,9 @@ impl<'a> PathEnumerator<'a> {
                 stored[idx] = merged;
             }
 
-            if truncated {
-                break 'slots;
-            }
-            if delivered_this_slot >= k {
-                exploded = true;
+            // Checked before truncation: a slot can do both.
+            exploded = delivered_this_slot >= k;
+            if truncated || exploded {
                 break 'slots;
             }
         }
@@ -1374,8 +1296,8 @@ mod tests {
 
     /// A dense trace over `nodes` nodes whose last node is a hard-to-reach
     /// destination. Nodes `0..nodes - 1` form large contact components in
-    /// most slots, so inboxes fill past `2k` and re-prune many times per
-    /// slot for small `k`; the last node meets one random node three times,
+    /// most slots, so for small `k` most members close to most paths long
+    /// before the slot ends; the last node meets one random node three times,
     /// so runs toward it cross many slots before delivering, and the
     /// first-preference screen runs in the slots it is active.
     fn dense_trace(seed: u64, nodes: usize, window: f64) -> ContactTrace {
@@ -1448,8 +1370,8 @@ mod tests {
 
     #[test]
     fn admission_bound_rejects_candidates_on_dense_graphs() {
-        // The bound is an optimization with no visible effect on results,
-        // so its counter is what shows it is on.
+        // Admission has no visible effect on results, so its counter is
+        // what shows it is on.
         let trace = dense_trace(600, 70, 240.0);
         let graph = SpaceTimeGraph::build_default(&trace);
         let enumerator = PathEnumerator::new(&graph, EnumerationConfig::quick(3));
@@ -1459,7 +1381,7 @@ mod tests {
         assert!(result.slots_processed > 1);
         assert!(
             scratch.bound_rejections() > 0,
-            "no candidate was rejected by the admission bound on a dense graph"
+            "no candidate was closed by admission on a dense graph"
         );
     }
 
@@ -1480,7 +1402,7 @@ mod tests {
             everyone = scratch.arena.extend(everyone, nid(v), 0.0);
         }
         scratch.marks.set_epoch(0);
-        scratch.arena.stamp(everyone, &mut scratch.marks, None);
+        scratch.arena.stamp(everyone, &mut scratch.marks);
         let start = u32::MAX - 1;
         scratch.marks.set_epoch(start);
         for message in dense_messages(nodes) {
@@ -1533,6 +1455,201 @@ mod tests {
             ]
         );
         assert!(result.exploded);
+    }
+
+    #[test]
+    fn a_capped_slot_with_k_deliveries_is_both_exploded_and_truncated() {
+        // Six relays deliver in one slot: k = 3 explodes it, and the cap of
+        // five stops it one path short of the six.
+        let mut contacts = vec![];
+        for r in 1..=6u32 {
+            contacts.push((0, r, 1.0, 8.0));
+            contacts.push((r, 7, 21.0, 28.0));
+        }
+        let trace = trace_from(contacts, 8, 60.0);
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let config = EnumerationConfig {
+            k: 3,
+            max_delivered_paths: Some(5),
+            stored_path_limit: 10,
+            ..EnumerationConfig::default()
+        };
+        let enumerator = PathEnumerator::new(&graph, config);
+        let message = Message::new(nid(0), nid(7), 0.0);
+        for result in [enumerator.enumerate(&message), enumerator.enumerate_reference(&message)] {
+            assert_eq!(result.delivered_count(), 5);
+            assert!(result.exploded && result.truncated);
+        }
+
+        // On dense traces, in both engines, a run is exploded exactly when
+        // its last delivering slot delivered `k` or more paths, whether or
+        // not the cap stopped it there; k = 1 with a cap of one sets both
+        // flags on every delivered message.
+        let mut both = 0;
+        let mut scratch = EnumerationScratch::new();
+        for (seed, nodes) in DENSE_NODES.into_iter().enumerate() {
+            let trace = dense_trace(900 + seed as u64, nodes, 240.0);
+            let graph = SpaceTimeGraph::build_default(&trace);
+            for (k, cap) in [(1, 1), (2, 3), (3, 4), (3, 8)] {
+                let config = EnumerationConfig {
+                    k,
+                    max_delivered_paths: Some(cap),
+                    stored_path_limit: 4,
+                    enforce_first_preference: true,
+                };
+                let enumerator = PathEnumerator::new(&graph, config);
+                for message in dense_messages(nodes) {
+                    assert_equivalent(&enumerator, &graph, &message, &mut scratch);
+                    let result = enumerator.enumerate_with_scratch(&message, &mut scratch);
+                    let Some(last) = result.deliveries.last().map(|d| d.time) else {
+                        continue;
+                    };
+                    let in_last = result.deliveries.iter().filter(|d| d.time == last).count();
+                    assert_eq!(result.exploded, in_last >= k, "{message}, k {k}, cap {cap}");
+                    both += usize::from(result.exploded && result.truncated);
+                }
+            }
+        }
+        assert!(both > 0, "no dense run hit the cap in an exploding slot");
+    }
+
+    #[test]
+    fn first_delivery_time_equals_the_epidemic_optimum() {
+        // T1, the duration of the optimal path, is the epidemic delivery
+        // time: keeping at least one path per node loses no reachability,
+        // and the first-preference screen only drops paths in a slot that
+        // delivers. Node counts on both sides of 64, sparse and dense
+        // traces, budgets from one path per node up.
+        use crate::reachability::epidemic_delivery_time;
+        let mut scratch = EnumerationScratch::new();
+        let mut delivered = 0;
+        for seed in 0..60u64 {
+            let nodes = [9usize, 40, 70, 100][seed as usize % 4];
+            let trace = if seed % 3 == 0 {
+                dense_trace(2000 + seed, nodes, 240.0)
+            } else {
+                random_trace(2000 + seed, nodes, 3 * nodes, 500.0)
+            };
+            let graph = SpaceTimeGraph::build_default(&trace);
+            let last = nodes as u32 - 1;
+            let messages: Vec<Message> = (0..6u32)
+                .filter_map(|i| {
+                    let source = (i * 7 + seed as u32) % nodes as u32;
+                    let destination = if i % 2 == 0 { last } else { (source + 1 + i) % last };
+                    (source != destination)
+                        .then(|| Message::new(nid(source), nid(destination), 15.0 * f64::from(i)))
+                })
+                .collect();
+            for k in [1usize, 2, 8] {
+                for config in [
+                    EnumerationConfig::quick(k),
+                    EnumerationConfig::quick(k).without_first_preference(),
+                ] {
+                    let enumerator = PathEnumerator::new(&graph, config);
+                    for message in &messages {
+                        let result = enumerator.enumerate_with_scratch(message, &mut scratch);
+                        let optimum = epidemic_delivery_time(&graph, message);
+                        assert_eq!(result.first_delivery_time(), optimum, "{message}, k {k}");
+                        delivered += usize::from(optimum.is_some());
+                    }
+                }
+            }
+        }
+        assert!(delivered > 1500, "only {delivered} cases delivered");
+    }
+
+    /// A random trace and message set with integer-valued times, every one
+    /// shifted by `shift` seconds: contacts and creation times land on slot
+    /// boundaries often, and a whole-slot shift stays exact.
+    fn integer_workload(seed: u64, start: f64, shift: f64) -> (ContactTrace, Vec<Message>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.gen_range(3..12u32);
+        let span = 600.0;
+        let window = TimeWindow::new(start + shift, start + shift + span);
+        let mut registry = NodeRegistry::new();
+        for _ in 0..nodes {
+            registry.add(NodeClass::Mobile);
+        }
+        let contacts = (0..rng.gen_range(5..50))
+            .map(|_| {
+                let a = rng.gen_range(0..nodes);
+                let b = (a + rng.gen_range(1..nodes)) % nodes;
+                let begin = f64::from(rng.gen_range(0..590u32));
+                let length = f64::from(rng.gen_range(0..60u32));
+                let end = (begin + length).min(span);
+                Contact::new(nid(a), nid(b), window.start + begin, window.start + end).unwrap()
+            })
+            .collect();
+        let messages = (0..rng.gen_range(1..16))
+            .map(|_| {
+                let source = rng.gen_range(0..nodes);
+                let destination = (source + rng.gen_range(1..nodes)) % nodes;
+                let created = window.start + f64::from(rng.gen_range(0..600u32));
+                Message::new(nid(source), nid(destination), created)
+            })
+            .collect();
+        let trace = ContactTrace::from_contacts("shift", registry, window, contacts).unwrap();
+        (trace, messages)
+    }
+
+    /// Deliveries as (delay, hops), sampled paths as (node, offset) hops.
+    type ShiftFree = (Vec<(Seconds, usize)>, Vec<Vec<(NodeId, Seconds)>>, bool, bool, usize);
+
+    /// What a whole-slot time shift must leave unchanged in a result: every
+    /// delivery's delay and hop count, the sampled paths' hop nodes and hop
+    /// offsets from the creation time, both flags and the slot count.
+    fn shift_free(result: &EnumerationResult) -> ShiftFree {
+        let created = result.message.created_at;
+        (
+            result.deliveries.iter().map(|d| (d.time - created, d.hops)).collect(),
+            result
+                .sample_paths
+                .iter()
+                .map(|p| p.hops().iter().map(|h| (h.node, h.time - created)).collect())
+                .collect(),
+            result.exploded,
+            result.truncated,
+            result.slots_processed,
+        )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_whole_slot_time_shift_changes_no_enumerated_path_or_delay(
+            seed in 0u64..1_000_000,
+            start in 0u32..40,
+            slots in 1u32..100_000,
+            k in 1usize..8,
+            first_preference in 0u8..2,
+        ) {
+            // Shifting every contact, the window and every creation time by
+            // k·Δ moves every slot boundary with them, so all three drivers
+            // must enumerate the same paths with the same delays.
+            // Integer-valued times keep the shift exact.
+            let start = f64::from(start) * 7.0;
+            let shift = f64::from(slots) * 10.0;
+            let mut config = EnumerationConfig::quick(k);
+            config.enforce_first_preference = first_preference == 1;
+            let mut base = None;
+            for shift in [0.0, shift] {
+                let (trace, messages) = integer_workload(seed, start, shift);
+                let graph = SpaceTimeGraph::build_default(&trace);
+                let enumerator = PathEnumerator::new(&graph, config.clone());
+                let mut scratch = EnumerationScratch::new();
+                let runs = [
+                    messages.iter().map(|m| enumerator.enumerate_with_scratch(m, &mut scratch)).collect(),
+                    enumerator.enumerate_batch(&messages, &mut Vec::new()),
+                    messages.iter().map(|m| enumerator.enumerate_reference(m)).collect::<Vec<_>>(),
+                ];
+                for (run, name) in runs.iter().zip(["engine", "batch", "reference"]) {
+                    let got: Vec<ShiftFree> = run.iter().map(shift_free).collect();
+                    let expected = base.get_or_insert_with(|| got.clone());
+                    proptest::prop_assert_eq!(&got, expected, "{}, shift {}", name, shift);
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------

@@ -43,11 +43,12 @@
 //!   [`EnumerationScratch`]) is cleared between messages, and delivered
 //!   paths are materialized to owned [`Path`]s (only up to the configured
 //!   `stored_path_limit`) before the next message starts;
-//! * **bounded, walk-once extension** — a per-node admission bound stops
-//!   candidates that could never survive the node's k-shortest selection
-//!   before they are pushed, and each stored path's nodes are stamped into
-//!   an epoch-stamped array by one parent walk, so the loop-avoidance and
-//!   first-preference checks are exact at any node count (see
+//! * **admit-then-extend** — paths are extended depth-major, the order in
+//!   which each node's k-shortest selection ranks arrivals, so a node can
+//!   admit or close each candidate exactly when it arrives. Only admitted
+//!   candidates are put in the arena, and every one of them is kept. Each
+//!   extended path's nodes are stamped into an epoch-stamped array by one
+//!   parent walk, so loop avoidance is exact at any node count (see
 //!   [`enumerate`]).
 //!
 //! [`SpaceTimeGraph`] precomputes per-slot component member lists and

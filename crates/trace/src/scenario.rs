@@ -284,15 +284,15 @@ impl ScenarioConfig {
     }
 
     /// Rejects configurations the generator cannot run with, naming the
-    /// offending key. Covers the conference, scaled and homogeneous
-    /// families' preconditions (their generators keep them as `assert!`s);
-    /// NaN fails every rule.
+    /// offending key. Covers every family's preconditions (the generators
+    /// keep them as `assert!`s); NaN fails every rule.
     pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         match self {
             ScenarioConfig::Conference(c) => validate_conference(c),
-            ScenarioConfig::Scaled(c) => validate_scaled(c),
             ScenarioConfig::Homogeneous(c) => validate_homogeneous(c),
-            _ => Ok(()),
+            ScenarioConfig::Heterogeneous(c) => validate_heterogeneous(c),
+            ScenarioConfig::Community(c) => validate_community(c),
+            ScenarioConfig::Scaled(c) => validate_scaled(c),
         }
     }
 
@@ -1165,6 +1165,31 @@ fn validate_homogeneous(c: &HomogeneousConfig) -> Result<(), ScenarioError> {
     first_violation("homogeneous", &checks)
 }
 
+fn validate_heterogeneous(c: &HeterogeneousConfig) -> Result<(), ScenarioError> {
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 4] = [
+        (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
+        (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
+        (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
+        (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+    ];
+    first_violation("heterogeneous", &checks)
+}
+
+fn validate_community(c: &CommunityConfig) -> Result<(), ScenarioError> {
+    let total = c.communities.saturating_mul(c.nodes_per_community);
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 8] = [
+        (c.communities >= 1, "communities", "at least 1", &c.communities),
+        (c.nodes_per_community >= 1, "nodes_per_community", "at least 1", &c.nodes_per_community),
+        (total >= 2, "nodes_per_community", "at least 2 in total across \"communities\"", &total),
+        (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
+        (c.intra_inter_ratio >= 1.0, "intra_inter_ratio", ">= 1", &c.intra_inter_ratio),
+        (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
+        (c.contact_duration_cv >= 0.0, "contact_duration_cv", ">= 0", &c.contact_duration_cv),
+        (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+    ];
+    first_violation("community", &checks)
+}
+
 /// The first failed `(holds, key, rule, value)` check of a `family`
 /// scenario, as an error naming the key.
 fn first_violation(
@@ -1392,13 +1417,19 @@ mod tests {
     /// spell) from TOML, each error naming the family and the key.
     fn assert_homogeneous_rejects(key: &str, values: &[f64], spelled: &[&str]) {
         let base = ScenarioConfig::Homogeneous(HomogeneousConfig::default());
+        assert_family_rejects(&base, key, values, spelled);
+    }
+
+    /// [`assert_homogeneous_rejects`] for a `base` scenario of any family.
+    fn assert_family_rejects(base: &ScenarioConfig, key: &str, values: &[f64], spelled: &[&str]) {
         for &value in values {
             assert_rejects(base.clone(), key, value);
         }
+        let family = format!("{} field", base.kind());
         for value in spelled {
-            let err = ScenarioConfig::from_toml_str(&toml_with(&base, key, value)).expect_err(key);
+            let err = ScenarioConfig::from_toml_str(&toml_with(base, key, value)).expect_err(key);
             assert!(err.to_string().contains(&format!("{key:?}")), "{key} = {value}: {err}");
-            assert!(err.to_string().contains("homogeneous field"), "{err}");
+            assert!(err.to_string().contains(&family), "{err}");
         }
     }
 
@@ -1422,6 +1453,80 @@ mod tests {
     #[test]
     fn homogeneous_with_a_non_positive_or_infinite_window_is_rejected() {
         assert_homogeneous_rejects("window_seconds", &[0.0, -3600.0], &["inf", "nan"]);
+    }
+
+    fn heterogeneous() -> ScenarioConfig {
+        ScenarioConfig::Heterogeneous(HeterogeneousConfig::default())
+    }
+
+    #[test]
+    fn heterogeneous_with_fewer_than_two_nodes_is_rejected() {
+        assert_family_rejects(&heterogeneous(), "nodes", &[1.0, 0.0], &[]);
+        heterogeneous().with_field("nodes", 2.0).expect("two nodes can meet");
+    }
+
+    #[test]
+    fn heterogeneous_with_a_non_positive_or_non_finite_max_node_rate_is_rejected() {
+        assert_family_rejects(&heterogeneous(), "max_node_rate", &[0.0, -0.05], &["inf", "nan"]);
+    }
+
+    #[test]
+    fn heterogeneous_with_a_non_positive_contact_duration_is_rejected() {
+        assert_family_rejects(&heterogeneous(), "mean_contact_duration", &[0.0, -120.0], &["nan"]);
+    }
+
+    #[test]
+    fn heterogeneous_with_a_non_positive_or_infinite_window_is_rejected() {
+        assert_family_rejects(&heterogeneous(), "window_seconds", &[0.0, -3600.0], &["inf", "nan"]);
+    }
+
+    fn community() -> ScenarioConfig {
+        ScenarioConfig::Community(CommunityConfig::default())
+    }
+
+    #[test]
+    fn community_without_communities_is_rejected() {
+        assert_family_rejects(&community(), "communities", &[0.0], &[]);
+    }
+
+    #[test]
+    fn community_with_empty_communities_is_rejected() {
+        assert_family_rejects(&community(), "nodes_per_community", &[0.0], &[]);
+    }
+
+    #[test]
+    fn community_with_fewer_than_two_nodes_in_total_is_rejected() {
+        let one =
+            ScenarioConfig::Community(CommunityConfig { communities: 1, ..Default::default() });
+        assert_family_rejects(&one, "nodes_per_community", &[1.0], &[]);
+        one.with_field("nodes_per_community", 2.0).expect("two nodes can meet");
+    }
+
+    #[test]
+    fn community_with_a_non_positive_or_non_finite_max_node_rate_is_rejected() {
+        assert_family_rejects(&community(), "max_node_rate", &[0.0, -0.045], &["inf", "nan"]);
+    }
+
+    #[test]
+    fn community_with_an_intra_inter_ratio_below_one_is_rejected() {
+        assert_family_rejects(&community(), "intra_inter_ratio", &[0.5, 0.0, -8.0], &["nan"]);
+        community().with_field("intra_inter_ratio", 1.0).expect("uniform mixing");
+    }
+
+    #[test]
+    fn community_with_a_non_positive_contact_duration_is_rejected() {
+        assert_family_rejects(&community(), "mean_contact_duration", &[0.0, -120.0], &["nan"]);
+    }
+
+    #[test]
+    fn community_with_a_negative_duration_cv_is_rejected() {
+        assert_family_rejects(&community(), "contact_duration_cv", &[-0.5], &["nan"]);
+        community().with_field("contact_duration_cv", 0.0).expect("fixed durations");
+    }
+
+    #[test]
+    fn community_with_a_non_positive_or_infinite_window_is_rejected() {
+        assert_family_rejects(&community(), "window_seconds", &[0.0, -3600.0], &["inf", "nan"]);
     }
 
     #[test]
