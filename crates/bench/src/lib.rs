@@ -1,4 +1,4 @@
-//! Shared plumbing for the `psn-study` CLI and the Criterion benchmarks.
+//! Shared plumbing for the `psn-study` CLI.
 //!
 //! The experiment entry point is the **`psn-study` binary** (see DESIGN.md
 //! for the experiment index):

@@ -8,7 +8,7 @@
 //!   figure-regeneration binaries (release builds).
 //! * **Quick** — reduced populations, shorter windows, smaller k and fewer
 //!   messages, preserving every structural property. Used by the integration
-//!   tests and by Criterion benchmarks so the whole workspace stays fast to
+//!   tests and the CI smoke runs so the whole workspace stays fast to
 //!   validate.
 
 use psn_spacetime::{EnumerationConfig, MessageWorkloadConfig};

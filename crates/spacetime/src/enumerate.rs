@@ -82,8 +82,8 @@
 //! The pre-arena algorithm — one owned `Vec<Hop>` per in-flight path,
 //! every candidate built, then a stable sort per node — is retained as
 //! [`PathEnumerator::enumerate_reference`] and produces bit-identical
-//! results; the property tests in this module and the `enumeration`
-//! Criterion bench hold the two implementations against each other.
+//! results; the property tests in this module hold the two
+//! implementations against each other.
 
 use psn_trace::{NodeId, Seconds};
 use serde::{Deserialize, Serialize};
@@ -217,7 +217,7 @@ impl EnumerationResult {
 /// All allocations the enumerator needs — the path arena, the per-node
 /// stored/arrival lists, the near-destination flags — live here and are
 /// recycled between messages. Callers that enumerate many messages (the
-/// explosion and paths-taken drivers, the benches) should create one
+/// explosion and paths-taken drivers, perfbench) should create one
 /// scratch per worker and use
 /// [`PathEnumerator::enumerate_with_scratch`]; one-shot callers can use
 /// [`PathEnumerator::enumerate`], which owns a temporary scratch.
@@ -690,10 +690,9 @@ impl<'a> PathEnumerator<'a> {
     /// The pre-arena reference implementation: every in-flight path is an
     /// owned [`Path`] and each extension clones the whole hop vector.
     ///
-    /// Retained for differential testing (the property tests assert the
-    /// arena engine reproduces its output exactly) and for the
-    /// `enumeration` Criterion bench, which measures the arena speedup
-    /// against it. New callers should use [`enumerate`](Self::enumerate).
+    /// Retained for differential testing: the property tests assert the
+    /// arena engine reproduces its output exactly. New callers should use
+    /// [`enumerate`](Self::enumerate).
     pub fn enumerate_reference(&self, message: &Message) -> EnumerationResult {
         let graph = self.graph;
         let k = self.config.k;

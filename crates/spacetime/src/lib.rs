@@ -55,11 +55,10 @@
 //! active-node lists at build time, so the enumerator's hot loop borrows
 //! slices instead of rescanning all nodes. The pre-arena algorithm is
 //! retained as [`PathEnumerator::enumerate_reference`]; property tests
-//! assert the two engines produce identical output, and the `enumeration`
-//! Criterion bench (`cargo bench --bench enumeration`, see the `psn-bench`
-//! crate) measures the speedup — use
-//! `PSN_BENCH_MESSAGES=2 cargo bench --bench enumeration -- --quick` for a
-//! smoke run.
+//! assert the two engines produce identical output. The repository's
+//! `perfbench` harness times the enumerator on the `explosion-paper`
+//! workload (`bash perfbench/run.sh --workload explosion-paper --trace 1`
+//! gives the per-layer `spacetime.enumerate_s`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -166,17 +166,17 @@ pub fn parse_trace(input: &str) -> Result<ContactTrace, ParseError> {
         external_to_internal.insert(ext, internal);
     }
 
-    // Infer the window if not declared.
-    let window = window.unwrap_or_else(|| {
-        let end = raw_contacts.iter().map(|&(_, _, _, e)| e).fold(1.0_f64, f64::max);
-        TimeWindow::new(0.0, end.max(1.0))
-    });
-
     let contacts: Result<Vec<Contact>, _> = raw_contacts
         .iter()
         .map(|&(a, b, s, e)| Contact::new(external_to_internal[&a], external_to_internal[&b], s, e))
         .collect();
     let contacts = contacts.map_err(|e| ParseError::Trace(e.to_string()))?;
+
+    // Infer the window if not declared; validated contacts have finite ends.
+    let window = window.unwrap_or_else(|| {
+        let end = contacts.iter().map(|c| c.end).fold(1.0_f64, f64::max);
+        TimeWindow::new(0.0, end)
+    });
 
     ContactTrace::from_contacts(name, registry, window, contacts)
         .map_err(|e| ParseError::Trace(e.to_string()))
@@ -286,6 +286,16 @@ mod tests {
         // Self-contact
         let err = parse_trace("3 3 0 1\n").unwrap_err();
         assert!(matches!(err, ParseError::Trace(_)));
+    }
+
+    #[test]
+    fn non_finite_contact_ends_are_errors_not_panics() {
+        // Without a `# window:` line the window is inferred from the
+        // contact ends, so an infinite end must fail before inference.
+        for input in ["0 1 0 inf\n", "0 1 0 1e999\n", "0 1 0 NaN\n"] {
+            let err = parse_trace(input).unwrap_err();
+            assert!(matches!(err, ParseError::Trace(_)), "{input:?} gave {err:?}");
+        }
     }
 
     #[test]

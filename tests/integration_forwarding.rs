@@ -2,8 +2,11 @@
 //! trace → trace-driven simulator → six algorithms → metrics, reproducing
 //! the qualitative claims of §6 of the paper at reduced scale.
 
+use std::sync::Arc;
+
 use psn::prelude::*;
-use psn_forwarding::PairTypeMetrics;
+use psn_forwarding::{ForwardingAlgorithm, HistoryTimeline, PairTypeMetrics};
+use psn_trace::ContactSummary;
 
 fn small_trace() -> ContactTrace {
     let mut ds = SyntheticDataset::quick_config(DatasetId::Infocom06Morning);
@@ -159,4 +162,48 @@ fn success_rates_are_broadly_similar_across_practical_algorithms() {
         "success-rate spread {} unexpectedly large (rates: {rates:?})",
         max - min
     );
+}
+
+#[test]
+fn run_many_matches_the_reference_engine_at_one_and_two_lanes() {
+    // The quick Infocom'06-morning workload: one Poisson message set over
+    // the first two thirds of the window, every algorithm in one batch.
+    let trace = SyntheticDataset::quick_config(DatasetId::Infocom06Morning).generate();
+    let generator = MessageGenerator::new(MessageWorkloadConfig {
+        nodes: trace.node_count(),
+        generation_horizon: trace.window().duration() * 2.0 / 3.0,
+        mean_interarrival: 20.0,
+        seed: 11,
+    });
+    let messages = generator.poisson_messages(0);
+    assert!(!messages.is_empty());
+    let algorithms = standard_algorithms();
+    let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
+        algorithms.iter().map(|(_, a)| (a.as_ref() as _, messages.as_slice())).collect();
+
+    // `run_reference` walks the space-time graph serially and shares no
+    // fast-path code with the slot-major `run_many`.
+    let graph = SpaceTimeGraph::build(&trace, 10.0);
+    let timeline = Arc::new(HistoryTimeline::from_trace(&trace, 10.0));
+    let summary = ContactSummary::from_trace(&trace);
+    let config = |threads| SimulatorConfig { delta: 10.0, threads };
+    let reference = Simulator::from_summary(&summary, timeline.clone(), config(1));
+    let expected: Vec<_> = algorithms
+        .iter()
+        .map(|(_, a)| reference.run_reference(&graph, a.as_ref(), &messages))
+        .collect();
+
+    for threads in [1, 2] {
+        let simulator = Simulator::from_summary(&summary, timeline.clone(), config(threads));
+        let results = simulator.run_many(&jobs);
+        assert_eq!(results.len(), expected.len());
+        for (got, want) in results.iter().zip(&expected) {
+            assert_eq!(got.algorithm, want.algorithm);
+            assert_eq!(
+                got.outcomes, want.outcomes,
+                "{} at {threads} lane(s) diverges from the reference",
+                want.algorithm
+            );
+        }
+    }
 }
