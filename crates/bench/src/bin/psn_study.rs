@@ -686,6 +686,12 @@ fn cmd_list() {
 fn main() -> ExitCode {
     let mut argv = std::env::args();
     argv.next(); // program name
+    if std::env::args().nth(1).as_deref() == Some("help")
+        || std::env::args().skip(1).any(|arg| arg == "--help" || arg == "-h")
+    {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let (command, args) = match parse_args(argv) {
         Ok(parsed) => parsed,
         Err(message) => {

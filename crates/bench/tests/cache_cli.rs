@@ -23,6 +23,22 @@ fn psn_study(args: &[&str]) -> Output {
 }
 
 #[test]
+fn help_prints_the_usage_and_unknown_commands_stay_usage_errors() {
+    for args in [&["--help"][..], &["-h"], &["help"], &["run", "--preset", "fig04", "--help"]] {
+        let flag = args.join(" ");
+        let out = psn_study(args);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage:") && stdout.contains("exit codes:"), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let unknown = psn_study(&["halp"]);
+    assert_eq!(unknown.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&unknown.stderr).contains("unknown command \"halp\""));
+    assert!(unknown.stdout.is_empty());
+}
+
+#[test]
 fn repeated_cached_sweeps_are_byte_identical_and_fully_cache_served() {
     let dir = std::env::temp_dir().join(format!("psn-cache-cli-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use psn_forwarding::{
     standard_algorithms, AlgorithmKind, AlgorithmMetrics, ForwardingAlgorithm, HistoryTimeline,
-    MessageOutcome, PairType, PairTypeMetrics, Simulator, SimulatorConfig,
+    MessageOutcome, PairType, PairTypeMetrics, Recording, Simulator, SimulatorConfig,
 };
 use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig, DEFAULT_DELTA};
 use psn_stats::BinnedSeries;
@@ -256,17 +256,20 @@ pub fn run_forwarding_study_on(
 
     // All algorithm × run combinations share the simulator's precomputed
     // history timeline and are sharded across the worker threads in one
-    // `run_many` batch.
+    // batch. Only run 0's hop paths are kept (`AlgorithmStudy::outcomes`);
+    // the other runs feed only delivery-time metrics, so they record none.
     let algorithm_instances = standard_algorithms();
-    let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> = algorithm_instances
+    let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithm_instances
         .iter()
         .flat_map(|(_, algorithm)| {
-            message_sets.iter().map(move |messages| {
-                (algorithm.as_ref() as &dyn ForwardingAlgorithm, messages.as_slice())
+            message_sets.iter().enumerate().map(move |(run, messages)| {
+                let recording =
+                    if run == 0 { Recording::HopPaths } else { Recording::DeliveryOnly };
+                (algorithm.as_ref() as &dyn ForwardingAlgorithm, messages.as_slice(), recording)
             })
         })
         .collect();
-    let mut results = simulator.run_many(&jobs).into_iter();
+    let mut results = simulator.run_batch(&jobs).into_iter();
 
     let window_start = window.start;
     let algorithms = algorithm_instances

@@ -9,7 +9,8 @@
 use std::sync::Arc;
 
 use psn_forwarding::{
-    standard_algorithms, AlgorithmKind, HistoryTimeline, Simulator, SimulatorConfig,
+    standard_algorithms, AlgorithmKind, ForwardingAlgorithm, HistoryTimeline, Recording, Simulator,
+    SimulatorConfig,
 };
 use psn_spacetime::{EnumerationConfig, Message, PathEnumerator, SharedGraph};
 use psn_trace::{ContactSummary, Seconds};
@@ -107,14 +108,17 @@ pub fn run_paths_taken(
     let mut scratches = Vec::new();
     let enumeration_results = enumerator.enumerate_batch(messages, &mut scratches);
 
-    // One batched `run_many` over all (algorithm × message) work instead of
-    // a simulator run per (message, algorithm) pair: messages simulate
-    // independently, so outcomes are bit-identical, but the batch shares
-    // utility tables and worker scratch (one arena of state per worker, not
-    // one per call) and shards across the configured threads.
-    let jobs: Vec<(&dyn psn_forwarding::ForwardingAlgorithm, &[Message])> =
-        algorithms.iter().map(|(_, a)| (a.as_ref() as _, messages)).collect();
-    let simulations = simulator.run_many(&jobs);
+    // One batch over all (algorithm × message) work instead of a simulator
+    // run per (message, algorithm) pair: messages simulate independently,
+    // so outcomes are bit-identical, but the batch shares utility tables
+    // and worker scratch (one arena of state per worker, not one per call)
+    // and shards across the configured threads. Only delivery times are
+    // read, so no job records hop paths.
+    let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
+        .iter()
+        .map(|(_, a)| (a.as_ref() as _, messages, Recording::DeliveryOnly))
+        .collect();
+    let simulations = simulator.run_batch(&jobs);
 
     let cases = messages
         .iter()

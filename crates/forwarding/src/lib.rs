@@ -36,8 +36,10 @@
 //! [`algorithm::ForwardingAlgorithm::copy_utility`] tables, and the retained
 //! serial sweep ([`simulator::Simulator::run_reference`]) that replays a
 //! mutable [`history::ContactHistory`] — the behavioural baseline the
-//! differential tests pin the slot-major engine to. See the [`simulator`]
-//! module docs for the design.
+//! differential tests pin the slot-major engine to.
+//! [`simulator::Simulator::run_batch`] lets a job that needs only delivery
+//! times skip hop-path recording ([`simulator::Recording::DeliveryOnly`]).
+//! See the [`simulator`] module docs for the design.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,5 +59,5 @@ pub use history::{ContactHistory, ContactKnowledge};
 pub use metrics::{AlgorithmMetrics, MessageOutcome, PairTypeMetrics};
 pub use oracle::TraceOracle;
 pub use pairtype::{classify_message, PairType};
-pub use simulator::{SimulationResult, Simulator, SimulatorConfig};
+pub use simulator::{Recording, SimulationResult, Simulator, SimulatorConfig};
 pub use timeline::{HistoryTimeline, HistoryView, TimelineBuilder};

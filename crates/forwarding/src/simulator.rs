@@ -18,7 +18,9 @@
 //!
 //! Besides delivery times the simulator records, per message, the hop path
 //! along which the *first delivered copy* travelled, which the experiments
-//! use for the per-hop contact-rate analyses (Figs. 12, 14, 15).
+//! use for the per-hop contact-rate analyses (Figs. 14, 15) — unless the
+//! job is [`Recording::DeliveryOnly`], for views that read only delivery
+//! times.
 //!
 //! # Engines
 //!
@@ -59,7 +61,12 @@
 //!     first need and refreshed each slot only at the destination's
 //!     neighbours, which the `copy_utility` contract makes exact;
 //!   - the sweep visits only holder-incident edges, in (pass, edge index,
-//!     direction) order — the decision sequence of a full-pass rescan.
+//!     direction) order — the decision sequence of a full-pass rescan;
+//!   - a delivery-only job ([`Simulator::run_batch`]) runs no sweep at
+//!     all: where the precheck says the slot acts, its message jumps to
+//!     the slot's order-free fixpoint — the same holder set, and a
+//!     delivery in the same slot — records no provenance and finishes
+//!     with no path.
 //! * [`Simulator::run_reference`] — the original serial sweep retained as
 //!   the behavioural baseline: one mutable [`ContactHistory`] advanced slot
 //!   by slot, an `O(n)` adjacency rescan per slot of a space-time graph the
@@ -118,6 +125,18 @@ impl SimulationResult {
     pub fn message_count(&self) -> usize {
         self.outcomes.len()
     }
+}
+
+/// What a job of [`Simulator::run_batch`] records per message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recording {
+    /// Delivery times and the hop path of the first delivered copy, as
+    /// [`Simulator::run_reference`] records them.
+    HopPaths,
+    /// Delivery times only: every outcome's `path` is `None`. The engine
+    /// skips the ordered sweep and jumps to each slot's order-free
+    /// fixpoint, which yields the same delivery times.
+    DeliveryOnly,
 }
 
 /// Per-message, per-node copy state of the reference engine.
@@ -510,12 +529,100 @@ fn sweep(
     }
 }
 
-/// One group's step counters over a walk: messages served, and how many of
-/// those steps ran the exact precheck rather than the change test alone.
+/// One slot's order-free fixpoint for a delivery-only message: grows
+/// `held` by every node a holder reaches through the slot's forwarding
+/// edges, and returns true iff the grown set neighbours the destination —
+/// exactly when the ordered [`sweep`] delivers. `forward` is fixed within a
+/// slot and holders only grow, so the order of the decisions changes only
+/// who handed whom a copy, never the fixpoint; and a fixpoint that passes
+/// through the destination already neighbours it, so the walk never enters
+/// the destination and stops at the first holder next to it. A worklist
+/// seeded with the active holders walks the lane's neighbor rows;
+/// `worklist` is scratch.
+fn fixpoint(
+    masks: &SlotMasks<'_>,
+    held: &mut [u64],
+    destination: NodeId,
+    worklist: &mut Vec<NodeId>,
+    mut forward: impl FnMut(NodeId, NodeId) -> bool,
+) -> bool {
+    let target = masks.of_node(destination);
+    if masks_intersect(target, held) {
+        return true;
+    }
+    worklist.clear();
+    worklist.extend(nodes_of(masks.active.iter().zip(&*held).map(|(act, h)| act & h)));
+    while let Some(from) = worklist.pop() {
+        for (word, &nb) in masks.of_node(from).iter().enumerate() {
+            let mut peers = nb & !held[word];
+            while peers != 0 {
+                let to = NodeId((word * 64) as u32 + peers.trailing_zeros());
+                peers &= peers - 1;
+                if !forward(from, to) {
+                    continue;
+                }
+                if has_bit(target, to) {
+                    return true;
+                }
+                set_bit(held, to);
+                worklist.push(to);
+            }
+        }
+    }
+    false
+}
+
+/// A destination-unaware group's slot closure ([`build_reach`]) and
+/// promising mask ([`build_promising`]).
+type ReachTable<'g> = (&'g [u64], &'g [u64]);
+
+/// [`fixpoint`] under a destination-unaware utility order, read off the
+/// slot's reachability closure ([`build_reach`]): the holders plus every
+/// row of a `promising` holder, then the destination test.
+fn reach_fixpoint(
+    masks: &SlotMasks<'_>,
+    held: &mut [u64],
+    destination: NodeId,
+    (reach, promising): ReachTable<'_>,
+) -> bool {
+    let target = masks.of_node(destination);
+    if masks_intersect(target, held) {
+        return true;
+    }
+    // A row is closed under reachability, so the rows of holders it adds
+    // add nothing: whether the scan sees them does not matter.
+    let words = held.len();
+    for word in 0..words {
+        let mut bits = promising[word] & held[word];
+        while bits != 0 {
+            let v = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            for (h, &r) in held.iter_mut().zip(&reach[v * words..][..words]) {
+                *h |= r;
+            }
+        }
+    }
+    masks_intersect(target, held)
+}
+
+/// One group's step counters over a walk: messages served, how many of
+/// those steps ran the exact precheck rather than the change test alone,
+/// and how many ran the ordered sweep and how many copy moves it recorded.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepCounts {
     visits: u64,
     prechecks: u64,
+    sweeps: u64,
+    moves: u64,
+}
+
+impl std::ops::AddAssign for StepCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.visits += other.visits;
+        self.prechecks += other.prechecks;
+        self.sweeps += other.sweeps;
+        self.moves += other.moves;
+    }
 }
 
 /// One algorithm of a `run_many` batch, with a lane's tables for it. Jobs
@@ -758,6 +865,8 @@ struct LaneMessage<'a> {
     message: &'a Message,
     job: usize,
     index: usize,
+    /// The job records hop paths ([`Recording::HopPaths`]).
+    paths: bool,
 }
 
 /// A finished message: `(job, index in job, outcome)`.
@@ -777,7 +886,7 @@ struct Lane<'a> {
     /// words: the destination (low half) and group (high half), then the
     /// holder bitmask.
     state: Vec<u64>,
-    /// Provenance of every copy a live message has moved.
+    /// Provenance of every copy a live path-recording message has moved.
     moves: Vec<Vec<Move>>,
     /// Bitmask over messages: due at the current slot.
     due: Vec<u64>,
@@ -794,6 +903,8 @@ struct Lane<'a> {
     indexed: Option<usize>,
     frontier: Vec<u64>,
     next: Vec<u64>,
+    /// [`fixpoint`] scratch.
+    worklist: Vec<NodeId>,
     done: Vec<Finished>,
 }
 
@@ -803,7 +914,7 @@ impl<'a> Lane<'a> {
     /// from its creation where its source has a contact.
     fn new(
         sim: &'a Simulator,
-        jobs: &[(&'a dyn ForwardingAlgorithm, &'a [Message])],
+        jobs: &[(&'a dyn ForwardingAlgorithm, &'a [Message], Recording)],
         groups: &[(&'a dyn ForwardingAlgorithm, DecisionMode)],
         job_groups: &[usize],
         lane: usize,
@@ -815,11 +926,12 @@ impl<'a> Lane<'a> {
         let messages: Vec<LaneMessage<'a>> = jobs
             .iter()
             .enumerate()
-            .flat_map(|(job, &(_, messages))| {
+            .flat_map(|(job, &(_, messages, recording))| {
                 messages.iter().enumerate().map(move |(index, message)| LaneMessage {
                     message,
                     job,
                     index,
+                    paths: recording == Recording::HopPaths,
                 })
             })
             .skip(lane)
@@ -851,6 +963,7 @@ impl<'a> Lane<'a> {
             indexed: None,
             frontier: Vec::new(),
             next: Vec::new(),
+            worklist: Vec::new(),
             done: Vec::with_capacity(count),
         };
         for m in 0..count {
@@ -859,7 +972,7 @@ impl<'a> Lane<'a> {
             let first = timeline.next_active_slot(message.source, created);
             match first {
                 Some(slot) => this.wake[slot].push(m as u32),
-                None => this.finish(m, None),
+                None => this.finish(m, None, None),
             }
         }
         this
@@ -907,11 +1020,12 @@ impl<'a> Lane<'a> {
     }
 
     /// Serves message `m` at `masks.slot`, where one of its holders has a
-    /// contact: sweeps the slot if the precheck says a copy can move, then
-    /// finishes the message or schedules its next wake. A message carried
-    /// over from the previous busy slot (not `woken`) gets the exact
-    /// precheck only if [`Group::brings_news`] says the slot can change
-    /// its answer.
+    /// contact: if the precheck says a copy can move, sweeps the slot (a
+    /// path-recording message) or jumps to its [`fixpoint`] (a
+    /// delivery-only one), then finishes the message or schedules its next
+    /// wake. A message carried over from the previous busy slot (not
+    /// `woken`) gets the exact precheck only if [`Group::brings_news`] says
+    /// the slot can change its answer.
     fn step(
         &mut self,
         m: usize,
@@ -921,8 +1035,20 @@ impl<'a> Lane<'a> {
         ctx: &ForwardingContext<'_>,
     ) {
         let slot = masks.slot;
+        let paths = self.messages[m].paths;
         let Lane {
-            sim, n, words, groups, state, moves, incidence, indexed, frontier, next, ..
+            sim,
+            n,
+            words,
+            groups,
+            state,
+            moves,
+            incidence,
+            indexed,
+            frontier,
+            next,
+            worklist,
+            ..
         } = &mut *self;
         let (n, words) = (*n, *words);
         let timeline = &*sim.timeline;
@@ -936,14 +1062,16 @@ impl<'a> Lane<'a> {
         group.counts.visits += 1;
         group.counts.prechecks += u64::from(full);
         // The precheck says whether the slot's sweep can act; under a
-        // utility order it is exact, and the sweep compares `utilities`.
-        let (acts, utilities): (bool, &[f64]) = match mode {
-            _ if !full => (false, &[]),
+        // utility order it is exact, and the sweep compares `utilities`. A
+        // shared table also yields the closure a delivery-only fixpoint
+        // reads.
+        let (acts, utilities, table): (bool, &[f64], Option<ReachTable<'_>>) = match mode {
+            _ if !full => (false, &[], None),
             // Every edge endpoint is active, so unless some active node
             // lacks a copy nothing can move. (The destination never holds
             // one, so a deliverable slot always has such a node.)
             DecisionMode::Direct => {
-                (masks.active.iter().zip(&*held).any(|(act, h)| act & !h != 0), &[])
+                (masks.active.iter().zip(&*held).any(|(act, h)| act & !h != 0), &[], None)
             }
             // A holder sits next to the destination, or some holder's
             // within-slot closure leaves the holder set.
@@ -951,58 +1079,56 @@ impl<'a> Lane<'a> {
                 group.build_table(slot, edges, n);
                 let acts = masks_intersect(masks.of_node(destination), held)
                     || closure_escapes(&group.reach, &group.promising, held);
-                (acts, &group.utilities)
+                (acts, &group.utilities, Some((&group.reach, &group.promising)))
             }
             DecisionMode::PerDestination { .. } => {
                 if !group.gated
                     || masks_intersect(timeline.ever_met_mask(destination), masks.active)
                 {
                     let utilities = group.row(ctx, n, destination);
-                    (utility_actionable(masks, held, destination, utilities), utilities)
+                    (utility_actionable(masks, held, destination, utilities), utilities, None)
                 } else {
-                    (false, &[])
+                    (false, &[], None)
                 }
             }
         };
-        let delivered_by = if acts {
+        let forward = |from: NodeId, to: NodeId| match mode {
+            DecisionMode::Direct => algorithm.should_forward(ctx, from, to, destination),
+            _ => utilities[to.index()] > utilities[from.index()],
+        };
+        let (delivered, relay) = if !acts {
+            (false, None)
+        } else if !paths {
+            let delivered = match table {
+                Some(table) => reach_fixpoint(masks, held, destination, table),
+                None => fixpoint(masks, held, destination, worklist, forward),
+            };
+            (delivered, None)
+        } else {
             if *indexed != Some(slot) {
                 build_incidence(edges, n, incidence);
                 *indexed = Some(slot);
             }
-            let (moves, slot32) = (&mut moves[m], slot as u32);
-            let active = masks.active;
-            if mode == DecisionMode::Direct {
-                sweep(
-                    edges,
-                    incidence,
-                    held,
-                    active,
-                    destination,
-                    slot32,
-                    moves,
-                    frontier,
-                    next,
-                    |from, to| algorithm.should_forward(ctx, from, to, destination),
-                )
-            } else {
-                sweep(
-                    edges,
-                    incidence,
-                    held,
-                    active,
-                    destination,
-                    slot32,
-                    moves,
-                    frontier,
-                    next,
-                    |from, to| utilities[to.index()] > utilities[from.index()],
-                )
-            }
-        } else {
-            None
+            let moves = &mut moves[m];
+            let recorded = moves.len();
+            let relay = sweep(
+                edges,
+                incidence,
+                held,
+                masks.active,
+                destination,
+                slot as u32,
+                moves,
+                frontier,
+                next,
+                forward,
+            );
+            group.counts.sweeps += 1;
+            group.counts.moves += (moves.len() - recorded) as u64;
+            (relay.is_some(), relay)
         };
-        if let Some(by) = delivered_by {
-            return self.finish(m, Some((slot, by)));
+        if delivered {
+            return self.finish(m, Some(slot), relay);
         }
         // The next busy slot is the common case for a message whose
         // holders keep meeting people; otherwise jump via the skip index.
@@ -1017,26 +1143,30 @@ impl<'a> Lane<'a> {
         {
             Some(s) => self.wake[s].push(m as u32),
             // No holder is ever active again: undeliverable.
-            None => self.finish(m, None),
+            None => self.finish(m, None, None),
         }
     }
 
-    /// Records message `m`'s outcome — delivered during `delivery.0` by
-    /// `delivery.1`, or never — and releases its provenance.
-    fn finish(&mut self, m: usize, delivery: Option<(usize, NodeId)>) {
+    /// Records message `m`'s outcome — delivered during slot `delivered`,
+    /// or never — and releases its provenance. A path-recording message
+    /// delivered by `relay` gets its hop path rebuilt from its moves; a
+    /// delivery-only one gets none.
+    fn finish(&mut self, m: usize, delivered: Option<usize>, relay: Option<NodeId>) {
         let timeline = &*self.sim.timeline;
-        let moves = std::mem::take(&mut self.moves[m]);
         let entry = &self.messages[m];
-        let outcome = outcome_for(
-            entry.message,
-            delivery.map(|(slot, by)| (timeline.slot_end_time(slot), by)),
-            |node| {
+        let delivered_at = delivered.map(|slot| timeline.slot_end_time(slot));
+        let outcome = if entry.paths {
+            let moves = std::mem::take(&mut self.moves[m]);
+            let relay = delivered_at.map(|t| (t, relay.expect("a sweep delivers through a relay")));
+            outcome_for(entry.message, relay, |node| {
                 moves
                     .iter()
                     .find(|mv| mv.to == node)
                     .map(|mv| (mv.from, timeline.slot_end_time(mv.slot as usize)))
-            },
-        );
+            })
+        } else {
+            MessageOutcome { message: *entry.message, delivered_at, path: None }
+        };
         self.done.push((entry.job, entry.index, outcome));
     }
 }
@@ -1213,7 +1343,8 @@ impl Simulator {
     /// one lane per worker thread, and each lane walks the busy slots once.
     /// Returns one result per job, in input order, bit-identical to running
     /// [`Simulator::run_reference`] on each job separately and independent
-    /// of the thread count.
+    /// of the thread count. Every job records hop paths; see
+    /// [`Simulator::run_batch`] for jobs that need only delivery times.
     ///
     /// # Panics
     ///
@@ -1225,17 +1356,37 @@ impl Simulator {
         &self,
         jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
     ) -> Vec<SimulationResult> {
+        let jobs: Vec<_> = jobs
+            .iter()
+            .map(|&(algorithm, messages)| (algorithm, messages, Recording::HopPaths))
+            .collect();
+        self.run_batch(&jobs)
+    }
+
+    /// [`Simulator::run_many`] with a [`Recording`] per job. A
+    /// [`Recording::DeliveryOnly`] job's outcomes carry the delivery times
+    /// [`Simulator::run_reference`] computes and no path, at a fraction of
+    /// the cost: views that read only delivery times (success rate, delay,
+    /// arrival offsets) should mark their jobs so.
+    ///
+    /// # Panics
+    ///
+    /// As [`Simulator::run_many`].
+    pub fn run_batch(
+        &self,
+        jobs: &[(&dyn ForwardingAlgorithm, &[Message], Recording)],
+    ) -> Vec<SimulationResult> {
         self.run_counted(jobs).0
     }
 
-    /// [`Simulator::run_many`], plus the step counters of every group (the
+    /// [`Simulator::run_batch`], plus the step counters of every group (the
     /// distinct algorithm objects, in order of first appearance among the
     /// jobs) summed over the lanes.
     fn run_counted(
         &self,
-        jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
+        jobs: &[(&dyn ForwardingAlgorithm, &[Message], Recording)],
     ) -> (Vec<SimulationResult>, Vec<StepCounts>) {
-        let total: usize = jobs.iter().map(|(_, messages)| messages.len()).sum();
+        let total: usize = jobs.iter().map(|(_, messages, _)| messages.len()).sum();
         let lanes = self.threads().clamp(1, total.max(1));
         // Jobs that run the same algorithm object share a group and with
         // it every table; equal wide pointers call the same code on the
@@ -1243,7 +1394,7 @@ impl Simulator {
         let mut groups: Vec<(&dyn ForwardingAlgorithm, DecisionMode)> = Vec::new();
         let job_groups: Vec<usize> = jobs
             .iter()
-            .map(|&(algorithm, _)| {
+            .map(|&(algorithm, _, _)| {
                 groups.iter().position(|&(known, _)| std::ptr::eq(known, algorithm)).unwrap_or_else(
                     || {
                         groups.push((algorithm, self.decision_mode(algorithm)));
@@ -1269,21 +1420,20 @@ impl Simulator {
         }
 
         let mut outcomes: Vec<Vec<Option<MessageOutcome>>> =
-            jobs.iter().map(|(_, messages)| vec![None; messages.len()]).collect();
+            jobs.iter().map(|(_, messages, _)| vec![None; messages.len()]).collect();
         let mut counts = vec![StepCounts::default(); groups.len()];
         for (finished, lane_counts) in per_lane.into_iter().flatten() {
             for (job, index, outcome) in finished {
                 outcomes[job][index] = Some(outcome);
             }
             for (total, lane) in counts.iter_mut().zip(lane_counts) {
-                total.visits += lane.visits;
-                total.prechecks += lane.prechecks;
+                *total += lane;
             }
         }
         let results = jobs
             .iter()
             .zip(outcomes)
-            .map(|((algorithm, _), job_outcomes)| SimulationResult {
+            .map(|((algorithm, _, _), job_outcomes)| SimulationResult {
                 algorithm: algorithm.name().to_string(),
                 outcomes: job_outcomes
                     .into_iter()
@@ -2207,12 +2357,20 @@ mod tests {
         .generate()
     }
 
-    /// All six algorithms in one `run_many` batch at each lane count, every
-    /// outcome against `run_reference`.
+    /// All six algorithms in one `run_batch` at each lane count, each as a
+    /// path-recording and a delivery-only job over the same messages (so
+    /// the two share the algorithm's group and tables): the path job's
+    /// outcomes equal `run_reference`'s, and the delivery-only job's carry
+    /// the same delivery times and no path.
     fn assert_batch_matches_reference(trace: &ContactTrace, messages: &[Message], lanes: &[usize]) {
         let algorithms = standard_algorithms();
-        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
-            algorithms.iter().map(|(_, a)| (a.as_ref(), messages)).collect();
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
+            .iter()
+            .flat_map(|(_, a)| {
+                [Recording::HopPaths, Recording::DeliveryOnly]
+                    .map(|recording| (a.as_ref() as &dyn ForwardingAlgorithm, messages, recording))
+            })
+            .collect();
         let (reference_sim, graph) = with_graph(trace);
         let references: Vec<SimulationResult> = algorithms
             .iter()
@@ -2224,11 +2382,22 @@ mod tests {
         }
         for &threads in lanes {
             let sim = Simulator::new(trace, SimulatorConfig { delta: 10.0, threads });
-            for ((kind, _), (result, reference)) in
-                algorithms.iter().zip(sim.run_many(&jobs).iter().zip(&references))
+            let results = sim.run_batch(&jobs);
+            for ((kind, _), (pair, reference)) in
+                algorithms.iter().zip(results.chunks_exact(2).zip(&references))
             {
-                for (i, (r, p)) in reference.outcomes.iter().zip(&result.outcomes).enumerate() {
+                let (with_paths, delivery_only) = (&pair[0].outcomes, &pair[1].outcomes);
+                assert_eq!(delivery_only.len(), reference.outcomes.len(), "{kind}");
+                for (i, (r, (p, d))) in
+                    reference.outcomes.iter().zip(with_paths.iter().zip(delivery_only)).enumerate()
+                {
                     assert_eq!(r, p, "{kind} on {threads} lanes: outcome {i} ({})", r.message);
+                    assert_eq!(
+                        (d.message, d.delivered_at),
+                        (r.message, r.delivered_at),
+                        "{kind} on {threads} lanes: delivery-only outcome {i}"
+                    );
+                    assert!(d.path.is_none(), "{kind}: delivery-only outcome {i} has a path");
                 }
             }
         }
@@ -2354,8 +2523,10 @@ mod tests {
         let trace = conference_trace(32, 8, 3600.0, 7);
         let messages = random_messages(7, 40, 320, trace.window());
         let algorithms = standard_algorithms();
-        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message])> =
-            algorithms.iter().map(|(_, a)| (a.as_ref(), messages.as_slice())).collect();
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
+            .iter()
+            .map(|(_, a)| (a.as_ref(), messages.as_slice(), Recording::HopPaths))
+            .collect();
         let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1 });
         let (_, counts) = sim.run_counted(&jobs);
         assert_eq!(counts.len(), algorithms.len());
@@ -2373,6 +2544,119 @@ mod tests {
                 counts.prechecks,
                 counts.visits
             );
+        }
+    }
+
+    #[test]
+    fn batch_matches_reference_on_random_traces_across_mask_widths() {
+        // Narrow, exactly one-word and wide node masks with nonzero window
+        // starts; contacts last up to 160 s, so slots hold many holders and
+        // copies cross several hops within one slot.
+        let narrow = TimeWindow::new(3600.0, 4400.0);
+        let wide = TimeWindow::new(1800.0, 2600.0);
+        for (seed, nodes, contacts, window) in
+            [(71u64, 12usize, 90usize, narrow), (72, 64, 260, wide), (73, 90, 420, wide)]
+        {
+            let trace = random_trace(seed, nodes, contacts, window);
+            let messages = random_messages(seed, nodes, 40, window);
+            assert_batch_matches_reference(&trace, &messages, &[1, 2]);
+        }
+    }
+
+    #[test]
+    fn delivery_only_jobs_run_no_ordered_sweep() {
+        // A guard on the counters: delivery-only jobs never sweep and so
+        // record no move, while the same jobs recording paths do both.
+        let trace = conference_trace(32, 8, 3600.0, 7);
+        let messages = random_messages(7, 40, 320, trace.window());
+        let algorithms = standard_algorithms();
+        let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1 });
+        let counts_of = |recording| {
+            let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
+                .iter()
+                .map(|(_, a)| (a.as_ref(), messages.as_slice(), recording))
+                .collect();
+            sim.run_counted(&jobs).1
+        };
+        let delivery_only = counts_of(Recording::DeliveryOnly);
+        let with_paths = counts_of(Recording::HopPaths);
+        for ((kind, _), (fast, full)) in
+            algorithms.iter().zip(delivery_only.iter().zip(&with_paths))
+        {
+            assert_eq!((fast.sweeps, fast.moves), (0, 0), "{kind}");
+            assert!(full.sweeps > 0 && full.moves > 0, "{kind}: {full:?}");
+            // The fixpoint leaves the holder set the sweep leaves, so the
+            // walk and its prechecks do not move.
+            assert_eq!((fast.visits, fast.prechecks), (full.visits, full.prechecks), "{kind}");
+        }
+    }
+
+    #[test]
+    fn relabelling_nodes_changes_no_delivery_time() {
+        // Renaming every node under a seeded permutation — the trace's
+        // contact endpoints and every message's source and destination —
+        // reorders each slot's normalized edge list, so the sweep decides
+        // in another order and may hand copies along other relays; the
+        // delivery times must not move, in either `run_batch` recording
+        // or in the reference engine. Dynamic Programming is left out: its
+        // Floyd–Warshall delays sum in node order, so a relabelling may
+        // move their last bits and with them a utility tie.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (seed, nodes, contacts, window) in [
+            (91u64, 14usize, 100usize, TimeWindow::new(600.0, 1400.0)),
+            (92, 80, 380, TimeWindow::new(7200.0, 8000.0)),
+        ] {
+            let trace = random_trace(seed, nodes, contacts, window);
+            let messages = random_messages(seed, nodes, 40, window);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x9E1A);
+            let mut label: Vec<u32> = (0..nodes as u32).collect();
+            for i in (1..nodes).rev() {
+                label.swap(i, rng.gen_range(0..=i));
+            }
+            let relabel = |v: NodeId| nid(label[v.index()]);
+            let relabelled_trace = trace_in_window(
+                trace
+                    .contacts()
+                    .iter()
+                    .map(|c| (relabel(c.a).0, relabel(c.b).0, c.start, c.end))
+                    .collect(),
+                nodes,
+                window,
+            );
+            let relabelled_messages: Vec<Message> = messages
+                .iter()
+                .map(|m| Message::new(relabel(m.source), relabel(m.destination), m.created_at))
+                .collect();
+            let (sim, graph) = with_graph(&trace);
+            let (relabelled_sim, relabelled_graph) = with_graph(&relabelled_trace);
+            let delivery_times = |result: &SimulationResult| -> Vec<Option<Seconds>> {
+                result.outcomes.iter().map(|o| o.delivered_at).collect()
+            };
+            let mut delivered = 0;
+            for (kind, algorithm) in &standard_algorithms() {
+                if *kind == AlgorithmKind::DynamicProgramming {
+                    continue;
+                }
+                let algorithm = algorithm.as_ref();
+                let expected = delivery_times(&sim.run_reference(&graph, algorithm, &messages));
+                delivered += expected.iter().flatten().count();
+                let runs = [
+                    relabelled_sim.run_reference(
+                        &relabelled_graph,
+                        algorithm,
+                        &relabelled_messages,
+                    ),
+                    relabelled_sim.run(algorithm, &relabelled_messages),
+                    relabelled_sim
+                        .run_batch(&[(algorithm, &relabelled_messages, Recording::DeliveryOnly)])
+                        .remove(0),
+                ];
+                for (run, name) in runs.iter().zip(["reference", "hop paths", "delivery only"]) {
+                    assert_eq!(delivery_times(run), expected, "{kind} ({name}), {nodes} nodes");
+                }
+            }
+            assert!(delivered > messages.len(), "only {delivered} deliveries over five algorithms");
         }
     }
 
