@@ -35,6 +35,13 @@
 //! | 4    | artifact/cache: the store or an output file could not be used |
 //! | 5    | execution: a study cell failed or panicked (including cells   |
 //! |      | reported by `sweep --keep-going`, after the report is emitted) |
+//! | 141  | stdout closed before the output was written (a reader such as |
+//! |      | `head` quit early); nothing is printed on stderr              |
+//!
+//! Every stdout write goes through one fallible writer (`out!`/`outln!`):
+//! a closed reader ends the run quietly with 141, the status a shell
+//! reports for a process killed by `SIGPIPE`, and any other write error
+//! exits 4.
 //!
 //! ## Fault injection
 //!
@@ -84,7 +91,8 @@ fn usage() -> &'static str {
      \u{20}             summary (exit 5); rerun with --cache DIR [--resume] to recompute only the\n  \
      \u{20}             failed cells; --faults SITE:KIND[:NTH],… (or PSN_FAULTS) arms deterministic\n  \
      \u{20}             failpoints for chaos testing\n\
-     exit codes: 0 success, 2 usage, 3 config/plan, 4 artifact/cache, 5 execution failure\n\
+     exit codes: 0 success, 2 usage, 3 config/plan, 4 artifact/cache, 5 execution failure,\n  \
+     \u{20}             141 stdout closed early (e.g. piped into head)\n\
      run `psn-study list` for the registered presets, studies, views and scenario families"
 }
 
@@ -101,6 +109,9 @@ enum Failure {
     Artifact(String),
     /// A study cell failed or panicked — exit 5.
     Execution(String),
+    /// The reader of stdout went away — exit 141, with no message: the
+    /// reader chose to stop reading.
+    BrokenPipe,
 }
 
 impl Failure {
@@ -110,17 +121,46 @@ impl Failure {
             Failure::Config(_) => 3,
             Failure::Artifact(_) => 4,
             Failure::Execution(_) => 5,
+            Failure::BrokenPipe => 141,
         }
     }
 
-    fn message(&self) -> &str {
+    fn message(&self) -> Option<&str> {
         match self {
             Failure::Usage(m)
             | Failure::Config(m)
             | Failure::Artifact(m)
-            | Failure::Execution(m) => m,
+            | Failure::Execution(m) => Some(m),
+            Failure::BrokenPipe => None,
         }
     }
+}
+
+/// `print!` through [`write_stdout`]: evaluates to `Result<(), Failure>`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`]: evaluates to `Result<(), Failure>`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The one stdout writer. It flushes every write, so a closed reader
+/// surfaces here as [`Failure::BrokenPipe`] (not as a panic inside
+/// `print!`, nor as an error lost at exit), and any other write error as
+/// an artifact failure (exit 4).
+fn write_stdout(text: std::fmt::Arguments<'_>) -> Result<(), Failure> {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    stdout.write_fmt(text).and_then(|()| stdout.flush()).map_err(|e| match e.kind() {
+        std::io::ErrorKind::BrokenPipe => Failure::BrokenPipe,
+        _ => Failure::Artifact(format!("writing to stdout: {e}")),
+    })
 }
 
 impl From<ArtifactError> for Failure {
@@ -437,9 +477,9 @@ fn emit(doc: &ReportDoc, args: &Args, text_header: Option<&str>) -> Result<(), F
             let many = artifacts.len() > 1;
             for artifact in &artifacts {
                 if many {
-                    println!("# == {} ==", artifact.filename);
+                    outln!("# == {} ==", artifact.filename)?;
                 }
-                print!("{}", artifact.contents);
+                out!("{}", artifact.contents)?;
             }
         }
         Some(dir) => {
@@ -493,13 +533,10 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
             return match preset.spec(args.profile, args.threads) {
                 Some(spec) => {
                     let plan = spec.plan().map_err(|e| Failure::Config(e.to_string()))?;
-                    print!("{}", plan.describe());
-                    Ok(ExitCode::SUCCESS)
+                    out!("{}", plan.describe()).map(|()| ExitCode::SUCCESS)
                 }
-                None => {
-                    println!("preset {name} renders a hardcoded example; nothing to plan");
-                    Ok(ExitCode::SUCCESS)
-                }
+                None => outln!("preset {name} renders a hardcoded example; nothing to plan")
+                    .map(|()| ExitCode::SUCCESS),
             };
         }
         if args.format == ReportFormat::Text {
@@ -517,10 +554,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
             }
             let contents = preset.render(args.profile, args.threads);
             return match &args.out {
-                None => {
-                    print!("{contents}");
-                    Ok(ExitCode::SUCCESS)
-                }
+                None => out!("{contents}").map(|()| ExitCode::SUCCESS),
                 Some(dir) => write_out(dir, "report.txt", &contents).map(|()| ExitCode::SUCCESS),
             };
         }
@@ -541,8 +575,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
     let spec = build_spec(args)?;
     let plan = spec.plan().map_err(|e| Failure::Config(e.to_string()))?;
     if args.dry {
-        print!("{}", plan.describe());
-        return Ok(ExitCode::SUCCESS);
+        return out!("{}", plan.describe()).map(|()| ExitCode::SUCCESS);
     }
     let store = build_store(args)?;
     let report = run_study_with(&plan, &store)?;
@@ -569,8 +602,13 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
     let spec = build_sweep_spec(args)?;
     let plan = spec.plan().map_err(|e| Failure::Config(e.to_string()))?;
     if args.dry {
-        print!("sweep: {} ({} cells)\n{}", spec.sweep.name, plan.cells.len(), plan.plan.describe());
-        return Ok(ExitCode::SUCCESS);
+        return out!(
+            "sweep: {} ({} cells)\n{}",
+            spec.sweep.name,
+            plan.cells.len(),
+            plan.plan.describe()
+        )
+        .map(|()| ExitCode::SUCCESS);
     }
     let store = build_store(args)?;
     if args.resume {
@@ -611,8 +649,7 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
 fn cmd_plan(args: &Args) -> Result<ExitCode, Failure> {
     let spec = build_spec(args)?;
     let plan = spec.plan().map_err(|e| Failure::Config(e.to_string()))?;
-    print!("{}", plan.describe());
-    Ok(ExitCode::SUCCESS)
+    out!("{}", plan.describe()).map(|()| ExitCode::SUCCESS)
 }
 
 fn cmd_describe(args: &Args) -> Result<ExitCode, Failure> {
@@ -621,66 +658,62 @@ fn cmd_describe(args: &Args) -> Result<ExitCode, Failure> {
     }
     for scenario in load_scenarios(&args.configs)? {
         let config = &scenario.config;
-        println!("scenario: {} ({})", scenario.label, config.kind());
-        println!("  nodes: {}", config.node_count());
-        println!("  window: {:.0} s", config.window_seconds());
-        println!("  seed: {}", config.seed());
+        outln!("scenario: {} ({})", scenario.label, config.kind())?;
+        outln!("  nodes: {}", config.node_count())?;
+        outln!("  window: {:.0} s", config.window_seconds())?;
+        outln!("  seed: {}", config.seed())?;
         let trace = config.generate();
-        println!("  contacts: {}", trace.contact_count());
-        println!("  mean contacts per node: {:.1}", trace.mean_contacts_per_node());
-        println!("  aggregate contact rate: {:.3} /s", trace.aggregate_contact_rate());
+        outln!("  contacts: {}", trace.contact_count())?;
+        outln!("  mean contacts per node: {:.1}", trace.mean_contacts_per_node())?;
+        outln!("  aggregate contact rate: {:.3} /s", trace.aggregate_contact_rate())?;
         // Busiest node via the per-node contact index (O(1) per lookup
         // after the one-off build).
         let busiest =
             (0..trace.node_count() as u32).map(|n| (trace.contact_count_of(NodeId(n)), n)).max();
         if let Some((count, node)) = busiest {
-            println!("  busiest node: n{node} ({count} contacts)");
+            outln!("  busiest node: n{node} ({count} contacts)")?;
         }
         if let ScenarioConfig::Community(c) = config {
             if let Some(frac) = psn_trace::generator::community::intra_community_fraction(c, &trace)
             {
-                println!("  intra-community contact fraction: {frac:.3}");
+                outln!("  intra-community contact fraction: {frac:.3}")?;
             }
         }
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_list() {
-    println!("presets (run with `psn-study run --preset <name>`):");
+fn cmd_list() -> Result<(), Failure> {
+    outln!("presets (run with `psn-study run --preset <name>`):")?;
     for preset in PresetId::all() {
-        println!(
-            "  {:<8} {} [was: {}]",
-            preset.name(),
-            preset.figure_title(),
-            preset.binary_name()
-        );
+        outln!("  {:<8} {} [was: {}]", preset.name(), preset.figure_title(), preset.binary_name())?;
     }
-    println!("\nstudies (run with `psn-study run --config <file> --study <name>`):");
+    outln!("\nstudies (run with `psn-study run --config <file> --study <name>`):")?;
     for study in StudyId::all() {
-        println!("  {:<12} {}", study.name(), study.description());
+        outln!("  {:<12} {}", study.name(), study.description())?;
         let views: Vec<&str> = study.views().iter().map(|v| v.name()).collect();
-        println!("  {:<12}   views: {}", "", views.join(", "));
+        outln!("  {:<12}   views: {}", "", views.join(", "))?;
     }
-    println!("\nscenario families (the `kind` field of a config file):");
+    outln!("\nscenario families (the `kind` field of a config file):")?;
     for kind in ScenarioConfig::kinds() {
-        println!("  {kind}");
+        outln!("  {kind}")?;
     }
-    println!("\nsweeps: `psn-study sweep --config <file>` — a [base] scenario, [axes] value");
-    println!("  grids and optional seeds, crossed into one run per grid cell");
-    println!("\nformats: --format text (default; golden-pinned), json (psn-report/1), csv");
-    println!("  (one file per table); --out DIR writes files instead of stdout");
-    println!("\ncaching: --cache DIR persists traces + per-cell results keyed by a structural");
-    println!("  config hash; reruns and interrupted sweeps are served bit-identically from the");
-    println!("  cache (--resume reports progress up front); --no-cache disables all sharing");
-    println!("\nrobustness: sweep --keep-going finishes past failing cells (failure summary,");
-    println!("  exit 5); --faults SITE:KIND[:NTH] / PSN_FAULTS arms deterministic failpoints");
-    println!("exit codes: 0 success, 2 usage, 3 config, 4 artifact/cache, 5 execution");
-    println!("\nstreaming: --streaming [--window N] folds the contact-event stream into a");
-    println!("  bounded window of hot slots (spilling cold ones); reports stay bit-identical,");
-    println!("  peak working-set bytes show in the --cache stderr summary");
-    println!("\nprofiles: quick (default), paper — via --profile or PSN_PROFILE");
-    println!("threads: --threads or PSN_THREADS (0 = one per core; never changes results)");
+    outln!("\nsweeps: `psn-study sweep --config <file>` — a [base] scenario, [axes] value")?;
+    outln!("  grids and optional seeds, crossed into one run per grid cell")?;
+    outln!("\nformats: --format text (default; golden-pinned), json (psn-report/1), csv")?;
+    outln!("  (one file per table); --out DIR writes files instead of stdout")?;
+    outln!("\ncaching: --cache DIR persists traces + per-cell results keyed by a structural")?;
+    outln!("  config hash; reruns and interrupted sweeps are served bit-identically from the")?;
+    outln!("  cache (--resume reports progress up front); --no-cache disables all sharing")?;
+    outln!("\nrobustness: sweep --keep-going finishes past failing cells (failure summary,")?;
+    outln!("  exit 5); --faults SITE:KIND[:NTH] / PSN_FAULTS arms deterministic failpoints")?;
+    outln!("exit codes: 0 success, 2 usage, 3 config, 4 artifact/cache, 5 execution,")?;
+    outln!("  141 stdout closed early")?;
+    outln!("\nstreaming: --streaming [--window N] folds the contact-event stream into a")?;
+    outln!("  bounded window of hot slots (spilling cold ones); reports stay bit-identical,")?;
+    outln!("  peak working-set bytes show in the --cache stderr summary")?;
+    outln!("\nprofiles: quick (default), paper — via --profile or PSN_PROFILE")?;
+    outln!("threads: --threads or PSN_THREADS (0 = one per core; never changes results)")
 }
 
 fn main() -> ExitCode {
@@ -689,8 +722,7 @@ fn main() -> ExitCode {
     if std::env::args().nth(1).as_deref() == Some("help")
         || std::env::args().skip(1).any(|arg| arg == "--help" || arg == "-h")
     {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
+        return exit(outln!("{}", usage()).map(|()| ExitCode::SUCCESS));
     }
     let (command, args) = match parse_args(argv) {
         Ok(parsed) => parsed,
@@ -720,17 +752,19 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(&args),
         "plan" => cmd_plan(&args),
         "describe" => cmd_describe(&args),
-        "list" => {
-            cmd_list();
-            Ok(ExitCode::SUCCESS)
-        }
+        "list" => cmd_list().map(|()| ExitCode::SUCCESS),
         other => Err(Failure::Usage(format!("unknown command {other:?}\n{}", usage()))),
     };
-    match result {
-        Ok(code) => code,
-        Err(failure) => {
-            eprintln!("{}", failure.message());
-            ExitCode::from(failure.exit_code())
+    exit(result)
+}
+
+/// The process exit code of a command's outcome, with a failure's message
+/// (if it has one) on stderr.
+fn exit(result: Result<ExitCode, Failure>) -> ExitCode {
+    result.unwrap_or_else(|failure| {
+        if let Some(message) = failure.message() {
+            eprintln!("{message}");
         }
-    }
+        ExitCode::from(failure.exit_code())
+    })
 }

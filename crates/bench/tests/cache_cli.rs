@@ -39,6 +39,40 @@ fn help_prints_the_usage_and_unknown_commands_stay_usage_errors() {
 }
 
 #[test]
+fn a_closed_stdout_ends_quietly_with_141_and_other_write_errors_exit_4() {
+    // The reader is closed before the child starts, so its first write
+    // fails with a broken pipe whatever the timing: a report, a listing
+    // and the usage text each take one of the write paths.
+    let runs = [&["run", "--preset", "fig01"][..], &["list"], &["--help"]];
+    for args in runs {
+        let flag = args.join(" ");
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_psn-study"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("psn-study binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(141), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+        assert!(stderr.is_empty(), "{flag}: a closed reader is not an error to report: {stderr}");
+    }
+    // Any other write error is an output failure, exit 4, named on stderr.
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let out = Command::new(env!("CARGO_BIN_EXE_psn-study"))
+        .arg("list")
+        .stdout(full)
+        .output()
+        .expect("psn-study binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("writing to stdout") && !stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn repeated_cached_sweeps_are_byte_identical_and_fully_cache_served() {
     let dir = std::env::temp_dir().join(format!("psn-cache-cli-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -63,7 +63,9 @@ pub struct ExplosionStudy {
     /// paper's Fig. 5 argues there is no clear relationship.
     pub t1_te_correlation: Option<f64>,
     /// Sample near-optimal paths retained for the per-hop analyses
-    /// (Figs. 14–15).
+    /// (Figs. 14–15): the first `stored_path_limit` delivered paths of
+    /// each message. The study layer sets that limit to 0, so this is
+    /// empty, unless a hop-rate view is planned.
     pub sample_paths: Vec<Path>,
     /// Per-node contact rates of the trace (shared by downstream analyses).
     pub rates: ContactRates,

@@ -36,8 +36,10 @@ pub struct AlgorithmStudy {
     pub by_pair_type: PairTypeMetrics,
     /// Cumulative deliveries over time from the first run (Fig. 11 series).
     pub reception_series: BinnedSeries,
-    /// Raw per-message outcomes of the first run (used by Fig. 12 and the
-    /// hop-rate analyses).
+    /// Raw per-message outcomes of the first run (Fig. 13's pair types,
+    /// Fig. 11's series and the hop-rates-taken view). Their hop paths are
+    /// `None` unless the study recorded them
+    /// ([`Recording::HopPaths`] for the first run).
     pub outcomes: Vec<MessageOutcome>,
 }
 
@@ -220,6 +222,7 @@ pub fn run_forwarding_study(
         DEFAULT_DELTA,
         workload,
         profile.simulation_runs(),
+        Recording::HopPaths,
         threads,
     )
 }
@@ -231,8 +234,13 @@ pub fn run_forwarding_study(
 /// `delta` (a `params.delta` sweep axis reaches here with non-default
 /// slotting). The simulator reads nothing else: no space-time graph. The
 /// artifact store memoizes the timeline per scenario and shares it across
-/// views, seeds and sweep cells. `threads` is the simulator worker count
-/// (`0` = one per available core); it never affects results.
+/// views, seeds and sweep cells. `first_run` says what run 0 records:
+/// [`Recording::HopPaths`] when a view reads the hop paths of
+/// [`AlgorithmStudy::outcomes`] (Fig. 14's hop-rates-taken), else
+/// [`Recording::DeliveryOnly`]; runs 1.. always record delivery times
+/// only. `threads` is the simulator worker count (`0` = one per available
+/// core); it never affects results.
+#[allow(clippy::too_many_arguments)]
 pub fn run_forwarding_study_on(
     scenario: impl Into<String>,
     summary: &ContactSummary,
@@ -240,6 +248,7 @@ pub fn run_forwarding_study_on(
     delta: Seconds,
     workload: MessageWorkloadConfig,
     runs: usize,
+    first_run: Recording,
     threads: usize,
 ) -> ForwardingStudy {
     let simulator = Simulator::from_summary(summary, timeline, SimulatorConfig { delta, threads });
@@ -256,15 +265,15 @@ pub fn run_forwarding_study_on(
 
     // All algorithm × run combinations share the simulator's precomputed
     // history timeline and are sharded across the worker threads in one
-    // batch. Only run 0's hop paths are kept (`AlgorithmStudy::outcomes`);
-    // the other runs feed only delivery-time metrics, so they record none.
+    // batch. Only run 0's outcomes are kept (`AlgorithmStudy::outcomes`),
+    // with hop paths when `first_run` asks for them; the other runs feed
+    // only delivery-time metrics, so they record none.
     let algorithm_instances = standard_algorithms();
     let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithm_instances
         .iter()
         .flat_map(|(_, algorithm)| {
             message_sets.iter().enumerate().map(move |(run, messages)| {
-                let recording =
-                    if run == 0 { Recording::HopPaths } else { Recording::DeliveryOnly };
+                let recording = if run == 0 { first_run } else { Recording::DeliveryOnly };
                 (algorithm.as_ref() as &dyn ForwardingAlgorithm, messages.as_slice(), recording)
             })
         })
@@ -333,6 +342,7 @@ mod tests {
             DEFAULT_DELTA,
             workload,
             runs,
+            Recording::HopPaths,
             0,
         )
     }

@@ -33,6 +33,12 @@ pub struct HopRateStudy {
     pub rate_ratio_per_hop: Vec<(String, BoxPlot)>,
     /// Number of paths analysed.
     pub paths: usize,
+    /// First hops (source → next node, the destination included) whose
+    /// rate ratio is defined, i.e. whose source has a positive rate.
+    pub first_hops: usize,
+    /// How many of those first hops go to a node of strictly higher rate
+    /// than the source (ratio above 1).
+    pub first_hops_uphill: usize,
 }
 
 impl HopRateStudy {
@@ -46,19 +52,11 @@ impl HopRateStudy {
 
     /// Fraction of first-hop transitions that move to a higher-rate node
     /// (the paper: "nearly all of the first hops are to nodes with higher
-    /// rate than the source").
+    /// rate than the source"): [`first_hops_uphill`](Self::first_hops_uphill)
+    /// over [`first_hops`](Self::first_hops), `None` without a first hop.
+    /// No report section prints it.
     pub fn first_hop_uphill_fraction(&self) -> Option<f64> {
-        let (_, first) = self.rate_ratio_per_hop.first()?;
-        // The box plot stores the full outlier set but not the raw samples;
-        // use the quartiles as a robust summary: if even the 25th percentile
-        // exceeds 1 the overwhelming majority of transitions are uphill.
-        Some(if first.q1 > 1.0 {
-            1.0
-        } else if first.median > 1.0 {
-            0.75
-        } else {
-            0.5
-        })
+        (self.first_hops > 0).then(|| self.first_hops_uphill as f64 / self.first_hops as f64)
     }
 
     /// The typed Fig. 14 section: mean contact rate per hop with 99%
@@ -189,6 +187,7 @@ pub fn run_hop_rate_study(paths: &[Path], rates: &ContactRates) -> HopRateStudy 
     // destination) is labelled "Dst/Lst" like the paper's Fig. 15.
     let mut ratio_samples: Vec<Vec<f64>> = vec![Vec::new(); max_hops.saturating_sub(1)];
     let mut final_transition: Vec<f64> = Vec::new();
+    let (mut first_hops, mut first_hops_uphill) = (0, 0);
     for path in paths {
         let nodes: Vec<_> = path.nodes().collect();
         for i in 0..nodes.len().saturating_sub(1) {
@@ -198,6 +197,10 @@ pub fn run_hop_rate_study(paths: &[Path], rates: &ContactRates) -> HopRateStudy 
                 continue;
             }
             let ratio = to / from;
+            if i == 0 {
+                first_hops += 1;
+                first_hops_uphill += usize::from(ratio > 1.0);
+            }
             if i + 2 == nodes.len() {
                 final_transition.push(ratio);
             } else {
@@ -225,7 +228,13 @@ pub fn run_hop_rate_study(paths: &[Path], rates: &ContactRates) -> HopRateStudy 
         ));
     }
 
-    HopRateStudy { mean_rate_per_hop, rate_ratio_per_hop, paths: paths.len() }
+    HopRateStudy {
+        mean_rate_per_hop,
+        rate_ratio_per_hop,
+        paths: paths.len(),
+        first_hops,
+        first_hops_uphill,
+    }
 }
 
 #[cfg(test)]
@@ -338,6 +347,29 @@ mod tests {
         assert_eq!(study.paths, 1);
         let direct = run_hop_rate_study(&[path(&[1, 2, 3])], &rates);
         assert_eq!(study.mean_rate_per_hop.len(), direct.mean_rate_per_hop.len());
+    }
+
+    #[test]
+    fn first_hop_uphill_fraction_counts_ratios_above_one() {
+        let rates = rates();
+        // Contacts per node: 0: 4, 1: 2, 2: 4, 3: 6, so node 1 is the
+        // quietest and node 0 ties node 2. Five first hops: 1→2 and 1→3
+        // go uphill, 2→1 and 3→2 downhill, and 2→0 is a tie, not uphill:
+        // 2 of 5. A quartile reading of the `1/0` box (q1 below 1, median
+        // above 1) would say 0.75.
+        let paths = vec![
+            path(&[1, 2, 3]),
+            path(&[1, 3, 2]),
+            path(&[2, 1, 3]),
+            path(&[3, 2, 0]),
+            path(&[2, 0]),
+        ];
+        let study = run_hop_rate_study(&paths, &rates);
+        let (label, first_box) = &study.rate_ratio_per_hop[0];
+        assert_eq!(label, "1/0");
+        assert!(first_box.q1 < 1.0 && first_box.median > 1.0, "{first_box:?}");
+        assert_eq!((study.first_hops, study.first_hops_uphill), (5, 2));
+        assert_eq!(study.first_hop_uphill_fraction(), Some(0.4));
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod sweep;
 pub use psn_artifact::{ArtifactError, ArtifactStore, CacheSource, StoreStats};
 
 use psn_artifact::{ArtifactKey, ArtifactKind, BuiltArtifact};
+use psn_forwarding::Recording;
 use psn_spacetime::{EnumerationConfig, MessageGenerator, MessageWorkloadConfig};
 use psn_trace::{ContactStream, ContactSummary, FingerprintHasher, ScenarioConfig, Seconds};
 
@@ -1087,6 +1088,43 @@ fn run_inputs(
     })
 }
 
+/// The per-path records a run keeps, decided from its planned views. Both
+/// are memory the engines spend per delivered path or message, and each
+/// feeds exactly one kind of view: the explosion study's sampled hop
+/// sequences feed the hop-rate views (Figs. 14 and 15), and run 0's
+/// forwarding hop paths feed `hop-rates-taken`. Every other view reads
+/// delivery times only. The planned views are part of every cell key, so
+/// the choice never changes a cached result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PathRecords {
+    /// Whether the explosion study samples hop sequences (the hop-rate
+    /// views are planned, which also makes them compute).
+    sample_paths: bool,
+    /// What run 0 of the forwarding study records.
+    first_run: Recording,
+}
+
+impl PathRecords {
+    fn for_views(views: &[StudyView]) -> Self {
+        let planned = |wanted: &[StudyView]| views.iter().any(|v| wanted.contains(v));
+        Self {
+            sample_paths: planned(&[StudyView::HopRateProgression, StudyView::RateRatios]),
+            first_run: if planned(&[StudyView::HopRatesTaken]) {
+                Recording::HopPaths
+            } else {
+                Recording::DeliveryOnly
+            },
+        }
+    }
+
+    /// The explosion study's enumeration config: `base`, sampling no hop
+    /// sequence unless the hop-rate views read them.
+    fn enumeration(&self, base: &EnumerationConfig) -> EnumerationConfig {
+        let stored_path_limit = if self.sample_paths { base.stored_path_limit } else { 0 };
+        EnumerationConfig { stored_path_limit, ..base.clone() }
+    }
+}
+
 /// Computes one run's typed sections with `threads` engine workers from
 /// the run's [`RunInputs`], which every run over the same scenario shares
 /// through the artifact store.
@@ -1103,10 +1141,7 @@ fn compute_run_sections(
         .views
         .iter()
         .any(|v| matches!(v, StudyView::ActivityTimeseries | StudyView::ContactCountCdf));
-    let needs_hop_rates = plan
-        .views
-        .iter()
-        .any(|v| matches!(v, StudyView::HopRateProgression | StudyView::RateRatios));
+    let records = PathRecords::for_views(&plan.views);
 
     let (summary, graph, timeline) = run_inputs(plan, run, p, store)?;
 
@@ -1127,7 +1162,7 @@ fn compute_run_sections(
             &summary,
             graph,
             &messages,
-            p.enumeration.clone(),
+            records.enumeration(&p.enumeration),
             p.explosion_threshold,
             threads,
         ));
@@ -1143,13 +1178,14 @@ fn compute_run_sections(
             p.delta,
             workload,
             p.simulation_runs,
+            records.first_run,
             threads,
         ));
     }
     if needs_activity {
         outputs.activity = Some(activity_report(run.label.clone(), &summary));
     }
-    if needs_hop_rates {
+    if records.sample_paths {
         let study = outputs
             .explosion
             .as_ref()
@@ -1235,8 +1271,10 @@ fn compute_run_sections(
                 let timeline = timeline
                     .clone()
                     .unwrap_or_else(|| unreachable!("paths-taken implies a timeline"));
-                let cases =
-                    run_paths_taken(&summary, graph, timeline, &messages, p.enumeration.clone());
+                // Paths-taken reads delivery times only: no sample paths.
+                let enumeration =
+                    EnumerationConfig { stored_path_limit: 0, ..p.enumeration.clone() };
+                let cases = run_paths_taken(&summary, graph, timeline, &messages, enumeration);
                 cases.iter().map(|case| case.section()).collect()
             }
             StudyView::HopRateProgression => {
@@ -1734,6 +1772,100 @@ mod tests {
                     "{study}: second run must be served from memory"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn only_the_views_that_read_them_get_sample_or_hop_paths() {
+        // The decision, for every preset at both profiles and every
+        // study's full view set: sample paths only for the enumeration
+        // hop-rate views (Figs. 14 and 15), run-0 hop paths only for
+        // hop-rates-taken (Fig. 14).
+        use crate::study::preset::PresetId;
+        let decided = |plan: &StudyPlan| {
+            let records = PathRecords::for_views(&plan.views);
+            let limit = records.enumeration(&plan.params.enumeration).stored_path_limit;
+            assert_eq!(limit > 0, records.sample_paths);
+            (records.sample_paths, records.first_run == Recording::HopPaths)
+        };
+        for profile in [ExperimentProfile::Quick, ExperimentProfile::Paper] {
+            for preset in PresetId::all() {
+                let Some(spec) = preset.spec(profile, 1) else {
+                    continue;
+                };
+                let expected = match preset {
+                    PresetId::Fig14 => (true, true),
+                    PresetId::Fig15 => (true, false),
+                    _ => (false, false),
+                };
+                assert_eq!(decided(&spec.plan().unwrap()), expected, "{preset} at {profile:?}");
+            }
+        }
+        for study in StudyId::all() {
+            let scenarios = if study == StudyId::Model { vec![] } else { vec![small_scenario(1)] };
+            let plan = StudySpec::new(study, scenarios, quick_params()).plan().unwrap();
+            let hop_rates = study == StudyId::HopRates;
+            assert_eq!(decided(&plan), (hop_rates, hop_rates), "{study}");
+        }
+
+        // What the engines then keep on a small scenario: explosion-only,
+        // paths-taken and forwarding-only plans hold no sampled hop
+        // sequence and no run-0 hop path; the Fig. 14/15 views get both.
+        let trace = dense_scenario(3).config.generate();
+        let summary = ContactSummary::from_trace(&trace);
+        let graph = psn_spacetime::SpaceTimeGraph::build_default(&trace);
+        let timeline = std::sync::Arc::new(psn_forwarding::HistoryTimeline::from_trace(
+            &trace,
+            psn_spacetime::DEFAULT_DELTA,
+        ));
+        let p = quick_params();
+        let messages = MessageGenerator::new(MessageWorkloadConfig {
+            nodes: trace.node_count(),
+            generation_horizon: 600.0,
+            mean_interarrival: 4.0,
+            seed: 5,
+        })
+        .uniform_messages(6);
+        let views: [&[StudyView]; 5] = [
+            &[StudyView::ExplosionCdfs, StudyView::ExplosionGrowth],
+            &[StudyView::PathsTaken],
+            &[StudyView::DelayVsSuccess, StudyView::PairTypePerformance],
+            &[StudyView::HopRateProgression, StudyView::HopRatesTaken],
+            &[StudyView::RateRatios],
+        ];
+        for views in views {
+            let records = PathRecords::for_views(views);
+            let explosion = run_explosion_study_on(
+                "records",
+                &summary,
+                &graph,
+                &messages,
+                records.enumeration(&p.enumeration),
+                p.explosion_threshold,
+                1,
+            );
+            assert!(explosion.summary.delivery_fraction() > 0.0, "{views:?}");
+            let wants_samples = views.contains(&StudyView::HopRateProgression)
+                || views.contains(&StudyView::RateRatios);
+            assert_eq!(!explosion.sample_paths.is_empty(), wants_samples, "{views:?}");
+            let forwarding = run_forwarding_study_on(
+                "records",
+                &summary,
+                timeline.clone(),
+                psn_spacetime::DEFAULT_DELTA,
+                p.forwarding_workload(trace.node_count(), trace.window().duration()),
+                2,
+                records.first_run,
+                1,
+            );
+            let hop_paths = forwarding
+                .algorithms
+                .iter()
+                .flat_map(|a| &a.outcomes)
+                .filter(|o| o.path.is_some())
+                .count();
+            assert!(forwarding.algorithms.iter().any(|a| a.metrics.success_rate > 0.0));
+            assert_eq!(hop_paths > 0, views.contains(&StudyView::HopRatesTaken), "{views:?}");
         }
     }
 

@@ -44,8 +44,9 @@
 //! In-flight paths live in a parent-pointer [`PathArena`]: extending a path
 //! is an O(1) arena push (the prefix is shared, never cloned). Full hop
 //! sequences are only materialized for the `stored_path_limit` sampled
-//! deliveries, and all per-slot buffers live in a reusable
-//! [`EnumerationScratch`].
+//! deliveries — zero unless a caller reads them; the study layer samples
+//! only for the hop-rate views — and all per-slot buffers live in a
+//! reusable [`EnumerationScratch`].
 //!
 //! The per-node selection ranks a node's paths shortest-first, stored paths
 //! ahead of arrivals of equal depth, and arrivals among themselves in the
@@ -56,7 +57,10 @@
 //!
 //! * **deliveries** — every holder in the destination's component delivers
 //!   its stored paths (holders ascending; the delivery cap may stop the
-//!   run here);
+//!   run here). A stored list is depth-sorted, so it is taken one depth
+//!   group at a time, and the slot's deliveries are counted per depth and
+//!   appended as [`Delivery`] runs in ascending hops: a result is in
+//!   `(time, hops)` order as it is built, with no final sort;
 //! * **first-preference screen** — every other holder drops the stored
 //!   paths that carry a node of the destination's component. It is a pass
 //!   of its own because admission (below) needs each node's post-screen
@@ -165,7 +169,8 @@ pub struct Delivery {
 pub struct EnumerationResult {
     /// The message that was enumerated.
     pub message: Message,
-    /// Every recorded delivery in non-decreasing time order.
+    /// Every recorded delivery in `(time, hops)` order: slot by slot, and
+    /// within a slot (one delivery time) by ascending hop count.
     pub deliveries: Vec<Delivery>,
     /// Full hop sequences for the first `stored_path_limit` delivered paths.
     pub sample_paths: Vec<Path>,
@@ -253,6 +258,9 @@ pub struct EnumerationScratch {
     near_destination: Vec<bool>,
     /// The nodes flagged in `near_destination`, for O(set) clearing.
     near_list: Vec<u32>,
+    /// Paths delivered this slot per depth, sized by the deepest one;
+    /// emptied when the slot's delivery runs are appended.
+    delivered_by_depth: Vec<usize>,
     /// Nodes with at least one arrival this slot.
     touched: Vec<u32>,
     /// Nodes with at least one stored path, ascending.
@@ -449,11 +457,9 @@ impl<'a> PathEnumerator<'a> {
         RunState { start_slot: self.graph.slot_of_time(message.created_at), ..RunState::default() }
     }
 
-    /// Sorts the recorded deliveries and packages the run into its result.
-    fn finish_run(message: &Message, mut state: RunState) -> EnumerationResult {
-        state
-            .deliveries
-            .sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite").then(a.hops.cmp(&b.hops)));
+    /// Packages the run into its result. The deliveries need no sort:
+    /// slots ascend, and each slot appends its runs in ascending hops.
+    fn finish_run(message: &Message, state: RunState) -> EnumerationResult {
         EnumerationResult {
             message: *message,
             deliveries: state.deliveries,
@@ -492,6 +498,7 @@ impl<'a> PathEnumerator<'a> {
             extenders,
             near_destination,
             near_list,
+            delivered_by_depth,
             touched,
             holders,
             holders_next,
@@ -518,26 +525,54 @@ impl<'a> PathEnumerator<'a> {
         // Pass 1: every stored path at a holder in the destination's
         // component is delivered now. Under the first-preference rule the
         // stored copies are also removed: continuing them would be
-        // dominated by the delivery that just happened.
+        // dominated by the delivery that just happened. Each stored list
+        // is depth-sorted, so the pass takes it one depth group at a time,
+        // in push order (holders ascending, stored order): the delivery cap
+        // cuts a group where a path-by-path walk would, and only the
+        // sampled paths are visited one by one.
+        let cap = self.config.max_delivered_paths.unwrap_or(usize::MAX);
         let mut delivered_this_slot: usize = 0;
         'deliver: for &h in holders.iter().filter(|&&h| delivers(h)) {
-            for &r in &stored[h as usize] {
-                delivered_this_slot += 1;
-                let hops = arena.depth(r) as usize + 1;
-                state.deliveries.push(Delivery { time: slot_time, hops });
-                if state.sample_paths.len() < self.config.stored_path_limit {
+            let paths = &stored[h as usize];
+            let mut start = 0;
+            while start < paths.len() {
+                let depth = arena.depth(paths[start]) as usize;
+                let group = paths[start..].partition_point(|&r| arena.depth(r) as usize == depth);
+                let recorded = state.deliveries.len() + delivered_this_slot;
+                // `max(1)`: the cap is checked after a path is recorded, so
+                // a cap of zero still records the first one.
+                let take = group.min(cap.saturating_sub(recorded).max(1));
+                let samples = self
+                    .config
+                    .stored_path_limit
+                    .saturating_sub(state.sample_paths.len())
+                    .min(take);
+                for &r in &paths[start..start + samples] {
                     state.sample_paths.push(arena.materialize_extended(r, destination, slot_time));
                 }
-                if self.config.max_delivered_paths.is_some_and(|cap| state.deliveries.len() >= cap)
-                {
+                if delivered_by_depth.len() <= depth {
+                    delivered_by_depth.resize(depth + 1, 0);
+                }
+                delivered_by_depth[depth] += take;
+                delivered_this_slot += take;
+                if recorded + take >= cap {
                     state.truncated = true;
                     break 'deliver;
                 }
+                start += group;
             }
             if self.config.enforce_first_preference {
                 stored[h as usize].clear();
             }
         }
+        // One run per hop count, ascending: all of a slot's deliveries
+        // share its end time, so this is the slot's stretch of the
+        // `(time, hops)` order the result promises.
+        for (depth, &count) in delivered_by_depth.iter().enumerate() {
+            let delivery = Delivery { time: slot_time, hops: depth + 1 };
+            state.deliveries.extend(std::iter::repeat_n(delivery, count));
+        }
+        delivered_by_depth.clear();
 
         if !state.truncated {
             // Pass 2: every other holder drops the paths that carry a node
@@ -1052,6 +1087,53 @@ mod tests {
             // The cap fires the moment the count reaches it, so the run is
             // flagged truncated even when the cap equals the total.
             assert!(result.truncated, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn delivery_cap_cuts_depth_groups_in_push_order() {
+        // Relays 1–6 take [0, r] in slot 0; in slot 1 relays 1, 2 and 3
+        // form a triangle, so each of them also holds two 3-hop paths
+        // (node 1: [0,2,1] and [0,3,1]). In slot 2 all six meet the
+        // destination 7 and deliver in push order — holders ascending,
+        // each holder's list depth group by depth group — with delivered
+        // hop counts 3,4,4, 3,4,4, 3,4,4, 3, 3, 3. Every cap cuts that
+        // order where a path-by-path walk would: inside a depth group
+        // (2, 5, 8), between groups (1, 4), across holders (3, 6, 10),
+        // at the total (12) and past it (13); every sample limit around
+        // the cap materializes the same paths as the reference engine.
+        let mut contacts = vec![(1, 2, 11.0, 18.0), (2, 3, 11.0, 18.0), (1, 3, 11.0, 18.0)];
+        for r in 1..=6u32 {
+            contacts.push((0, r, 1.0, 8.0));
+            contacts.push((r, 7, 21.0, 28.0));
+        }
+        let trace = trace_from(contacts, 8, 60.0);
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let message = Message::new(nid(0), nid(7), 0.0);
+        let push_order = [3, 4, 4, 3, 4, 4, 3, 4, 4, 3, 3, 3];
+        let mut scratch = EnumerationScratch::new();
+        for cap in 1..=push_order.len() + 1 {
+            for limit in [0, 1, cap - 1, cap, cap + 1, push_order.len()] {
+                let config = EnumerationConfig {
+                    k: 100,
+                    max_delivered_paths: Some(cap),
+                    stored_path_limit: limit,
+                    enforce_first_preference: true,
+                };
+                let enumerator = PathEnumerator::new(&graph, config);
+                assert_equivalent(&enumerator, &graph, &message, &mut scratch);
+                let result = enumerator.enumerate(&message);
+                let mut expected = push_order[..cap.min(push_order.len())].to_vec();
+                expected.sort_unstable();
+                let hops: Vec<usize> = result.deliveries.iter().map(|d| d.hops).collect();
+                assert_eq!(hops, expected, "cap {cap}, limit {limit}");
+                assert!(result.deliveries.iter().all(|d| d.time == 30.0));
+                assert_eq!(result.truncated, cap <= push_order.len(), "cap {cap}");
+                assert_eq!(result.sample_paths.len(), limit.min(expected.len()), "cap {cap}");
+                if let Some(first) = result.sample_paths.first() {
+                    assert_eq!(first.nodes().collect::<Vec<_>>(), vec![nid(0), nid(1), nid(7)]);
+                }
+            }
         }
     }
 

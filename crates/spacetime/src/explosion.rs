@@ -17,6 +17,12 @@
 //! [`EnumerationResult`]; [`ExplosionSummary`] aggregates profiles over a
 //! message population and exposes the CDFs/scatter series that the figure
 //! drivers print.
+//!
+//! Paths reach the destination in bursts: every path delivered in a slot
+//! shares the slot's end time. A profile therefore keeps one `(time,
+//! count)` arrival run per delivering slot instead of one time per path,
+//! so its memory is O(delivering slots) however many of the (up to
+//! 100 000 at paper scale) paths a message delivers.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,8 +50,10 @@ pub struct ExplosionProfile {
     pub explosion_threshold: usize,
     /// Total number of delivered paths recorded for the message.
     pub total_paths: usize,
-    /// Delivery times (absolute seconds) of every recorded path.
-    pub delivery_times: Vec<Seconds>,
+    /// Path arrivals as `(absolute delivery time, paths delivered at that
+    /// time)` runs, one per distinct delivery time, in ascending time.
+    /// The counts sum to `total_paths`.
+    pub arrival_runs: Vec<(Seconds, usize)>,
 }
 
 impl ExplosionProfile {
@@ -70,7 +78,7 @@ impl ExplosionProfile {
             time_to_explosion,
             explosion_threshold: n,
             total_paths: result.delivered_count(),
-            delivery_times: result.deliveries.iter().map(|d| d.time).collect(),
+            arrival_runs: arrival_runs(result),
         }
     }
 
@@ -87,43 +95,54 @@ impl ExplosionProfile {
     /// Cumulative path arrivals as `(seconds since first delivery,
     /// cumulative count)` — the Fig. 6 growth curve for one message.
     pub fn growth_curve(&self) -> Vec<(Seconds, usize)> {
-        let Some(first) = self.delivery_times.first().copied() else {
+        let Some(&(first, _)) = self.arrival_runs.first() else {
             return Vec::new();
         };
-        let mut curve = Vec::new();
         let mut count = 0usize;
-        let mut i = 0;
-        let times = &self.delivery_times;
-        while i < times.len() {
-            let t = times[i];
-            let mut j = i;
-            while j < times.len() && times[j] == t {
-                j += 1;
-            }
-            count = j;
-            curve.push((t - first, count));
-            i = j;
-        }
-        debug_assert_eq!(count, times.len());
-        curve
+        self.arrival_runs
+            .iter()
+            .map(|&(t, n)| {
+                count += n;
+                (t - first, count)
+            })
+            .collect()
     }
 
     /// Histogram of path arrivals over time since the first delivery, with
     /// the given bin width (Fig. 6 uses the Δ-sized bursts directly; the
     /// figure driver uses 10-second bins).
+    ///
+    /// Each arrival run is added once, weighted by its path count, so the
+    /// bins hold the same path counts as one unit-weight observation per
+    /// path would (the weights are integers, exact in `f64`), while
+    /// [`Histogram::observations`] counts runs, not paths. No report reads
+    /// the observation count.
     pub fn arrival_histogram(
         &self,
         bin_seconds: Seconds,
         span_seconds: Seconds,
     ) -> Option<Histogram> {
-        let first = *self.delivery_times.first()?;
+        let &(first, _) = self.arrival_runs.first()?;
         let bins = (span_seconds / bin_seconds).ceil() as usize;
         let mut h = Histogram::new(0.0, bin_seconds, bins.max(1)).ok()?;
-        for &t in &self.delivery_times {
-            h.add(t - first);
+        for &(t, n) in &self.arrival_runs {
+            h.add_weighted(t - first, n as f64);
         }
         Some(h)
     }
+}
+
+/// Groups a result's deliveries, which are in non-decreasing time order,
+/// into `(time, count)` runs of equal delivery time.
+fn arrival_runs(result: &EnumerationResult) -> Vec<(Seconds, usize)> {
+    let mut runs: Vec<(Seconds, usize)> = Vec::new();
+    for delivery in &result.deliveries {
+        match runs.last_mut() {
+            Some((t, n)) if *t == delivery.time => *n += 1,
+            _ => runs.push((delivery.time, 1)),
+        }
+    }
+    runs
 }
 
 /// Aggregate explosion statistics over a message population.
@@ -202,7 +221,7 @@ impl ExplosionSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::Delivery;
+    use crate::enumerate::{Delivery, EnumerationConfig};
     use psn_trace::NodeId;
 
     fn result_with_times(times: &[f64], created_at: f64) -> EnumerationResult {
@@ -279,6 +298,136 @@ mod tests {
         let te_cdf = summary.time_to_explosion_cdf().unwrap();
         assert_eq!(te_cdf.len(), 1);
         assert_eq!(summary.scatter_points(), vec![(100.0, 20.0)]);
+    }
+
+    /// The pre-run-length profile quantities, rebuilt from one delivery
+    /// time per path: growth curve, arrival-histogram bins (one
+    /// unit-weight observation per path), T₁, TE and the path count.
+    fn assert_runs_match_per_path(result: &EnumerationResult, n: usize) {
+        let profile = ExplosionProfile::with_threshold(result, n);
+        let times: Vec<f64> = result.deliveries.iter().map(|d| d.time).collect();
+        let mut curve = Vec::new();
+        for (i, &t) in times.iter().enumerate() {
+            if times.get(i + 1) != Some(&t) {
+                curve.push((t - times[0], i + 1));
+            }
+        }
+        assert_eq!(profile.growth_curve(), curve);
+        assert_eq!(profile.total_paths, times.len());
+        assert_eq!(profile.arrival_runs.iter().map(|r| r.1).sum::<usize>(), times.len());
+        assert_eq!(profile.optimal_duration, times.first().map(|t| t - result.message.created_at));
+        let te = (n >= 1 && times.len() >= n).then(|| times[n - 1] - times[0]);
+        assert_eq!(profile.time_to_explosion, te);
+        for (bin, span) in [(10.0, 600.0), (10.0, 40.0), (7.0, 100.0)] {
+            let runs = profile.arrival_histogram(bin, span);
+            let per_path = times.first().map(|&first| {
+                let mut h =
+                    Histogram::new(0.0, bin, ((span / bin).ceil() as usize).max(1)).unwrap();
+                for &t in &times {
+                    h.add(t - first);
+                }
+                h
+            });
+            match (runs, per_path) {
+                (Some(runs), Some(per_path)) => {
+                    assert_eq!(runs.series(), per_path.series());
+                    assert_eq!(runs.overflow(), per_path.overflow());
+                    assert_eq!(runs.underflow(), per_path.underflow());
+                    assert_eq!(runs.observations() as usize, profile.arrival_runs.len());
+                }
+                (runs, per_path) => assert!(runs.is_none() && per_path.is_none()),
+            }
+        }
+    }
+
+    /// A random trace of 3–9 nodes with integer-valued contact times over
+    /// 600 s and long contacts, so components of several nodes form and
+    /// bursts of paths deliver together.
+    fn random_enumerations(seed: u64, config: &EnumerationConfig) -> Vec<EnumerationResult> {
+        use crate::enumerate::PathEnumerator;
+        use crate::graph::SpaceTimeGraph;
+        use psn_trace::contact::Contact;
+        use psn_trace::node::{NodeClass, NodeRegistry};
+        use psn_trace::trace::{ContactTrace, TimeWindow};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.gen_range(3..10u32);
+        let mut registry = NodeRegistry::new();
+        for _ in 0..nodes {
+            registry.add(NodeClass::Mobile);
+        }
+        let contacts = (0..rng.gen_range(5..60))
+            .map(|_| {
+                let a = rng.gen_range(0..nodes);
+                let b = (a + rng.gen_range(1..nodes)) % nodes;
+                let start = f64::from(rng.gen_range(0..560u32));
+                let end = (start + f64::from(rng.gen_range(1..120u32))).min(600.0);
+                Contact::new(NodeId(a), NodeId(b), start, end).unwrap()
+            })
+            .collect();
+        let trace = ContactTrace::from_contacts(
+            "explosion-runs",
+            registry,
+            TimeWindow::new(0.0, 600.0),
+            contacts,
+        )
+        .unwrap();
+        let graph = SpaceTimeGraph::build_default(&trace);
+        let enumerator = PathEnumerator::new(&graph, config.clone());
+        (0..4)
+            .map(|_| {
+                let source = rng.gen_range(0..nodes);
+                let destination = (source + rng.gen_range(1..nodes)) % nodes;
+                let created = f64::from(rng.gen_range(0..300u32));
+                enumerator.enumerate(&Message::new(NodeId(source), NodeId(destination), created))
+            })
+            .collect()
+    }
+
+    fn config(k: usize, cap: usize, first_preference: bool) -> EnumerationConfig {
+        EnumerationConfig {
+            k,
+            max_delivered_paths: (cap > 0).then_some(cap),
+            stored_path_limit: 0,
+            enforce_first_preference: first_preference,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arrival_runs_reproduce_the_per_path_profile(
+            seed in 0u64..1_000_000,
+            k in 1usize..8,
+            cap in 0usize..40,
+            first_preference in 0u8..2,
+            n in 1usize..30,
+        ) {
+            let config = config(k, cap, first_preference == 1);
+            for result in random_enumerations(seed, &config) {
+                assert_runs_match_per_path(&result, n);
+            }
+        }
+    }
+
+    #[test]
+    fn arrival_runs_match_on_truncated_and_exploded_runs() {
+        // The property above over a fixed seed range, counting that capped
+        // runs truncate and small budgets explode, so both stops are
+        // covered whatever the proptest draws.
+        let (mut truncated, mut exploded, mut bursts) = (0, 0, 0);
+        for seed in 0..40u64 {
+            for config in [config(2, 5, true), config(3, 0, false), config(8, 12, false)] {
+                for result in random_enumerations(seed, &config) {
+                    assert_runs_match_per_path(&result, 3);
+                    truncated += usize::from(result.truncated);
+                    exploded += usize::from(result.exploded);
+                    let profile = ExplosionProfile::with_threshold(&result, 3);
+                    bursts += usize::from(profile.arrival_runs.len() < profile.total_paths);
+                }
+            }
+        }
+        assert!(truncated > 10 && exploded > 10 && bursts > 10, "{truncated} {exploded} {bursts}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use psn::experiments::hop_rates::run_hop_rate_study;
 use psn::experiments::paths_taken::run_paths_taken;
 use psn::prelude::*;
 use psn::report::TextRenderer;
-use psn_forwarding::HistoryTimeline;
+use psn_forwarding::{HistoryTimeline, Recording};
 use psn_trace::ContactSummary;
 use std::sync::Arc;
 
@@ -92,6 +92,7 @@ fn figures_9_10_11_13_forwarding_study_renders() {
         10.0,
         workload,
         1,
+        Recording::HopPaths,
         0,
     );
 
