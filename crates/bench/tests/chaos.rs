@@ -412,3 +412,142 @@ fn cli_exit_codes_distinguish_failure_classes() {
     assert!(panicked_err.contains("panicked"), "{panicked_err}");
     assert!(panicked_err.contains("--keep-going"), "{panicked_err}");
 }
+
+/// Arrays nested far deeper than the JSON reader's bound: without the
+/// bound, reading them overflows the stack and aborts the process.
+fn deeply_nested(depth: usize) -> String {
+    format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+}
+
+#[test]
+fn cli_a_deeply_nested_cached_payload_is_quarantined_and_rebuilt() {
+    let dir = temp_dir("cli-nested");
+    let config = repo_path("scenarios/homogeneous.toml");
+    let args = [
+        "run",
+        "--config",
+        config.to_str().unwrap(),
+        "--study",
+        "activity",
+        "--cache",
+        dir.to_str().unwrap(),
+    ];
+    let cold = psn_study(&args);
+    assert_eq!(exit_code(&cold), 0, "{}", String::from_utf8_lossy(&cold.stderr));
+
+    let payloads: Vec<PathBuf> = std::fs::read_dir(dir.join("results"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    assert_eq!(payloads.len(), 1, "one activity cell caches one result payload");
+    std::fs::write(&payloads[0], deeply_nested(200_000)).unwrap();
+
+    let healed = psn_study(&args);
+    let healed_err = String::from_utf8_lossy(&healed.stderr);
+    assert_eq!(exit_code(&healed), 0, "{healed_err}");
+    assert!(healed_err.contains("nesting bound"), "{healed_err}");
+    assert_eq!(cold.stdout, healed.stdout, "the rebuilt report must be byte-identical");
+    let quarantined = dir.join("corrupt").join(payloads[0].file_name().unwrap());
+    assert!(quarantined.exists(), "the nested payload must land in corrupt/");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Tokens spliced into the shipped configs: overflowing and non-finite
+/// numbers, string and escape openers, nulls, brackets and line structure.
+const FUZZ_TOKENS: &[&str] = &[
+    "inf",
+    "-1",
+    "0",
+    "1e999",
+    "4294967296",
+    "null",
+    "\"",
+    "\\u",
+    "\\ud800",
+    "[",
+    "]",
+    "{",
+    "}",
+    "[[1]]",
+    "[\"a\"]",
+    "=",
+    ",",
+    ":",
+    "#",
+    "\n",
+    "\n[",
+];
+
+#[test]
+fn cli_mutated_configs_exit_0_2_or_3_never_abort() {
+    // Every outside input either succeeds or fails with a typed error:
+    // `plan` and `sweep --dry` read the config and plan without running,
+    // so each mutant must exit 0, 2 (usage) or 3 (config). A signal (an
+    // abort such as a stack overflow) or a panic's 101 fails the test;
+    // `catch_unwind` in process cannot see the former.
+    let dir = temp_dir("cli-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(repo_path("scenarios"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 6, "expected the shipped scenario files");
+
+    // A fixed-seed xorshift keeps the mutant set identical on every run.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let mut mutants: Vec<(String, String)> = Vec::new();
+    for path in &paths {
+        let ext = path.extension().unwrap().to_str().unwrap().to_string();
+        let seed: Vec<char> = std::fs::read_to_string(path).unwrap().chars().collect();
+        for _ in 0..8 {
+            let mut text = seed.clone();
+            for _ in 0..1 + next(3) {
+                let at = next(text.len() + 1);
+                let token: Vec<char> = FUZZ_TOKENS[next(FUZZ_TOKENS.len())].chars().collect();
+                // Splice the token in, or let it replace a few chars.
+                let end = (at + next(2) * token.len()).min(text.len());
+                text.splice(at..end, token);
+            }
+            mutants.push((ext.clone(), text.into_iter().collect()));
+        }
+    }
+    let depth = 200_000;
+    mutants.extend([
+        ("json".to_string(), format!("{}1{}", "{\"a\": ".repeat(depth), "}".repeat(depth))),
+        (
+            "json".to_string(),
+            format!("{{\"kind\": \"scaled\", \"nodes\": {}}}", deeply_nested(depth)),
+        ),
+        ("toml".to_string(), format!("kind = \"scaled\"\nnodes = {}\n", deeply_nested(depth))),
+    ]);
+
+    for (i, (ext, text)) in mutants.iter().enumerate() {
+        let path = dir.join(format!("mutant-{i}.{ext}"));
+        std::fs::write(&path, text).unwrap();
+        let config = path.to_str().unwrap();
+        for args in [
+            &["plan", "--config", config, "--study", "activity"][..],
+            &["sweep", "--config", config, "--dry"][..],
+        ] {
+            let out = psn_study(args);
+            let code = out.status.code();
+            assert!(
+                matches!(code, Some(0 | 2 | 3)),
+                "{args:?} exited {code:?} (want 0, 2 or 3) on:\n{}\nstderr: {}",
+                text.chars().take(2000).collect::<String>(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

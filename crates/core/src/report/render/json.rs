@@ -10,11 +10,14 @@
 //! reconstructs a [`ReportDoc`] exactly: floats are emitted in Rust's
 //! shortest round-trip form, integers without a decimal point, so
 //! `parse(render(doc)) == doc` (pinned by round-trip tests for all six
-//! studies). Like the scenario config formats, the implementation is
-//! self-contained because the build environment vendors a marker-only
-//! serde.
+//! studies). Parsing goes through [`psn_trace::json`], the reader scenario
+//! configs use too, so a cached payload nested past its bound fails with a
+//! [`ReportJsonError`] (and is quarantined) instead of overflowing the
+//! stack.
 
 use std::fmt::Write as _;
+
+use psn_trace::json::{self, escape, fmt_f64, Json};
 
 use crate::report::model::{
     Block, CellValue, Column, NumberFormat, ReportDoc, RunMeta, Scalar, Section, Series, Table,
@@ -68,7 +71,7 @@ impl JsonRenderer {
 
     /// Parses a `psn-report/1` document back into a [`ReportDoc`].
     pub fn parse(&self, text: &str) -> Result<ReportDoc, ReportJsonError> {
-        let value = parse::parse(text)?;
+        let value = json::parse(text).map_err(|e| ReportJsonError::new(e.to_string()))?;
         let obj = value.as_obj("document")?;
         let schema = obj.get_str("schema")?;
         if schema != "psn-report/1" {
@@ -93,34 +96,6 @@ impl Renderer for JsonRenderer {
 }
 
 // ----- emission -------------------------------------------------------------
-
-/// Formats a float in shortest round-trip form; integral values keep a
-/// trailing `.0` so the parser can tell float cells from integer cells.
-fn fmt_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "report values must be finite");
-    format!("{v:?}")
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            // RFC 8259 requires escaping every other control character
-            // too; strict parsers (python's json, the CI smoke step)
-            // reject them raw.
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            other => out.push(other),
-        }
-    }
-    out
-}
 
 /// A small pretty-printing JSON writer: objects and arrays indent by two
 /// spaces; `compact` regions (rows, points) stay on one line.
@@ -212,6 +187,13 @@ impl Writer {
         self.out.push_str(s);
     }
 
+    /// Writes a float; integral values keep their `.0`, so the parser
+    /// tells float cells from integer cells.
+    fn float(&mut self, v: f64) {
+        debug_assert!(v.is_finite(), "report values must be finite");
+        self.out.push_str(&fmt_f64(v));
+    }
+
     fn finish(mut self) -> String {
         self.out.push('\n');
         self.out
@@ -247,7 +229,7 @@ fn write_scalar(w: &mut Writer, scalar: &Scalar) {
     w.key("name");
     w.string(&scalar.name);
     w.key("value");
-    w.raw(&fmt_f64(scalar.value));
+    w.float(scalar.value);
     w.key("unit");
     match &scalar.unit {
         Some(unit) => w.string(unit),
@@ -283,7 +265,7 @@ fn write_table(w: &mut Writer, table: &Table) {
         for cell in row {
             w.item();
             match cell {
-                CellValue::Float(v) => w.raw(&fmt_f64(*v)),
+                CellValue::Float(v) => w.float(*v),
                 CellValue::Int(v) => w.raw(&v.to_string()),
                 CellValue::Text(t) => w.string(t),
                 CellValue::Missing => w.raw("null"),
@@ -314,9 +296,9 @@ fn write_series(w: &mut Writer, series: &Series) {
         w.begin_compact();
         w.open_arr();
         w.item();
-        w.raw(&fmt_f64(x));
+        w.float(x);
         w.item();
-        w.raw(&fmt_f64(y));
+        w.float(y);
         w.close_arr();
         w.end_compact();
     }
@@ -342,7 +324,7 @@ fn write_section(w: &mut Writer, section: &Section) {
             w.key("nodes");
             w.raw(&run.nodes.to_string());
             w.key("window_seconds");
-            w.raw(&fmt_f64(run.window_seconds));
+            w.float(run.window_seconds);
             w.close_obj();
             w.end_compact();
         }
@@ -398,263 +380,79 @@ fn write_section(w: &mut Writer, section: &Section) {
 
 // ----- parsing --------------------------------------------------------------
 
-mod parse {
-    use super::ReportJsonError;
+/// Typed accessors over the shared reader's values, failing with a
+/// [`ReportJsonError`] that names the field.
+trait JsonExt {
+    fn as_obj(&self, what: &str) -> Result<ObjView<'_>, ReportJsonError>;
+    fn as_f64(&self, what: &str) -> Result<f64, ReportJsonError>;
+    fn as_u64(&self, what: &str) -> Result<u64, ReportJsonError>;
+    fn as_str(&self, what: &str) -> Result<&str, ReportJsonError>;
+    fn as_arr(&self, what: &str) -> Result<&[Json], ReportJsonError>;
+}
 
-    /// A parsed JSON value. Integer-looking number tokens (no `.`/`e`) stay
-    /// integers so typed cells round-trip exactly.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        Null,
-        Int(u64),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
+fn expected(what: &str, kind: &str, got: &Json) -> ReportJsonError {
+    ReportJsonError::new(format!("{what}: expected {kind}, got {got:?}"))
+}
 
-    impl Json {
-        pub fn as_obj(&self, what: &str) -> Result<ObjView<'_>, ReportJsonError> {
-            match self {
-                Json::Obj(fields) => Ok(ObjView(fields)),
-                other => {
-                    Err(ReportJsonError::new(format!("{what}: expected object, got {other:?}")))
-                }
-            }
-        }
-
-        pub fn as_f64(&self, what: &str) -> Result<f64, ReportJsonError> {
-            match self {
-                Json::Num(v) => Ok(*v),
-                Json::Int(v) => Ok(*v as f64),
-                other => {
-                    Err(ReportJsonError::new(format!("{what}: expected number, got {other:?}")))
-                }
-            }
-        }
-
-        pub fn as_u64(&self, what: &str) -> Result<u64, ReportJsonError> {
-            match self {
-                Json::Int(v) => Ok(*v),
-                other => {
-                    Err(ReportJsonError::new(format!("{what}: expected integer, got {other:?}")))
-                }
-            }
-        }
-
-        pub fn as_str(&self, what: &str) -> Result<&str, ReportJsonError> {
-            match self {
-                Json::Str(s) => Ok(s),
-                other => {
-                    Err(ReportJsonError::new(format!("{what}: expected string, got {other:?}")))
-                }
-            }
-        }
-
-        pub fn as_arr(&self, what: &str) -> Result<&[Json], ReportJsonError> {
-            match self {
-                Json::Arr(items) => Ok(items),
-                other => {
-                    Err(ReportJsonError::new(format!("{what}: expected array, got {other:?}")))
-                }
-            }
+impl JsonExt for Json {
+    fn as_obj(&self, what: &str) -> Result<ObjView<'_>, ReportJsonError> {
+        match self {
+            Json::Obj(fields) => Ok(ObjView(fields)),
+            other => Err(expected(what, "object", other)),
         }
     }
 
-    /// A field-accessor view over an object value.
-    #[derive(Clone, Copy)]
-    pub struct ObjView<'a>(&'a [(String, Json)]);
-
-    impl<'a> ObjView<'a> {
-        pub fn get(&self, key: &str) -> Result<&'a Json, ReportJsonError> {
-            self.0
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ReportJsonError::new(format!("missing field {key:?}")))
-        }
-
-        pub fn get_str(&self, key: &str) -> Result<&'a str, ReportJsonError> {
-            self.get(key)?.as_str(key)
-        }
-
-        pub fn get_arr(&self, key: &str) -> Result<&'a [Json], ReportJsonError> {
-            self.get(key)?.as_arr(key)
+    fn as_f64(&self, what: &str) -> Result<f64, ReportJsonError> {
+        match self {
+            Json::Num(v) => Ok(*v),
+            Json::Int(v) => Ok(*v as f64),
+            other => Err(expected(what, "number", other)),
         }
     }
 
-    struct Parser<'a> {
-        chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-        text: &'a str,
-    }
-
-    impl<'a> Parser<'a> {
-        fn error(&mut self, message: &str) -> ReportJsonError {
-            let at = self.chars.peek().map(|&(i, _)| i).unwrap_or(self.text.len());
-            ReportJsonError::new(format!("offset {at}: {message}"))
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.chars.peek(), Some(&(_, c)) if c.is_whitespace()) {
-                self.chars.next();
-            }
-        }
-
-        fn peek(&mut self) -> Option<char> {
-            self.skip_ws();
-            self.chars.peek().map(|&(_, c)| c)
-        }
-
-        fn expect(&mut self, want: char) -> Result<(), ReportJsonError> {
-            self.skip_ws();
-            match self.chars.next() {
-                Some((_, c)) if c == want => Ok(()),
-                _ => Err(self.error(&format!("expected {want:?}"))),
-            }
-        }
-
-        fn parse_string(&mut self) -> Result<String, ReportJsonError> {
-            self.expect('"')?;
-            let mut out = String::new();
-            loop {
-                match self.chars.next() {
-                    Some((_, '"')) => return Ok(out),
-                    Some((_, '\\')) => match self.chars.next() {
-                        Some((_, '"')) => out.push('"'),
-                        Some((_, '\\')) => out.push('\\'),
-                        Some((_, 'n')) => out.push('\n'),
-                        Some((_, 't')) => out.push('\t'),
-                        Some((_, 'r')) => out.push('\r'),
-                        Some((_, '/')) => out.push('/'),
-                        Some((_, 'u')) => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let digit = self
-                                    .chars
-                                    .next()
-                                    .and_then(|(_, c)| c.to_digit(16))
-                                    .ok_or_else(|| ReportJsonError::new("invalid \\u escape"))?;
-                                code = code * 16 + digit;
-                            }
-                            // Surrogate pairs are not produced by our
-                            // emitter (it only escapes control chars);
-                            // reject them rather than mis-decode.
-                            let c = char::from_u32(code).ok_or_else(|| {
-                                ReportJsonError::new("unsupported \\u surrogate escape")
-                            })?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.error("unsupported string escape")),
-                    },
-                    Some((_, c)) => out.push(c),
-                    None => return Err(self.error("unterminated string")),
-                }
-            }
-        }
-
-        fn parse_number(&mut self) -> Result<Json, ReportJsonError> {
-            self.skip_ws();
-            let start = match self.chars.peek() {
-                Some(&(i, _)) => i,
-                None => return Err(self.error("expected a number")),
-            };
-            let mut end = start;
-            while let Some(&(i, c)) = self.chars.peek() {
-                if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                    end = i + c.len_utf8();
-                    self.chars.next();
-                } else {
-                    break;
-                }
-            }
-            let token = &self.text[start..end];
-            if !token.contains(['.', 'e', 'E']) {
-                if let Ok(v) = token.parse::<u64>() {
-                    return Ok(Json::Int(v));
-                }
-            }
-            token
-                .parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| ReportJsonError::new(format!("invalid number {token:?}")))
-        }
-
-        fn parse_value(&mut self) -> Result<Json, ReportJsonError> {
-            match self.peek() {
-                Some('{') => {
-                    self.expect('{')?;
-                    let mut fields = Vec::new();
-                    if self.peek() == Some('}') {
-                        self.chars.next();
-                        return Ok(Json::Obj(fields));
-                    }
-                    loop {
-                        self.skip_ws();
-                        let key = self.parse_string()?;
-                        self.expect(':')?;
-                        let value = self.parse_value()?;
-                        fields.push((key, value));
-                        match self.peek() {
-                            Some(',') => {
-                                self.chars.next();
-                            }
-                            Some('}') => {
-                                self.chars.next();
-                                return Ok(Json::Obj(fields));
-                            }
-                            _ => return Err(self.error("expected ',' or '}'")),
-                        }
-                    }
-                }
-                Some('[') => {
-                    self.expect('[')?;
-                    let mut items = Vec::new();
-                    if self.peek() == Some(']') {
-                        self.chars.next();
-                        return Ok(Json::Arr(items));
-                    }
-                    loop {
-                        items.push(self.parse_value()?);
-                        match self.peek() {
-                            Some(',') => {
-                                self.chars.next();
-                            }
-                            Some(']') => {
-                                self.chars.next();
-                                return Ok(Json::Arr(items));
-                            }
-                            _ => return Err(self.error("expected ',' or ']'")),
-                        }
-                    }
-                }
-                Some('"') => Ok(Json::Str(self.parse_string()?)),
-                Some('n') => {
-                    for want in ['n', 'u', 'l', 'l'] {
-                        match self.chars.next() {
-                            Some((_, c)) if c == want => {}
-                            _ => return Err(self.error("expected null")),
-                        }
-                    }
-                    Ok(Json::Null)
-                }
-                _ => self.parse_number(),
-            }
+    fn as_u64(&self, what: &str) -> Result<u64, ReportJsonError> {
+        match self {
+            Json::Int(v) => Ok(*v),
+            other => Err(expected(what, "integer", other)),
         }
     }
 
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Json, ReportJsonError> {
-        let mut parser = Parser { chars: text.char_indices().peekable(), text };
-        let value = parser.parse_value()?;
-        parser.skip_ws();
-        if parser.chars.next().is_some() {
-            return Err(ReportJsonError::new("trailing content after the document"));
+    fn as_str(&self, what: &str) -> Result<&str, ReportJsonError> {
+        match self {
+            Json::Str(s) => Ok(s),
+            other => Err(expected(what, "string", other)),
         }
-        Ok(value)
+    }
+
+    fn as_arr(&self, what: &str) -> Result<&[Json], ReportJsonError> {
+        match self {
+            Json::Arr(items) => Ok(items),
+            other => Err(expected(what, "array", other)),
+        }
     }
 }
 
-use parse::Json;
+/// A field-accessor view over an object value.
+#[derive(Clone, Copy)]
+struct ObjView<'a>(&'a [(String, Json)]);
+
+impl<'a> ObjView<'a> {
+    fn get(&self, key: &str) -> Result<&'a Json, ReportJsonError> {
+        self.0
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .ok_or_else(|| ReportJsonError::new(format!("missing field {key:?}")))
+    }
+
+    fn get_str(&self, key: &str) -> Result<&'a str, ReportJsonError> {
+        self.get(key)?.as_str(key)
+    }
+
+    fn get_arr(&self, key: &str) -> Result<&'a [Json], ReportJsonError> {
+        self.get(key)?.as_arr(key)
+    }
+}
 
 fn read_format(value: &Json) -> Result<NumberFormat, ReportJsonError> {
     match value {
@@ -912,6 +710,14 @@ mod tests {
         assert!(json.contains("\\u000b") && json.contains("\\u001f"), "{json}");
         assert!(!json.contains('\u{0B}'), "{json:?}");
         assert_eq!(JsonRenderer.parse(&json).unwrap(), doc);
+    }
+
+    #[test]
+    fn deeply_nested_payloads_are_an_error_not_a_stack_overflow() {
+        let depth = 200_000;
+        let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let err = JsonRenderer.parse(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting bound"), "{err}");
     }
 
     #[test]

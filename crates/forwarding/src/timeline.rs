@@ -33,8 +33,8 @@
 //! `4·n²`-byte pair index.
 
 use psn_spacetime::{IncrementalSlotter, SpaceTimeGraph};
-use psn_trace::stream::slot_end_time;
-use psn_trace::{ContactStream, ContactTrace, NodeId, Seconds, StreamError, TraceEventStream};
+use psn_trace::stream::{fold_trace, slot_end_time};
+use psn_trace::{ContactStream, ContactTrace, NodeId, Seconds, StreamError};
 
 use crate::history::ContactKnowledge;
 
@@ -330,22 +330,14 @@ impl HistoryTimeline {
     /// Folds the history evolution of a trace at slot length `delta`
     /// through [`HistoryTimeline::from_stream`] — bit-identical to
     /// [`HistoryTimeline::build`] over the trace's graph, without building
-    /// one. A trace whose contacts are out of start-time order (the only
-    /// error a trace stream reports) is folded from a sorted copy.
+    /// one ([`psn_trace::stream::fold_trace`] streams an unsorted trace
+    /// from a sorted copy).
     ///
     /// # Panics
     ///
     /// Panics if `delta` is not strictly positive and finite.
     pub fn from_trace(trace: &ContactTrace, delta: Seconds) -> Self {
-        let fold =
-            |trace: &ContactTrace| Self::from_stream(&mut TraceEventStream::new(trace, delta));
-        fold(trace)
-            .or_else(|_| {
-                let mut sorted = trace.clone();
-                sorted.sort();
-                fold(&sorted)
-            })
-            .expect("a start-sorted trace streams in order")
+        fold_trace(trace, delta, |events| Self::from_stream(events))
     }
 
     /// Number of nodes tracked.
@@ -537,6 +529,7 @@ mod tests {
     use psn_trace::contact::Contact;
     use psn_trace::node::{NodeClass, NodeRegistry};
     use psn_trace::trace::{ContactTrace, TimeWindow};
+    use psn_trace::TraceEventStream;
 
     fn nid(v: u32) -> NodeId {
         NodeId(v)

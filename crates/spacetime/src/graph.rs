@@ -16,7 +16,7 @@
 //! the memory footprint proportional to the number of (contact × slot)
 //! incidences.
 
-use psn_trace::stream::{self, slot_count};
+use psn_trace::stream;
 use psn_trace::{ContactTrace, NodeId, Seconds, TimeWindow};
 
 /// The paper's default discretization step (10 seconds).
@@ -218,35 +218,14 @@ pub struct SpaceTimeGraph {
 
 impl SpaceTimeGraph {
     /// Builds the space-time graph of `trace` with discretization step
-    /// `delta` (seconds).
+    /// `delta` (seconds): the [`crate::stream_graph`] fold over the trace's
+    /// event stream ([`stream::fold_trace`]).
     ///
     /// # Panics
     ///
     /// Panics if `delta` is not strictly positive.
     pub fn build(trace: &ContactTrace, delta: Seconds) -> Self {
-        let node_count = trace.node_count();
-        let window = trace.window();
-        let num_slots = slot_count(window, delta);
-
-        // Collect per-slot edge lists first, then dedupe and build adjacency.
-        let mut slot_edges: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); num_slots];
-        for c in trace.contacts() {
-            // Slot s (0-based) covers [window.start + s*delta, window.start + (s+1)*delta).
-            let rel_start = c.start - window.start;
-            let rel_end = c.end - window.start;
-            let first_slot = (rel_start / delta).floor() as usize;
-            let last_slot = ((rel_end / delta).floor() as usize).min(num_slots - 1);
-            for edges in slot_edges.iter_mut().take(last_slot + 1).skip(first_slot) {
-                edges.push((c.a, c.b));
-            }
-        }
-
-        let slots: Vec<Slot> =
-            slot_edges.into_iter().map(|edges| Slot::seal(node_count, edges)).collect();
-        let busy_slots =
-            slots.iter().enumerate().filter(|(_, s)| !s.edges.is_empty()).map(|(i, _)| i).collect();
-
-        Self { delta, node_count, slots, busy_slots, window }
+        stream::fold_trace(trace, delta, |events| crate::stream_graph(events))
     }
 
     /// Builds the graph with the paper's Δ = 10 s.
@@ -471,6 +450,21 @@ mod tests {
         assert_eq!(g.edge_count(1), 3);
         assert!(g.same_component(1, NodeId(0), NodeId(2)));
         assert!(!g.same_component(0, NodeId(0), NodeId(2)));
+    }
+
+    #[test]
+    fn a_trace_pushed_out_of_start_order_builds_the_same_graph() {
+        let sorted = figure2_trace(10.0);
+        let mut unsorted = ContactTrace::new("figure2", sorted.nodes().clone(), sorted.window());
+        for c in sorted.contacts().iter().rev() {
+            unsorted.push(*c).unwrap();
+        }
+        let (a, b) =
+            (SpaceTimeGraph::build_default(&sorted), SpaceTimeGraph::build_default(&unsorted));
+        assert_eq!(a.busy_slots(), b.busy_slots());
+        for s in 0..a.slot_count() {
+            assert_eq!(a.slot(s), b.slot(s), "slot {s}");
+        }
     }
 
     #[test]

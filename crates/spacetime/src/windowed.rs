@@ -222,10 +222,9 @@ impl IncrementalSlotter {
     }
 }
 
-/// Drains `stream` into a fully materialized [`SpaceTimeGraph`].
-///
-/// The result is bit-identical to [`SpaceTimeGraph::build`] on the
-/// materialized trace — the property the streaming differential tests pin.
+/// Drains `stream` into a fully materialized [`SpaceTimeGraph`] —
+/// [`SpaceTimeGraph::build`] is this fold over a trace's event stream, so
+/// a streamed source and its materialized trace give the same graph.
 pub fn stream_graph<S: ContactStream>(stream: &mut S) -> Result<SpaceTimeGraph, StreamError> {
     let node_count = stream.node_count();
     let window = stream.window();

@@ -44,6 +44,7 @@ pub mod contact;
 pub mod datasets;
 pub mod fingerprint;
 pub mod generator;
+pub mod json;
 pub mod node;
 pub mod parser;
 pub mod rates;

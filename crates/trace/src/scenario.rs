@@ -12,10 +12,12 @@
 //! Scenarios are **config-file loadable**. The build environment vendors a
 //! marker-only serde stand-in (no registry access), so the text formats are
 //! implemented here directly: a TOML subset (flat `key = value` pairs plus
-//! one level of `[table]` nesting) and the equivalent JSON object. The same
-//! document model backs both, and [`ScenarioConfig::to_toml_string`] /
-//! [`ScenarioConfig::to_json_string`] round-trip exactly (property-tested),
-//! so configs can be generated, archived and replayed byte-for-byte. When
+//! one level of `[table]` nesting) and the equivalent JSON object, read by
+//! the workspace's one JSON reader ([`crate::json`]), whose string escapes
+//! the TOML strings share. The same document model backs both, and
+//! [`ScenarioConfig::to_toml_string`] / [`ScenarioConfig::to_json_string`]
+//! round-trip exactly (property-tested), so configs can be generated,
+//! archived and replayed byte-for-byte. When
 //! the real serde is swapped in (see ROADMAP), the derive markers on the
 //! underlying config structs already advertise the right trait bounds.
 //!
@@ -500,6 +502,7 @@ fn activity_to_table(activity: &ActivityProfile) -> doc::Table {
 /// ([`crate::sweep`]) reuses the same frontends.
 pub(crate) mod doc {
     use super::ScenarioError;
+    use crate::json::{self, escape, fmt_f64, Json};
     use std::collections::BTreeMap;
 
     /// A parsed scalar, array or nested table.
@@ -721,65 +724,13 @@ pub(crate) mod doc {
         }
     }
 
-    /// Formats an `f64` in shortest round-trip form (Rust's `{:?}`), which
-    /// both frontends parse back exactly.
-    fn fmt_f64(v: f64) -> String {
-        format!("{v:?}")
-    }
-
-    /// Escapes a string for emission; TOML basic strings and JSON share
-    /// this escape set, so one helper serves both writers.
-    fn escape_string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '\\' => out.push_str("\\\\"),
-                '"' => out.push_str("\\\""),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                other => out.push(other),
-            }
-        }
-        out
-    }
-
-    /// Reverses [`escape_string`].
-    fn unescape_string(s: &str, context: &str) -> Result<String, ScenarioError> {
-        let mut out = String::with_capacity(s.len());
-        let mut chars = s.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next() {
-                Some('\\') => out.push('\\'),
-                Some('"') => out.push('"'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                other => {
-                    return Err(ScenarioError::new(format!(
-                        "{context}: unsupported string escape \\{}",
-                        other.map(String::from).unwrap_or_default()
-                    )))
-                }
-            }
-        }
-        Ok(out)
-    }
-
+    /// Reads a TOML number literal with the JSON reader's number rule.
     fn parse_number(text: &str, context: &str) -> Result<Value, ScenarioError> {
-        let is_float = text.contains(['.', 'e', 'E', '-', '+']);
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Int(v));
-            }
+        match json::parse_number(text) {
+            Some(Json::Int(v)) => Ok(Value::Int(v)),
+            Some(Json::Num(v)) => Ok(Value::Num(v)),
+            _ => Err(ScenarioError::new(format!("{context}: invalid number {text:?}"))),
         }
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| ScenarioError::new(format!("{context}: invalid number {text:?}")))
     }
 
     // ----- TOML frontend --------------------------------------------------
@@ -831,7 +782,9 @@ pub(crate) mod doc {
                     "{context}: trailing content after string"
                 )));
             }
-            return unescape_string(&rest[..end], context).map(Value::Str);
+            return json::decode_string(&rest[..end])
+                .map(Value::Str)
+                .map_err(|e| ScenarioError::new(format!("{context}: {}", e.message())));
         }
         if let Some(inner) = text.strip_prefix('[') {
             let inner = inner
@@ -902,7 +855,7 @@ pub(crate) mod doc {
         match value {
             Value::Int(v) => out.push_str(&format!("{key} = {v}\n")),
             Value::Num(v) => out.push_str(&format!("{key} = {}\n", fmt_f64(*v))),
-            Value::Str(v) => out.push_str(&format!("{key} = \"{}\"\n", escape_string(v))),
+            Value::Str(v) => out.push_str(&format!("{key} = \"{}\"\n", escape(v))),
             Value::Arr(v) => {
                 let items: Vec<String> = v.iter().map(|x| fmt_f64(*x)).collect();
                 out.push_str(&format!("{key} = [{}]\n", items.join(", ")));
@@ -932,146 +885,46 @@ pub(crate) mod doc {
 
     // ----- JSON frontend --------------------------------------------------
 
-    struct JsonParser<'a> {
-        chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-        text: &'a str,
-    }
-
-    impl<'a> JsonParser<'a> {
-        fn new(text: &'a str) -> Self {
-            Self { chars: text.char_indices().peekable(), text }
-        }
-
-        fn error(&mut self, message: &str) -> ScenarioError {
-            let at = self.chars.peek().map(|&(i, _)| i).unwrap_or(self.text.len());
-            ScenarioError::new(format!("json offset {at}: {message}"))
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.chars.peek(), Some(&(_, c)) if c.is_whitespace()) {
-                self.chars.next();
-            }
-        }
-
-        fn expect(&mut self, want: char) -> Result<(), ScenarioError> {
-            self.skip_ws();
-            match self.chars.next() {
-                Some((_, c)) if c == want => Ok(()),
-                _ => Err(self.error(&format!("expected {want:?}"))),
-            }
-        }
-
-        fn peek(&mut self) -> Option<char> {
-            self.skip_ws();
-            self.chars.peek().map(|&(_, c)| c)
-        }
-
-        fn parse_string(&mut self) -> Result<String, ScenarioError> {
-            self.expect('"')?;
-            let mut out = String::new();
-            loop {
-                match self.chars.next() {
-                    Some((_, '"')) => return Ok(out),
-                    Some((_, '\\')) => match self.chars.next() {
-                        Some((_, '"')) => out.push('"'),
-                        Some((_, '\\')) => out.push('\\'),
-                        Some((_, 'n')) => out.push('\n'),
-                        Some((_, 't')) => out.push('\t'),
-                        Some((_, 'r')) => out.push('\r'),
-                        _ => return Err(self.error("unsupported string escape")),
-                    },
-                    Some((_, c)) => out.push(c),
-                    None => return Err(self.error("unterminated string")),
-                }
-            }
-        }
-
-        fn parse_scalar_number(&mut self) -> Result<Value, ScenarioError> {
-            self.skip_ws();
-            let start = match self.chars.peek() {
-                Some(&(i, _)) => i,
-                None => return Err(self.error("expected a number")),
-            };
-            let mut end = start;
-            while let Some(&(i, c)) = self.chars.peek() {
-                if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                    end = i + c.len_utf8();
-                    self.chars.next();
-                } else {
-                    break;
-                }
-            }
-            parse_number(&self.text[start..end], "json")
-        }
-
-        fn parse_table(&mut self, context: &str) -> Result<Table, ScenarioError> {
-            self.expect('{')?;
-            let mut table = Table::new(context);
-            if self.peek() == Some('}') {
-                self.chars.next();
-                return Ok(table);
-            }
-            loop {
-                self.skip_ws();
-                let key = self.parse_string()?;
-                self.expect(':')?;
-                let value = self.parse_value(&key)?;
-                table.insert(&key, value);
-                match self.peek() {
-                    Some(',') => {
-                        self.chars.next();
-                    }
-                    Some('}') => {
-                        self.chars.next();
-                        return Ok(table);
-                    }
-                    _ => return Err(self.error("expected ',' or '}'")),
-                }
-            }
-        }
-
-        fn parse_value(&mut self, context: &str) -> Result<Value, ScenarioError> {
-            match self.peek() {
-                Some('{') => Ok(Value::Table(self.parse_table(context)?)),
-                Some('"') => Ok(Value::Str(self.parse_string()?)),
-                Some('[') => {
-                    self.chars.next();
-                    let mut items = Vec::new();
-                    if self.peek() == Some(']') {
-                        self.chars.next();
-                        return Ok(Value::Arr(items));
-                    }
-                    loop {
-                        let item = match self.parse_scalar_number()? {
-                            Value::Int(v) => v as f64,
-                            Value::Num(v) => v,
-                            _ => unreachable!("parse_scalar_number returns numbers"),
-                        };
-                        items.push(item);
-                        match self.peek() {
-                            Some(',') => {
-                                self.chars.next();
-                            }
-                            Some(']') => {
-                                self.chars.next();
-                                return Ok(Value::Arr(items));
-                            }
-                            _ => return Err(self.error("expected ',' or ']'")),
-                        }
-                    }
-                }
-                _ => self.parse_scalar_number(),
-            }
-        }
-    }
-
-    /// Parses a JSON object into the shared document model.
+    /// Parses a JSON object into the shared document model with the
+    /// workspace's one JSON reader ([`crate::json`]).
     pub fn parse_json(text: &str) -> Result<Table, ScenarioError> {
-        let mut parser = JsonParser::new(text);
-        let table = parser.parse_table("scenario")?;
-        parser.skip_ws();
-        if parser.chars.next().is_some() {
-            return Err(ScenarioError::new("json: trailing content after the object"));
+        match json::parse(text).map_err(|e| ScenarioError::new(format!("json {e}")))? {
+            Json::Obj(fields) => table_from_json("scenario", fields),
+            _ => Err(ScenarioError::new("json: expected an object")),
+        }
+    }
+
+    /// Converts a JSON object to a [`Table`] in source key order; a nested
+    /// object becomes a table whose context is its key.
+    fn table_from_json(context: &str, fields: Vec<(String, Json)>) -> Result<Table, ScenarioError> {
+        let mut table = Table::new(context);
+        for (key, value) in fields {
+            let value = match value {
+                Json::Int(v) => Value::Int(v),
+                Json::Num(v) => Value::Num(v),
+                Json::Str(s) => Value::Str(s),
+                Json::Obj(inner) => Value::Table(table_from_json(&key, inner)?),
+                Json::Arr(items) => Value::Arr(
+                    items
+                        .into_iter()
+                        .map(|item| match item {
+                            Json::Int(v) => Ok(v as f64),
+                            Json::Num(v) => Ok(v),
+                            other => Err(ScenarioError::new(format!(
+                                "{context}: field {key:?} must be an array of numbers, got \
+                                 {other:?} in it"
+                            ))),
+                        })
+                        .collect::<Result<_, _>>()?,
+                ),
+                Json::Null => {
+                    return Err(ScenarioError::new(format!(
+                        "{context}: field {key:?} must be a number, string, array or table, \
+                         got null"
+                    )))
+                }
+            };
+            table.insert(&key, value);
         }
         Ok(table)
     }
@@ -1081,11 +934,11 @@ pub(crate) mod doc {
         let pad = "  ".repeat(indent + 1);
         for (i, key) in table.order.iter().enumerate() {
             out.push_str(&pad);
-            out.push_str(&format!("\"{key}\": "));
+            out.push_str(&format!("\"{}\": ", escape(key)));
             match &table.entries[key] {
                 Value::Int(v) => out.push_str(&v.to_string()),
                 Value::Num(v) => out.push_str(&fmt_f64(*v)),
-                Value::Str(v) => out.push_str(&format!("\"{}\"", escape_string(v))),
+                Value::Str(v) => out.push_str(&format!("\"{}\"", escape(v))),
                 Value::Arr(v) => {
                     let items: Vec<String> = v.iter().map(|x| fmt_f64(*x)).collect();
                     out.push_str(&format!("[{}]", items.join(", ")));
@@ -1620,24 +1473,87 @@ max_node_rate = 0.05
             "cr\rhere",
             "back\\slash",
             "trailing # not a comment",
+            "control\u{1}char",
         ] {
             let scenario = ScenarioConfig::Scaled(ScaledConfig {
                 name: name.to_string(),
                 ..ScaledConfig::default()
             });
             let toml = scenario.to_toml_string();
+            let json = scenario.to_json_string();
+            // Layout newlines aside, every control character is escaped:
+            // RFC 8259 forbids them raw inside JSON strings.
+            for text in [&toml, &json] {
+                assert!(!text.chars().any(|c| c < ' ' && c != '\n'), "{text:?}");
+            }
             assert_eq!(
                 ScenarioConfig::from_toml_str(&toml).expect("escaped toml reparses"),
                 scenario,
                 "toml:\n{toml}"
             );
-            let json = scenario.to_json_string();
             assert_eq!(
                 ScenarioConfig::from_json_str(&json).expect("escaped json reparses"),
                 scenario,
                 "json:\n{json}"
             );
         }
+    }
+
+    fn scaled_json(fields: &str) -> String {
+        format!("{{\"kind\": \"scaled\", {fields}}}")
+    }
+
+    #[test]
+    fn json_names_accept_unicode_and_solidus_escapes() {
+        let json = scaled_json(r#""name": "\u0041\/B""#);
+        let scenario = ScenarioConfig::from_json_str(&json).expect("escapes parse");
+        assert_eq!(scenario.name(), "A/B");
+    }
+
+    #[test]
+    fn json_null_and_non_numeric_arrays_name_their_key() {
+        let null = "must be a number, string, array or table, got null";
+        let array = "must be an array of numbers";
+        for (fields, want) in [
+            (r#""nodes": null"#, format!("scenario: field \"nodes\" {null}")),
+            (r#""activity": {"profile": null}"#, format!("activity: field \"profile\" {null}")),
+            (r#""window_seconds": ["a"]"#, format!("field \"window_seconds\" {array}")),
+            (r#""window_seconds": [[1]]"#, format!("field \"window_seconds\" {array}")),
+        ] {
+            let err = ScenarioConfig::from_json_str(&scaled_json(fields)).expect_err(fields);
+            assert!(err.to_string().contains(&want), "{fields}: {err}");
+        }
+    }
+
+    #[test]
+    fn digits_only_numbers_are_integers_and_signed_ones_are_not() {
+        let seeded = |seed: &str| {
+            let json = ScenarioConfig::from_json_str(&scaled_json(&format!("\"seed\": {seed}")));
+            let toml =
+                ScenarioConfig::from_toml_str(&format!("kind = \"scaled\"\nseed = {seed}\n"));
+            (json, toml)
+        };
+        let (json, toml) = seeded("7");
+        assert_eq!(json.unwrap().seed(), 7);
+        assert_eq!(toml.unwrap().seed(), 7);
+        let (json, toml) = seeded("+7");
+        for err in [json.unwrap_err(), toml.unwrap_err()] {
+            assert!(err.to_string().contains("\"seed\" must be an integer"), "{err}");
+        }
+        // A signed float still reads as a number.
+        let json = scaled_json(r#""window_seconds": +3600"#);
+        let scenario = ScenarioConfig::from_json_str(&json).expect("signed float parses");
+        assert_eq!(scenario.window_seconds(), 3600.0);
+    }
+
+    #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let depth = 200_000;
+        let deep = format!("{}{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+        let err = ScenarioConfig::from_json_str(&deep).expect_err("too deep");
+        assert!(err.to_string().contains("nesting bound"), "{err}");
+        let arrays = scaled_json(&format!("\"nodes\": {}{}", "[".repeat(depth), "]".repeat(depth)));
+        assert!(ScenarioConfig::from_json_str(&arrays).is_err());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! Slotting follows the space-time convention exactly: with discretization
 //! step Δ and observation window `[start, end)`, slot `s` covers
 //! `[start + s·Δ, start + (s+1)·Δ)`. A contact `[c.start, c.end]` covers
-//! slots `floor((c.start-start)/Δ) ..= min(floor((c.end-start)/Δ), S-1)` —
-//! the same arithmetic `SpaceTimeGraph::build` uses, so a consumer that
-//! folds these events reproduces the materialized graph bit for bit.
+//! slots `floor((c.start-start)/Δ) ..= min(floor((c.end-start)/Δ), S-1)`.
+//! This is the only place contacts are slotted: `SpaceTimeGraph::build`
+//! and the history timeline fold these events too ([`fold_trace`]).
 //!
 //! Ordering contract: events are emitted with non-decreasing slot index, and
 //! within a slot every [`ContactEvent::Down`] precedes every
@@ -197,7 +197,7 @@ impl EventSequencer {
         Self { window, delta, num_slots, downs: BinaryHeap::new(), previous_start: None }
     }
 
-    /// Slots covered by a contact, using the graph builder's arithmetic.
+    /// Slots covered by a contact (the module-level slotting rule).
     fn slots_of(&self, c: &Contact) -> (usize, usize) {
         let rel_start = c.start - self.window.start;
         let rel_end = c.end - self.window.start;
@@ -276,6 +276,34 @@ impl<'a> TraceEventStream<'a> {
     pub fn new(trace: &'a ContactTrace, delta: Seconds) -> Self {
         Self { trace, next_contact: 0, sequencer: EventSequencer::new(trace.window(), delta) }
     }
+}
+
+/// Runs `fold` over the event stream of `trace` at step `delta` — the one
+/// way a materialized trace is slotted. A trace not known to be in
+/// start-time order (contacts pushed out of order) is streamed from a
+/// sorted copy, so the stream never reports [`StreamError::OutOfOrder`].
+///
+/// # Panics
+///
+/// Panics if `delta` is not strictly positive and finite, or if `fold`
+/// fails on an in-order trace stream.
+pub fn fold_trace<T>(
+    trace: &ContactTrace,
+    delta: Seconds,
+    fold: impl FnOnce(&mut TraceEventStream<'_>) -> Result<T, StreamError>,
+) -> T {
+    let sorted;
+    let trace = match trace.is_sorted() {
+        true => trace,
+        false => {
+            let mut copy = trace.clone();
+            copy.sort();
+            sorted = copy;
+            &sorted
+        }
+    };
+    fold(&mut TraceEventStream::new(trace, delta))
+        .unwrap_or_else(|e| unreachable!("a start-sorted trace streams in order: {e}"))
 }
 
 impl ContactStream for TraceEventStream<'_> {

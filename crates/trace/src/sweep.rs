@@ -502,6 +502,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_sweep_json_is_an_error_not_a_stack_overflow() {
+        let depth = 200_000;
+        let deep = format!("{{\"axes\": {}{}}}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+        let err = ScenarioSweep::from_json_str(&deep).expect_err("too deep");
+        assert!(err.to_string().contains("nesting bound"), "{err}");
+    }
+
+    #[test]
     fn sweeps_round_trip_through_toml_and_json() {
         for sweep in [
             grid_sweep(),

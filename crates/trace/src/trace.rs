@@ -184,6 +184,12 @@ impl ContactTrace {
         self.sorted = true;
     }
 
+    /// True while the contacts are known to be in start-time order (see
+    /// [`ContactTrace::sort`]).
+    pub(crate) fn is_sorted(&self) -> bool {
+        self.sorted
+    }
+
     /// Human-readable trace name (e.g. `synthetic-infocom06-0912`).
     pub fn name(&self) -> &str {
         &self.name
