@@ -24,9 +24,12 @@ pub const DEFAULT_DELTA: Seconds = 10.0;
 
 /// One time slot of the space-time graph.
 ///
-/// Besides the adjacency and component labelling, each slot precomputes at
-/// build time the views the enumerator's hot loop needs, so per-message
-/// work never rescans all `n` nodes:
+/// The adjacency is one CSR block (compressed sparse rows): node `i`'s
+/// neighbors are `neighbors[offsets[i]..offsets[i + 1]]`, so a slot costs
+/// a handful of allocations however many nodes it covers. Besides the
+/// adjacency and component labelling, each slot precomputes at build time
+/// the views the enumerator's hot loop needs, so per-message work never
+/// rescans all `n` nodes:
 ///
 /// * `active` — the nodes with at least one contact this slot, ascending;
 /// * `members` — the same nodes grouped contiguously by component label
@@ -34,9 +37,12 @@ pub const DEFAULT_DELTA: Seconds = 10.0;
 ///   group, so a component's member list is a borrowed slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Slot {
-    /// Adjacency among nodes in contact during this slot. `adjacency[i]`
-    /// lists the neighbors of node `i`, deduplicated and sorted.
-    adjacency: Vec<Vec<NodeId>>,
+    /// CSR row offsets, `n + 1` entries: node `i`'s neighbor list is
+    /// `neighbors[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Every node's neighbor list, concatenated in node order; each list
+    /// is deduplicated and ascending.
+    neighbors: Vec<NodeId>,
     /// Connected-component label per node under zero-weight edges. Isolated
     /// nodes get a unique singleton label.
     component: Vec<u32>,
@@ -55,36 +61,6 @@ pub struct Slot {
 }
 
 impl Slot {
-    fn new(adjacency: Vec<Vec<NodeId>>, edges: Vec<(NodeId, NodeId)>) -> Self {
-        let component = components_of(&adjacency);
-        let n = adjacency.len();
-        let active: Vec<NodeId> =
-            (0..n as u32).map(NodeId).filter(|node| !adjacency[node.index()].is_empty()).collect();
-
-        // Group active nodes by component label with a counting pass; the
-        // ascending fill keeps each group sorted.
-        let label_count = component.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let mut sizes = vec![0u32; label_count];
-        for node in &active {
-            sizes[component[node.index()] as usize] += 1;
-        }
-        let mut spans = Vec::with_capacity(label_count);
-        let mut offset = 0u32;
-        for &size in &sizes {
-            spans.push((offset, offset + size));
-            offset += size;
-        }
-        let mut members = vec![NodeId(0); active.len()];
-        let mut cursors: Vec<u32> = spans.iter().map(|&(start, _)| start).collect();
-        for &node in &active {
-            let label = component[node.index()] as usize;
-            members[cursors[label] as usize] = node;
-            cursors[label] += 1;
-        }
-
-        Self { adjacency, component, edges, active, members, spans }
-    }
-
     /// Seals a slot from its raw edge list — unnormalized, unsorted,
     /// possibly containing duplicates — exactly as
     /// [`SpaceTimeGraph::build`] does for each slot. This is the single
@@ -99,16 +75,92 @@ impl Slot {
         }
         edges.sort_unstable();
         edges.dedup();
-        let mut adjacency = vec![Vec::new(); node_count];
+
+        // CSR fill. Count each row's degree into `offsets[i + 1]` and
+        // prefix-sum, so `offsets[i]` is row `i`'s start; the fill then
+        // uses `offsets[i]` as row `i`'s cursor, which leaves it at row
+        // `i + 1`'s start, and one shift restores the row starts. Walking
+        // the sorted, deduplicated `(low, high)` edges appends every
+        // lower neighbor of a node (as `high`, ascending `low`) before any
+        // higher one (as `low`, ascending `high`), so each row comes out
+        // ascending and duplicate-free with no per-row sort.
+        let n = node_count;
+        let mut offsets = vec![0u32; n + 1];
         for &(a, b) in &edges {
-            adjacency[a.index()].push(b);
-            adjacency[b.index()].push(a);
+            offsets[a.index() + 1] += 1;
+            if a != b {
+                offsets[b.index() + 1] += 1;
+            }
         }
-        for list in &mut adjacency {
-            list.sort_unstable();
-            list.dedup();
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
         }
-        Slot::new(adjacency, edges)
+        let mut neighbors = vec![NodeId(0); offsets[n] as usize];
+        for &(a, b) in &edges {
+            neighbors[offsets[a.index()] as usize] = b;
+            offsets[a.index()] += 1;
+            if a != b {
+                neighbors[offsets[b.index()] as usize] = a;
+                offsets[b.index()] += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        let row = |i: usize| offsets[i] as usize..offsets[i + 1] as usize;
+
+        let active: Vec<NodeId> =
+            (0..n).filter(|&i| !row(i).is_empty()).map(|i| NodeId(i as u32)).collect();
+
+        // Component labels by iterative depth-first search, started at each
+        // unlabelled node in ascending order, so label `c` is the `c`-th
+        // component by smallest member. Isolated nodes take a label without
+        // touching the stack; every node pushed is active and pushed once,
+        // so the stack never outgrows `active` and its buffer becomes
+        // `members` below.
+        let mut component = vec![u32::MAX; n];
+        let mut stack: Vec<NodeId> = Vec::with_capacity(active.len());
+        let mut label_count = 0u32;
+        for start in 0..n {
+            if component[start] != u32::MAX {
+                continue;
+            }
+            component[start] = label_count;
+            if !row(start).is_empty() {
+                stack.push(NodeId(start as u32));
+            }
+            while let Some(v) = stack.pop() {
+                for &w in &neighbors[row(v.index())] {
+                    if component[w.index()] == u32::MAX {
+                        component[w.index()] = label_count;
+                        stack.push(w);
+                    }
+                }
+            }
+            label_count += 1;
+        }
+
+        // Group active nodes by component label with a counting pass into
+        // `spans`; the ascending fill keeps each group sorted and leaves
+        // every span at its `(start, end)`.
+        let mut spans = vec![(0u32, 0u32); label_count as usize];
+        for node in &active {
+            spans[component[node.index()] as usize].1 += 1;
+        }
+        let mut start = 0u32;
+        for span in &mut spans {
+            let size = span.1;
+            *span = (start, start);
+            start += size;
+        }
+        let mut members = stack;
+        members.resize(active.len(), NodeId(0));
+        for &node in &active {
+            let span = &mut spans[component[node.index()] as usize];
+            members[span.1 as usize] = node;
+            span.1 += 1;
+        }
+
+        Self { offsets, neighbors, component, edges, active, members, spans }
     }
 
     /// A slot with no contacts over `node_count` nodes. Every node is
@@ -121,17 +173,18 @@ impl Slot {
 
     /// Number of nodes the slot covers.
     pub fn node_count(&self) -> usize {
-        self.adjacency.len()
+        self.component.len()
     }
 
     /// Neighbors of `node` during this slot, deduplicated and ascending.
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.adjacency[node.index()]
+        let i = node.index();
+        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// True if `node` has at least one contact during this slot.
     pub fn has_contacts(&self, node: NodeId) -> bool {
-        !self.adjacency[node.index()].is_empty()
+        self.offsets[node.index()] != self.offsets[node.index() + 1]
     }
 
     /// Connected-component label of `node` under zero-weight edges.
@@ -153,7 +206,7 @@ impl Slot {
     /// All members of `node`'s contact component *including* `node`,
     /// ascending; empty if `node` has no contacts this slot.
     pub fn component_slice(&self, node: NodeId) -> &[NodeId] {
-        if self.adjacency[node.index()].is_empty() {
+        if !self.has_contacts(node) {
             return &[];
         }
         let (start, end) = self.spans[self.component[node.index()] as usize];
@@ -192,12 +245,8 @@ impl Slot {
     /// unit of account for window-budget and artifact-store bookkeeping.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.adjacency.len() * std::mem::size_of::<Vec<NodeId>>()
-            + self
-                .adjacency
-                .iter()
-                .map(|adj| adj.len() * std::mem::size_of::<NodeId>())
-                .sum::<usize>()
+            + self.offsets.len() * std::mem::size_of::<u32>()
+            + self.neighbors.len() * std::mem::size_of::<NodeId>()
             + self.component.len() * std::mem::size_of::<u32>()
             + self.edges.len() * std::mem::size_of::<(NodeId, NodeId)>()
             + (self.active.len() + self.members.len()) * std::mem::size_of::<NodeId>()
@@ -288,31 +337,26 @@ impl SpaceTimeGraph {
     /// Neighbors of `node` during slot `s` (nodes in contact with it at any
     /// time during the slot).
     pub fn neighbors(&self, s: usize, node: NodeId) -> &[NodeId] {
-        &self.slots[s].adjacency[node.index()]
+        self.slots[s].neighbors(node)
     }
 
     /// True if `node` has at least one contact during slot `s`.
     pub fn has_contacts(&self, s: usize, node: NodeId) -> bool {
-        !self.slots[s].adjacency[node.index()].is_empty()
+        self.slots[s].has_contacts(node)
     }
 
     /// Connected-component label of `node` in slot `s` under zero-weight
     /// (contact) edges. Two nodes with the same label can exchange a message
     /// within the slot.
     pub fn component(&self, s: usize, node: NodeId) -> u32 {
-        self.slots[s].component[node.index()]
+        self.slots[s].component(node)
     }
 
     /// True if `a` and `b` can reach each other through zero-weight edges in
     /// slot `s` (they are in the same contact component and at least one of
     /// them has a contact).
     pub fn same_component(&self, s: usize, a: NodeId, b: NodeId) -> bool {
-        if a == b {
-            return true;
-        }
-        self.has_contacts(s, a)
-            && self.has_contacts(s, b)
-            && self.slots[s].component[a.index()] == self.slots[s].component[b.index()]
+        self.slots[s].same_component(a, b)
     }
 
     /// All members of `node`'s contact component in slot `s` *including*
@@ -320,18 +364,13 @@ impl SpaceTimeGraph {
     /// precomputed at build time (ascending node ids). Empty if `node` has
     /// no contacts in the slot.
     pub fn component_slice(&self, s: usize, node: NodeId) -> &[NodeId] {
-        let slot = &self.slots[s];
-        if slot.adjacency[node.index()].is_empty() {
-            return &[];
-        }
-        let (start, end) = slot.spans[slot.component[node.index()] as usize];
-        &slot.members[start as usize..end as usize]
+        self.slots[s].component_slice(node)
     }
 
     /// Nodes with at least one contact in slot `s`, ascending — the only
     /// nodes a path can move to (or from) during the slot.
     pub fn active_nodes(&self, s: usize) -> &[NodeId] {
-        &self.slots[s].active
+        self.slots[s].active_nodes()
     }
 
     /// All members of `node`'s contact component in slot `s`, excluding
@@ -340,12 +379,12 @@ impl SpaceTimeGraph {
     /// Allocates; hot paths should use [`component_slice`](Self::component_slice)
     /// instead, which returns a borrowed slice (including `node`).
     pub fn component_members(&self, s: usize, node: NodeId) -> Vec<NodeId> {
-        self.component_slice(s, node).iter().copied().filter(|&m| m != node).collect()
+        self.slots[s].component_members(node)
     }
 
     /// Number of contact edges in slot `s`.
     pub fn edge_count(&self, s: usize) -> usize {
-        self.slots[s].edges.len()
+        self.slots[s].edge_count()
     }
 
     /// The contact edges of slot `s`, normalized to `(low, high)` node order
@@ -354,7 +393,7 @@ impl SpaceTimeGraph {
     /// edges in order are deterministic and match the historical full-scan
     /// behaviour of the forwarding simulator.
     pub fn edges(&self, s: usize) -> &[(NodeId, NodeId)] {
-        &self.slots[s].edges
+        self.slots[s].edges()
     }
 
     /// Indices of slots containing at least one contact edge, ascending.
@@ -380,33 +419,6 @@ impl SpaceTimeGraph {
     pub fn total_edges(&self) -> usize {
         self.slots.iter().map(|s| s.edges.len()).sum()
     }
-}
-
-/// Computes connected-component labels from an adjacency list using
-/// iterative depth-first search. Nodes without edges get unique labels.
-fn components_of(adjacency: &[Vec<NodeId>]) -> Vec<u32> {
-    let n = adjacency.len();
-    let mut label = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut stack = Vec::new();
-    for start in 0..n {
-        if label[start] != u32::MAX {
-            continue;
-        }
-        label[start] = next;
-        stack.push(start);
-        while let Some(v) = stack.pop() {
-            for &w in &adjacency[v] {
-                let wi = w.index();
-                if label[wi] == u32::MAX {
-                    label[wi] = next;
-                    stack.push(wi);
-                }
-            }
-        }
-        next += 1;
-    }
-    label
 }
 
 #[cfg(test)]
@@ -702,6 +714,112 @@ mod tests {
             TimeWindow::new(0.0, 50.0),
         );
         assert!(SpaceTimeGraph::build_default(&empty).busy_slots().is_empty());
+    }
+
+    /// Brute-force model of [`Slot::seal`]: per-node `BTreeSet` adjacency
+    /// and union-find components relabelled by first unlabelled node
+    /// ascending.
+    struct SealModel {
+        adjacency: Vec<std::collections::BTreeSet<NodeId>>,
+        label: Vec<u32>,
+        edges: Vec<(NodeId, NodeId)>,
+    }
+
+    impl SealModel {
+        fn new(n: usize, raw: &[(NodeId, NodeId)]) -> Self {
+            fn find(parent: &mut [usize], mut v: usize) -> usize {
+                while parent[v] != v {
+                    parent[v] = parent[parent[v]];
+                    v = parent[v];
+                }
+                v
+            }
+            let mut adjacency = vec![std::collections::BTreeSet::new(); n];
+            let mut parent: Vec<usize> = (0..n).collect();
+            let mut edges = std::collections::BTreeSet::new();
+            for &(a, b) in raw {
+                adjacency[a.index()].insert(b);
+                adjacency[b.index()].insert(a);
+                edges.insert((a.min(b), a.max(b)));
+                let (ra, rb) = (find(&mut parent, a.index()), find(&mut parent, b.index()));
+                parent[ra] = rb;
+            }
+            let mut root_label = vec![u32::MAX; n];
+            let mut next = 0;
+            let label = (0..n)
+                .map(|v| {
+                    let root = find(&mut parent, v);
+                    if root_label[root] == u32::MAX {
+                        root_label[root] = next;
+                        next += 1;
+                    }
+                    root_label[root]
+                })
+                .collect();
+            Self { adjacency, label, edges: edges.into_iter().collect() }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn seal_matches_a_brute_force_model(
+            n in 1usize..140,
+            density in 0usize..4,
+            raw in proptest::collection::vec((0u32..1 << 20, 0u32..1 << 20, 0u32..16), 0..300),
+        ) {
+            // Up to `density · n` pairs (none: an empty slot), endpoints
+            // taken modulo `n`, so some coincide. The third draw duplicates
+            // a pair (1 in 4) or adds it reversed (1 in 4), so the multiset
+            // carries duplicates, reversed pairs and unsorted order.
+            let mut edges = Vec::new();
+            for &(a, b, twist) in &raw[..raw.len().min(density * n)] {
+                let (a, b) = (NodeId(a % n as u32), NodeId(b % n as u32));
+                edges.push((a, b));
+                match twist % 4 {
+                    0 => edges.push((a, b)),
+                    1 => edges.push((b, a)),
+                    _ => {}
+                }
+            }
+            let model = SealModel::new(n, &edges);
+            let slot = Slot::seal(n, edges);
+            proptest::prop_assert_eq!(slot.node_count(), n);
+            proptest::prop_assert_eq!(slot.edges(), model.edges.as_slice());
+            proptest::prop_assert_eq!(slot.edge_count(), model.edges.len());
+            let active: Vec<NodeId> =
+                (0..n as u32).map(NodeId).filter(|v| !model.adjacency[v.index()].is_empty()).collect();
+            proptest::prop_assert_eq!(slot.active_nodes(), active.as_slice());
+            for v in (0..n as u32).map(NodeId) {
+                let expected: Vec<NodeId> = model.adjacency[v.index()].iter().copied().collect();
+                proptest::prop_assert_eq!(slot.neighbors(v), expected.as_slice(), "node {:?}", v);
+                proptest::prop_assert_eq!(slot.has_contacts(v), !expected.is_empty());
+                proptest::prop_assert_eq!(slot.component(v), model.label[v.index()]);
+                let component: Vec<NodeId> = match expected.is_empty() {
+                    true => Vec::new(),
+                    false => active
+                        .iter()
+                        .copied()
+                        .filter(|u| model.label[u.index()] == model.label[v.index()])
+                        .collect(),
+                };
+                proptest::prop_assert_eq!(slot.component_slice(v), component.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn slot_approx_bytes_is_the_sum_of_its_arrays() {
+        let edges = vec![(NodeId(3), NodeId(1)), (NodeId(1), NodeId(2)), (NodeId(5), NodeId(6))];
+        for slot in [Slot::seal(7, edges), Slot::empty(4), Slot::empty(0)] {
+            let arrays = std::mem::size_of_val(slot.offsets.as_slice())
+                + std::mem::size_of_val(slot.neighbors.as_slice())
+                + std::mem::size_of_val(slot.component.as_slice())
+                + std::mem::size_of_val(slot.edges.as_slice())
+                + std::mem::size_of_val(slot.active.as_slice())
+                + std::mem::size_of_val(slot.members.as_slice())
+                + std::mem::size_of_val(slot.spans.as_slice());
+            assert_eq!(slot.approx_bytes(), std::mem::size_of::<Slot>() + arrays);
+        }
     }
 
     #[test]

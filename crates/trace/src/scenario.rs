@@ -12,12 +12,12 @@
 //! Scenarios are **config-file loadable**. The build environment vendors a
 //! marker-only serde stand-in (no registry access), so the text formats are
 //! implemented here directly: a TOML subset (flat `key = value` pairs plus
-//! one level of `[table]` nesting) and the equivalent JSON object, read by
-//! the workspace's one JSON reader ([`crate::json`]), whose string escapes
-//! the TOML strings share. The same document model backs both, and
-//! [`ScenarioConfig::to_toml_string`] / [`ScenarioConfig::to_json_string`]
-//! round-trip exactly (property-tested), so configs can be generated,
-//! archived and replayed byte-for-byte. When
+//! `[table]` sections, nested with dotted headers) and the equivalent JSON
+//! object, read by the workspace's one JSON reader ([`crate::json`]), whose
+//! string escapes the TOML strings share. The same document model backs
+//! both, and [`ScenarioConfig::to_toml_string`] /
+//! [`ScenarioConfig::to_json_string`] round-trip exactly (property-tested),
+//! so configs can be generated, archived and replayed byte-for-byte. When
 //! the real serde is swapped in (see ROADMAP), the derive markers on the
 //! underlying config structs already advertise the right trait bounds.
 //!
@@ -497,9 +497,9 @@ fn activity_to_table(activity: &ActivityProfile) -> doc::Table {
 }
 
 /// The shared document model behind the TOML and JSON frontends: ordered
-/// key → value maps with one level of table nesting, exactly what flat
-/// generator configs need. Crate-visible so the sweep-spec parser
-/// ([`crate::sweep`]) reuses the same frontends.
+/// key → value maps with nested tables (a scenario's `[activity]`, a
+/// sweep's `[base]` and `[base.activity]`). Crate-visible so the sweep-spec
+/// parser ([`crate::sweep`]) reuses the same frontends.
 pub(crate) mod doc {
     use super::ScenarioError;
     use crate::json::{self, escape, fmt_f64, Json};
@@ -807,28 +807,72 @@ pub(crate) mod doc {
         parse_number(text, context)
     }
 
-    /// Parses the TOML subset: `key = value` lines, `# comments`, and one
-    /// level of `[table]` sections.
+    /// Splits a `[a.b.c]` section header into its bare-key segments:
+    /// each non-empty and made of ASCII letters, digits, `_` and `-`, at
+    /// most [`json::MAX_DEPTH`] of them (the JSON reader's nesting bound).
+    fn parse_header(line: &str, context: &str) -> Result<Vec<String>, ScenarioError> {
+        let malformed =
+            || ScenarioError::new(format!("{context}: malformed section header {line:?}"));
+        let inner =
+            line.strip_prefix('[').and_then(|l| l.strip_suffix(']')).ok_or_else(malformed)?;
+        let mut path = Vec::new();
+        for segment in inner.split('.') {
+            let segment = segment.trim();
+            let bare = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+            if segment.is_empty() || !segment.chars().all(bare) {
+                return Err(malformed());
+            }
+            if path.len() == json::MAX_DEPTH {
+                return Err(ScenarioError::new(format!(
+                    "{context}: section header {line:?} exceeds the nesting bound of {} levels",
+                    json::MAX_DEPTH
+                )));
+            }
+            path.push(segment.to_string());
+        }
+        Ok(path)
+    }
+
+    /// The table at `path` below `top`, creating missing tables on the way
+    /// (a header reopens a table it names again). Each created table's
+    /// context is its dotted path.
+    fn table_at<'t>(
+        top: &'t mut Table,
+        path: &[String],
+        context: &str,
+    ) -> Result<&'t mut Table, ScenarioError> {
+        let mut table = top;
+        for (depth, key) in path.iter().enumerate() {
+            if !table.entries.contains_key(key) {
+                table.set_table(key, Table::new(&path[..=depth].join(".")));
+            }
+            table = match table.entries.get_mut(key) {
+                Some(Value::Table(t)) => t,
+                _ => {
+                    return Err(ScenarioError::new(format!(
+                        "{context}: section [{}] names {key:?}, which is not a table",
+                        path[..=depth].join(".")
+                    )))
+                }
+            };
+        }
+        Ok(table)
+    }
+
+    /// Parses the TOML subset: `key = value` lines, `# comments`, and
+    /// `[table]` sections, nested with dotted headers (`[base.activity]`).
     pub fn parse_toml(text: &str) -> Result<Table, ScenarioError> {
         let mut top = Table::new("scenario");
-        let mut current: Option<(String, Table)> = None;
+        let mut section: Vec<String> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
             let context = format!("line {}", lineno + 1);
-            if let Some(section) = line.strip_prefix('[') {
-                let name = section
-                    .strip_suffix(']')
-                    .ok_or_else(|| {
-                        ScenarioError::new(format!("{context}: malformed section header {line:?}"))
-                    })?
-                    .trim();
-                if let Some((key, table)) = current.take() {
-                    top.set_table(&key, table);
-                }
-                current = Some((name.to_string(), Table::new(name)));
+            if line.starts_with('[') {
+                section = parse_header(line, &context)?;
+                table_at(&mut top, &section, &context)?;
                 continue;
             }
             let (key, value) = line.split_once('=').ok_or_else(|| {
@@ -839,47 +883,38 @@ pub(crate) mod doc {
                 return Err(ScenarioError::new(format!("{context}: empty key")));
             }
             let value = parse_toml_value(value, &context)?;
-            match &mut current {
-                Some((_, table)) => table.insert(key, value),
-                None => top.insert(key, value),
-            }
-        }
-        if let Some((key, table)) = current.take() {
-            top.set_table(&key, table);
+            table_at(&mut top, &section, &context)?.insert(key, value);
         }
         Ok(top)
     }
 
-    /// Emits one scalar `key = value` line of the TOML subset.
-    fn write_toml_scalar(key: &str, value: &Value, out: &mut String) {
-        match value {
-            Value::Int(v) => out.push_str(&format!("{key} = {v}\n")),
-            Value::Num(v) => out.push_str(&format!("{key} = {}\n", fmt_f64(*v))),
-            Value::Str(v) => out.push_str(&format!("{key} = \"{}\"\n", escape(v))),
-            Value::Arr(v) => {
-                let items: Vec<String> = v.iter().map(|x| fmt_f64(*x)).collect();
-                out.push_str(&format!("{key} = [{}]\n", items.join(", ")));
+    /// Writes a table in the TOML subset: its scalars, then each nested
+    /// table as a section under its dotted path.
+    fn write_toml_table(table: &Table, path: &str, out: &mut String) {
+        let mut sections = Vec::new();
+        for key in &table.order {
+            match &table.entries[key] {
+                Value::Int(v) => out.push_str(&format!("{key} = {v}\n")),
+                Value::Num(v) => out.push_str(&format!("{key} = {}\n", fmt_f64(*v))),
+                Value::Str(v) => out.push_str(&format!("{key} = \"{}\"\n", escape(v))),
+                Value::Arr(v) => {
+                    let items: Vec<String> = v.iter().map(|x| fmt_f64(*x)).collect();
+                    out.push_str(&format!("{key} = [{}]\n", items.join(", ")));
+                }
+                Value::Table(t) => sections.push((key, t)),
             }
-            Value::Table(_) => unreachable!("tables are emitted as sections"),
+        }
+        for (key, t) in sections {
+            let path = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+            out.push_str(&format!("\n[{path}]\n"));
+            write_toml_table(t, &path, out);
         }
     }
 
     /// Writes a table in the TOML subset (scalars first, then sections).
     pub fn write_toml(table: &Table) -> String {
         let mut out = String::new();
-        let mut sections = Vec::new();
-        for key in &table.order {
-            match &table.entries[key] {
-                Value::Table(t) => sections.push((key, t)),
-                scalar => write_toml_scalar(key, scalar, &mut out),
-            }
-        }
-        for (key, t) in sections {
-            out.push_str(&format!("\n[{key}]\n"));
-            for inner_key in &t.order {
-                write_toml_scalar(inner_key, &t.entries[inner_key], &mut out);
-            }
-        }
+        write_toml_table(table, "", &mut out);
         out
     }
 
@@ -1554,6 +1589,26 @@ max_node_rate = 0.05
         assert!(err.to_string().contains("nesting bound"), "{err}");
         let arrays = scaled_json(&format!("\"nodes\": {}{}", "[".repeat(depth), "]".repeat(depth)));
         assert!(ScenarioConfig::from_json_str(&arrays).is_err());
+    }
+
+    #[test]
+    fn toml_section_headers_nest_and_fail_typed_when_malformed_or_too_deep() {
+        let nested = doc::parse_toml("a = 1\n[x]\nb = 2\n[x.y.z]\nc = 3\n[x]\nd = 4\n").unwrap();
+        let written = doc::write_toml(&nested);
+        assert_eq!(written, "a = 1\n\n[x]\nb = 2\nd = 4\n\n[x.y]\n\n[x.y.z]\nc = 3\n");
+        assert_eq!(doc::write_toml(&doc::parse_toml(&written).unwrap()), written);
+
+        for header in ["[]", "[x..y]", "[.x]", "[x.]", "[x y]", "[x.y", "[\"x\"]"] {
+            let err = doc::parse_toml(&format!("{header}\n")).expect_err(header);
+            assert!(err.to_string().contains("malformed section header"), "{header}: {err}");
+        }
+        let err = doc::parse_toml("kind = \"conference\"\n[kind.activity]\n").expect_err("scalar");
+        assert!(err.to_string().contains("not a table"), "{err}");
+        let deep = format!("[{}]\n", vec!["t"; crate::json::MAX_DEPTH + 1].join("."));
+        let err = doc::parse_toml(&deep).expect_err("too deep");
+        assert!(err.to_string().contains("nesting bound"), "{err}");
+        let bound = format!("[{}]\nx = 1\n", vec!["t"; crate::json::MAX_DEPTH].join("."));
+        assert!(doc::parse_toml(&bound).is_ok());
     }
 
     #[test]

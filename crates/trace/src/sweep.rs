@@ -532,6 +532,17 @@ mod tests {
     }
 
     #[test]
+    fn a_conference_base_round_trips_json_to_toml_to_parse() {
+        let json = r#"{"name": "s", "base": {"kind": "conference", "name": "c"}, "axes": {"seed": [1, 2]}}"#;
+        let sweep = ScenarioSweep::from_json_str(json).unwrap();
+        let toml = sweep.to_toml_string();
+        assert!(toml.contains("\n[base.activity]\n"), "{toml}");
+        let reparsed = ScenarioSweep::from_toml_str(&toml).expect("written toml reparses");
+        assert_eq!(reparsed, sweep, "toml:\n{toml}");
+        assert_eq!(reparsed.base.canonical_identity(), sweep.base.canonical_identity());
+    }
+
+    #[test]
     fn parsing_applies_defaults_and_validates() {
         let toml = r#"
 [base]
