@@ -100,7 +100,7 @@ impl ContactHistory {
     /// *not* in contact in the previous slot (a new encounter). Recording
     /// the same pair twice in one slot is idempotent for the counts.
     pub fn record_contact(&mut self, a: NodeId, b: NodeId, slot: usize, time: Seconds) {
-        let slot = u32::try_from(slot).expect("slot index fits in u32");
+        let slot = u32::try_from(slot).unwrap_or_else(|_| unreachable!("slot index fits in u32"));
         let ab = self.idx(a, b);
         let ba = self.idx(b, a);
         let previous = self.last_slot[ab];

@@ -132,8 +132,8 @@ impl PairTypeMetrics {
         let mut buckets: Vec<Vec<MessageOutcome>> = vec![Vec::new(); 4];
         for outcome in outcomes {
             let class = classify_message(rates, &outcome.message);
-            let idx = PairType::all().iter().position(|&t| t == class).expect("all types listed");
-            buckets[idx].push(outcome.clone());
+            // `PairType::all()` lists the variants in declaration order.
+            buckets[class as usize].push(outcome.clone());
         }
         let per_type = PairType::all()
             .into_iter()
@@ -144,8 +144,16 @@ impl PairTypeMetrics {
     }
 
     /// The metrics for one pair type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_type` has no entry for `pair_type`; `from_outcomes`
+    /// always fills all four.
     pub fn get(&self, pair_type: PairType) -> &AlgorithmMetrics {
-        &self.per_type.iter().find(|(t, _)| *t == pair_type).expect("every pair type is present").1
+        match self.per_type.iter().find(|(t, _)| *t == pair_type) {
+            Some((_, metrics)) => metrics,
+            None => panic!("no metrics for pair type {}", pair_type.label()),
+        }
     }
 }
 

@@ -704,7 +704,7 @@ impl<'a> Group<'a> {
             .map(|v| {
                 self.algorithm
                     .copy_utility(ctx, NodeId(v), destination)
-                    .expect("copy_utility is uniformly Some")
+                    .unwrap_or_else(|| unreachable!("copy_utility is uniformly Some"))
             })
             .collect()
     }
@@ -726,8 +726,10 @@ impl<'a> Group<'a> {
             let row = &mut self.rows[d.index()];
             let touched = &mut self.row_touched[d.index()];
             for p in nodes_of(masks.of_node(d).iter().copied()) {
-                let utility =
-                    self.algorithm.copy_utility(ctx, p, d).expect("copy_utility is uniformly Some");
+                let utility = self
+                    .algorithm
+                    .copy_utility(ctx, p, d)
+                    .unwrap_or_else(|| unreachable!("copy_utility is uniformly Some"));
                 if std::mem::replace(&mut row[p.index()], utility) != utility {
                     touch(touched, masks, p);
                     set_bit(&mut self.touched_rows, d);
@@ -1157,7 +1159,9 @@ impl<'a> Lane<'a> {
         let delivered_at = delivered.map(|slot| timeline.slot_end_time(slot));
         let outcome = if entry.paths {
             let moves = std::mem::take(&mut self.moves[m]);
-            let relay = delivered_at.map(|t| (t, relay.expect("a sweep delivers through a relay")));
+            let relay = delivered_at.map(|t| {
+                (t, relay.unwrap_or_else(|| unreachable!("a sweep delivers through a relay")))
+            });
             outcome_for(entry.message, relay, |node| {
                 moves
                     .iter()
@@ -1334,7 +1338,9 @@ impl Simulator {
         algorithm: &dyn ForwardingAlgorithm,
         messages: &[Message],
     ) -> SimulationResult {
-        self.run_many(&[(algorithm, messages)]).pop().expect("one job yields one result")
+        self.run_many(&[(algorithm, messages)])
+            .pop()
+            .unwrap_or_else(|| unreachable!("one job yields one result"))
     }
 
     /// Runs a batch of independent `(algorithm, message set)` jobs — e.g.
@@ -1437,7 +1443,9 @@ impl Simulator {
                 algorithm: algorithm.name().to_string(),
                 outcomes: job_outcomes
                     .into_iter()
-                    .map(|o| o.expect("every lane finishes all of its messages"))
+                    .map(|o| {
+                        o.unwrap_or_else(|| unreachable!("every lane finishes all of its messages"))
+                    })
                     .collect(),
             })
             .collect();
@@ -1493,12 +1501,8 @@ impl Simulator {
 
         // Messages sorted by creation slot for activation.
         let mut activation_order: Vec<usize> = (0..messages.len()).collect();
-        activation_order.sort_by(|&a, &b| {
-            messages[a]
-                .created_at
-                .partial_cmp(&messages[b].created_at)
-                .expect("finite creation times")
-        });
+        activation_order
+            .sort_by(|&a, &b| messages[a].created_at.total_cmp(&messages[b].created_at));
         let mut next_activation = 0usize;
 
         for slot in 0..graph.slot_count() {

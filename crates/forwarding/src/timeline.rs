@@ -181,7 +181,7 @@ impl TimelineBuilder {
         );
         self.next_slot = slot + 1;
         let n = self.node_count;
-        let slot32 = u32::try_from(slot).expect("slot index fits in u32");
+        let slot32 = u32::try_from(slot).unwrap_or_else(|_| unreachable!("slot index fits in u32"));
         if !edges.is_empty() {
             self.slot_active_masks.resize((slot + 1) * self.words_per_slot, 0);
             self.slot_start_masks.resize((slot + 1) * self.words_per_slot, 0);
@@ -468,7 +468,8 @@ impl HistoryTimeline {
     /// simulator, which records a slot's contacts before making that slot's
     /// forwarding decisions.
     pub fn at_slot(&self, slot: usize) -> HistoryView<'_> {
-        HistoryView { timeline: self, slot: u32::try_from(slot).expect("slot index fits in u32") }
+        let slot = u32::try_from(slot).unwrap_or_else(|_| unreachable!("slot index fits in u32"));
+        HistoryView { timeline: self, slot }
     }
 
     /// The absolute end time of `slot` — the timestamp the replay assigns

@@ -834,8 +834,7 @@ impl<'a> PathEnumerator<'a> {
             }
         }
 
-        deliveries
-            .sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite").then(a.hops.cmp(&b.hops)));
+        deliveries.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.hops.cmp(&b.hops)));
 
         EnumerationResult {
             message: *message,

@@ -74,7 +74,7 @@ impl Path {
 
     /// The most recent hop (current holder, or destination if delivered).
     pub fn last(&self) -> Hop {
-        *self.hops.last().expect("paths are non-empty")
+        self.hops[self.hops.len() - 1]
     }
 
     /// The node currently holding the message.

@@ -48,23 +48,19 @@ impl BoxPlot {
         let low_fence = q1 - 1.5 * iqr;
         let high_fence = q3 + 1.5 * iqr;
 
-        let whisker_low = sorted.iter().copied().find(|&x| x >= low_fence).unwrap_or(sorted[0]);
-        let whisker_high = sorted
-            .iter()
-            .rev()
-            .copied()
-            .find(|&x| x <= high_fence)
-            .unwrap_or(*sorted.last().expect("non-empty"));
+        let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
+        let whisker_low = sorted.iter().copied().find(|&x| x >= low_fence).unwrap_or(min);
+        let whisker_high = sorted.iter().rev().copied().find(|&x| x <= high_fence).unwrap_or(max);
         let outliers =
             sorted.iter().copied().filter(|&x| x < low_fence || x > high_fence).collect();
 
         Ok(Self {
             count: sorted.len(),
-            min: sorted[0],
+            min,
             q1,
             median,
             q3,
-            max: *sorted.last().expect("non-empty"),
+            max,
             whisker_low,
             whisker_high,
             outliers,

@@ -121,11 +121,10 @@ impl ConfidenceInterval {
         if !(level > 0.0 && level < 1.0) {
             return Err(StatsError::InvalidLevel);
         }
-        if summary.count() < 2 {
+        // The standard error needs at least two samples.
+        let (Some(mean), Some(se)) = (summary.mean(), summary.std_error()) else {
             return Err(StatsError::EmptyInput);
-        }
-        let mean = summary.mean().expect("count >= 2");
-        let se = summary.std_error().expect("count >= 2");
+        };
         Ok(Self { mean, half_width: z_score(level) * se, level, count: summary.count() })
     }
 

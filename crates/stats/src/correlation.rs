@@ -59,7 +59,7 @@ fn validate_pairs(xs: &[f64], ys: &[f64]) -> Result<(), StatsError> {
 /// Assigns mid-ranks (1-based, ties averaged) to a sample slice.
 fn ranks(xs: &[f64]) -> Vec<f64> {
     let mut indexed: Vec<(usize, f64)> = xs.iter().copied().enumerate().collect();
-    indexed.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN filtered by caller"));
+    indexed.sort_by(|a, b| a.1.total_cmp(&b.1));
     let mut out = vec![0.0; xs.len()];
     let mut i = 0;
     while i < indexed.len() {

@@ -71,7 +71,7 @@ impl Ecdf {
 
     /// Largest sample.
     pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
+        self.sorted[self.sorted.len() - 1]
     }
 
     /// Returns the ECDF as `(x, F(x))` step points — one point per distinct

@@ -149,11 +149,7 @@ impl Histogram {
 
     /// Index of the most populated bin, or `None` if every bin is empty.
     pub fn mode_bin(&self) -> Option<usize> {
-        let (idx, &max) = self
-            .counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("counts are never NaN"))?;
+        let (idx, &max) = self.counts.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;
         if max > 0.0 {
             Some(idx)
         } else {

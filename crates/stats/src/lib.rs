@@ -82,7 +82,7 @@ pub(crate) fn validated_sorted(samples: &[f64]) -> Result<Vec<f64>, StatsError> 
         return Err(StatsError::NanInput);
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered above"));
+    sorted.sort_by(|a, b| a.total_cmp(b));
     Ok(sorted)
 }
 

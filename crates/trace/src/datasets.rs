@@ -25,7 +25,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::generator::config::{ActivityProfile, ConferenceConfig};
-use crate::generator::ConferenceTraceGenerator;
+use crate::scenario::ScenarioConfig;
 use crate::trace::ContactTrace;
 
 /// Identifiers for the four synthetic stand-in datasets.
@@ -149,19 +149,10 @@ impl SyntheticDataset {
         ds
     }
 
-    /// Generates the contact trace for this dataset.
+    /// Generates the contact trace for this dataset (the conference
+    /// family's program).
     pub fn generate(&self) -> ContactTrace {
-        ConferenceTraceGenerator::new(self.config.clone()).generate()
-    }
-
-    /// Generates all four paper-scale datasets.
-    pub fn generate_all_paper() -> Vec<(DatasetId, ContactTrace)> {
-        DatasetId::all().into_iter().map(|id| (id, Self::paper_config(id).generate())).collect()
-    }
-
-    /// Generates all four quick datasets.
-    pub fn generate_all_quick() -> Vec<(DatasetId, ContactTrace)> {
-        DatasetId::all().into_iter().map(|id| (id, Self::quick_config(id).generate())).collect()
+        ScenarioConfig::Conference(self.config.clone()).generate()
     }
 }
 

@@ -29,12 +29,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::contact::Contact;
 use crate::node::{NodeId, NodeRegistry};
-use crate::trace::{ContactTrace, TimeWindow};
+use crate::trace::ContactTrace;
 
 use super::config::CommunityConfig;
-use super::sampling::lognormal_mean_cv;
+use super::program::{Draws, DurationModel, FamilyProgram, PairProgram, PairRates};
 
 /// The community a node belongs to under the block assignment used by the
 /// generator: nodes `0 .. nodes_per_community` form community 0, the next
@@ -43,13 +42,15 @@ pub fn community_of(config: &CommunityConfig, node: NodeId) -> usize {
     node.index() / config.nodes_per_community.max(1)
 }
 
-/// Generates a community-structured contact trace according to `config`.
+/// The community family's setup: propensities, the block-modulated rates
+/// and their scale, and log-normal durations.
 ///
 /// # Panics
 ///
 /// Panics on degenerate configurations (fewer than two nodes overall, a
 /// non-positive rate, duration or window, or an intra/inter ratio below 1).
-pub fn generate_community(config: &CommunityConfig) -> ContactTrace {
+/// Scenario configs reject these with a typed error before they get here.
+pub(crate) fn program(config: &CommunityConfig) -> FamilyProgram {
     assert!(config.communities >= 1, "need at least one community");
     assert!(config.nodes_per_community >= 1, "communities must be non-empty");
     assert!(config.total_nodes() >= 2, "need at least two nodes to have contacts");
@@ -60,65 +61,46 @@ pub fn generate_community(config: &CommunityConfig) -> ContactTrace {
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.total_nodes();
-    let inter_weight = 1.0 / config.intra_inter_ratio;
-
     // Per-node propensities uniform with a small floor, as in the
     // heterogeneous generator, so per-node rates stay approximately uniform
     // on (0, max) *within* the community mixing structure.
     let propensities: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..1.0)).collect();
+    let labels = (0..n).map(|i| community_of(config, NodeId(i as u32))).collect();
+    let mut rates = PairRates {
+        propensities,
+        communities: Some((labels, 1.0 / config.intra_inter_ratio)),
+        scale: 0.0,
+    };
 
     // Unscaled per-node total rates under the block-modulated product
     // model; the scale maps the maximum onto `max_node_rate`.
     let mut totals = vec![0.0f64; n];
     for i in 0..n {
         for j in (i + 1)..n {
-            let same =
-                community_of(config, NodeId(i as u32)) == community_of(config, NodeId(j as u32));
-            let w = propensities[i] * propensities[j] * if same { 1.0 } else { inter_weight };
+            let w = rates.propensities[i] * rates.propensities[j] * rates.block_weight(i, j);
             totals[i] += w;
             totals[j] += w;
         }
     }
     let max_total = totals.iter().copied().fold(0.0_f64, f64::max);
     assert!(max_total > 0.0, "community configuration produced no contact weight");
-    let scale = config.max_node_rate / max_total;
+    rates.scale = config.max_node_rate / max_total;
 
-    let window = TimeWindow::new(0.0, config.window_seconds);
-    let mut contacts = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let same =
-                community_of(config, NodeId(i as u32)) == community_of(config, NodeId(j as u32));
-            let pair_rate =
-                scale * propensities[i] * propensities[j] * if same { 1.0 } else { inter_weight };
-            if pair_rate <= 0.0 {
-                continue;
-            }
-            for start in
-                super::sampling::poisson_process(&mut rng, pair_rate, config.window_seconds)
-            {
-                let duration = lognormal_mean_cv(
-                    &mut rng,
-                    config.mean_contact_duration,
-                    config.contact_duration_cv,
-                );
-                let end = (start + duration).min(config.window_seconds);
-                contacts.push(
-                    Contact::new(NodeId(i as u32), NodeId(j as u32), start, end).unwrap_or_else(
-                        |e| unreachable!("generated contacts are valid by construction: {e}"),
-                    ),
-                );
-            }
-        }
+    FamilyProgram {
+        name: config.name.clone(),
+        registry: NodeRegistry::with_counts(n, 0),
+        draws: Draws::Pairs(PairProgram {
+            rng,
+            rates,
+            horizon: config.window_seconds,
+            duration: DurationModel::Lognormal {
+                mean: config.mean_contact_duration,
+                cv: config.contact_duration_cv,
+            },
+            thinning: None,
+            scan: None,
+        }),
     }
-
-    ContactTrace::from_contacts(
-        config.name.clone(),
-        NodeRegistry::with_counts(n, 0),
-        window,
-        contacts,
-    )
-    .unwrap_or_else(|e| unreachable!("generated contacts lie inside the window: {e}"))
 }
 
 /// Fraction of contacts joining two nodes of the same community — the
@@ -139,8 +121,12 @@ pub fn intra_community_fraction(config: &CommunityConfig, trace: &ContactTrace) 
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::generator::config::CommunityConfig;
     use crate::rates::ContactRates;
+    use crate::scenario::ScenarioConfig;
+
+    fn generate(config: &CommunityConfig) -> ContactTrace {
+        ScenarioConfig::Community(config.clone()).generate()
+    }
 
     fn config(seed: u64, ratio: f64) -> CommunityConfig {
         CommunityConfig {
@@ -158,7 +144,7 @@ mod tests {
 
     #[test]
     fn generates_requested_population() {
-        let trace = generate_community(&config(1, 8.0));
+        let trace = generate(&config(1, 8.0));
         assert_eq!(trace.node_count(), 40);
         assert!(trace.contact_count() > 100, "got {}", trace.contact_count());
     }
@@ -174,21 +160,21 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = generate_community(&config(3, 6.0));
-        let b = generate_community(&config(3, 6.0));
+        let a = generate(&config(3, 6.0));
+        let b = generate(&config(3, 6.0));
         assert_eq!(a.contacts(), b.contacts());
-        let c = generate_community(&config(4, 6.0));
+        let c = generate(&config(4, 6.0));
         assert_ne!(a.contacts(), c.contacts());
     }
 
     #[test]
     fn high_ratio_concentrates_contacts_within_communities() {
         let cfg_tight = config(7, 10.0);
-        let tight = generate_community(&cfg_tight);
+        let tight = generate(&cfg_tight);
         let tight_frac = intra_community_fraction(&cfg_tight, &tight).unwrap();
 
         let cfg_mixed = config(7, 1.0);
-        let mixed = generate_community(&cfg_mixed);
+        let mixed = generate(&cfg_mixed);
         let mixed_frac = intra_community_fraction(&cfg_mixed, &mixed).unwrap();
 
         // With 4 communities of 10 nodes, uniform mixing puts ~23% of
@@ -203,7 +189,7 @@ mod tests {
 
     #[test]
     fn ratio_one_matches_uniform_mixing_rates() {
-        let trace = generate_community(&config(11, 1.0));
+        let trace = generate(&config(11, 1.0));
         let rates = ContactRates::from_trace(&trace);
         let max_rate = rates.rates().iter().copied().fold(0.0_f64, f64::max);
         assert!(
@@ -214,7 +200,7 @@ mod tests {
 
     #[test]
     fn rates_remain_heterogeneous_within_communities() {
-        let trace = generate_community(&config(13, 5.0));
+        let trace = generate(&config(13, 5.0));
         let rates = ContactRates::from_trace(&trace);
         let summary = rates.count_summary();
         let cv = summary.std_dev().unwrap() / summary.mean().unwrap();
@@ -224,16 +210,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_ratio_below_one() {
-        generate_community(&CommunityConfig { intra_inter_ratio: 0.5, ..config(1, 1.0) });
+        generate(&CommunityConfig { intra_inter_ratio: 0.5, ..config(1, 1.0) });
     }
 
     #[test]
     #[should_panic]
     fn rejects_single_node() {
-        generate_community(&CommunityConfig {
-            communities: 1,
-            nodes_per_community: 1,
-            ..config(1, 2.0)
-        });
+        generate(&CommunityConfig { communities: 1, nodes_per_community: 1, ..config(1, 2.0) });
     }
 }

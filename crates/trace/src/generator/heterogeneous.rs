@@ -17,89 +17,43 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::contact::Contact;
-use crate::node::{NodeId, NodeRegistry};
-use crate::trace::{ContactTrace, TimeWindow};
+use crate::node::NodeRegistry;
 
 use super::config::HeterogeneousConfig;
-use super::sampling::{exponential, poisson_process};
+use super::program::{max_rate_scale, Draws, DurationModel, FamilyProgram, PairProgram, PairRates};
 
-/// Generates a heterogeneous-rate contact trace according to `config`.
+/// The heterogeneous family's setup: propensities, the max-rate scale and
+/// exponential durations.
 ///
 /// # Panics
 ///
 /// Panics on degenerate configurations (fewer than two nodes, non-positive
-/// rates or durations).
-pub fn generate_heterogeneous(config: &HeterogeneousConfig) -> ContactTrace {
+/// rates or durations). Scenario configs reject these with a typed error
+/// before they get here.
+pub(crate) fn program(config: &HeterogeneousConfig) -> FamilyProgram {
     assert!(config.nodes >= 2, "need at least two nodes to have contacts");
     assert!(config.max_node_rate > 0.0, "max node rate must be positive");
     assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.nodes;
-
     // Per-node propensities uniform on (0, 1); a tiny floor avoids
     // completely isolated nodes, like the real traces where even the
     // quietest device logs at least a handful of contacts.
     let propensities: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..1.0)).collect();
-
-    let trace = build_product_rate_trace(
-        &mut rng,
-        &propensities,
-        config.max_node_rate,
-        config.window_seconds,
-        config.mean_contact_duration,
-        format!("heterogeneous-n{}-seed{}", n, config.seed),
-        NodeRegistry::with_counts(n, 0),
-    );
-    trace
-}
-
-/// Shared core of the heterogeneous and conference generators: given
-/// per-node propensities, builds pairwise Poisson contact processes with
-/// rate proportional to the propensity product, scaled so the largest
-/// per-node rate equals `max_node_rate`.
-pub(crate) fn build_product_rate_trace<R: Rng + ?Sized>(
-    rng: &mut R,
-    propensities: &[f64],
-    max_node_rate: f64,
-    window_seconds: f64,
-    mean_contact_duration: f64,
-    name: String,
-    registry: NodeRegistry,
-) -> ContactTrace {
-    let n = propensities.len();
-    assert_eq!(registry.len(), n, "registry and propensity vector must agree");
-
-    let total: f64 = propensities.iter().sum();
-    // Node i's total rate under scale c is c * p_i * (total - p_i); choose c
-    // so the maximum over i equals max_node_rate.
-    let max_unscaled = propensities.iter().map(|&p| p * (total - p)).fold(0.0_f64, f64::max);
-    assert!(max_unscaled > 0.0, "propensities must not be all zero");
-    let scale = max_node_rate / max_unscaled;
-
-    let duration_rate = 1.0 / mean_contact_duration;
-    let mut contacts = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let pair_rate = scale * propensities[i] * propensities[j];
-            if pair_rate <= 0.0 {
-                continue;
-            }
-            for start in poisson_process(rng, pair_rate, window_seconds) {
-                let duration = exponential(rng, duration_rate);
-                let end = (start + duration).min(window_seconds);
-                contacts.push(
-                    Contact::new(NodeId(i as u32), NodeId(j as u32), start, end).unwrap_or_else(
-                        |e| unreachable!("generated contacts are valid by construction: {e}"),
-                    ),
-                );
-            }
-        }
+    let scale = max_rate_scale(&propensities, config.max_node_rate);
+    FamilyProgram {
+        name: format!("heterogeneous-n{}-seed{}", n, config.seed),
+        registry: NodeRegistry::with_counts(n, 0),
+        draws: Draws::Pairs(PairProgram {
+            rng,
+            rates: PairRates { propensities, communities: None, scale },
+            horizon: config.window_seconds,
+            duration: DurationModel::Exponential { rate: 1.0 / config.mean_contact_duration },
+            thinning: None,
+            scan: None,
+        }),
     }
-
-    ContactTrace::from_contacts(name, registry, TimeWindow::new(0.0, window_seconds), contacts)
-        .unwrap_or_else(|e| unreachable!("generated contacts lie inside the window: {e}"))
 }
 
 #[cfg(test)]
@@ -107,7 +61,13 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::rates::ContactRates;
+    use crate::scenario::ScenarioConfig;
+    use crate::trace::ContactTrace;
     use psn_stats::Summary;
+
+    fn generate(config: &HeterogeneousConfig) -> ContactTrace {
+        ScenarioConfig::Heterogeneous(config.clone()).generate()
+    }
 
     fn config(seed: u64) -> HeterogeneousConfig {
         HeterogeneousConfig {
@@ -121,7 +81,7 @@ mod tests {
 
     #[test]
     fn rates_are_heterogeneous() {
-        let trace = generate_heterogeneous(&config(2));
+        let trace = generate(&config(2));
         let rates = ContactRates::from_trace(&trace);
         let summary = Summary::from_slice(rates.rates());
         let mean = summary.mean().unwrap();
@@ -133,7 +93,7 @@ mod tests {
 
     #[test]
     fn count_distribution_is_roughly_uniform() {
-        let trace = generate_heterogeneous(&config(5));
+        let trace = generate(&config(5));
         let rates = ContactRates::from_trace(&trace);
         let ks = rates.uniformity_ks().unwrap();
         assert!(ks < 0.25, "KS distance to uniform = {ks}");
@@ -142,7 +102,7 @@ mod tests {
     #[test]
     fn max_rate_is_close_to_configured_maximum() {
         let cfg = config(9);
-        let trace = generate_heterogeneous(&cfg);
+        let trace = generate(&cfg);
         let rates = ContactRates::from_trace(&trace);
         let max_rate = rates.rates().iter().copied().fold(0.0_f64, f64::max);
         assert!(
@@ -154,14 +114,14 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = generate_heterogeneous(&config(3));
-        let b = generate_heterogeneous(&config(3));
+        let a = generate(&config(3));
+        let b = generate(&config(3));
         assert_eq!(a.contacts(), b.contacts());
     }
 
     #[test]
     fn in_out_split_is_balanced() {
-        let trace = generate_heterogeneous(&config(4));
+        let trace = generate(&config(4));
         let rates = ContactRates::from_trace(&trace);
         let in_count = rates.in_nodes().len();
         let out_count = rates.out_nodes().len();
@@ -173,6 +133,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_degenerate_config() {
-        generate_heterogeneous(&HeterogeneousConfig { nodes: 0, ..config(1) });
+        generate(&HeterogeneousConfig { nodes: 0, ..config(1) });
     }
 }

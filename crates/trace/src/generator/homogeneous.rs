@@ -13,58 +13,40 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::contact::Contact;
-use crate::node::{NodeClass, NodeId, NodeRegistry};
-use crate::trace::{ContactTrace, TimeWindow};
+use crate::node::NodeRegistry;
 
 use super::config::HomogeneousConfig;
-use super::sampling::{exponential, poisson_process};
+use super::program::{Draws, DurationModel, FamilyProgram, PairProgram, PairRates};
 
-/// Generates a homogeneous contact trace according to `config`.
+/// The homogeneous family's setup: every node has propensity 1, so every
+/// pair meets at `λ / (N − 1)`, and durations are exponential.
 ///
 /// # Panics
 ///
 /// Panics if the configuration asks for fewer than two nodes or a
-/// non-positive rate/duration (these are programming errors in experiment
-/// setup, not runtime conditions).
-pub fn generate_homogeneous(config: &HomogeneousConfig) -> ContactTrace {
+/// non-positive rate or duration. Scenario configs reject these with a
+/// typed error before they get here.
+pub(crate) fn program(config: &HomogeneousConfig) -> FamilyProgram {
     assert!(config.nodes >= 2, "need at least two nodes to have contacts");
     assert!(config.node_contact_rate > 0.0, "contact rate must be positive");
     assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.nodes;
-    let pair_rate = config.node_contact_rate / (n as f64 - 1.0);
-    let duration_rate = 1.0 / config.mean_contact_duration;
-
-    let mut registry = NodeRegistry::new();
-    for _ in 0..n {
-        registry.add(NodeClass::Mobile);
+    FamilyProgram {
+        name: format!("homogeneous-n{}-seed{}", n, config.seed),
+        registry: NodeRegistry::with_counts(n, 0),
+        draws: Draws::Pairs(PairProgram {
+            rng: StdRng::seed_from_u64(config.seed),
+            rates: PairRates {
+                propensities: vec![1.0; n],
+                communities: None,
+                scale: config.node_contact_rate / (n as f64 - 1.0),
+            },
+            horizon: config.window_seconds,
+            duration: DurationModel::Exponential { rate: 1.0 / config.mean_contact_duration },
+            thinning: None,
+            scan: None,
+        }),
     }
-
-    let window = TimeWindow::new(0.0, config.window_seconds);
-    let mut contacts = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            for start in poisson_process(&mut rng, pair_rate, config.window_seconds) {
-                let duration = exponential(&mut rng, duration_rate);
-                let end = (start + duration).min(config.window_seconds);
-                contacts.push(
-                    Contact::new(NodeId(i as u32), NodeId(j as u32), start, end).unwrap_or_else(
-                        |e| unreachable!("generated contacts are valid by construction: {e}"),
-                    ),
-                );
-            }
-        }
-    }
-
-    ContactTrace::from_contacts(
-        format!("homogeneous-n{}-seed{}", n, config.seed),
-        registry,
-        window,
-        contacts,
-    )
-    .unwrap_or_else(|e| unreachable!("generated contacts lie inside the window: {e}"))
 }
 
 #[cfg(test)]
@@ -72,6 +54,12 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::rates::ContactRates;
+    use crate::scenario::ScenarioConfig;
+    use crate::trace::ContactTrace;
+
+    fn generate(config: &HomogeneousConfig) -> ContactTrace {
+        ScenarioConfig::Homogeneous(config.clone()).generate()
+    }
 
     fn small_config(seed: u64) -> HomogeneousConfig {
         HomogeneousConfig {
@@ -86,7 +74,7 @@ mod tests {
     #[test]
     fn generates_expected_contact_volume() {
         let config = small_config(7);
-        let trace = generate_homogeneous(&config);
+        let trace = generate(&config);
         // Expected contacts: N * λ * T / 2 (each contact counted once).
         let expected = config.nodes as f64 * config.node_contact_rate * config.window_seconds / 2.0;
         let got = trace.contact_count() as f64;
@@ -102,7 +90,7 @@ mod tests {
             mean_contact_duration: 30.0,
             seed: 3,
         };
-        let trace = generate_homogeneous(&config);
+        let trace = generate(&config);
         let rates = ContactRates::from_trace(&trace);
         let mean_rate: f64 = rates.rates().iter().sum::<f64>() / rates.node_count() as f64;
         assert!((mean_rate - config.node_contact_rate).abs() < 0.004, "mean rate {mean_rate}");
@@ -110,16 +98,16 @@ mod tests {
 
     #[test]
     fn is_deterministic_per_seed() {
-        let a = generate_homogeneous(&small_config(11));
-        let b = generate_homogeneous(&small_config(11));
+        let a = generate(&small_config(11));
+        let b = generate(&small_config(11));
         assert_eq!(a.contacts(), b.contacts());
-        let c = generate_homogeneous(&small_config(12));
+        let c = generate(&small_config(12));
         assert_ne!(a.contacts(), c.contacts());
     }
 
     #[test]
     fn contacts_lie_within_window() {
-        let trace = generate_homogeneous(&small_config(5));
+        let trace = generate(&small_config(5));
         let window = trace.window();
         for c in trace.contacts() {
             assert!(c.start >= window.start && c.start < window.end);
@@ -131,6 +119,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_single_node() {
-        generate_homogeneous(&HomogeneousConfig { nodes: 1, ..small_config(1) });
+        generate(&HomogeneousConfig { nodes: 1, ..small_config(1) });
     }
 }

@@ -14,9 +14,9 @@
 //!    stationary booth nodes, mild session/break modulation of aggregate
 //!    activity and an optional end-of-window drop-off, matching the shape of
 //!    Fig. 1 ([`conference`]).
-//! 4. **Inquiry-scan observation** — an optional post-processing step that
-//!    re-samples continuous co-location intervals at the iMotes' 120-second
-//!    inquiry granularity ([`scan`]).
+//! 4. **Inquiry-scan observation** — an optional observation step that
+//!    re-samples each continuous co-location interval at the iMotes'
+//!    120-second inquiry granularity ([`scan`]).
 //!
 //! Two further families extend the paper's setting along the scenario axes
 //! related work identifies as decisive for forwarding performance:
@@ -28,27 +28,25 @@
 //!    `O(contacts · log N)` by sampling the aggregate superposition process
 //!    ([`scaled`]).
 //!
-//! All generators are deterministic given a seed, so every experiment and
-//! benchmark in the workspace is reproducible. The [`crate::scenario`]
+//! Each family is one deterministic random-number program (`program`):
+//! a setup in the family's module, then its draws. The [`crate::scenario`]
 //! module unifies every family behind one declarative, TOML/JSON-loadable
-//! [`crate::scenario::ScenarioConfig`] type.
+//! [`crate::scenario::ScenarioConfig`] type, whose `generate()` and
+//! `stream()` run the same program, so every experiment and benchmark in
+//! the workspace is reproducible from a seed.
 
 pub mod community;
 pub mod conference;
 pub mod config;
 pub mod heterogeneous;
 pub mod homogeneous;
+pub(crate) mod program;
 pub mod sampling;
 pub mod scaled;
 pub mod scan;
 
-pub use community::generate_community;
-pub use conference::ConferenceTraceGenerator;
 pub use config::{
     ActivityProfile, CommunityConfig, ConferenceConfig, HeterogeneousConfig, HomogeneousConfig,
     ScaledConfig,
 };
-pub use heterogeneous::generate_heterogeneous;
-pub use homogeneous::generate_homogeneous;
-pub use scaled::generate_scaled;
-pub use scan::apply_inquiry_scan;
+pub use scan::scan_observe;

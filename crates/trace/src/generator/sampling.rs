@@ -1,8 +1,8 @@
 //! Random-variate sampling helpers shared by the trace generators.
 //!
 //! Only the distributions actually needed are implemented (exponential,
-//! log-normal via Box–Muller, Poisson process arrival times), keeping the
-//! dependency set to the plain `rand` crate.
+//! log-normal via Box–Muller, Poisson process arrival times and their
+//! thinning), keeping the dependency set to the plain `rand` crate.
 
 use rand::Rng;
 
@@ -39,13 +39,19 @@ pub fn lognormal_mean_cv<R: Rng + ?Sized>(rng: &mut R, mean: f64, cv: f64) -> f6
     (mu + sigma2.sqrt() * standard_normal(rng)).exp()
 }
 
-/// Generates the arrival times of a homogeneous Poisson process with
-/// intensity `rate` over `[0, horizon)`.
-pub fn poisson_process<R: Rng + ?Sized>(rng: &mut R, rate: f64, horizon: f64) -> Vec<f64> {
+/// Replaces the contents of `times` with the arrival times of a
+/// homogeneous Poisson process with intensity `rate` over `[0, horizon)`.
+/// A non-positive rate gives no arrivals and consumes no draws.
+pub fn poisson_process<R: Rng + ?Sized>(
+    rng: &mut R,
+    rate: f64,
+    horizon: f64,
+    times: &mut Vec<f64>,
+) {
     assert!(horizon >= 0.0, "horizon must be non-negative");
-    let mut times = Vec::new();
+    times.clear();
     if rate <= 0.0 {
-        return times;
+        return;
     }
     let mut t = 0.0;
     loop {
@@ -55,33 +61,23 @@ pub fn poisson_process<R: Rng + ?Sized>(rng: &mut R, rate: f64, horizon: f64) ->
         }
         times.push(t);
     }
-    times
 }
 
-/// Generates the arrival times of an *inhomogeneous* Poisson process with
-/// intensity `rate * modulation(t)` over `[0, horizon)` by thinning against
-/// `rate * max_modulation`.
-pub fn thinned_poisson_process<R, F>(
-    rng: &mut R,
-    rate: f64,
-    horizon: f64,
-    max_modulation: f64,
-    modulation: F,
-) -> Vec<f64>
+/// Thins Poisson arrival times drawn at `rate * max_modulation` into an
+/// *inhomogeneous* process of intensity `rate * modulation(t)`: keeps each
+/// time `t` with probability `modulation(t) / max_modulation`, drawing one
+/// uniform per time, in order.
+pub fn thin_arrivals<R, F>(rng: &mut R, times: &mut Vec<f64>, max_modulation: f64, modulation: F)
 where
     R: Rng + ?Sized,
     F: Fn(f64) -> f64,
 {
     assert!(max_modulation > 0.0, "max modulation must be positive");
-    let candidates = poisson_process(rng, rate * max_modulation, horizon);
-    candidates
-        .into_iter()
-        .filter(|&t| {
-            let m = modulation(t);
-            debug_assert!(m <= max_modulation + 1e-9, "modulation exceeds its declared maximum");
-            rng.gen_range(0.0..1.0) < m / max_modulation
-        })
-        .collect()
+    times.retain(|&t| {
+        let m = modulation(t);
+        debug_assert!(m <= max_modulation + 1e-9, "modulation exceeds its declared maximum");
+        rng.gen_range(0.0..1.0) < m / max_modulation
+    });
 }
 
 #[cfg(test)]
@@ -141,7 +137,8 @@ mod tests {
         let mut r = rng();
         let rate = 0.05;
         let horizon = 100_000.0;
-        let times = poisson_process(&mut r, rate, horizon);
+        let mut times = Vec::new();
+        poisson_process(&mut r, rate, horizon, &mut times);
         let expected = rate * horizon;
         assert!((times.len() as f64 - expected).abs() < 0.1 * expected);
         // Times are sorted and inside the horizon.
@@ -153,8 +150,13 @@ mod tests {
 
     #[test]
     fn poisson_process_zero_rate_is_empty() {
-        assert!(poisson_process(&mut rng(), 0.0, 100.0).is_empty());
-        assert!(poisson_process(&mut rng(), 1.0, 0.0).is_empty());
+        let mut times = vec![1.0];
+        let mut r = rng();
+        poisson_process(&mut r, 0.0, 100.0, &mut times);
+        assert!(times.is_empty());
+        assert_eq!(r.gen_range(0.0..1.0), rng().gen_range(0.0..1.0), "no draws consumed");
+        poisson_process(&mut rng(), 1.0, 0.0, &mut times);
+        assert!(times.is_empty());
     }
 
     #[test]
@@ -162,16 +164,22 @@ mod tests {
         let mut r = rng();
         let rate = 0.1;
         let horizon = 50_000.0;
-        let full = poisson_process(&mut r, rate, horizon).len() as f64;
-        let mut r = rng();
-        let thinned = thinned_poisson_process(&mut r, rate, horizon, 1.0, |_| 0.5).len() as f64;
+        let mut times = Vec::new();
+        poisson_process(&mut r, rate, horizon, &mut times);
+        let full = times.len() as f64;
+        thin_arrivals(&mut r, &mut times, 1.0, |_| 0.5);
+        let thinned = times.len() as f64;
         assert!((thinned / full - 0.5).abs() < 0.08, "ratio = {}", thinned / full);
     }
 
     #[test]
     fn thinning_with_unit_modulation_keeps_intensity() {
         let mut r = rng();
-        let times = thinned_poisson_process(&mut r, 0.05, 20_000.0, 1.0, |_| 1.0);
+        let mut times = Vec::new();
+        poisson_process(&mut r, 0.05, 20_000.0, &mut times);
+        let drawn = times.clone();
+        thin_arrivals(&mut r, &mut times, 1.0, |_| 1.0);
+        assert_eq!(times, drawn, "unit modulation keeps every arrival");
         let expected = 0.05 * 20_000.0;
         assert!((times.len() as f64 - expected).abs() < 0.2 * expected);
     }

@@ -6,124 +6,94 @@
 //! as a contact whose start is aligned to a scan instant and whose end is
 //! the last scan at which the peer was still present.
 //!
-//! [`apply_inquiry_scan`] converts "ground-truth" co-location intervals into
+//! [`scan_observe`] converts one "ground-truth" co-location interval into
 //! that observed form: a contact `[start, end]` becomes a contact from the
 //! first scan instant `>= start` to the last scan instant `<= end` (plus one
 //! scan period, since the devices consider the peer present until the next
 //! failed inquiry). Intervals too short to be observed by any scan are
 //! dropped — exactly the short-contact censoring the real datasets exhibit.
+//! Both modes of the conference program map every drawn contact through it.
 
 use crate::contact::Contact;
-use crate::trace::ContactTrace;
 use crate::Seconds;
 
-/// Re-samples a trace through a periodic inquiry-scan observation process.
+/// Observes `contact` through a periodic inquiry scan with scan instants
+/// `0, period, 2·period, …` relative to a window `[0, window_end)`
+/// (the iMotes used 120 s). `None` when no scan falls inside the contact.
 ///
-/// `period` is the scan interval in seconds (the iMotes used 120 s). Scan
-/// instants are `0, period, 2·period, …` relative to the window start.
-pub fn apply_inquiry_scan(trace: &ContactTrace, period: Seconds) -> ContactTrace {
+/// # Panics
+///
+/// Panics if `period` is not strictly positive.
+pub fn scan_observe(contact: Contact, period: Seconds, window_end: Seconds) -> Option<Contact> {
     assert!(period > 0.0, "scan period must be positive");
-    let window = trace.window();
-    let mut observed = Vec::new();
-    for c in trace.contacts() {
-        // First scan instant at or after the contact starts.
-        let first_scan = (c.start / period).ceil() * period;
-        if first_scan > c.end || first_scan >= window.end {
-            // No scan fell inside the co-location interval: unobserved.
-            continue;
-        }
-        // Last scan instant that still observes the peer.
-        let last_scan = (c.end / period).floor() * period;
-        // The device assumes the peer remains present until the next
-        // (failed) inquiry, so extend by one period but never past the
-        // window end.
-        let observed_end = (last_scan + period).min(window.end);
-        observed.push(
-            Contact::new(c.a, c.b, first_scan, observed_end.max(first_scan))
-                .unwrap_or_else(|e| unreachable!("scan-aligned contacts remain valid: {e}")),
-        );
+    // First scan instant at or after the contact starts.
+    let first_scan = (contact.start / period).ceil() * period;
+    if first_scan > contact.end || first_scan >= window_end {
+        return None;
     }
-    ContactTrace::from_contacts(
-        format!("{}-scan{}", trace.name(), period),
-        trace.nodes().clone(),
-        window,
-        observed,
+    // Last scan instant that still observes the peer. The device assumes
+    // the peer remains present until the next (failed) inquiry, so extend
+    // by one period but never past the window end.
+    let last_scan = (contact.end / period).floor() * period;
+    let observed_end = (last_scan + period).min(window_end);
+    Some(
+        Contact::new(contact.a, contact.b, first_scan, observed_end.max(first_scan))
+            .unwrap_or_else(|e| unreachable!("scan-aligned contacts remain valid: {e}")),
     )
-    .unwrap_or_else(|e| unreachable!("scan-aligned contacts lie inside the window: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::node::{NodeClass, NodeId, NodeRegistry};
-    use crate::trace::TimeWindow;
+    use crate::datasets::{DatasetId, SyntheticDataset};
+    use crate::node::NodeId;
+    use crate::scenario::ScenarioConfig;
 
-    fn base_trace(contacts: Vec<(f64, f64)>) -> ContactTrace {
-        let mut reg = NodeRegistry::new();
-        reg.add(NodeClass::Mobile);
-        reg.add(NodeClass::Mobile);
-        let cs = contacts
-            .into_iter()
-            .map(|(s, e)| Contact::new(NodeId(0), NodeId(1), s, e).unwrap())
-            .collect();
-        ContactTrace::from_contacts("truth", reg, TimeWindow::new(0.0, 3600.0), cs).unwrap()
+    fn observe(start: f64, end: f64) -> Option<Contact> {
+        scan_observe(Contact::new(NodeId(0), NodeId(1), start, end).unwrap(), 120.0, 3600.0)
     }
 
     #[test]
     fn long_contact_is_aligned_to_scan_grid() {
-        let trace = base_trace(vec![(130.0, 400.0)]);
-        let observed = apply_inquiry_scan(&trace, 120.0);
-        assert_eq!(observed.contact_count(), 1);
-        let c = observed.contacts()[0];
+        let c = observe(130.0, 400.0).unwrap();
         assert_eq!(c.start, 240.0); // first scan >= 130
         assert_eq!(c.end, 480.0); // last scan <= 400 is 360, plus one period
     }
 
     #[test]
     fn short_contact_between_scans_is_dropped() {
-        let trace = base_trace(vec![(130.0, 200.0)]);
-        let observed = apply_inquiry_scan(&trace, 120.0);
-        assert!(observed.is_empty());
+        assert!(observe(130.0, 200.0).is_none());
     }
 
     #[test]
     fn contact_spanning_scan_instant_is_kept() {
-        let trace = base_trace(vec![(110.0, 125.0)]);
-        let observed = apply_inquiry_scan(&trace, 120.0);
-        assert_eq!(observed.contact_count(), 1);
-        assert_eq!(observed.contacts()[0].start, 120.0);
+        assert_eq!(observe(110.0, 125.0).unwrap().start, 120.0);
     }
 
     #[test]
     fn observed_end_never_exceeds_window() {
-        let trace = base_trace(vec![(3400.0, 3550.0)]);
-        let observed = apply_inquiry_scan(&trace, 120.0);
-        assert_eq!(observed.contact_count(), 1);
         // Last scan inside the contact is 3480; extending by one period would
         // reach 3600, which is clamped to the window end.
-        assert!(observed.contacts()[0].end <= 3600.0);
+        assert!(observe(3400.0, 3550.0).unwrap().end <= 3600.0);
     }
 
     #[test]
     fn contact_starting_at_scan_instant() {
-        let trace = base_trace(vec![(240.0, 250.0)]);
-        let observed = apply_inquiry_scan(&trace, 120.0);
-        assert_eq!(observed.contact_count(), 1);
-        assert_eq!(observed.contacts()[0].start, 240.0);
+        assert_eq!(observe(240.0, 250.0).unwrap().start, 240.0);
     }
 
     #[test]
     fn name_records_scan_period() {
-        let trace = base_trace(vec![(0.0, 500.0)]);
-        let observed = apply_inquiry_scan(&trace, 120.0);
-        assert!(observed.name().contains("scan120"));
+        let ds = SyntheticDataset::quick_config(DatasetId::Conext06Morning);
+        assert_eq!(ds.config.inquiry_scan_period, Some(120.0));
+        let trace = ScenarioConfig::from(ds).generate();
+        assert!(trace.name().ends_with("-scan120"), "{}", trace.name());
     }
 
     #[test]
     #[should_panic]
     fn rejects_nonpositive_period() {
-        let trace = base_trace(vec![(0.0, 10.0)]);
-        apply_inquiry_scan(&trace, 0.0);
+        scan_observe(Contact::new(NodeId(0), NodeId(1), 0.0, 10.0).unwrap(), 0.0, 3600.0);
     }
 }

@@ -62,10 +62,7 @@ pub use node::{NodeClass, NodeId, NodeRegistry};
 pub use rates::{ContactRates, RateClass};
 pub use scenario::{ScenarioConfig, ScenarioError, ScenarioSet};
 pub use scenario_stream::ScenarioContactStream;
-pub use stream::{
-    ContactEvent, ContactStream, StreamError, StreamSummary, SyntheticContactStream,
-    SyntheticStreamConfig, TraceEventStream,
-};
+pub use stream::{ContactEvent, ContactStream, StreamError, TraceEventStream};
 pub use summary::{ContactSummary, SummarizingStream};
 pub use sweep::{ScenarioSweep, SweepAxis, SweepCell};
 pub use trace::{ContactTrace, TimeWindow, TraceError};

@@ -52,11 +52,6 @@ use crate::generator::config::{
     ActivityProfile, CommunityConfig, ConferenceConfig, HeterogeneousConfig, HomogeneousConfig,
     ScaledConfig,
 };
-use crate::generator::{
-    generate_community, generate_heterogeneous, generate_homogeneous, generate_scaled,
-    ConferenceTraceGenerator,
-};
-use crate::trace::ContactTrace;
 use crate::Seconds;
 
 /// Error raised while parsing or validating a scenario config document.
@@ -174,17 +169,6 @@ impl ScenarioConfig {
             ScenarioConfig::Scaled(c) => c.seed = seed,
         }
         out
-    }
-
-    /// Generates the contact trace for this scenario.
-    pub fn generate(&self) -> ContactTrace {
-        match self {
-            ScenarioConfig::Conference(c) => ConferenceTraceGenerator::new(c.clone()).generate(),
-            ScenarioConfig::Homogeneous(c) => generate_homogeneous(c),
-            ScenarioConfig::Heterogeneous(c) => generate_heterogeneous(c),
-            ScenarioConfig::Community(c) => generate_community(c),
-            ScenarioConfig::Scaled(c) => generate_scaled(c),
-        }
     }
 
     /// Parses a scenario from TOML text (the subset described in the
@@ -540,6 +524,20 @@ pub(crate) mod doc {
             }
         }
 
+        /// Adds a key read from a config document at `at`. A key the table
+        /// already holds is an error naming it and the table, never a
+        /// silent last-value-wins overwrite.
+        fn insert_read(&mut self, key: &str, value: Value, at: &str) -> Result<(), ScenarioError> {
+            if self.entries.contains_key(key) {
+                return Err(ScenarioError::new(format!(
+                    "{at}: duplicate key {key:?} in {}",
+                    self.context
+                )));
+            }
+            self.insert(key, value);
+            Ok(())
+        }
+
         pub fn set_string(&mut self, key: &str, value: &str) {
             self.insert(key, Value::Str(value.to_string()));
         }
@@ -883,7 +881,7 @@ pub(crate) mod doc {
                 return Err(ScenarioError::new(format!("{context}: empty key")));
             }
             let value = parse_toml_value(value, &context)?;
-            table_at(&mut top, &section, &context)?.insert(key, value);
+            table_at(&mut top, &section, &context)?.insert_read(key, value, &context)?;
         }
         Ok(top)
     }
@@ -959,7 +957,7 @@ pub(crate) mod doc {
                     )))
                 }
             };
-            table.insert(&key, value);
+            table.insert_read(&key, value, "json")?;
         }
         Ok(table)
     }
@@ -1609,6 +1607,44 @@ max_node_rate = 0.05
         assert!(err.to_string().contains("nesting bound"), "{err}");
         let bound = format!("[{}]\nx = 1\n", vec!["t"; crate::json::MAX_DEPTH].join("."));
         assert!(doc::parse_toml(&bound).is_ok());
+    }
+
+    #[test]
+    fn repeated_keys_are_errors_naming_the_key_and_table() {
+        let cases = [
+            ("kind = \"homogeneous\"\nnodes = 20\nnodes = 30\n", "line 3", "\"nodes\" in scenario"),
+            (
+                "kind = \"conference\"\n[activity]\nprofile = \"constant\"\nprofile = \"constant\"\n",
+                "line 4",
+                "\"profile\" in activity",
+            ),
+            // A reopened header keeps the keys it already holds.
+            (
+                "kind = \"conference\"\n[activity]\nprofile = \"constant\"\n[activity]\nprofile = \"x\"\n",
+                "line 5",
+                "\"profile\" in activity",
+            ),
+            ("{\"kind\": \"homogeneous\", \"nodes\": 20, \"nodes\": 30}", "json", "\"nodes\" in scenario"),
+            (
+                "{\"kind\": \"conference\", \"activity\": {\"profile\": \"constant\", \"profile\": \"constant\"}}",
+                "json",
+                "\"profile\" in activity",
+            ),
+        ];
+        for (text, at, key) in cases {
+            let err = ScenarioConfig::from_config_str(text).expect_err(text);
+            let message = err.to_string();
+            assert!(message.contains(&format!("{at}: duplicate key {key}")), "{text}: {message}");
+        }
+        // One of each key still parses, and a header may be reopened for
+        // new keys.
+        let ok = ScenarioConfig::from_toml_str(
+            "kind = \"conference\"\n[activity]\nprofile = \"tail_dropoff\"\n[activity]\n\
+             dropoff_seconds = 900.0\nfinal_fraction = 0.5\n",
+        )
+        .unwrap();
+        assert!(matches!(ok, ScenarioConfig::Conference(c) if c.activity
+            == ActivityProfile::TailDropoff { dropoff_seconds: 900.0, final_fraction: 0.5 }));
     }
 
     #[test]

@@ -1,132 +1,56 @@
-//! Stream-native scenario sources.
+//! Scenario families as slot-ordered event streams, and as traces.
 //!
-//! [`ScenarioConfig::generate`] materializes the full contact list before
-//! the streaming pipeline can adapt it through
-//! [`crate::stream::TraceEventStream`], so a "streaming" study still paid
-//! O(contacts) memory at the source. [`ScenarioConfig::stream`] closes that
-//! gap: every scenario family is exposed directly as a slot-ordered
-//! [`ContactStream`] whose state is bounded by the *population* (pair
-//! cursors plus the k-way merge heap), never by the trace length.
+//! Every family is one random-number program ([`crate::generator`]'s
+//! family setups plus the pair loop), run here in two modes.
+//! [`ScenarioConfig::generate`] runs it in materialize mode and sorts the
+//! contacts once. [`ScenarioConfig::stream`] runs it in stream mode: the
+//! family is exposed directly as a slot-ordered [`ContactStream`] whose
+//! state is bounded by the *population* (pair cursors plus the k-way merge
+//! heap), never by the trace length.
 //!
 //! # Bit-identity contract
 //!
 //! The stream is pinned **event-identical** to `TraceEventStream` over the
-//! materialized trace for every family × seed (property-tested in this
-//! module). That works because the generators are deterministic RNG
-//! programs with a fixed draw order:
+//! generated trace for every family × seed (property-tested in this
+//! module). That works because each program has a fixed draw order:
 //!
-//! 1. **Replay phase** (construction): the generator's exact draw sequence
-//!    is replayed once on the master RNG *without storing contacts*. At the
-//!    point where each pair's draws begin, cheap 32-byte RNG cursors are
-//!    cloned — one positioned at the pair's arrival draws, one at its
-//!    duration draws (and, for the thinned conference process, one at its
-//!    thinning draws). Pairs that produce no contacts are discarded.
+//! 1. **Replay phase** (construction): the pair loop runs once on the
+//!    master RNG *without storing contacts*. At the point where each pair's
+//!    draws begin, cheap 32-byte RNG cursors are cloned — one positioned at
+//!    the pair's arrival draws, one at its duration draws (and, for the
+//!    thinned conference process, one at its thinning draws). Pairs that
+//!    produce no contacts are discarded.
 //! 2. **Merge phase** (iteration): each retained pair re-draws its contacts
 //!    lazily from its cursors — arrivals and durations advance in lockstep,
 //!    reproducing the interleaved draw order bit for bit — and a min-heap
 //!    merges pairs on the exact total order [`ContactTrace`]`::sort` uses:
 //!    `(start, end, a, b)`. Within a pair, starts are strictly increasing
 //!    (exponential inter-arrivals are positive), so the merge output equals
-//!    the sorted contact list of the materialized trace.
+//!    the sorted contact list of the generated trace.
 //!
-//! The `scaled` family needs no merge at all: its generator samples the
-//! aggregate superposition process in time order, so the stream replays the
-//! single RNG loop directly in O(nodes) state. The conference family's
-//! optional inquiry-scan observation model is composed on top as a bounded
-//! reorder buffer: scan-aligned starts are monotone in ground-truth starts,
-//! so contacts are bucketed per scan instant, sorted within the bucket, and
-//! flushed as soon as a later scan instant arrives.
+//! The `scaled` family needs no merge at all: it samples the aggregate
+//! superposition process in time order, so both modes drain the same
+//! source in O(nodes) state. The conference family's optional inquiry-scan
+//! observation model is composed on top as a bounded reorder buffer:
+//! scan-aligned starts are monotone in ground-truth starts, so contacts are
+//! bucketed per scan instant, sorted within the bucket, and flushed as soon
+//! as a later scan instant arrives.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::contact::Contact;
-use crate::generator::community::community_of;
-use crate::generator::config::{
-    ActivityProfile, CommunityConfig, ConferenceConfig, HeterogeneousConfig, HomogeneousConfig,
-    ScaledConfig,
+use crate::generator::config::ActivityProfile;
+use crate::generator::program::{
+    Draws, DurationModel, FamilyProgram, PairCursor, PairProgram, PairSink,
 };
-use crate::generator::sampling::{exponential, lognormal_mean_cv};
-use crate::generator::scaled::sample_node;
-use crate::generator::ConferenceTraceGenerator;
-use crate::node::NodeId;
+use crate::generator::scaled::ScaledSource;
+use crate::generator::scan::scan_observe;
+use crate::generator::{community, conference, heterogeneous, homogeneous, scaled};
 use crate::scenario::ScenarioConfig;
 use crate::stream::{ContactEvent, ContactStream, StreamError};
-use crate::trace::TimeWindow;
+use crate::trace::{ContactTrace, TimeWindow};
 use crate::Seconds;
-
-/// How a family draws contact durations once a start is accepted.
-#[derive(Debug, Clone, Copy)]
-enum DurationModel {
-    /// Exponential durations (homogeneous, heterogeneous, scaled).
-    Exponential {
-        /// `1 / mean_contact_duration`.
-        rate: f64,
-    },
-    /// Log-normal durations (community, conference). `cv == 0` consumes no
-    /// draws, exactly like [`lognormal_mean_cv`].
-    Lognormal { mean: f64, cv: f64 },
-}
-
-impl DurationModel {
-    fn draw(self, rng: &mut StdRng) -> f64 {
-        match self {
-            DurationModel::Exponential { rate } => exponential(rng, rate),
-            DurationModel::Lognormal { mean, cv } => lognormal_mean_cv(rng, mean, cv),
-        }
-    }
-}
-
-/// One pair's lazy contact iterator: RNG cursors positioned at the pair's
-/// arrival / thinning / duration draws of the generator's master sequence.
-#[derive(Debug)]
-struct PairCursor {
-    a: u32,
-    b: u32,
-    /// Rate of the arrival process — the pair rate, boosted by the activity
-    /// profile's maximum multiplier for thinned (conference) pairs.
-    arrival_rate: f64,
-    /// Running arrival time of the pair's Poisson process.
-    t: f64,
-    starts_rng: StdRng,
-    /// Present only for thinned (conference) pairs: one uniform per
-    /// candidate arrival, in candidate order.
-    thin_rng: Option<StdRng>,
-    durs_rng: StdRng,
-}
-
-impl PairCursor {
-    /// Re-draws the pair's next surviving contact, or `None` once its
-    /// arrival process leaves the window.
-    fn next_contact(
-        &mut self,
-        horizon: Seconds,
-        duration: DurationModel,
-        thinning: Option<&(ActivityProfile, f64)>,
-    ) -> Option<Contact> {
-        loop {
-            self.t += exponential(&mut self.starts_rng, self.arrival_rate);
-            if self.t >= horizon {
-                return None;
-            }
-            if let Some(thin_rng) = self.thin_rng.as_mut() {
-                let (activity, max_mod) = thinning
-                    .unwrap_or_else(|| unreachable!("thinned cursors carry an activity profile"));
-                let m = activity.multiplier(self.t, horizon);
-                if thin_rng.gen_range(0.0..1.0) >= m / max_mod {
-                    continue;
-                }
-            }
-            let end = (self.t + duration.draw(&mut self.durs_rng)).min(horizon);
-            let contact = Contact::new(NodeId(self.a), NodeId(self.b), self.t, end)
-                .unwrap_or_else(|e| unreachable!("replayed contacts are valid: {e}"));
-            return Some(contact);
-        }
-    }
-}
 
 /// Heap entry ordering pairs on the next contact's full sort key — the
 /// exact `(start, end, a, b)` total order of [`crate::trace::ContactTrace`]
@@ -175,12 +99,12 @@ struct PairMergeSource {
 }
 
 impl PairMergeSource {
-    fn new(
-        horizon: Seconds,
-        duration: DurationModel,
-        thinning: Option<(ActivityProfile, f64)>,
-        mut cursors: Vec<PairCursor>,
-    ) -> Self {
+    /// Runs `pairs` in stream mode and seeds the heap with each cursor's
+    /// first contact.
+    fn new(mut pairs: PairProgram) -> Self {
+        let mut cursors = Vec::new();
+        pairs.replay(PairSink::Cursors(&mut cursors));
+        let PairProgram { horizon, duration, thinning, .. } = pairs;
         let mut heap = BinaryHeap::with_capacity(cursors.len());
         for (idx, cursor) in cursors.iter_mut().enumerate() {
             if let Some(contact) = cursor.next_contact(horizon, duration, thinning.as_ref()) {
@@ -208,54 +132,12 @@ impl PairMergeSource {
     }
 }
 
-/// Direct replay of the scaled generator's aggregate, time-ordered loop.
-#[derive(Debug)]
-struct ScaledSource {
-    rng: StdRng,
-    t: f64,
-    horizon: Seconds,
-    aggregate_rate: f64,
-    duration_rate: f64,
-    /// Propensity prefix sums for inverse-CDF pair attribution.
-    prefix: Vec<f64>,
-    done: bool,
-}
-
-impl ScaledSource {
-    fn next_contact(&mut self) -> Option<Contact> {
-        if self.done {
-            return None;
-        }
-        self.t += exponential(&mut self.rng, self.aggregate_rate);
-        if self.t >= self.horizon {
-            self.done = true;
-            return None;
-        }
-        let (i, j) = loop {
-            let i = sample_node(&mut self.rng, &self.prefix);
-            let j = sample_node(&mut self.rng, &self.prefix);
-            if i != j {
-                break (i, j);
-            }
-        };
-        let duration = exponential(&mut self.rng, self.duration_rate);
-        let end = (self.t + duration).min(self.horizon);
-        let contact = Contact::new(NodeId(i as u32), NodeId(j as u32), self.t, end)
-            .unwrap_or_else(|e| unreachable!("replayed contacts are valid: {e}"));
-        Some(contact)
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.prefix.capacity() * std::mem::size_of::<f64>()
-    }
-}
-
 /// Streaming composition of the inquiry-scan observation model over the
 /// conference merge: scan-aligned starts are monotone in ground-truth
 /// starts, so mapped contacts are bucketed per scan instant and each bucket
 /// is sorted and flushed once a later instant arrives. The buffer is
-/// bounded by the contacts mapped to one scan instant, matching the
-/// re-sort `apply_inquiry_scan` performs via `from_contacts`.
+/// bounded by the contacts mapped to one scan instant, matching the one
+/// sort [`ScenarioConfig::generate`] performs via `from_contacts`.
 #[derive(Debug)]
 struct ScanSource {
     inner: PairMergeSource,
@@ -271,7 +153,6 @@ struct ScanSource {
 
 impl ScanSource {
     fn new(inner: PairMergeSource, period: Seconds, window_end: Seconds) -> Self {
-        assert!(period > 0.0, "scan period must be positive");
         Self {
             inner,
             period,
@@ -311,17 +192,10 @@ impl ScanSource {
                     self.inner_done = true;
                 }
                 Some(c) => {
-                    // The exact arithmetic of `apply_inquiry_scan`.
-                    let first_scan = (c.start / self.period).ceil() * self.period;
-                    if first_scan > c.end || first_scan >= self.window_end {
+                    let Some(mapped) = scan_observe(c, self.period, self.window_end) else {
                         continue; // unobserved by any scan
-                    }
-                    let last_scan = (c.end / self.period).floor() * self.period;
-                    let observed_end = (last_scan + self.period).min(self.window_end);
-                    let mapped = Contact::new(c.a, c.b, first_scan, observed_end.max(first_scan))
-                        .unwrap_or_else(|e| {
-                            unreachable!("scan-aligned contacts remain valid: {e}")
-                        });
+                    };
+                    let first_scan = mapped.start;
                     debug_assert!(
                         self.bucket.is_empty() || first_scan >= self.bucket_grid,
                         "scan instants regress"
@@ -415,246 +289,65 @@ impl ContactStream for ScenarioContactStream {
     }
 }
 
-/// Replays the shared product-rate pair loop (heterogeneous, community,
-/// conference without thinning is *not* handled here — see
-/// [`conference_cursors`]), snapshotting cursors for pairs that produce at
-/// least one contact. `pair_rate_of(i, j) <= 0` skips the pair without
-/// consuming draws, exactly like the generators.
-fn replay_plain_pairs(
-    rng: &mut StdRng,
-    n: usize,
-    horizon: Seconds,
-    duration: DurationModel,
-    pair_rate_of: impl Fn(usize, usize) -> f64,
-) -> Vec<PairCursor> {
-    let mut cursors = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let rate = pair_rate_of(i, j);
-            if rate <= 0.0 {
-                continue;
-            }
-            let starts_rng = rng.clone();
-            let mut t = 0.0;
-            let mut starts = 0usize;
-            loop {
-                t += exponential(rng, rate);
-                if t >= horizon {
-                    break;
-                }
-                starts += 1;
-            }
-            let durs_rng = rng.clone();
-            for _ in 0..starts {
-                duration.draw(rng);
-            }
-            if starts > 0 {
-                cursors.push(PairCursor {
-                    a: i as u32,
-                    b: j as u32,
-                    arrival_rate: rate,
-                    t: 0.0,
-                    starts_rng,
-                    thin_rng: None,
-                    durs_rng,
-                });
-            }
-        }
-    }
-    cursors
-}
-
-fn homogeneous_source(config: &HomogeneousConfig) -> PairMergeSource {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.node_contact_rate > 0.0, "contact rate must be positive");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let pair_rate = config.node_contact_rate / (config.nodes as f64 - 1.0);
-    let duration = DurationModel::Exponential { rate: 1.0 / config.mean_contact_duration };
-    let cursors =
-        replay_plain_pairs(&mut rng, config.nodes, config.window_seconds, duration, |_, _| {
-            pair_rate
-        });
-    PairMergeSource::new(config.window_seconds, duration, None, cursors)
-}
-
-fn heterogeneous_source(config: &HeterogeneousConfig) -> PairMergeSource {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let propensities: Vec<f64> = (0..config.nodes).map(|_| rng.gen_range(0.01..1.0)).collect();
-    let total: f64 = propensities.iter().sum();
-    let max_unscaled = propensities.iter().map(|&p| p * (total - p)).fold(0.0_f64, f64::max);
-    assert!(max_unscaled > 0.0, "propensities must not be all zero");
-    let scale = config.max_node_rate / max_unscaled;
-    let duration = DurationModel::Exponential { rate: 1.0 / config.mean_contact_duration };
-    let cursors =
-        replay_plain_pairs(&mut rng, config.nodes, config.window_seconds, duration, |i, j| {
-            scale * propensities[i] * propensities[j]
-        });
-    PairMergeSource::new(config.window_seconds, duration, None, cursors)
-}
-
-fn community_source(config: &CommunityConfig) -> PairMergeSource {
-    assert!(config.communities >= 1, "need at least one community");
-    assert!(config.nodes_per_community >= 1, "communities must be non-empty");
-    assert!(config.total_nodes() >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(config.intra_inter_ratio >= 1.0, "intra/inter ratio must be at least 1");
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-    assert!(config.window_seconds > 0.0, "window must be positive");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let n = config.total_nodes();
-    let inter_weight = 1.0 / config.intra_inter_ratio;
-    let propensities: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..1.0)).collect();
-    let mut totals = vec![0.0f64; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let same =
-                community_of(config, NodeId(i as u32)) == community_of(config, NodeId(j as u32));
-            let w = propensities[i] * propensities[j] * if same { 1.0 } else { inter_weight };
-            totals[i] += w;
-            totals[j] += w;
-        }
-    }
-    let max_total = totals.iter().copied().fold(0.0_f64, f64::max);
-    assert!(max_total > 0.0, "community configuration produced no contact weight");
-    let scale = config.max_node_rate / max_total;
-    let duration = DurationModel::Lognormal {
-        mean: config.mean_contact_duration,
-        cv: config.contact_duration_cv,
-    };
-    let cursors = replay_plain_pairs(&mut rng, n, config.window_seconds, duration, |i, j| {
-        let same = community_of(config, NodeId(i as u32)) == community_of(config, NodeId(j as u32));
-        scale * propensities[i] * propensities[j] * if same { 1.0 } else { inter_weight }
-    });
-    PairMergeSource::new(config.window_seconds, duration, None, cursors)
-}
-
-fn conference_source(config: &ConferenceConfig) -> PairMergeSource {
-    // Constructor asserts match `ConferenceTraceGenerator::new`.
-    let generator = ConferenceTraceGenerator::new(config.clone());
-    let c = generator.config();
-    let mut rng = StdRng::seed_from_u64(c.seed);
-    let propensities = generator.draw_propensities(&mut rng);
-    let n = propensities.len();
-    let total: f64 = propensities.iter().sum();
-    let max_unscaled = propensities.iter().map(|&p| p * (total - p)).fold(0.0_f64, f64::max);
-    let scale = c.max_node_rate / max_unscaled;
-    let max_mod = c.activity.max_multiplier();
-    let duration =
-        DurationModel::Lognormal { mean: c.mean_contact_duration, cv: c.contact_duration_cv };
-
-    let mut cursors = Vec::new();
-    // Reused candidate-time scratch; bounded by one pair's candidates.
-    let mut candidates: Vec<f64> = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let pair_rate = scale * propensities[i] * propensities[j];
-            if pair_rate <= 0.0 {
-                continue;
-            }
-            let boosted = pair_rate * max_mod;
-            let starts_rng = rng.clone();
-            candidates.clear();
-            let mut t = 0.0;
-            loop {
-                t += exponential(&mut rng, boosted);
-                if t >= c.window_seconds {
-                    break;
-                }
-                candidates.push(t);
-            }
-            let thin_rng = rng.clone();
-            let mut accepted = 0usize;
-            for &ct in &candidates {
-                let m = c.activity.multiplier(ct, c.window_seconds);
-                if rng.gen_range(0.0..1.0) < m / max_mod {
-                    accepted += 1;
-                }
-            }
-            let durs_rng = rng.clone();
-            for _ in 0..accepted {
-                duration.draw(&mut rng);
-            }
-            if accepted > 0 {
-                cursors.push(PairCursor {
-                    a: i as u32,
-                    b: j as u32,
-                    arrival_rate: boosted,
-                    t: 0.0,
-                    starts_rng,
-                    thin_rng: Some(thin_rng),
-                    durs_rng,
-                });
-            }
-        }
-    }
-    PairMergeSource::new(c.window_seconds, duration, Some((c.activity.clone(), max_mod)), cursors)
-}
-
-fn scaled_source(config: &ScaledConfig) -> ScaledSource {
-    assert!(config.nodes >= 2, "need at least two nodes to have contacts");
-    assert!(config.max_node_rate > 0.0, "max node rate must be positive");
-    assert!(
-        config.min_node_rate >= 0.0 && config.min_node_rate < config.max_node_rate,
-        "min node rate must be in [0, max_node_rate)"
-    );
-    assert!(config.mean_contact_duration > 0.0, "contact duration must be positive");
-    assert!(config.window_seconds > 0.0, "window must be positive");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let floor = (config.min_node_rate / config.max_node_rate).max(1e-3);
-    let propensities: Vec<f64> = (0..config.nodes).map(|_| rng.gen_range(floor..1.0)).collect();
-    let total: f64 = propensities.iter().sum();
-    let max_unscaled = propensities.iter().map(|&p| p * (total - p)).fold(0.0_f64, f64::max);
-    let scale = config.max_node_rate / max_unscaled;
-    let sum_sq: f64 = propensities.iter().map(|&p| p * p).sum();
-    let aggregate_rate = scale * (total * total - sum_sq) / 2.0;
-    let mut prefix = Vec::with_capacity(config.nodes);
-    let mut acc = 0.0;
-    for &p in &propensities {
-        acc += p;
-        prefix.push(acc);
-    }
-    ScaledSource {
-        rng,
-        t: 0.0,
-        horizon: config.window_seconds,
-        aggregate_rate,
-        duration_rate: 1.0 / config.mean_contact_duration,
-        prefix,
-        done: false,
-    }
-}
-
 impl ScenarioConfig {
+    /// The family's random-number program, set up.
+    fn program(&self) -> FamilyProgram {
+        match self {
+            ScenarioConfig::Conference(c) => conference::program(c),
+            ScenarioConfig::Homogeneous(c) => homogeneous::program(c),
+            ScenarioConfig::Heterogeneous(c) => heterogeneous::program(c),
+            ScenarioConfig::Community(c) => community::program(c),
+            ScenarioConfig::Scaled(c) => scaled::program(c),
+        }
+    }
+
+    /// Generates the contact trace for this scenario: one pass of the
+    /// family's program, every contact kept as it is drawn (and observed
+    /// through the inquiry scan when the config sets one), then one sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics on degenerate configurations (fewer than two nodes,
+    /// non-positive rates, durations or window). Configs read from text
+    /// reject these with a typed error first.
+    pub fn generate(&self) -> ContactTrace {
+        let FamilyProgram { name, registry, draws } = self.program();
+        let mut contacts = Vec::new();
+        match draws {
+            Draws::Pairs(mut pairs) => pairs.replay(PairSink::Contacts(&mut contacts)),
+            Draws::Scaled(mut source) => {
+                contacts.extend(std::iter::from_fn(|| source.next_contact()))
+            }
+        }
+        let window = TimeWindow::new(0.0, self.window_seconds());
+        ContactTrace::from_contacts(name, registry, window, contacts)
+            .unwrap_or_else(|e| unreachable!("generated contacts lie inside the window: {e}"))
+    }
+
     /// Exposes the scenario as a slot-ordered [`ContactStream`] at
     /// discretization step `delta`, without materializing a
-    /// [`crate::trace::ContactTrace`]. The event sequence is bit-identical
-    /// to [`crate::stream::TraceEventStream`] over [`Self::generate`] for
+    /// [`ContactTrace`]. The event sequence is bit-identical to
+    /// [`crate::stream::TraceEventStream`] over [`Self::generate`] for
     /// every family and seed.
     ///
     /// # Panics
     ///
-    /// Panics on the same degenerate configurations the generators reject,
+    /// Panics on the same degenerate configurations as [`Self::generate`],
     /// and if `delta` is not strictly positive and finite.
     pub fn stream(&self, delta: Seconds) -> ScenarioContactStream {
         let window = TimeWindow::new(0.0, self.window_seconds());
-        let source = match self {
-            ScenarioConfig::Conference(c) => {
-                let merged = conference_source(c);
-                match c.inquiry_scan_period {
+        let source = match self.program().draws {
+            Draws::Pairs(pairs) => {
+                let scan = pairs.scan;
+                let merged = PairMergeSource::new(pairs);
+                match scan {
                     Some(period) => {
                         ScenarioSource::Scan(ScanSource::new(merged, period, window.end))
                     }
                     None => ScenarioSource::Pairs(merged),
                 }
             }
-            ScenarioConfig::Homogeneous(c) => ScenarioSource::Pairs(homogeneous_source(c)),
-            ScenarioConfig::Heterogeneous(c) => ScenarioSource::Pairs(heterogeneous_source(c)),
-            ScenarioConfig::Community(c) => ScenarioSource::Pairs(community_source(c)),
-            ScenarioConfig::Scaled(c) => ScenarioSource::Scaled(scaled_source(c)),
+            Draws::Scaled(source) => ScenarioSource::Scaled(source),
         };
         ScenarioContactStream {
             node_count: self.node_count(),
@@ -671,6 +364,9 @@ impl ScenarioConfig {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::generator::config::{
+        CommunityConfig, ConferenceConfig, HeterogeneousConfig, HomogeneousConfig, ScaledConfig,
+    };
     use crate::stream::TraceEventStream;
     use proptest::prelude::*;
 

@@ -2,9 +2,9 @@
 //!
 //! The materialized pipeline hands whole [`ContactTrace`]s to the space-time
 //! graph builder, so memory scales with trace length. This module is the
-//! trace-layer half of the streaming pipeline: a contact trace (or an
-//! on-the-fly generator) is exposed as a **slot-ordered sequence of up/down
-//! events** that downstream incremental builders fold one slot at a time.
+//! trace-layer half of the streaming pipeline: a contact trace (or a
+//! scenario's program, [`crate::ScenarioConfig::stream`]) is exposed as a
+//! **slot-ordered sequence of up/down events** that downstream incremental builders fold one slot at a time.
 //!
 //! Slotting follows the space-time convention exactly: with discretization
 //! step Δ and observation window `[start, end)`, slot `s` covers
@@ -24,11 +24,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crate::contact::Contact;
-use crate::generator::sampling::exponential;
 use crate::node::NodeId;
 use crate::trace::{ContactTrace, TimeWindow};
 use crate::Seconds;
@@ -329,152 +325,6 @@ impl ContactStream for TraceEventStream<'_> {
     }
 }
 
-/// Configuration of the on-the-fly Poisson contact stream.
-#[derive(Debug, Clone, Copy)]
-pub struct SyntheticStreamConfig {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Observation window.
-    pub window: TimeWindow,
-    /// Discretization step in seconds.
-    pub delta: Seconds,
-    /// Mean seconds between successive contact starts (aggregate process).
-    pub mean_interarrival: Seconds,
-    /// Mean contact duration in seconds.
-    pub mean_duration: Seconds,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// An on-the-fly aggregate-Poisson contact stream: contact starts form a
-/// Poisson process over the window (sorted by construction), endpoints are a
-/// uniform random pair, durations are exponential. Nothing is materialized —
-/// generator state is O(1) plus the pending-down heap, which is bounded by
-/// the number of simultaneously active contacts. This is the source the
-/// million-contact streaming benchmarks draw from.
-#[derive(Debug)]
-pub struct SyntheticContactStream {
-    config: SyntheticStreamConfig,
-    rng: StdRng,
-    /// Next candidate contact start time.
-    next_start: Seconds,
-    /// The contact waiting to be emitted as `Up`, if already drawn.
-    pending: Option<Contact>,
-    sequencer: EventSequencer,
-}
-
-impl SyntheticContactStream {
-    /// Creates the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes < 2`, or any of `delta`, `mean_interarrival`,
-    /// `mean_duration` is not strictly positive and finite.
-    pub fn new(config: SyntheticStreamConfig) -> Self {
-        assert!(config.nodes >= 2, "need at least two nodes to form contacts");
-        assert!(
-            config.mean_interarrival > 0.0 && config.mean_interarrival.is_finite(),
-            "mean interarrival must be positive and finite"
-        );
-        assert!(
-            config.mean_duration > 0.0 && config.mean_duration.is_finite(),
-            "mean duration must be positive and finite"
-        );
-        let sequencer = EventSequencer::new(config.window, config.delta);
-        Self {
-            config,
-            rng: StdRng::seed_from_u64(config.seed),
-            next_start: config.window.start,
-            pending: None,
-            sequencer,
-        }
-    }
-
-    /// Draws the next contact, if one more starts inside the window.
-    fn draw(&mut self) -> Option<Contact> {
-        use rand::Rng;
-        self.next_start += exponential(&mut self.rng, 1.0 / self.config.mean_interarrival);
-        if self.next_start >= self.config.window.end {
-            return None;
-        }
-        let a = self.rng.gen_range(0..self.config.nodes as u32);
-        let mut b = self.rng.gen_range(0..self.config.nodes as u32 - 1);
-        if b >= a {
-            b += 1;
-        }
-        let duration = exponential(&mut self.rng, 1.0 / self.config.mean_duration);
-        let end = (self.next_start + duration).min(self.config.window.end);
-        Some(
-            Contact::new(NodeId(a), NodeId(b), self.next_start, end).unwrap_or_else(|e| {
-                unreachable!("generated contacts are valid by construction: {e}")
-            }),
-        )
-    }
-}
-
-impl ContactStream for SyntheticContactStream {
-    fn node_count(&self) -> usize {
-        self.config.nodes
-    }
-
-    fn window(&self) -> TimeWindow {
-        self.config.window
-    }
-
-    fn delta(&self) -> Seconds {
-        self.config.delta
-    }
-
-    fn next_event(&mut self) -> Result<Option<ContactEvent>, StreamError> {
-        if self.pending.is_none() {
-            self.pending = self.draw();
-        }
-        let (event, consumed) = self.sequencer.step(self.pending.as_ref())?;
-        if consumed {
-            self.pending = None;
-        }
-        Ok(event)
-    }
-}
-
-/// Running aggregate statistics of an event stream — the streamable subset
-/// of what [`crate::rates::ContactRates`] computes from a materialized
-/// trace, folded in O(nodes) state.
-#[derive(Debug, Clone)]
-pub struct StreamSummary {
-    /// Contacts seen (one per `Up` event).
-    pub contacts: usize,
-    /// Per-node contact counts.
-    pub per_node: Vec<u64>,
-    /// Contacts currently active (not yet taken down).
-    pub active: usize,
-    /// Maximum number of simultaneously active contacts observed.
-    pub peak_active: usize,
-}
-
-impl StreamSummary {
-    /// An empty summary over `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        Self { contacts: 0, per_node: vec![0; nodes], active: 0, peak_active: 0 }
-    }
-
-    /// Folds one event into the summary.
-    pub fn observe(&mut self, event: &ContactEvent) {
-        match event {
-            ContactEvent::Up { a, b, .. } => {
-                self.contacts += 1;
-                self.per_node[a.index()] += 1;
-                self.per_node[b.index()] += 1;
-                self.active += 1;
-                self.peak_active = self.peak_active.max(self.active);
-            }
-            ContactEvent::Down { .. } => {
-                self.active = self.active.saturating_sub(1);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -627,53 +477,58 @@ mod tests {
         assert!(events.is_empty());
     }
 
+    /// A heterogeneous scenario to stream.
+    fn scenario(nodes: usize, window_seconds: f64, seed: u64) -> crate::ScenarioConfig {
+        crate::ScenarioConfig::Heterogeneous(crate::generator::HeterogeneousConfig {
+            nodes,
+            window_seconds,
+            max_node_rate: 0.1,
+            mean_contact_duration: 30.0,
+            seed,
+        })
+    }
+
     #[test]
     fn synthetic_stream_is_ordered_and_deterministic() {
-        let config = SyntheticStreamConfig {
-            nodes: 20,
-            window: TimeWindow::new(0.0, 2000.0),
-            delta: 10.0,
-            mean_interarrival: 5.0,
-            mean_duration: 30.0,
-            seed: 42,
-        };
-        let events_a = drain(&mut SyntheticContactStream::new(config));
-        let events_b = drain(&mut SyntheticContactStream::new(config));
+        let config = scenario(20, 2000.0, 42);
+        let events_a = drain(&mut config.stream(10.0));
+        let events_b = drain(&mut config.stream(10.0));
         assert_eq!(events_a, events_b, "same seed, same stream");
         assert!(events_a.len() > 100);
         let mut previous = None;
-        let mut summary = StreamSummary::new(20);
+        let (mut contacts, mut active, mut peak_active) = (0usize, 0usize, 0usize);
+        let mut per_node = [0u64; 20];
         for event in &events_a {
             let key = (event.slot(), !event.is_down());
             if let Some(prev) = previous {
                 assert!(prev <= key);
             }
             previous = Some(key);
-            summary.observe(event);
-            if let ContactEvent::Up { a, b, start, end, .. } = event {
-                assert_ne!(a, b);
-                assert!(*start >= 0.0 && *end <= 2000.0 && start < end);
+            match event {
+                ContactEvent::Up { a, b, start, end, .. } => {
+                    assert_ne!(a, b);
+                    assert!(*start >= 0.0 && *end <= 2000.0 && start < end);
+                    contacts += 1;
+                    per_node[a.index()] += 1;
+                    per_node[b.index()] += 1;
+                    active += 1;
+                    peak_active = peak_active.max(active);
+                }
+                ContactEvent::Down { .. } => active -= 1,
             }
         }
-        assert_eq!(summary.contacts, events_a.len() / 2);
-        assert_eq!(summary.active, 0, "every up is matched by a down");
-        assert!(summary.peak_active >= 1);
-        assert_eq!(summary.per_node.iter().sum::<u64>(), 2 * summary.contacts as u64);
+        assert_eq!(contacts, events_a.len() / 2);
+        assert_eq!(active, 0, "every up is matched by a down");
+        assert!(peak_active >= 1);
+        assert_eq!(per_node.iter().sum::<u64>(), 2 * contacts as u64);
     }
 
     #[test]
     fn synthetic_stream_matches_materialized_trace() {
-        // Materializing the synthetic stream's contacts into a trace and
+        // Materializing a scenario stream's contacts into a trace and
         // streaming that trace yields the same event sequence.
-        let config = SyntheticStreamConfig {
-            nodes: 10,
-            window: TimeWindow::new(0.0, 500.0),
-            delta: 10.0,
-            mean_interarrival: 4.0,
-            mean_duration: 20.0,
-            seed: 7,
-        };
-        let events = drain(&mut SyntheticContactStream::new(config));
+        let config = scenario(10, 500.0, 7);
+        let events = drain(&mut config.stream(10.0));
         let contacts: Vec<Contact> = events
             .iter()
             .filter_map(|e| match e {
@@ -684,8 +539,10 @@ mod tests {
             })
             .collect();
         let trace =
-            ContactTrace::from_contacts("mat", registry(10), config.window, contacts).unwrap();
-        let replayed = drain(&mut TraceEventStream::new(&trace, config.delta));
+            ContactTrace::from_contacts("mat", registry(10), TimeWindow::new(0.0, 500.0), contacts)
+                .unwrap();
+        let replayed = drain(&mut TraceEventStream::new(&trace, 10.0));
+        assert!(!replayed.is_empty());
         let ups =
             |evs: &[ContactEvent]| evs.iter().filter(|e| !e.is_down()).copied().collect::<Vec<_>>();
         assert_eq!(ups(&events), ups(&replayed));

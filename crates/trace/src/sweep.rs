@@ -510,6 +510,20 @@ mod tests {
     }
 
     #[test]
+    fn repeated_sweep_keys_are_errors() {
+        let base = "[base]\nkind = \"homogeneous\"\n";
+        for text in [
+            format!("name = \"a\"\nname = \"b\"\n{base}"),
+            format!("{base}nodes = 20\nnodes = 30\n"),
+            format!("{base}[axes]\nnodes = [10]\n[base]\nnodes = 30\n[axes]\nnodes = [20]\n"),
+            "{\"base\": {\"kind\": \"homogeneous\", \"seed\": 1, \"seed\": 2}}".to_string(),
+        ] {
+            let err = ScenarioSweep::from_config_str(&text).expect_err(&text);
+            assert!(err.to_string().contains("duplicate key"), "{text}: {err}");
+        }
+    }
+
+    #[test]
     fn sweeps_round_trip_through_toml_and_json() {
         for sweep in [
             grid_sweep(),

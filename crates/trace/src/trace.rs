@@ -136,6 +136,7 @@ impl ContactTrace {
         contacts: Vec<Contact>,
     ) -> Result<Self, TraceError> {
         let mut trace = Self::new(name, nodes, window);
+        trace.contacts.reserve_exact(contacts.len());
         for c in contacts {
             trace.push(c)?;
         }

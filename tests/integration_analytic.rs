@@ -6,7 +6,8 @@
 use psn::experiments::model::run_model_validation;
 use psn::prelude::*;
 use psn_analytic::{expected_first_path_time, mean_paths};
-use psn_trace::generator::{generate_homogeneous, HomogeneousConfig};
+use psn_trace::generator::HomogeneousConfig;
+use psn_trace::ScenarioConfig;
 
 #[test]
 fn model_validation_agrees_across_implementations() {
@@ -35,7 +36,7 @@ fn homogeneous_trace_first_delivery_times_scale_like_log_n_over_lambda() {
         mean_contact_duration: 20.0,
         seed: 77,
     };
-    let trace = generate_homogeneous(&config);
+    let trace = ScenarioConfig::Homogeneous(config).generate();
     let graph = SpaceTimeGraph::build_default(&trace);
 
     let generator = MessageGenerator::new(MessageWorkloadConfig {
@@ -65,13 +66,14 @@ fn heterogeneous_traces_have_longer_optimal_paths_than_homogeneous_ones() {
     // lengthens optimal path durations relative to a homogeneous population
     // with a comparable contact budget.
     let window = 2400.0;
-    let homogeneous = generate_homogeneous(&HomogeneousConfig {
+    let homogeneous = ScenarioConfig::Homogeneous(HomogeneousConfig {
         nodes: 30,
         window_seconds: window,
         node_contact_rate: 0.02,
         mean_contact_duration: 60.0,
         seed: 5,
-    });
+    })
+    .generate();
     let heterogeneous = {
         let mut ds = SyntheticDataset::quick_config(DatasetId::Infocom06Morning);
         ds.config.mobile_nodes = 26;
