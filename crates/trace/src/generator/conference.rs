@@ -6,7 +6,7 @@
 //! selected 3-hour windows with approximately stable aggregate contact
 //! activity.
 //!
-//! The conference family's [`program`] produces synthetic traces with the
+//! The conference family's `program` produces synthetic traces with the
 //! same structure:
 //!
 //! * mobile nodes get contact propensities drawn uniformly, so per-node
