@@ -491,8 +491,16 @@ fn emit(doc: &ReportDoc, args: &Args, text_header: Option<&str>) -> Result<(), F
     Ok(())
 }
 
-/// Writes one artifact-shaped file into `--out` (shared by the preset
-/// text path, which bypasses the typed renderers to stay golden-pinned).
+/// Emits a preset's text output (header included): to stdout, or as
+/// `report.txt` under `--out`, the file the text backend names.
+fn emit_text(args: &Args, contents: &str) -> Result<(), Failure> {
+    match &args.out {
+        None => out!("{contents}"),
+        Some(dir) => write_out(dir, "report.txt", contents),
+    }
+}
+
+/// Writes one rendered artifact into the `--out` directory.
 fn write_out(dir: &PathBuf, filename: &str, contents: &str) -> Result<(), Failure> {
     std::fs::create_dir_all(dir)
         .map_err(|e| Failure::Artifact(format!("creating {}: {e}", dir.display())))?;
@@ -539,38 +547,34 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
                     .map(|()| ExitCode::SUCCESS),
             };
         }
-        if args.format == ReportFormat::Text {
-            // The golden-pinned path: header + preset body, byte-identical
-            // to the pre-refactor binary — with or without --out. It renders
-            // outside the artifact store, so a cache directory is rejected
-            // rather than silently ignored.
+        if preset.study().is_none() {
+            // Fig. 2 prints a hardcoded example: no study, nothing to cache
+            // and no typed report.
             if args.cache.is_some() {
-                return Err(Failure::Usage(
-                    "--cache cannot be combined with a text-format --preset (the text \
-                     preset renders outside the artifact store; add --format json or csv \
-                     to cache its study)"
-                        .into(),
-                ));
+                return Err(Failure::Usage(format!(
+                    "--cache cannot be combined with --preset {name} (it renders a hardcoded \
+                     example with no study to cache)"
+                )));
             }
-            let contents = preset.render(args.profile, args.threads);
-            return match &args.out {
-                None => out!("{contents}").map(|()| ExitCode::SUCCESS),
-                Some(dir) => write_out(dir, "report.txt", &contents).map(|()| ExitCode::SUCCESS),
-            };
+            if args.format != ReportFormat::Text {
+                return Err(Failure::Config(format!(
+                    "preset {name:?} is a hardcoded example with no typed report; use --format text"
+                )));
+            }
         }
-        // Non-text formats go through the typed pipeline; Fig. 2 is the one
-        // preset with no study behind it.
-        let spec = preset.spec(args.profile, args.threads).ok_or_else(|| {
-            Failure::Config(format!(
-                "preset {name:?} is a hardcoded example with no typed report; use --format text"
-            ))
-        })?;
-        let plan = spec.plan().map_err(|e| Failure::Config(e.to_string()))?;
         let store = build_store(args)?;
-        let report = run_study_with(&plan, &store)?;
-        report_run_cache(args, &report, &store);
-        let header = render_header(preset.figure_title(), args.profile);
-        return emit(&report.doc, args, Some(&header)).map(|()| ExitCode::SUCCESS);
+        let run = preset.run(args.profile, args.threads, &store)?;
+        let Some(report) = &run.report else {
+            return emit_text(args, &run.text()).map(|()| ExitCode::SUCCESS);
+        };
+        report_run_cache(args, report, &store);
+        return match args.format {
+            // The golden-pinned bytes: header + report, as the pre-refactor
+            // binary printed them — with or without --out.
+            ReportFormat::Text => emit_text(args, &run.text()),
+            _ => emit(&report.doc, args, None),
+        }
+        .map(|()| ExitCode::SUCCESS);
     }
     let spec = build_spec(args)?;
     let plan = spec.plan().map_err(|e| Failure::Config(e.to_string()))?;
@@ -585,7 +589,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
 }
 
 /// Prints the `run` command's cache provenance on stderr when a persistent
-/// cache is in play (both the preset and config-file paths).
+/// cache is in play (both the preset and config-file paths, every format).
 fn report_run_cache(args: &Args, report: &psn::StudyReport, store: &ArtifactStore) {
     if args.cache.is_none() {
         return;

@@ -6,6 +6,8 @@
 //!   stderr reporting every cell served from the cache;
 //! * `--resume` reports the cached-cell count up front and `--no-cache`
 //!   still produces the identical document;
+//! * a text preset run twice against `--cache` prints its golden bytes
+//!   both times, the second served from the cache;
 //! * contradictory flags fail with a usage error.
 
 use std::path::PathBuf;
@@ -145,29 +147,29 @@ fn contradictory_and_incomplete_cache_flags_are_rejected() {
 }
 
 #[test]
-fn cache_with_a_text_format_preset_is_a_usage_error() {
-    // The text preset path renders outside the artifact store; it used to
-    // exit 0 and create no cache directory.
+fn a_text_preset_run_twice_against_a_cache_matches_its_golden() {
+    // Text presets resolve through the artifact store like every other
+    // format: both runs print the golden bytes, and the second is served
+    // from the cache (Fig. 1 runs four datasets).
     let dir = std::env::temp_dir().join(format!("psn-cache-text-preset-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let golden = std::fs::read(repo_path("crates/bench/golden/fig01_contact_timeseries.txt"))
+        .expect("fig01 golden capture");
+    let args = ["run", "--preset", "fig01", "--threads", "2", "--cache", dir.to_str().unwrap()];
+    for served in ["0/4 runs served from cache", "4/4 runs served from cache"] {
+        let out = psn_study(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert!(out.stdout == golden, "cached fig01 text differs from its golden capture");
+        assert!(stderr.contains(served), "expected {served:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Fig. 2 is a hardcoded example with no study: nothing to cache.
     let out = psn_study(&["run", "--preset", "fig02", "--cache", dir.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--cache") && stderr.contains("--preset"), "{stderr}");
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--cache") && stderr.contains("fig02"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing is rendered");
     assert!(!dir.exists(), "no cache directory is created");
-
-    // A non-text preset honors the cache.
-    let json = psn_study(&[
-        "run",
-        "--preset",
-        "fig07",
-        "--format",
-        "json",
-        "--cache",
-        dir.to_str().unwrap(),
-    ]);
-    assert!(json.status.success(), "{}", String::from_utf8_lossy(&json.stderr));
-    assert!(dir.exists(), "the json preset run populates the cache");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -411,6 +411,20 @@ fn cli_exit_codes_distinguish_failure_classes() {
     let panicked_err = String::from_utf8_lossy(&panicked.stderr);
     assert!(panicked_err.contains("panicked"), "{panicked_err}");
     assert!(panicked_err.contains("--keep-going"), "{panicked_err}");
+
+    // A text preset runs its study through the same store, so its panicked
+    // cell is the same typed failure, not a process abort (exit 101).
+    let preset = psn_study(&[
+        "run",
+        "--preset",
+        "fig07",
+        "--threads",
+        "1",
+        "--faults",
+        "queue.study-run:panic:1",
+    ]);
+    assert_eq!(exit_code(&preset), 5, "{}", String::from_utf8_lossy(&preset.stderr));
+    assert!(preset.stdout.is_empty(), "a failed preset renders nothing");
 }
 
 /// Arrays nested far deeper than the JSON reader's bound: without the

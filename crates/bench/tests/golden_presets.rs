@@ -4,14 +4,15 @@
 //! The files under `crates/bench/golden/` were captured by running the
 //! original binaries (quick profile, release build) immediately before the
 //! experiment layer was rewritten around the study pipeline. Each preset —
-//! and therefore each legacy shim binary and each `psn-study run --preset`
-//! invocation — must keep reproducing them exactly. Study results are
+//! and therefore each `psn-study run --preset` invocation, whose text
+//! output is [`psn::study::preset::PresetRun::text`] in every cache mode —
+//! must keep reproducing them exactly. Study results are
 //! independent of the worker-thread count (pinned by differential property
 //! tests in `psn-spacetime` / `psn-forwarding`), so the captures compare
 //! equal at any `--threads` value.
 
 use psn::study::preset::PresetId;
-use psn::ExperimentProfile;
+use psn::{ArtifactStore, ExperimentProfile};
 
 fn golden(preset: PresetId) -> String {
     let path = format!("{}/golden/{}.txt", env!("CARGO_MANIFEST_DIR"), preset.binary_name());
@@ -19,7 +20,9 @@ fn golden(preset: PresetId) -> String {
 }
 
 fn assert_matches_golden(preset: PresetId) {
-    let rendered = preset.render(ExperimentProfile::Quick, 2);
+    // The same call and store kind `psn-study run --preset` uses.
+    let run = preset.run(ExperimentProfile::Quick, 2, &ArtifactStore::in_memory());
+    let rendered = run.unwrap_or_else(|e| panic!("{preset}: {e}")).text();
     let expected = golden(preset);
     if rendered != expected {
         // Locate the first differing line so a mismatch is debuggable

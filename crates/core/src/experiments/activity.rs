@@ -2,9 +2,8 @@
 //! (per-node contact-count CDFs).
 
 use psn_stats::{BinnedSeries, Ecdf};
-use psn_trace::{ContactSummary, DatasetId};
+use psn_trace::ContactSummary;
 
-use crate::config::ExperimentProfile;
 use crate::report::{Block, Column, Scalar, Section, Series};
 
 /// The activity data for one dataset.
@@ -62,17 +61,6 @@ impl ActivityReport {
     }
 }
 
-/// Runs the activity analysis for all four datasets at the given profile.
-pub fn run_activity_study(profile: ExperimentProfile) -> Vec<ActivityReport> {
-    DatasetId::all()
-        .into_iter()
-        .map(|id| {
-            let trace = profile.dataset(id).generate();
-            activity_report(id, &ContactSummary::from_trace(&trace))
-        })
-        .collect()
-}
-
 /// Builds the activity report from a scenario's [`ContactSummary`]: its
 /// per-minute series and per-node rates, so a rates-only summary
 /// ([`ContactSummary::rates_only`]) suffices.
@@ -95,31 +83,59 @@ pub fn activity_report(scenario: impl Into<String>, summary: &ContactSummary) ->
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::config::ExperimentProfile;
+    use crate::study::{run_study, StudyId, StudyParams, StudyReport, StudyScenario, StudySpec};
+    use psn_trace::DatasetId;
+
+    /// The activity study over the four paper datasets at quick scale,
+    /// through the study pipeline.
+    fn quick_study() -> StudyReport {
+        let scenarios = DatasetId::all()
+            .into_iter()
+            .map(|id| StudyScenario::dataset(id, ExperimentProfile::Quick))
+            .collect();
+        let params = StudyParams::for_profile(ExperimentProfile::Quick).with_threads(2);
+        run_study(&StudySpec::new(StudyId::Activity, scenarios, params).plan().unwrap())
+    }
+
+    /// The value of the statistic `name` in `section`.
+    fn stat(section: &Section, name: &str) -> f64 {
+        section.scalars().into_iter().find(|s| s.name == name).expect("stat present").value
+    }
+
+    /// The points of the section's only series.
+    fn series_points(section: &Section) -> &[(f64, f64)] {
+        section
+            .blocks
+            .iter()
+            .find_map(|b| match b {
+                Block::Series(s) => Some(s.points.as_slice()),
+                _ => None,
+            })
+            .expect("one series")
+    }
 
     #[test]
     fn quick_study_covers_all_datasets() {
-        let reports = run_activity_study(ExperimentProfile::Quick);
-        assert_eq!(reports.len(), 4);
-        for report in &reports {
-            assert!(report.per_minute.total() > 0.0, "{:?}", report.scenario);
-            assert!(!report.contact_count_cdf.is_empty());
+        let report = quick_study();
+        for id in DatasetId::all() {
+            let sections = report.sections_for(id.label());
+            let [timeseries, cdf] = sections.as_slice() else {
+                panic!("{id:?}: expected both activity views, got {}", sections.len());
+            };
+            assert!(series_points(timeseries).iter().map(|p| p.1).sum::<f64>() > 0.0, "{id:?}");
+            assert!(!series_points(cdf).is_empty(), "{id:?}");
             // The synthetic traces keep the paper's roughly uniform
             // contact-count distribution.
-            assert!(
-                report.uniformity_ks < 0.35,
-                "{:?}: ks = {}",
-                report.scenario,
-                report.uniformity_ks
-            );
+            let ks = stat(cdf, "uniformity_ks");
+            assert!(ks < 0.35, "{id:?}: ks = {ks}");
         }
     }
 
     #[test]
     fn afternoon_datasets_show_stronger_tail_dropoff() {
-        let reports = run_activity_study(ExperimentProfile::Quick);
-        let get = |id: DatasetId| {
-            reports.iter().find(|r| r.scenario == id.label()).expect("present").tail_ratio
-        };
+        let report = quick_study();
+        let get = |id: DatasetId| stat(report.sections_for(id.label())[0], "tail_ratio");
         assert!(
             get(DatasetId::Infocom06Afternoon) < get(DatasetId::Infocom06Morning),
             "afternoon should drop off more than morning"

@@ -15,13 +15,11 @@
 //!   between T₁ and TE).
 
 use psn_spacetime::{
-    EnumerationConfig, ExplosionProfile, ExplosionSummary, GraphRef, Message, MessageGenerator,
-    Path, PathEnumerator, SpaceTimeGraph,
+    EnumerationConfig, ExplosionProfile, ExplosionSummary, GraphRef, Message, Path, PathEnumerator,
 };
 use psn_stats::{correlation, Histogram};
-use psn_trace::{ContactRates, ContactSummary, DatasetId, Seconds};
+use psn_trace::{ContactRates, ContactSummary, Seconds};
 
-use crate::config::ExperimentProfile;
 use crate::report::{Block, Column, Scalar, Section, Series};
 use psn_forwarding::{classify_message, PairType};
 
@@ -189,32 +187,6 @@ impl ExplosionStudy {
     }
 }
 
-/// Runs the explosion study on one dataset at the given profile, using
-/// `threads` worker threads for per-message enumeration.
-pub fn run_explosion_study(
-    profile: ExperimentProfile,
-    dataset: DatasetId,
-    threads: usize,
-) -> ExplosionStudy {
-    let trace = profile.dataset(dataset).generate();
-    let generator = MessageGenerator::new(psn_spacetime::MessageWorkloadConfig {
-        nodes: trace.node_count(),
-        generation_horizon: (trace.window().duration() * 2.0 / 3.0).max(1.0),
-        mean_interarrival: 4.0,
-        seed: 0xEC0,
-    });
-    let messages = generator.uniform_messages(profile.enumeration_messages());
-    run_explosion_study_on(
-        dataset,
-        &ContactSummary::from_trace(&trace),
-        &SpaceTimeGraph::build_default(&trace),
-        &messages,
-        profile.enumeration_config(),
-        profile.explosion_threshold(),
-        threads,
-    )
-}
-
 /// Runs the explosion study over a scenario's [`ContactSummary`] (its
 /// per-node contact rates are the only trace statistic this study reads)
 /// and its space-time graph — materialized or bounded-window, as
@@ -349,8 +321,8 @@ pub fn run_explosion_study_on<'a>(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use psn_spacetime::MessageGenerator;
-    use psn_trace::SyntheticDataset;
+    use psn_spacetime::{MessageGenerator, SpaceTimeGraph};
+    use psn_trace::{DatasetId, SyntheticDataset};
 
     fn small_study() -> ExplosionStudy {
         // A deliberately small configuration so the unit test stays fast:

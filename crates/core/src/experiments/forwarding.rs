@@ -17,11 +17,10 @@ use psn_forwarding::{
     standard_algorithms, AlgorithmKind, AlgorithmMetrics, ForwardingAlgorithm, HistoryTimeline,
     MessageOutcome, PairType, PairTypeMetrics, Recording, Simulator, SimulatorConfig,
 };
-use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig, DEFAULT_DELTA};
+use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig};
 use psn_stats::BinnedSeries;
-use psn_trace::{ContactRates, ContactSummary, DatasetId, Seconds};
+use psn_trace::{ContactRates, ContactSummary, Seconds};
 
-use crate::config::ExperimentProfile;
 use crate::report::{Block, CellValue, Column, Scalar, Section, Series, Table};
 
 /// Results for one algorithm on one dataset.
@@ -205,28 +204,6 @@ impl ForwardingStudy {
     }
 }
 
-/// Runs the forwarding study on one dataset at the given profile, using
-/// `threads` simulator worker threads (`0` = one per available core).
-pub fn run_forwarding_study(
-    profile: ExperimentProfile,
-    dataset: DatasetId,
-    threads: usize,
-) -> ForwardingStudy {
-    let trace = profile.dataset(dataset).generate();
-    let timeline = Arc::new(HistoryTimeline::from_trace(&trace, DEFAULT_DELTA));
-    let workload = profile.workload(trace.node_count());
-    run_forwarding_study_on(
-        dataset,
-        &ContactSummary::from_trace(&trace),
-        timeline,
-        DEFAULT_DELTA,
-        workload,
-        profile.simulation_runs(),
-        Recording::HopPaths,
-        threads,
-    )
-}
-
 /// Runs the forwarding study over a scenario's [`ContactSummary`] — the
 /// per-node rates, the observation window and the future-knowledge oracle
 /// ([`psn_forwarding::TraceOracle::from_summary`], so the summary must
@@ -326,7 +303,8 @@ pub fn run_forwarding_study_on(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use psn_trace::{ContactTrace, SyntheticDataset};
+    use psn_spacetime::DEFAULT_DELTA;
+    use psn_trace::{ContactTrace, DatasetId, SyntheticDataset};
 
     fn study_on(
         trace: &ContactTrace,

@@ -9,13 +9,14 @@
 //! | [`hop_rates`] | Fig. 14, 15 | mean contact rate per hop of near-optimal paths, per-hop rate-ratio box plots |
 //! | [`model`] | §5.1 | agreement between the jump process, the ODE limit and the closed forms |
 //!
-//! Every driver takes an [`crate::ExperimentProfile`] so the same code path
-//! serves the integration tests (quick) and the paper-scale figure presets.
-//! The drivers are scenario-agnostic: each study has one engine entry point
-//! that reads a [`psn_trace::ContactSummary`] (folded from a trace or a
-//! contact stream) plus the shared space-time graph and history timeline,
-//! and the [`crate::study`] pipeline feeds any [`psn_trace::ScenarioConfig`]
-//! through them.
+//! The modules are scenario- and profile-agnostic: each study has one
+//! engine entry point that reads a [`psn_trace::ContactSummary`] (folded
+//! from a trace or a contact stream) plus the shared space-time graph and
+//! history timeline. Studies run through the [`crate::study`] pipeline,
+//! which feeds any [`psn_trace::ScenarioConfig`] through them with the
+//! numbers of [`crate::study::StudyParams::for_profile`], so the
+//! integration tests (quick) and the paper-scale figure presets share one
+//! code path.
 
 pub mod activity;
 pub mod explosion;
@@ -25,8 +26,8 @@ pub mod model;
 pub mod paths_taken;
 
 pub use activity::ActivityReport;
-pub use explosion::{run_explosion_study, ExplosionStudy, PairTypeScatter};
-pub use forwarding::{run_forwarding_study, ForwardingStudy};
+pub use explosion::{ExplosionStudy, PairTypeScatter};
+pub use forwarding::ForwardingStudy;
 pub use hop_rates::{run_hop_rate_study, HopRateStudy};
 pub use model::{run_model_validation, ModelValidation};
 pub use paths_taken::{run_paths_taken, PathsTakenCase};

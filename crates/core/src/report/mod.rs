@@ -31,9 +31,15 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::config::ExperimentProfile;
-    use crate::experiments::activity::{activity_report, run_activity_study};
+    use crate::experiments::activity::{activity_report, ActivityReport};
     use psn_stats::Ecdf;
     use psn_trace::{ContactSummary, DatasetId};
+
+    /// The activity report of the quick Infocom'06 morning dataset.
+    fn infocom_morning() -> ActivityReport {
+        let trace = ExperimentProfile::Quick.dataset(DatasetId::Infocom06Morning).generate();
+        activity_report(DatasetId::Infocom06Morning, &ContactSummary::from_trace(&trace))
+    }
 
     #[test]
     fn cdf_rendering_is_csv_like() {
@@ -46,14 +52,14 @@ mod tests {
 
     #[test]
     fn activity_rendering_contains_every_minute() {
-        let reports = run_activity_study(ExperimentProfile::Quick);
-        let text = TextRenderer.render_section(&reports[0].timeseries_section());
+        let report = infocom_morning();
+        let text = TextRenderer.render_section(&report.timeseries_section());
         assert!(text.contains("Figure 1"));
         assert!(text.contains("minute,contacts"));
         let lines = text.lines().count();
         // Header lines + 60 one-minute bins for the quick one-hour window.
         assert!(lines >= 60, "only {lines} lines");
-        let cdf_text = TextRenderer.render_section(&reports[0].contact_cdf_section());
+        let cdf_text = TextRenderer.render_section(&report.contact_cdf_section());
         assert!(cdf_text.contains("Figure 7"));
     }
 
@@ -68,8 +74,7 @@ mod tests {
 
     #[test]
     fn typed_sections_carry_machine_readable_stats() {
-        let reports = run_activity_study(ExperimentProfile::Quick);
-        let section = reports[0].timeseries_section();
+        let section = infocom_morning().timeseries_section();
         let names: Vec<&str> = section.scalars().iter().map(|s| s.name.as_str()).collect();
         assert!(names.contains(&"cv"), "{names:?}");
         assert!(names.contains(&"tail_ratio"), "{names:?}");

@@ -50,12 +50,10 @@ use psn_spacetime::{EnumerationConfig, MessageGenerator, MessageWorkloadConfig};
 use psn_trace::{ContactStream, ContactSummary, FingerprintHasher, ScenarioConfig, Seconds};
 
 use crate::config::ExperimentProfile;
-use crate::experiments::activity::{activity_report, ActivityReport};
-use crate::experiments::explosion::{run_explosion_study_on, ExplosionStudy};
-use crate::experiments::forwarding::{run_forwarding_study_on, ForwardingStudy};
-use crate::experiments::hop_rates::{
-    run_hop_rate_study, run_hop_rate_study_on_outcomes, HopRateStudy,
-};
+use crate::experiments::activity::activity_report;
+use crate::experiments::explosion::run_explosion_study_on;
+use crate::experiments::forwarding::run_forwarding_study_on;
+use crate::experiments::hop_rates::{run_hop_rate_study, run_hop_rate_study_on_outcomes};
 use crate::experiments::model::run_model_validation;
 use crate::experiments::paths_taken::run_paths_taken;
 use crate::report::{
@@ -263,29 +261,6 @@ impl StudyView {
             StudyView::ModelValidation => StudyId::Model,
         }
     }
-
-    fn needs_explosion(&self) -> bool {
-        matches!(
-            self,
-            StudyView::ExplosionCdfs
-                | StudyView::ExplosionScatter
-                | StudyView::ExplosionGrowth
-                | StudyView::ExplosionPairTypes
-                | StudyView::HopRateProgression
-                | StudyView::RateRatios
-        )
-    }
-
-    fn needs_forwarding(&self) -> bool {
-        matches!(
-            self,
-            StudyView::DelayVsSuccess
-                | StudyView::DelayDistributions
-                | StudyView::ReceptionTimes
-                | StudyView::PairTypePerformance
-                | StudyView::HopRatesTaken
-        )
-    }
 }
 
 /// Parses a comma-separated list of view slugs, validated against the
@@ -378,27 +353,41 @@ pub struct StudyParams {
 }
 
 impl StudyParams {
-    /// The parameters the pre-refactor figure binaries used at `profile`
-    /// scale (the golden-file tests pin presets built from these).
+    /// The parameters of every study at `profile` scale — the one place
+    /// each profile's numbers live (the golden-file tests pin presets
+    /// built from these). The paper's scale is k = 2000 with Tₙ at
+    /// n = 2000 over 500 uniform messages, and a forwarding workload of
+    /// one message every 4 s for the first two hours, averaged over 10
+    /// runs; the quick scale keeps the structure at a fraction of the
+    /// cost.
     pub fn for_profile(profile: ExperimentProfile) -> Self {
-        let workload = profile.workload(2);
-        Self {
+        let quick = Self {
             threads: 0,
             delta: psn_spacetime::DEFAULT_DELTA,
             streaming_window: None,
-            enumeration: profile.enumeration_config(),
-            explosion_threshold: profile.explosion_threshold(),
-            enumeration_messages: profile.enumeration_messages(),
+            enumeration: EnumerationConfig::quick(100),
+            explosion_threshold: 100,
+            enumeration_messages: 60,
             enumeration_message_seed: 0xEC0,
-            workload_horizon: Some(workload.generation_horizon),
-            workload_interarrival: workload.mean_interarrival,
-            workload_seed: workload.seed,
-            simulation_runs: profile.simulation_runs(),
+            workload_horizon: Some(2400.0),
+            workload_interarrival: 12.0,
+            workload_seed: 42,
+            simulation_runs: 2,
             paths_taken_messages: 4,
             paths_taken_seed: 88,
-            model_replications: match profile {
-                ExperimentProfile::Paper => 200,
-                ExperimentProfile::Quick => 30,
+            model_replications: 30,
+        };
+        match profile {
+            ExperimentProfile::Quick => quick,
+            ExperimentProfile::Paper => Self {
+                enumeration: EnumerationConfig::paper(),
+                explosion_threshold: 2000,
+                enumeration_messages: 500,
+                workload_horizon: Some(2.0 * 3600.0),
+                workload_interarrival: 4.0,
+                simulation_runs: 10,
+                model_replications: 200,
+                ..quick
             },
         }
     }
@@ -851,12 +840,10 @@ impl StudyReport {
     }
 }
 
-/// Per-run engine outputs, computed once and shared across views.
-struct RunOutputs {
-    explosion: Option<ExplosionStudy>,
-    forwarding: Option<ForwardingStudy>,
-    activity: Option<ActivityReport>,
-    hop_rates: Option<HopRateStudy>,
+/// An engine input or output a planned view reads: [`RunNeeds`] made sure
+/// the run resolved or computed it.
+fn needed<T>(value: &Option<T>) -> &T {
+    value.as_ref().unwrap_or_else(|| unreachable!("the run's needs cover every planned view"))
 }
 
 fn resolve_threads(threads: usize) -> usize {
@@ -1007,49 +994,124 @@ type RunInputs = (
     Option<std::sync::Arc<psn_forwarding::HistoryTimeline>>,
 );
 
+/// What one run computes and keeps, worked out once from the planned views
+/// and read by every later step: which engine inputs to resolve, which
+/// engines to run, and which per-path records they keep. Per-path records
+/// are memory the engines spend per delivered path or message, and each
+/// feeds exactly one kind of view: the explosion study's sampled hop
+/// sequences feed the hop-rate views (Figs. 14 and 15), and run 0's
+/// forwarding hop paths feed `hop-rates-taken`; every other view reads
+/// delivery times only. The planned views are part of every cell key, so
+/// these choices never change a cached result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RunNeeds {
+    /// The activity report (Figs. 1 and 7).
+    activity: bool,
+    /// The explosion study: its own views and the hop-rate views, which
+    /// read its sample paths.
+    explosion: bool,
+    /// Whether the explosion study samples hop sequences (and the hop-rate
+    /// study runs over them).
+    sample_paths: bool,
+    /// The forwarding study.
+    forwarding: bool,
+    /// What run 0 of the forwarding study records.
+    first_run: Recording,
+    /// The paths-taken view, which reads both the graph and the timeline.
+    paths_taken: bool,
+}
+
+impl RunNeeds {
+    fn for_views(views: &[StudyView]) -> Self {
+        let mut needs = Self {
+            activity: false,
+            explosion: false,
+            sample_paths: false,
+            forwarding: false,
+            first_run: Recording::DeliveryOnly,
+            paths_taken: false,
+        };
+        for view in views {
+            match view {
+                StudyView::ActivityTimeseries | StudyView::ContactCountCdf => needs.activity = true,
+                StudyView::ExplosionCdfs
+                | StudyView::ExplosionScatter
+                | StudyView::ExplosionGrowth
+                | StudyView::ExplosionPairTypes => needs.explosion = true,
+                StudyView::HopRateProgression | StudyView::RateRatios => {
+                    needs.explosion = true;
+                    needs.sample_paths = true;
+                }
+                StudyView::DelayVsSuccess
+                | StudyView::DelayDistributions
+                | StudyView::ReceptionTimes
+                | StudyView::PairTypePerformance => needs.forwarding = true,
+                StudyView::HopRatesTaken => {
+                    needs.forwarding = true;
+                    needs.first_run = Recording::HopPaths;
+                }
+                StudyView::PathsTaken => needs.paths_taken = true,
+                StudyView::ModelValidation => {}
+            }
+        }
+        needs
+    }
+
+    /// Enumeration reads the Δ-slotted space-time graph.
+    fn graph(&self) -> bool {
+        self.explosion || self.paths_taken
+    }
+
+    /// The simulator reads only the history timeline, so a forwarding-only
+    /// plan builds no graph. The forwarding oracle is also the only reader
+    /// of the summary's O(nodes²) pair matrix: a run without a timeline
+    /// folds per-node state only.
+    fn timeline(&self) -> bool {
+        self.forwarding || self.paths_taken
+    }
+
+    /// The explosion study's enumeration config: `base`, sampling no hop
+    /// sequence unless the hop-rate views read them.
+    fn enumeration(&self, base: &EnumerationConfig) -> EnumerationConfig {
+        let stored_path_limit = if self.sample_paths { base.stored_path_limit } else { 0 };
+        EnumerationConfig { stored_path_limit, ..base.clone() }
+    }
+}
+
 /// Resolves one run's [`RunInputs`]: through the artifact store in
 /// materialized mode, or from one pass over the scenario's contact stream
 /// in streaming mode.
+///
+/// The inputs are resolved up front (not per engine), and every engine
+/// reads its trace aggregates from the one summary. Materialized mode
+/// memoizes the trace, graph and timeline through the artifact store,
+/// shared across runs, seeds and sweep cells, and folds the summary and
+/// timeline from the cached trace. Streaming mode never touches the trace
+/// artifact: one pass over the scenario's O(1)-state stream folds the
+/// summary and whatever the run needs, pinned bit-identical to
+/// materialized mode by differential tests — which is why
+/// `streaming_window` stays out of cache keys.
 fn run_inputs(
-    plan: &StudyPlan,
     run: &PlannedRun,
     p: &StudyParams,
+    needs: RunNeeds,
     store: &ArtifactStore,
 ) -> Result<RunInputs, ArtifactError> {
-    let needs_explosion = plan.views.iter().any(StudyView::needs_explosion);
-    let needs_forwarding = plan.views.iter().any(StudyView::needs_forwarding);
-    let has_paths_taken = plan.views.contains(&StudyView::PathsTaken);
-    // The inputs are resolved up front (not per engine): enumeration reads
-    // the Δ-slotted graph, the simulator only the timeline (a
-    // forwarding-only plan builds no graph), and every engine its trace
-    // aggregates from the one summary. Materialized mode memoizes the
-    // trace, graph and timeline through the artifact store, shared across
-    // runs, seeds and sweep cells, and folds the summary and timeline from
-    // the cached trace. Streaming mode never touches the trace artifact:
-    // one pass over the scenario's O(1)-state stream folds the summary and
-    // whatever the plan needs, pinned bit-identical to materialized mode by
-    // differential tests — which is why `streaming_window` stays out of
-    // cache keys.
-    let needs_graph = needs_explosion || has_paths_taken;
-    let needs_timeline = needs_forwarding || has_paths_taken;
-    // The forwarding oracle is the only consumer of the O(nodes²) pair
-    // matrix; enumeration/activity-only studies fold per-node state only.
-    let needs_pair_counts = needs_timeline;
     Ok(match p.streaming_window {
         None => {
             let (trace, _) = store.scenario_trace(&run.config)?;
-            let mut summary = if needs_pair_counts {
+            let mut summary = if needs.timeline() {
                 ContactSummary::new(trace.node_count(), trace.window())
             } else {
                 ContactSummary::rates_only(trace.node_count(), trace.window())
             };
             summary.observe_trace(&trace);
-            let graph = if needs_graph {
+            let graph = if needs.graph() {
                 Some(store.spacetime_graph(&run.config, &trace, p.delta)?.0.into())
             } else {
                 None
             };
-            let timeline = if needs_timeline {
+            let timeline = if needs.timeline() {
                 Some(store.trace_timeline(&run.config, &trace, p.delta)?.0)
             } else {
                 None
@@ -1057,16 +1119,16 @@ fn run_inputs(
             (summary, graph, timeline)
         }
         Some(window) => {
-            let mut stream = if needs_pair_counts {
+            let mut stream = if needs.timeline() {
                 psn_trace::SummarizingStream::new(run.config.stream(p.delta))
             } else {
                 psn_trace::SummarizingStream::rates_only(run.config.stream(p.delta))
             };
-            let (graph, timeline) = if needs_graph {
+            let (graph, timeline) = if needs.graph() {
                 let (graph, timeline) =
-                    stream_graph_and_timeline(&mut stream, window, needs_timeline, store)?;
+                    stream_graph_and_timeline(&mut stream, window, needs.timeline(), store)?;
                 (Some(graph), timeline)
-            } else if needs_timeline {
+            } else if needs.timeline() {
                 // Forwarding alone reads no graph: the stream's slotter
                 // feeds the timeline fold directly, with no spill slab.
                 let timeline = psn_forwarding::HistoryTimeline::from_stream(&mut stream)
@@ -1088,43 +1150,6 @@ fn run_inputs(
     })
 }
 
-/// The per-path records a run keeps, decided from its planned views. Both
-/// are memory the engines spend per delivered path or message, and each
-/// feeds exactly one kind of view: the explosion study's sampled hop
-/// sequences feed the hop-rate views (Figs. 14 and 15), and run 0's
-/// forwarding hop paths feed `hop-rates-taken`. Every other view reads
-/// delivery times only. The planned views are part of every cell key, so
-/// the choice never changes a cached result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PathRecords {
-    /// Whether the explosion study samples hop sequences (the hop-rate
-    /// views are planned, which also makes them compute).
-    sample_paths: bool,
-    /// What run 0 of the forwarding study records.
-    first_run: Recording,
-}
-
-impl PathRecords {
-    fn for_views(views: &[StudyView]) -> Self {
-        let planned = |wanted: &[StudyView]| views.iter().any(|v| wanted.contains(v));
-        Self {
-            sample_paths: planned(&[StudyView::HopRateProgression, StudyView::RateRatios]),
-            first_run: if planned(&[StudyView::HopRatesTaken]) {
-                Recording::HopPaths
-            } else {
-                Recording::DeliveryOnly
-            },
-        }
-    }
-
-    /// The explosion study's enumeration config: `base`, sampling no hop
-    /// sequence unless the hop-rate views read them.
-    fn enumeration(&self, base: &EnumerationConfig) -> EnumerationConfig {
-        let stored_path_limit = if self.sample_paths { base.stored_path_limit } else { 0 };
-        EnumerationConfig { stored_path_limit, ..base.clone() }
-    }
-}
-
 /// Computes one run's typed sections with `threads` engine workers from
 /// the run's [`RunInputs`], which every run over the same scenario shares
 /// through the artifact store.
@@ -1135,160 +1160,78 @@ fn compute_run_sections(
     threads: usize,
     store: &ArtifactStore,
 ) -> Result<Vec<Section>, ArtifactError> {
-    let needs_explosion = plan.views.iter().any(StudyView::needs_explosion);
-    let needs_forwarding = plan.views.iter().any(StudyView::needs_forwarding);
-    let needs_activity = plan
-        .views
-        .iter()
-        .any(|v| matches!(v, StudyView::ActivityTimeseries | StudyView::ContactCountCdf));
-    let records = PathRecords::for_views(&plan.views);
-
-    let (summary, graph, timeline) = run_inputs(plan, run, p, store)?;
-
-    let mut outputs =
-        RunOutputs { explosion: None, forwarding: None, activity: None, hop_rates: None };
+    let needs = RunNeeds::for_views(&plan.views);
+    let (summary, graph, timeline) = run_inputs(run, p, needs, store)?;
     let (node_count, duration) = (summary.node_count(), summary.window().duration());
-    if needs_explosion {
-        let generator = MessageGenerator::new(MessageWorkloadConfig {
+    let explosion = needs.explosion.then(|| {
+        let messages = MessageGenerator::new(MessageWorkloadConfig {
             nodes: node_count,
             generation_horizon: (duration * 2.0 / 3.0).max(1.0),
             mean_interarrival: 4.0,
             seed: p.enumeration_message_seed,
-        });
-        let messages = generator.uniform_messages(p.enumeration_messages);
-        let graph = graph.as_ref().unwrap_or_else(|| unreachable!("explosion implies a graph"));
-        outputs.explosion = Some(run_explosion_study_on(
+        })
+        .uniform_messages(p.enumeration_messages);
+        run_explosion_study_on(
             run.label.clone(),
             &summary,
-            graph,
+            needed(&graph),
             &messages,
-            records.enumeration(&p.enumeration),
+            needs.enumeration(&p.enumeration),
             p.explosion_threshold,
             threads,
-        ));
-    }
-    if needs_forwarding {
-        let workload = p.forwarding_workload(node_count, duration);
-        let timeline =
-            timeline.clone().unwrap_or_else(|| unreachable!("forwarding implies a timeline"));
-        outputs.forwarding = Some(run_forwarding_study_on(
+        )
+    });
+    let forwarding = needs.forwarding.then(|| {
+        run_forwarding_study_on(
             run.label.clone(),
             &summary,
-            timeline,
+            needed(&timeline).clone(),
             p.delta,
-            workload,
+            p.forwarding_workload(node_count, duration),
             p.simulation_runs,
-            records.first_run,
+            needs.first_run,
             threads,
-        ));
-    }
-    if needs_activity {
-        outputs.activity = Some(activity_report(run.label.clone(), &summary));
-    }
-    if records.sample_paths {
-        let study = outputs
-            .explosion
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("hop-rate views imply explosion"));
-        outputs.hop_rates = Some(run_hop_rate_study(&study.sample_paths, &study.rates));
-    }
+        )
+    });
+    let activity = needs.activity.then(|| activity_report(run.label.clone(), &summary));
+    let hop_rates = needs.sample_paths.then(|| {
+        let study = needed(&explosion);
+        run_hop_rate_study(&study.sample_paths, &study.rates)
+    });
 
     let mut sections = Vec::new();
     for &view in &plan.views {
         let built: Vec<Section> = match view {
-            StudyView::ActivityTimeseries => {
-                vec![outputs
-                    .activity
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("activity precomputed"))
-                    .timeseries_section()]
+            StudyView::ActivityTimeseries => vec![needed(&activity).timeseries_section()],
+            StudyView::ContactCountCdf => vec![needed(&activity).contact_cdf_section()],
+            StudyView::ExplosionCdfs => vec![needed(&explosion).cdfs_section()],
+            StudyView::ExplosionScatter => vec![needed(&explosion).scatter_section()],
+            StudyView::ExplosionGrowth => vec![needed(&explosion).growth_section()],
+            StudyView::ExplosionPairTypes => vec![needed(&explosion).pair_type_section()],
+            StudyView::DelayVsSuccess => vec![needed(&forwarding).delay_vs_success_section()],
+            StudyView::DelayDistributions => {
+                vec![needed(&forwarding).delay_distributions_section()]
             }
-            StudyView::ContactCountCdf => {
-                vec![outputs
-                    .activity
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("activity precomputed"))
-                    .contact_cdf_section()]
-            }
-            StudyView::ExplosionCdfs => {
-                vec![outputs
-                    .explosion
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("explosion precomputed"))
-                    .cdfs_section()]
-            }
-            StudyView::ExplosionScatter => {
-                vec![outputs
-                    .explosion
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("explosion precomputed"))
-                    .scatter_section()]
-            }
-            StudyView::ExplosionGrowth => {
-                vec![outputs
-                    .explosion
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("explosion precomputed"))
-                    .growth_section()]
-            }
-            StudyView::ExplosionPairTypes => {
-                vec![outputs
-                    .explosion
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("explosion precomputed"))
-                    .pair_type_section()]
-            }
-            StudyView::DelayVsSuccess => vec![outputs
-                .forwarding
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("forwarding precomputed"))
-                .delay_vs_success_section()],
-            StudyView::DelayDistributions => vec![outputs
-                .forwarding
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("forwarding precomputed"))
-                .delay_distributions_section()],
-            StudyView::ReceptionTimes => vec![outputs
-                .forwarding
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("forwarding precomputed"))
-                .reception_times_section()],
-            StudyView::PairTypePerformance => vec![outputs
-                .forwarding
-                .as_ref()
-                .unwrap_or_else(|| unreachable!("forwarding precomputed"))
-                .pair_type_section()],
+            StudyView::ReceptionTimes => vec![needed(&forwarding).reception_times_section()],
+            StudyView::PairTypePerformance => vec![needed(&forwarding).pair_type_section()],
             StudyView::PathsTaken => {
-                let generator = MessageGenerator::new(MessageWorkloadConfig {
+                let messages = MessageGenerator::new(MessageWorkloadConfig {
                     nodes: node_count,
                     generation_horizon: duration * 2.0 / 3.0,
                     mean_interarrival: 4.0,
                     seed: p.paths_taken_seed,
-                });
-                let messages = generator.uniform_messages(p.paths_taken_messages);
-                let graph =
-                    graph.clone().unwrap_or_else(|| unreachable!("paths-taken implies a graph"));
-                let timeline = timeline
-                    .clone()
-                    .unwrap_or_else(|| unreachable!("paths-taken implies a timeline"));
+                })
+                .uniform_messages(p.paths_taken_messages);
                 // Paths-taken reads delivery times only: no sample paths.
                 let enumeration =
                     EnumerationConfig { stored_path_limit: 0, ..p.enumeration.clone() };
+                let (graph, timeline) = (needed(&graph).clone(), needed(&timeline).clone());
                 let cases = run_paths_taken(&summary, graph, timeline, &messages, enumeration);
                 cases.iter().map(|case| case.section()).collect()
             }
-            StudyView::HopRateProgression => {
-                vec![outputs
-                    .hop_rates
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("hop rates precomputed"))
-                    .mean_rate_section()]
-            }
+            StudyView::HopRateProgression => vec![needed(&hop_rates).mean_rate_section()],
             StudyView::HopRatesTaken => {
-                let study = outputs
-                    .forwarding
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("forwarding precomputed"));
+                let study = needed(&forwarding);
                 study
                     .algorithms
                     .iter()
@@ -1298,13 +1241,7 @@ fn compute_run_sections(
                     })
                     .collect()
             }
-            StudyView::RateRatios => {
-                vec![outputs
-                    .hop_rates
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("hop rates precomputed"))
-                    .rate_ratio_section()]
-            }
+            StudyView::RateRatios => vec![needed(&hop_rates).rate_ratio_section()],
             StudyView::ModelValidation => {
                 unreachable!("model views are rejected for scenario studies by plan()")
             }
@@ -1680,6 +1617,51 @@ mod tests {
     }
 
     #[test]
+    fn for_profile_pins_every_field_of_both_profiles() {
+        // Every preset and golden file is built from these numbers; each
+        // is spelled out here, not derived, so no edit can move one
+        // silently.
+        let quick = StudyParams {
+            threads: 0,
+            delta: 10.0,
+            streaming_window: None,
+            enumeration: EnumerationConfig {
+                k: 100,
+                max_delivered_paths: Some(5000),
+                stored_path_limit: 400,
+                enforce_first_preference: true,
+            },
+            explosion_threshold: 100,
+            enumeration_messages: 60,
+            enumeration_message_seed: 0xEC0,
+            workload_horizon: Some(2400.0),
+            workload_interarrival: 12.0,
+            workload_seed: 42,
+            simulation_runs: 2,
+            paths_taken_messages: 4,
+            paths_taken_seed: 88,
+            model_replications: 30,
+        };
+        assert_eq!(StudyParams::for_profile(ExperimentProfile::Quick), quick);
+        let paper = StudyParams {
+            enumeration: EnumerationConfig {
+                k: 2000,
+                max_delivered_paths: Some(100_000),
+                stored_path_limit: 4000,
+                enforce_first_preference: true,
+            },
+            explosion_threshold: 2000,
+            enumeration_messages: 500,
+            workload_horizon: Some(7200.0),
+            workload_interarrival: 4.0,
+            simulation_runs: 10,
+            model_replications: 200,
+            ..quick
+        };
+        assert_eq!(StudyParams::for_profile(ExperimentProfile::Paper), paper);
+    }
+
+    #[test]
     fn model_study_needs_no_scenario() {
         let spec = StudySpec::new(StudyId::Model, vec![], quick_params());
         let report = run_study(&spec.plan().unwrap());
@@ -1783,10 +1765,10 @@ mod tests {
         // hop-rates-taken (Fig. 14).
         use crate::study::preset::PresetId;
         let decided = |plan: &StudyPlan| {
-            let records = PathRecords::for_views(&plan.views);
-            let limit = records.enumeration(&plan.params.enumeration).stored_path_limit;
-            assert_eq!(limit > 0, records.sample_paths);
-            (records.sample_paths, records.first_run == Recording::HopPaths)
+            let needs = RunNeeds::for_views(&plan.views);
+            let limit = needs.enumeration(&plan.params.enumeration).stored_path_limit;
+            assert_eq!(limit > 0, needs.sample_paths);
+            (needs.sample_paths, needs.first_run == Recording::HopPaths)
         };
         for profile in [ExperimentProfile::Quick, ExperimentProfile::Paper] {
             for preset in PresetId::all() {
@@ -1834,13 +1816,13 @@ mod tests {
             &[StudyView::RateRatios],
         ];
         for views in views {
-            let records = PathRecords::for_views(views);
+            let needs = RunNeeds::for_views(views);
             let explosion = run_explosion_study_on(
                 "records",
                 &summary,
                 &graph,
                 &messages,
-                records.enumeration(&p.enumeration),
+                needs.enumeration(&p.enumeration),
                 p.explosion_threshold,
                 1,
             );
@@ -1855,7 +1837,7 @@ mod tests {
                 psn_spacetime::DEFAULT_DELTA,
                 p.forwarding_workload(trace.node_count(), trace.window().duration()),
                 2,
-                records.first_run,
+                needs.first_run,
                 1,
             );
             let hop_paths = forwarding
@@ -2018,7 +2000,8 @@ mod tests {
             let plan =
                 StudySpec::new(study, vec![dense_scenario(5)], quick_params()).plan().unwrap();
             let run = &plan.runs[0];
-            let (summary, _, _) = run_inputs(&plan, run, &plan.params, &store).unwrap();
+            let needs = RunNeeds::for_views(&plan.views);
+            let (summary, _, _) = run_inputs(run, &plan.params, needs, &store).unwrap();
             let expected =
                 ContactSummary::from_trace(&store.scenario_trace(&run.config).unwrap().0);
             assert_eq!(summary.per_node_counts(), expected.per_node_counts(), "{study}");

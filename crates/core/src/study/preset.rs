@@ -2,21 +2,26 @@
 //! §5.1 model-validation table) expressed as study-pipeline invocations.
 //!
 //! Each preset resolves to a [`StudySpec`] — which paper datasets, which
-//! views, which profile-derived parameters — and renders the **exact byte
+//! views, which profile-derived parameters — and [`PresetId::run`] executes
+//! it through an artifact store like any other study, so a preset honours
+//! `--cache` in every format. [`PresetRun::text`] renders the **exact byte
 //! stream** the corresponding binary printed (header included). The golden
 //! tests in `psn-bench` pin every preset's quick-profile output to captures
 //! taken from the binaries before the refactor, so `psn-study run --preset
 //! fig09` is a drop-in replacement for the old `fig09_delay_success`.
 //!
-//! Figure 2 is the one preset that bypasses the pipeline: it prints a
-//! hardcoded three-node example space-time graph rather than running a
-//! study over a generated scenario.
+//! Figure 2 is the one preset with no study: it prints a hardcoded
+//! three-node example space-time graph rather than running a study over a
+//! generated scenario, so it has nothing to cache.
 
 use std::fmt::Write as _;
 
 use psn_trace::DatasetId;
 
-use super::{run_study, StudyId, StudyParams, StudyScenario, StudySpec, StudyView};
+use super::{
+    run_study_with, ArtifactStore, StudyError, StudyId, StudyParams, StudyReport, StudyScenario,
+    StudySpec, StudyView,
+};
 use crate::config::ExperimentProfile;
 
 /// Renders the two-line self-describing header every figure output starts
@@ -156,8 +161,8 @@ impl PresetId {
         }
     }
 
-    /// The study this preset runs (`None` for the pipeline-bypassing
-    /// Fig. 2 example).
+    /// The study this preset runs (`None` for the Fig. 2 example, which
+    /// runs no study).
     pub fn study(&self) -> Option<StudyId> {
         match self {
             PresetId::Fig01 | PresetId::Fig07 => Some(StudyId::Activity),
@@ -216,20 +221,39 @@ impl PresetId {
         Some(StudySpec::new(study, scenarios, params).with_views(self.views()))
     }
 
-    /// Renders the preset's complete output (header + body) — byte-for-byte
+    /// Runs the preset at `profile` scale with `threads` workers, resolving
+    /// its study through `store` (Fig. 2 runs nothing).
+    pub fn run(
+        &self,
+        profile: ExperimentProfile,
+        threads: usize,
+        store: &ArtifactStore,
+    ) -> Result<PresetRun, StudyError> {
+        let report = match self.spec(profile, threads) {
+            Some(spec) => Some(run_study_with(&spec.plan()?, store)?),
+            None => None,
+        };
+        Ok(PresetRun { header: render_header(self.figure_title(), profile), report })
+    }
+}
+
+/// One executed preset.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PresetRun {
+    header: String,
+    /// The study's report; `None` for Fig. 2, which runs no study.
+    pub report: Option<StudyReport>,
+}
+
+impl PresetRun {
+    /// The preset's complete text output (header + body) — byte-for-byte
     /// what the pre-refactor binary printed at the same profile.
-    pub fn render(&self, profile: ExperimentProfile, threads: usize) -> String {
-        let mut out = render_header(self.figure_title(), profile);
-        match self.spec(profile, threads) {
-            Some(spec) => {
-                let plan = spec.plan().unwrap_or_else(|e| {
-                    unreachable!("preset specs are valid by construction: {e:?}")
-                });
-                out.push_str(&run_study(&plan).render());
-            }
-            None => out.push_str(&spacetime_example_body()),
-        }
-        out
+    pub fn text(&self) -> String {
+        let body = match &self.report {
+            Some(report) => report.render(),
+            None => spacetime_example_body(),
+        };
+        format!("{}{body}", self.header)
     }
 }
 
@@ -340,7 +364,8 @@ mod tests {
 
     #[test]
     fn fig02_renders_the_example_graph() {
-        let out = PresetId::Fig02.render(ExperimentProfile::Quick, 1);
+        let run = PresetId::Fig02.run(ExperimentProfile::Quick, 1, &ArtifactStore::disabled());
+        let out = run.unwrap().text();
         assert!(out.starts_with("# PSN path-diversity reproduction — Figure 2"));
         assert!(out.contains("delta = 10 s, slots = 2"), "{out}");
         assert!(out.contains("optimal delivery time for n0->n2 @0s: Some(20.0) s"), "{out}");

@@ -1732,6 +1732,133 @@ mod tests {
         }
     }
 
+    type Workload = (ContactTrace, Vec<Message>);
+
+    /// A small random trace and message set with integer-valued times, and
+    /// the same workload with every node renamed under a seeded
+    /// permutation (returned as the label map, old id → new id).
+    fn relabelled_workload(seed: u64) -> (Workload, Workload, Vec<u32>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.gen_range(3..8u32);
+        let window = TimeWindow::new(0.0, 300.0);
+        let contacts: Vec<(u32, u32, f64, f64)> = (0..rng.gen_range(4..30))
+            .map(|_| {
+                let a = rng.gen_range(0..nodes);
+                let b = (a + rng.gen_range(1..nodes)) % nodes;
+                let begin = f64::from(rng.gen_range(0..290u32));
+                (a, b, begin, (begin + f64::from(rng.gen_range(0..40u32))).min(300.0))
+            })
+            .collect();
+        let messages: Vec<(u32, u32, f64)> = (0..rng.gen_range(1..10))
+            .map(|_| {
+                let source = rng.gen_range(0..nodes);
+                let destination = (source + rng.gen_range(1..nodes)) % nodes;
+                (source, destination, f64::from(rng.gen_range(0..300u32)))
+            })
+            .collect();
+        let mut label: Vec<u32> = (0..nodes).collect();
+        for i in (1..label.len()).rev() {
+            label.swap(i, rng.gen_range(0..=i));
+        }
+        let build = |map: &dyn Fn(u32) -> u32| {
+            let mut registry = NodeRegistry::new();
+            for _ in 0..nodes {
+                registry.add(NodeClass::Mobile);
+            }
+            let contacts = contacts
+                .iter()
+                .map(|&(a, b, start, end)| {
+                    Contact::new(nid(map(a)), nid(map(b)), start, end).unwrap()
+                })
+                .collect();
+            let trace = ContactTrace::from_contacts("relabel", registry, window, contacts).unwrap();
+            let messages = messages
+                .iter()
+                .map(|&(s, d, created)| Message::new(nid(map(s)), nid(map(d)), created))
+                .collect();
+            (trace, messages)
+        };
+        let relabelled = build(&|v| label[v as usize]);
+        (build(&|v| v), relabelled, label)
+    }
+
+    /// Deliveries as (time, hops), both flags and the slot count.
+    type LabelFree = (Vec<(Seconds, usize)>, bool, bool, usize);
+
+    fn label_free(result: &EnumerationResult) -> LabelFree {
+        (
+            result.deliveries.iter().map(|d| (d.time, d.hops)).collect(),
+            result.exploded,
+            result.truncated,
+            result.slots_processed,
+        )
+    }
+
+    /// The sampled paths as sorted hop sequences, each node mapped through
+    /// `map`: a relabelling may reorder the holders a slot delivers from.
+    fn sorted_samples(
+        result: &EnumerationResult,
+        map: &dyn Fn(NodeId) -> u32,
+    ) -> Vec<Vec<(u32, Seconds)>> {
+        let mut paths: Vec<Vec<(u32, Seconds)>> = result
+            .sample_paths
+            .iter()
+            .map(|p| p.hops().iter().map(|h| (map(h.node), h.time)).collect())
+            .collect();
+        paths.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        paths
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn relabelling_nodes_changes_no_delivery_and_permutes_sample_hops(
+            seed in 0u64..1_000_000,
+            first_preference in 0u8..2,
+        ) {
+            // With budgets that never bind — k above any path count these
+            // traces reach, no delivery cap, every delivered path sampled —
+            // the enumeration is a function of the contact structure alone,
+            // so renaming nodes may only rename the sampled hops. All three
+            // entry points (single, batch, reference) are checked.
+            let k = 1 << 20;
+            let config = EnumerationConfig {
+                k,
+                max_delivered_paths: None,
+                stored_path_limit: usize::MAX,
+                enforce_first_preference: first_preference == 1,
+            };
+            let ((trace, messages), (relabelled_trace, relabelled_messages), label) =
+                relabelled_workload(seed);
+            let enumerate_all = |trace: &ContactTrace, messages: &[Message]| {
+                let graph = SpaceTimeGraph::build_default(trace);
+                let enumerator = PathEnumerator::new(&graph, config.clone());
+                let mut scratch = EnumerationScratch::new();
+                [
+                    messages.iter().map(|m| enumerator.enumerate_with_scratch(m, &mut scratch)).collect(),
+                    enumerator.enumerate_batch(messages, &mut Vec::new()),
+                    messages.iter().map(|m| enumerator.enumerate_reference(m)).collect::<Vec<_>>(),
+                ]
+            };
+            let base = enumerate_all(&trace, &messages);
+            let relabelled = enumerate_all(&relabelled_trace, &relabelled_messages);
+            for ((run, renamed), name) in base.iter().zip(&relabelled).zip(["engine", "batch", "reference"]) {
+                for (result, renamed) in run.iter().zip(renamed) {
+                    let message = &result.message;
+                    proptest::prop_assert!(result.delivered_count() < k, "{}: k binds", name);
+                    proptest::prop_assert_eq!(result.sample_paths.len(), result.delivered_count());
+                    proptest::prop_assert_eq!(label_free(result), label_free(renamed), "{}: {}", name, message);
+                    proptest::prop_assert_eq!(
+                        sorted_samples(result, &|v| label[v.index()]),
+                        sorted_samples(renamed, &|v| v.0),
+                        "{}: {}", name, message
+                    );
+                }
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Slot-major batch driver: must be bit-identical to the message-major
     // driver, and must touch each slot of a windowed graph once per batch.

@@ -62,14 +62,6 @@ pub struct MessageWorkloadConfig {
     pub seed: u64,
 }
 
-impl MessageWorkloadConfig {
-    /// The paper's forwarding workload over a three-hour window: one message
-    /// every 4 seconds during the first two hours.
-    pub fn paper_default(nodes: usize) -> Self {
-        Self { nodes, generation_horizon: 2.0 * 3600.0, mean_interarrival: 4.0, seed: 42 }
-    }
-}
-
 /// Deterministic generator of message workloads.
 #[derive(Debug, Clone)]
 pub struct MessageGenerator {
@@ -202,14 +194,6 @@ mod tests {
         assert_ne!(a, b);
         // Same run is reproducible.
         assert_eq!(a, gen.poisson_messages(0));
-    }
-
-    #[test]
-    fn paper_default_workload() {
-        let cfg = MessageWorkloadConfig::paper_default(98);
-        assert_eq!(cfg.nodes, 98);
-        assert_eq!(cfg.generation_horizon, 7200.0);
-        assert_eq!(cfg.mean_interarrival, 4.0);
     }
 
     #[test]

@@ -174,12 +174,12 @@ impl ScenarioConfig {
     /// Parses a scenario from TOML text (the subset described in the
     /// module docs).
     pub fn from_toml_str(text: &str) -> Result<Self, ScenarioError> {
-        Self::from_doc(doc::parse_toml(text)?)
+        Self::from_doc(doc::parse_toml(text, "scenario")?)
     }
 
     /// Parses a scenario from a JSON object.
     pub fn from_json_str(text: &str) -> Result<Self, ScenarioError> {
-        Self::from_doc(doc::parse_json(text)?)
+        Self::from_doc(doc::parse_json(text, "scenario")?)
     }
 
     /// Parses a scenario from either format, auto-detected: JSON when the
@@ -859,8 +859,10 @@ pub(crate) mod doc {
 
     /// Parses the TOML subset: `key = value` lines, `# comments`, and
     /// `[table]` sections, nested with dotted headers (`[base.activity]`).
-    pub fn parse_toml(text: &str) -> Result<Table, ScenarioError> {
-        let mut top = Table::new("scenario");
+    /// `document` names the top-level table in errors (`"scenario"`,
+    /// `"sweep"`).
+    pub fn parse_toml(text: &str, document: &str) -> Result<Table, ScenarioError> {
+        let mut top = Table::new(document);
         let mut section: Vec<String> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = strip_comment(raw).trim();
@@ -919,10 +921,11 @@ pub(crate) mod doc {
     // ----- JSON frontend --------------------------------------------------
 
     /// Parses a JSON object into the shared document model with the
-    /// workspace's one JSON reader ([`crate::json`]).
-    pub fn parse_json(text: &str) -> Result<Table, ScenarioError> {
+    /// workspace's one JSON reader ([`crate::json`]); `document` names the
+    /// top-level table in errors, as in [`parse_toml`].
+    pub fn parse_json(text: &str, document: &str) -> Result<Table, ScenarioError> {
         match json::parse(text).map_err(|e| ScenarioError::new(format!("json {e}")))? {
-            Json::Obj(fields) => table_from_json("scenario", fields),
+            Json::Obj(fields) => table_from_json(document, fields),
             _ => Err(ScenarioError::new("json: expected an object")),
         }
     }
@@ -1591,22 +1594,24 @@ max_node_rate = 0.05
 
     #[test]
     fn toml_section_headers_nest_and_fail_typed_when_malformed_or_too_deep() {
-        let nested = doc::parse_toml("a = 1\n[x]\nb = 2\n[x.y.z]\nc = 3\n[x]\nd = 4\n").unwrap();
+        let nested =
+            doc::parse_toml("a = 1\n[x]\nb = 2\n[x.y.z]\nc = 3\n[x]\nd = 4\n", "scenario").unwrap();
         let written = doc::write_toml(&nested);
         assert_eq!(written, "a = 1\n\n[x]\nb = 2\nd = 4\n\n[x.y]\n\n[x.y.z]\nc = 3\n");
-        assert_eq!(doc::write_toml(&doc::parse_toml(&written).unwrap()), written);
+        assert_eq!(doc::write_toml(&doc::parse_toml(&written, "scenario").unwrap()), written);
 
         for header in ["[]", "[x..y]", "[.x]", "[x.]", "[x y]", "[x.y", "[\"x\"]"] {
-            let err = doc::parse_toml(&format!("{header}\n")).expect_err(header);
+            let err = doc::parse_toml(&format!("{header}\n"), "scenario").expect_err(header);
             assert!(err.to_string().contains("malformed section header"), "{header}: {err}");
         }
-        let err = doc::parse_toml("kind = \"conference\"\n[kind.activity]\n").expect_err("scalar");
+        let err = doc::parse_toml("kind = \"conference\"\n[kind.activity]\n", "scenario")
+            .expect_err("scalar");
         assert!(err.to_string().contains("not a table"), "{err}");
         let deep = format!("[{}]\n", vec!["t"; crate::json::MAX_DEPTH + 1].join("."));
-        let err = doc::parse_toml(&deep).expect_err("too deep");
+        let err = doc::parse_toml(&deep, "scenario").expect_err("too deep");
         assert!(err.to_string().contains("nesting bound"), "{err}");
         let bound = format!("[{}]\nx = 1\n", vec!["t"; crate::json::MAX_DEPTH].join("."));
-        assert!(doc::parse_toml(&bound).is_ok());
+        assert!(doc::parse_toml(&bound, "scenario").is_ok());
     }
 
     #[test]

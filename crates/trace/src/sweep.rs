@@ -252,12 +252,12 @@ impl ScenarioSweep {
 
     /// Parses a sweep from TOML text.
     pub fn from_toml_str(text: &str) -> Result<Self, ScenarioError> {
-        Self::from_doc(doc::parse_toml(text)?)
+        Self::from_doc(doc::parse_toml(text, "sweep")?)
     }
 
     /// Parses a sweep from a JSON object.
     pub fn from_json_str(text: &str) -> Result<Self, ScenarioError> {
-        Self::from_doc(doc::parse_json(text)?)
+        Self::from_doc(doc::parse_json(text, "sweep")?)
     }
 
     /// Parses a sweep from either format, auto-detected like scenario
@@ -521,6 +521,31 @@ mod tests {
             let err = ScenarioSweep::from_config_str(&text).expect_err(&text);
             assert!(err.to_string().contains("duplicate key"), "{text}: {err}");
         }
+    }
+
+    #[test]
+    fn top_level_sweep_errors_name_the_sweep() {
+        let base = "[base]\nkind = \"homogeneous\"\n";
+        for (text, expected) in [
+            (format!("name = \"s\"\nbogus = 1\n{base}"), "sweep: unknown field \"bogus\""),
+            (format!("name = \"a\"\nname = \"b\"\n{base}"), "duplicate key \"name\" in sweep"),
+            (
+                r#"{"name": "s", "bogus": 1, "base": {"kind": "homogeneous"}}"#.to_string(),
+                "sweep: unknown field \"bogus\"",
+            ),
+            (
+                r#"{"name": "a", "name": "b", "base": {"kind": "homogeneous"}}"#.to_string(),
+                "duplicate key \"name\" in sweep",
+            ),
+        ] {
+            let err = ScenarioSweep::from_config_str(&text).expect_err(&text).to_string();
+            assert!(err.contains(expected), "{text}: {err}");
+            assert!(!err.contains("scenario:") && !err.contains("in scenario"), "{text}: {err}");
+        }
+        // The scenario's own errors keep naming the scenario document.
+        let err = ScenarioConfig::from_toml_str("kind = \"homogeneous\"\nbogus = 1\n")
+            .expect_err("unknown field");
+        assert!(err.to_string().contains("scenario: unknown field \"bogus\""), "{err}");
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //! figure's data can be produced end-to-end at quick scale and the rendered
 //! text contains the expected series.
 
-use psn::experiments::activity::{activity_report, run_activity_study};
+use psn::experiments::activity::activity_report;
 use psn::experiments::explosion::run_explosion_study_on;
 use psn::experiments::forwarding::run_forwarding_study_on;
 use psn::experiments::hop_rates::run_hop_rate_study;
 use psn::experiments::paths_taken::run_paths_taken;
 use psn::prelude::*;
 use psn::report::TextRenderer;
+use psn::study::{run_study, StudyParams, StudyScenario};
+use psn::{StudyId, StudySpec};
 use psn_forwarding::{HistoryTimeline, Recording};
 use psn_trace::ContactSummary;
 use std::sync::Arc;
@@ -33,13 +35,20 @@ fn uniform_messages(trace: &ContactTrace, count: usize) -> Vec<Message> {
 
 #[test]
 fn figure_1_and_7_activity_reports_render() {
-    let reports = run_activity_study(ExperimentProfile::Quick);
-    assert_eq!(reports.len(), 4);
-    for r in &reports {
-        let fig1 = TextRenderer.render_section(&r.timeseries_section());
+    let scenarios = DatasetId::all()
+        .into_iter()
+        .map(|id| StudyScenario::dataset(id, ExperimentProfile::Quick))
+        .collect();
+    let params = StudyParams::for_profile(ExperimentProfile::Quick).with_threads(2);
+    let spec = StudySpec::new(StudyId::Activity, scenarios, params);
+    let report = run_study(&spec.plan().unwrap());
+    for id in DatasetId::all() {
+        let sections = report.sections_for(id.label());
+        assert_eq!(sections.len(), 2, "{id:?}");
+        let fig1 = TextRenderer.render_section(sections[0]);
         assert!(fig1.contains("Figure 1"));
         assert!(fig1.lines().count() > 10);
-        let fig7 = TextRenderer.render_section(&r.contact_cdf_section());
+        let fig7 = TextRenderer.render_section(sections[1]);
         assert!(fig7.contains("Figure 7"));
         assert!(fig7.contains("value,probability"));
     }
