@@ -427,6 +427,28 @@ fn cli_exit_codes_distinguish_failure_classes() {
     assert!(preset.stdout.is_empty(), "a failed preset renders nothing");
 }
 
+#[test]
+fn cli_a_huge_node_count_is_a_config_error_before_allocation() {
+    // Two billion nodes would ask for 12·n² bytes of pair tables; without
+    // the validator's bound the process allocates until it aborts.
+    let huge = std::env::temp_dir().join(format!("psn-chaos-huge-{}.toml", std::process::id()));
+    let homogeneous = std::fs::read_to_string(repo_path("scenarios/homogeneous.toml")).unwrap();
+    let text: String = homogeneous
+        .lines()
+        .map(|l| if l.starts_with("nodes = ") { "nodes = 2000000000" } else { l })
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert!(text.contains("nodes = 2000000000"), "the shipped scenario names its node count");
+    std::fs::write(&huge, text).unwrap();
+    for study in ["activity", "forwarding"] {
+        let out = psn_study(&["plan", "--config", huge.to_str().unwrap(), "--study", study]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(exit_code(&out), 3, "{err}");
+        assert!(err.contains("\"nodes\" must be at most 16384"), "{err}");
+    }
+    let _ = std::fs::remove_file(&huge);
+}
+
 /// Arrays nested far deeper than the JSON reader's bound: without the
 /// bound, reading them overflows the stack and aborts the process.
 fn deeply_nested(depth: usize) -> String {

@@ -11,15 +11,13 @@
 //! * success rate and delay broken down by source/destination pair type
 //!   (Fig. 13).
 
-use std::sync::Arc;
-
 use psn_forwarding::{
-    standard_algorithms, AlgorithmKind, AlgorithmMetrics, ForwardingAlgorithm, HistoryTimeline,
-    MessageOutcome, PairType, PairTypeMetrics, Recording, Simulator, SimulatorConfig,
+    standard_algorithms, AlgorithmKind, AlgorithmMetrics, ForwardingAlgorithm, MessageOutcome,
+    PairType, PairTypeMetrics, Recording, Simulator,
 };
 use psn_spacetime::{Message, MessageGenerator, MessageWorkloadConfig};
 use psn_stats::BinnedSeries;
-use psn_trace::{ContactRates, ContactSummary, Seconds};
+use psn_trace::{ContactRates, ContactSummary};
 
 use crate::report::{Block, CellValue, Column, Scalar, Section, Series, Table};
 
@@ -204,31 +202,27 @@ impl ForwardingStudy {
     }
 }
 
-/// Runs the forwarding study over a scenario's [`ContactSummary`] — the
-/// per-node rates, the observation window and the future-knowledge oracle
-/// ([`psn_forwarding::TraceOracle::from_summary`], so the summary must
-/// carry its pair-count matrix) — and its history timeline slotted at
-/// `delta` (a `params.delta` sweep axis reaches here with non-default
-/// slotting). The simulator reads nothing else: no space-time graph. The
-/// artifact store memoizes the timeline per scenario and shares it across
-/// views, seeds and sweep cells. `first_run` says what run 0 records:
-/// [`Recording::HopPaths`] when a view reads the hop paths of
-/// [`AlgorithmStudy::outcomes`] (Fig. 14's hop-rates-taken), else
-/// [`Recording::DeliveryOnly`]; runs 1.. always record delivery times
-/// only. `threads` is the simulator worker count (`0` = one per available
-/// core); it never affects results.
-#[allow(clippy::too_many_arguments)]
+/// Runs the forwarding study on a scenario's [`Simulator`] — its
+/// future-knowledge oracle and history timeline, slotted at the study's Δ
+/// (a `params.delta` sweep axis reaches here with non-default slotting) —
+/// and reads the per-node rates and the observation window from the
+/// scenario's [`ContactSummary`], which may be rates-only once the oracle
+/// has taken its pair-count matrix. The simulator reads no space-time
+/// graph; the study shares it with paths-taken, and the artifact store
+/// memoizes the timeline per scenario across views, seeds and sweep cells.
+/// `first_run` says what run 0 records: [`Recording::HopPaths`] when a view
+/// reads the hop paths of [`AlgorithmStudy::outcomes`] (Fig. 14's
+/// hop-rates-taken), else [`Recording::DeliveryOnly`]; runs 1.. always
+/// record delivery times only. The simulator's worker count never affects
+/// results.
 pub fn run_forwarding_study_on(
     scenario: impl Into<String>,
     summary: &ContactSummary,
-    timeline: Arc<HistoryTimeline>,
-    delta: Seconds,
+    simulator: &Simulator,
     workload: MessageWorkloadConfig,
     runs: usize,
     first_run: Recording,
-    threads: usize,
 ) -> ForwardingStudy {
-    let simulator = Simulator::from_summary(summary, timeline, SimulatorConfig { delta, threads });
     let rates = summary.rates();
     let window = summary.window();
     assert!(runs >= 1, "need at least one simulation run");
@@ -303,6 +297,7 @@ pub fn run_forwarding_study_on(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use psn_forwarding::SimulatorConfig;
     use psn_spacetime::DEFAULT_DELTA;
     use psn_trace::{ContactTrace, DatasetId, SyntheticDataset};
 
@@ -311,17 +306,15 @@ mod tests {
         workload: MessageWorkloadConfig,
         runs: usize,
     ) -> ForwardingStudy {
-        let timeline = Arc::new(HistoryTimeline::from_trace(trace, DEFAULT_DELTA));
+        let simulator = Simulator::new(trace, SimulatorConfig { delta: DEFAULT_DELTA, threads: 0 });
         let summary = ContactSummary::from_trace(trace);
         run_forwarding_study_on(
             DatasetId::Infocom06Morning,
             &summary,
-            timeline,
-            DEFAULT_DELTA,
+            &simulator,
             workload,
             runs,
             Recording::HopPaths,
-            0,
         )
     }
 

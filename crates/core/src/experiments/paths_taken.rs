@@ -6,14 +6,11 @@
 //! chose. The point of the figure is that every algorithm's chosen path
 //! lands early in the explosion process even when it is not optimal.
 
-use std::sync::Arc;
-
 use psn_forwarding::{
-    standard_algorithms, AlgorithmKind, ForwardingAlgorithm, HistoryTimeline, Recording, Simulator,
-    SimulatorConfig,
+    standard_algorithms, AlgorithmKind, ForwardingAlgorithm, Recording, Simulator,
 };
 use psn_spacetime::{EnumerationConfig, Message, PathEnumerator, SharedGraph};
-use psn_trace::{ContactSummary, Seconds};
+use psn_trace::Seconds;
 
 use crate::report::{Block, CellValue, Column, Section, Table};
 
@@ -75,24 +72,26 @@ impl PathsTakenCase {
 }
 
 /// Runs the Fig. 12 analysis for a set of messages over a scenario's
-/// [`ContactSummary`] (the simulator's oracle input, so the summary must
-/// carry its pair-count matrix), space-time graph and history timeline.
-/// The enumerator reads the graph, which may be materialized or
-/// bounded-window ([`SharedGraph`] accepts either); the simulator reads
-/// only the summary and the timeline, slotted at the graph's Δ. The
-/// analysis builds nothing per call.
+/// [`Simulator`] and space-time graph. The enumerator reads the graph,
+/// which may be materialized or bounded-window ([`SharedGraph`] accepts
+/// either); the simulator reads only its oracle and timeline, which the
+/// study shares with the forwarding study. The analysis builds nothing per
+/// call.
+///
+/// # Panics
+///
+/// Panics if the simulator was slotted at another Δ than the graph.
 pub fn run_paths_taken(
-    summary: &ContactSummary,
+    simulator: &Simulator,
     graph: impl Into<SharedGraph>,
-    timeline: Arc<HistoryTimeline>,
     messages: &[Message],
     enumeration: EnumerationConfig,
 ) -> Vec<PathsTakenCase> {
     let graph = graph.into();
-    // The simulator's Δ must match however the graph was discretized.
-    let config =
-        SimulatorConfig { delta: graph.as_graph_ref().delta(), ..SimulatorConfig::default() };
-    let simulator = Simulator::from_summary(summary, timeline, config);
+    assert!(
+        graph.as_graph_ref().delta() == simulator.delta(),
+        "the simulator must be slotted at the graph's Δ"
+    );
     let enumerator = PathEnumerator::new(&graph, enumeration);
     let algorithms = standard_algorithms();
 
@@ -164,8 +163,10 @@ pub fn run_paths_taken(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use psn_forwarding::SimulatorConfig;
     use psn_spacetime::{MessageGenerator, SpaceTimeGraph};
     use psn_trace::{DatasetId, SyntheticDataset};
+    use std::sync::Arc;
 
     #[test]
     fn cases_report_bursts_and_algorithm_arrivals() {
@@ -182,10 +183,9 @@ mod tests {
         });
         let messages = generator.uniform_messages(3);
         let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
-        let timeline = Arc::new(HistoryTimeline::from_trace(&trace, graph.delta()));
-        let summary = ContactSummary::from_trace(&trace);
-        let cases =
-            run_paths_taken(&summary, graph, timeline, &messages, EnumerationConfig::quick(30));
+        let simulator =
+            Simulator::new(&trace, SimulatorConfig { delta: graph.delta(), threads: 0 });
+        let cases = run_paths_taken(&simulator, graph, &messages, EnumerationConfig::quick(30));
         assert_eq!(cases.len(), 3);
         for case in &cases {
             assert_eq!(case.algorithm_arrivals.len(), 6);

@@ -45,7 +45,7 @@ pub mod sweep;
 pub use psn_artifact::{ArtifactError, ArtifactStore, CacheSource, StoreStats};
 
 use psn_artifact::{ArtifactKey, ArtifactKind, BuiltArtifact};
-use psn_forwarding::Recording;
+use psn_forwarding::{Recording, Simulator, SimulatorConfig, TraceOracle};
 use psn_spacetime::{EnumerationConfig, MessageGenerator, MessageWorkloadConfig};
 use psn_trace::{ContactStream, ContactSummary, FingerprintHasher, ScenarioConfig, Seconds};
 
@@ -1161,8 +1161,20 @@ fn compute_run_sections(
     store: &ArtifactStore,
 ) -> Result<Vec<Section>, ArtifactError> {
     let needs = RunNeeds::for_views(&plan.views);
-    let (summary, graph, timeline) = run_inputs(run, p, needs, store)?;
+    let (mut summary, graph, timeline) = run_inputs(run, p, needs, store)?;
     let (node_count, duration) = (summary.node_count(), summary.window().duration());
+    // One simulator per run serves the forwarding study and paths-taken.
+    // Its oracle takes the summary's pair-count matrix as the buffer of its
+    // delay matrix, so the run holds one n² table, not two.
+    let simulator = timeline.map(|timeline| {
+        let oracle = TraceOracle::take_from_summary(&mut summary);
+        Simulator::from_oracle(
+            summary.window(),
+            oracle,
+            timeline,
+            SimulatorConfig { delta: p.delta, threads },
+        )
+    });
     let explosion = needs.explosion.then(|| {
         let messages = MessageGenerator::new(MessageWorkloadConfig {
             nodes: node_count,
@@ -1185,12 +1197,10 @@ fn compute_run_sections(
         run_forwarding_study_on(
             run.label.clone(),
             &summary,
-            needed(&timeline).clone(),
-            p.delta,
+            needed(&simulator),
             p.forwarding_workload(node_count, duration),
             p.simulation_runs,
             needs.first_run,
-            threads,
         )
     });
     let activity = needs.activity.then(|| activity_report(run.label.clone(), &summary));
@@ -1225,8 +1235,8 @@ fn compute_run_sections(
                 // Paths-taken reads delivery times only: no sample paths.
                 let enumeration =
                     EnumerationConfig { stored_path_limit: 0, ..p.enumeration.clone() };
-                let (graph, timeline) = (needed(&graph).clone(), needed(&timeline).clone());
-                let cases = run_paths_taken(&summary, graph, timeline, &messages, enumeration);
+                let graph = needed(&graph).clone();
+                let cases = run_paths_taken(needed(&simulator), graph, &messages, enumeration);
                 cases.iter().map(|case| case.section()).collect()
             }
             StudyView::HopRateProgression => vec![needed(&hop_rates).mean_rate_section()],
@@ -1796,10 +1806,10 @@ mod tests {
         let trace = dense_scenario(3).config.generate();
         let summary = ContactSummary::from_trace(&trace);
         let graph = psn_spacetime::SpaceTimeGraph::build_default(&trace);
-        let timeline = std::sync::Arc::new(psn_forwarding::HistoryTimeline::from_trace(
+        let simulator = Simulator::new(
             &trace,
-            psn_spacetime::DEFAULT_DELTA,
-        ));
+            SimulatorConfig { delta: psn_spacetime::DEFAULT_DELTA, threads: 1 },
+        );
         let p = quick_params();
         let messages = MessageGenerator::new(MessageWorkloadConfig {
             nodes: trace.node_count(),
@@ -1833,12 +1843,10 @@ mod tests {
             let forwarding = run_forwarding_study_on(
                 "records",
                 &summary,
-                timeline.clone(),
-                psn_spacetime::DEFAULT_DELTA,
+                &simulator,
                 p.forwarding_workload(trace.node_count(), trace.window().duration()),
                 2,
                 needs.first_run,
-                1,
             );
             let hop_paths = forwarding
                 .algorithms

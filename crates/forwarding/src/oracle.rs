@@ -28,18 +28,21 @@ impl TraceOracle {
     /// until the next contact when contacts are spread over the window.
     /// Pairs that never meet get infinite delay.
     pub fn from_trace(trace: &ContactTrace) -> Self {
-        Self::from_summary(&ContactSummary::from_trace(trace))
+        Self::take_from_summary(&mut ContactSummary::from_trace(trace))
     }
 
-    /// Builds the oracle from already-folded contact counts. `pair_counts`
-    /// is the symmetric `n * n` row-major per-pair count matrix.
+    /// Builds the oracle from already-folded contact counts, taking over
+    /// `pair_counts` — the symmetric `n * n` row-major per-pair count
+    /// matrix — as the buffer of its delay matrix: the `n²` counts become
+    /// the `n²` delays in place, so the oracle never holds a second `n²`
+    /// table.
     ///
     /// # Panics
     ///
     /// Panics if `pair_counts` is not `n * n` for `n = total_contacts.len()`,
     /// or is not symmetric (the shortest-delay pass relaxes one triangle
     /// and mirrors it).
-    pub fn from_counts(window: Seconds, total_contacts: Vec<u64>, pair_counts: &[u64]) -> Self {
+    pub fn from_counts(window: Seconds, total_contacts: Vec<u64>, pair_counts: Vec<u64>) -> Self {
         let n = total_contacts.len();
         assert_eq!(pair_counts.len(), n * n, "pair-count matrix must be node_count^2");
         assert!(
@@ -51,7 +54,9 @@ impl TraceOracle {
     }
 
     /// Builds the oracle from a [`ContactSummary`], folded from a trace or a
-    /// contact stream.
+    /// contact stream, copying its pair-count matrix; a caller that owns
+    /// the summary and is done with the matrix should use
+    /// [`TraceOracle::take_from_summary`] instead.
     ///
     /// # Panics
     ///
@@ -61,8 +66,21 @@ impl TraceOracle {
         Self::from_counts(
             summary.window().duration(),
             summary.per_node_counts().to_vec(),
-            summary.pair_counts(),
+            summary.pair_counts().to_vec(),
         )
+    }
+
+    /// Builds the oracle from a [`ContactSummary`], taking its pair-count
+    /// matrix ([`ContactSummary::take_pair_counts`]) as the delay matrix's
+    /// buffer. The summary is left rates-only; its per-node counts, window
+    /// and time series stay readable.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceOracle::from_summary`].
+    pub fn take_from_summary(summary: &mut ContactSummary) -> Self {
+        let (window, totals) = (summary.window().duration(), summary.per_node_counts().to_vec());
+        Self::from_counts(window, totals, summary.take_pair_counts())
     }
 
     /// Number of nodes covered.
@@ -85,20 +103,23 @@ impl TraceOracle {
 
 /// The `n * n` direct expected-delay matrix: `window / (k + 1)` for a pair
 /// with `k ≥ 1` contacts, infinite for pairs that never meet, zero on the
-/// diagonal. Symmetric when `pair_counts` is.
-fn direct_delays(window: Seconds, pair_counts: &[u64], n: usize) -> Vec<f64> {
-    let mut direct = vec![f64::INFINITY; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            let k = pair_counts[i * n + j];
-            if i == j {
-                direct[i * n + j] = 0.0;
+/// diagonal. Symmetric when `pair_counts` is. `u64` and `f64` have the same
+/// size and alignment, so the collect writes the delays into the count
+/// buffer instead of allocating a new one.
+fn direct_delays(window: Seconds, pair_counts: Vec<u64>, n: usize) -> Vec<f64> {
+    pair_counts
+        .into_iter()
+        .enumerate()
+        .map(|(cell, k)| {
+            if cell % (n + 1) == 0 {
+                0.0
             } else if k > 0 {
-                direct[i * n + j] = window / (k as f64 + 1.0);
+                window / (k as f64 + 1.0)
+            } else {
+                f64::INFINITY
             }
-        }
-    }
-    direct
+        })
+        .collect()
 }
 
 /// Phases per block: the block's pivot rows (`BLOCK * n` f64, 250 KiB at
@@ -242,8 +263,8 @@ mod tests {
 
     /// The direct expected-delay matrix of `trace`, as the oracle builds it.
     fn trace_direct(trace: &ContactTrace) -> Vec<f64> {
-        let summary = ContactSummary::from_trace(trace);
-        direct_delays(summary.window().duration(), summary.pair_counts(), trace.node_count())
+        let mut summary = ContactSummary::from_trace(trace);
+        direct_delays(summary.window().duration(), summary.take_pair_counts(), trace.node_count())
     }
 
     #[test]
@@ -281,6 +302,24 @@ mod tests {
         assert_eq!(oracle.shortest_expected_delay(nid(0), nid(3)), f64::INFINITY);
     }
 
+    /// The per-cell loop that filled a fresh direct-delay matrix before the
+    /// oracle converted the count buffer in place, kept as the reference
+    /// for the conversion.
+    fn direct_delays_reference(window: Seconds, pair_counts: &[u64], n: usize) -> Vec<f64> {
+        let mut direct = vec![f64::INFINITY; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let k = pair_counts[i * n + j];
+                if i == j {
+                    direct[i * n + j] = 0.0;
+                } else if k > 0 {
+                    direct[i * n + j] = window / (k as f64 + 1.0);
+                }
+            }
+        }
+        direct
+    }
+
     /// The full in-place triple loop the blocked half-matrix pass replaced,
     /// kept as the bit-level reference.
     fn shortest_delays_reference(direct: &[f64], n: usize) -> Vec<f64> {
@@ -302,13 +341,22 @@ mod tests {
         shortest
     }
 
-    /// Checks the oracle built from `counts` against the reference bit for
-    /// bit; returns how many cells a relay path improved.
-    fn assert_matches_reference(window: Seconds, counts: &[u64], n: usize, label: &str) -> usize {
+    /// Checks the oracle built from owned `counts` against the two
+    /// references bit for bit, and that its delay matrix lives in the count
+    /// buffer; returns how many cells a relay path improved.
+    fn assert_matches_reference(window: Seconds, counts: Vec<u64>, n: usize, label: &str) -> usize {
         let totals: Vec<u64> = (0..n).map(|i| counts[i * n..(i + 1) * n].iter().sum()).collect();
-        let oracle = TraceOracle::from_counts(window, totals, counts);
-        let direct = direct_delays(window, counts, n);
+        let direct = direct_delays_reference(window, &counts, n);
         let reference = shortest_delays_reference(&direct, n);
+        let buffer = counts.as_ptr() as usize;
+        let oracle = TraceOracle::from_counts(window, totals, counts);
+        if n > 0 {
+            assert_eq!(
+                oracle.shortest_delay.as_ptr() as usize,
+                buffer,
+                "{label}: a second n² buffer"
+            );
+        }
         let mut relayed = 0;
         for a in (0..n as u32).map(NodeId) {
             for b in (0..n as u32).map(NodeId) {
@@ -373,7 +421,7 @@ mod tests {
             for seed in 0..3u64 {
                 let counts = random_counts(seed * 1000 + n as u64, n);
                 let label = format!("n={n} seed={seed}");
-                relayed += assert_matches_reference(10_799.7, &counts, n, &label);
+                relayed += assert_matches_reference(10_799.7, counts, n, &label);
             }
         }
         // The matrices exercise relay paths, not just direct delays.
@@ -392,15 +440,40 @@ mod tests {
         let summary = ContactSummary::from_trace(&scenario.generate());
         let n = summary.per_node_counts().len();
         let window = summary.window().duration();
-        let relayed = assert_matches_reference(window, summary.pair_counts(), n, "scaled");
+        let counts = summary.pair_counts().to_vec();
+        let relayed = assert_matches_reference(window, counts, n, "scaled");
         assert!(relayed > 100, "only {relayed} relayed cells");
+    }
+
+    #[test]
+    fn delay_matrix_reuses_the_count_buffer() {
+        // The oracle's one n² table is the summary's count matrix, turned
+        // into delays in place: the taking path keeps its address, and the
+        // copying path gives the same bits.
+        let scenario = ScenarioConfig::Scaled(ScaledConfig {
+            name: "oracle-buffer".to_string(),
+            nodes: BLOCK + 7,
+            window_seconds: 1200.0,
+            seed: 3,
+            ..ScaledConfig::default()
+        });
+        let mut summary = ContactSummary::from_trace(&scenario.generate());
+        let copied = TraceOracle::from_summary(&summary);
+        let buffer = summary.pair_counts().as_ptr() as usize;
+        let taken = TraceOracle::take_from_summary(&mut summary);
+        assert_eq!(taken.shortest_delay.as_ptr() as usize, buffer, "a second n² buffer");
+        assert!(summary.pair_counts().is_empty(), "the summary gave its matrix away");
+        assert_eq!(taken.total_contacts, copied.total_contacts);
+        let bits =
+            |o: &TraceOracle| o.shortest_delay.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&taken), bits(&copied));
     }
 
     #[test]
     #[should_panic(expected = "pair-count matrix must be symmetric")]
     fn asymmetric_pair_counts_are_rejected() {
-        let counts = [0, 2, 0, 1, 0, 0, 0, 0, 0];
-        TraceOracle::from_counts(100.0, vec![2, 1, 0], &counts);
+        let counts = vec![0, 2, 0, 1, 0, 0, 0, 0, 0];
+        TraceOracle::from_counts(100.0, vec![2, 1, 0], counts);
     }
 
     #[test]

@@ -86,7 +86,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use psn_spacetime::{GraphRef, Hop, Message, Path, SharedGraph};
 use psn_trace::stream::{slot_count, slot_end_time, slot_of_time};
-use psn_trace::{ContactSummary, ContactTrace, NodeId, Seconds, TimeWindow};
+use psn_trace::{ContactTrace, NodeId, Seconds, TimeWindow};
 
 use crate::algorithm::{ForwardingAlgorithm, ForwardingContext};
 use crate::history::ContactHistory;
@@ -1228,38 +1228,34 @@ impl Simulator {
     /// ([`HistoryTimeline::from_trace`]).
     pub fn new(trace: &ContactTrace, config: SimulatorConfig) -> Self {
         let timeline = std::sync::Arc::new(HistoryTimeline::from_trace(trace, config.delta));
-        Self::from_summary(&ContactSummary::from_trace(trace), timeline, config)
+        Self::from_oracle(trace.window(), TraceOracle::from_trace(trace), timeline, config)
     }
 
-    /// Builds a simulator from a run's [`ContactSummary`] — its node count,
-    /// observation window and oracle ([`TraceOracle::from_summary`], so it
-    /// must carry its pair-count matrix) — and a timeline the artifact store
-    /// memoizes or the study folds from the scenario's event stream.
+    /// Builds a simulator from a trace's observation `window`, its oracle
+    /// and a timeline the artifact store memoizes or the study folds from
+    /// the scenario's event stream. A study that owns the run's
+    /// [`psn_trace::ContactSummary`] builds the oracle with
+    /// [`TraceOracle::take_from_summary`], so the pair-count matrix becomes
+    /// the delay matrix instead of being copied.
     ///
     /// # Panics
     ///
-    /// Panics when the timeline belongs to a different trace or was slotted
-    /// at another Δ — a mismatched cache key, never a data-dependent
-    /// condition.
-    pub fn from_summary(
-        summary: &ContactSummary,
+    /// Panics when the oracle or the timeline belongs to a different trace,
+    /// or the timeline was slotted over another window or at another Δ — a
+    /// mismatched cache key, never a data-dependent condition.
+    pub fn from_oracle(
+        window: TimeWindow,
+        oracle: TraceOracle,
         timeline: std::sync::Arc<HistoryTimeline>,
         config: SimulatorConfig,
     ) -> Self {
-        Self::assemble(
-            summary.node_count(),
-            summary.window(),
-            TraceOracle::from_summary(summary),
-            timeline,
-            config,
-        )
+        Self::assemble(oracle.node_count(), window, oracle, timeline, config)
     }
 
     /// [`Simulator::from_streamed_parts`] with the trace's node count and
     /// oracle: the graph is checked against the timeline and dropped. Kept
-    /// for the perfbench harness; the ROADMAP item 8
-    /// `[benchmark]` PR moves perfbench to [`Simulator::from_summary`] and
-    /// deletes this constructor.
+    /// for the perfbench harness until it builds its simulators with
+    /// [`Simulator::from_oracle`].
     pub fn from_parts(
         trace: &ContactTrace,
         graph: impl Into<SharedGraph>,
@@ -1274,8 +1270,8 @@ impl Simulator {
     /// timeline, taking the observation window from the graph. The graph is
     /// checked against the timeline (node count, Δ, slot count) and then
     /// dropped: the engine reads only the timeline. Kept for the perfbench
-    /// harness; the ROADMAP item 8 `[benchmark]` PR moves perfbench to
-    /// [`Simulator::from_summary`] and deletes this constructor.
+    /// harness until it builds its simulators with
+    /// [`Simulator::from_oracle`].
     ///
     /// # Panics
     ///
@@ -1320,6 +1316,11 @@ impl Simulator {
     /// Builds a simulator with the default Δ = 10 s.
     pub fn with_default_config(trace: &ContactTrace) -> Self {
         Self::new(trace, SimulatorConfig::default())
+    }
+
+    /// The slot length Δ the simulator and its timeline were slotted at.
+    pub fn delta(&self) -> Seconds {
+        self.config.delta
     }
 
     /// The number of worker threads (lanes) the slot-major engine will use.

@@ -7,30 +7,37 @@
 //! messages or the run — so the whole evolution can be computed **once** per
 //! trace and then shared by reference across every simulation.
 //!
-//! [`HistoryTimeline`] stores that evolution as per-pair and per-node event
-//! arrays (cumulative encounter counts keyed by slot). A [`HistoryView`] is
-//! a `Copy` handle pinning the timeline to one slot; it answers the same
-//! queries as a `ContactHistory` that was advanced through that slot —
-//! bit-identically, which the differential tests below pin down:
+//! [`HistoryTimeline`] stores that evolution as one list of encounters per
+//! meeting pair and one list of cumulative-count events per node. An
+//! encounter is a maximal run of consecutive contact slots of one pair (the
+//! contiguity rule of the history module), kept as its first and last slot.
+//! A [`HistoryView`] is a `Copy` handle pinning the timeline to one slot; it
+//! answers the same queries as a `ContactHistory` that was advanced through
+//! that slot — bit-identically, which the differential tests below pin
+//! down:
 //!
-//! * `last_contact_with` — binary search for the latest contact slot ≤ the
-//!   view's slot; the recency timestamp is that slot's end time, exactly
-//!   what the replay records;
-//! * `contacts_with` / `total_contacts` — the cumulative *encounter* count
-//!   at that slot (a contact spanning several consecutive slots is one
-//!   encounter; see the history module docs).
+//! * `contacts_with` — the number of the pair's encounters that start at or
+//!   before the view's slot;
+//! * `last_contact_with` — the end time of the latest contact slot ≤ the
+//!   view's slot: the last such encounter's last slot, or the view's slot
+//!   itself while that encounter is still running — exactly what the replay
+//!   records;
+//! * `total_contacts` — the node's cumulative *encounter* count at that
+//!   slot.
 //!
-//! Lookups are `O(log c)` in the number of contact slots of one pair (or
-//! one node), versus `O(1)` for the mutable arrays — in exchange the
-//! structure is immutable, `Sync`, built once, and costs `O(contact-slot
-//! incidences)` memory rather than `O(n²)` per concurrent simulation.
+//! Lookups are `O(log e)` in the number of encounters of one pair (or
+//! encounter starts of one node), versus `O(1)` for the mutable arrays — in
+//! exchange the structure is immutable, `Sync`, built once, and its history
+//! lists cost `O(encounters)` memory rather than `O(n²)` per concurrent
+//! simulation. A contact that lasts many slots is one 8-byte entry, not one
+//! per slot.
 //!
 //! For the simulator's skip index and prechecks the timeline also keeps,
 //! per busy slot, `⌈n/64⌉`-word activity and encounter-start bitmasks and
-//! the slot's edge list ([`HistoryTimeline::slot_edges`]). Nothing per
-//! slot is `O(n²)`: a simulator lane expands one slot's edge list at a
-//! time into per-node neighbor rows. The only `O(n²)` table is the
-//! `4·n²`-byte pair index.
+//! the slot's edge list ([`HistoryTimeline::slot_edges`]), and per node its
+//! active slots. Nothing per slot is `O(n²)`: a simulator lane expands one
+//! slot's edge list at a time into per-node neighbor rows. The only `O(n²)`
+//! table is the `4·n²`-byte pair index.
 
 use psn_spacetime::{IncrementalSlotter, SpaceTimeGraph};
 use psn_trace::stream::{fold_trace, slot_end_time};
@@ -41,12 +48,12 @@ use crate::history::ContactKnowledge;
 /// Sentinel for "this pair never meets anywhere in the trace".
 const NO_PAIR: u32 = u32::MAX;
 
-/// One per-pair history event: the pair is in contact during `slot`, and
-/// `encounters` distinct encounters have begun up to and including it.
-#[derive(Debug, Clone, Copy)]
-struct PairEvent {
-    slot: u32,
-    encounters: u32,
+/// One encounter of a pair: it is in contact in every slot of
+/// `start..=end` and in neither `start − 1` nor `end + 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Encounter {
+    start: u32,
+    end: u32,
 }
 
 /// One per-node history event: at `slot` the node's cumulative encounter
@@ -72,13 +79,12 @@ pub struct HistoryTimeline {
     /// time so recency timestamps come from the one slot-time convention
     /// instead of a re-derived formula that could drift.
     slot_end_times: Vec<Seconds>,
-    /// Dense symmetric pair → event-list index map (`NO_PAIR` = never meet).
-    /// `O(n²)` words; for the paper's sub-thousand-node traces this is the
-    /// fastest lookup and a few MB at worst.
+    /// Dense symmetric pair → encounter-list index map (`NO_PAIR` = never
+    /// meet). `O(n²)` words; for the paper's sub-thousand-node traces this
+    /// is the fastest lookup and a few MB at worst.
     pair_index: Vec<u32>,
-    /// Per meeting pair: every contact slot with its cumulative encounter
-    /// count, ascending by slot.
-    pair_events: Vec<Vec<PairEvent>>,
+    /// Per meeting pair: its encounters, ascending.
+    pair_encounters: Vec<Vec<Encounter>>,
     /// Per node: the slots where its cumulative encounter count changes.
     node_events: Vec<Vec<NodeEvent>>,
     /// Per node: every slot in which the node has at least one contact
@@ -131,7 +137,7 @@ pub struct HistoryTimeline {
 pub struct TimelineBuilder {
     node_count: usize,
     pair_index: Vec<u32>,
-    pair_events: Vec<Vec<PairEvent>>,
+    pair_encounters: Vec<Vec<Encounter>>,
     node_events: Vec<Vec<NodeEvent>>,
     node_active_slots: Vec<Vec<u32>>,
     words_per_slot: usize,
@@ -139,7 +145,7 @@ pub struct TimelineBuilder {
     slot_start_masks: Vec<u64>,
     slot_edges: Vec<(NodeId, NodeId)>,
     slot_edge_ends: Vec<usize>,
-    /// Bytes held by the entries of the per-pair, per-node and active-slot
+    /// Bytes held by the entries of the encounter, per-node and active-slot
     /// lists, kept current by `push_slot` so `approx_bytes` is `O(1)`.
     list_bytes: usize,
     /// Highest slot folded so far plus one; batches must arrive ascending.
@@ -152,7 +158,7 @@ impl TimelineBuilder {
         Self {
             node_count,
             pair_index: vec![NO_PAIR; node_count * node_count],
-            pair_events: Vec::new(),
+            pair_encounters: Vec::new(),
             node_events: vec![Vec::new(); node_count],
             node_active_slots: vec![Vec::new(); node_count],
             words_per_slot: node_count.div_ceil(64),
@@ -201,27 +207,29 @@ impl TimelineBuilder {
             }
             let key = a.index() * n + b.index();
             let pair = if self.pair_index[key] == NO_PAIR {
-                let id = self.pair_events.len() as u32;
+                let id = self.pair_encounters.len() as u32;
                 self.pair_index[key] = id;
                 self.pair_index[b.index() * n + a.index()] = id;
-                self.pair_events.push(Vec::new());
+                self.pair_encounters.push(Vec::new());
                 id
             } else {
                 self.pair_index[key]
             };
-            let events = &mut self.pair_events[pair as usize];
+            let encounters = &mut self.pair_encounters[pair as usize];
             // Same contiguity rule as `ContactHistory::record_contact`: an
             // encounter continues while the pair stays in contact in
             // consecutive slots.
-            let (new_encounter, previous_count) = match events.last() {
-                Some(last) => (last.slot + 1 != slot32, last.encounters),
-                None => (true, 0),
+            let new_encounter = match encounters.last_mut() {
+                Some(last) if last.end + 1 == slot32 => {
+                    last.end = slot32;
+                    false
+                }
+                _ => {
+                    encounters.push(Encounter { start: slot32, end: slot32 });
+                    self.list_bytes += std::mem::size_of::<Encounter>();
+                    true
+                }
             };
-            events.push(PairEvent {
-                slot: slot32,
-                encounters: previous_count + u32::from(new_encounter),
-            });
-            self.list_bytes += std::mem::size_of::<PairEvent>();
             if new_encounter {
                 for node in [a, b] {
                     self.slot_start_masks[slot * self.words_per_slot + node.index() / 64] |=
@@ -247,7 +255,7 @@ impl TimelineBuilder {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.pair_index.len() * std::mem::size_of::<u32>()
-            + self.pair_events.len() * std::mem::size_of::<Vec<PairEvent>>()
+            + self.pair_encounters.len() * std::mem::size_of::<Vec<Encounter>>()
             + self.node_events.len() * std::mem::size_of::<Vec<NodeEvent>>()
             + self.node_active_slots.len() * std::mem::size_of::<Vec<u32>>()
             + self.list_bytes
@@ -280,7 +288,7 @@ impl TimelineBuilder {
             node_count: self.node_count,
             slot_end_times,
             pair_index: self.pair_index,
-            pair_events: self.pair_events,
+            pair_encounters: self.pair_encounters,
             node_events: self.node_events,
             node_active_slots: self.node_active_slots,
             words_per_slot: self.words_per_slot,
@@ -362,17 +370,17 @@ impl HistoryTimeline {
 
     /// Approximate resident size in bytes — the weight artifact stores use
     /// for byte-budget accounting. Dominated by the dense `O(n²)`
-    /// pair-index map, the per-pair/per-node event lists and the per-slot
-    /// edge lists.
+    /// pair-index map, the per-slot edge lists and the per-node event
+    /// lists.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.slot_end_times.len() * std::mem::size_of::<Seconds>()
             + self.pair_index.len() * std::mem::size_of::<u32>()
-            + self.pair_events.len() * std::mem::size_of::<Vec<PairEvent>>()
+            + self.pair_encounters.len() * std::mem::size_of::<Vec<Encounter>>()
             + self
-                .pair_events
+                .pair_encounters
                 .iter()
-                .map(|e| e.len() * std::mem::size_of::<PairEvent>())
+                .map(|e| e.len() * std::mem::size_of::<Encounter>())
                 .sum::<usize>()
             + self.node_events.len() * std::mem::size_of::<Vec<NodeEvent>>()
             + self
@@ -479,12 +487,12 @@ impl HistoryTimeline {
         self.slot_end_times[slot]
     }
 
-    fn pair_events_for(&self, a: NodeId, b: NodeId) -> Option<&[PairEvent]> {
-        let id = *self.pair_index.get(a.index() * self.node_count + b.index())?;
-        if id == NO_PAIR {
-            return None;
+    /// The encounters of `a` and `b`, ascending; empty if they never meet.
+    fn encounters_of(&self, a: NodeId, b: NodeId) -> &[Encounter] {
+        match self.pair_index.get(a.index() * self.node_count + b.index()) {
+            Some(&id) if id != NO_PAIR => &self.pair_encounters[id as usize],
+            _ => &[],
         }
-        Some(&self.pair_events[id as usize])
     }
 }
 
@@ -496,30 +504,29 @@ pub struct HistoryView<'a> {
     slot: u32,
 }
 
-/// Index of the last event with `slot ≤ limit`, if any, over an
-/// event list sorted ascending by slot.
-fn latest_at<T>(events: &[T], slot_of: impl Fn(&T) -> u32, limit: u32) -> Option<&T> {
-    let idx = events.partition_point(|e| slot_of(e) <= limit);
-    idx.checked_sub(1).map(|i| &events[i])
+impl HistoryView<'_> {
+    /// The encounters of `a` and `b` that start at or before the view's
+    /// slot.
+    fn encounters_so_far(&self, a: NodeId, b: NodeId) -> &[Encounter] {
+        let encounters = self.timeline.encounters_of(a, b);
+        &encounters[..encounters.partition_point(|e| e.start <= self.slot)]
+    }
 }
 
 impl ContactKnowledge for HistoryView<'_> {
     fn last_contact_with(&self, node: NodeId, peer: NodeId) -> Option<Seconds> {
-        let events = self.timeline.pair_events_for(node, peer)?;
-        latest_at(events, |e| e.slot, self.slot)
-            .map(|e| self.timeline.slot_end_time(e.slot as usize))
+        let last = self.encounters_so_far(node, peer).last()?;
+        Some(self.timeline.slot_end_time(last.end.min(self.slot) as usize))
     }
 
     fn contacts_with(&self, node: NodeId, peer: NodeId) -> u64 {
-        let Some(events) = self.timeline.pair_events_for(node, peer) else {
-            return 0;
-        };
-        latest_at(events, |e| e.slot, self.slot).map_or(0, |e| e.encounters as u64)
+        self.encounters_so_far(node, peer).len() as u64
     }
 
     fn total_contacts(&self, node: NodeId) -> u64 {
         let events = &self.timeline.node_events[node.index()];
-        latest_at(events, |e| e.slot, self.slot).map_or(0, |e| e.encounters)
+        let idx = events.partition_point(|e| e.slot <= self.slot);
+        idx.checked_sub(1).map_or(0, |i| events[i].encounters)
     }
 }
 
@@ -663,7 +670,7 @@ mod tests {
             edges.sort_unstable();
             edges.dedup();
             builder.push_slot(slot, &edges);
-            let recount = list_bytes(&builder.pair_events)
+            let recount = list_bytes(&builder.pair_encounters)
                 + list_bytes(&builder.node_events)
                 + list_bytes(&builder.node_active_slots);
             assert_eq!(builder.list_bytes, recount, "after slot {slot}");
@@ -682,7 +689,7 @@ mod tests {
                 builder.approx_bytes(),
                 std::mem::size_of::<TimelineBuilder>()
                     + builder.pair_index.len() * std::mem::size_of::<u32>()
-                    + builder.pair_events.len() * std::mem::size_of::<Vec<PairEvent>>()
+                    + builder.pair_encounters.len() * std::mem::size_of::<Vec<Encounter>>()
                     + builder.node_events.len() * std::mem::size_of::<Vec<NodeEvent>>()
                     + builder.node_active_slots.len() * std::mem::size_of::<Vec<u32>>()
                     + recount
@@ -711,6 +718,19 @@ mod tests {
         );
     }
 
+    /// The encounters of a graph's trace: every edge of a slot whose pair
+    /// is not in contact in the slot before.
+    fn encounter_count(graph: &SpaceTimeGraph) -> usize {
+        let mut previous: &[(NodeId, NodeId)] = &[];
+        let mut encounters = 0;
+        for slot in 0..graph.slot_count() {
+            let edges = graph.edges(slot);
+            encounters += edges.iter().filter(|e| !previous.contains(e)).count();
+            previous = edges;
+        }
+        encounters
+    }
+
     #[test]
     fn timeline_memory_beyond_the_pair_index_is_linear_in_edges_and_slots() {
         // A per-slot O(n²) structure on a 1000-node trace costs ~128 KB a
@@ -726,28 +746,83 @@ mod tests {
         assert_eq!(n, 1000);
         let timeline = HistoryTimeline::build(&graph);
         let edges: usize = graph.busy_slots().iter().map(|&s| graph.edges(s).len()).sum();
-        assert!(edges > 0, "the trace has no contacts");
+        let encounters = encounter_count(&graph);
+        assert!(encounters > 0, "the trace has no contacts");
         let slots = graph.slot_count();
-        // At most, per edge incidence (two per edge): half the edge's
-        // slot-list entry and pair event (8 B each), a node event (16 B),
-        // an active-slot entry (4 B) and half a pair's Vec header (24 B).
-        // Per slot: its end time, its end offset and two ⌈n/64⌉-word
-        // masks. Per node: three Vec headers and its ever-met row.
+        // At most, per edge: its slot-list entry (8 B) and an active-slot
+        // entry for each end (4 B each). Per encounter: its entry in the
+        // pair's list (8 B), a node event for each end (16 B each) and a
+        // pair's Vec header (24 B; a pair has at least one encounter). Per
+        // slot: its end time, its end offset and two ⌈n/64⌉-word masks. Per
+        // node: three Vec headers and its ever-met row.
         let words = n.div_ceil(64);
-        let per_incidence = 4 + 4 + 16 + 4 + 12;
+        let (per_edge, per_encounter) = (8 + 2 * 4, 8 + 2 * 16 + 24);
         let per_slot = 8 + 8 + 2 * words * 8;
         let per_node = 3 * 24 + words * 8;
-        let bound = 2 * edges * per_incidence + slots * per_slot + n * per_node + 4096;
+        let bound =
+            edges * per_edge + encounters * per_encounter + slots * per_slot + n * per_node + 4096;
         let beyond_pair_index = timeline.approx_bytes() - 4 * n * n;
         assert!(
             beyond_pair_index <= bound,
             "{beyond_pair_index} B beyond the pair index exceeds {bound} B \
-             ({edges} edges, {slots} slots, {n} nodes)"
+             ({edges} edges, {encounters} encounters, {slots} slots, {n} nodes)"
         );
-        // The bound has teeth: one n × ⌈n/64⌉-word neighbor block per busy
-        // slot on top of today's tables would break it.
+        // The bound has teeth twice over. One n × ⌈n/64⌉-word neighbor
+        // block per busy slot on top of today's tables would break it, and
+        // so would one 8-byte history event per contact slot of a pair in
+        // place of one per encounter.
         let dense = graph.busy_slots().len() * n * words * 8;
         assert!(beyond_pair_index + dense > bound, "the bound misses a per-slot O(n²) block");
+        let per_slot_events = (edges - encounters) * 8;
+        assert!(
+            beyond_pair_index + per_slot_events > bound,
+            "the bound misses per-slot pair events: {beyond_pair_index} + {per_slot_events} B \
+             within {bound} B"
+        );
+    }
+
+    #[test]
+    fn encounter_runs_match_replay_at_their_boundaries() {
+        // Δ = 10 s over [0, 100): slots 0..=9.
+        let trace = trace_from(
+            vec![
+                (0, 1, 0.0, 15.0),   // slots 0-1: a run from the first slot
+                (0, 1, 31.0, 35.0),  // slot 3, after the gap at slot 2
+                (0, 1, 91.0, 100.0), // slot 9: a run into the last slot
+                (1, 2, 41.0, 55.0),  // slots 4-5
+                (1, 2, 71.0, 74.0),  // slot 7, after the gap at slot 6
+                (2, 3, 0.0, 100.0),  // every slot: one run over both ends
+                (3, 4, 52.0, 53.0),  // slot 5, a single-slot run
+                (3, 4, 61.0, 63.0),  // slot 6, contiguous: the same run
+            ],
+            5,
+            TimeWindow::new(0.0, 100.0),
+        );
+        let graph = SpaceTimeGraph::build_default(&trace);
+        assert_eq!(graph.slot_count(), 10);
+        assert_matches_replay(&graph);
+        let run = |start, end| Encounter { start, end };
+        let streamed =
+            HistoryTimeline::from_stream(&mut TraceEventStream::new(&trace, 10.0)).unwrap();
+        for timeline in [HistoryTimeline::build(&graph), streamed] {
+            let runs = |a, b| timeline.encounters_of(nid(a), nid(b)).to_vec();
+            assert_eq!(runs(0, 1), [run(0, 1), run(3, 3), run(9, 9)]);
+            assert_eq!(runs(1, 0), runs(0, 1));
+            assert_eq!(runs(1, 2), [run(4, 5), run(7, 7)]);
+            assert_eq!(runs(2, 3), [run(0, 9)]);
+            assert_eq!(runs(3, 4), [run(5, 6)]);
+            assert!(runs(0, 4).is_empty());
+            let view = |slot| timeline.at_slot(slot);
+            // Inside a run the recency is the view's own slot; after it, the
+            // run's last slot.
+            assert_eq!(view(1).last_contact_with(nid(0), nid(1)), Some(20.0));
+            assert_eq!(view(2).last_contact_with(nid(0), nid(1)), Some(20.0));
+            assert_eq!(view(2).contacts_with(nid(0), nid(1)), 1);
+            assert_eq!(view(3).contacts_with(nid(0), nid(1)), 2);
+            assert_eq!(view(9).contacts_with(nid(0), nid(1)), 3);
+            assert_eq!(view(9).last_contact_with(nid(2), nid(3)), Some(100.0));
+            assert_eq!(view(9).contacts_with(nid(2), nid(3)), 1);
+        }
     }
 
     /// Brute-force pin of the skip index: `next_active_slot` must agree

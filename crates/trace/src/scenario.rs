@@ -1003,11 +1003,23 @@ fn finite_positive(x: f64) -> bool {
     x > 0.0 && x.is_finite()
 }
 
+/// The most nodes a scenario may have. A forwarding run holds two
+/// `n × n` tables, the 8-byte pair-count (then delay) matrix and the
+/// 4-byte pair index: 12·n² bytes, 3 GiB at this bound. A larger scenario
+/// is refused as a config error before anything is allocated.
+pub const MAX_NODES: usize = 16_384;
+
 fn validate_conference(c: &ConferenceConfig) -> Result<(), ScenarioError> {
-    let total = c.total_nodes();
+    let total = c.mobile_nodes.saturating_add(c.stationary_nodes);
     let scan = c.inquiry_scan_period.unwrap_or(f64::INFINITY);
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 7] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 8] = [
         (total >= 2, "mobile_nodes", "at least 2 in total with \"stationary_nodes\"", &total),
+        (
+            total <= MAX_NODES,
+            "mobile_nodes",
+            "at most 16384 in total with \"stationary_nodes\"",
+            &total,
+        ),
         (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
         (
             (0.0..c.max_node_rate).contains(&c.min_node_rate),
@@ -1024,8 +1036,9 @@ fn validate_conference(c: &ConferenceConfig) -> Result<(), ScenarioError> {
 }
 
 fn validate_scaled(c: &ScaledConfig) -> Result<(), ScenarioError> {
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 5] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 6] = [
         (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
+        (c.nodes <= MAX_NODES, "nodes", "at most 16384", &c.nodes),
         (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
         (
             (0.0..c.max_node_rate).contains(&c.min_node_rate),
@@ -1040,8 +1053,9 @@ fn validate_scaled(c: &ScaledConfig) -> Result<(), ScenarioError> {
 }
 
 fn validate_homogeneous(c: &HomogeneousConfig) -> Result<(), ScenarioError> {
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 4] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 5] = [
         (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
+        (c.nodes <= MAX_NODES, "nodes", "at most 16384", &c.nodes),
         (
             finite_positive(c.node_contact_rate),
             "node_contact_rate",
@@ -1055,8 +1069,9 @@ fn validate_homogeneous(c: &HomogeneousConfig) -> Result<(), ScenarioError> {
 }
 
 fn validate_heterogeneous(c: &HeterogeneousConfig) -> Result<(), ScenarioError> {
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 4] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 5] = [
         (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
+        (c.nodes <= MAX_NODES, "nodes", "at most 16384", &c.nodes),
         (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
         (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
         (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
@@ -1066,10 +1081,16 @@ fn validate_heterogeneous(c: &HeterogeneousConfig) -> Result<(), ScenarioError> 
 
 fn validate_community(c: &CommunityConfig) -> Result<(), ScenarioError> {
     let total = c.communities.saturating_mul(c.nodes_per_community);
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 8] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 9] = [
         (c.communities >= 1, "communities", "at least 1", &c.communities),
         (c.nodes_per_community >= 1, "nodes_per_community", "at least 1", &c.nodes_per_community),
         (total >= 2, "nodes_per_community", "at least 2 in total across \"communities\"", &total),
+        (
+            total <= MAX_NODES,
+            "nodes_per_community",
+            "at most 16384 in total across \"communities\"",
+            &total,
+        ),
         (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
         (c.intra_inter_ratio >= 1.0, "intra_inter_ratio", ">= 1", &c.intra_inter_ratio),
         (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
@@ -1389,6 +1410,53 @@ mod tests {
             ScenarioConfig::Community(CommunityConfig { communities: 1, ..Default::default() });
         assert_family_rejects(&one, "nodes_per_community", &[1.0], &[]);
         one.with_field("nodes_per_community", 2.0).expect("two nodes can meet");
+    }
+
+    #[test]
+    fn every_family_bounds_its_node_count_before_allocating() {
+        // The rule texts spell the bound out; keep them in step with it.
+        assert_eq!(MAX_NODES, 16_384);
+        let max = MAX_NODES as f64;
+        let families = [
+            (ScenarioConfig::Scaled(ScaledConfig::default()), "nodes"),
+            (ScenarioConfig::Homogeneous(HomogeneousConfig::default()), "nodes"),
+            (heterogeneous(), "nodes"),
+            (ScenarioConfig::Conference(ConferenceConfig::default()), "mobile_nodes"),
+        ];
+        for (base, key) in families {
+            assert_family_rejects(&base, key, &[max + 1.0, 2e9], &["2000000000"]);
+        }
+        // The conference total counts the booths too.
+        let conference = ConferenceConfig { stationary_nodes: 0, ..Default::default() };
+        let full = ScenarioConfig::Conference(conference)
+            .with_field("mobile_nodes", max)
+            .expect("the bound itself is allowed");
+        let err = full.with_field("stationary_nodes", 1.0).unwrap_err();
+        assert!(err.to_string().contains("\"mobile_nodes\" must be at most 16384"), "{err}");
+        let overflow = ConferenceConfig {
+            mobile_nodes: usize::MAX,
+            stationary_nodes: 1,
+            ..Default::default()
+        };
+        let err = ScenarioConfig::Conference(overflow).validate().unwrap_err();
+        assert!(err.to_string().contains("\"mobile_nodes\""), "{err}");
+        // The community total is the product of two in-bound fields.
+        let one =
+            ScenarioConfig::Community(CommunityConfig { communities: 1, ..Default::default() });
+        one.with_field("nodes_per_community", max).expect("the bound itself is allowed");
+        assert_family_rejects(&one, "nodes_per_community", &[max + 1.0], &[]);
+        let wide = one.with_field("nodes_per_community", 128.0).unwrap();
+        let err = wide.with_field("communities", 129.0).unwrap_err();
+        assert!(err.to_string().contains("\"nodes_per_community\" must be at most 16384"), "{err}");
+        let overflow = CommunityConfig {
+            communities: usize::MAX,
+            nodes_per_community: 2,
+            ..Default::default()
+        };
+        assert!(ScenarioConfig::Community(overflow).validate().is_err());
+        for base in [ScenarioConfig::Scaled(ScaledConfig::default()), heterogeneous()] {
+            base.with_field("nodes", max).expect("the bound itself is allowed");
+        }
     }
 
     #[test]

@@ -14,9 +14,14 @@
 //! to the trace fold — pinned by the differential tests below and by the
 //! study layer's streamed-vs-materialized suites.
 //!
-//! State is `O(nodes²)` for the pair-count matrix plus `O(window/60 s)`
-//! bins — independent of trace length, which is the point: a million-contact
-//! stream folds through the same few hundred kilobytes.
+//! State is independent of trace length, which is the point: a
+//! million-contact stream folds through the same fixed tables. They are
+//! `O(window/60 s)` bins, `8·n` bytes of per-node counts and, unless the
+//! summary is [`ContactSummary::rates_only`], the `8·n²`-byte pair-count
+//! matrix. That matrix dominates at scale (8 MB at 1 000 nodes, 200 MB at
+//! 5 000), so its one consumer, the forwarding oracle, takes it over
+//! ([`ContactSummary::take_pair_counts`]) and turns it into its delay
+//! matrix in the same allocation.
 
 use psn_stats::BinnedSeries;
 
@@ -145,6 +150,14 @@ impl ContactSummary {
     /// [`ContactSummary::rates_only`].
     pub fn pair_counts(&self) -> &[u64] {
         &self.pair_counts
+    }
+
+    /// Moves the pair-count matrix out, leaving the summary as if it had
+    /// been built with [`ContactSummary::rates_only`]: every other
+    /// statistic stays readable. The forwarding oracle takes the matrix
+    /// this way so a run never holds it next to the oracle's own.
+    pub fn take_pair_counts(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.pair_counts)
     }
 
     /// Contact start times binned per minute (the Fig. 1 series).
@@ -364,6 +377,22 @@ mod tests {
             assert_eq!(folded.per_minute().series(), expected.per_minute().series());
             assert!(folded.state_bytes() < expected.state_bytes());
         }
+    }
+
+    #[test]
+    fn taking_the_pair_counts_leaves_a_rates_only_summary() {
+        let config = families(9).remove(4);
+        let trace = config.generate();
+        let expected = ContactSummary::from_trace(&trace);
+        let mut summary = ContactSummary::from_trace(&trace);
+        let counts = summary.take_pair_counts();
+        assert_eq!(counts, expected.pair_counts());
+        assert!(summary.pair_counts().is_empty());
+        assert_eq!(summary.contacts(), expected.contacts());
+        assert_eq!(summary.per_node_counts(), expected.per_node_counts());
+        assert_eq!(summary.per_minute().series(), expected.per_minute().series());
+        let rates_only = ContactSummary::rates_only(trace.node_count(), trace.window());
+        assert_eq!(summary.state_bytes(), rates_only.state_bytes());
     }
 
     #[test]

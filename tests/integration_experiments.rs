@@ -11,7 +11,7 @@ use psn::prelude::*;
 use psn::report::TextRenderer;
 use psn::study::{run_study, StudyParams, StudyScenario};
 use psn::{StudyId, StudySpec};
-use psn_forwarding::{HistoryTimeline, Recording};
+use psn_forwarding::{Recording, Simulator, SimulatorConfig};
 use psn_trace::ContactSummary;
 use std::sync::Arc;
 
@@ -92,17 +92,15 @@ fn figures_9_10_11_13_forwarding_study_renders() {
         mean_interarrival: 20.0,
         seed: 11,
     };
-    let timeline = Arc::new(HistoryTimeline::from_trace(&trace, 10.0));
+    let simulator = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 0 });
     let summary = ContactSummary::from_trace(&trace);
     let study = run_forwarding_study_on(
         DatasetId::Infocom06Morning,
         &summary,
-        timeline,
-        10.0,
+        &simulator,
         workload,
         1,
         Recording::HopPaths,
-        0,
     );
 
     let fig9 = TextRenderer.render_section(&study.delay_vs_success_section());
@@ -125,9 +123,8 @@ fn figure_12_paths_taken_renders() {
     let trace = small_trace();
     let messages = uniform_messages(&trace, 2);
     let graph = Arc::new(SpaceTimeGraph::build_default(&trace));
-    let timeline = Arc::new(HistoryTimeline::build(&graph));
-    let summary = ContactSummary::from_trace(&trace);
-    let cases = run_paths_taken(&summary, graph, timeline, &messages, EnumerationConfig::quick(30));
+    let simulator = Simulator::new(&trace, SimulatorConfig { delta: graph.delta(), threads: 0 });
+    let cases = run_paths_taken(&simulator, graph, &messages, EnumerationConfig::quick(30));
     assert_eq!(cases.len(), 2);
     for case in &cases {
         let fig12 = TextRenderer.render_section(&case.section());

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use psn::prelude::*;
-use psn_forwarding::{ForwardingAlgorithm, HistoryTimeline, PairTypeMetrics};
+use psn_forwarding::{ForwardingAlgorithm, HistoryTimeline, PairTypeMetrics, TraceOracle};
 use psn_trace::ContactSummary;
 
 fn small_trace() -> ContactTrace {
@@ -185,16 +185,26 @@ fn run_many_matches_the_reference_engine_at_one_and_two_lanes() {
     // fast-path code with the slot-major `run_many`.
     let graph = SpaceTimeGraph::build(&trace, 10.0);
     let timeline = Arc::new(HistoryTimeline::from_trace(&trace, 10.0));
-    let summary = ContactSummary::from_trace(&trace);
+    let (summary, window) = (ContactSummary::from_trace(&trace), trace.window());
     let config = |threads| SimulatorConfig { delta: 10.0, threads };
-    let reference = Simulator::from_summary(&summary, timeline.clone(), config(1));
+    let reference = Simulator::from_oracle(
+        window,
+        TraceOracle::from_summary(&summary),
+        timeline.clone(),
+        config(1),
+    );
     let expected: Vec<_> = algorithms
         .iter()
         .map(|(_, a)| reference.run_reference(&graph, a.as_ref(), &messages))
         .collect();
 
     for threads in [1, 2] {
-        let simulator = Simulator::from_summary(&summary, timeline.clone(), config(threads));
+        let simulator = Simulator::from_oracle(
+            window,
+            TraceOracle::from_summary(&summary),
+            timeline.clone(),
+            config(threads),
+        );
         let results = simulator.run_many(&jobs);
         assert_eq!(results.len(), expected.len());
         for (got, want) in results.iter().zip(&expected) {
