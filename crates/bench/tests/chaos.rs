@@ -449,6 +449,38 @@ fn cli_a_huge_node_count_is_a_config_error_before_allocation() {
     let _ = std::fs::remove_file(&huge);
 }
 
+#[test]
+fn cli_an_unbounded_slot_or_bin_count_is_a_config_error_before_allocation() {
+    // A 1e12 s window asks the summary for 1.7e10 per-minute bins, and
+    // Δ = 1 µs cuts the shipped three hours into 1.1e10 slots. Without the
+    // bound both plan fine and `run` aborts on the allocation.
+    let wide = std::env::temp_dir().join(format!("psn-chaos-wide-{}.toml", std::process::id()));
+    let shipped = repo_path("scenarios/homogeneous.toml");
+    let homogeneous = std::fs::read_to_string(&shipped).unwrap();
+    let text: String = homogeneous
+        .lines()
+        .map(|l| if l.starts_with("window_seconds = ") { "window_seconds = 1e12" } else { l })
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert!(text.contains("window_seconds = 1e12"), "the shipped scenario names its window");
+    std::fs::write(&wide, text).unwrap();
+    let (wide, shipped) = (wide.to_str().unwrap(), shipped.to_str().unwrap());
+    let cases: [(&[&str], &str); 2] = [
+        (&["--config", wide, "--study", "forwarding"], "\"window_seconds\" must be at most"),
+        (&["--config", shipped, "--study", "forwarding", "--delta", "0.000001"], "\"delta\""),
+    ];
+    for (args, named) in cases {
+        for command in ["plan", "run"] {
+            let out = psn_study(&[&[command][..], args].concat());
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(exit_code(&out), 3, "{command} {args:?}: {err}");
+            assert!(err.contains(named), "{command} {args:?}: {err}");
+            assert!(out.stdout.is_empty(), "{command} {args:?} printed a plan or report");
+        }
+    }
+    let _ = std::fs::remove_file(wide);
+}
+
 /// Arrays nested far deeper than the JSON reader's bound: without the
 /// bound, reading them overflows the stack and aborts the process.
 fn deeply_nested(depth: usize) -> String {

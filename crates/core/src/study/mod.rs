@@ -721,6 +721,20 @@ impl StudySpec {
         if let Some(w) = labels.windows(2).find(|w| w[0] == w[1]) {
             return Err(StudyPlanError::new(format!("duplicate scenario label {:?}", w[0])));
         }
+        // Every scenario-backed study streams its events slotted at Δ, and
+        // every per-slot table is sized by the slot count.
+        for run in &runs {
+            let (window, delta) =
+                (run.config.window_seconds(), run.effective_params(&self.params).delta);
+            if !psn_trace::stream::slots_within_bound(window, delta) {
+                return Err(StudyPlanError::new(format!(
+                    "run {:?}: \"delta\" = {delta} s cuts the {window} s window into more than \
+                     {} slots",
+                    run.label,
+                    psn_trace::stream::MAX_SLOTS
+                )));
+            }
+        }
 
         Ok(StudyPlan { study: self.study, runs, views, params: self.params.clone() })
     }
@@ -1550,6 +1564,27 @@ mod tests {
         // Model runs without scenarios.
         let spec = StudySpec::new(StudyId::Model, vec![], quick_params());
         assert!(spec.plan().is_ok());
+    }
+
+    #[test]
+    fn plan_bounds_the_slot_count_before_allocating() {
+        let scenario = small_scenario(1);
+        let window = scenario.config.window_seconds();
+        let max = psn_trace::stream::MAX_SLOTS as f64;
+        let spec = |params: StudyParams, run_params: Option<StudyParams>| {
+            let scenario = StudyScenario { params: run_params, ..scenario.clone() };
+            StudySpec::new(StudyId::Forwarding, vec![scenario], params)
+        };
+        spec(quick_params().with_delta(window / (max - 1.0)), None)
+            .plan()
+            .expect("a slot count within the bound plans");
+        let fine = quick_params().with_delta(window / (max + 2.0));
+        let err = spec(fine.clone(), None).plan().expect_err("too many slots");
+        assert!(err.to_string().contains("\"delta\""), "{err}");
+        assert!(err.to_string().contains("1048576 slots"), "{err}");
+        // A per-run Δ (a sweep's `params.delta` axis) is checked too.
+        let err = spec(quick_params(), Some(fine)).plan().expect_err("too many slots in one run");
+        assert!(err.to_string().contains(&format!("{:?}", scenario.label)), "{err}");
     }
 
     #[test]

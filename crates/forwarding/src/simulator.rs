@@ -29,18 +29,25 @@
 //!
 //! * [`Simulator::run`] / [`Simulator::run_many`] — the **slot-major
 //!   engine**. Contact history depends only on the trace, so it is
-//!   precomputed once as a shared read-only [`HistoryTimeline`]. The
-//!   batch's messages are dealt round-robin (job-major) into one *lane* per
-//!   worker thread, and each lane walks [`HistoryTimeline::busy_slots`]
-//!   once, in ascending order, serving every message of every job at each
-//!   slot. The timeline is the engine's only slot input: busy slots, slot
-//!   end times and each slot's edge list all come from it, so the engine
-//!   holds no space-time graph:
+//!   precomputed once as a shared read-only [`HistoryTimeline`]. Each
+//!   outcome is written once: before the walk every job's result is
+//!   filled with the undelivered outcome of each of its messages — what
+//!   an undelivered message finishes as under either [`Recording`] — and
+//!   those slots are dealt, as disjoint chunks of about a 64th of a lane's
+//!   share (single messages in small batches), round-robin in job-major
+//!   order to one *lane* per worker thread. Each lane walks
+//!   [`HistoryTimeline::busy_slots`] once, in ascending order, serving
+//!   every message of every job at each slot, and writes a delivery into
+//!   the message's slot. The timeline is the engine's only slot input:
+//!   busy slots, slot end times and each slot's edge list all come from
+//!   it, so the engine holds no space-time graph:
 //!   - a message sleeps in a per-slot wake list until one of its holders
 //!     has a contact ([`HistoryTimeline::next_active_slot`]), so idle,
 //!     delivered and not-yet-created messages cost nothing;
-//!   - its state is a holder bitmask plus one provenance entry per node
-//!     that received a copy;
+//!   - besides its outcome slot, a batch holds per message one record of
+//!     its destination, group and holder bitmask; only a path-recording
+//!     message also holds one provenance entry per node that received a
+//!     copy;
 //!   - exact actionability prechecks on the timeline's bitmasks decide
 //!     whether a slot is swept at all; the per-node neighbor rows they
 //!     read are one block per lane, rewritten at each busy slot from the
@@ -83,6 +90,7 @@
 //! in whatever order, on whichever lane.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use psn_spacetime::{GraphRef, Hop, Message, Path, SharedGraph};
 use psn_trace::stream::{slot_count, slot_end_time, slot_of_time};
@@ -862,33 +870,90 @@ fn touch(touched: &mut [u64], masks: &SlotMasks<'_>, node: NodeId) {
     }
 }
 
-/// A message dealt to a lane: where its outcome goes.
-struct LaneMessage<'a> {
-    message: &'a Message,
-    job: usize,
-    index: usize,
+/// A chunk of one job's outcome slots, dealt to a lane: each slot holds
+/// its message's undelivered outcome until the lane delivers it.
+struct Dealt<'r> {
+    outcomes: &'r mut [MessageOutcome],
+    group: usize,
     /// The job records hop paths ([`Recording::HopPaths`]).
     paths: bool,
 }
 
-/// A finished message: `(job, index in job, outcome)`.
-type Finished = (usize, usize, MessageOutcome);
+/// Messages per dealt chunk: about [`CHUNKS_PER_LANE`] chunks per lane, so
+/// uneven jobs still spread evenly, and single messages for small batches,
+/// which deals them exactly like a message-by-message round robin.
+fn chunk_len(total: usize, lanes: usize) -> usize {
+    (total / (lanes * CHUNKS_PER_LANE)).max(1)
+}
+
+/// See [`chunk_len`].
+const CHUNKS_PER_LANE: usize = 64;
+
+/// One result per job, each holding the undelivered outcome of every
+/// message: what an undelivered message finishes as under either
+/// [`Recording`], and the placeholder a lane overwrites on delivery.
+fn undelivered(
+    jobs: &[(&dyn ForwardingAlgorithm, &[Message], Recording)],
+) -> Vec<SimulationResult> {
+    jobs.iter()
+        .map(|&(algorithm, messages, _)| SimulationResult {
+            algorithm: algorithm.name().to_string(),
+            outcomes: messages
+                .iter()
+                .map(|&message| MessageOutcome { message, delivered_at: None, path: None })
+                .collect(),
+        })
+        .collect()
+}
+
+/// Deals the outcome slots of every job's result to `lanes` lanes as
+/// disjoint chunks of at most [`chunk_len`] slots, round-robin in
+/// job-major order.
+fn deal<'r>(
+    results: &'r mut [SimulationResult],
+    jobs: &[(&dyn ForwardingAlgorithm, &[Message], Recording)],
+    job_groups: &[usize],
+    lanes: usize,
+) -> Vec<Vec<Dealt<'r>>> {
+    let total = results.iter().map(SimulationResult::message_count).sum();
+    let chunk = chunk_len(total, lanes);
+    let mut dealt: Vec<Vec<Dealt<'r>>> = (0..lanes).map(|_| Vec::new()).collect();
+    let chunks = results.iter_mut().zip(jobs).zip(job_groups).flat_map(
+        |((result, &(_, _, recording)), &group)| {
+            result.outcomes.chunks_mut(chunk).map(move |outcomes| Dealt {
+                outcomes,
+                group,
+                paths: recording == Recording::HopPaths,
+            })
+        },
+    );
+    for (i, chunk) in chunks.enumerate() {
+        dealt[i % lanes].push(chunk);
+    }
+    dealt
+}
 
 /// One worker's share of a `run_many` batch and its single ascending walk
 /// over the busy slots. Per-message state lives in parallel arrays indexed
 /// by lane message, and each slot serves its due messages in ascending
-/// index, so the walk streams through that state.
-struct Lane<'a> {
+/// index, so the walk streams through that state. The path-recording
+/// messages come first, so message `m` records hop paths iff `m < paths`.
+struct Lane<'a, 'r> {
     sim: &'a Simulator,
     n: usize,
     words: usize,
     groups: Vec<Group<'a>>,
-    messages: Vec<LaneMessage<'a>>,
+    /// The dealt outcome slots, each chunk with the lane index of its
+    /// first message, ascending: a delivery is written into its slot.
+    chunks: Vec<(usize, &'r mut [MessageOutcome])>,
+    /// The number of path-recording messages.
+    paths: usize,
     /// What a step reads of every message, in one record of `1 + words`
     /// words: the destination (low half) and group (high half), then the
     /// holder bitmask.
     state: Vec<u64>,
-    /// Provenance of every copy a live path-recording message has moved.
+    /// Provenance of every copy a live path-recording message has moved,
+    /// one list per path-recording message.
     moves: Vec<Vec<Move>>,
     /// Bitmask over messages: due at the current slot.
     due: Vec<u64>,
@@ -907,46 +972,45 @@ struct Lane<'a> {
     next: Vec<u64>,
     /// [`fixpoint`] scratch.
     worklist: Vec<NodeId>,
-    done: Vec<Finished>,
 }
 
-impl<'a> Lane<'a> {
-    /// Deals lane `lane` of `lanes` its messages — every `lanes`-th of the
-    /// batch in job-major order — and schedules each at the first slot
-    /// from its creation where its source has a contact.
+impl<'a, 'r> Lane<'a, 'r> {
+    /// Takes a lane's dealt chunks, path-recording ones first, and
+    /// schedules each message at the first slot from its creation where
+    /// its source has a contact; a message whose source never has one
+    /// keeps its undelivered outcome.
     fn new(
         sim: &'a Simulator,
-        jobs: &[(&'a dyn ForwardingAlgorithm, &'a [Message], Recording)],
+        mut dealt: Vec<Dealt<'r>>,
         groups: &[(&'a dyn ForwardingAlgorithm, DecisionMode)],
-        job_groups: &[usize],
-        lane: usize,
-        lanes: usize,
     ) -> Self {
         let timeline = &*sim.timeline;
         let n = sim.node_count;
         let words = n.div_ceil(64);
-        let messages: Vec<LaneMessage<'a>> = jobs
-            .iter()
-            .enumerate()
-            .flat_map(|(job, &(_, messages, recording))| {
-                messages.iter().enumerate().map(move |(index, message)| LaneMessage {
-                    message,
-                    job,
-                    index,
-                    paths: recording == Recording::HopPaths,
-                })
-            })
-            .skip(lane)
-            .step_by(lanes)
-            .collect();
-        let count = messages.len();
+        dealt.sort_by_key(|chunk| !chunk.paths);
+        let paths =
+            dealt.iter().filter(|chunk| chunk.paths).map(|chunk| chunk.outcomes.len()).sum();
+        let count: usize = dealt.iter().map(|chunk| chunk.outcomes.len()).sum();
         let mut state = vec![0; count * (1 + words)];
-        for (record, entry) in state.chunks_exact_mut(1 + words).zip(&messages) {
-            record[0] =
-                u64::from(entry.message.destination.0) | (job_groups[entry.job] as u64) << 32;
-            set_bit(&mut record[1..], entry.message.source);
+        let mut wake = vec![Vec::new(); timeline.slot_count()];
+        let mut records = state.chunks_exact_mut(1 + words);
+        let mut chunks = Vec::with_capacity(dealt.len());
+        let mut first = 0;
+        for Dealt { outcomes, group, .. } in dealt {
+            for (m, (outcome, record)) in outcomes.iter().zip(&mut records).enumerate() {
+                let message = &outcome.message;
+                record[0] = u64::from(message.destination.0) | (group as u64) << 32;
+                set_bit(&mut record[1..], message.source);
+                let created = slot_of_time(sim.window, sim.config.delta, message.created_at);
+                if let Some(slot) = timeline.next_active_slot(message.source, created) {
+                    wake[slot].push((first + m) as u32);
+                }
+            }
+            let len = outcomes.len();
+            chunks.push((first, outcomes));
+            first += len;
         }
-        let mut this = Self {
+        Self {
             sim,
             n,
             words,
@@ -954,36 +1018,26 @@ impl<'a> Lane<'a> {
                 .iter()
                 .map(|&(algorithm, mode)| Group::new(algorithm, mode, n))
                 .collect(),
-            messages,
+            chunks,
+            paths,
             state,
-            moves: vec![Vec::new(); count],
+            moves: vec![Vec::new(); paths],
             due: vec![0; count.div_ceil(64)],
             due_next: vec![0; count.div_ceil(64)],
             woken: vec![0; count.div_ceil(64)],
-            wake: vec![Vec::new(); timeline.slot_count()],
+            wake,
             incidence: Vec::new(),
             indexed: None,
             frontier: Vec::new(),
             next: Vec::new(),
             worklist: Vec::new(),
-            done: Vec::with_capacity(count),
-        };
-        for m in 0..count {
-            let message = this.messages[m].message;
-            let created = slot_of_time(sim.window, sim.config.delta, message.created_at);
-            let first = timeline.next_active_slot(message.source, created);
-            match first {
-                Some(slot) => this.wake[slot].push(m as u32),
-                None => this.finish(m, None, None),
-            }
         }
-        this
     }
 
-    /// Walks the busy slots once; returns every message's outcome (or what
-    /// finished before the pool started `stopping`) and each group's step
-    /// counters.
-    fn run(mut self, busy: &[usize], stopping: &AtomicBool) -> (Vec<Finished>, Vec<StepCounts>) {
+    /// Walks the busy slots once, writing each delivery into its outcome
+    /// slot (only those made before the pool started `stopping`), and
+    /// returns each group's step counters.
+    fn run(mut self, busy: &[usize], stopping: &AtomicBool) -> Vec<StepCounts> {
         let timeline = &*self.sim.timeline;
         let mut neighbors = NeighborRows::new(self.n);
         for (cursor, &slot) in busy.iter().enumerate() {
@@ -1018,7 +1072,7 @@ impl<'a> Lane<'a> {
                 }
             }
         }
-        (self.done, self.groups.iter().map(|group| group.counts).collect())
+        self.groups.iter().map(|group| group.counts).collect()
     }
 
     /// Serves message `m` at `masks.slot`, where one of its holders has a
@@ -1037,7 +1091,7 @@ impl<'a> Lane<'a> {
         ctx: &ForwardingContext<'_>,
     ) {
         let slot = masks.slot;
-        let paths = self.messages[m].paths;
+        let paths = m < self.paths;
         let Lane {
             sim,
             n,
@@ -1130,7 +1184,7 @@ impl<'a> Lane<'a> {
             (relay.is_some(), relay)
         };
         if delivered {
-            return self.finish(m, Some(slot), relay);
+            return self.finish(m, slot, relay);
         }
         // The next busy slot is the common case for a message whose
         // holders keep meeting people; otherwise jump via the skip index.
@@ -1144,34 +1198,38 @@ impl<'a> Lane<'a> {
             .min()
         {
             Some(s) => self.wake[s].push(m as u32),
-            // No holder is ever active again: undeliverable.
-            None => self.finish(m, None, None),
+            // No holder is ever active again: undeliverable, so the slot
+            // keeps its undelivered outcome and only the provenance goes.
+            None => {
+                if let Some(moves) = self.moves.get_mut(m) {
+                    *moves = Vec::new();
+                }
+            }
         }
     }
 
-    /// Records message `m`'s outcome — delivered during slot `delivered`,
-    /// or never — and releases its provenance. A path-recording message
-    /// delivered by `relay` gets its hop path rebuilt from its moves; a
-    /// delivery-only one gets none.
-    fn finish(&mut self, m: usize, delivered: Option<usize>, relay: Option<NodeId>) {
+    /// Writes message `m`'s delivery during `slot` into its outcome slot
+    /// and releases its provenance. A path-recording message, delivered by
+    /// `relay`, gets its hop path rebuilt from its moves; a delivery-only
+    /// one gets none.
+    fn finish(&mut self, m: usize, slot: usize, relay: Option<NodeId>) {
         let timeline = &*self.sim.timeline;
-        let entry = &self.messages[m];
-        let delivered_at = delivered.map(|slot| timeline.slot_end_time(slot));
-        let outcome = if entry.paths {
+        let delivered_at = timeline.slot_end_time(slot);
+        let chunk = self.chunks.partition_point(|&(first, _)| first <= m) - 1;
+        let (first, outcomes) = &mut self.chunks[chunk];
+        let outcome = &mut outcomes[m - *first];
+        if m < self.paths {
             let moves = std::mem::take(&mut self.moves[m]);
-            let relay = delivered_at.map(|t| {
-                (t, relay.unwrap_or_else(|| unreachable!("a sweep delivers through a relay")))
-            });
-            outcome_for(entry.message, relay, |node| {
+            let relay = relay.unwrap_or_else(|| unreachable!("a sweep delivers through a relay"));
+            *outcome = outcome_for(&outcome.message, Some((delivered_at, relay)), |node| {
                 moves
                     .iter()
                     .find(|mv| mv.to == node)
                     .map(|mv| (mv.from, timeline.slot_end_time(mv.slot as usize)))
-            })
+            });
         } else {
-            MessageOutcome { message: *entry.message, delivered_at, path: None }
-        };
-        self.done.push((entry.job, entry.index, outcome));
+            outcome.delivered_at = Some(delivered_at);
+        }
     }
 }
 
@@ -1346,8 +1404,9 @@ impl Simulator {
 
     /// Runs a batch of independent `(algorithm, message set)` jobs — e.g.
     /// every algorithm × run combination of a study — on the slot-major
-    /// engine: the messages are dealt round-robin, in job-major order, into
-    /// one lane per worker thread, and each lane walks the busy slots once.
+    /// engine: the messages' outcome slots are dealt in chunks, round-robin
+    /// in job-major order, to one lane per worker thread, and each lane
+    /// walks the busy slots once, writing each delivery into its slot.
     /// Returns one result per job, in input order, bit-identical to running
     /// [`Simulator::run_reference`] on each job separately and independent
     /// of the thread count. Every job records hop paths; see
@@ -1358,7 +1417,7 @@ impl Simulator {
     /// Every lane is a job of the panic-isolated [`psn_fault::run_jobs`]
     /// pool (with the `queue.forwarding` failpoint); a panic in any lane
     /// stops the others at their next slot and is re-raised here, for the
-    /// study layer to isolate.
+    /// study layer to isolate; no partly written result is returned.
     pub fn run_many(
         &self,
         jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
@@ -1412,44 +1471,36 @@ impl Simulator {
             .collect();
 
         let busy: Vec<usize> = self.timeline.busy_slots().collect();
+        let mut results = undelivered(jobs);
+        // The pool's job closure is shared by its workers, so each lane's
+        // chunks wait in a mutex of their own, taken out once.
+        let dealt: Vec<Mutex<Vec<Dealt<'_>>>> =
+            deal(&mut results, jobs, &job_groups, lanes).into_iter().map(Mutex::new).collect();
         let per_lane = psn_fault::run_jobs(
             psn_fault::sites::QUEUE_FORWARDING,
             lanes,
             lanes,
             |_| (),
             |_, lane, stopping| {
-                Lane::new(self, jobs, &groups, &job_groups, lane, lanes).run(&busy, stopping)
+                let share = std::mem::take(
+                    &mut *dealt[lane].lock().unwrap_or_else(PoisonError::into_inner),
+                );
+                Lane::new(self, share, &groups).run(&busy, stopping)
             },
             Result::is_err,
         );
+        drop(dealt);
+        // A failed lane leaves placeholders in the slots it did not
+        // finish: no result leaves the batch.
         if let Some(message) = per_lane.iter().find_map(|lane| lane.as_ref().err()) {
             panic!("simulation worker panicked: {message}");
         }
-
-        let mut outcomes: Vec<Vec<Option<MessageOutcome>>> =
-            jobs.iter().map(|(_, messages, _)| vec![None; messages.len()]).collect();
         let mut counts = vec![StepCounts::default(); groups.len()];
-        for (finished, lane_counts) in per_lane.into_iter().flatten() {
-            for (job, index, outcome) in finished {
-                outcomes[job][index] = Some(outcome);
-            }
+        for lane_counts in per_lane.into_iter().flatten() {
             for (total, lane) in counts.iter_mut().zip(lane_counts) {
                 *total += lane;
             }
         }
-        let results = jobs
-            .iter()
-            .zip(outcomes)
-            .map(|((algorithm, _, _), job_outcomes)| SimulationResult {
-                algorithm: algorithm.name().to_string(),
-                outcomes: job_outcomes
-                    .into_iter()
-                    .map(|o| {
-                        o.unwrap_or_else(|| unreachable!("every lane finishes all of its messages"))
-                    })
-                    .collect(),
-            })
-            .collect();
         (results, counts)
     }
 
@@ -2739,6 +2790,167 @@ mod tests {
                 for (run, name) in runs.iter().zip(["engine", "reference", "shifted engine", "shifted reference"]) {
                     let got: Vec<_> = run.outcomes.iter().map(shift_free).collect();
                     proptest::prop_assert_eq!(&got, &base, "{} {}, shift {}", kind, name, shift);
+                }
+            }
+        }
+    }
+
+    /// Message-set sizes of [`uneven_batch`].
+    const UNEVEN_SIZES: [usize; 5] = [150, 1, 96, 0, 260];
+
+    /// Uneven jobs over one random trace: empty jobs, a one-message job,
+    /// both recordings, and two jobs (one per recording) that share one
+    /// algorithm object with a third over other messages.
+    fn uneven_batch(
+        algorithms: &[(AlgorithmKind, Box<dyn ForwardingAlgorithm>)],
+        sets: &[Vec<Message>],
+    ) -> Vec<(usize, usize, Recording)> {
+        let shapes = [
+            (0, 0, Recording::HopPaths),
+            (1, 1, Recording::DeliveryOnly),
+            (2, 2, Recording::HopPaths),
+            (3, 0, Recording::DeliveryOnly),
+            (2, 3, Recording::DeliveryOnly),
+            (4, 4, Recording::HopPaths),
+            (5, 1, Recording::HopPaths),
+            (2, 1, Recording::HopPaths),
+            (0, 4, Recording::DeliveryOnly),
+        ];
+        assert!(shapes.iter().all(|&(a, set, _)| a < algorithms.len() && set < sets.len()));
+        shapes.to_vec()
+    }
+
+    #[test]
+    fn chunked_dealing_matches_reference_on_uneven_mixed_batches() {
+        // Job sizes 0, 1, 96, 150 and 260 make chunks of 14, 7 and 4
+        // messages at one, two and three lanes, and at three lanes the chunk count is not
+        // a multiple of the lane count; every job must still equal its
+        // reference run, whatever lane its chunks went to.
+        let window = TimeWindow::new(600.0, 1400.0);
+        let trace = random_trace(61, 20, 160, window);
+        let sets: Vec<Vec<Message>> = UNEVEN_SIZES
+            .iter()
+            .enumerate()
+            .map(|(i, &count)| random_messages(61 + i as u64, 20, count, window))
+            .collect();
+        let algorithms = standard_algorithms();
+        let shapes = uneven_batch(&algorithms, &sets);
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = shapes
+            .iter()
+            .map(|&(a, set, recording)| (algorithms[a].1.as_ref(), sets[set].as_slice(), recording))
+            .collect();
+        let total: usize = jobs.iter().map(|(_, messages, _)| messages.len()).sum();
+        let (reference_sim, graph) = with_graph(&trace);
+        let references: Vec<SimulationResult> = jobs
+            .iter()
+            .map(|&(algorithm, messages, _)| {
+                reference_sim.run_reference(&graph, algorithm, messages)
+            })
+            .collect();
+        let delivered = references.iter().flat_map(|r| &r.outcomes).filter(|o| o.delivered());
+        assert!(delivered.count() > total / 10, "the trace must deliver messages");
+        let mut baseline: Option<Vec<SimulationResult>> = None;
+        for lanes in [1usize, 2, 3] {
+            let chunk = chunk_len(total, lanes);
+            let chunks: usize = jobs.iter().map(|(_, m, _)| m.len().div_ceil(chunk)).sum();
+            if lanes == 3 {
+                assert!(chunk > 1 && !chunks.is_multiple_of(lanes), "{chunks} chunks of {chunk}");
+            }
+            let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: lanes });
+            let results = sim.run_batch(&jobs);
+            assert_eq!(results.len(), jobs.len());
+            for (j, ((result, reference), &(_, _, recording))) in
+                results.iter().zip(&references).zip(&jobs).enumerate()
+            {
+                assert_eq!(result.algorithm, reference.algorithm, "job {j}");
+                match recording {
+                    Recording::HopPaths => {
+                        assert_eq!(result.outcomes, reference.outcomes, "job {j} on {lanes} lanes")
+                    }
+                    Recording::DeliveryOnly => {
+                        let expected: Vec<MessageOutcome> = reference
+                            .outcomes
+                            .iter()
+                            .map(|o| MessageOutcome { path: None, ..o.clone() })
+                            .collect();
+                        assert_eq!(result.outcomes, expected, "job {j} on {lanes} lanes");
+                    }
+                }
+            }
+            match &baseline {
+                None => baseline = Some(results),
+                Some(one_lane) => {
+                    for (a, b) in one_lane.iter().zip(&results) {
+                        assert_eq!(a.outcomes, b.outcomes, "{lanes} lanes against one");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dealing_covers_every_slot_once_and_only_path_jobs_get_provenance() {
+        let window = TimeWindow::new(0.0, 600.0);
+        let trace = random_trace(62, 12, 60, window);
+        let sets: Vec<Vec<Message>> = UNEVEN_SIZES
+            .iter()
+            .enumerate()
+            .map(|(i, &count)| random_messages(62 + i as u64, 12, count, window))
+            .collect();
+        let algorithms = standard_algorithms();
+        let shapes = uneven_batch(&algorithms, &sets);
+        let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1 });
+        for delivery_only in [false, true] {
+            let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = shapes
+                .iter()
+                .map(|&(a, set, recording)| {
+                    let recording = if delivery_only { Recording::DeliveryOnly } else { recording };
+                    (algorithms[a].1.as_ref(), sets[set].as_slice(), recording)
+                })
+                .collect();
+            let groups: Vec<(&dyn ForwardingAlgorithm, DecisionMode)> =
+                jobs.iter().map(|&(a, _, _)| (a, sim.decision_mode(a))).collect();
+            let job_groups: Vec<usize> = (0..jobs.len()).collect();
+            let total: usize = jobs.iter().map(|(_, m, _)| m.len()).sum();
+            for lanes in [1usize, 2, 3] {
+                let mut results = undelivered(&jobs);
+                let starts: Vec<*const MessageOutcome> =
+                    results.iter().map(|r| r.outcomes.as_ptr()).collect();
+                let dealt = deal(&mut results, &jobs, &job_groups, lanes);
+                assert_eq!(dealt.len(), lanes);
+                // Round-robin in job-major order: chunk i went to lane
+                // i % lanes, each at most `chunk_len` slots, and together
+                // they tile every job's outcomes in order.
+                let mut order: Vec<(usize, usize, usize, usize)> = Vec::new();
+                for (lane, share) in dealt.iter().enumerate() {
+                    for (k, chunk) in share.iter().enumerate() {
+                        assert!(chunk.outcomes.len() <= chunk_len(total, lanes));
+                        assert!(!chunk.outcomes.is_empty());
+                        let job = chunk.group;
+                        let offset = (chunk.outcomes.as_ptr() as usize - starts[job] as usize)
+                            / std::mem::size_of::<MessageOutcome>();
+                        assert_eq!(chunk.paths, jobs[job].2 == Recording::HopPaths);
+                        order.push((job, offset, k * lanes + lane, chunk.outcomes.len()));
+                    }
+                }
+                order.sort_unstable();
+                let mut next = vec![0; jobs.len()];
+                for (i, &(job, offset, dealt_as, len)) in order.iter().enumerate() {
+                    assert_eq!((offset, dealt_as), (next[job], i), "lanes {lanes}");
+                    next[job] += len;
+                }
+                assert_eq!(next, jobs.iter().map(|(_, m, _)| m.len()).collect::<Vec<_>>());
+                // A lane keeps one provenance list per path-recording
+                // message it was dealt, and none at all for a
+                // delivery-only batch.
+                for share in dealt {
+                    let paths: usize =
+                        share.iter().filter(|c| c.paths).map(|c| c.outcomes.len()).sum();
+                    let lane = Lane::new(&sim, share, &groups);
+                    assert_eq!((lane.paths, lane.moves.len()), (paths, paths));
+                    if delivery_only {
+                        assert_eq!(lane.moves.capacity(), 0, "{lanes} lanes");
+                    }
                 }
             }
         }

@@ -137,29 +137,72 @@ impl From<SpillError> for StreamBuildError {
 ///
 /// State between seals is the multiset of currently active contact edges
 /// (refcounted, since overlapping contacts of one pair are distinct), so
-/// memory is O(active contacts) regardless of trace length. Slots are sealed
-/// strictly in ascending order through the `seal` callback; the callback
-/// receives the slot index and the slot's edge list, one entry per active
-/// pair, smaller endpoint first, ascending — already the normalized list
-/// [`Slot::seal`] would keep, which is why the history timeline can fold
-/// it without sealing a slot.
+/// memory is O(active contacts) regardless of trace length. It is a sorted
+/// `Vec` of pairs with their counts; a slot's events are buffered as they
+/// arrive and merged in when the slot is sealed, after a stable sort by
+/// pair, so each pair's events still apply in arrival order. Slots are
+/// sealed strictly in ascending order through the `seal` callback; the
+/// callback receives the slot index and the slot's edge list, one entry per
+/// active pair, smaller endpoint first, ascending — already the normalized
+/// list [`Slot::seal`] would keep, which is why the history timeline can
+/// fold it without sealing a slot.
 #[derive(Debug)]
 pub struct IncrementalSlotter {
     num_slots: usize,
     next_slot: usize,
-    active: BTreeMap<(u32, u32), u32>,
+    /// The active pairs, smaller endpoint first, ascending, each with its
+    /// count of overlapping contacts (never zero).
+    active: Vec<((u32, u32), u32)>,
+    /// The events of slot `next_slot` not yet merged into `active`: the
+    /// pair and whether a contact comes up, in arrival order.
+    pending: Vec<((u32, u32), bool)>,
+    /// [`IncrementalSlotter::merge_pending`] scratch.
+    merged: Vec<((u32, u32), u32)>,
 }
 
 impl IncrementalSlotter {
     /// A slotter over `num_slots` slots (see
     /// [`psn_trace::stream::slot_count`]).
     pub fn new(num_slots: usize) -> Self {
-        Self { num_slots, next_slot: 0, active: BTreeMap::new() }
+        Self {
+            num_slots,
+            next_slot: 0,
+            active: Vec::new(),
+            pending: Vec::new(),
+            merged: Vec::new(),
+        }
     }
 
     /// The multiset of currently active edges, one entry per unique pair.
     fn snapshot(&self) -> Vec<(NodeId, NodeId)> {
-        self.active.keys().map(|&(a, b)| (NodeId(a), NodeId(b))).collect()
+        self.active.iter().map(|&((a, b), _)| (NodeId(a), NodeId(b))).collect()
+    }
+
+    /// Applies the pending events to the active pairs: an up adds one
+    /// contact to its pair, a down removes one from a pair that has any
+    /// and is otherwise ignored.
+    fn merge_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        // Stable: a pair's events keep their arrival order.
+        self.pending.sort_by_key(|&(pair, _)| pair);
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.clear();
+        let mut active = self.active.drain(..).peekable();
+        let mut events = self.pending.drain(..).peekable();
+        while let Some(&(pair, _)) = events.peek() {
+            merged.extend(std::iter::from_fn(|| active.next_if(|&(p, _)| p < pair)));
+            let mut count = active.next_if(|&(p, _)| p == pair).map_or(0, |(_, count)| count);
+            while let Some((_, up)) = events.next_if(|&(p, _)| p == pair) {
+                count = if up { count + 1 } else { count.saturating_sub(1) };
+            }
+            if count > 0 {
+                merged.push((pair, count));
+            }
+        }
+        merged.extend(active);
+        self.merged = std::mem::replace(&mut self.active, merged);
     }
 
     fn seal_through<E>(
@@ -168,6 +211,9 @@ impl IncrementalSlotter {
         seal: &mut impl FnMut(usize, Vec<(NodeId, NodeId)>) -> Result<(), E>,
     ) -> Result<(), E> {
         let upto = upto.min(self.num_slots);
+        if self.next_slot < upto {
+            self.merge_pending();
+        }
         while self.next_slot < upto {
             let edges = self.snapshot();
             seal(self.next_slot, edges)?;
@@ -179,7 +225,8 @@ impl IncrementalSlotter {
     /// Applies one event, sealing every slot strictly before the event's
     /// slot first. Events must arrive in non-decreasing slot order;
     /// regressions are rejected with [`StreamError::SlotRegression`] wrapped
-    /// in [`StreamBuildError::Stream`].
+    /// in [`StreamBuildError::Stream`]. An event past the last slot changes
+    /// no sealed slot and is dropped.
     pub fn apply<E: From<StreamError>>(
         &mut self,
         event: &ContactEvent,
@@ -190,21 +237,14 @@ impl IncrementalSlotter {
             return Err(StreamError::SlotRegression { slot, expected_min: self.next_slot }.into());
         }
         self.seal_through(slot, seal)?;
-        match *event {
-            ContactEvent::Up { a, b, .. } => {
-                let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-                *self.active.entry(key).or_insert(0) += 1;
-            }
-            ContactEvent::Down { a, b, .. } => {
-                let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-                if let Some(count) = self.active.get_mut(&key) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.active.remove(&key);
-                    }
-                }
-            }
+        if slot >= self.num_slots {
+            return Ok(());
         }
+        let (a, b, up) = match *event {
+            ContactEvent::Up { a, b, .. } => (a, b, true),
+            ContactEvent::Down { a, b, .. } => (a, b, false),
+        };
+        self.pending.push((if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) }, up));
         Ok(())
     }
 
@@ -216,9 +256,13 @@ impl IncrementalSlotter {
         self.seal_through(self.num_slots, seal)
     }
 
-    /// Approximate bytes held by the active-contact multiset.
+    /// Approximate bytes held by the active-contact multiset and the
+    /// pending events.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.active.len() * std::mem::size_of::<((u32, u32), u32)>()
+        std::mem::size_of::<Self>()
+            + (self.active.capacity() + self.merged.capacity())
+                * std::mem::size_of::<((u32, u32), u32)>()
+            + self.pending.capacity() * std::mem::size_of::<((u32, u32), bool)>()
     }
 }
 
@@ -1158,6 +1202,65 @@ mod tests {
             slotter.apply(&stale, &mut seal),
             Err(StreamBuildError::Stream(StreamError::SlotRegression { slot: 2, expected_min: 5 }))
         ));
+    }
+
+    #[test]
+    fn slotter_seals_what_a_per_event_multiset_replay_seals() {
+        // The sorted-`Vec` merge against the plain model: a pair-keyed
+        // counter map updated event by event in arrival order. The events
+        // break the stream's within-slot order on purpose (an up before a
+        // down of the same pair, downs of inactive pairs, both endpoint
+        // orders) and run past the last slot, so only arrival order per
+        // pair can make the two agree.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let num_slots = 40;
+        let mut slot = 0;
+        let events: Vec<ContactEvent> = (0..3000)
+            .map(|_| {
+                slot += usize::from(next(20) == 0) * next(3) as usize;
+                let (a, b) = (NodeId(next(7) as u32), NodeId(next(7) as u32));
+                if next(2) == 0 {
+                    ContactEvent::Up { slot, last_slot: slot, a, b, start: 0.0, end: 0.0 }
+                } else {
+                    ContactEvent::Down { slot, a, b }
+                }
+            })
+            .collect();
+        assert!(slot > num_slots, "the events must run past the last slot");
+        let mut sealed = Vec::new();
+        let mut seal = |s: usize, edges: Vec<(NodeId, NodeId)>| -> Result<(), StreamError> {
+            sealed.push((s, edges));
+            Ok(())
+        };
+        let mut slotter = IncrementalSlotter::new(num_slots);
+        for event in &events {
+            slotter.apply(event, &mut seal).unwrap();
+        }
+        slotter.finish(&mut seal).unwrap();
+        let mut model: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        let mut expected = Vec::new();
+        let mut events = events.iter().peekable();
+        for s in 0..num_slots {
+            while let Some(event) = events.next_if(|e| e.slot() == s) {
+                let (a, b, up) = match *event {
+                    ContactEvent::Up { a, b, .. } => (a, b, true),
+                    ContactEvent::Down { a, b, .. } => (a, b, false),
+                };
+                let key = (a.0.min(b.0), a.0.max(b.0));
+                let count = model.entry(key).or_insert(0);
+                *count = if up { *count + 1 } else { count.saturating_sub(1) };
+                model.retain(|_, count| *count > 0);
+            }
+            expected.push((s, model.keys().map(|&(a, b)| (NodeId(a), NodeId(b))).collect()));
+        }
+        assert_eq!(sealed, expected);
+        assert!(expected.iter().filter(|(_, edges)| !edges.is_empty()).count() > num_slots / 2);
     }
 
     /// A spill whose reloads add an edge to a node outside the graph.

@@ -1009,10 +1009,19 @@ fn finite_positive(x: f64) -> bool {
 /// is refused as a config error before anything is allocated.
 pub const MAX_NODES: usize = 16_384;
 
+/// True iff a `window_seconds` window has at most
+/// [`crate::stream::MAX_SLOTS`] bins in the summary's per-minute series.
+fn bins_bounded(window_seconds: Seconds) -> bool {
+    crate::stream::slots_within_bound(window_seconds, crate::binning::PAPER_BIN_SECONDS)
+}
+
+/// The rule [`bins_bounded`] checks, as the error states it.
+const BINS_RULE: &str = "at most 62914560 (2^20 one-minute summary bins)";
+
 fn validate_conference(c: &ConferenceConfig) -> Result<(), ScenarioError> {
     let total = c.mobile_nodes.saturating_add(c.stationary_nodes);
     let scan = c.inquiry_scan_period.unwrap_or(f64::INFINITY);
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 8] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 9] = [
         (total >= 2, "mobile_nodes", "at least 2 in total with \"stationary_nodes\"", &total),
         (
             total <= MAX_NODES,
@@ -1030,13 +1039,14 @@ fn validate_conference(c: &ConferenceConfig) -> Result<(), ScenarioError> {
         (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
         (c.contact_duration_cv >= 0.0, "contact_duration_cv", ">= 0", &c.contact_duration_cv),
         (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+        (bins_bounded(c.window_seconds), "window_seconds", BINS_RULE, &c.window_seconds),
         (scan > 0.0, "inquiry_scan_period", "> 0", &scan),
     ];
     first_violation("conference", &checks)
 }
 
 fn validate_scaled(c: &ScaledConfig) -> Result<(), ScenarioError> {
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 6] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 7] = [
         (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
         (c.nodes <= MAX_NODES, "nodes", "at most 16384", &c.nodes),
         (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
@@ -1048,12 +1058,13 @@ fn validate_scaled(c: &ScaledConfig) -> Result<(), ScenarioError> {
         ),
         (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
         (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+        (bins_bounded(c.window_seconds), "window_seconds", BINS_RULE, &c.window_seconds),
     ];
     first_violation("scaled", &checks)
 }
 
 fn validate_homogeneous(c: &HomogeneousConfig) -> Result<(), ScenarioError> {
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 5] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 6] = [
         (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
         (c.nodes <= MAX_NODES, "nodes", "at most 16384", &c.nodes),
         (
@@ -1064,24 +1075,26 @@ fn validate_homogeneous(c: &HomogeneousConfig) -> Result<(), ScenarioError> {
         ),
         (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
         (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+        (bins_bounded(c.window_seconds), "window_seconds", BINS_RULE, &c.window_seconds),
     ];
     first_violation("homogeneous", &checks)
 }
 
 fn validate_heterogeneous(c: &HeterogeneousConfig) -> Result<(), ScenarioError> {
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 5] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 6] = [
         (c.nodes >= 2, "nodes", "at least 2", &c.nodes),
         (c.nodes <= MAX_NODES, "nodes", "at most 16384", &c.nodes),
         (finite_positive(c.max_node_rate), "max_node_rate", "finite and > 0", &c.max_node_rate),
         (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
         (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+        (bins_bounded(c.window_seconds), "window_seconds", BINS_RULE, &c.window_seconds),
     ];
     first_violation("heterogeneous", &checks)
 }
 
 fn validate_community(c: &CommunityConfig) -> Result<(), ScenarioError> {
     let total = c.communities.saturating_mul(c.nodes_per_community);
-    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 9] = [
+    let checks: [(bool, &str, &str, &dyn std::fmt::Display); 10] = [
         (c.communities >= 1, "communities", "at least 1", &c.communities),
         (c.nodes_per_community >= 1, "nodes_per_community", "at least 1", &c.nodes_per_community),
         (total >= 2, "nodes_per_community", "at least 2 in total across \"communities\"", &total),
@@ -1096,6 +1109,7 @@ fn validate_community(c: &CommunityConfig) -> Result<(), ScenarioError> {
         (c.mean_contact_duration > 0.0, "mean_contact_duration", "> 0", &c.mean_contact_duration),
         (c.contact_duration_cv >= 0.0, "contact_duration_cv", ">= 0", &c.contact_duration_cv),
         (finite_positive(c.window_seconds), "window_seconds", "finite and > 0", &c.window_seconds),
+        (bins_bounded(c.window_seconds), "window_seconds", BINS_RULE, &c.window_seconds),
     ];
     first_violation("community", &checks)
 }
@@ -1456,6 +1470,25 @@ mod tests {
         assert!(ScenarioConfig::Community(overflow).validate().is_err());
         for base in [ScenarioConfig::Scaled(ScaledConfig::default()), heterogeneous()] {
             base.with_field("nodes", max).expect("the bound itself is allowed");
+        }
+    }
+
+    #[test]
+    fn every_family_bounds_its_summary_bin_count_before_allocating() {
+        // The rule text spells the bound out; keep it in step with it.
+        let max = crate::stream::MAX_SLOTS as f64 * crate::binning::PAPER_BIN_SECONDS;
+        assert_eq!(max, 62_914_560.0);
+        assert!(BINS_RULE.contains("62914560"));
+        let families = [
+            ScenarioConfig::Scaled(ScaledConfig::default()),
+            ScenarioConfig::Homogeneous(HomogeneousConfig::default()),
+            heterogeneous(),
+            ScenarioConfig::Conference(ConferenceConfig::default()),
+            ScenarioConfig::Community(CommunityConfig::default()),
+        ];
+        for base in families {
+            assert_family_rejects(&base, "window_seconds", &[max + 0.5, 1e12], &["1e12"]);
+            base.with_field("window_seconds", max).expect("the bound itself is allowed");
         }
     }
 

@@ -29,6 +29,21 @@ use crate::node::NodeId;
 use crate::trace::{ContactTrace, TimeWindow};
 use crate::Seconds;
 
+/// The most slots one run may cut its window into: `window ÷ Δ` slots of
+/// the space-time graph and history timeline, and `window ÷ 60 s` bins of
+/// the summary's per-minute series ([`crate::binning::PAPER_BIN_SECONDS`]).
+/// 2²⁰ slots are 121 days at the paper's Δ = 10 s. Scenario validation
+/// bounds the bin count and study planning the slot count, so a larger
+/// window or a smaller Δ is refused as a config error before any per-slot
+/// table is allocated.
+pub const MAX_SLOTS: usize = 1 << 20;
+
+/// True iff a window of `duration` seconds cut into `width`-second slots
+/// (or bins) gives at most [`MAX_SLOTS`] of them; false for NaN.
+pub fn slots_within_bound(duration: Seconds, width: Seconds) -> bool {
+    (duration / width).ceil() <= MAX_SLOTS as f64
+}
+
 /// Number of Δ-slots spanned by `window` — the shared slot-count convention
 /// of the streaming and materialized pipelines (`ceil(duration/Δ)`, at least
 /// one slot).
