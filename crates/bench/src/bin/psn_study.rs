@@ -56,7 +56,7 @@ use std::process::ExitCode;
 
 use psn::report::{ReportDoc, ReportFormat};
 use psn::study::preset::{render_header, PresetId};
-use psn::study::sweep::{run_sweep_with_policy, SweepReport, SweepSpec};
+use psn::study::sweep::{run_sweep_with_policy, SweepReport, SweepSpec, MAX_AXIS_COUNT};
 use psn::study::{
     parse_views, planned_result_fingerprints, run_study_with, ArtifactError, ArtifactStore,
     CacheSource, CellFailure, RunPolicy, StudyError, StudyId, StudyParams, StudyScenario,
@@ -344,8 +344,10 @@ const DEFAULT_STREAMING_WINDOW: usize = 64;
 fn build_params(args: &Args) -> Result<StudyParams, Failure> {
     let mut params = StudyParams::for_profile(args.profile).with_threads(args.threads);
     if let Some(k) = args.k {
-        if k == 0 {
-            return Err(Failure::Usage("--k must be at least 1".into()));
+        if k == 0 || k > MAX_AXIS_COUNT {
+            return Err(Failure::Usage(format!(
+                "--k must be between 1 and {MAX_AXIS_COUNT}, like a params.k sweep axis"
+            )));
         }
         params = params.with_k(k);
     }

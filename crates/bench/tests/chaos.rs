@@ -481,6 +481,27 @@ fn cli_an_unbounded_slot_or_bin_count_is_a_config_error_before_allocation() {
     let _ = std::fs::remove_file(wide);
 }
 
+#[test]
+fn cli_k_takes_the_bound_of_a_params_k_sweep_axis() {
+    // A `params.k` axis stops at u32::MAX; `--k` used to accept any usize.
+    // One past the bound, and usize::MAX, are usage errors naming `--k`
+    // before anything is planned or run; the bound itself plans.
+    let shipped = repo_path("scenarios/homogeneous.toml");
+    let shipped = shipped.to_str().unwrap();
+    let base = ["--config", shipped, "--study", "explosion", "--k"];
+    for k in ["4294967296", "18446744073709551615", "0"] {
+        for command in ["plan", "run"] {
+            let out = psn_study(&[&[command][..], &base, &[k]].concat());
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(exit_code(&out), 2, "{command} --k {k}: {err}");
+            assert!(err.contains("--k") && err.contains("4294967295"), "{command} --k {k}: {err}");
+            assert!(out.stdout.is_empty(), "{command} --k {k} printed a plan or report");
+        }
+    }
+    let out = psn_study(&[&["plan"][..], &base, &["4294967295"]].concat());
+    assert_eq!(exit_code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 /// Arrays nested far deeper than the JSON reader's bound: without the
 /// bound, reading them overflows the stack and aborts the process.
 fn deeply_nested(depth: usize) -> String {

@@ -401,11 +401,11 @@ impl StudyParams {
     /// Replaces the per-node path budget `k` (and its derived caps) — the
     /// semantics of the CLI's `--k` and of a `params.k` sweep axis. Large
     /// scenarios want much smaller budgets than the paper's 98-node
-    /// datasets.
+    /// datasets. The derived caps saturate, so no `k` wraps them.
     pub fn with_k(mut self, k: usize) -> Self {
         assert!(k >= 1, "the path budget k must be at least 1");
         self.enumeration = EnumerationConfig::quick(k);
-        self.explosion_threshold = self.explosion_threshold.min(50 * k);
+        self.explosion_threshold = self.explosion_threshold.min(k.saturating_mul(50));
         self
     }
 
@@ -1465,6 +1465,24 @@ mod tests {
     use crate::report::JsonRenderer;
     use psn_trace::generator::{CommunityConfig, ScaledConfig};
     use psn_trace::{DatasetId, ScenarioConfig};
+
+    #[test]
+    fn with_k_saturates_its_derived_caps() {
+        // 50·k and 4·k would wrap in a release build; both caps saturate,
+        // and the explosion threshold keeps its profile value.
+        let base = StudyParams::for_profile(ExperimentProfile::Paper);
+        for k in [sweep::MAX_AXIS_COUNT, usize::MAX / 4 + 1, usize::MAX] {
+            let params = base.clone().with_k(k);
+            assert_eq!(params.enumeration.k, k);
+            assert_eq!(params.enumeration.max_delivered_paths, Some(k.saturating_mul(50)));
+            assert_eq!(params.enumeration.stored_path_limit, k.saturating_mul(4));
+            assert!(params.enumeration.stored_path_limit >= k, "k = {k}");
+            assert_eq!(params.explosion_threshold, base.explosion_threshold);
+        }
+        let params = base.clone().with_k(usize::MAX);
+        assert_eq!(params.enumeration.max_delivered_paths, Some(usize::MAX));
+        assert_eq!(params.enumeration.stored_path_limit, usize::MAX);
+    }
 
     fn quick_params() -> StudyParams {
         // Deliberately tiny so the pipeline tests stay fast; structure, not

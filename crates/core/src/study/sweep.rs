@@ -85,6 +85,10 @@ impl SweepSpec {
     }
 }
 
+/// The largest value a count-valued `params.*` axis (`k`, `messages`,
+/// `runs`) takes; the CLI's `--k` shares the bound.
+pub const MAX_AXIS_COUNT: usize = u32::MAX as usize;
+
 /// Applies a cell's `params.*` axis assignments to the sweep's shared
 /// study parameters. `None` when the cell has no parameter axes (the
 /// common case: every cell then shares the plan-level params value).
@@ -98,7 +102,7 @@ fn apply_param_axes(
     for (field, value) in &cell.assignments {
         let Some(name) = field.strip_prefix(PARAM_AXIS_PREFIX) else { continue };
         let as_count = || -> Result<usize, StudyPlanError> {
-            if value.fract() != 0.0 || *value < 1.0 || *value > u32::MAX as f64 {
+            if value.fract() != 0.0 || *value < 1.0 || *value > MAX_AXIS_COUNT as f64 {
                 return Err(StudyPlanError::new(format!(
                     "sweep axis {field:?}: value {value} must be a positive integer"
                 )));

@@ -27,20 +27,26 @@
 //! Two engines produce bit-identical [`MessageOutcome`]s (pinned by
 //! differential tests):
 //!
-//! * [`Simulator::run`] / [`Simulator::run_many`] — the **slot-major
-//!   engine**. Contact history depends only on the trace, so it is
-//!   precomputed once as a shared read-only [`HistoryTimeline`]. Each
-//!   outcome is written once: before the walk every job's result is
-//!   filled with the undelivered outcome of each of its messages — what
-//!   an undelivered message finishes as under either [`Recording`] — and
-//!   those slots are dealt, as disjoint chunks of about a 64th of a lane's
-//!   share (single messages in small batches), round-robin in job-major
-//!   order to one *lane* per worker thread. Each lane walks
-//!   [`HistoryTimeline::busy_slots`] once, in ascending order, serving
-//!   every message of every job at each slot, and writes a delivery into
-//!   the message's slot. The timeline is the engine's only slot input:
-//!   busy slots, slot end times and each slot's edge list all come from
-//!   it, so the engine holds no space-time graph:
+//! * [`Simulator::run`] / [`Simulator::run_many`] / [`Simulator::run_batch`]
+//!   — the **slot-major engine**. Contact history depends only on the
+//!   trace, so it is precomputed once as a shared read-only
+//!   [`HistoryTimeline`], the engine's only slot input: busy slots, slot end
+//!   times and each slot's edge list all come from it, so the engine holds
+//!   no space-time graph. Each outcome is written once: before the work
+//!   starts every job's result is filled with the undelivered outcome of
+//!   each of its messages — what an undelivered message finishes as under
+//!   either [`Recording`] — and each outcome slot is handed to exactly one
+//!   of two kinds of job of one [`psn_fault::run_jobs`] pool, which writes
+//!   a delivery into it:
+//!   - **backward passes** answer the delivery-only messages of a
+//!     destination-unaware group (see *Backward passes* below);
+//!   - **lanes** take everything else. The remaining slots are dealt, as
+//!     disjoint chunks of about a 64th of a lane's share (single messages
+//!     in small batches), round-robin in job-major order to one lane per
+//!     worker thread. Each lane walks [`HistoryTimeline::busy_slots`] once,
+//!     in ascending order, serving every message of every job at each slot.
+//!
+//!   Within a lane:
 //!   - a message sleeps in a per-slot wake list until one of its holders
 //!     has a contact ([`HistoryTimeline::next_active_slot`]), so idle,
 //!     delivered and not-yet-created messages cost nothing;
@@ -59,21 +65,20 @@
 //!     ([`HistoryTimeline::start_mask`]), or a changed dynamic utility at a
 //!     holder or a holder's neighbor. Otherwise the message already sits at
 //!     the slot's fixpoint, and the step is a few word ANDs;
-//!   - everything shared is built at most once per (lane, algorithm, slot)
-//!     on first need, from the slot's edge list, and dropped after the
-//!     slot: the destination-unaware utility table with its promising mask
-//!     and reachability closure, and the node → incident-edge bitmask the
-//!     sweep runs on;
-//!   - destination-aware utilities are one row per destination, filled on
-//!     first need and refreshed each slot only at the destination's
-//!     neighbours, which the `copy_utility` contract makes exact;
+//!   - utilities are compared per message, on the holders' neighbors only:
+//!     destination-unaware ones from one table per (lane, algorithm, slot),
+//!     filled on first need (once per walk when static); destination-aware
+//!     ones from one row per destination, filled on first need and
+//!     refreshed each slot only at the destination's neighbours, which the
+//!     `copy_utility` contract makes exact. The node → incident-edge
+//!     bitmask the ordered sweep runs on is built at most once per (lane,
+//!     slot) and dropped after the slot;
 //!   - the sweep visits only holder-incident edges, in (pass, edge index,
 //!     direction) order — the decision sequence of a full-pass rescan;
-//!   - a delivery-only job ([`Simulator::run_batch`]) runs no sweep at
-//!     all: where the precheck says the slot acts, its message jumps to
-//!     the slot's order-free fixpoint — the same holder set, and a
-//!     delivery in the same slot — records no provenance and finishes
-//!     with no path.
+//!   - a delivery-only message runs no sweep at all: where the precheck
+//!     says the slot acts, it jumps to the slot's order-free fixpoint — the
+//!     same holder set, and a delivery in the same slot — records no
+//!     provenance and finishes with no path.
 //! * [`Simulator::run_reference`] — the original serial sweep retained as
 //!   the behavioural baseline: one mutable [`ContactHistory`] advanced slot
 //!   by slot, an `O(n)` adjacency rescan per slot of a space-time graph the
@@ -82,12 +87,57 @@
 //!   `PathEnumerator::enumerate_reference` from the enumeration engine; it
 //!   reads neither the timeline nor its edge lists.
 //!
-//! The engines agree because a message's copy-state evolves under a
-//! deterministic function of (its own state, the slot's edge list in
-//! normalized order, the read-only context), and messages never interact:
-//! sweeping one message to its own fixpoint makes exactly the same
-//! forwarding decisions as sweeping all messages to the global fixpoint,
-//! in whatever order, on whichever lane.
+//! The lanes agree with the reference because a message's copy-state
+//! evolves under a deterministic function of (its own state, the slot's
+//! edge list in normalized order, the read-only context), and messages
+//! never interact: sweeping one message to its own fixpoint makes exactly
+//! the same forwarding decisions as sweeping all messages to the global
+//! fixpoint, in whatever order, on whichever lane.
+//!
+//! ## Backward passes
+//!
+//! Under a destination-unaware rule — Epidemic, Greedy Total and Greedy
+//! Online in the paper — whether a copy moves from `h` to `p` in slot `t`
+//! depends only on `(h, p, t)`. Let `C_t(v)` be the within-slot forwarding
+//! closure of `v`: `v` plus every node a copy at `v` reaches through slot
+//! `t`'s forwarding edges. Then a holder set `H` grows in slot `t` to the
+//! **union** `⋃_{h∈H} C_t(h)`, and it delivers in `t` iff that union
+//! touches a neighbour of the destination `d` (a closure through `d`
+//! passes a neighbour of `d` first). Every later slot treats the grown set
+//! the same way, so by induction the message's delivery slot is the
+//! minimum, over its holders, of the delivery slot of a copy held by one
+//! holder alone. That single-holder slot `D_t(v, d)`, for a copy at `v` at
+//! the start of slot `t`, obeys a backward recurrence:
+//!
+//! `D_t(v, d) = t` if some node of `C_t(v)` neighbours `d` in `t`, else
+//! `min_{w ∈ C_t(v)} D_{t+1}(w, d)`.
+//!
+//! A pass keeps `D` as a node × destination table of slot indices
+//! (`u32::MAX` for never) and sweeps the busy slots once, descending: at each slot
+//! every node next to a tracked destination takes that slot, then every
+//! node takes the minimum over its closure — the components of the slot's
+//! mutual forwarding edges (all of them, for Epidemic) plus a relaxation
+//! of one-way edges to a fixpoint under a direct rule, or the
+//! utility-increasing edges in descending order of the sender's utility
+//! (a reverse topological order, so one pass suffices) under a
+//! destination-unaware utility. A message created in slot `c` reads its
+//! source's entry once the sweep has passed every slot from `c` on; the
+//! sweep stops below the earliest creation slot. The holder set of a
+//! message to its own source contains the destination; the recurrence
+//! covers it unchanged. Destinations are processed in blocks of columns
+//! (`PASS_TABLE_BYTES`: one block on paper-scale traces, 64 columns —
+//! 4 MiB — at 16 384 nodes), each block one pool job.
+//!
+//! **Routing rule.** A group's delivery-only messages take the passes iff
+//! its rule ignores the destination and it has at least as many of them
+//! as the trace has nodes (`takes_pass`). It reads only what the batch
+//! shows: the algorithm's decision mode and the message and node counts. A
+//! pass costs one sweep of the busy slots per block whatever the message
+//! count, and a lane costs per message served, so the pass wins on the
+//! paper workload (18 000 delivery-only messages per algorithm on 98
+//! nodes) and a few messages on a large trace (11 per algorithm on 1 000
+//! nodes) stay in the lanes. Path-recording jobs and destination-aware
+//! groups always stay in the lanes: a pass yields delivery times only.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -143,7 +193,9 @@ pub enum Recording {
     HopPaths,
     /// Delivery times only: every outcome's `path` is `None`. The engine
     /// skips the ordered sweep and jumps to each slot's order-free
-    /// fixpoint, which yields the same delivery times.
+    /// fixpoint, which yields the same delivery times — or, for a
+    /// destination-unaware algorithm with enough such messages, answers
+    /// them all with one backward pass (see the module's "Engines").
     DeliveryOnly,
 }
 
@@ -303,87 +355,9 @@ impl<'t> NeighborRows<'t> {
     }
 }
 
-/// The slot's per-node *promising* bitmask: bit `v` is set iff some
-/// neighbor of `v` this slot has strictly higher utility — the nodes whose
-/// within-slot closure ([`build_reach`]) holds anyone but themselves. One
-/// pass over the slot's edges, shared across every message of the
-/// algorithm.
-fn build_promising(edges: &[(NodeId, NodeId)], utilities: &[f64], words: usize) -> Box<[u64]> {
-    let mut promising = vec![0u64; words].into_boxed_slice();
-    for &(a, b) in edges {
-        if utilities[a.index()] > utilities[b.index()] {
-            set_bit(&mut promising, b);
-        } else if utilities[b.index()] > utilities[a.index()] {
-            set_bit(&mut promising, a);
-        }
-    }
-    promising
-}
-
-/// The slot's within-slot reachability closure under one utility order:
-/// node-major bitmask rows (stride `words`) where row `v` holds `v` plus
-/// every node a copy at `v` could reach through the slot's edges along
-/// strictly-increasing utilities (the fixpoint sweep forwards multi-hop
-/// within a slot). One `O(E log E + E·words)` pass per (lane, algorithm,
-/// slot), shared across every message of the algorithm.
-///
-/// Built by processing the directed utility-increasing edges in descending
-/// order of the *receiving* (lower-utility) endpoint's utility: when
-/// `reach[lo] |= reach[hi]` runs, every update into `hi` (whose receiving
-/// utility is `u[hi] > u[lo]`) has already run, so `reach[hi]` is final —
-/// the closure propagates in one pass.
-fn build_reach(
-    edges: &[(NodeId, NodeId)],
-    utilities: &[f64],
-    n: usize,
-    words: usize,
-) -> Box<[u64]> {
-    let mut reach = vec![0u64; n * words].into_boxed_slice();
-    for v in 0..n {
-        reach[v * words + v / 64] |= 1u64 << (v % 64);
-    }
-    let mut directed: Vec<(f64, NodeId, NodeId)> = Vec::with_capacity(edges.len());
-    for &(a, b) in edges {
-        if utilities[a.index()] > utilities[b.index()] {
-            directed.push((utilities[b.index()], a, b));
-        } else if utilities[b.index()] > utilities[a.index()] {
-            directed.push((utilities[a.index()], b, a));
-        }
-    }
-    directed.sort_by(|x, y| y.0.total_cmp(&x.0));
-    for &(_, hi, lo) in &directed {
-        for w in 0..words {
-            let src = reach[hi.index() * words + w];
-            reach[lo.index() * words + w] |= src;
-        }
-    }
-    reach
-}
-
-/// True iff some holder's within-slot reachability closure (a row of
-/// [`build_reach`]) contains a node outside the current holder set — i.e.
-/// the fixpoint sweep would forward at least one copy. Only holders in the
-/// slot's `promising` mask ([`build_promising`]) can reach anyone but
-/// themselves, so only their rows are read. Together with a
-/// destination-adjacency test this is an **exact** actionability test, at
-/// two word-ops per promising holder and no neighbor scans.
-fn closure_escapes(reach: &[u64], promising: &[u64], held: &[u64]) -> bool {
-    let words = held.len();
-    for (word, (&p, &h)) in promising.iter().zip(held).enumerate() {
-        let mut bits = p & h;
-        while bits != 0 {
-            let v = word * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if reach[v * words..][..words].iter().zip(held).any(|(r, h)| r & !h != 0) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// The exact sweep-actionability precheck under a destination-aware
-/// utility row, run entirely on the slot's per-node neighbor bitmasks:
+/// The exact sweep-actionability precheck under a utility order (a
+/// destination's row, or a destination-unaware slot table), run entirely
+/// on the slot's per-node neighbor bitmasks:
 /// true iff some holder sits next to the destination (delivery) or some
 /// active holder has a strictly-higher-utility non-holder neighbor (a
 /// forward). Only the holder's non-holder neighbors have their utilities
@@ -580,48 +554,20 @@ fn fixpoint(
     false
 }
 
-/// A destination-unaware group's slot closure ([`build_reach`]) and
-/// promising mask ([`build_promising`]).
-type ReachTable<'g> = (&'g [u64], &'g [u64]);
-
-/// [`fixpoint`] under a destination-unaware utility order, read off the
-/// slot's reachability closure ([`build_reach`]): the holders plus every
-/// row of a `promising` holder, then the destination test.
-fn reach_fixpoint(
-    masks: &SlotMasks<'_>,
-    held: &mut [u64],
-    destination: NodeId,
-    (reach, promising): ReachTable<'_>,
-) -> bool {
-    let target = masks.of_node(destination);
-    if masks_intersect(target, held) {
-        return true;
-    }
-    // A row is closed under reachability, so the rows of holders it adds
-    // add nothing: whether the scan sees them does not matter.
-    let words = held.len();
-    for word in 0..words {
-        let mut bits = promising[word] & held[word];
-        while bits != 0 {
-            let v = word * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            for (h, &r) in held.iter_mut().zip(&reach[v * words..][..words]) {
-                *h |= r;
-            }
-        }
-    }
-    masks_intersect(target, held)
-}
-
-/// One group's step counters over a walk: messages served, how many of
-/// those steps ran the exact precheck rather than the change test alone,
-/// and how many ran the ordered sweep and how many copy moves it recorded.
+/// One group's step counters over a batch. In the lanes: messages served,
+/// how many of those steps ran the exact precheck rather than the change
+/// test alone, and how many ran the ordered sweep and how many copy moves
+/// it recorded. In the backward passes ([`Pass`]): messages answered, and
+/// the busy slots and contact edges swept, summed over column blocks.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepCounts {
     visits: u64,
     prechecks: u64,
     sweeps: u64,
     moves: u64,
+    pass_messages: u64,
+    pass_slots: u64,
+    pass_edges: u64,
 }
 
 impl std::ops::AddAssign for StepCounts {
@@ -630,6 +576,9 @@ impl std::ops::AddAssign for StepCounts {
         self.prechecks += other.prechecks;
         self.sweeps += other.sweeps;
         self.moves += other.moves;
+        self.pass_messages += other.pass_messages;
+        self.pass_slots += other.pass_slots;
+        self.pass_edges += other.pass_edges;
     }
 }
 
@@ -648,10 +597,6 @@ struct Group<'a> {
     utilities: Vec<f64>,
     /// The slot dynamic destination-unaware `utilities` were filled at.
     utilities_slot: Option<usize>,
-    /// The slot `promising` and `reach` describe.
-    table_slot: Option<usize>,
-    promising: Box<[u64]>,
-    reach: Box<[u64]>,
     /// Destination-aware utility rows, indexed by destination; empty until
     /// a message to that destination first needs it.
     rows: Vec<Vec<f64>>,
@@ -682,9 +627,6 @@ impl<'a> Group<'a> {
                 && algorithm.utility_requires_destination_contact(),
             utilities: Vec::new(),
             utilities_slot: None,
-            table_slot: None,
-            promising: Box::default(),
-            reach: Box::default(),
             rows: if matches!(mode, DecisionMode::PerDestination { .. }) {
                 vec![Vec::new(); n]
             } else {
@@ -846,19 +788,6 @@ impl<'a> Group<'a> {
         }
         &self.rows[destination.index()]
     }
-
-    /// Builds the promising mask and reachability closure of `slot`, whose
-    /// edge list is `edges`, under `utilities` (see [`Group::fill_shared`])
-    /// unless they are built.
-    fn build_table(&mut self, slot: usize, edges: &[(NodeId, NodeId)], n: usize) {
-        if self.table_slot == Some(slot) {
-            return;
-        }
-        let words = n.div_ceil(64);
-        self.promising = build_promising(edges, &self.utilities, words);
-        self.reach = build_reach(edges, &self.utilities, n, words);
-        self.table_slot = Some(slot);
-    }
 }
 
 /// Marks `node` and its neighbors in the slot in a node bitmask.
@@ -870,8 +799,9 @@ fn touch(touched: &mut [u64], masks: &SlotMasks<'_>, node: NodeId) {
     }
 }
 
-/// A chunk of one job's outcome slots, dealt to a lane: each slot holds
-/// its message's undelivered outcome until the lane delivers it.
+/// A chunk of one job's outcome slots, dealt to a lane (or, before
+/// [`deal`], the whole job): each slot holds its message's undelivered
+/// outcome until the lane delivers it.
 struct Dealt<'r> {
     outcomes: &'r mut [MessageOutcome],
     group: usize,
@@ -883,7 +813,7 @@ struct Dealt<'r> {
 /// uneven jobs still spread evenly, and single messages for small batches,
 /// which deals them exactly like a message-by-message round robin.
 fn chunk_len(total: usize, lanes: usize) -> usize {
-    (total / (lanes * CHUNKS_PER_LANE)).max(1)
+    (total / (lanes.max(1) * CHUNKS_PER_LANE)).max(1)
 }
 
 /// See [`chunk_len`].
@@ -906,31 +836,329 @@ fn undelivered(
         .collect()
 }
 
-/// Deals the outcome slots of every job's result to `lanes` lanes as
-/// disjoint chunks of at most [`chunk_len`] slots, round-robin in
+/// Deals the outcome slots of the lanes' jobs, each whole, to `lanes`
+/// lanes as disjoint chunks of at most [`chunk_len`] slots, round-robin in
 /// job-major order.
-fn deal<'r>(
-    results: &'r mut [SimulationResult],
-    jobs: &[(&dyn ForwardingAlgorithm, &[Message], Recording)],
-    job_groups: &[usize],
-    lanes: usize,
-) -> Vec<Vec<Dealt<'r>>> {
-    let total = results.iter().map(SimulationResult::message_count).sum();
+fn deal(jobs: Vec<Dealt<'_>>, lanes: usize) -> Vec<Vec<Dealt<'_>>> {
+    let total = jobs.iter().map(|job| job.outcomes.len()).sum();
     let chunk = chunk_len(total, lanes);
-    let mut dealt: Vec<Vec<Dealt<'r>>> = (0..lanes).map(|_| Vec::new()).collect();
-    let chunks = results.iter_mut().zip(jobs).zip(job_groups).flat_map(
-        |((result, &(_, _, recording)), &group)| {
-            result.outcomes.chunks_mut(chunk).map(move |outcomes| Dealt {
-                outcomes,
-                group,
-                paths: recording == Recording::HopPaths,
-            })
-        },
-    );
+    let mut dealt: Vec<Vec<Dealt<'_>>> = (0..lanes).map(|_| Vec::new()).collect();
+    let chunks = jobs.into_iter().flat_map(|Dealt { outcomes, group, paths }| {
+        outcomes.chunks_mut(chunk).map(move |outcomes| Dealt { outcomes, group, paths })
+    });
     for (i, chunk) in chunks.enumerate() {
         dealt[i % lanes].push(chunk);
     }
     dealt
+}
+
+/// The entry of a [`Pass`] table from which no delivery is reachable.
+const NEVER: u32 = u32::MAX;
+
+/// The bytes a [`Pass`] table may take before its destinations are split
+/// into blocks of columns: 4 MiB, but never fewer than 64 columns — one
+/// block of every destination on paper-scale traces, 64 columns at
+/// [`psn_trace::scenario::MAX_NODES`].
+const PASS_TABLE_BYTES: usize = 4 << 20;
+
+/// Destination columns per [`Pass`] block on `n` nodes.
+fn pass_columns(n: usize) -> usize {
+    (PASS_TABLE_BYTES / (n.max(1) * std::mem::size_of::<u32>())).max(64)
+}
+
+/// The routing rule: a group's delivery-only messages take the backward
+/// [`Pass`] instead of the lanes iff its forwarding rule ignores the
+/// destination — a destination-unaware utility ([`DecisionMode::Shared`])
+/// or a direct rule that is not [`ForwardingAlgorithm::destination_aware`]
+/// — and it has at least as many delivery-only messages as the trace has
+/// nodes. A pass costs a fixed sweep of the busy slots per block of
+/// destinations, whatever the message count; a lane pays per message
+/// served. So the pass wins once the messages outnumber the nodes (the
+/// paper workload: 18 000 per group on 98 nodes), and a handful of
+/// messages on a large trace (11 per group on 1 000 nodes) stays in the
+/// lanes.
+fn takes_pass(
+    algorithm: &dyn ForwardingAlgorithm,
+    mode: DecisionMode,
+    load: usize,
+    n: usize,
+) -> bool {
+    let unaware = match mode {
+        DecisionMode::Shared { .. } => true,
+        DecisionMode::Direct => !algorithm.destination_aware(),
+        DecisionMode::PerDestination { .. } => false,
+    };
+    unaware && load >= n.max(1)
+}
+
+/// One backward delivery-time pass: the delivery-only messages of a
+/// destination-unaware group whose destinations fall in one block of
+/// columns. It walks the busy slots once, descending, over a node ×
+/// destination table of earliest delivery slots — see the module's
+/// "Engines" section for why that is exact.
+struct Pass<'r> {
+    group: usize,
+    /// The block's destinations, ascending: column `c` tracks `columns[c]`.
+    columns: Vec<NodeId>,
+    /// The outcome slots of the block's messages.
+    outcomes: Vec<&'r mut MessageOutcome>,
+}
+
+/// Splits a pass group's delivery-only jobs into [`Pass`] blocks of at
+/// most [`pass_columns`] destinations each.
+fn plan_passes<'r>(group: usize, jobs: Vec<&'r mut [MessageOutcome]>, n: usize) -> Vec<Pass<'r>> {
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    for outcome in jobs.iter().flat_map(|outcomes| outcomes.iter()) {
+        set_bit(&mut seen, outcome.message.destination);
+    }
+    let destinations: Vec<NodeId> = nodes_of(seen).collect();
+    let width = pass_columns(n);
+    let mut block_of = vec![0; n];
+    for (rank, destination) in destinations.iter().enumerate() {
+        block_of[destination.index()] = rank / width;
+    }
+    let mut passes: Vec<Pass<'r>> = destinations
+        .chunks(width)
+        .map(|columns| Pass { group, columns: columns.to_vec(), outcomes: Vec::new() })
+        .collect();
+    for outcome in jobs.into_iter().flatten() {
+        passes[block_of[outcome.message.destination.index()]].outcomes.push(outcome);
+    }
+    passes
+}
+
+/// Lowers row `into` of a node-major table of `cols`-wide rows to its
+/// column-wise minimum with row `from`; true iff some entry fell.
+#[inline]
+fn min_into(table: &mut [u32], cols: usize, into: NodeId, from: NodeId) -> bool {
+    let (i, f) = (into.index() * cols, from.index() * cols);
+    let (into, from) = if i < f {
+        let (low, high) = table.split_at_mut(f);
+        (&mut low[i..i + cols], &high[..cols])
+    } else {
+        let (low, high) = table.split_at_mut(i);
+        (&mut high[..cols], &low[f..f + cols])
+    };
+    let mut fell = false;
+    for (entry, &other) in into.iter_mut().zip(from) {
+        fell |= other < *entry;
+        *entry = (*entry).min(other);
+    }
+    fell
+}
+
+/// Lowers every node's row to the minimum over its within-slot closure
+/// under a destination-unaware utility order: a copy moves from `lo` to a
+/// neighbor `hi` iff `u(hi) > u(lo)`. The utility-increasing edges run in
+/// descending order of their sending end's utility — a reverse
+/// topological order — so when row `lo` takes row `hi`'s minimum, every
+/// edge out of `hi` (whose sending utility `u(hi)` is higher) has already
+/// run and row `hi` is final. `directed` is scratch.
+fn utility_closure_min(
+    table: &mut [u32],
+    cols: usize,
+    edges: &[(NodeId, NodeId)],
+    utilities: &[f64],
+    directed: &mut Vec<(f64, NodeId, NodeId)>,
+) {
+    directed.clear();
+    for &(a, b) in edges {
+        let (ua, ub) = (utilities[a.index()], utilities[b.index()]);
+        if ua > ub {
+            directed.push((ub, b, a));
+        } else if ub > ua {
+            directed.push((ua, a, b));
+        }
+    }
+    directed.sort_by(|x, y| y.0.total_cmp(&x.0));
+    for &(_, lo, hi) in directed.iter() {
+        min_into(table, cols, lo, hi);
+    }
+}
+
+/// The root of `v`'s set in a union-find forest, halving the path.
+fn find(parent: &mut [u32], mut v: u32) -> u32 {
+    while parent[v as usize] != v {
+        let up = parent[parent[v as usize] as usize];
+        parent[v as usize] = up;
+        v = up;
+    }
+    v
+}
+
+/// Lowers every node's row to the minimum over its within-slot closure
+/// under a direct rule, `forward(from, to)`: the edges that forward both
+/// ways join components, whose members share one minimum, and the one-way
+/// edges relax until no entry falls (Epidemic has none, so one round
+/// does). `active` holds every edge endpoint; `parent` is a union-find
+/// forest that maps every node to itself on entry and again on return,
+/// and `one_way` is scratch.
+fn direct_closure_min(
+    table: &mut [u32],
+    cols: usize,
+    edges: &[(NodeId, NodeId)],
+    active: &[u64],
+    mut forward: impl FnMut(NodeId, NodeId) -> bool,
+    parent: &mut [u32],
+    one_way: &mut Vec<(NodeId, NodeId)>,
+) {
+    one_way.clear();
+    for &(a, b) in edges {
+        match (forward(a, b), forward(b, a)) {
+            (true, true) => {
+                let (ra, rb) = (find(parent, a.0), find(parent, b.0));
+                parent[ra.max(rb) as usize] = ra.min(rb);
+            }
+            (true, false) => one_way.push((a, b)),
+            (false, true) => one_way.push((b, a)),
+            (false, false) => {}
+        }
+    }
+    let active = || nodes_of(active.iter().copied());
+    loop {
+        for v in active() {
+            let root = find(parent, v.0);
+            if root != v.0 {
+                min_into(table, cols, NodeId(root), v);
+            }
+        }
+        for v in active() {
+            let root = find(parent, v.0) as usize;
+            if root != v.index() {
+                table.copy_within(root * cols..(root + 1) * cols, v.index() * cols);
+            }
+        }
+        let mut fell = false;
+        for &(from, to) in one_way.iter() {
+            fell |= min_into(table, cols, from, to);
+        }
+        if !fell {
+            break;
+        }
+    }
+    for v in active() {
+        parent[v.index()] = v.0;
+    }
+}
+
+impl Pass<'_> {
+    /// Sweeps the busy slots once, descending, and writes each message's
+    /// delivery into its outcome slot. Returns the group's pass counters.
+    fn run(
+        self,
+        sim: &Simulator,
+        algorithm: &dyn ForwardingAlgorithm,
+        mode: DecisionMode,
+        busy: &[usize],
+        stopping: &AtomicBool,
+    ) -> StepCounts {
+        let timeline = &*sim.timeline;
+        let n = sim.node_count;
+        let cols = self.columns.len();
+        let mut column_of = vec![NEVER; n];
+        for (c, destination) in self.columns.iter().enumerate() {
+            column_of[destination.index()] = c as u32;
+        }
+        // Latest-created first: the sweep answers a message once it has
+        // passed every slot from the message's creation on.
+        let mut messages: Vec<(usize, &mut MessageOutcome)> = self
+            .outcomes
+            .into_iter()
+            .map(|outcome| {
+                (slot_of_time(sim.window, sim.config.delta, outcome.message.created_at), outcome)
+            })
+            .collect();
+        messages.sort_by_key(|&(created, _)| std::cmp::Reverse(created));
+        let mut counts =
+            StepCounts { pass_messages: messages.len() as u64, ..StepCounts::default() };
+        // Row `v`, column `c`: the earliest slot, among those swept, in
+        // which a copy held by `v` alone at that slot's start reaches
+        // `columns[c]`.
+        let mut table = vec![NEVER; n * cols];
+        let answer = |table: &[u32], (_, outcome): &mut (usize, &mut MessageOutcome)| {
+            let message = outcome.message;
+            let column = column_of[message.destination.index()] as usize;
+            let slot = table[message.source.index() * cols + column];
+            if slot != NEVER {
+                outcome.delivered_at = Some(timeline.slot_end_time(slot as usize));
+            }
+        };
+        let mut utilities: Vec<f64> = Vec::new();
+        let mut directed = Vec::new();
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        let mut one_way = Vec::new();
+        let mut answered = 0;
+        for &slot in busy.iter().rev() {
+            // relaxed: advisory stop flag; a stale read only costs one more slot.
+            if stopping.load(Ordering::Relaxed) {
+                return counts;
+            }
+            while let Some(message) = messages.get_mut(answered).filter(|(c, _)| *c > slot) {
+                answer(&table, message);
+                answered += 1;
+            }
+            if answered == messages.len() {
+                break;
+            }
+            let edges = timeline.slot_edges(slot);
+            counts.pass_slots += 1;
+            counts.pass_edges += edges.len() as u64;
+            // A holder next to a tracked destination delivers in the slot.
+            for &(a, b) in edges {
+                for (holder, peer) in [(a, b), (b, a)] {
+                    let c = column_of[peer.index()];
+                    if c != NEVER {
+                        table[holder.index() * cols + c as usize] = slot as u32;
+                    }
+                }
+            }
+            let view = timeline.at_slot(slot);
+            let ctx = ForwardingContext {
+                history: &view,
+                oracle: &sim.oracle,
+                now: timeline.slot_end_time(slot),
+            };
+            let active = timeline.active_mask(slot);
+            // A destination-unaware rule ignores the destination; each
+            // call names the deciding node's own, which no contract
+            // forbids.
+            match mode {
+                DecisionMode::Shared { is_static } => {
+                    let utility = |v: NodeId| {
+                        algorithm
+                            .copy_utility(&ctx, v, v)
+                            .unwrap_or_else(|| unreachable!("copy_utility is uniformly Some"))
+                    };
+                    // Only the slot's edge endpoints are read.
+                    if !is_static {
+                        utilities.resize(n, 0.0);
+                        for v in nodes_of(active.iter().copied()) {
+                            utilities[v.index()] = utility(v);
+                        }
+                    } else if utilities.is_empty() {
+                        utilities = (0..n as u32).map(|v| utility(NodeId(v))).collect();
+                    }
+                    utility_closure_min(&mut table, cols, edges, &utilities, &mut directed);
+                }
+                DecisionMode::Direct => direct_closure_min(
+                    &mut table,
+                    cols,
+                    edges,
+                    active,
+                    |from, to| algorithm.should_forward(&ctx, from, to, from),
+                    &mut parent,
+                    &mut one_way,
+                ),
+                DecisionMode::PerDestination { .. } => {
+                    unreachable!("destination-aware groups stay in the lanes")
+                }
+            }
+        }
+        for message in &mut messages[answered..] {
+            answer(&table, message);
+        }
+        counts
+    }
 }
 
 /// One worker's share of a `run_many` batch and its single ascending walk
@@ -1118,33 +1346,27 @@ impl<'a, 'r> Lane<'a, 'r> {
         group.counts.visits += 1;
         group.counts.prechecks += u64::from(full);
         // The precheck says whether the slot's sweep can act; under a
-        // utility order it is exact, and the sweep compares `utilities`. A
-        // shared table also yields the closure a delivery-only fixpoint
-        // reads.
-        let (acts, utilities, table): (bool, &[f64], Option<ReachTable<'_>>) = match mode {
-            _ if !full => (false, &[], None),
+        // utility order it is exact, and the sweep compares `utilities`.
+        let (acts, utilities): (bool, &[f64]) = match mode {
+            _ if !full => (false, &[]),
             // Every edge endpoint is active, so unless some active node
             // lacks a copy nothing can move. (The destination never holds
             // one, so a deliverable slot always has such a node.)
             DecisionMode::Direct => {
-                (masks.active.iter().zip(&*held).any(|(act, h)| act & !h != 0), &[], None)
+                (masks.active.iter().zip(&*held).any(|(act, h)| act & !h != 0), &[])
             }
-            // A holder sits next to the destination, or some holder's
-            // within-slot closure leaves the holder set.
             DecisionMode::Shared { .. } => {
-                group.build_table(slot, edges, n);
-                let acts = masks_intersect(masks.of_node(destination), held)
-                    || closure_escapes(&group.reach, &group.promising, held);
-                (acts, &group.utilities, Some((&group.reach, &group.promising)))
+                let utilities = &group.utilities;
+                (utility_actionable(masks, held, destination, utilities), utilities)
             }
             DecisionMode::PerDestination { .. } => {
                 if !group.gated
                     || masks_intersect(timeline.ever_met_mask(destination), masks.active)
                 {
                     let utilities = group.row(ctx, n, destination);
-                    (utility_actionable(masks, held, destination, utilities), utilities, None)
+                    (utility_actionable(masks, held, destination, utilities), utilities)
                 } else {
-                    (false, &[], None)
+                    (false, &[])
                 }
             }
         };
@@ -1155,11 +1377,7 @@ impl<'a, 'r> Lane<'a, 'r> {
         let (delivered, relay) = if !acts {
             (false, None)
         } else if !paths {
-            let delivered = match table {
-                Some(table) => reach_fixpoint(masks, held, destination, table),
-                None => fixpoint(masks, held, destination, worklist, forward),
-            };
-            (delivered, None)
+            (fixpoint(masks, held, destination, worklist, forward), None)
         } else {
             if *indexed != Some(slot) {
                 build_incidence(edges, n, incidence);
@@ -1414,10 +1632,11 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Every lane is a job of the panic-isolated [`psn_fault::run_jobs`]
-    /// pool (with the `queue.forwarding` failpoint); a panic in any lane
-    /// stops the others at their next slot and is re-raised here, for the
-    /// study layer to isolate; no partly written result is returned.
+    /// Every lane and every backward pass is a job of the panic-isolated
+    /// [`psn_fault::run_jobs`] pool (with the `queue.forwarding`
+    /// failpoint); a panic in any job stops the others at their next slot
+    /// and is re-raised here, for the study layer to isolate; no partly
+    /// written result is returned.
     pub fn run_many(
         &self,
         jobs: &[(&dyn ForwardingAlgorithm, &[Message])],
@@ -1433,7 +1652,10 @@ impl Simulator {
     /// [`Recording::DeliveryOnly`] job's outcomes carry the delivery times
     /// [`Simulator::run_reference`] computes and no path, at a fraction of
     /// the cost: views that read only delivery times (success rate, delay,
-    /// arrival offsets) should mark their jobs so.
+    /// arrival offsets) should mark their jobs so. The delivery-only jobs
+    /// of a destination-unaware algorithm with at least one message per
+    /// node are answered by backward passes instead of the lanes (the
+    /// module's "Routing rule").
     ///
     /// # Panics
     ///
@@ -1447,13 +1669,12 @@ impl Simulator {
 
     /// [`Simulator::run_batch`], plus the step counters of every group (the
     /// distinct algorithm objects, in order of first appearance among the
-    /// jobs) summed over the lanes.
+    /// jobs) summed over the lanes and passes.
     fn run_counted(
         &self,
         jobs: &[(&dyn ForwardingAlgorithm, &[Message], Recording)],
     ) -> (Vec<SimulationResult>, Vec<StepCounts>) {
-        let total: usize = jobs.iter().map(|(_, messages, _)| messages.len()).sum();
-        let lanes = self.threads().clamp(1, total.max(1));
+        let n = self.node_count;
         // Jobs that run the same algorithm object share a group and with
         // it every table; equal wide pointers call the same code on the
         // same data, so sharing is exact.
@@ -1469,36 +1690,89 @@ impl Simulator {
                 )
             })
             .collect();
+        let mut load = vec![0; groups.len()];
+        for (&(_, messages, recording), &group) in jobs.iter().zip(&job_groups) {
+            if recording == Recording::DeliveryOnly {
+                load[group] += messages.len();
+            }
+        }
+        let to_pass: Vec<bool> = groups
+            .iter()
+            .zip(&load)
+            .map(|(&(algorithm, mode), &load)| takes_pass(algorithm, mode, load, n))
+            .collect();
 
         let busy: Vec<usize> = self.timeline.busy_slots().collect();
         let mut results = undelivered(jobs);
-        // The pool's job closure is shared by its workers, so each lane's
-        // chunks wait in a mutex of their own, taken out once.
+        let mut lane_jobs: Vec<Dealt<'_>> = Vec::new();
+        let mut pass_jobs: Vec<Vec<&mut [MessageOutcome]>> =
+            groups.iter().map(|_| Vec::new()).collect();
+        for ((result, &(_, _, recording)), &group) in results.iter_mut().zip(jobs).zip(&job_groups)
+        {
+            let outcomes = result.outcomes.as_mut_slice();
+            if recording == Recording::DeliveryOnly && to_pass[group] {
+                pass_jobs[group].push(outcomes);
+            } else {
+                lane_jobs.push(Dealt { outcomes, group, paths: recording == Recording::HopPaths });
+            }
+        }
+        let lane_total: usize = lane_jobs.iter().map(|job| job.outcomes.len()).sum();
+        let passes: Vec<Pass<'_>> = pass_jobs
+            .into_iter()
+            .enumerate()
+            .flat_map(|(group, jobs)| plan_passes(group, jobs, n))
+            .collect();
+        // A batch with nothing for the passes runs at least one lane, even
+        // an empty one, so the failpoint sees every batch.
+        let lanes = if lane_total == 0 && !passes.is_empty() {
+            0
+        } else {
+            self.threads().clamp(1, lane_total.max(1))
+        };
+        // The pool's job closure is shared by its workers, so each job's
+        // work waits in a mutex of its own, taken out once: the passes
+        // first, then the lanes.
+        let passes: Vec<Mutex<Option<Pass<'_>>>> =
+            passes.into_iter().map(|pass| Mutex::new(Some(pass))).collect();
         let dealt: Vec<Mutex<Vec<Dealt<'_>>>> =
-            deal(&mut results, jobs, &job_groups, lanes).into_iter().map(Mutex::new).collect();
-        let per_lane = psn_fault::run_jobs(
+            deal(lane_jobs, lanes).into_iter().map(Mutex::new).collect();
+        let per_job = psn_fault::run_jobs(
             psn_fault::sites::QUEUE_FORWARDING,
-            lanes,
-            lanes,
+            self.threads(),
+            passes.len() + lanes,
             |_| (),
-            |_, lane, stopping| {
-                let share = std::mem::take(
-                    &mut *dealt[lane].lock().unwrap_or_else(PoisonError::into_inner),
-                );
-                Lane::new(self, share, &groups).run(&busy, stopping)
+            |_, job, stopping| match job.checked_sub(passes.len()) {
+                None => {
+                    let pass = passes[job]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .take()
+                        .unwrap_or_else(|| unreachable!("each pass runs once"));
+                    let group = pass.group;
+                    let (algorithm, mode) = groups[group];
+                    let mut counts = vec![StepCounts::default(); groups.len()];
+                    counts[group] = pass.run(self, algorithm, mode, &busy, stopping);
+                    counts
+                }
+                Some(lane) => {
+                    let share = std::mem::take(
+                        &mut *dealt[lane].lock().unwrap_or_else(PoisonError::into_inner),
+                    );
+                    Lane::new(self, share, &groups).run(&busy, stopping)
+                }
             },
             Result::is_err,
         );
-        drop(dealt);
-        // A failed lane leaves placeholders in the slots it did not
+        drop((passes, dealt));
+        // A failed job leaves placeholders in the slots it did not
         // finish: no result leaves the batch.
-        if let Some(message) = per_lane.iter().find_map(|lane| lane.as_ref().err()) {
+        if let Some(message) = per_job.iter().find_map(|job| job.as_ref().err()) {
             panic!("simulation worker panicked: {message}");
         }
         let mut counts = vec![StepCounts::default(); groups.len()];
-        for lane_counts in per_lane.into_iter().flatten() {
-            for (total, lane) in counts.iter_mut().zip(lane_counts) {
-                *total += lane;
+        for job_counts in per_job.into_iter().flatten() {
+            for (total, job) in counts.iter_mut().zip(job_counts) {
+                *total += job;
             }
         }
         (results, counts)
@@ -1982,56 +2256,113 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reach_closure_matches_fixpoint_on_random_slots() {
-        // `build_reach` folds the strictly-increasing-utility edges in one
-        // descending-utility pass; the naive fixpoint (iterate the
-        // single-step expansion until nothing changes) defines what a row
-        // must contain. Random edge sets with ties exercise both the
-        // multi-hop chains and the strictly-unequal filter.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..20u64 {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xC105);
-            let n = 3 + (seed as usize % 70);
-            let words = n.div_ceil(64);
-            let utilities: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..5u32))).collect();
-            let mut edges = Vec::new();
-            for _ in 0..rng.gen_range(0..3 * n) {
-                let a = rng.gen_range(0..n as u32);
-                let b = rng.gen_range(0..n as u32);
-                if a != b {
-                    edges.push((NodeId(a), NodeId(b)));
-                }
-            }
-            let reach = build_reach(&edges, &utilities, n, words);
-            // Naive fixpoint: start from self, repeatedly add every node
-            // reachable over one strictly-increasing edge.
-            let mut expected = vec![0u64; n * words];
-            for v in 0..n {
-                expected[v * words + v / 64] |= 1u64 << (v % 64);
-            }
-            loop {
-                let mut changed = false;
-                for &(a, b) in &edges {
-                    for (lo, hi) in [(a, b), (b, a)] {
-                        if utilities[hi.index()] > utilities[lo.index()] {
-                            for w in 0..words {
-                                let add = expected[hi.index() * words + w]
-                                    & !expected[lo.index() * words + w];
-                                if add != 0 {
-                                    expected[lo.index() * words + w] |= add;
-                                    changed = true;
-                                }
+    /// Each node's within-slot closure under `forward` by the naive
+    /// fixpoint (start from the node, add every node one forwarding edge
+    /// away until nothing changes), as node bitmask rows.
+    fn naive_closures(
+        n: usize,
+        edges: &[(NodeId, NodeId)],
+        forward: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Vec<u64> {
+        let words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * words];
+        for v in 0..n {
+            reach[v * words + v / 64] |= 1u64 << (v % 64);
+        }
+        loop {
+            let mut changed = false;
+            for &(a, b) in edges {
+                for (from, to) in [(a, b), (b, a)] {
+                    if forward(from, to) {
+                        for w in 0..words {
+                            let add =
+                                reach[to.index() * words + w] & !reach[from.index() * words + w];
+                            if add != 0 {
+                                reach[from.index() * words + w] |= add;
+                                changed = true;
                             }
                         }
                     }
                 }
-                if !changed {
-                    break;
+            }
+            if !changed {
+                return reach;
+            }
+        }
+    }
+
+    #[test]
+    fn reach_closure_matches_fixpoint_on_random_slots() {
+        // Each pass closure routine must leave every row at the minimum of
+        // the rows of the node's naive closure: `utility_closure_min`
+        // under a utility order with ties (multi-hop chains and the
+        // strictly-unequal filter), and `direct_closure_min` under a
+        // random direct rule mixing mutual, one-way and dead edges, so
+        // components, one-way chains and cycles through both occur.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC105);
+            let n = 3 + (seed as usize % 70);
+            let words = n.div_ceil(64);
+            let cols = 1 + rng.gen_range(0..5usize);
+            let utilities: Vec<f64> = (0..n).map(|_| f64::from(rng.gen_range(0..5u32))).collect();
+            let mut edges = std::collections::BTreeSet::new();
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let a = rng.gen_range(0..n as u32);
+                let b = rng.gen_range(0..n as u32);
+                if a != b {
+                    edges.insert((NodeId(a.min(b)), NodeId(a.max(b))));
                 }
             }
-            assert_eq!(&reach[..], &expected[..], "seed {seed}, n {n}");
+            let edges: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
+            let mut active = vec![0u64; words];
+            for &(a, b) in &edges {
+                set_bit(&mut active, a);
+                set_bit(&mut active, b);
+            }
+            let allowed: std::collections::BTreeSet<(NodeId, NodeId)> = edges
+                .iter()
+                .flat_map(|&(a, b)| [(a, b), (b, a)])
+                .filter(|_| rng.gen_bool(0.6))
+                .collect();
+            let before: Vec<u32> = (0..n * cols)
+                .map(|_| if rng.gen_bool(0.3) { NEVER } else { rng.gen_range(0..50) })
+                .collect();
+            let uphill = |from: NodeId, to: NodeId| utilities[to.index()] > utilities[from.index()];
+            let direct = |from: NodeId, to: NodeId| allowed.contains(&(from, to));
+
+            let mut by_utility = before.clone();
+            utility_closure_min(&mut by_utility, cols, &edges, &utilities, &mut Vec::new());
+            let mut by_rule = before.clone();
+            let mut parent: Vec<u32> = (0..n as u32).collect();
+            direct_closure_min(
+                &mut by_rule,
+                cols,
+                &edges,
+                &active,
+                direct,
+                &mut parent,
+                &mut Vec::new(),
+            );
+            assert!(parent.iter().enumerate().all(|(v, &p)| p as usize == v), "seed {seed}");
+            for (table, closures, name) in [
+                (&by_utility, naive_closures(n, &edges, uphill), "utility"),
+                (&by_rule, naive_closures(n, &edges, direct), "direct"),
+            ] {
+                for v in 0..n {
+                    for c in 0..cols {
+                        let least = nodes_of(closures[v * words..][..words].iter().copied())
+                            .map(|w| before[w.index() * cols + c])
+                            .min();
+                        assert_eq!(
+                            Some(table[v * cols + c]),
+                            least,
+                            "{name}: seed {seed}, node {v}, column {c}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -2622,7 +2953,11 @@ mod tests {
     #[test]
     fn delivery_only_jobs_run_no_ordered_sweep() {
         // A guard on the counters: delivery-only jobs never sweep and so
-        // record no move, while the same jobs recording paths do both.
+        // record no move, while the same jobs recording paths do both. The
+        // 320 delivery-only messages outnumber the 40 nodes, so the
+        // destination-unaware groups are answered by the backward pass and
+        // the lanes never visit them; the others walk the lanes exactly as
+        // the path-recording jobs do.
         let trace = conference_trace(32, 8, 3600.0, 7);
         let messages = random_messages(7, 40, 320, trace.window());
         let algorithms = standard_algorithms();
@@ -2641,9 +2976,20 @@ mod tests {
         {
             assert_eq!((fast.sweeps, fast.moves), (0, 0), "{kind}");
             assert!(full.sweeps > 0 && full.moves > 0, "{kind}: {full:?}");
-            // The fixpoint leaves the holder set the sweep leaves, so the
-            // walk and its prechecks do not move.
-            assert_eq!((fast.visits, fast.prechecks), (full.visits, full.prechecks), "{kind}");
+            assert_eq!(full.pass_messages, 0, "{kind}: path-recording jobs never take the pass");
+            if matches!(
+                kind,
+                AlgorithmKind::Epidemic | AlgorithmKind::GreedyTotal | AlgorithmKind::GreedyOnline
+            ) {
+                assert_eq!((fast.visits, fast.prechecks), (0, 0), "{kind}");
+                assert_eq!(fast.pass_messages, messages.len() as u64, "{kind}");
+                assert!(fast.pass_slots > 0 && fast.pass_edges > 0, "{kind}: {fast:?}");
+            } else {
+                // The fixpoint leaves the holder set the sweep leaves, so
+                // the walk and its prechecks do not move.
+                assert_eq!((fast.visits, fast.prechecks), (full.visits, full.prechecks), "{kind}");
+                assert_eq!(fast.pass_messages, 0, "{kind}");
+            }
         }
     }
 
@@ -2910,13 +3256,22 @@ mod tests {
                 .collect();
             let groups: Vec<(&dyn ForwardingAlgorithm, DecisionMode)> =
                 jobs.iter().map(|&(a, _, _)| (a, sim.decision_mode(a))).collect();
-            let job_groups: Vec<usize> = (0..jobs.len()).collect();
             let total: usize = jobs.iter().map(|(_, m, _)| m.len()).sum();
             for lanes in [1usize, 2, 3] {
                 let mut results = undelivered(&jobs);
                 let starts: Vec<*const MessageOutcome> =
                     results.iter().map(|r| r.outcomes.as_ptr()).collect();
-                let dealt = deal(&mut results, &jobs, &job_groups, lanes);
+                let lane_jobs = results
+                    .iter_mut()
+                    .zip(&jobs)
+                    .enumerate()
+                    .map(|(job, (result, &(_, _, recording)))| Dealt {
+                        outcomes: result.outcomes.as_mut_slice(),
+                        group: job,
+                        paths: recording == Recording::HopPaths,
+                    })
+                    .collect();
+                let dealt = deal(lane_jobs, lanes);
                 assert_eq!(dealt.len(), lanes);
                 // Round-robin in job-major order: chunk i went to lane
                 // i % lanes, each at most `chunk_len` slots, and together
@@ -2954,6 +3309,257 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The three destination-unaware algorithms of the paper.
+    fn unaware_algorithms() -> Vec<(AlgorithmKind, Box<dyn ForwardingAlgorithm>)> {
+        standard_algorithms()
+            .into_iter()
+            .filter(|(_, algorithm)| !algorithm.destination_aware())
+            .collect()
+    }
+
+    /// A destination-unaware direct rule with one-way edges and cycles:
+    /// whether a copy moves depends on both ends and on the history, and
+    /// the two directions of an edge often disagree.
+    struct Lopsided;
+
+    impl ForwardingAlgorithm for Lopsided {
+        fn name(&self) -> &str {
+            "Lopsided"
+        }
+        fn destination_aware(&self) -> bool {
+            false
+        }
+        fn should_forward(
+            &self,
+            ctx: &ForwardingContext<'_>,
+            holder: NodeId,
+            peer: NodeId,
+            _destination: NodeId,
+        ) -> bool {
+            (u64::from(7 * peer.0 + 3 * holder.0) + ctx.history.total_contacts(peer)) % 5 < 2
+        }
+    }
+
+    /// Runs every algorithm in `algorithms` as one delivery-only job over
+    /// `messages` on each lane count, checks that each group took the
+    /// backward pass, and that its delivery times equal `run_reference`'s.
+    fn assert_pass_matches_reference(
+        trace: &ContactTrace,
+        messages: &[Message],
+        algorithms: &[&dyn ForwardingAlgorithm],
+        lanes: &[usize],
+    ) {
+        assert!(messages.len() >= trace.node_count(), "the pass needs a message per node");
+        let (reference_sim, graph) = with_graph(trace);
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> =
+            algorithms.iter().map(|&a| (a, messages, Recording::DeliveryOnly)).collect();
+        for &threads in lanes {
+            let sim = Simulator::new(trace, SimulatorConfig { delta: 10.0, threads });
+            let (results, counts) = sim.run_counted(&jobs);
+            for ((&algorithm, result), counts) in algorithms.iter().zip(&results).zip(&counts) {
+                let name = algorithm.name();
+                assert_eq!(counts.pass_messages, messages.len() as u64, "{name} took the lanes");
+                assert_eq!(counts.visits, 0, "{name}");
+                let reference = reference_sim.run_reference(&graph, algorithm, messages);
+                let expected: Vec<MessageOutcome> = reference
+                    .outcomes
+                    .iter()
+                    .map(|o| MessageOutcome { path: None, ..o.clone() })
+                    .collect();
+                assert_eq!(result.outcomes, expected, "{name} on {threads} lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn backward_pass_matches_reference_on_random_traces_beyond_64_nodes() {
+        for (seed, nodes, contacts, window) in [
+            (101u64, 70usize, 300usize, TimeWindow::new(0.0, 900.0)),
+            (102, 130, 600, TimeWindow::new(5400.0, 6200.0)),
+            (103, 20, 140, TimeWindow::new(3600.0, 4400.0)),
+        ] {
+            let trace = random_trace(seed, nodes, contacts, window);
+            let messages = random_messages(seed, nodes, nodes + 30, window);
+            let unaware = unaware_algorithms();
+            let mut algorithms: Vec<&dyn ForwardingAlgorithm> =
+                unaware.iter().map(|(_, a)| a.as_ref()).collect();
+            algorithms.push(&Lopsided);
+            assert_pass_matches_reference(&trace, &messages, &algorithms, &[1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn backward_pass_matches_reference_on_idle_sources_late_and_self_addressed_messages() {
+        // Contacts only among the first 60 of 72 nodes and only in the
+        // first 500 s of an 800 s window starting at 7200 s: the last 12
+        // nodes are never active, and messages created after 7700 s come
+        // after the last busy slot. Every node also sends itself one.
+        let busy = TimeWindow::new(7200.0, 7700.0);
+        let contacts = random_trace(111, 60, 320, busy)
+            .contacts()
+            .iter()
+            .map(|c| (c.a.0, c.b.0, c.start, c.end))
+            .collect();
+        let window = TimeWindow::new(7200.0, 8000.0);
+        let trace = trace_in_window(contacts, 72, window);
+        let mut messages = random_messages(111, 72, 40, window);
+        messages.extend(random_messages(112, 72, 20, TimeWindow::new(7750.0, 8000.0)));
+        // `Message::new` refuses these, but the engines must agree on them.
+        messages.extend((0..72).map(|v| Message {
+            source: nid(v),
+            destination: nid(v),
+            created_at: 7200.0 + 5.0 * f64::from(v),
+        }));
+        messages.extend((60..72).map(|v| Message::new(nid(v), nid(v % 7), 7210.0)));
+        messages.extend((0..12).map(|v| Message::new(nid(v), nid(60 + v), 7220.0)));
+        let (reference_sim, graph) = with_graph(&trace);
+        let epidemic = reference_sim.run_reference(&graph, &Epidemic, &messages);
+        let delivered = epidemic.outcomes.iter().filter(|o| o.delivered()).count();
+        let own = epidemic
+            .outcomes
+            .iter()
+            .filter(|o| o.delivered() && o.message.source == o.message.destination);
+        assert!(delivered > 40 && own.count() > 10, "{delivered} deliveries");
+        let unaware = unaware_algorithms();
+        let mut algorithms: Vec<&dyn ForwardingAlgorithm> =
+            unaware.iter().map(|(_, a)| a.as_ref()).collect();
+        algorithms.push(&Lopsided);
+        assert_pass_matches_reference(&trace, &messages, &algorithms, &[1, 2, 3]);
+    }
+
+    #[test]
+    fn mixed_batches_match_reference_on_both_sides_of_the_routing_rule() {
+        // One algorithm object serves a path-recording job and two
+        // delivery-only jobs. With 70 delivery-only messages on 40 nodes
+        // the destination-unaware groups take the pass; with 30 they stay
+        // in the lanes. Either way every job equals its reference run, at
+        // one, two and three lanes.
+        let window = TimeWindow::new(1800.0, 2600.0);
+        let trace = random_trace(121, 40, 260, window);
+        let paths = random_messages(121, 40, 25, window);
+        let (reference_sim, graph) = with_graph(&trace);
+        let algorithms = standard_algorithms();
+        for (delivery_only, expect_pass) in [(70usize, true), (30, false)] {
+            let first = random_messages(122, 40, delivery_only - 10, window);
+            let second = random_messages(123, 40, 10, window);
+            let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
+                .iter()
+                .flat_map(|(_, a)| {
+                    let a: &dyn ForwardingAlgorithm = a.as_ref();
+                    [
+                        (a, first.as_slice(), Recording::DeliveryOnly),
+                        (a, paths.as_slice(), Recording::HopPaths),
+                        (a, second.as_slice(), Recording::DeliveryOnly),
+                    ]
+                })
+                .collect();
+            for lanes in [1usize, 2, 3] {
+                let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: lanes });
+                let (results, counts) = sim.run_counted(&jobs);
+                for ((kind, algorithm), counts) in algorithms.iter().zip(&counts) {
+                    let pass = expect_pass && !algorithm.destination_aware();
+                    let expected = if pass { delivery_only as u64 } else { 0 };
+                    assert_eq!(counts.pass_messages, expected, "{kind} on {lanes} lanes");
+                }
+                for (j, (result, &(algorithm, messages, recording))) in
+                    results.iter().zip(&jobs).enumerate()
+                {
+                    let mut expected = reference_sim.run_reference(&graph, algorithm, messages);
+                    if recording == Recording::DeliveryOnly {
+                        expected.outcomes.iter_mut().for_each(|o| o.path = None);
+                    }
+                    assert_eq!(result.outcomes, expected.outcomes, "job {j} on {lanes} lanes");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn routing_sends_paper_like_batches_to_the_pass_and_small_ones_to_the_lanes() {
+        // A paper-like batch: six algorithms × three runs of 150
+        // delivery-only messages on a 98-node conference. The three
+        // destination-unaware groups are answered by the pass, the others
+        // by the lanes.
+        let trace = conference_trace(78, 20, 1800.0, 131);
+        let runs: Vec<Vec<Message>> =
+            (0..3u64).map(|run| random_messages(131 + run, 98, 150, trace.window())).collect();
+        let algorithms = standard_algorithms();
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
+            .iter()
+            .flat_map(|(_, a)| {
+                runs.iter().map(move |m| (a.as_ref() as _, m.as_slice(), Recording::DeliveryOnly))
+            })
+            .collect();
+        let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 2 });
+        let (_, counts) = sim.run_counted(&jobs);
+        for ((kind, algorithm), counts) in algorithms.iter().zip(&counts) {
+            if algorithm.destination_aware() {
+                assert_eq!(counts.pass_messages, 0, "{kind}");
+                assert!(counts.visits > 0, "{kind}");
+            } else {
+                assert_eq!((counts.pass_messages, counts.visits), (450, 0), "{kind}");
+                assert!(counts.pass_slots > 0 && counts.pass_edges > 0, "{kind}: {counts:?}");
+            }
+        }
+        // An 11-message batch per algorithm on 1 000 nodes, as the
+        // streaming workload runs: every group stays in the lanes.
+        let trace = psn_trace::ScenarioConfig::from_toml_str(
+            "kind = \"scaled\"\nname = \"scaled-1k\"\nnodes = 1000\nwindow_seconds = 600.0\n\
+             max_node_rate = 0.045\nmin_node_rate = 0.0006\nmean_contact_duration = 120.0\n\
+             seed = 1001\n",
+        )
+        .unwrap()
+        .generate();
+        let messages = random_messages(132, 1000, 11, trace.window());
+        let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
+            .iter()
+            .map(|(_, a)| (a.as_ref(), messages.as_slice(), Recording::DeliveryOnly))
+            .collect();
+        let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1 });
+        let (_, counts) = sim.run_counted(&jobs);
+        for ((kind, _), counts) in algorithms.iter().zip(&counts) {
+            assert_eq!((counts.pass_messages, counts.pass_slots), (0, 0), "{kind}");
+        }
+    }
+
+    #[test]
+    fn pass_blocks_bound_the_table_and_cover_every_destination_once() {
+        // 64 columns at the node bound (4 MiB of table), one block of
+        // every destination on paper-scale traces.
+        assert_eq!(pass_columns(16_384), 64);
+        assert_eq!(pass_columns(16_384) * 16_384 * 4, PASS_TABLE_BYTES);
+        assert_eq!(pass_columns(1_000_000), 64);
+        assert!(pass_columns(98) >= 98);
+        // 20 000 nodes: 64-column blocks, so 150 destinations make three.
+        let n = 20_000;
+        let messages: Vec<Message> = (0..600u32)
+            .map(|i| Message {
+                source: nid(i),
+                destination: nid((i * 7919) % 150 * 13),
+                created_at: f64::from(i),
+            })
+            .collect();
+        let mut outcomes: Vec<MessageOutcome> = messages
+            .iter()
+            .map(|&message| MessageOutcome { message, delivered_at: None, path: None })
+            .collect();
+        let (low, high) = outcomes.split_at_mut(250);
+        let passes = plan_passes(4, vec![low, high], n);
+        assert_eq!(passes.iter().map(|p| p.columns.len()).collect::<Vec<_>>(), [64, 64, 22]);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut answered = 0;
+        for pass in &passes {
+            assert_eq!(pass.group, 4);
+            assert!(pass.columns.windows(2).all(|w| w[0] < w[1]));
+            assert!(pass.columns.iter().all(|&d| seen.insert(d)), "a destination in two blocks");
+            for outcome in &pass.outcomes {
+                assert!(pass.columns.contains(&outcome.message.destination));
+            }
+            answered += pass.outcomes.len();
+        }
+        assert_eq!((answered, seen.len()), (600, 150));
     }
 
     #[test]

@@ -136,12 +136,13 @@ impl EnumerationConfig {
         Self::default()
     }
 
-    /// A reduced configuration for tests and quick experiments.
+    /// A reduced configuration for tests and quick experiments. The caps
+    /// derived from `k` saturate instead of wrapping.
     pub fn quick(k: usize) -> Self {
         Self {
             k,
-            max_delivered_paths: Some(50 * k),
-            stored_path_limit: 4 * k,
+            max_delivered_paths: Some(k.saturating_mul(50)),
+            stored_path_limit: k.saturating_mul(4),
             enforce_first_preference: true,
         }
     }
