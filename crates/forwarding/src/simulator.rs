@@ -129,15 +129,18 @@
 //! 4 MiB — at 16 384 nodes), each block one pool job.
 //!
 //! **Routing rule.** A group's delivery-only messages take the passes iff
-//! its rule ignores the destination and it has at least as many of them
-//! as the trace has nodes (`takes_pass`). It reads only what the batch
-//! shows: the algorithm's decision mode and the message and node counts. A
-//! pass costs one sweep of the busy slots per block whatever the message
-//! count, and a lane costs per message served, so the pass wins on the
-//! paper workload (18 000 delivery-only messages per algorithm on 98
-//! nodes) and a few messages on a large trace (11 per algorithm on 1 000
-//! nodes) stay in the lanes. Path-recording jobs and destination-aware
-//! groups always stay in the lanes: a pass yields delivery times only.
+//! its rule ignores the destination and its delivery-only message count
+//! times the trace's node count reaches 2^17 (`takes_pass`). It reads only
+//! what the batch shows: the algorithm's decision mode and the message and
+//! node counts. A pass costs one sweep of the busy slots per block whatever
+//! the message count, and a lane costs per message served, more on larger
+//! traces; the threshold is fitted to where the pass overtook the lanes on
+//! five traces of 98 to 1 000 nodes (`PASS_MIN_NODE_MESSAGES`). So the
+//! paper workload (about 18 000 delivery-only messages per algorithm on 98
+//! nodes) takes the pass and a few messages on a large trace (11 per
+//! algorithm on 1 000 nodes) stay in the lanes. Path-recording jobs and
+//! destination-aware groups always stay in the lanes: a pass yields
+//! delivery times only.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -866,29 +869,48 @@ fn pass_columns(n: usize) -> usize {
     (PASS_TABLE_BYTES / (n.max(1) * std::mem::size_of::<u32>())).max(64)
 }
 
+/// The routing rule's threshold on a group's delivery-only messages times
+/// the trace's node count (see [`takes_pass`]).
+///
+/// Fitted to single-threaded runs of the forwarding study (views that read
+/// delivery times only) with every destination-unaware group forced onto
+/// one engine and then the other, on five traces. The pass overtook the
+/// lanes at about 5 000 messages per group on the 98-node conference
+/// (Infocom-like) trace, 1 700 on the 100-node community trace, under
+/// 1 743 on the 98-node homogeneous trace, 430 on a 300-node and 150–200
+/// on the 1 000-node scaled trace: products of messages and nodes of at
+/// most about 200 000 on four traces (128 000 on the 300-node one) and
+/// 490 000 on the fifth. Below
+/// the threshold the lanes' cost per message stays under the pass's fixed
+/// sweep; above it the lanes fall behind without bound (2.9 times the
+/// pass's time at 4 854 messages on 1 000 nodes), so where the traces
+/// disagree the threshold leans to the pass.
+const PASS_MIN_NODE_MESSAGES: usize = 1 << 17;
+
 /// The routing rule: a group's delivery-only messages take the backward
 /// [`Pass`] instead of the lanes iff its forwarding rule ignores the
 /// destination — a destination-unaware utility ([`DecisionMode::Shared`])
 /// or a direct rule that is not [`ForwardingAlgorithm::destination_aware`]
-/// — and it has at least as many delivery-only messages as the trace has
-/// nodes. A pass costs a fixed sweep of the busy slots per block of
-/// destinations, whatever the message count; a lane pays per message
-/// served. So the pass wins once the messages outnumber the nodes (the
-/// paper workload: 18 000 per group on 98 nodes), and a handful of
-/// messages on a large trace (11 per group on 1 000 nodes) stays in the
-/// lanes.
+/// — and its `load` of delivery-only messages times the node count `n`
+/// reaches `threshold` ([`PASS_MIN_NODE_MESSAGES`] outside tests). A pass
+/// costs a fixed sweep of the busy slots per block of destinations,
+/// whatever the message count; a lane pays per message served, more per
+/// message the more nodes there are. So the paper workload (about 18 000
+/// messages per group over ten runs, on 98 nodes) takes the pass, and 11
+/// messages per group on 1 000 nodes stay in the lanes.
 fn takes_pass(
     algorithm: &dyn ForwardingAlgorithm,
     mode: DecisionMode,
     load: usize,
     n: usize,
+    threshold: usize,
 ) -> bool {
     let unaware = match mode {
         DecisionMode::Shared { .. } => true,
         DecisionMode::Direct => !algorithm.destination_aware(),
         DecisionMode::PerDestination { .. } => false,
     };
-    unaware && load >= n.max(1)
+    unaware && load > 0 && load.saturating_mul(n) >= threshold
 }
 
 /// One backward delivery-time pass: the delivery-only messages of a
@@ -954,6 +976,12 @@ fn min_into(table: &mut [u32], cols: usize, into: NodeId, from: NodeId) -> bool 
 /// topological order — so when row `lo` takes row `hi`'s minimum, every
 /// edge out of `hi` (whose sending utility `u(hi)` is higher) has already
 /// run and row `hi` is final. `directed` is scratch.
+///
+/// [`direct_closure_min`] with `forward = u(to) > u(from)` reaches the same
+/// minima by relaxing every edge until nothing falls, round after round.
+/// Run that way instead, the forwarding-paper benchmark's `study_s` rose
+/// from 0.139 to 0.180 s (medians of 8 single-threaded runs, higher in
+/// every run).
 fn utility_closure_min(
     table: &mut [u32],
     cols: usize,
@@ -1497,6 +1525,9 @@ pub struct Simulator {
     oracle: TraceOracle,
     timeline: std::sync::Arc<HistoryTimeline>,
     config: SimulatorConfig,
+    /// [`PASS_MIN_NODE_MESSAGES`]; tests set 0 or `usize::MAX` to send every
+    /// destination-unaware group's delivery-only jobs to one engine.
+    pass_threshold: usize,
 }
 
 impl Simulator {
@@ -1586,7 +1617,14 @@ impl Simulator {
             "timeline was slotted over another window or at another Δ than {}",
             config.delta
         );
-        Self { node_count, window, oracle, timeline, config }
+        Self {
+            node_count,
+            window,
+            oracle,
+            timeline,
+            config,
+            pass_threshold: PASS_MIN_NODE_MESSAGES,
+        }
     }
 
     /// Builds a simulator with the default Δ = 10 s.
@@ -1653,9 +1691,9 @@ impl Simulator {
     /// [`Simulator::run_reference`] computes and no path, at a fraction of
     /// the cost: views that read only delivery times (success rate, delay,
     /// arrival offsets) should mark their jobs so. The delivery-only jobs
-    /// of a destination-unaware algorithm with at least one message per
-    /// node are answered by backward passes instead of the lanes (the
-    /// module's "Routing rule").
+    /// of a destination-unaware algorithm with enough messages for the
+    /// trace's size are answered by backward passes instead of the lanes
+    /// (the module's "Routing rule").
     ///
     /// # Panics
     ///
@@ -1699,7 +1737,9 @@ impl Simulator {
         let to_pass: Vec<bool> = groups
             .iter()
             .zip(&load)
-            .map(|(&(algorithm, mode), &load)| takes_pass(algorithm, mode, load, n))
+            .map(|(&(algorithm, mode), &load)| {
+                takes_pass(algorithm, mode, load, n, self.pass_threshold)
+            })
             .collect();
 
         let busy: Vec<usize> = self.timeline.busy_slots().collect();
@@ -2748,7 +2788,9 @@ mod tests {
     /// path-recording and a delivery-only job over the same messages (so
     /// the two share the algorithm's group and tables): the path job's
     /// outcomes equal `run_reference`'s, and the delivery-only job's carry
-    /// the same delivery times and no path.
+    /// the same delivery times and no path. Each batch runs twice: with
+    /// every delivery-only job in the lanes, and with the destination-unaware
+    /// groups' delivery-only jobs answered by the backward pass.
     fn assert_batch_matches_reference(trace: &ContactTrace, messages: &[Message], lanes: &[usize]) {
         let algorithms = standard_algorithms();
         let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
@@ -2767,12 +2809,19 @@ mod tests {
             let delivered = reference.outcomes.iter().filter(|o| o.delivered()).count();
             assert!(delivered > messages.len() / 10, "{kind} delivers only {delivered}");
         }
-        for &threads in lanes {
-            let sim = Simulator::new(trace, SimulatorConfig { delta: 10.0, threads });
-            let results = sim.run_batch(&jobs);
-            for ((kind, _), (pair, reference)) in
-                algorithms.iter().zip(results.chunks_exact(2).zip(&references))
+        for (&threads, pass_threshold) in lanes.iter().flat_map(|t| [(t, usize::MAX), (t, 0)]) {
+            let sim = Simulator {
+                pass_threshold,
+                ..Simulator::new(trace, SimulatorConfig { delta: 10.0, threads })
+            };
+            let engine = if pass_threshold == 0 { "pass" } else { "lanes" };
+            let (results, counts) = sim.run_counted(&jobs);
+            for ((kind, algorithm), ((pair, reference), counts)) in
+                algorithms.iter().zip(results.chunks_exact(2).zip(&references).zip(&counts))
             {
+                let passed = pass_threshold == 0 && !algorithm.destination_aware();
+                let expected = if passed { messages.len() as u64 } else { 0 };
+                assert_eq!(counts.pass_messages, expected, "{kind} on {threads} lanes ({engine})");
                 let (with_paths, delivery_only) = (&pair[0].outcomes, &pair[1].outcomes);
                 assert_eq!(delivery_only.len(), reference.outcomes.len(), "{kind}");
                 for (i, (r, (p, d))) in
@@ -2782,7 +2831,7 @@ mod tests {
                     assert_eq!(
                         (d.message, d.delivered_at),
                         (r.message, r.delivered_at),
-                        "{kind} on {threads} lanes: delivery-only outcome {i}"
+                        "{kind} on {threads} lanes ({engine}): delivery-only outcome {i}"
                     );
                     assert!(d.path.is_none(), "{kind}: delivery-only outcome {i} has a path");
                 }
@@ -2953,42 +3002,45 @@ mod tests {
     #[test]
     fn delivery_only_jobs_run_no_ordered_sweep() {
         // A guard on the counters: delivery-only jobs never sweep and so
-        // record no move, while the same jobs recording paths do both. The
-        // 320 delivery-only messages outnumber the 40 nodes, so the
+        // record no move, while the same jobs recording paths do both. 320
+        // delivery-only messages on 40 nodes fall below the routing rule's
+        // threshold, so every group walks the lanes exactly as the
+        // path-recording jobs do. With the threshold at zero the
         // destination-unaware groups are answered by the backward pass and
-        // the lanes never visit them; the others walk the lanes exactly as
-        // the path-recording jobs do.
+        // the lanes never visit them.
         let trace = conference_trace(32, 8, 3600.0, 7);
         let messages = random_messages(7, 40, 320, trace.window());
         let algorithms = standard_algorithms();
         let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: 1 });
-        let counts_of = |recording| {
+        let counts_of = |sim: &Simulator, recording| {
             let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
                 .iter()
                 .map(|(_, a)| (a.as_ref(), messages.as_slice(), recording))
                 .collect();
             sim.run_counted(&jobs).1
         };
-        let delivery_only = counts_of(Recording::DeliveryOnly);
-        let with_paths = counts_of(Recording::HopPaths);
-        for ((kind, _), (fast, full)) in
-            algorithms.iter().zip(delivery_only.iter().zip(&with_paths))
+        let delivery_only = counts_of(&sim, Recording::DeliveryOnly);
+        let with_paths = counts_of(&sim, Recording::HopPaths);
+        let passed = counts_of(&Simulator { pass_threshold: 0, ..sim }, Recording::DeliveryOnly);
+        for ((kind, _), ((fast, full), passed)) in
+            algorithms.iter().zip(delivery_only.iter().zip(&with_paths).zip(&passed))
         {
             assert_eq!((fast.sweeps, fast.moves), (0, 0), "{kind}");
             assert!(full.sweeps > 0 && full.moves > 0, "{kind}: {full:?}");
-            assert_eq!(full.pass_messages, 0, "{kind}: path-recording jobs never take the pass");
+            assert_eq!((fast.pass_messages, full.pass_messages), (0, 0), "{kind}");
+            // The fixpoint leaves the holder set the sweep leaves, so the
+            // walk and its prechecks do not move.
+            assert_eq!((fast.visits, fast.prechecks), (full.visits, full.prechecks), "{kind}");
+            assert_eq!((passed.sweeps, passed.moves), (0, 0), "{kind}");
             if matches!(
                 kind,
                 AlgorithmKind::Epidemic | AlgorithmKind::GreedyTotal | AlgorithmKind::GreedyOnline
             ) {
-                assert_eq!((fast.visits, fast.prechecks), (0, 0), "{kind}");
-                assert_eq!(fast.pass_messages, messages.len() as u64, "{kind}");
-                assert!(fast.pass_slots > 0 && fast.pass_edges > 0, "{kind}: {fast:?}");
+                assert_eq!((passed.visits, passed.prechecks), (0, 0), "{kind}");
+                assert_eq!(passed.pass_messages, messages.len() as u64, "{kind}");
+                assert!(passed.pass_slots > 0 && passed.pass_edges > 0, "{kind}: {passed:?}");
             } else {
-                // The fixpoint leaves the holder set the sweep leaves, so
-                // the walk and its prechecks do not move.
-                assert_eq!((fast.visits, fast.prechecks), (full.visits, full.prechecks), "{kind}");
-                assert_eq!(fast.pass_messages, 0, "{kind}");
+                assert_eq!((passed.visits, passed.pass_messages), (fast.visits, 0), "{kind}");
             }
         }
     }
@@ -3343,20 +3395,23 @@ mod tests {
     }
 
     /// Runs every algorithm in `algorithms` as one delivery-only job over
-    /// `messages` on each lane count, checks that each group took the
-    /// backward pass, and that its delivery times equal `run_reference`'s.
+    /// `messages` on each lane count, with the routing threshold at zero,
+    /// checks that each group took the backward pass, and that its delivery
+    /// times equal `run_reference`'s.
     fn assert_pass_matches_reference(
         trace: &ContactTrace,
         messages: &[Message],
         algorithms: &[&dyn ForwardingAlgorithm],
         lanes: &[usize],
     ) {
-        assert!(messages.len() >= trace.node_count(), "the pass needs a message per node");
         let (reference_sim, graph) = with_graph(trace);
         let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> =
             algorithms.iter().map(|&a| (a, messages, Recording::DeliveryOnly)).collect();
         for &threads in lanes {
-            let sim = Simulator::new(trace, SimulatorConfig { delta: 10.0, threads });
+            let sim = Simulator {
+                pass_threshold: 0,
+                ..Simulator::new(trace, SimulatorConfig { delta: 10.0, threads })
+            };
             let (results, counts) = sim.run_counted(&jobs);
             for ((&algorithm, result), counts) in algorithms.iter().zip(&results).zip(&counts) {
                 let name = algorithm.name();
@@ -3432,10 +3487,11 @@ mod tests {
     #[test]
     fn mixed_batches_match_reference_on_both_sides_of_the_routing_rule() {
         // One algorithm object serves a path-recording job and two
-        // delivery-only jobs. With 70 delivery-only messages on 40 nodes
-        // the destination-unaware groups take the pass; with 30 they stay
-        // in the lanes. Either way every job equals its reference run, at
-        // one, two and three lanes.
+        // delivery-only jobs. With the routing threshold at 65 messages
+        // per node of the 40, the destination-unaware groups take the pass
+        // with 60 + 10 delivery-only messages, which neither job reaches
+        // alone, and stay in the lanes with 20 + 10. Either way every job
+        // equals its reference run, at one, two and three lanes.
         let window = TimeWindow::new(1800.0, 2600.0);
         let trace = random_trace(121, 40, 260, window);
         let paths = random_messages(121, 40, 25, window);
@@ -3456,7 +3512,10 @@ mod tests {
                 })
                 .collect();
             for lanes in [1usize, 2, 3] {
-                let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: lanes });
+                let sim = Simulator {
+                    pass_threshold: 40 * 65,
+                    ..Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads: lanes })
+                };
                 let (results, counts) = sim.run_counted(&jobs);
                 for ((kind, algorithm), counts) in algorithms.iter().zip(&counts) {
                     let pass = expect_pass && !algorithm.destination_aware();
@@ -3478,13 +3537,21 @@ mod tests {
 
     #[test]
     fn routing_sends_paper_like_batches_to_the_pass_and_small_ones_to_the_lanes() {
-        // A paper-like batch: six algorithms × three runs of 150
-        // delivery-only messages on a 98-node conference. The three
+        // The threshold falls between two loads of one group.
+        let epidemic: &dyn ForwardingAlgorithm = &Epidemic;
+        let direct = DecisionMode::Direct;
+        assert!(takes_pass(epidemic, direct, 1338, 98, PASS_MIN_NODE_MESSAGES));
+        assert!(!takes_pass(epidemic, direct, 1337, 98, PASS_MIN_NODE_MESSAGES));
+        assert!(!takes_pass(epidemic, direct, 0, 98, 0));
+        assert!(takes_pass(epidemic, direct, usize::MAX, usize::MAX, PASS_MIN_NODE_MESSAGES));
+        // A paper-like batch: six algorithms × three runs of 600
+        // delivery-only messages on a 98-node conference, as many per
+        // algorithm as one run of the paper's workload. The three
         // destination-unaware groups are answered by the pass, the others
         // by the lanes.
         let trace = conference_trace(78, 20, 1800.0, 131);
         let runs: Vec<Vec<Message>> =
-            (0..3u64).map(|run| random_messages(131 + run, 98, 150, trace.window())).collect();
+            (0..3u64).map(|run| random_messages(131 + run, 98, 600, trace.window())).collect();
         let algorithms = standard_algorithms();
         let jobs: Vec<(&dyn ForwardingAlgorithm, &[Message], Recording)> = algorithms
             .iter()
@@ -3499,7 +3566,7 @@ mod tests {
                 assert_eq!(counts.pass_messages, 0, "{kind}");
                 assert!(counts.visits > 0, "{kind}");
             } else {
-                assert_eq!((counts.pass_messages, counts.visits), (450, 0), "{kind}");
+                assert_eq!((counts.pass_messages, counts.visits), (1800, 0), "{kind}");
                 assert!(counts.pass_slots > 0 && counts.pass_edges > 0, "{kind}: {counts:?}");
             }
         }

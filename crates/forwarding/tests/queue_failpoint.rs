@@ -90,11 +90,12 @@ fn a_failed_last_lane_fails_a_mixed_batch_at_every_lane_count() {
     }
 }
 
-/// Eight delivery-only messages on the four-node chain: twice the node
-/// count, so a destination-unaware group takes the backward pass.
+/// 32 768 delivery-only messages on the four-node chain: messages times
+/// nodes reach the routing rule's 2^17, so a destination-unaware group
+/// takes the backward pass.
 fn pass_messages() -> Vec<Message> {
-    (0..8u32)
-        .map(|i| Message::new(NodeId(i % 4), NodeId((i + 1 + i / 4) % 4), f64::from(i)))
+    (0..1u32 << 15)
+        .map(|i| Message::new(NodeId(i % 4), NodeId((i + 1 + i % 8 / 4) % 4), f64::from(i % 8)))
         .collect()
 }
 
@@ -102,14 +103,15 @@ fn pass_messages() -> Vec<Message> {
 fn a_batch_answered_only_by_the_pass_still_fires_the_failpoint() {
     let trace = four_node_chain();
     let messages = pass_messages();
+    let half = messages.len() / 2;
     let jobs: [(&dyn ForwardingAlgorithm, &[Message], Recording); 2] = [
-        (&Epidemic, &messages[..4], Recording::DeliveryOnly),
-        (&Epidemic, &messages[4..], Recording::DeliveryOnly),
+        (&Epidemic, &messages[..half], Recording::DeliveryOnly),
+        (&Epidemic, &messages[half..], Recording::DeliveryOnly),
     ];
     for threads in [1usize, 2] {
         let sim = Simulator::new(&trace, SimulatorConfig { delta: 10.0, threads });
-        // Eight messages to at most four destinations make one pass and
-        // no lane: the first batch runs clean, the second fails.
+        // Messages to at most four destinations make one pass and no
+        // lane: the first batch runs clean, the second fails.
         let _armed = psn_fault::arm_guard("queue.forwarding:panic:2");
         let clean = sim.run_batch(&jobs);
         assert!(clean.iter().any(|r| r.outcomes.iter().any(|o| o.delivered())));
