@@ -8,8 +8,8 @@
 use crate::scan::{item_span, Line, SourceFile};
 use crate::{Finding, LintId, Workspace};
 
-/// Crates whose output bytes can reach a rendered report or the binary
-/// codec — the determinism lint's scope. `bench` (wall-clock output by
+/// Crates whose output bytes can reach a rendered report or the artifact
+/// cache — the determinism lint's scope. `bench` (wall-clock output by
 /// design) and `fault` (stderr diagnostics only) are out of scope, as is
 /// the analyzer itself.
 const DETERMINISM_SCOPE: &[&str] =
@@ -197,7 +197,7 @@ pub fn cache_key(ws: &Workspace, out: &mut Vec<Finding>) {
 
 /// L2 — determinism: no hash-ordered containers, wall-clock reads, or
 /// environment reads in crates whose bytes can reach a report or the
-/// codec. Iteration order over a `HashMap` anywhere on a report path
+/// artifact cache. Iteration order over a `HashMap` anywhere on a report path
 /// breaks the byte-identity contract.
 pub fn determinism(ws: &Workspace, out: &mut Vec<Finding>) {
     for file in &ws.files {
@@ -305,7 +305,7 @@ pub fn failpoint_registry(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 
     // Cross-check call sites.
-    let injectors = ["inject_io(", "inject_io_op(", "inject_decode(", "run_jobs("];
+    let injectors = ["inject_io(", "inject_io_op(", "run_jobs("];
     let mut used: Vec<&str> = Vec::new();
     let mut any_call_site = false;
     for file in &ws.files {

@@ -5,11 +5,16 @@
 //! ```text
 //! DIR/
 //!   FORMAT              "psn-artifact/1" — refuses to open other versions
-//!   traces/<fp>.psnt    binary trace artifacts (see [`crate::codec`])
 //!   results/<fp>.json   per-cell study results (psn-report/1 JSON)
 //!   results/<fp>.meta   canonical identity of the result (collision check)
 //!   corrupt/            quarantined artifacts (never read again)
 //! ```
+//!
+//! Only results are persisted. A trace is a deterministic function of its
+//! scenario config and rebuilds in milliseconds, and only a cell whose
+//! result missed needs one, so traces (like graphs and timelines) live in
+//! the memory tier alone. A `traces/` directory left by an older build of
+//! the same layout is ignored, never read or removed.
 //!
 //! Files are named by fingerprint hex and written atomically (temp file +
 //! rename), so an interrupted sweep leaves either a complete artifact or
@@ -28,14 +33,12 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use psn_trace::{ContactTrace, Fingerprint};
+use psn_trace::Fingerprint;
 
-use crate::codec;
 use crate::error::ArtifactError;
 
 /// The version string stored in `DIR/FORMAT`. Covers the directory layout
-/// and the result-JSON envelope; the binary codec carries its own version
-/// byte per file.
+/// and the result-JSON envelope.
 pub const LAYOUT_VERSION: &str = "psn-artifact/1";
 
 /// IO attempts per operation (1 initial + retries) before giving up.
@@ -54,12 +57,10 @@ impl DiskTier {
     /// written by a different layout version.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, ArtifactError> {
         let root = root.into();
-        for sub in ["traces", "results"] {
-            std::fs::create_dir_all(root.join(sub)).map_err(|e| ArtifactError::Cache {
-                path: root.clone(),
-                message: format!("creating {sub}/: {e}"),
-            })?;
-        }
+        std::fs::create_dir_all(root.join("results")).map_err(|e| ArtifactError::Cache {
+            path: root.clone(),
+            message: format!("creating results/: {e}"),
+        })?;
         let format_path = root.join("FORMAT");
         match std::fs::read_to_string(&format_path) {
             Ok(existing) => {
@@ -101,10 +102,6 @@ impl DiskTier {
     pub fn retry_count(&self) -> u64 {
         // relaxed: monotonic stats counter, read only for reporting; orders no data.
         self.retries.load(Ordering::Relaxed)
-    }
-
-    fn trace_path(&self, fp: Fingerprint) -> PathBuf {
-        self.root.join("traces").join(format!("{}.psnt", fp.to_hex()))
     }
 
     fn result_path(&self, fp: Fingerprint) -> PathBuf {
@@ -177,55 +174,6 @@ impl DiskTier {
         }
     }
 
-    /// Loads a trace artifact. `None` is a miss — absent, unreadable after
-    /// retry, or quarantined. This load never fails the pipeline: any
-    /// decode error (truncation, corruption, version skew, identity
-    /// mismatch) quarantines the file and reports a miss so the caller
-    /// rebuilds it.
-    pub fn load_trace(&self, fp: Fingerprint, identity: &str) -> Option<ContactTrace> {
-        let path = self.trace_path(fp);
-        let bytes = match self.with_retry(|| {
-            let mut bytes = std::fs::read(&path)?;
-            psn_fault::inject_io(psn_fault::sites::DISK_READ_TRACE, &mut bytes)?;
-            Ok(bytes)
-        }) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(e) => {
-                eprintln!("warning: reading trace artifact {}: {e} (rebuilding)", path.display());
-                return None;
-            }
-        };
-        match codec::decode_trace(&bytes, identity) {
-            Ok(trace) => Some(trace),
-            Err(err) => {
-                self.quarantine(&path, &err.to_string());
-                None
-            }
-        }
-    }
-
-    /// Persists a trace artifact (atomic; errors are reported by the
-    /// caller as warnings, not fatal — a cache that cannot write degrades
-    /// to a smaller cache).
-    pub fn store_trace(
-        &self,
-        fp: Fingerprint,
-        identity: &str,
-        trace: &ContactTrace,
-    ) -> Result<(), ArtifactError> {
-        let encoded = codec::encode_trace(trace, identity);
-        let path = self.trace_path(fp);
-        self.with_retry(|| {
-            psn_fault::inject_io_op(psn_fault::sites::DISK_WRITE_TRACE)?;
-            write_atomic(&path, &encoded)
-        })
-        .map_err(|e| ArtifactError::Io {
-            context: format!("writing trace artifact {}", fp.to_hex()),
-            source: e,
-        })
-    }
-
     /// True if a complete result artifact exists for this fingerprint
     /// (used by `sweep --resume` to report what will be skipped).
     pub fn result_exists(&self, fp: Fingerprint) -> bool {
@@ -235,21 +183,24 @@ impl DiskTier {
     /// Loads a result artifact's payload text, collision-checking the
     /// identity sidecar. `None` is a miss. A sidecar that names a
     /// *different* identity means the fingerprint collided or the file was
-    /// mis-filed: both payload and sidecar are quarantined and the cell is
-    /// rebuilt — never served.
+    /// mis-filed, and one that is not UTF-8 is corrupt: either way both
+    /// payload and sidecar are quarantined and the cell is rebuilt — never
+    /// served. Only the IO is retried; bad bytes are not transient.
     pub fn load_result(&self, fp: Fingerprint, identity: &str) -> Option<String> {
         let meta_path = self.result_meta_path(fp);
         let payload_path = self.result_path(fp);
-        let stored = match self.with_retry(|| {
+        let Ok(bytes) = self.with_retry(|| {
             let mut bytes = std::fs::read(&meta_path)?;
             psn_fault::inject_io(psn_fault::sites::DISK_READ_RESULT, &mut bytes)?;
-            String::from_utf8(bytes).map_err(|_| std::io::Error::other("sidecar is not UTF-8"))
-        }) {
-            Ok(meta) => meta,
-            Err(_) => return None,
+            Ok(bytes)
+        }) else {
+            return None;
         };
-        if stored != identity {
-            let reason = format!("identity mismatch: sidecar names {stored:?}");
+        if bytes != identity.as_bytes() {
+            let reason = match std::str::from_utf8(&bytes) {
+                Ok(stored) => format!("identity mismatch: sidecar names {stored:?}"),
+                Err(_) => "sidecar is not UTF-8".to_string(),
+            };
             self.quarantine(&payload_path, &reason);
             self.quarantine(&meta_path, &reason);
             return None;
@@ -317,8 +268,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use psn_trace::generator::config::CommunityConfig;
-    use psn_trace::ScenarioConfig;
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir =
@@ -327,25 +276,28 @@ mod tests {
         dir
     }
 
+    /// The entry names directly under `dir`, sorted.
+    fn entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn traces_and_results_round_trip_through_the_tier() {
+    fn results_round_trip_through_the_tier() {
         let dir = tempdir("roundtrip");
         let tier = DiskTier::open(&dir).unwrap();
-        let config = ScenarioConfig::Community(CommunityConfig::default());
-        let fp = config.fingerprint();
-        let identity = config.canonical_identity();
+        let fp = Fingerprint(42);
 
-        assert_eq!(tier.load_trace(fp, &identity), None, "cold tier misses");
-        let trace = config.generate();
-        tier.store_trace(fp, &identity, &trace).unwrap();
-        assert_eq!(tier.load_trace(fp, &identity), Some(trace));
-
-        let rfp = Fingerprint(42);
-        assert_eq!(tier.load_result(rfp, "cell-id"), None);
-        assert!(!tier.result_exists(rfp));
-        tier.store_result(rfp, "cell-id", "{\"payload\": 1}").unwrap();
-        assert!(tier.result_exists(rfp));
-        assert_eq!(tier.load_result(rfp, "cell-id"), Some("{\"payload\": 1}".into()));
+        assert_eq!(tier.load_result(fp, "cell-id"), None, "cold tier misses");
+        assert!(!tier.result_exists(fp));
+        tier.store_result(fp, "cell-id", "{\"payload\": 1}").unwrap();
+        assert!(tier.result_exists(fp));
+        assert_eq!(tier.load_result(fp, "cell-id"), Some("{\"payload\": 1}".into()));
+        assert_eq!(entries(&dir), ["FORMAT", "results"], "only results are persisted");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -355,24 +307,37 @@ mod tests {
         let dir = tempdir("version");
         {
             let tier = DiskTier::open(&dir).unwrap();
-            let config = ScenarioConfig::Community(CommunityConfig::default());
-            let identity = config.canonical_identity();
-            tier.store_trace(config.fingerprint(), &identity, &config.generate()).unwrap();
+            let fp = Fingerprint(3);
+            tier.store_result(fp, "cell-id", "{\"payload\": 3}").unwrap();
 
-            // Truncate the artifact: the load quarantines it and misses.
-            let path = tier.trace_path(config.fingerprint());
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-            assert_eq!(tier.load_trace(config.fingerprint(), &identity), None);
-            assert_eq!(tier.quarantine_count(), 1);
-            assert!(!path.exists(), "bad file moved aside");
-            assert!(
-                dir.join("corrupt").join(path.file_name().unwrap()).exists(),
-                "bad file preserved under corrupt/"
-            );
-            // The miss is sticky: the quarantined file is never re-read.
-            assert_eq!(tier.load_trace(config.fingerprint(), &identity), None);
-            assert_eq!(tier.quarantine_count(), 1);
+            // Truncate the identity sidecar: the load quarantines it with
+            // its payload and misses.
+            let meta = tier.result_meta_path(fp);
+            let payload = tier.result_path(fp);
+            let bytes = std::fs::read(&meta).unwrap();
+            std::fs::write(&meta, &bytes[..bytes.len() / 2]).unwrap();
+            assert_eq!(tier.load_result(fp, "cell-id"), None);
+            assert_eq!(tier.quarantine_count(), 2);
+            for path in [&meta, &payload] {
+                assert!(!path.exists(), "bad file moved aside");
+                assert!(
+                    dir.join("corrupt").join(path.file_name().unwrap()).exists(),
+                    "bad file preserved under corrupt/"
+                );
+            }
+            // The miss is sticky: the quarantined files are never re-read.
+            assert_eq!(tier.load_result(fp, "cell-id"), None);
+            assert_eq!(tier.quarantine_count(), 2);
+
+            // Sidecar bytes that are not UTF-8 are corruption, not a
+            // transient error: quarantined at once, never retried.
+            let fp = Fingerprint(4);
+            tier.store_result(fp, "cell-id", "{\"payload\": 4}").unwrap();
+            std::fs::write(tier.result_meta_path(fp), [0xA5, 0xFF, 0x00]).unwrap();
+            assert_eq!(tier.load_result(fp, "cell-id"), None);
+            assert_eq!(tier.quarantine_count(), 4);
+            assert_eq!(tier.retry_count(), 0);
+            assert!(!tier.result_exists(fp));
         }
 
         // Reopening the same directory works; a foreign version is refused.

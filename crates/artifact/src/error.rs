@@ -54,7 +54,7 @@ pub enum ArtifactError {
     },
     /// An IO operation failed even after bounded retry.
     Io {
-        /// What the store was doing (e.g. `"writing trace artifact <fp>"`).
+        /// What the store was doing (e.g. `"writing result artifact <fp>"`).
         context: String,
         /// The underlying IO error.
         source: std::io::Error,

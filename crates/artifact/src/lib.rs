@@ -18,32 +18,33 @@
 //!   a key block on a latch instead of duplicating the build) and
 //!   LRU eviction against a byte budget;
 //! * an optional **disk tier** ([`DiskTier`], `--cache DIR` in the CLI):
-//!   traces in a versioned hand-rolled binary codec ([`codec`]) and study
-//!   results as `psn-report/1` JSON, each collision-checked against a
-//!   canonical identity sidecar — this is what makes interrupted
-//!   multi-thousand-cell sweeps restartable (`sweep --resume`).
+//!   per-cell study results as `psn-report/1` JSON, each collision-checked
+//!   against a canonical identity sidecar — this is what makes interrupted
+//!   multi-thousand-cell sweeps restartable (`sweep --resume`). Traces,
+//!   graphs and timelines stay in memory: each is a deterministic function
+//!   of its scenario config and rebuilds in milliseconds, and only a cell
+//!   whose result missed ever needs one.
 //!
 //! Correctness stance: caching must be **observationally invisible**. A
 //! warm run returns bit-identical reports to a cold one (the study layer
 //! pins this with differential tests), every fingerprint hit re-checks the
 //! full canonical identity so a hash collision fails loudly rather than
-//! serving the wrong artifact, and on-disk artifacts that fail to decode
-//! (truncated write, stale format, identity mismatch) are quarantined into
+//! serving the wrong artifact, and on-disk results that fail their checks
+//! (truncated write, corrupt bytes, identity mismatch) are quarantined into
 //! `corrupt/` and rebuilt — never served, never fatal.
 //!
 //! Failure stance: every user-reachable failure is a typed
 //! [`ArtifactError`], never a panic — this crate denies
 //! `clippy::unwrap_used`/`expect_used` outside tests to keep it that way.
-//! Failpoint sites (`disk.read-trace`, `disk.write-trace`,
-//! `disk.read-result`, `disk.write-result`, `codec.decode-trace`) let the
-//! chaos suite inject deterministic IO errors, corruption, delays and
-//! panics via `PSN_FAULTS` (see [`psn_fault`]).
+//! Failpoint sites (`disk.read-result`, `disk.write-result`,
+//! `spill.store-slot`, `spill.load-slot`) let the chaos suite inject
+//! deterministic IO errors, corruption, delays and panics via
+//! `PSN_FAULTS` (see [`psn_fault`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod codec;
 pub mod disk;
 pub mod error;
 pub mod spill;

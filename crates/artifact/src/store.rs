@@ -515,35 +515,22 @@ impl ArtifactStore {
 
     // ----- typed helpers for the study pipeline ---------------------------
 
-    /// The trace artifact of a scenario: memory tier, then disk tier, then
+    /// The trace artifact of a scenario: memory tier, then
     /// `config.generate()` — generated exactly once per fingerprint no
-    /// matter how many runs, views, seeds or sweep cells share it.
+    /// matter how many runs, views, seeds or sweep cells share it. Traces
+    /// are never persisted; the disk tier holds results only.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::IdentityMismatch`] on a memory-tier fingerprint
-    /// collision. A *disk*-tier problem never surfaces here: corrupt or
-    /// mismatched files are quarantined and rebuilt by [`DiskTier`].
+    /// collision.
     pub fn scenario_trace(
         &self,
         config: &ScenarioConfig,
     ) -> Result<(Arc<ContactTrace>, CacheSource), ArtifactError> {
         let key = ArtifactKey { kind: ArtifactKind::Trace, fingerprint: config.fingerprint() };
-        let identity = config.canonical_identity();
-        self.get_or_build(key, &identity, || {
-            if let Some(disk) = &self.disk {
-                if let Some(trace) = disk.load_trace(key.fingerprint, &identity) {
-                    let bytes = trace.approx_bytes();
-                    return Ok(BuiltArtifact { value: trace, bytes, source: CacheSource::Disk });
-                }
-            }
+        self.get_or_build(key, &config.canonical_identity(), || {
             let trace = config.generate();
-            if let Some(disk) = &self.disk {
-                match disk.store_trace(key.fingerprint, &identity, &trace) {
-                    Ok(()) => self.lock().disk_writes += 1,
-                    Err(e) => eprintln!("warning: {e} (continuing uncached)"),
-                }
-            }
             let bytes = trace.approx_bytes();
             Ok(BuiltArtifact { value: trace, bytes, source: CacheSource::Built })
         })
@@ -594,7 +581,7 @@ impl ArtifactStore {
     /// The same artifact as [`ArtifactStore::trace_timeline`] (same key,
     /// bit-identical value), built from the scenario's graph when the store
     /// has not built it yet. Kept for the perfbench harness; the ROADMAP
-    /// item 8 `[benchmark]` PR moves perfbench to `trace_timeline` and
+    /// item 5 `[benchmark]` PR moves perfbench to `trace_timeline` and
     /// deletes this resolver.
     ///
     /// # Errors
@@ -920,23 +907,43 @@ mod tests {
             window_seconds: 300.0,
             ..CommunityConfig::default()
         });
+        // A cell result resolved the way the study pipeline resolves one:
+        // memory tier, then the disk tier, then a build that persists.
+        let resolve = |store: &ArtifactStore| {
+            store
+                .get_or_build(key(5), "cell", || {
+                    if let Some(text) = store.load_result_text(Fingerprint(5), "cell") {
+                        let bytes = text.len();
+                        return Ok(BuiltArtifact { value: text, bytes, source: CacheSource::Disk });
+                    }
+                    let text = "{\"cell\": 5}".to_string();
+                    store.store_result_text(Fingerprint(5), "cell", &text);
+                    let bytes = text.len();
+                    Ok(BuiltArtifact { value: text, bytes, source: CacheSource::Built })
+                })
+                .unwrap()
+        };
 
         let store = ArtifactStore::with_disk(&dir).unwrap();
         let (trace, source) = store.scenario_trace(&config).unwrap();
         assert_eq!(source, CacheSource::Built);
+        assert_eq!(store.stats().disk_writes, 0, "traces stay in memory");
+        let (result, source) = resolve(&store);
+        assert_eq!(source, CacheSource::Built);
         assert_eq!(store.stats().disk_writes, 1);
-        store.store_result_text(Fingerprint(5), "cell", "{}");
-        assert_eq!(store.load_result_text(Fingerprint(5), "cell"), Some("{}".to_string()));
 
         // A new store over the same directory — a restarted process —
-        // serves the trace and result from disk.
+        // serves the result from disk and regenerates the same trace.
         let fresh = ArtifactStore::with_disk(&dir).unwrap();
-        let (reloaded, source) = fresh.scenario_trace(&config).unwrap();
+        let (reloaded, source) = resolve(&fresh);
         assert_eq!(source, CacheSource::Disk);
-        assert_eq!(*reloaded, *trace);
-        assert_eq!(fresh.load_result_text(Fingerprint(5), "cell"), Some("{}".to_string()));
+        assert_eq!(*reloaded, *result);
         assert_eq!(fresh.stats().disk_hits, 1);
-        assert_eq!(fresh.stats().builds_of(ArtifactKind::Trace), 0);
+        assert_eq!(fresh.stats().builds_of(ArtifactKind::Result), 0);
+        let (regenerated, source) = fresh.scenario_trace(&config).unwrap();
+        assert_eq!(source, CacheSource::Built);
+        assert_eq!(*regenerated, *trace);
+        assert_eq!(fresh.stats().disk_writes, 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -47,8 +47,8 @@
 //!
 //! `--faults SITE:KIND[:NTH],…` (or the `PSN_FAULTS` environment variable)
 //! arms deterministic failpoints for chaos testing — e.g.
-//! `--faults disk.read-trace:corrupt-bytes:1` corrupts the first cached
-//! trace read so the self-healing path (quarantine + rebuild) can be
+//! `--faults disk.read-result:corrupt-bytes:1` corrupts the first cached
+//! result read so the self-healing path (quarantine + recompute) can be
 //! exercised on demand. See the `psn-fault` crate docs for sites and kinds.
 
 use std::path::PathBuf;
@@ -342,20 +342,24 @@ fn parse_study(name: &str) -> Result<StudyId, Failure> {
 const DEFAULT_STREAMING_WINDOW: usize = 64;
 
 fn build_params(args: &Args) -> Result<StudyParams, Failure> {
-    let mut params = StudyParams::for_profile(args.profile).with_threads(args.threads);
-    if let Some(k) = args.k {
-        if k == 0 || k > MAX_AXIS_COUNT {
+    // The count flags take the bound of their `params.*` sweep axes.
+    let count = |axis: &str, value: usize| {
+        if value == 0 || value > MAX_AXIS_COUNT {
             return Err(Failure::Usage(format!(
-                "--k must be between 1 and {MAX_AXIS_COUNT}, like a params.k sweep axis"
+                "--{axis} must be between 1 and {MAX_AXIS_COUNT}, like a params.{axis} sweep axis"
             )));
         }
-        params = params.with_k(k);
+        Ok(value)
+    };
+    let mut params = StudyParams::for_profile(args.profile).with_threads(args.threads);
+    if let Some(k) = args.k {
+        params = params.with_k(count("k", k)?);
     }
     if let Some(messages) = args.messages {
-        params = params.with_messages(messages);
+        params = params.with_messages(count("messages", messages)?);
     }
     if let Some(runs) = args.runs {
-        params = params.with_runs(runs);
+        params = params.with_runs(count("runs", runs)?);
     }
     if let Some(delta) = args.delta {
         if !(delta > 0.0 && delta.is_finite()) {

@@ -8,9 +8,11 @@
 //!   still produces the identical document;
 //! * a text preset run twice against `--cache` prints its golden bytes
 //!   both times, the second served from the cache;
+//! * a cache written when traces were still persisted serves its results
+//!   and keeps its `traces/` directory as it was;
 //! * contradictory flags fail with a usage error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn repo_path(relative: &str) -> PathBuf {
@@ -122,6 +124,61 @@ fn repeated_cached_sweeps_are_byte_identical_and_fully_cache_served() {
     ]);
     assert!(uncached.status.success());
     assert_eq!(cold.stdout, uncached.stdout, "caching must be observationally invisible");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `root`, by path relative to it, with its bytes.
+fn files(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut pending = vec![root.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((path.strip_prefix(root).unwrap().to_path_buf(), bytes));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn a_cache_with_a_leftover_traces_directory_serves_its_results_and_keeps_it() {
+    // `cache/` in the fixture was written by the build that still
+    // persisted traces (the fixture's TOML names the command): FORMAT is
+    // `psn-artifact/1`, as now, and `traces/` holds two trace files.
+    let fixture = repo_path("crates/bench/tests/fixtures/cache_psn_artifact_1");
+    let written = files(&fixture.join("cache"));
+    assert_eq!(written.iter().filter(|(path, _)| path.starts_with("traces")).count(), 2);
+    let dir = std::env::temp_dir().join(format!("psn-cache-leftover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (path, bytes) in &written {
+        std::fs::create_dir_all(dir.join(path).parent().unwrap()).unwrap();
+        std::fs::write(dir.join(path), bytes).unwrap();
+    }
+
+    let config = fixture.join("tiny_sweep.toml");
+    let config = config.to_str().unwrap();
+    let sweep =
+        ["sweep", "--config", config, "--format", "json", "--threads", "1", "--profile", "quick"];
+    let warm = psn_study(&[&sweep[..], &["--cache", dir.to_str().unwrap(), "--resume"]].concat());
+    let warm_err = String::from_utf8_lossy(&warm.stderr);
+    assert_eq!(warm.status.code(), Some(0), "{warm_err}");
+    assert!(warm_err.contains("resume: 2/2 cells already cached"), "{warm_err}");
+    assert!(warm_err.contains("2/2 cells served from cache (0 memory, 2 disk)"), "{warm_err}");
+
+    let uncached = psn_study(&[&sweep[..], &["--no-cache"]].concat());
+    assert_eq!(uncached.status.code(), Some(0), "{}", String::from_utf8_lossy(&uncached.stderr));
+    assert!(warm.stdout == uncached.stdout, "served results differ from a fresh computation");
+    assert!(
+        files(&dir) == written,
+        "the warm run wrote, moved or quarantined a file, traces/ included"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,10 +3,9 @@
 //! (DESIGN.md §6d), pinned as tests:
 //!
 //! * **differential byte-identity** — any run that completes under a
-//!   single injected fault (transient IO error, corrupted cache file,
-//!   corrupted decode) produces output byte-identical to the fault-free
-//!   run;
-//! * **self-healing cache** — a corrupted cached artifact is quarantined
+//!   single injected fault (transient IO error, corrupted cache file)
+//!   produces output byte-identical to the fault-free run;
+//! * **self-healing cache** — a corrupted cached result is quarantined
 //!   into `corrupt/` and transparently rebuilt, never served and never
 //!   fatal;
 //! * **panic isolation** — an injected worker panic becomes a typed
@@ -30,7 +29,6 @@ use psn::study::{
     StudyError, StudyId, StudyParams, StudyScenario, StudySpec,
 };
 use psn::ExperimentProfile;
-use psn_artifact::codec::encode_trace;
 use psn_trace::generator::CommunityConfig;
 use psn_trace::ScenarioConfig;
 
@@ -68,83 +66,90 @@ fn quick_spec(seeds: &[u64]) -> StudySpec {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn single_read_faults_self_heal_and_serve_byte_identical_traces() {
-    let dir = temp_dir("trace-heal");
-    let config = chaos_config(1);
-    let identity = config.canonical_identity();
+fn single_read_faults_self_heal_and_serve_byte_identical_results() {
+    let dir = temp_dir("result-heal");
+    let plan = quick_spec(&[1]).plan().unwrap();
+    // Hold the fault lock throughout, arming one spec at a time, so no
+    // other test's plan can fire inside these runs.
+    let guard = psn_fault::arm_guard("");
 
     let baseline = {
-        let store = ArtifactStore::with_disk(&dir).unwrap();
-        let (trace, source) = store.scenario_trace(&config).unwrap();
-        assert_eq!(source, CacheSource::Built);
-        encode_trace(&trace, &identity)
+        let cold = run_study_with(&plan, &ArtifactStore::with_disk(&dir).unwrap()).unwrap();
+        assert_eq!(cold.cache[0].source, CacheSource::Built);
+        cold.render()
     };
 
     for spec in [
         // A transient read error: absorbed by the bounded retry, the
-        // cached bytes are served on the second attempt.
-        "disk.read-trace:io-error:1",
-        // Corrupted cached bytes: the decode fails, the file is
-        // quarantined and the trace rebuilt deterministically.
-        "disk.read-trace:corrupt-bytes:1",
-        // Corruption between read and decode (torn page, bad RAM): same
-        // quarantine-and-rebuild path.
-        "codec.decode-trace:corrupt-bytes:1",
+        // cached result is served on the second attempt.
+        "disk.read-result:io-error:1",
+        // Corrupted sidecar bytes: the identity check fails, payload and
+        // sidecar are quarantined and the cell is recomputed
+        // deterministically.
+        "disk.read-result:corrupt-bytes:1",
     ] {
         {
-            let _guard = psn_fault::arm_guard(spec);
+            psn_fault::arm(spec).unwrap();
             let store = ArtifactStore::with_disk(&dir).unwrap();
-            let (trace, _) = store.scenario_trace(&config).unwrap();
-            assert_eq!(
-                encode_trace(&trace, &identity),
-                baseline,
-                "{spec}: healed run must be byte-identical"
-            );
+            let report = run_study_with(&plan, &store).unwrap();
+            psn_fault::disarm();
+            assert_eq!(report.render(), baseline, "{spec}: healed run must be byte-identical");
+            let stats = store.stats();
             if spec.contains("corrupt") {
+                assert_eq!(report.cache[0].source, CacheSource::Built, "{spec}");
                 assert!(
-                    store.stats().quarantines > 0,
-                    "{spec}: corruption must be quarantined, stats: {:?}",
-                    store.stats()
+                    stats.quarantines > 0,
+                    "{spec}: corruption must be quarantined, stats: {stats:?}"
                 );
                 let corrupt = dir.join("corrupt");
                 assert!(
                     corrupt.read_dir().map(|mut d| d.next().is_some()).unwrap_or(false),
                     "{spec}: quarantined file must land in corrupt/"
                 );
+            } else {
+                assert_eq!(report.cache[0].source, CacheSource::Disk, "{spec}");
+                assert!(stats.io_retries > 0, "{spec}: the retry must absorb it, {stats:?}");
             }
         }
-        // Faults disarmed: the rebuilt cache entry serves cleanly from
-        // disk — corruption never leaves a sticky miss behind.
-        let store = ArtifactStore::with_disk(&dir).unwrap();
-        let (trace, source) = store.scenario_trace(&config).unwrap();
-        assert_eq!(source, CacheSource::Disk, "{spec}: cache must have healed");
-        assert_eq!(encode_trace(&trace, &identity), baseline, "{spec}");
+        // Faults disarmed: the cached result serves cleanly from disk —
+        // corruption never leaves a sticky miss behind.
+        let report = run_study_with(&plan, &ArtifactStore::with_disk(&dir).unwrap()).unwrap();
+        assert_eq!(report.cache[0].source, CacheSource::Disk, "{spec}: cache must have healed");
+        assert_eq!(report.render(), baseline, "{spec}");
     }
 
+    drop(guard);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn persistent_write_failures_degrade_to_uncached_not_fatal() {
-    let dir = temp_dir("trace-writefail");
-    let config = chaos_config(2);
-    let identity = config.canonical_identity();
-    let expected = encode_trace(&config.generate(), &identity);
+    let dir = temp_dir("result-writefail");
+    let plan = quick_spec(&[2]).plan().unwrap();
+    let guard = psn_fault::arm_guard("disk.write-result:io-error:*");
 
-    {
-        let _guard = psn_fault::arm_guard("disk.write-trace:io-error:*");
-        let store = ArtifactStore::with_disk(&dir).unwrap();
-        let (trace, source) = store.scenario_trace(&config).unwrap();
-        assert_eq!(source, CacheSource::Built);
-        assert_eq!(encode_trace(&trace, &identity), expected);
-    }
-    // Nothing was persisted, so the next store rebuilds — a degraded
-    // cache is a performance bug, never a correctness one.
     let store = ArtifactStore::with_disk(&dir).unwrap();
-    let (trace, source) = store.scenario_trace(&config).unwrap();
-    assert_eq!(source, CacheSource::Built);
-    assert_eq!(encode_trace(&trace, &identity), expected);
+    let failed = run_study_with(&plan, &store).unwrap();
+    assert_eq!(failed.cache[0].source, CacheSource::Built);
+    let stats = store.stats();
+    assert_eq!(stats.disk_writes, 0, "{stats:?}");
+    assert!(stats.io_retries > 0, "every write attempt is retried first, {stats:?}");
+    psn_fault::disarm();
+    assert_eq!(
+        failed.render(),
+        run_study_with(&plan, &ArtifactStore::disabled()).unwrap().render()
+    );
 
+    // Nothing was persisted, so the next store recomputes — a degraded
+    // cache is a performance bug, never a correctness one — and this
+    // time the result is written and then served.
+    for expected in [CacheSource::Built, CacheSource::Disk] {
+        let report = run_study_with(&plan, &ArtifactStore::with_disk(&dir).unwrap()).unwrap();
+        assert_eq!(report.cache[0].source, expected);
+        assert_eq!(report.render(), failed.render());
+    }
+
+    drop(guard);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -500,6 +505,22 @@ fn cli_k_takes_the_bound_of_a_params_k_sweep_axis() {
     }
     let out = psn_study(&[&["plan"][..], &base, &["4294967295"]].concat());
     assert_eq!(exit_code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+
+    // `--messages` and `--runs` take the bound of their axes too. Only
+    // `plan` is driven: a `run` that slipped past the bound would try to
+    // simulate billions of messages.
+    for (flag, study) in [("--messages", "explosion"), ("--runs", "forwarding")] {
+        let base = ["plan", "--config", shipped, "--study", study, flag];
+        for value in ["4294967296", "5000000000", "18446744073709551615", "0"] {
+            let out = psn_study(&[&base[..], &[value]].concat());
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(exit_code(&out), 2, "{flag} {value}: {err}");
+            assert!(err.contains(flag) && err.contains("4294967295"), "{flag} {value}: {err}");
+            assert!(out.stdout.is_empty(), "{flag} {value} printed a plan");
+        }
+        let out = psn_study(&[&base[..], &["4294967295"]].concat());
+        assert_eq!(exit_code(&out), 0, "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+    }
 }
 
 /// Arrays nested far deeper than the JSON reader's bound: without the

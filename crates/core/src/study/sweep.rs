@@ -86,7 +86,7 @@ impl SweepSpec {
 }
 
 /// The largest value a count-valued `params.*` axis (`k`, `messages`,
-/// `runs`) takes; the CLI's `--k` shares the bound.
+/// `runs`) takes; the CLI's `--k`, `--messages` and `--runs` share it.
 pub const MAX_AXIS_COUNT: usize = u32::MAX as usize;
 
 /// Applies a cell's `params.*` axis assignments to the sweep's shared

@@ -5,18 +5,18 @@
 //! command line.
 //!
 //! A failpoint is a *named site* compiled into production code — the
-//! artifact disk tier, the binary codec, the slot spill, the worker pool —
-//! that normally does nothing. Arming a site makes its `nth` execution fail in
-//! a chosen way:
+//! artifact disk tier's result files, the slot spill, the worker pool —
+//! that normally does nothing. Arming a site makes its `nth` execution
+//! fail in a chosen way:
 //!
 //! ```text
-//! PSN_FAULTS=disk.read-trace:corrupt-bytes:1,queue.study-run:panic:3
+//! PSN_FAULTS=disk.read-result:corrupt-bytes:1,queue.study-run:panic:3
 //! ```
 //!
-//! arms two sites: the first trace read returns corrupted bytes, and the
-//! third job taken off the study work queue panics. Each armed spec fires
-//! **exactly once** (on its `nth` hit) unless `nth` is `*`, which fires on
-//! every hit. Fault kinds:
+//! arms two sites: the first cached-result read returns corrupted bytes,
+//! and the third job taken off the study work queue panics. Each armed
+//! spec fires **exactly once** (on its `nth` hit) unless `nth` is `*`,
+//! which fires on every hit. Fault kinds:
 //!
 //! | kind            | effect at the site                                   |
 //! |-----------------|------------------------------------------------------|
@@ -62,16 +62,10 @@ pub const ENV_VAR: &str = "PSN_FAULTS";
 /// site — `psn-analyze` fails CI on any orphan site string or dead registry
 /// entry.
 pub mod sites {
-    /// Trace bytes read from the disk tier, about to be decoded.
-    pub const DISK_READ_TRACE: &str = "disk.read-trace";
-    /// Encoded trace bytes about to be committed to the disk tier.
-    pub const DISK_WRITE_TRACE: &str = "disk.write-trace";
-    /// Report-cell JSON read from the disk tier.
+    /// A cached result's identity sidecar read from the disk tier.
     pub const DISK_READ_RESULT: &str = "disk.read-result";
     /// Report-cell JSON about to be committed to the disk tier.
     pub const DISK_WRITE_RESULT: &str = "disk.write-result";
-    /// Binary trace-codec decode over a borrowed buffer.
-    pub const CODEC_DECODE_TRACE: &str = "codec.decode-trace";
     /// A path-explosion enumeration job taken off the work queue.
     pub const QUEUE_EXPLOSION: &str = "queue.explosion";
     /// A forwarding-simulation job taken off the work queue.
@@ -86,11 +80,8 @@ pub mod sites {
     /// Every registered site, for enumeration, docs and the `psn-analyze`
     /// self-check.
     pub const ALL: &[&str] = &[
-        DISK_READ_TRACE,
-        DISK_WRITE_TRACE,
         DISK_READ_RESULT,
         DISK_WRITE_RESULT,
-        CODEC_DECODE_TRACE,
         QUEUE_EXPLOSION,
         QUEUE_FORWARDING,
         QUEUE_STUDY_RUN,
@@ -397,30 +388,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Failpoint for a decode site over a borrowed buffer. Returns a
-/// corrupted copy for `corrupt-bytes` (and for `io-error`, which a pure
-/// decoder cannot report any other way), `None` when clean or after a
-/// `delay`, and panics for `panic`.
-///
-/// # Panics
-///
-/// Panics when the armed kind is `panic` — that is the injected effect.
-pub fn inject_decode(site: &str, bytes: &[u8]) -> Option<Vec<u8>> {
-    match fire(site) {
-        Some(FaultKind::CorruptBytes) | Some(FaultKind::IoError) => {
-            let mut copy = bytes.to_vec();
-            corrupt_in_place(&mut copy);
-            Some(copy)
-        }
-        Some(FaultKind::Delay) => {
-            apply_delay();
-            None
-        }
-        Some(FaultKind::Panic) => panic!("injected fault: panic at {site}"),
-        None => None,
-    }
-}
-
 /// Failpoint for a work-queue job site. Only `panic` and `delay` make
 /// sense here; the IO kinds are ignored rather than misreported. Reached
 /// only through [`run_jobs`], which calls it at the start of every job.
@@ -522,8 +489,8 @@ mod tests {
 
     #[test]
     fn specs_parse_and_reject() {
-        let site = ArmedSite::parse("disk.read-trace:corrupt-bytes:3").unwrap();
-        assert_eq!((site.site.as_str(), site.kind), ("disk.read-trace", FaultKind::CorruptBytes));
+        let site = ArmedSite::parse("disk.read-result:corrupt-bytes:3").unwrap();
+        assert_eq!((site.site.as_str(), site.kind), ("disk.read-result", FaultKind::CorruptBytes));
         assert_eq!((site.nth, site.every), (3, false));
 
         let site = ArmedSite::parse("a:panic").unwrap();

@@ -11,10 +11,10 @@
 //!   [`SpaceTimeGraph`], bit-identical to the materialized builder (the
 //!   differential anchor for the incremental path);
 //! * [`WindowedSpaceTimeGraph`] keeps a bounded sliding window of hot slots
-//!   in memory and spills every sealed busy slot through a [`SlotSpill`]
-//!   sink (the `psn-artifact` binary codec in production, an in-memory map
-//!   in tests), reloading cold slots on demand — random access with an
-//!   O(window) resident bound;
+//!   in memory and spills a sealed busy slot through a [`SlotSpill`] sink
+//!   when the hot set evicts it (`psn_artifact::SlabSlotSpill` in
+//!   production, [`MemorySpill`] in tests), reloading cold slots on demand
+//!   — random access with an O(window) resident bound;
 //! * [`GraphRef`] / [`SlotGuard`] / [`SharedGraph`] let every engine run
 //!   unchanged against either representation: slot queries go through a
 //!   guard hoisted once per slot-loop iteration, and both representations
