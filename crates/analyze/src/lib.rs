@@ -10,7 +10,7 @@
 //! | lint | invariant |
 //! |------|-----------|
 //! | `cache-key` (L1) | every `StudyParams`/`ScenarioConfig` field is fingerprinted or pragma-excluded |
-//! | `determinism` (L2) | no hash-ordered containers, wall-clock or env reads on report paths |
+//! | `determinism` (L2) | no env reads anywhere; no hash-ordered containers or wall-clock reads on report paths |
 //! | `failpoint-registry` (L3) | failpoint sites ↔ `psn_fault::sites` ↔ DESIGN.md table, no orphans |
 //! | `panic-hygiene` (L4) | no unwrap/expect/panic outside tests without a documented contract |
 //! | `relaxed-ordering` (L5) | every `Ordering::Relaxed` carries a justification comment |
@@ -84,8 +84,8 @@ impl LintId {
                  `psn-analyze: cache-excluded(<reason>)` — forgotten fields serve wrong cached cells"
             }
             LintId::Determinism => {
-                "no HashMap/HashSet, wall-clock or env reads in report-reachable crates — \
-                 iteration order must never reach output bytes \
+                "no env reads in any crate; no HashMap/HashSet or wall-clock reads in \
+                 report-reachable crates — iteration order must never reach output bytes \
                  (escapes: unordered-ok, wallclock-ok)"
             }
             LintId::FailpointRegistry => {
@@ -378,7 +378,7 @@ mod tests {
         assert!(hits[1].message.contains("Instant::now"));
 
         // Out-of-scope crates (bench) are exempt.
-        let ws = Workspace::from_sources([("crates/bench/src/lib.rs", src)], None);
+        let ws = Workspace::from_sources([("crates/bench/src/bin/psn_study.rs", src)], None);
         assert!(only(&ws.check(), LintId::Determinism).is_empty());
     }
 
@@ -387,7 +387,22 @@ mod tests {
         let src = "fn f() { let v = std::env::var(\"X\"); }\n";
         let ws = Workspace::from_sources([("crates/core/src/study/mod.rs", src)], None);
         assert_eq!(only(&ws.check(), LintId::Determinism).len(), 1);
+        // Config modules are not exempt either: a run is a function of its
+        // command line.
         let ws = Workspace::from_sources([("crates/core/src/config.rs", src)], None);
+        assert_eq!(only(&ws.check(), LintId::Determinism).len(), 1);
+    }
+
+    #[test]
+    fn determinism_flags_env_reads_in_non_report_crates() {
+        let src = "fn f() { let v = std::env::var_os(\"X\"); }\n";
+        for rel in ["crates/bench/src/bin/psn_study.rs", "crates/fault/src/lib.rs"] {
+            let ws = Workspace::from_sources([(rel, src)], None);
+            assert_eq!(only(&ws.check(), LintId::Determinism).len(), 1, "{rel}");
+        }
+        // Test code and string contents stay exempt.
+        let exempt = "fn f() { let s = \"env::var\"; }\n#[cfg(test)]\nmod tests {\n    fn t() { std::env::var(\"X\"); }\n}\n";
+        let ws = Workspace::from_sources([("crates/bench/src/bin/psn_study.rs", exempt)], None);
         assert!(only(&ws.check(), LintId::Determinism).is_empty());
     }
 
@@ -531,7 +546,7 @@ fn f(c: &AtomicU64) {
     c.fetch_add(1, Ordering::Relaxed);
 }
 ";
-        let ws = Workspace::from_sources([("crates/bench/src/lib.rs", src)], None);
+        let ws = Workspace::from_sources([("crates/bench/src/bin/psn_study.rs", src)], None);
         let f = ws.check();
         let hits = only(&f, LintId::RelaxedOrdering);
         assert_eq!(hits.len(), 1, "{f:?}");

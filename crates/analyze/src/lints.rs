@@ -9,9 +9,10 @@ use crate::scan::{item_span, Line, SourceFile};
 use crate::{Finding, LintId, Workspace};
 
 /// Crates whose output bytes can reach a rendered report or the artifact
-/// cache — the determinism lint's scope. `bench` (wall-clock output by
-/// design) and `fault` (stderr diagnostics only) are out of scope, as is
-/// the analyzer itself.
+/// cache — the scope of the determinism lint's container and clock checks.
+/// `bench` (wall-clock output by design) and `fault` (stderr diagnostics
+/// only) are out of scope, as is the analyzer itself; the environment-read
+/// check covers every crate.
 const DETERMINISM_SCOPE: &[&str] =
     &["trace", "stats", "spacetime", "forwarding", "artifact", "analytic", "core"];
 
@@ -195,17 +196,29 @@ pub fn cache_key(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-/// L2 — determinism: no hash-ordered containers, wall-clock reads, or
-/// environment reads in crates whose bytes can reach a report or the
+/// L2 — determinism: no environment reads anywhere in the workspace (a
+/// run is a function of its command line), and no hash-ordered containers
+/// or wall-clock reads in crates whose bytes can reach a report or the
 /// artifact cache. Iteration order over a `HashMap` anywhere on a report path
 /// breaks the byte-identity contract.
 pub fn determinism(ws: &Workspace, out: &mut Vec<Finding>) {
     for file in &ws.files {
-        if !DETERMINISM_SCOPE.contains(&file.crate_dir.as_str()) {
-            continue;
-        }
+        let report_reachable = DETERMINISM_SCOPE.contains(&file.crate_dir.as_str());
         for (idx, line) in file.lines.iter().enumerate() {
             if line.in_test {
+                continue;
+            }
+            if line.code.contains("env::var") {
+                out.push(Finding::new(
+                    LintId::Determinism,
+                    &file.rel,
+                    idx + 1,
+                    "environment read: results must be a function of the study spec alone — \
+                     take the value as a command-line flag"
+                        .to_string(),
+                ));
+            }
+            if !report_reachable {
                 continue;
             }
             for container in ["HashMap", "HashSet"] {
@@ -237,19 +250,6 @@ pub fn determinism(ws: &Workspace, out: &mut Vec<Finding>) {
                         ),
                     ));
                 }
-            }
-            if (line.code.contains("env::var") || line.code.contains("env::vars"))
-                && !file.rel.contains("config")
-                && !file.rel.contains("threads")
-            {
-                out.push(Finding::new(
-                    LintId::Determinism,
-                    &file.rel,
-                    idx + 1,
-                    "environment read outside the sanctioned config/threads modules: results \
-                     must be a function of the study spec alone"
-                        .to_string(),
-                ));
             }
         }
     }

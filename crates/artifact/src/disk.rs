@@ -18,7 +18,7 @@
 //!
 //! Files are named by fingerprint hex and written atomically (temp file +
 //! rename), so an interrupted sweep leaves either a complete artifact or
-//! none — a later `sweep --resume` run can trust whatever it finds.
+//! none — a later sweep over the same cache can trust whatever it finds.
 //!
 //! The tier is **self-healing**: loads never fail the pipeline. A file
 //! that is corrupt, truncated, version-skewed or identity-mismatched is
@@ -175,7 +175,7 @@ impl DiskTier {
     }
 
     /// True if a complete result artifact exists for this fingerprint
-    /// (used by `sweep --resume` to report what will be skipped).
+    /// (used by a cached `sweep` to report what will be skipped).
     pub fn result_exists(&self, fp: Fingerprint) -> bool {
         self.result_path(fp).is_file() && self.result_meta_path(fp).is_file()
     }

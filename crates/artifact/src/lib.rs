@@ -20,7 +20,7 @@
 //! * an optional **disk tier** ([`DiskTier`], `--cache DIR` in the CLI):
 //!   per-cell study results as `psn-report/1` JSON, each collision-checked
 //!   against a canonical identity sidecar — this is what makes interrupted
-//!   multi-thousand-cell sweeps restartable (`sweep --resume`). Traces,
+//!   multi-thousand-cell sweeps restartable (rerun with the same `--cache`). Traces,
 //!   graphs and timelines stay in memory: each is a deterministic function
 //!   of its scenario config and rebuilds in milliseconds, and only a cell
 //!   whose result missed ever needs one.
@@ -38,8 +38,8 @@
 //! `clippy::unwrap_used`/`expect_used` outside tests to keep it that way.
 //! Failpoint sites (`disk.read-result`, `disk.write-result`,
 //! `spill.store-slot`, `spill.load-slot`) let the chaos suite inject
-//! deterministic IO errors, corruption, delays and panics via
-//! `PSN_FAULTS` (see [`psn_fault`]).
+//! deterministic IO errors, corruption, delays and panics via the CLI's
+//! `--faults` (see [`psn_fault`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

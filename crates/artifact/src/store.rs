@@ -237,9 +237,6 @@ struct Inner {
 
 /// The two-tier, collision-checked artifact store.
 pub struct ArtifactStore {
-    /// `false` under `--no-cache`: every resolution builds, nothing is
-    /// retained — the debugging/measurement baseline.
-    enabled: bool,
     budget: usize,
     inner: Mutex<Inner>,
     disk: Option<DiskTier>,
@@ -248,7 +245,6 @@ pub struct ArtifactStore {
 impl std::fmt::Debug for ArtifactStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArtifactStore")
-            .field("enabled", &self.enabled)
             .field("budget", &self.budget)
             .field("disk", &self.disk)
             .field("stats", &self.stats())
@@ -265,12 +261,7 @@ impl Default for ArtifactStore {
 impl ArtifactStore {
     /// A memory-only store with the default byte budget.
     pub fn in_memory() -> Self {
-        Self {
-            enabled: true,
-            budget: DEFAULT_MEMORY_BUDGET,
-            inner: Mutex::new(Inner::default()),
-            disk: None,
-        }
+        Self { budget: DEFAULT_MEMORY_BUDGET, inner: Mutex::new(Inner::default()), disk: None }
     }
 
     /// A memory-only store with an explicit byte budget (tests and tools).
@@ -283,27 +274,9 @@ impl ArtifactStore {
         Ok(Self { disk: Some(DiskTier::open(dir)?), ..Self::in_memory() })
     }
 
-    /// A pass-through store (`--no-cache`): builders always run, nothing
-    /// is shared or retained. Useful as the baseline the cold/warm
-    /// benchmarks compare against.
-    pub fn disabled() -> Self {
-        Self { enabled: false, ..Self::in_memory() }
-    }
-
-    /// Replaces the memory budget (builder-style).
-    pub fn budget(mut self, bytes: usize) -> Self {
-        self.budget = bytes;
-        self
-    }
-
     /// The disk tier, if one is attached.
     pub fn disk(&self) -> Option<&DiskTier> {
         self.disk.as_ref()
-    }
-
-    /// True when resolutions may be cached (i.e. not `--no-cache`).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Acquires the store lock, recovering from poison: the inner map is a
@@ -373,13 +346,6 @@ impl ArtifactStore {
         identity: &str,
         build: impl FnOnce() -> Result<BuiltArtifact<T>, ArtifactError>,
     ) -> Result<(Arc<T>, CacheSource), ArtifactError> {
-        if !self.enabled {
-            let built = build()?;
-            let mut inner = self.lock();
-            Self::count_build(&mut inner, key.kind, built.source);
-            return Ok((Arc::new(built.value), built.source));
-        }
-
         let mut inner = self.lock();
         loop {
             match inner.map.get_mut(&key) {
@@ -693,17 +659,6 @@ mod tests {
             "{}",
             stats.summary()
         );
-    }
-
-    #[test]
-    fn disabled_store_always_builds() {
-        let store = ArtifactStore::disabled();
-        assert_eq!(put_blob(&store, 1, 100), CacheSource::Built);
-        assert_eq!(put_blob(&store, 1, 100), CacheSource::Built);
-        let stats = store.stats();
-        assert_eq!(stats.builds_of(ArtifactKind::Result), 2);
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.bytes_in_memory, 0);
     }
 
     #[test]

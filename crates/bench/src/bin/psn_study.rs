@@ -10,7 +10,7 @@
 //! psn-study run --study model                           # scenario-less study
 //! psn-study sweep --config scenarios/sweep_community_2x2.toml --format json
 //! psn-study sweep --config grid.toml --cache DIR --keep-going   # fault-tolerant grid
-//! psn-study plan --config a.toml --study forwarding     # show the plan, run nothing
+//! psn-study run --config a.toml --study forwarding --dry   # show the plan, run nothing
 //! psn-study describe --config scenarios/scaled_1k.toml  # generate + summarise a scenario
 //! psn-study list                                        # presets, studies, views, families
 //! ```
@@ -18,10 +18,11 @@
 //! Reports are **typed** (`psn::report::ReportDoc`); `--format text|json|csv`
 //! picks the rendering backend and `--out <dir>` writes the artifacts to
 //! disk instead of stdout (CSV emits one file per table). `--profile
-//! quick|paper` and `--threads N` override the `PSN_PROFILE` and
-//! `PSN_THREADS` environment variables. Scenario and sweep config files are
-//! TOML or JSON (see `scenarios/` and the `psn_trace::scenario` /
-//! `psn_trace::sweep` module docs).
+//! quick|paper` (default `quick`) sets the scale and `--threads N` (default
+//! 0, one per core) the worker count; no environment variable changes what
+//! a command line does. Scenario and sweep config files are TOML or JSON
+//! (see `scenarios/` and the `psn_trace::scenario` / `psn_trace::sweep`
+//! module docs).
 //!
 //! ## Exit codes
 //!
@@ -45,11 +46,11 @@
 //!
 //! ## Fault injection
 //!
-//! `--faults SITE:KIND[:NTH],…` (or the `PSN_FAULTS` environment variable)
-//! arms deterministic failpoints for chaos testing — e.g.
-//! `--faults disk.read-result:corrupt-bytes:1` corrupts the first cached
-//! result read so the self-healing path (quarantine + recompute) can be
-//! exercised on demand. See the `psn-fault` crate docs for sites and kinds.
+//! `--faults SITE:KIND[:NTH],…` arms deterministic failpoints for chaos
+//! testing — e.g. `--faults disk.read-result:corrupt-bytes:1` corrupts the
+//! first cached result read so the self-healing path (quarantine +
+//! recompute) can be exercised on demand. See the `psn-fault` crate docs
+//! for sites and kinds.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -63,34 +64,34 @@ use psn::study::{
     StudySpec,
 };
 use psn::ExperimentProfile;
-use psn_bench::{profile_from_env, threads_from_env};
 use psn_trace::{NodeId, ScenarioConfig, ScenarioSweep};
 
 fn usage() -> &'static str {
     "usage:\n  \
      psn-study run --preset <name> [--profile quick|paper] [--threads N] [--format text|json|csv] [--out DIR]\n  \
+     \u{20}             [--dry] [--cache DIR]\n  \
      psn-study run --config <file>... --study <name> [--views a,b] [--seeds a,b,c] [--profile ...] [--threads N]\n  \
      \u{20}             [--k <path budget>] [--messages N] [--runs N] [--delta SECONDS] [--format text|json|csv]\n  \
-     \u{20}             [--out DIR] [--dry] [--cache DIR] [--no-cache] [--streaming] [--window N]\n  \
+     \u{20}             [--out DIR] [--dry] [--cache DIR] [--window N]\n  \
      psn-study sweep --config <sweep file> [--study <name>] [--views a,b] [--seeds a,b,c] [--profile ...]\n  \
      \u{20}             [--threads N] [--k ...] [--messages N] [--runs N] [--delta SECONDS] [--format text|json|csv]\n  \
-     \u{20}             [--out DIR] [--cache DIR] [--no-cache] [--resume] [--keep-going] [--streaming] [--window N]\n  \
-     psn-study sweep --config <sweep file> --dry              (show the resolved cells, run nothing)\n  \
-     psn-study plan --config <file>... --study <name> [--seeds a,b,c]\n  \
+     \u{20}             [--out DIR] [--dry] [--cache DIR] [--keep-going] [--window N]\n  \
      psn-study describe --config <file>...\n  \
      psn-study list\n\
-     caching: --cache DIR persists traces and per-cell results (content-addressed; a rerun or an\n  \
-     \u{20}             interrupted sweep is served from the cache, bit-identically); --resume reports\n  \
-     \u{20}             up front how many sweep cells are already cached; --no-cache disables even\n  \
-     \u{20}             in-memory artifact sharing (measurement baseline)\n\
-     streaming: --streaming builds the space-time graph and history timeline in one bounded pass\n  \
-     \u{20}             over the contact-event stream, keeping --window N slots hot (default 64) and\n  \
-     \u{20}             spilling cold slots to disk; reports are bit-identical to the default\n  \
-     \u{20}             materialized engines — only peak memory changes\n\
+     --dry: show the resolved plan (a sweep's cells), run nothing\n\
+     profile: --profile quick (default; reduced scale) or paper (98 nodes, 3-hour traces)\n\
+     threads: --threads N workers, at most 1024 (default 0 = one per core; never changes results)\n\
+     caching: --cache DIR persists per-cell results (content-addressed; a rerun or an interrupted\n  \
+     \u{20}             sweep is served from the cache, bit-identically); a cached sweep reports up\n  \
+     \u{20}             front how many of its cells are already cached\n\
+     streaming: --window N builds the space-time graph and history timeline in one bounded pass\n  \
+     \u{20}             over the contact-event stream, keeping N slots hot and spilling cold slots\n  \
+     \u{20}             to disk; reports are bit-identical to the default materialized engines —\n  \
+     \u{20}             only peak memory changes\n\
      robustness: --keep-going finishes a sweep past failing cells and appends a typed failure\n  \
-     \u{20}             summary (exit 5); rerun with --cache DIR [--resume] to recompute only the\n  \
-     \u{20}             failed cells; --faults SITE:KIND[:NTH],… (or PSN_FAULTS) arms deterministic\n  \
-     \u{20}             failpoints for chaos testing\n\
+     \u{20}             summary (exit 5); rerun with the same --cache DIR to recompute only the\n  \
+     \u{20}             failed cells; --faults SITE:KIND[:NTH],… arms deterministic failpoints for\n  \
+     \u{20}             chaos testing\n\
      exit codes: 0 success, 2 usage, 3 config/plan, 4 artifact/cache, 5 execution failure,\n  \
      \u{20}             141 stdout closed early (e.g. piped into head)\n\
      run `psn-study list` for the registered presets, studies, views and scenario families"
@@ -194,17 +195,18 @@ struct Args {
     messages: Option<usize>,
     runs: Option<usize>,
     delta: Option<f64>,
-    streaming: bool,
     window: Option<usize>,
     format: ReportFormat,
     out: Option<PathBuf>,
     dry: bool,
     cache: Option<PathBuf>,
-    no_cache: bool,
-    resume: bool,
     keep_going: bool,
     faults: Option<String>,
 }
+
+/// The most worker threads `--threads` accepts: the enumeration pool and
+/// the simulator's lanes each start up to that many OS threads.
+const MAX_THREADS: usize = 1024;
 
 fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let command = argv.next().ok_or_else(|| usage().to_string())?;
@@ -214,20 +216,17 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
         study: None,
         views: None,
         seeds: Vec::new(),
-        profile: profile_from_env(),
-        threads: threads_from_env(),
+        profile: ExperimentProfile::Quick,
+        threads: 0,
         k: None,
         messages: None,
         runs: None,
         delta: None,
-        streaming: false,
         window: None,
         format: ReportFormat::Text,
         out: None,
         dry: false,
         cache: None,
-        no_cache: false,
-        resume: false,
         keep_going: false,
         faults: None,
     };
@@ -259,7 +258,13 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--threads" => {
                 args.threads = next_value(&mut argv, "--threads")?
                     .parse()
-                    .map_err(|_| "--threads: expected a number".to_string())?
+                    .ok()
+                    .filter(|&threads| threads <= MAX_THREADS)
+                    .ok_or_else(|| {
+                        format!(
+                            "--threads: expected a number from 0 (one per core) to {MAX_THREADS}"
+                        )
+                    })?
             }
             "--k" => {
                 args.k = Some(
@@ -289,7 +294,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
                         .map_err(|_| "--delta: expected a number of seconds".to_string())?,
                 )
             }
-            "--streaming" => args.streaming = true,
             "--window" => {
                 args.window = Some(
                     next_value(&mut argv, "--window")?
@@ -307,8 +311,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--out" => args.out = Some(PathBuf::from(next_value(&mut argv, "--out")?)),
             "--dry" => args.dry = true,
             "--cache" => args.cache = Some(PathBuf::from(next_value(&mut argv, "--cache")?)),
-            "--no-cache" => args.no_cache = true,
-            "--resume" => args.resume = true,
             "--keep-going" => args.keep_going = true,
             "--faults" => args.faults = Some(next_value(&mut argv, "--faults")?),
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
@@ -337,10 +339,6 @@ fn parse_study(name: &str) -> Result<StudyId, Failure> {
     })
 }
 
-/// Hot-window size (in busy slots) when `--streaming` is given without an
-/// explicit `--window N`.
-const DEFAULT_STREAMING_WINDOW: usize = 64;
-
 fn build_params(args: &Args) -> Result<StudyParams, Failure> {
     // The count flags take the bound of their `params.*` sweep axes.
     let count = |axis: &str, value: usize| {
@@ -367,10 +365,9 @@ fn build_params(args: &Args) -> Result<StudyParams, Failure> {
         }
         params = params.with_delta(delta);
     }
-    if args.streaming || args.window.is_some() {
-        // --window N implies --streaming; --streaming alone uses the
-        // default hot-window size. Results are bit-identical either way.
-        let window = args.window.unwrap_or(DEFAULT_STREAMING_WINDOW);
+    if let Some(window) = args.window {
+        // Streaming with N hot slots; results are bit-identical to the
+        // materialized engines.
         if window == 0 {
             return Err(Failure::Usage("--window must be at least 1 slot".into()));
         }
@@ -395,14 +392,12 @@ fn build_spec(args: &Args) -> Result<StudySpec, Failure> {
 }
 
 /// Builds the artifact store the command runs against: disk-backed under
-/// `--cache DIR`, pass-through under `--no-cache`, otherwise a private
-/// in-memory store (runs within the invocation still share artifacts).
+/// `--cache DIR`, otherwise a private in-memory store (runs within the
+/// invocation still share artifacts).
 fn build_store(args: &Args) -> Result<ArtifactStore, Failure> {
-    match (&args.cache, args.no_cache) {
-        (Some(_), true) => Err(Failure::Usage("--cache and --no-cache are contradictory".into())),
-        (Some(dir), false) => Ok(ArtifactStore::with_disk(dir)?),
-        (None, true) => Ok(ArtifactStore::disabled()),
-        (None, false) => Ok(ArtifactStore::in_memory()),
+    match &args.cache {
+        Some(dir) => Ok(ArtifactStore::with_disk(dir)?),
+        None => Ok(ArtifactStore::in_memory()),
     }
 }
 
@@ -431,7 +426,7 @@ fn report_failures(failures: &[CellFailure]) -> ExitCode {
     }
     eprintln!(
         "{} cell(s) failed; the report contains a failure-summary section. \
-         Rerun with --cache DIR [--resume] to recompute only the failed cells.",
+         Rerun with the same --cache DIR to recompute only the failed cells.",
         failures.len()
     );
     ExitCode::from(5)
@@ -530,7 +525,6 @@ fn cmd_run(args: &Args) -> Result<ExitCode, Failure> {
             ("--messages", args.messages.is_some()),
             ("--runs", args.runs.is_some()),
             ("--delta", args.delta.is_some()),
-            ("--streaming", args.streaming),
             ("--window", args.window.is_some()),
         ];
         if let Some((flag, _)) = incompatible.iter().find(|(_, given)| *given) {
@@ -621,21 +615,14 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
         .map(|()| ExitCode::SUCCESS);
     }
     let store = build_store(args)?;
-    if args.resume {
-        // --resume is an explicit restart marker: it requires a disk cache
-        // and reports, before running, how much of the sweep is already
-        // persisted. (Serving completed cells from the cache is the
-        // default whenever --cache is given — results are
-        // content-addressed, so reuse is always safe.)
-        let Some(disk) = store.disk() else {
-            return Err(Failure::Usage(
-                "--resume needs --cache DIR (the interrupted sweep's cache)".into(),
-            ));
-        };
+    if let Some(disk) = store.disk() {
+        // Before running, report how much of the sweep is already
+        // persisted; those cells are served from the cache (results are
+        // content-addressed, so reuse is always safe).
         let cells = planned_result_fingerprints(&plan.plan);
         let done = cells.iter().filter(|(_, fp)| disk.result_exists(*fp)).count();
         eprintln!(
-            "resume: {done}/{} cells already cached in {}",
+            "cache: {done}/{} cells already cached in {}",
             cells.len(),
             disk.root().display()
         );
@@ -654,12 +641,6 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, Failure> {
         return Ok(report_failures(&report.failures));
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_plan(args: &Args) -> Result<ExitCode, Failure> {
-    let spec = build_spec(args)?;
-    let plan = spec.plan().map_err(|e| Failure::Config(e.to_string()))?;
-    out!("{}", plan.describe()).map(|()| ExitCode::SUCCESS)
 }
 
 fn cmd_describe(args: &Args) -> Result<ExitCode, Failure> {
@@ -696,7 +677,7 @@ fn cmd_describe(args: &Args) -> Result<ExitCode, Failure> {
 fn cmd_list() -> Result<(), Failure> {
     outln!("presets (run with `psn-study run --preset <name>`):")?;
     for preset in PresetId::all() {
-        outln!("  {:<8} {} [was: {}]", preset.name(), preset.figure_title(), preset.binary_name())?;
+        outln!("  {:<8} {}", preset.name(), preset.figure_title())?;
     }
     outln!("\nstudies (run with `psn-study run --config <file> --study <name>`):")?;
     for study in StudyId::all() {
@@ -712,18 +693,19 @@ fn cmd_list() -> Result<(), Failure> {
     outln!("  grids and optional seeds, crossed into one run per grid cell")?;
     outln!("\nformats: --format text (default; golden-pinned), json (psn-report/1), csv")?;
     outln!("  (one file per table); --out DIR writes files instead of stdout")?;
-    outln!("\ncaching: --cache DIR persists traces + per-cell results keyed by a structural")?;
-    outln!("  config hash; reruns and interrupted sweeps are served bit-identically from the")?;
-    outln!("  cache (--resume reports progress up front); --no-cache disables all sharing")?;
+    outln!("\ncaching: --cache DIR persists per-cell results keyed by a structural config")?;
+    outln!("  hash; reruns and interrupted sweeps are served bit-identically from the cache,")?;
+    outln!("  and a cached sweep reports up front how many cells are already cached")?;
     outln!("\nrobustness: sweep --keep-going finishes past failing cells (failure summary,")?;
-    outln!("  exit 5); --faults SITE:KIND[:NTH] / PSN_FAULTS arms deterministic failpoints")?;
+    outln!("  exit 5); --faults SITE:KIND[:NTH] arms deterministic failpoints")?;
     outln!("exit codes: 0 success, 2 usage, 3 config, 4 artifact/cache, 5 execution,")?;
     outln!("  141 stdout closed early")?;
-    outln!("\nstreaming: --streaming [--window N] folds the contact-event stream into a")?;
-    outln!("  bounded window of hot slots (spilling cold ones); reports stay bit-identical,")?;
-    outln!("  peak working-set bytes show in the --cache stderr summary")?;
-    outln!("\nprofiles: quick (default), paper — via --profile or PSN_PROFILE")?;
-    outln!("threads: --threads or PSN_THREADS (0 = one per core; never changes results)")
+    outln!("\nstreaming: --window N folds the contact-event stream into a bounded window of")?;
+    outln!("  N hot slots (spilling cold ones); reports stay bit-identical, peak")?;
+    outln!("  working-set bytes show in the --cache stderr summary")?;
+    outln!("\nprofiles: --profile quick (default) or paper")?;
+    outln!("threads: --threads N, at most {MAX_THREADS} (0 = one per core, the default; never")?;
+    outln!("  changes results)")
 }
 
 fn main() -> ExitCode {
@@ -741,17 +723,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.resume && command != "sweep" {
-        eprintln!("--resume applies to `sweep` only (restarting an interrupted sweep)");
-        return ExitCode::from(2);
-    }
     if args.keep_going && command != "sweep" {
         eprintln!("--keep-going applies to `sweep` only (finishing a grid past failing cells)");
         return ExitCode::from(2);
     }
     if let Some(spec) = &args.faults {
-        // Explicitly armed failpoints (chaos testing); PSN_FAULTS in the
-        // environment needs no flag at all.
+        // Explicitly armed failpoints (chaos testing).
         if let Err(e) = psn_fault::arm(spec) {
             eprintln!("--faults: {e}");
             return ExitCode::from(2);
@@ -760,7 +737,6 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "run" => cmd_run(&args),
         "sweep" => cmd_sweep(&args),
-        "plan" => cmd_plan(&args),
         "describe" => cmd_describe(&args),
         "list" => cmd_list().map(|()| ExitCode::SUCCESS),
         other => Err(Failure::Usage(format!("unknown command {other:?}\n{}", usage()))),

@@ -4,13 +4,14 @@
 //! * `psn-study sweep --config scenarios/sweep_community_2x2.toml --cache
 //!   DIR` run twice emits **byte-identical** JSON, with the second run's
 //!   stderr reporting every cell served from the cache;
-//! * `--resume` reports the cached-cell count up front and `--no-cache`
-//!   still produces the identical document;
+//! * a cached sweep reports the cached-cell count up front, and a run
+//!   without `--cache` still produces the identical document;
 //! * a text preset run twice against `--cache` prints its golden bytes
 //!   both times, the second served from the cache;
 //! * a cache written when traces were still persisted serves its results
 //!   and keeps its `traces/` directory as it was;
-//! * contradictory flags fail with a usage error.
+//! * contradictory or incomplete flags fail with a usage error;
+//! * the environment never changes what a command line does.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -93,25 +94,21 @@ fn repeated_cached_sweeps_are_byte_identical_and_fully_cache_served() {
         dir.to_str().unwrap(),
     ];
 
+    // Each cached sweep reports the cached-cell count before running.
     let cold = psn_study(&sweep_args);
     assert!(cold.status.success(), "{}", String::from_utf8_lossy(&cold.stderr));
     let cold_err = String::from_utf8_lossy(&cold.stderr);
+    assert!(cold_err.contains("cache: 0/4 cells already cached"), "{cold_err}");
     assert!(cold_err.contains("0/4 cells served from cache"), "{cold_err}");
 
     let warm = psn_study(&sweep_args);
     assert!(warm.status.success(), "{}", String::from_utf8_lossy(&warm.stderr));
     let warm_err = String::from_utf8_lossy(&warm.stderr);
+    assert!(warm_err.contains("cache: 4/4 cells already cached"), "{warm_err}");
     assert!(warm_err.contains("4/4 cells served from cache"), "{warm_err}");
     assert_eq!(cold.stdout, warm.stdout, "repeated cached sweeps must be byte-identical");
 
-    // --resume reports the cached-cell count before running.
-    let resumed = psn_study(&[&sweep_args[..], &["--resume"]].concat());
-    assert!(resumed.status.success());
-    let resumed_err = String::from_utf8_lossy(&resumed.stderr);
-    assert!(resumed_err.contains("resume: 4/4 cells already cached"), "{resumed_err}");
-    assert_eq!(cold.stdout, resumed.stdout);
-
-    // --no-cache computes everything yet produces the identical document.
+    // Without --cache everything is computed, yet the document is the same.
     let uncached = psn_study(&[
         "sweep",
         "--config",
@@ -120,7 +117,6 @@ fn repeated_cached_sweeps_are_byte_identical_and_fully_cache_served() {
         "json",
         "--threads",
         "2",
-        "--no-cache",
     ]);
     assert!(uncached.status.success());
     assert_eq!(cold.stdout, uncached.stdout, "caching must be observationally invisible");
@@ -166,13 +162,13 @@ fn a_cache_with_a_leftover_traces_directory_serves_its_results_and_keeps_it() {
     let config = config.to_str().unwrap();
     let sweep =
         ["sweep", "--config", config, "--format", "json", "--threads", "1", "--profile", "quick"];
-    let warm = psn_study(&[&sweep[..], &["--cache", dir.to_str().unwrap(), "--resume"]].concat());
+    let warm = psn_study(&[&sweep[..], &["--cache", dir.to_str().unwrap()]].concat());
     let warm_err = String::from_utf8_lossy(&warm.stderr);
     assert_eq!(warm.status.code(), Some(0), "{warm_err}");
-    assert!(warm_err.contains("resume: 2/2 cells already cached"), "{warm_err}");
+    assert!(warm_err.contains("cache: 2/2 cells already cached"), "{warm_err}");
     assert!(warm_err.contains("2/2 cells served from cache (0 memory, 2 disk)"), "{warm_err}");
 
-    let uncached = psn_study(&[&sweep[..], &["--no-cache"]].concat());
+    let uncached = psn_study(&sweep);
     assert_eq!(uncached.status.code(), Some(0), "{}", String::from_utf8_lossy(&uncached.stderr));
     assert!(warm.stdout == uncached.stdout, "served results differ from a fresh computation");
     assert!(
@@ -186,21 +182,66 @@ fn a_cache_with_a_leftover_traces_directory_serves_its_results_and_keeps_it() {
 #[test]
 fn contradictory_and_incomplete_cache_flags_are_rejected() {
     let config = repo_path("scenarios/sweep_community_2x2.toml");
-    let both = psn_study(&[
-        "sweep",
-        "--config",
-        config.to_str().unwrap(),
-        "--cache",
-        "/tmp/x",
-        "--no-cache",
-    ]);
-    assert!(!both.status.success());
-    assert!(String::from_utf8_lossy(&both.stderr).contains("contradictory"));
+    let config = config.to_str().unwrap();
+    // `--cache` without its directory is incomplete.
+    let bare = psn_study(&["sweep", "--config", config, "--cache"]);
+    assert_eq!(bare.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&bare.stderr).contains("--cache needs a value"));
+    // A preset pins its spec, so a streaming window contradicts it.
+    let windowed = psn_study(&["run", "--preset", "fig04", "--window", "8", "--dry"]);
+    assert_eq!(windowed.status.code(), Some(2));
+    let windowed_err = String::from_utf8_lossy(&windowed.stderr);
+    assert!(windowed_err.contains("--window cannot be combined with --preset"), "{windowed_err}");
+    // The store has two modes, in memory and `--cache DIR`, and `--window N`
+    // is the one streaming switch: no other cache or streaming flag exists.
+    for flag in ["--no-cache", "--resume", "--streaming"] {
+        let out = psn_study(&["sweep", "--config", config, "--dry", flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown argument \"{flag}\"")), "{flag}: {err}");
+        assert!(out.stdout.is_empty(), "{flag}");
+    }
+}
 
-    let resume_without_cache =
-        psn_study(&["sweep", "--config", config.to_str().unwrap(), "--resume"]);
-    assert!(!resume_without_cache.status.success());
-    assert!(String::from_utf8_lossy(&resume_without_cache.stderr).contains("--resume needs"));
+#[test]
+fn help_and_list_name_only_the_current_surface() {
+    let help = String::from_utf8_lossy(&psn_study(&["--help"]).stdout).into_owned();
+    let list = psn_study(&["list"]);
+    assert_eq!(list.status.code(), Some(0));
+    let list = String::from_utf8_lossy(&list.stdout).into_owned();
+    for text in [&help, &list] {
+        for gone in ["PSN_", "--no-cache", "--resume", "--streaming", "psn-study plan", "[was:"] {
+            assert!(!text.contains(gone), "{gone:?} is still documented:\n{text}");
+        }
+        assert!(!text.contains("persists traces"), "traces are not persisted:\n{text}");
+        assert!(text.contains("1024"), "the --threads bound is documented:\n{text}");
+    }
+    // Presets answer to their names only, not to the former binary names.
+    let alias = psn_study(&["run", "--preset", "fig01_contact_timeseries", "--dry"]);
+    assert_eq!(alias.status.code(), Some(3));
+    assert!(String::from_utf8_lossy(&alias.stderr).contains("unknown preset"));
+    // `run --dry` shows a plan; there is no separate `plan` command.
+    let plan = psn_study(&["plan", "--preset", "fig04"]);
+    assert_eq!(plan.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&plan.stderr).contains("unknown command \"plan\""));
+}
+
+#[test]
+fn the_environment_does_not_change_a_run() {
+    // Profile, threads and failpoints are flags; none of these variables
+    // may turn a quick fig01 run into a paper-scale or failing one.
+    let golden = std::fs::read(repo_path("crates/bench/golden/fig01_contact_timeseries.txt"))
+        .expect("fig01 golden capture");
+    let out = Command::new(env!("CARGO_BIN_EXE_psn-study"))
+        .args(["run", "--preset", "fig01"])
+        .env("PSN_PROFILE", "paper")
+        .env("PSN_THREADS", "1")
+        .env("PSN_FAULTS", "queue.study-run:panic:1")
+        .output()
+        .expect("psn-study binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(out.stdout == golden, "fig01 under PSN_* variables differs from its golden capture");
 }
 
 #[test]

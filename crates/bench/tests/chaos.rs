@@ -11,7 +11,7 @@
 //! * **panic isolation** — an injected worker panic becomes a typed
 //!   [`psn::study::CellFailure`]; `sweep --keep-going` finishes the grid,
 //!   appends the failure-summary section and exits 5; a rerun over the
-//!   same cache (`--resume`) recomputes only the failed cells,
+//!   same cache recomputes only the failed cells,
 //!   bit-identically;
 //! * **exit-code taxonomy** — usage (2), config (3), artifact (4) and
 //!   execution (5) failures are distinguishable from scripts.
@@ -19,7 +19,7 @@
 //! Library-level tests arm failpoints through [`psn_fault::arm_guard`],
 //! which serializes them behind a process-wide lock so concurrent tests
 //! never observe each other's fault plans. CLI-level tests inject via
-//! `--faults`/`PSN_FAULTS` into child processes, whose plans are private.
+//! `--faults` into child processes, whose plans are private.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -137,7 +137,7 @@ fn persistent_write_failures_degrade_to_uncached_not_fatal() {
     psn_fault::disarm();
     assert_eq!(
         failed.render(),
-        run_study_with(&plan, &ArtifactStore::disabled()).unwrap().render()
+        run_study_with(&plan, &ArtifactStore::in_memory()).unwrap().render()
     );
 
     // Nothing was persisted, so the next store recomputes — a degraded
@@ -287,7 +287,6 @@ fn cli_chaos_sweep_corruption_plus_panic_keep_going_then_clean_resume() {
         "json",
         "--threads",
         "1",
-        "--no-cache",
     ]);
     assert_eq!(exit_code(&baseline), 0, "{}", String::from_utf8_lossy(&baseline.stderr));
 
@@ -320,10 +319,10 @@ fn cli_chaos_sweep_corruption_plus_panic_keep_going_then_clean_resume() {
     // panicked cell is recomputed, the others come from the cache — and
     // the report is byte-identical to the fault-free run (no failure
     // section).
-    let resumed = psn_study(&[&sweep_args[..], &["--resume"]].concat());
+    let resumed = psn_study(&sweep_args);
     let resumed_err = String::from_utf8_lossy(&resumed.stderr);
     assert_eq!(exit_code(&resumed), 0, "{resumed_err}");
-    assert!(resumed_err.contains("resume: 3/4 cells already cached"), "{resumed_err}");
+    assert!(resumed_err.contains("cache: 3/4 cells already cached"), "{resumed_err}");
     assert!(resumed_err.contains("quarantined corrupt artifact"), "{resumed_err}");
     assert_eq!(
         baseline.stdout, resumed.stdout,
@@ -358,13 +357,10 @@ fn cli_single_transient_faults_leave_the_report_byte_identical() {
     assert_eq!(exit_code(&flaky), 0, "{}", String::from_utf8_lossy(&flaky.stderr));
     assert_eq!(cold.stdout, flaky.stdout, "retry-healed run must be byte-identical");
 
-    // Persistent sidecar corruption (armed via the PSN_FAULTS env var)
-    // forces every cell to miss and rebuild — still byte-identical.
-    let rebuilt = Command::new(env!("CARGO_BIN_EXE_psn-study"))
-        .args(sweep_args)
-        .env("PSN_FAULTS", "disk.read-result:corrupt-bytes:*")
-        .output()
-        .expect("psn-study binary runs");
+    // Persistent sidecar corruption forces every cell to miss and
+    // rebuild — still byte-identical.
+    let rebuilt =
+        psn_study(&[&sweep_args[..], &["--faults", "disk.read-result:corrupt-bytes:*"]].concat());
     assert_eq!(exit_code(&rebuilt), 0, "{}", String::from_utf8_lossy(&rebuilt.stderr));
     assert_eq!(cold.stdout, rebuilt.stdout, "rebuilt run must be byte-identical");
 
@@ -446,7 +442,8 @@ fn cli_a_huge_node_count_is_a_config_error_before_allocation() {
     assert!(text.contains("nodes = 2000000000"), "the shipped scenario names its node count");
     std::fs::write(&huge, text).unwrap();
     for study in ["activity", "forwarding"] {
-        let out = psn_study(&["plan", "--config", huge.to_str().unwrap(), "--study", study]);
+        let out =
+            psn_study(&["run", "--dry", "--config", huge.to_str().unwrap(), "--study", study]);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(exit_code(&out), 3, "{err}");
         assert!(err.contains("\"nodes\" must be at most 16384"), "{err}");
@@ -475,12 +472,12 @@ fn cli_an_unbounded_slot_or_bin_count_is_a_config_error_before_allocation() {
         (&["--config", shipped, "--study", "forwarding", "--delta", "0.000001"], "\"delta\""),
     ];
     for (args, named) in cases {
-        for command in ["plan", "run"] {
-            let out = psn_study(&[&[command][..], args].concat());
+        for command in [&["run", "--dry"][..], &["run"]] {
+            let out = psn_study(&[command, args].concat());
             let err = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(exit_code(&out), 3, "{command} {args:?}: {err}");
-            assert!(err.contains(named), "{command} {args:?}: {err}");
-            assert!(out.stdout.is_empty(), "{command} {args:?} printed a plan or report");
+            assert_eq!(exit_code(&out), 3, "{command:?} {args:?}: {err}");
+            assert!(err.contains(named), "{command:?} {args:?}: {err}");
+            assert!(out.stdout.is_empty(), "{command:?} {args:?} printed a plan or report");
         }
     }
     let _ = std::fs::remove_file(wide);
@@ -495,22 +492,25 @@ fn cli_k_takes_the_bound_of_a_params_k_sweep_axis() {
     let shipped = shipped.to_str().unwrap();
     let base = ["--config", shipped, "--study", "explosion", "--k"];
     for k in ["4294967296", "18446744073709551615", "0"] {
-        for command in ["plan", "run"] {
-            let out = psn_study(&[&[command][..], &base, &[k]].concat());
+        for command in [&["run", "--dry"][..], &["run"]] {
+            let out = psn_study(&[command, &base, &[k]].concat());
             let err = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(exit_code(&out), 2, "{command} --k {k}: {err}");
-            assert!(err.contains("--k") && err.contains("4294967295"), "{command} --k {k}: {err}");
-            assert!(out.stdout.is_empty(), "{command} --k {k} printed a plan or report");
+            assert_eq!(exit_code(&out), 2, "{command:?} --k {k}: {err}");
+            assert!(
+                err.contains("--k") && err.contains("4294967295"),
+                "{command:?} --k {k}: {err}"
+            );
+            assert!(out.stdout.is_empty(), "{command:?} --k {k} printed a plan or report");
         }
     }
-    let out = psn_study(&[&["plan"][..], &base, &["4294967295"]].concat());
+    let out = psn_study(&[&["run", "--dry"][..], &base, &["4294967295"]].concat());
     assert_eq!(exit_code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
 
     // `--messages` and `--runs` take the bound of their axes too. Only
-    // `plan` is driven: a `run` that slipped past the bound would try to
-    // simulate billions of messages.
+    // `run --dry` is driven: a `run` that slipped past the bound would try
+    // to simulate billions of messages.
     for (flag, study) in [("--messages", "explosion"), ("--runs", "forwarding")] {
-        let base = ["plan", "--config", shipped, "--study", study, flag];
+        let base = ["run", "--dry", "--config", shipped, "--study", study, flag];
         for value in ["4294967296", "5000000000", "18446744073709551615", "0"] {
             let out = psn_study(&[&base[..], &[value]].concat());
             let err = String::from_utf8_lossy(&out.stderr);
@@ -520,6 +520,63 @@ fn cli_k_takes_the_bound_of_a_params_k_sweep_axis() {
         }
         let out = psn_study(&[&base[..], &["4294967295"]].concat());
         assert_eq!(exit_code(&out), 0, "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
+
+#[test]
+fn cli_threads_above_the_bound_are_a_usage_error_before_anything_starts() {
+    // The enumeration pool and the simulator's lanes start up to
+    // `--threads` OS threads, so the flag is bounded at parse time. Only
+    // `--dry` runs are driven: nothing here may start a study.
+    let shipped = repo_path("scenarios/homogeneous.toml");
+    let sweep = repo_path("scenarios/sweep_community_2x2.toml");
+    let (shipped, sweep) = (shipped.to_str().unwrap(), sweep.to_str().unwrap());
+    let commands: [&[&str]; 3] = [
+        &["run", "--dry", "--config", shipped, "--study", "forwarding"],
+        &["run", "--dry", "--preset", "fig09"],
+        &["sweep", "--dry", "--config", sweep],
+    ];
+    for command in commands {
+        for threads in ["1025", "100000", "18446744073709551616"] {
+            let out = psn_study(&[command, &["--threads", threads]].concat());
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(exit_code(&out), 2, "{command:?} --threads {threads}: {err}");
+            assert!(err.contains("--threads") && err.contains("1024"), "{threads}: {err}");
+            assert!(out.stdout.is_empty(), "{command:?} --threads {threads} printed a plan");
+        }
+        for threads in ["0", "1024"] {
+            let out = psn_study(&[command, &["--threads", threads]].concat());
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(exit_code(&out), 0, "{command:?} --threads {threads}: {err}");
+        }
+    }
+}
+
+#[test]
+fn cli_activity_without_a_defined_stationarity_check_still_reports() {
+    // A 25-minute window holds fewer one-minute bins than the 30-minute
+    // tail, and a vanishing contact rate leaves a window without contacts:
+    // either way the cv and tail ratio are undefined, not a panicked cell.
+    let scenarios = [("short", "1500.0", "0.05"), ("empty", "3600.0", "0.000000001")];
+    for (tag, window, rate) in scenarios {
+        let path = std::env::temp_dir()
+            .join(format!("psn-chaos-activity-{tag}-{}.toml", std::process::id()));
+        let text = format!(
+            "kind = \"homogeneous\"\nnodes = 8\nwindow_seconds = {window}\n\
+             node_contact_rate = {rate}\nmean_contact_duration = 120.0\nseed = 51\n"
+        );
+        std::fs::write(&path, text).unwrap();
+        let config = path.to_str().unwrap();
+        let out = psn_study(&["run", "--config", config, "--study", "activity", "--threads", "1"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(exit_code(&out), 0, "{tag}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.contains("(cv, tail ratio undefined)"), "{tag}: {stdout}");
+        assert!(stdout.contains("Figure 7"), "{tag}: the contact-count CDF still renders");
+        let json =
+            psn_study(&["run", "--config", config, "--study", "activity", "--format", "json"]);
+        let json = String::from_utf8_lossy(&json.stdout);
+        assert!(!json.contains("\"tail_ratio\""), "{tag}: an undefined stat is left out: {json}");
+        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -593,7 +650,7 @@ const FUZZ_TOKENS: &[&str] = &[
 #[test]
 fn cli_mutated_configs_exit_0_2_or_3_never_abort() {
     // Every outside input either succeeds or fails with a typed error:
-    // `plan` and `sweep --dry` read the config and plan without running,
+    // `run --dry` and `sweep --dry` read the config and plan without running,
     // so each mutant must exit 0, 2 (usage) or 3 (config). A signal (an
     // abort such as a stack overflow) or a panic's 101 fails the test;
     // `catch_unwind` in process cannot see the former.
@@ -645,7 +702,7 @@ fn cli_mutated_configs_exit_0_2_or_3_never_abort() {
         std::fs::write(&path, text).unwrap();
         let config = path.to_str().unwrap();
         for args in [
-            &["plan", "--config", config, "--study", "activity"][..],
+            &["run", "--dry", "--config", config, "--study", "activity"][..],
             &["sweep", "--config", config, "--dry"][..],
         ] {
             let out = psn_study(args);

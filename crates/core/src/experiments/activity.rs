@@ -14,11 +14,13 @@ pub struct ActivityReport {
     /// Total contacts per one-minute bin (Fig. 1 series).
     pub per_minute: BinnedSeries,
     /// Coefficient of variation of the per-minute counts (stationarity
-    /// check).
-    pub coefficient_of_variation: f64,
+    /// check). `None` when the stationarity check is undefined: the window
+    /// holds fewer one-minute bins than the 30-minute tail, or no contacts.
+    pub coefficient_of_variation: Option<f64>,
     /// Mean of the final 30 minutes relative to the overall mean (the
-    /// afternoon drop-off diagnostic).
-    pub tail_ratio: f64,
+    /// afternoon drop-off diagnostic); `None` exactly when
+    /// [`ActivityReport::coefficient_of_variation`] is.
+    pub tail_ratio: Option<f64>,
     /// CDF of per-node contact counts (Fig. 7 series).
     pub contact_count_cdf: Ecdf,
     /// Kolmogorov–Smirnov distance of the contact-count distribution from a
@@ -29,22 +31,24 @@ pub struct ActivityReport {
 
 impl ActivityReport {
     /// The typed Fig. 1 section: contacts per minute, with the
-    /// stationarity diagnostics as machine-readable stats.
+    /// stationarity diagnostics as machine-readable stats when they are
+    /// defined.
     pub fn timeseries_section(&self) -> Section {
         let points = self.per_minute.series().into_iter().map(|(t, c)| (t / 60.0, c)).collect();
-        Section::new()
-            .stat(Scalar::fixed("cv", self.coefficient_of_variation, 3))
-            .stat(Scalar::fixed("tail_ratio", self.tail_ratio, 3))
-            .block(Block::Title(format!(
-                "Figure 1 — total contacts per minute, {} (cv={:.3}, tail ratio={:.3})",
-                self.scenario, self.coefficient_of_variation, self.tail_ratio
-            )))
-            .block(Block::Series(Series::new(
-                "contacts per minute",
-                Column::fixed("minute", 0).with_unit("min"),
-                Column::display("contacts"),
-                points,
-            )))
+        let title = format!("Figure 1 — total contacts per minute, {}", self.scenario);
+        let section = match (self.coefficient_of_variation, self.tail_ratio) {
+            (Some(cv), Some(tail_ratio)) => Section::new()
+                .stat(Scalar::fixed("cv", cv, 3))
+                .stat(Scalar::fixed("tail_ratio", tail_ratio, 3))
+                .block(Block::Title(format!("{title} (cv={cv:.3}, tail ratio={tail_ratio:.3})"))),
+            _ => Section::new().block(Block::Title(format!("{title} (cv, tail ratio undefined)"))),
+        };
+        section.block(Block::Series(Series::new(
+            "contacts per minute",
+            Column::fixed("minute", 0).with_unit("min"),
+            Column::display("contacts"),
+            points,
+        )))
     }
 
     /// The typed Fig. 7 section: the per-node contact-count CDF.
@@ -67,13 +71,14 @@ impl ActivityReport {
 pub fn activity_report(scenario: impl Into<String>, summary: &ContactSummary) -> ActivityReport {
     let per_minute = summary.per_minute().clone();
     let rates = summary.rates();
-    let stationarity = psn_trace::binning::stationarity_from_series(&per_minute)
-        .unwrap_or_else(|| unreachable!("generated datasets always contain contacts"));
+    // Undefined for windows shorter than the 30-minute tail or without
+    // contacts.
+    let stationarity = psn_trace::binning::stationarity_from_series(&per_minute);
     ActivityReport {
         scenario: scenario.into(),
+        coefficient_of_variation: stationarity.as_ref().map(|s| s.coefficient_of_variation),
+        tail_ratio: stationarity.as_ref().map(|s| s.tail_ratio),
         per_minute,
-        coefficient_of_variation: stationarity.coefficient_of_variation,
-        tail_ratio: stationarity.tail_ratio,
         contact_count_cdf: rates.count_cdf().unwrap_or_else(|| unreachable!("non-empty trace")),
         uniformity_ks: rates.uniformity_ks().unwrap_or(1.0),
     }

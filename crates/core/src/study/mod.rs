@@ -433,7 +433,7 @@ impl StudyParams {
     }
 
     /// Selects streaming execution with a hot window of `window` slots —
-    /// the CLI's `--streaming` / `--window N`.
+    /// the CLI's `--window N`.
     pub fn with_streaming_window(mut self, window: Option<usize>) -> Self {
         self.streaming_window = window.map(|w| w.max(1));
         self
@@ -914,8 +914,8 @@ fn cell_key(
 }
 
 /// The result fingerprint of every planned run, in plan order — what
-/// `psn-study sweep --resume` checks against the disk tier to report, up
-/// front, how many cells an interrupted sweep already completed.
+/// `psn-study sweep --cache DIR` checks against the disk tier to report,
+/// up front, how many cells an interrupted sweep already completed.
 pub fn planned_result_fingerprints(plan: &StudyPlan) -> Vec<(String, psn_trace::Fingerprint)> {
     plan.runs
         .iter()
@@ -1347,7 +1347,7 @@ fn failure_summary_section(failures: &[CellFailure]) -> Section {
     let mut section = Section::new()
         .stat(Scalar::display("failed_cells", failures.len() as f64))
         .block(Block::Title(format!(
-            "Failure summary — {} cell{} failed (rerun with --resume to recompute only these)",
+            "Failure summary — {} cell{} failed (rerun with the same --cache to recompute only these)",
             failures.len(),
             if failures.len() == 1 { "" } else { "s" }
         )))
@@ -1791,9 +1791,9 @@ mod tests {
 
     #[test]
     fn warm_store_serves_bit_identical_reports_for_every_study() {
-        // The caching contract: for each of the six studies, a warm run
-        // (shared store), a cold run (fresh store) and an uncached run
-        // (--no-cache semantics) produce the identical typed document —
+        // The caching contract: for each of the six studies, a cold run
+        // and a warm run (one store shared by every study) and a run in a
+        // fresh store of its own produce the identical typed document —
         // and therefore identical rendered bytes.
         let params = quick_params();
         let store = ArtifactStore::in_memory();
@@ -1805,8 +1805,8 @@ mod tests {
             let warm = run_study_with(&plan, &store).unwrap();
             assert_eq!(cold.doc, warm.doc, "{study}: warm != cold");
             assert_eq!(cold.render(), warm.render(), "{study}: rendered bytes differ");
-            let uncached = run_study_with(&plan, &ArtifactStore::disabled()).unwrap();
-            assert_eq!(cold.doc, uncached.doc, "{study}: uncached != cold");
+            let fresh = run_study_with(&plan, &ArtifactStore::in_memory()).unwrap();
+            assert_eq!(cold.doc, fresh.doc, "{study}: fresh store != cold");
             if study != StudyId::Model {
                 assert!(
                     cold.cache.iter().all(|c| c.source == CacheSource::Built),
@@ -1964,7 +1964,7 @@ mod tests {
     #[test]
     fn streaming_studies_are_byte_identical_for_every_study() {
         // The stream-native contract: for each of the six studies, a
-        // `--streaming` run (scenario event stream → bounded-window graph +
+        // `--window N` run (scenario event stream → bounded-window graph +
         // folded summary, no materialized trace) produces the identical
         // typed document — and therefore identical rendered bytes — as the
         // materialized run. Fresh stores on both sides so neither run can
@@ -1988,7 +1988,7 @@ mod tests {
 
     #[test]
     fn streaming_study_never_materializes_a_trace() {
-        // The point of the stream-native path: a `--streaming` study folds
+        // The point of the stream-native path: a `--window N` study folds
         // the scenario's event stream directly and must never build (or
         // even request) the materialized ContactTrace artifact.
         use psn_artifact::ArtifactKind;

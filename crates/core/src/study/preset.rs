@@ -29,7 +29,7 @@ use crate::config::ExperimentProfile;
 pub fn render_header(figure: &str, profile: ExperimentProfile) -> String {
     let profile_line = match profile {
         ExperimentProfile::Paper => "paper (98 nodes, 3-hour traces)",
-        ExperimentProfile::Quick => "quick (reduced scale; set PSN_PROFILE=paper for full scale)",
+        ExperimentProfile::Quick => "quick (reduced scale; pass --profile paper for full scale)",
     };
     format!("# PSN path-diversity reproduction — {figure}\n# profile: {profile_line}\n")
 }
@@ -112,8 +112,8 @@ impl PresetId {
         }
     }
 
-    /// The name of the pre-refactor binary this preset replaces (still
-    /// accepted as a CLI alias, and the name of its golden capture).
+    /// The name of the pre-refactor binary this preset replaces: the stem
+    /// of its golden capture.
     pub fn binary_name(&self) -> &'static str {
         match self {
             PresetId::Fig01 => "fig01_contact_timeseries",
@@ -134,9 +134,9 @@ impl PresetId {
         }
     }
 
-    /// Looks a preset up by CLI name or binary alias.
+    /// Looks a preset up by its CLI name ([`PresetId::name`]).
     pub fn parse(name: &str) -> Option<PresetId> {
-        PresetId::all().into_iter().find(|p| p.name() == name || p.binary_name() == name)
+        PresetId::all().into_iter().find(|p| p.name() == name)
     }
 
     /// The figure title printed in the output header — identical to the
@@ -336,7 +336,7 @@ mod tests {
     fn preset_registry_is_consistent() {
         for preset in PresetId::all() {
             assert_eq!(PresetId::parse(preset.name()), Some(preset));
-            assert_eq!(PresetId::parse(preset.binary_name()), Some(preset));
+            assert_eq!(PresetId::parse(preset.binary_name()), None, "{preset}: no aliases");
             assert!(!preset.figure_title().is_empty());
             match preset.study() {
                 Some(study) => {
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn fig02_renders_the_example_graph() {
-        let run = PresetId::Fig02.run(ExperimentProfile::Quick, 1, &ArtifactStore::disabled());
+        let run = PresetId::Fig02.run(ExperimentProfile::Quick, 1, &ArtifactStore::in_memory());
         let out = run.unwrap().text();
         assert!(out.starts_with("# PSN path-diversity reproduction — Figure 2"));
         assert!(out.contains("delta = 10 s, slots = 2"), "{out}");
@@ -375,7 +375,7 @@ mod tests {
     fn header_names_the_profile() {
         let quick =
             render_header("Figure 9 — average delay vs success rate", ExperimentProfile::Quick);
-        assert!(quick.contains("# profile: quick"));
+        assert!(quick.contains("# profile: quick (reduced scale; pass --profile paper"));
         let paper = render_header("x", ExperimentProfile::Paper);
         assert!(paper.contains("# profile: paper (98 nodes, 3-hour traces)"));
     }

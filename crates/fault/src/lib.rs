@@ -10,7 +10,7 @@
 //! fail in a chosen way:
 //!
 //! ```text
-//! PSN_FAULTS=disk.read-result:corrupt-bytes:1,queue.study-run:panic:3
+//! psn-study … --faults disk.read-result:corrupt-bytes:1,queue.study-run:panic:3
 //! ```
 //!
 //! arms two sites: the first cached-result read returns corrupted bytes,
@@ -31,12 +31,14 @@
 //! worker reaches it `nth` is scheduling-dependent — chaos tests that need
 //! cell-exact targeting run with one worker.)
 //!
-//! **Cost when disabled:** one `Once` check plus one relaxed atomic load
-//! per site execution — no locks, no allocation, no syscalls.
+//! **Cost when disabled:** one relaxed atomic load per site execution —
+//! no locks, no allocation, no syscalls.
 //!
-//! Tests arm faults programmatically through [`arm_guard`], which holds a
-//! process-wide lock so concurrent chaos tests cannot observe each other's
-//! plans; the CLI arms them persistently through [`arm`].
+//! Nothing is armed unless code asks: tests arm faults programmatically
+//! through [`arm_guard`], which holds a process-wide lock so concurrent
+//! chaos tests cannot observe each other's plans, and the CLI's `--faults`
+//! arms them persistently through [`arm`]. No environment variable arms a
+//! site.
 //!
 //! The crate also owns [`run_jobs`], the one panic-isolated worker pool
 //! every parallel driver runs on. A job failpoint site is reachable only
@@ -47,10 +49,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock};
-
-/// The environment variable the global plan is armed from (first use).
-pub const ENV_VAR: &str = "PSN_FAULTS";
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Canonical registry of every failpoint site compiled into the workspace.
 ///
@@ -210,7 +209,6 @@ impl Plan {
     }
 }
 
-static ENV_INIT: Once = Once::new();
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static PLAN: OnceLock<Mutex<Plan>> = OnceLock::new();
 
@@ -233,20 +231,8 @@ fn install(plan: Plan) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-fn ensure_env_init() {
-    ENV_INIT.call_once(|| {
-        if let Ok(specs) = std::env::var(ENV_VAR) {
-            match Plan::parse(&specs) {
-                Ok(plan) => install(plan),
-                Err(e) => eprintln!("warning: ignoring {ENV_VAR}: {e}"),
-            }
-        }
-    });
-}
-
 /// True when any failpoint is armed — the fast path every site checks.
 pub fn enabled() -> bool {
-    ensure_env_init();
     // relaxed: see `install` — the flag is advisory; the plan mutex orders
     // the data.
     ENABLED.load(Ordering::Relaxed)
@@ -266,14 +252,12 @@ pub fn fire(site: &str) -> Option<FaultKind> {
 /// persistent until replaced. The CLI's `--faults` flag lands here; tests
 /// should prefer [`arm_guard`].
 pub fn arm(specs: &str) -> Result<(), FaultSpecError> {
-    ensure_env_init();
     install(Plan::parse(specs)?);
     Ok(())
 }
 
 /// Disarms every failpoint.
 pub fn disarm() {
-    ensure_env_init();
     install(Plan::default());
 }
 
@@ -301,7 +285,6 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 /// spec is a test bug.
 pub fn arm_guard(specs: &str) -> ArmGuard {
     let lock = TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    ensure_env_init();
     match Plan::parse(specs) {
         Ok(plan) => install(plan),
         Err(e) => panic!("arm_guard({specs:?}): {e}"),

@@ -79,7 +79,7 @@ fn all_six_studies_are_bit_identical_between_engines() {
             assert_eq!(
                 reference,
                 streamed,
-                "study {} must render byte-identically under --streaming --window {window}",
+                "study {} must render byte-identically under --window {window}",
                 study.name()
             );
             if study != StudyId::Model && study != StudyId::Activity {
